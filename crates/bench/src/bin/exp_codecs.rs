@@ -11,14 +11,19 @@
 //! corpora: kernel-level wins there (u64 match extension, 4-byte hash
 //! chains, slice-pass filters) surface as end-to-end throughput.
 //!
-//! Emits `BENCH_codecs.json` (schema `adshare-bench-codecs/v1`, validated
+//! Emits `BENCH_codecs.json` (schema `adshare-bench-codecs/v2`, validated
 //! in CI by `obs_schema_check`) and exits non-zero if the vectorised DCT
 //! kernel is not at least 2x the naive f32 one.
+//!
+//! `--baseline FILE` compares the run against an earlier document (CI: the
+//! checked-in `BENCH_codecs.json`) and exits non-zero when any MB/s figure
+//! has fallen more than 30 % below it.
 
 use adshare_bench::{print_table, timed, Content};
 use adshare_codec::codec::{AnyCodec, Codec};
 use adshare_codec::deflate::{deflate, inflate, Level};
 use adshare_codec::{dct, png, CodecKind};
+use adshare_obs::json::{parse, Json};
 
 const BLOCKS: usize = 512;
 const DCT_REPS: usize = 40;
@@ -91,7 +96,85 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
+/// How far below the baseline a throughput may fall before `--baseline`
+/// fails the run.
+const BASELINE_TOLERANCE: f64 = 0.30;
+
+/// Every MB/s figure of a `BENCH_codecs.json` document, by name.
+fn throughputs(doc: &Json) -> Vec<(String, f64)> {
+    let num = |node: &Json, key: &str| match node.get(key) {
+        Some(Json::Num(n)) => Some(*n),
+        _ => None,
+    };
+    let label = |node: &Json, key: &str| {
+        let text = node.get(key).and_then(Json::as_str).unwrap_or("?");
+        text.to_string()
+    };
+    let rows = |key: &str| doc.get(key).and_then(Json::as_array).unwrap_or(&[]);
+    let mut out = Vec::new();
+    let mut push = |name: String, value: Option<f64>| out.extend(value.map(|v| (name, v)));
+    if let Some(d) = doc.get("dct") {
+        push("dct encode".into(), num(d, "encode_mb_per_s"));
+    }
+    for row in rows("deflate") {
+        let name = format!("{}/{}", label(row, "corpus"), label(row, "level"));
+        push(format!("deflate {name}"), num(row, "mb_per_s"));
+        push(format!("inflate {name}"), num(row, "inflate_mb_per_s"));
+    }
+    for row in rows("png") {
+        let name = label(row, "content");
+        push(format!("png encode {name}"), num(row, "encode_mb_per_s"));
+        push(format!("png decode {name}"), num(row, "decode_mb_per_s"));
+    }
+    out
+}
+
+/// Compare this run's document with the baseline file; lists every figure
+/// that fell out of tolerance (or that the baseline does not have).
+fn regressions(ours: &str, baseline_path: &str) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+    let base = throughputs(&parse(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))?);
+    let ours = throughputs(&parse(ours).map_err(|e| format!("own document: {e}"))?);
+    let mut rows = Vec::new();
+    let mut bad = Vec::new();
+    for (name, now) in &ours {
+        let Some((_, was)) = base.iter().find(|(n, _)| n == name) else {
+            bad.push(format!("{name}: not in the baseline"));
+            continue;
+        };
+        let change = (now / was - 1.0) * 100.0;
+        let ok = *now >= was * (1.0 - BASELINE_TOLERANCE);
+        rows.push(vec![
+            name.clone(),
+            format!("{was:.1}"),
+            format!("{now:.1}"),
+            format!("{change:+.0}%"),
+            if ok { "ok" } else { "REGRESSED" }.to_string(),
+        ]);
+        if !ok {
+            bad.push(format!("{name}: {was:.1} -> {now:.1} MB/s ({change:+.0}%)"));
+        }
+    }
+    print_table(
+        &format!("E22d: against baseline {baseline_path} (fails below -30 %)"),
+        &["figure", "baseline MB/s", "now MB/s", "change", "verdict"],
+        &rows,
+    );
+    Ok(bad)
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let baseline = match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--baseline" => Some(path.clone()),
+        _ => {
+            eprintln!("usage: exp_codecs [--baseline BENCH_codecs.json]");
+            std::process::exit(2);
+        }
+    };
+
     // --- DCT kernels -----------------------------------------------------
     let naive_us = time_kernel(|blocks| {
         for b in blocks.iter_mut() {
@@ -158,28 +241,38 @@ fn main() {
                 times.push(us);
                 out = o;
             }
-            assert_eq!(
-                inflate(&out, corpus.len() + 64).expect("inflate"),
-                corpus,
-                "{name}/{level:?}"
-            );
+            let mut inflate_times = Vec::new();
+            for _ in 0..reps {
+                let (back, us) = timed(|| inflate(&out, corpus.len() + 64).expect("inflate"));
+                inflate_times.push(us);
+                assert_eq!(back, corpus, "{name}/{level:?}");
+            }
             let mbs = corpus.len() as f64 / median(times);
+            let inflate_mbs = corpus.len() as f64 / median(inflate_times);
             let ratio = corpus.len() as f64 / out.len() as f64;
             deflate_rows.push(vec![
                 name.to_string(),
                 format!("{level:?}"),
                 format!("{}", corpus.len()),
                 format!("{mbs:.1}"),
+                format!("{inflate_mbs:.1}"),
                 format!("{ratio:.2}x"),
             ]);
             deflate_json.push(format!(
-                "    {{\"corpus\":\"{name}\",\"level\":\"{level:?}\",\"mb_per_s\":{mbs:.1},\"ratio\":{ratio:.2}}}"
+                "    {{\"corpus\":\"{name}\",\"level\":\"{level:?}\",\"mb_per_s\":{mbs:.1},\"inflate_mb_per_s\":{inflate_mbs:.1},\"ratio\":{ratio:.2}}}"
             ));
         }
     }
     print_table(
-        "E22b: DEFLATE compress throughput by corpus and level",
-        &["corpus", "level", "bytes", "MB/s", "ratio"],
+        "E22b: DEFLATE throughput by corpus and level (raw-byte MB/s)",
+        &[
+            "corpus",
+            "level",
+            "bytes",
+            "deflate MB/s",
+            "inflate MB/s",
+            "ratio",
+        ],
         &deflate_rows,
     );
 
@@ -235,7 +328,7 @@ fn main() {
     let dct_encode_mbs = (320.0 * 240.0 * 4.0) / median(enc_times);
 
     let json = format!(
-        "{{\n  \"schema\": \"adshare-bench-codecs/v1\",\n  \"dct\": {{\n    \"block_us\": {{\"naive_f32\": {:.4}, \"reference\": {:.4}, \"fast\": {:.4}}},\n    \"speedup_fast_vs_naive\": {speedup_naive:.2},\n    \"speedup_fast_vs_reference\": {speedup_ref:.2},\n    \"encode_mb_per_s\": {dct_encode_mbs:.1}\n  }},\n  \"deflate\": [\n{}\n  ],\n  \"png\": [\n{}\n  ],\n  \"checks\": {{\"dct_fast_ge_2x_naive\": {}}}\n}}\n",
+        "{{\n  \"schema\": \"adshare-bench-codecs/v2\",\n  \"dct\": {{\n    \"block_us\": {{\"naive_f32\": {:.4}, \"reference\": {:.4}, \"fast\": {:.4}}},\n    \"speedup_fast_vs_naive\": {speedup_naive:.2},\n    \"speedup_fast_vs_reference\": {speedup_ref:.2},\n    \"encode_mb_per_s\": {dct_encode_mbs:.1}\n  }},\n  \"deflate\": [\n{}\n  ],\n  \"png\": [\n{}\n  ],\n  \"checks\": {{\"dct_fast_ge_2x_naive\": {}}}\n}}\n",
         per_block(naive_us),
         per_block(reference_us),
         per_block(fast_us),
@@ -259,5 +352,21 @@ fn main() {
     if speedup_naive < 2.0 {
         eprintln!("\nexpected the vectorised DCT kernel to be >= 2x the naive f32 kernel");
         std::process::exit(1);
+    }
+    if let Some(path) = baseline {
+        match regressions(&json, &path) {
+            Ok(bad) if bad.is_empty() => println!("  no figure more than 30 % below {path}: true"),
+            Ok(bad) => {
+                eprintln!("\nthroughput fell more than 30 % below {path}:");
+                for line in bad {
+                    eprintln!("  {line}");
+                }
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("\n{e}");
+                std::process::exit(1);
+            }
+        }
     }
 }

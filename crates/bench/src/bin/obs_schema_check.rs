@@ -21,7 +21,7 @@
 //! | `adshare-relay-tier-stats/v1` | `relay_tier_stats.schema.json` |
 //! | `adshare-scenario/v1`  | `scenario_result.schema.json`      |
 //! | `adshare-host-stats/v1` | `host_stats.schema.json`          |
-//! | `adshare-bench-codecs/v1` | `bench_codecs.schema.json`      |
+//! | `adshare-bench-codecs/v2` | `bench_codecs.schema.json`      |
 //! | `adshare-capture-manifest/v1` | `capture_manifest.schema.json` |
 //!
 //! Exits non-zero when any document fails to parse, carries an unknown
@@ -180,7 +180,7 @@ fn validate_document(schemas: &Schemas, doc: &Json) -> Result<String, String> {
         "adshare-relay-tier-stats/v1" => validate_tier(&schemas.tier, doc),
         "adshare-scenario/v1" => validate_scenario(&schemas.scenario, doc),
         "adshare-host-stats/v1" => validate_host(&schemas.host, doc),
-        "adshare-bench-codecs/v1" => validate_bench_codecs(&schemas.bench_codecs, doc),
+        "adshare-bench-codecs/v2" => validate_bench_codecs(&schemas.bench_codecs, doc),
         "adshare-capture-manifest/v1" => validate_capture_manifest(&schemas.capture_manifest, doc),
         other => Err(format!("unknown schema marker {other:?}")),
     }

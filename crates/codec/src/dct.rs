@@ -740,7 +740,9 @@ pub fn encode_with(img: &Image, quality: u8, kernel: Kernel) -> Vec<u8> {
 
     let bw = w.div_ceil(8) as usize;
     let bh = h.div_ceil(8) as usize;
-    let mut body = Vec::new();
+    // Photo and video content quantises to 9–12 bytes a block at the
+    // qualities in use; sharp text takes two or three times that and grows.
+    let mut body = Vec::with_capacity(bw * bh * 3 * 16);
     let mut prev_dc = [0i32; 3];
 
     let fdct: fn(&mut [i32; 64]) = match kernel {

@@ -4,17 +4,20 @@
 use crate::deflate::bits::BitWriter;
 use crate::deflate::huffman::{build_lengths, EncTable};
 use crate::deflate::tables::{
-    distance_to_symbol, fixed_dist_lens, fixed_litlen_lens, length_to_symbol, CLEN_ORDER,
+    distance_index, length_index, CLEN_ORDER, DIST_BASE, DIST_EXTRA, FIXED_DIST_LENS,
+    FIXED_LITLEN_LENS, LEN_BASE, LEN_EXTRA,
 };
 
-/// Compression effort.
+/// Compression effort: how hard the LZ77 stage searches. Every level but
+/// [`Store`](Level::Store) then emits each block as whichever of stored,
+/// fixed-Huffman and dynamic-Huffman is smallest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
     /// No compression: stored blocks only (fastest, for incompressible data).
     Store,
-    /// LZ77 with short hash chains + fixed Huffman codes.
+    /// LZ77 with short hash chains.
     Fast,
-    /// LZ77 with deeper chains + dynamic Huffman codes (default).
+    /// LZ77 with deeper chains (default).
     Default,
     /// Deepest chains + lazy matching.
     Best,
@@ -343,15 +346,15 @@ fn lz77(data: &[u8], level: Level) -> Vec<Token> {
 }
 
 /// Histogram the token stream into litlen and dist symbol frequencies.
-fn frequencies(tokens: &[Token]) -> (Vec<u32>, Vec<u32>) {
-    let mut lit = vec![0u32; 286];
-    let mut dist = vec![0u32; 30];
+fn frequencies(tokens: &[Token]) -> ([u32; 286], [u32; 30]) {
+    let mut lit = [0u32; 286];
+    let mut dist = [0u32; 30];
     for t in tokens {
-        match t {
-            Token::Literal(b) => lit[*b as usize] += 1,
+        match *t {
+            Token::Literal(b) => lit[b as usize] += 1,
             Token::Match { len, dist: d } => {
-                lit[length_to_symbol(*len).0 as usize] += 1;
-                dist[distance_to_symbol(*d).0 as usize] += 1;
+                lit[257 + length_index(len)] += 1;
+                dist[distance_index(d)] += 1;
             }
         }
     }
@@ -359,54 +362,79 @@ fn frequencies(tokens: &[Token]) -> (Vec<u32>, Vec<u32>) {
     (lit, dist)
 }
 
-fn token_cost_bits(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> usize {
+/// Bits the block body takes under the given code lengths, from the
+/// histogram alone: each symbol costs its code plus its extra bits.
+fn body_cost_bits(
+    lit_freq: &[u32; 286],
+    dist_freq: &[u32; 30],
+    lit_lens: &[u8],
+    dist_lens: &[u8],
+) -> usize {
     let mut bits = 0usize;
-    for t in tokens {
-        match t {
-            Token::Literal(b) => bits += lit_lens[*b as usize] as usize,
-            Token::Match { len, dist } => {
-                let (ls, le, _) = length_to_symbol(*len);
-                let (ds, de, _) = distance_to_symbol(*dist);
-                bits += lit_lens[ls as usize] as usize
-                    + le as usize
-                    + dist_lens[ds as usize] as usize
-                    + de as usize;
-            }
-        }
+    for (sym, &f) in lit_freq.iter().enumerate() {
+        let extra = if sym > 256 { LEN_EXTRA[sym - 257] } else { 0 };
+        bits += f as usize * (lit_lens[sym] + extra) as usize;
     }
-    bits + lit_lens[256] as usize
+    for (sym, &f) in dist_freq.iter().enumerate() {
+        bits += f as usize * (dist_lens[sym] + DIST_EXTRA[sym]) as usize;
+    }
+    bits
 }
 
 fn write_tokens(w: &mut BitWriter, tokens: &[Token], lit: &EncTable, dist: &EncTable) {
     for t in tokens {
-        match t {
+        match *t {
             Token::Literal(b) => {
-                w.write_code(lit.codes[*b as usize] as u32, lit.lens[*b as usize] as u32);
+                w.write_bits(lit.codes[b as usize] as u32, lit.lens[b as usize] as u32);
             }
             Token::Match { len, dist: d } => {
-                let (ls, le, lv) = length_to_symbol(*len);
-                w.write_code(lit.codes[ls as usize] as u32, lit.lens[ls as usize] as u32);
-                if le > 0 {
-                    w.write_bits(lv as u32, le as u32);
-                }
-                let (ds, de, dv) = distance_to_symbol(*d);
-                w.write_code(
-                    dist.codes[ds as usize] as u32,
-                    dist.lens[ds as usize] as u32,
+                // Code and extra bits go out as one field each: at most
+                // 15 + 5 bits for the length, 15 + 13 for the distance.
+                let li = length_index(len);
+                let code_len = lit.lens[257 + li] as u32;
+                let extra = (len - LEN_BASE[li]) as u32;
+                w.write_bits(
+                    lit.codes[257 + li] as u32 | extra << code_len,
+                    code_len + LEN_EXTRA[li] as u32,
                 );
-                if de > 0 {
-                    w.write_bits(dv as u32, de as u32);
-                }
+                let di = distance_index(d);
+                let code_len = dist.lens[di] as u32;
+                let extra = (d - DIST_BASE[di]) as u32;
+                w.write_bits(
+                    dist.codes[di] as u32 | extra << code_len,
+                    code_len + DIST_EXTRA[di] as u32,
+                );
             }
         }
     }
-    w.write_code(lit.codes[256] as u32, lit.lens[256] as u32);
+    w.write_bits(lit.codes[256] as u32, lit.lens[256] as u32);
+}
+
+/// The litlen + dist code lengths of a dynamic header as code-length
+/// symbols, run-length coded (RFC 1951 §3.2.7).
+struct ClenRle {
+    /// (code-length symbol, extra-bits value) pairs.
+    items: [(u8, u8); 286 + 30],
+    len: usize,
+}
+
+impl ClenRle {
+    fn items(&self) -> &[(u8, u8)] {
+        &self.items[..self.len]
+    }
+
+    fn push(&mut self, sym: u8, extra: u8) {
+        self.items[self.len] = (sym, extra);
+        self.len += 1;
+    }
 }
 
 /// Code-length-alphabet RLE (symbols 16/17/18) for the dynamic header.
-fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u8)> {
-    // Returns (symbol, extra-bits-value) pairs.
-    let mut out = Vec::new();
+fn rle_code_lengths(lens: &[u8]) -> ClenRle {
+    let mut out = ClenRle {
+        items: [(0, 0); 286 + 30],
+        len: 0,
+    };
     let mut i = 0;
     while i < lens.len() {
         let v = lens[i];
@@ -418,26 +446,26 @@ fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u8)> {
             let mut remaining = run;
             while remaining >= 11 {
                 let take = remaining.min(138);
-                out.push((18, (take - 11) as u8));
+                out.push(18, (take - 11) as u8);
                 remaining -= take;
             }
             if remaining >= 3 {
-                out.push((17, (remaining - 3) as u8));
+                out.push(17, (remaining - 3) as u8);
                 remaining = 0;
             }
             for _ in 0..remaining {
-                out.push((0, 0));
+                out.push(0, 0);
             }
         } else {
-            out.push((v, 0));
+            out.push(v, 0);
             let mut remaining = run - 1;
             while remaining >= 3 {
                 let take = remaining.min(6);
-                out.push((16, (take - 3) as u8));
+                out.push(16, (take - 3) as u8);
                 remaining -= take;
             }
             for _ in 0..remaining {
-                out.push((v, 0));
+                out.push(v, 0);
             }
         }
         i += run;
@@ -445,27 +473,27 @@ fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u8)> {
     out
 }
 
+static FIXED_LITLEN: EncTable = EncTable::from_lens(&FIXED_LITLEN_LENS);
+static FIXED_DIST: EncTable = EncTable::from_lens(&FIXED_DIST_LENS);
+
 /// Emit one block choosing the cheapest representation.
 fn write_best_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], last: bool) {
     let (lit_freq, dist_freq) = frequencies(tokens);
-    let mut dyn_lit_lens = build_lengths(&lit_freq, 15);
-    let mut dyn_dist_lens = build_lengths(&dist_freq, 15);
-    // DEFLATE requires HLIT >= 257 and HDIST >= 1 entries.
-    if dyn_lit_lens.len() < 257 {
-        dyn_lit_lens.resize(257, 0);
-    }
+    let mut dyn_lit_lens = [0u8; 286];
+    let mut dyn_dist_lens = [0u8; 30];
+    build_lengths(&lit_freq, 15, &mut dyn_lit_lens);
+    build_lengths(&dist_freq, 15, &mut dyn_dist_lens);
     if dyn_dist_lens.iter().all(|&l| l == 0) {
         // No distances used: emit a single dummy 1-bit code (decoders accept
         // the incomplete single-code case).
         dyn_dist_lens[0] = 1;
     }
 
-    let fixed_lit = fixed_litlen_lens();
-    let fixed_dist = fixed_dist_lens();
-
-    let fixed_cost = 3 + token_cost_bits(tokens, &fixed_lit, &fixed_dist);
-    let (dyn_header_bits, clen_plan) = dynamic_header_cost(&dyn_lit_lens, &dyn_dist_lens);
-    let dyn_cost = 3 + dyn_header_bits + token_cost_bits(tokens, &dyn_lit_lens, &dyn_dist_lens);
+    let fixed_cost =
+        3 + body_cost_bits(&lit_freq, &dist_freq, &FIXED_LITLEN_LENS, &FIXED_DIST_LENS);
+    let header = DynamicHeader::plan(&dyn_lit_lens, &dyn_dist_lens);
+    let dyn_cost =
+        3 + header.bits + body_cost_bits(&lit_freq, &dist_freq, &dyn_lit_lens, &dyn_dist_lens);
     // Stored cost (upper bound, ignores alignment slack).
     let stored_cost = 3 + 32 + raw.len() * 8 + 7;
 
@@ -475,9 +503,11 @@ fn write_best_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], last: bool)
         // chunk; otherwise fall through to fixed (rare: incompressible
         // middle blocks).
         if last {
+            w.reserve(raw.len() + 5 * raw.len().div_ceil(u16::MAX as usize) + 1);
             write_stored(w, raw);
             return;
         } else if raw.len() <= u16::MAX as usize {
+            w.reserve(raw.len() + 6);
             w.write_bits(0, 1);
             w.write_bits(0, 2);
             w.align_to_byte();
@@ -488,65 +518,94 @@ fn write_best_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], last: bool)
         }
     }
 
+    // The costs are exact, so the block's bytes can be reserved in one go
+    // (plus the writer's pending word).
+    w.reserve(dyn_cost.min(fixed_cost) / 8 + 9);
     w.write_bits(u32::from(last), 1);
     if dyn_cost < fixed_cost {
         w.write_bits(2, 2);
-        write_dynamic_header(w, &dyn_lit_lens, &dyn_dist_lens, &clen_plan);
+        header.write(w);
         let lit = EncTable::from_lens(&dyn_lit_lens);
         let dist = EncTable::from_lens(&dyn_dist_lens);
         write_tokens(w, tokens, &lit, &dist);
     } else {
         w.write_bits(1, 2);
-        let lit = EncTable::from_lens(&fixed_lit);
-        let dist = EncTable::from_lens(&fixed_dist);
-        write_tokens(w, tokens, &lit, &dist);
+        write_tokens(w, tokens, &FIXED_LITLEN, &FIXED_DIST);
     }
 }
 
-struct ClenPlan {
-    clen_lens: [u8; 19],
-    rle: Vec<(u8, u8)>,
+/// Everything a dynamic block's header says, worked out once for both the
+/// cost estimate and the emission.
+struct DynamicHeader {
+    hlit: usize,
+    hdist: usize,
     hclen: usize,
+    clen_lens: [u8; 19],
+    rle: ClenRle,
+    /// Size of the header in bits.
+    bits: usize,
 }
 
-fn dynamic_header_cost(lit_lens: &[u8], dist_lens: &[u8]) -> (usize, ClenPlan) {
-    // Trim trailing zeros, respecting minima.
-    let hlit = trimmed_len(lit_lens, 257);
-    let hdist = trimmed_len(dist_lens, 1);
-    let mut all = Vec::with_capacity(hlit + hdist);
-    all.extend_from_slice(&lit_lens[..hlit]);
-    all.extend_from_slice(&dist_lens[..hdist]);
-    let rle = rle_code_lengths(&all);
-    let mut clen_freq = vec![0u32; 19];
-    for &(sym, _) in &rle {
-        clen_freq[sym as usize] += 1;
-    }
-    let clen_lens_v = build_lengths(&clen_freq, 7);
-    let mut clen_lens = [0u8; 19];
-    clen_lens.copy_from_slice(&clen_lens_v);
-    // HCLEN: number of code-length-code lengths transmitted, in CLEN_ORDER.
-    let mut hclen = 19;
-    while hclen > 4 && clen_lens[CLEN_ORDER[hclen - 1] as usize] == 0 {
-        hclen -= 1;
-    }
-    let mut bits = 5 + 5 + 4 + 3 * hclen;
-    for &(sym, _) in &rle {
-        bits += clen_lens[sym as usize] as usize;
-        bits += match sym {
-            16 => 2,
-            17 => 3,
-            18 => 7,
-            _ => 0,
-        };
-    }
-    (
-        bits,
-        ClenPlan {
+impl DynamicHeader {
+    fn plan(lit_lens: &[u8; 286], dist_lens: &[u8; 30]) -> Self {
+        // Trim trailing zeros, respecting the minima DEFLATE requires.
+        let hlit = trimmed_len(lit_lens, 257);
+        let hdist = trimmed_len(dist_lens, 1);
+        let mut all = [0u8; 286 + 30];
+        all[..hlit].copy_from_slice(&lit_lens[..hlit]);
+        all[hlit..hlit + hdist].copy_from_slice(&dist_lens[..hdist]);
+        let rle = rle_code_lengths(&all[..hlit + hdist]);
+        let mut clen_freq = [0u32; 19];
+        for &(sym, _) in rle.items() {
+            clen_freq[sym as usize] += 1;
+        }
+        let mut clen_lens = [0u8; 19];
+        build_lengths(&clen_freq, 7, &mut clen_lens);
+        // HCLEN: number of code-length-code lengths transmitted, in CLEN_ORDER.
+        let mut hclen = 19;
+        while hclen > 4 && clen_lens[CLEN_ORDER[hclen - 1] as usize] == 0 {
+            hclen -= 1;
+        }
+        let mut bits = 5 + 5 + 4 + 3 * hclen;
+        for (sym, &f) in clen_freq.iter().enumerate() {
+            bits += f as usize * (clen_lens[sym] as usize + clen_extra_bits(sym as u8) as usize);
+        }
+        DynamicHeader {
+            hlit,
+            hdist,
+            hclen,
             clen_lens,
             rle,
-            hclen,
-        },
-    )
+            bits,
+        }
+    }
+
+    fn write(&self, w: &mut BitWriter) {
+        w.write_bits((self.hlit - 257) as u32, 5);
+        w.write_bits((self.hdist - 1) as u32, 5);
+        w.write_bits((self.hclen - 4) as u32, 4);
+        for &idx in CLEN_ORDER.iter().take(self.hclen) {
+            w.write_bits(self.clen_lens[idx as usize] as u32, 3);
+        }
+        let clen = EncTable::from_lens(&self.clen_lens);
+        for &(sym, extra) in self.rle.items() {
+            let code_len = clen.lens[sym as usize] as u32;
+            w.write_bits(
+                clen.codes[sym as usize] as u32 | (extra as u32) << code_len,
+                code_len + clen_extra_bits(sym),
+            );
+        }
+    }
+}
+
+/// Extra bits that follow a code-length symbol.
+fn clen_extra_bits(sym: u8) -> u32 {
+    match sym {
+        16 => 2,
+        17 => 3,
+        18 => 7,
+        _ => 0,
+    }
 }
 
 fn trimmed_len(lens: &[u8], min: usize) -> usize {
@@ -555,30 +614,6 @@ fn trimmed_len(lens: &[u8], min: usize) -> usize {
         n -= 1;
     }
     n
-}
-
-fn write_dynamic_header(w: &mut BitWriter, lit_lens: &[u8], dist_lens: &[u8], plan: &ClenPlan) {
-    let hlit = trimmed_len(lit_lens, 257);
-    let hdist = trimmed_len(dist_lens, 1);
-    w.write_bits((hlit - 257) as u32, 5);
-    w.write_bits((hdist - 1) as u32, 5);
-    w.write_bits((plan.hclen - 4) as u32, 4);
-    for &idx in CLEN_ORDER.iter().take(plan.hclen) {
-        w.write_bits(plan.clen_lens[idx as usize] as u32, 3);
-    }
-    let clen = EncTable::from_lens(&plan.clen_lens);
-    for &(sym, extra) in &plan.rle {
-        w.write_code(
-            clen.codes[sym as usize] as u32,
-            clen.lens[sym as usize] as u32,
-        );
-        match sym {
-            16 => w.write_bits(extra as u32, 2),
-            17 => w.write_bits(extra as u32, 3),
-            18 => w.write_bits(extra as u32, 7),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -717,6 +752,34 @@ mod tests {
         tokens
     }
 
+    /// The per-token cost walk the histogram formula replaced.
+    fn token_cost_bits(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> usize {
+        use crate::deflate::tables::{distance_to_symbol, length_to_symbol};
+        let mut bits = 0usize;
+        for t in tokens {
+            match t {
+                Token::Literal(b) => bits += lit_lens[*b as usize] as usize,
+                Token::Match { len, dist } => {
+                    let (ls, le, _) = length_to_symbol(*len);
+                    let (ds, de, _) = distance_to_symbol(*dist);
+                    bits += lit_lens[ls as usize] as usize
+                        + le as usize
+                        + dist_lens[ds as usize] as usize
+                        + de as usize;
+                }
+            }
+        }
+        bits + lit_lens[256] as usize
+    }
+
+    fn token(kind: u8, byte: u8, len: u16, dist: u16) -> Token {
+        if kind < 2 {
+            Token::Literal(byte)
+        } else {
+            Token::Match { len, dist }
+        }
+    }
+
     #[test]
     fn match_len_agrees_with_naive_at_all_phases() {
         // Exercise every alignment of the u64 fast path, including
@@ -749,6 +812,43 @@ mod tests {
             level in (0usize..3).prop_map(|i| [Level::Fast, Level::Default, Level::Best][i]),
         ) {
             prop_assert_eq!(lz77(&data, level), lz77_reference(&data, level));
+        }
+
+        // The block cost worked out from the histogram is the cost of
+        // walking the tokens, under the fixed code and under the code built
+        // for them; and the planned dynamic block is exactly as long as
+        // its cost says.
+        #[test]
+        fn histogram_cost_equals_token_walk(
+            raw in proptest::collection::vec(
+                (0u8..3, any::<u8>(), 3u16..=258, 1u16..=32768), 0..600),
+        ) {
+            let tokens: Vec<Token> =
+                raw.into_iter().map(|(k, b, l, d)| token(k, b, l, d)).collect();
+            let (lit_freq, dist_freq) = frequencies(&tokens);
+            prop_assert_eq!(
+                body_cost_bits(&lit_freq, &dist_freq, &FIXED_LITLEN_LENS, &FIXED_DIST_LENS),
+                token_cost_bits(&tokens, &FIXED_LITLEN_LENS, &FIXED_DIST_LENS)
+            );
+            let mut lit_lens = [0u8; 286];
+            let mut dist_lens = [0u8; 30];
+            build_lengths(&lit_freq, 15, &mut lit_lens);
+            build_lengths(&dist_freq, 15, &mut dist_lens);
+            let body = body_cost_bits(&lit_freq, &dist_freq, &lit_lens, &dist_lens);
+            prop_assert_eq!(body, token_cost_bits(&tokens, &lit_lens, &dist_lens));
+            if dist_lens.iter().all(|&l| l == 0) {
+                dist_lens[0] = 1;
+            }
+            let header = DynamicHeader::plan(&lit_lens, &dist_lens);
+            let mut w = BitWriter::new();
+            header.write(&mut w);
+            write_tokens(
+                &mut w,
+                &tokens,
+                &EncTable::from_lens(&lit_lens),
+                &EncTable::from_lens(&dist_lens),
+            );
+            prop_assert_eq!(w.finish().len(), (header.bits + body).div_ceil(8));
         }
 
         // Adversarial repeats: short periods, period changes, and runs that
@@ -895,7 +995,7 @@ mod tests {
         let rle = rle_code_lengths(&lens);
         // Expand back.
         let mut expanded: Vec<u8> = Vec::new();
-        for &(sym, extra) in &rle {
+        for &(sym, extra) in rle.items() {
             match sym {
                 16 => {
                     let last = *expanded.last().unwrap();

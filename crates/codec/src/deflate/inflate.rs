@@ -1,32 +1,114 @@
 //! DEFLATE decompression (RFC 1951).
 
+use std::sync::OnceLock;
+
 use crate::deflate::bits::BitReader;
 use crate::deflate::huffman::Decoder;
 use crate::deflate::tables::{
-    fixed_dist_lens, fixed_litlen_lens, CLEN_ORDER, DIST_BASE, DIST_EXTRA, LEN_BASE, LEN_EXTRA,
+    CLEN_ORDER, DIST_BASE, DIST_EXTRA, FIXED_DIST_LENS, FIXED_LITLEN_LENS, LEN_BASE, LEN_EXTRA,
 };
 use crate::{Error, Result};
+
+/// Primary-table sizes: 10 bits of litlen, 8 of distance, and the whole
+/// 7-bit code-length code. About 6 KiB of tables per stream, on the stack.
+type LitlenDecoder = Decoder<1024>;
+type DistDecoder = Decoder<256>;
+type ClenDecoder = Decoder<128>;
+
+// Decoder payloads (see `Decoder`): extra-bit count in the low byte, a
+// 16-bit value in bits 8..24, and for litlen symbols one of three flags.
+const LITERAL: u32 = 1 << 24;
+const END_OF_BLOCK: u32 = 1 << 25;
+const BAD_SYMBOL: u32 = 1 << 26;
+
+/// Literal byte, end of block, or match length base + extra-bit count.
+const LITLEN_PAYLOAD: [u32; 288] = {
+    let mut t = [BAD_SYMBOL; 288];
+    let mut sym = 0;
+    while sym < 256 {
+        t[sym] = LITERAL | (sym as u32) << 8;
+        sym += 1;
+    }
+    t[256] = END_OF_BLOCK;
+    let mut i = 0;
+    while i < 29 {
+        t[257 + i] = (LEN_BASE[i] as u32) << 8 | LEN_EXTRA[i] as u32;
+        i += 1;
+    }
+    t
+};
+
+/// Distance base + extra-bit count.
+const DIST_PAYLOAD: [u32; 30] = {
+    let mut t = [0; 30];
+    let mut i = 0;
+    while i < 30 {
+        t[i] = (DIST_BASE[i] as u32) << 8 | DIST_EXTRA[i] as u32;
+        i += 1;
+    }
+    t
+};
+
+/// The code-length symbol itself.
+const CLEN_PAYLOAD: [u32; 19] = {
+    let mut t = [0; 19];
+    let mut i = 0;
+    while i < 19 {
+        t[i] = (i as u32) << 8;
+        i += 1;
+    }
+    t
+};
+
+/// What a caller that says nothing is assumed to expand by: the DCT
+/// coefficient bodies measure 2.8, screen text and flat fills far more
+/// (those grow the buffer, by doubling).
+const TYPICAL_EXPANSION: usize = 4;
+
+/// No DEFLATE stream expands further than this (a block of 258-byte
+/// matches at one bit per length and distance symbol).
+const MAX_EXPANSION: usize = 1032;
 
 /// Decompress a complete DEFLATE stream.
 ///
 /// `max_out` bounds the decompressed size; hostile streams that would expand
 /// beyond it are rejected rather than allocated.
 pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
+    inflate_sized(data, max_out, None)
+}
+
+/// [`inflate`] for a caller that may know how large the output is:
+/// `size_hint` bytes (by default a typical multiple of the input) are
+/// reserved up front, as far as `max_out` and the input length allow.
+/// `max_out` is the limit, never a capacity.
+pub(crate) fn inflate_sized(
+    data: &[u8],
+    max_out: usize,
+    size_hint: Option<usize>,
+) -> Result<Vec<u8>> {
+    let reserve = size_hint
+        .unwrap_or(data.len().saturating_mul(TYPICAL_EXPANSION))
+        .min(max_out)
+        .min(data.len().saturating_mul(MAX_EXPANSION));
+    let mut out = Output {
+        buf: vec![0; reserve],
+        max_out,
+    };
+    // Bytes of `out` written so far.
+    let mut pos = 0;
     let mut r = BitReader::new(data);
-    let mut out: Vec<u8> = Vec::new();
     loop {
         let bfinal = r.read_bit()?;
         let btype = r.read_bits(2)?;
-        match btype {
-            0 => inflate_stored(&mut r, &mut out, max_out)?,
+        pos = match btype {
+            0 => inflate_stored(&mut r, &mut out, pos)?,
             1 => {
-                let lit = Decoder::from_lens(&fixed_litlen_lens())?;
-                let dist = Decoder::from_lens(&fixed_dist_lens())?;
-                inflate_block(&mut r, &mut out, &lit, &dist, max_out)?;
+                let (lit, dist) = fixed_decoders();
+                inflate_block(&mut r, &mut out, pos, lit, dist)?
             }
             2 => {
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &mut out, &lit, &dist, max_out)?;
+                inflate_block(&mut r, &mut out, pos, &lit, &dist)?
             }
             _ => {
                 return Err(Error::Invalid {
@@ -34,32 +116,123 @@ pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
                     detail: "btype 3",
                 })
             }
-        }
+        };
         if bfinal == 1 {
-            return Ok(out);
+            out.buf.truncate(pos);
+            return Ok(out.buf);
         }
     }
 }
 
-fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>, max_out: usize) -> Result<()> {
-    r.align_to_byte();
+/// The output buffer: initialised up to its current size and written by
+/// position (the callers carry the position, so the block loop can keep it
+/// in a register), which makes the room check and the bounds check one.
+/// It grows by doubling but never past `max_out`, and every write checks
+/// the limit before touching the buffer.
+struct Output {
+    buf: Vec<u8>,
+    max_out: usize,
+}
+
+impl Output {
+    /// Make sure `n` bytes can be written at `pos`, or fail with
+    /// `OutputTooLarge`.
+    #[inline(always)]
+    fn make_room(&mut self, pos: usize, n: usize) -> Result<()> {
+        if self.buf.len() - pos < n {
+            self.grow(pos + n)?;
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn grow(&mut self, need: usize) -> Result<()> {
+        if need > self.max_out {
+            return Err(Error::OutputTooLarge {
+                limit: self.max_out,
+            });
+        }
+        let target = need
+            .max(self.buf.len().saturating_mul(2))
+            .max(64)
+            .min(self.max_out);
+        // `resize` alone would round the capacity up past `max_out`.
+        self.buf.reserve_exact(target - self.buf.len());
+        self.buf.resize(target, 0);
+        Ok(())
+    }
+
+    /// Write `len` bytes at `pos`, copied from `dist` bytes before it. When
+    /// the ranges overlap the copy repeats the last `dist` bytes, exactly
+    /// as a byte-by-byte copy would.
+    #[inline(always)]
+    fn copy_match(&mut self, pos: usize, dist: usize, len: usize) -> Result<()> {
+        if dist == 0 || dist > pos {
+            return Err(Error::Invalid {
+                what: "distance",
+                detail: "reaches before stream start",
+            });
+        }
+        self.make_room(pos, len)?;
+        let start = pos - dist;
+        if dist >= 8 && len <= 32 && self.buf.len() - pos >= 40 {
+            // Short match, the common case: whole words, inline. Word k
+            // reads bytes that lie at least 8 before where it writes, so
+            // they are final; the overshoot past `len` lands in buffer that
+            // is not written yet.
+            let mut off = 0;
+            while off < len {
+                self.buf
+                    .copy_within(start + off..start + off + 8, pos + off);
+                off += 8;
+            }
+        } else if dist >= len {
+            self.buf.copy_within(start..start + len, pos);
+        } else if dist == 1 {
+            let byte = self.buf[start];
+            self.buf[pos..pos + len].fill(byte);
+        } else {
+            // What is already copied is itself a valid source: the chunk
+            // doubles each round.
+            let mut done = 0;
+            while done < len {
+                let chunk = (len - done).min(dist + done);
+                self.buf.copy_within(start..start + chunk, pos + done);
+                done += chunk;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Returns the write position after the block.
+fn inflate_stored(r: &mut BitReader<'_>, out: &mut Output, pos: usize) -> Result<usize> {
     let hdr = r.read_aligned_bytes(4)?;
-    let len = u16::from_le_bytes([hdr[0], hdr[1]]) as usize;
+    let len = u16::from_le_bytes([hdr[0], hdr[1]]);
     let nlen = u16::from_le_bytes([hdr[2], hdr[3]]);
-    if nlen != !(len as u16) {
+    if nlen != !len {
         return Err(Error::Invalid {
             what: "stored block",
             detail: "LEN/NLEN mismatch",
         });
     }
-    if out.len() + len > max_out {
-        return Err(Error::OutputTooLarge { limit: max_out });
-    }
-    out.extend_from_slice(&r.read_aligned_bytes(len)?);
-    Ok(())
+    let end = pos + len as usize;
+    out.make_room(pos, len as usize)?;
+    out.buf[pos..end].copy_from_slice(r.read_aligned_bytes(len as usize)?);
+    Ok(end)
 }
 
-fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder)> {
+fn fixed_decoders() -> &'static (LitlenDecoder, DistDecoder) {
+    static FIXED: OnceLock<(LitlenDecoder, DistDecoder)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        (
+            Decoder::from_lens(&FIXED_LITLEN_LENS, &LITLEN_PAYLOAD).expect("fixed litlen code"),
+            Decoder::from_lens(&FIXED_DIST_LENS, &DIST_PAYLOAD).expect("fixed distance code"),
+        )
+    })
+}
+
+fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(LitlenDecoder, DistDecoder)> {
     let hlit = r.read_bits(5)? as usize + 257;
     let hdist = r.read_bits(5)? as usize + 1;
     let hclen = r.read_bits(4)? as usize + 4;
@@ -73,102 +246,115 @@ fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder)> {
     for &idx in CLEN_ORDER.iter().take(hclen) {
         clen_lens[idx as usize] = r.read_bits(3)? as u8;
     }
-    let clen_dec = Decoder::from_lens(&clen_lens)?;
+    let clen_dec = ClenDecoder::from_lens(&clen_lens, &CLEN_PAYLOAD)?;
 
     let total = hlit + hdist;
-    let mut lens = Vec::with_capacity(total);
-    while lens.len() < total {
-        let sym = clen_dec.decode(r)?;
-        match sym {
-            0..=15 => lens.push(sym as u8),
+    let mut lens = [0u8; 286 + 30];
+    let mut filled = 0;
+    while filled < total {
+        r.refill();
+        let entry = clen_dec.decode(r.peek())?;
+        r.consume(entry & 0xff)?;
+        let sym = (entry >> 8) as u8;
+        let (value, repeat) = match sym {
+            0..=15 => {
+                lens[filled] = sym;
+                filled += 1;
+                continue;
+            }
             16 => {
-                let &last = lens.last().ok_or(Error::Invalid {
-                    what: "code lengths",
-                    detail: "repeat before any",
-                })?;
-                let n = 3 + r.read_bits(2)?;
-                for _ in 0..n {
-                    lens.push(last);
+                if filled == 0 {
+                    return Err(Error::Invalid {
+                        what: "code lengths",
+                        detail: "repeat before any",
+                    });
                 }
+                (lens[filled - 1], 3 + r.read_bits(2)? as usize)
             }
-            17 => {
-                let n = 3 + r.read_bits(3)? as usize;
-                lens.resize(lens.len() + n, 0);
-            }
-            18 => {
-                let n = 11 + r.read_bits(7)? as usize;
-                lens.resize(lens.len() + n, 0);
-            }
-            _ => {
-                return Err(Error::Invalid {
-                    what: "code lengths",
-                    detail: "symbol > 18",
-                })
-            }
+            17 => (0, 3 + r.read_bits(3)? as usize),
+            _ => (0, 11 + r.read_bits(7)? as usize),
+        };
+        if repeat > total - filled {
+            return Err(Error::Invalid {
+                what: "code lengths",
+                detail: "repeat overruns header",
+            });
         }
+        lens[filled..filled + repeat].fill(value);
+        filled += repeat;
     }
-    if lens.len() != total {
-        return Err(Error::Invalid {
-            what: "code lengths",
-            detail: "repeat overruns header",
-        });
-    }
-    let lit = Decoder::from_lens(&lens[..hlit])?;
-    let dist = Decoder::from_lens(&lens[hlit..])?;
+    let lit = Decoder::from_lens(&lens[..hlit], &LITLEN_PAYLOAD)?;
+    let dist = Decoder::from_lens(&lens[hlit..total], &DIST_PAYLOAD)?;
     Ok((lit, dist))
 }
 
+/// Consume the code `entry` was decoded from together with its extra bits
+/// and return their value.
+#[inline(always)]
+fn take_with_extra(r: &mut BitReader<'_>, entry: u32) -> Result<usize> {
+    let total = entry & 0xff;
+    let code_len = entry >> 28;
+    let extra = (r.peek() >> code_len) as usize & ((1 << (total - code_len)) - 1);
+    r.consume(total)?;
+    Ok(extra)
+}
+
+/// Consume the literal `entry` was decoded from and write it at `pos`.
+#[inline(always)]
+fn put_literal(r: &mut BitReader<'_>, out: &mut Output, pos: &mut usize, entry: u32) -> Result<()> {
+    r.consume(entry & 0xff)?;
+    out.make_room(*pos, 1)?;
+    out.buf[*pos] = (entry >> 8) as u8;
+    *pos += 1;
+    Ok(())
+}
+
+/// Decode one Huffman-coded block to `out` from `pos` on; returns the write
+/// position after it.
 fn inflate_block(
-    r: &mut BitReader<'_>,
-    out: &mut Vec<u8>,
-    lit: &Decoder,
-    dist: &Decoder,
-    max_out: usize,
-) -> Result<()> {
+    reader: &mut BitReader<'_>,
+    out: &mut Output,
+    mut pos: usize,
+    lit: &LitlenDecoder,
+    dist: &DistDecoder,
+) -> Result<usize> {
+    // A private copy: the loop below leaves no pointer to it behind, so it
+    // lives in registers. Written back when the block ends well.
+    let mut r = *reader;
     loop {
-        let sym = lit.decode(r)?;
-        match sym {
-            0..=255 => {
-                if out.len() >= max_out {
-                    return Err(Error::OutputTooLarge { limit: max_out });
-                }
-                out.push(sym as u8);
+        // At least 56 bits unless the input is ending: enough for three
+        // litlen codes, the last with its extra bits (15 + 15 + 20).
+        r.refill();
+        let mut entry = lit.decode(r.peek())?;
+        for _ in 0..2 {
+            if entry & LITERAL == 0 {
+                break;
             }
-            256 => return Ok(()),
-            257..=285 => {
-                let li = (sym - 257) as usize;
-                let len = LEN_BASE[li] as usize + r.read_bits(LEN_EXTRA[li] as u32)? as usize;
-                let dsym = dist.decode(r)? as usize;
-                if dsym >= 30 {
-                    return Err(Error::Invalid {
-                        what: "distance",
-                        detail: "symbol > 29",
-                    });
-                }
-                let d = DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
-                if d == 0 || d > out.len() {
-                    return Err(Error::Invalid {
-                        what: "distance",
-                        detail: "reaches before stream start",
-                    });
-                }
-                if out.len() + len > max_out {
-                    return Err(Error::OutputTooLarge { limit: max_out });
-                }
-                // Overlapping copy: must proceed byte-by-byte when d < len.
-                let start = out.len() - d;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-            _ => {
-                return Err(Error::Invalid {
-                    what: "literal/length",
-                    detail: "symbol > 285",
-                })
-            }
+            put_literal(&mut r, out, &mut pos, entry)?;
+            entry = lit.decode(r.peek())?;
         }
+        if entry & LITERAL != 0 {
+            put_literal(&mut r, out, &mut pos, entry)?;
+            continue;
+        }
+        if entry & (END_OF_BLOCK | BAD_SYMBOL) != 0 {
+            r.consume(entry & 0xff)?;
+            if entry & END_OF_BLOCK != 0 {
+                *reader = r;
+                return Ok(pos);
+            }
+            return Err(Error::Invalid {
+                what: "literal/length",
+                detail: "symbol > 285",
+            });
+        }
+        let len = (entry >> 8 & 0xffff) as usize + take_with_extra(&mut r, entry)?;
+        // A distance code and its extra bits: 15 + 13.
+        r.refill();
+        let entry = dist.decode(r.peek())?;
+        let d = (entry >> 8 & 0xffff) as usize + take_with_extra(&mut r, entry)?;
+        out.copy_match(pos, d, len)?;
+        pos += len;
     }
 }
 
@@ -176,6 +362,17 @@ fn inflate_block(
 mod tests {
     use super::*;
     use crate::deflate::bits::BitWriter;
+
+    /// Write a Huffman code given in canonical (MSB-first) form.
+    trait WriteCode {
+        fn write_code(&mut self, code: u32, len: u32);
+    }
+
+    impl WriteCode for BitWriter {
+        fn write_code(&mut self, code: u32, len: u32) {
+            self.write_bits(code.reverse_bits() >> (32 - len), len);
+        }
+    }
 
     /// Hand-built stored block.
     #[test]

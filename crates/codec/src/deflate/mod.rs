@@ -2,14 +2,16 @@
 //!
 //! The PNG payload format the draft mandates is zlib/DEFLATE underneath, and
 //! no compression crate is on the approved dependency list — so this module
-//! provides a complete implementation: a total, DoS-bounded inflater and a
-//! compressor with stored, fixed-Huffman and dynamic-Huffman blocks over an
-//! LZ77 hash-chain matcher with optional lazy matching.
+//! provides a complete implementation: a total, DoS-bounded, table-driven
+//! inflater and a compressor with stored, fixed-Huffman and dynamic-Huffman
+//! blocks over an LZ77 hash-chain matcher with optional lazy matching.
 
 pub mod bits;
 pub mod compress;
 pub mod huffman;
 pub mod inflate;
+#[cfg(test)]
+mod oracle;
 pub mod tables;
 
 pub use compress::{deflate, Level};

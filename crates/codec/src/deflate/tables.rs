@@ -30,51 +30,95 @@ pub const CLEN_ORDER: [u8; 19] = [
 ];
 
 /// Fixed litlen code lengths (RFC 1951 §3.2.6).
-pub fn fixed_litlen_lens() -> Vec<u8> {
-    let mut lens = vec![0u8; 288];
-    for (i, l) in lens.iter_mut().enumerate() {
-        *l = match i {
-            0..=143 => 8,
-            144..=255 => 9,
-            256..=279 => 7,
-            _ => 8,
-        };
+pub const FIXED_LITLEN_LENS: [u8; 288] = {
+    let mut lens = [8u8; 288];
+    let mut i = 144;
+    while i < 256 {
+        lens[i] = 9;
+        i += 1;
+    }
+    while i < 280 {
+        lens[i] = 7;
+        i += 1;
     }
     lens
+};
+
+/// Fixed distance code lengths: 5 bits each. Symbols 30 and 31 of the
+/// 32-entry code never occur in valid data and get no code here, so their
+/// bit patterns decode as an invalid code word.
+pub const FIXED_DIST_LENS: [u8; 30] = [5; 30];
+
+/// `LEN_SYMBOL[len - 3]` = index into [`LEN_BASE`] of the symbol coding `len`.
+const LEN_SYMBOL: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut sym = 0;
+    while sym < 29 {
+        // Symbol 284 formally reaches 258, but 258 belongs to symbol 285;
+        // filling in ascending order lets 285 overwrite it.
+        let mut len = LEN_BASE[sym] as usize;
+        let end = len + (1 << LEN_EXTRA[sym]);
+        while len < end && len <= 258 {
+            t[len - 3] = sym as u8;
+            len += 1;
+        }
+        sym += 1;
+    }
+    t
+};
+
+/// zlib's two-level distance map: `DIST_SYMBOL[d]` for `d = dist - 1 < 256`,
+/// `DIST_SYMBOL[256 + (d >> 7)]` above (every symbol from 16 on starts at a
+/// multiple of 128).
+const DIST_SYMBOL: [u8; 512] = {
+    let mut t = [0u8; 512];
+    let mut sym = 0;
+    while sym < 30 {
+        let mut d = DIST_BASE[sym] as usize - 1;
+        let end = d + (1 << DIST_EXTRA[sym]);
+        while d < end {
+            if d < 256 {
+                t[d] = sym as u8;
+            } else {
+                t[256 + (d >> 7)] = sym as u8;
+            }
+            d += 1;
+        }
+        sym += 1;
+    }
+    t
+};
+
+/// Index into [`LEN_BASE`]/[`LEN_EXTRA`] for a match length (3..=258).
+#[inline(always)]
+pub fn length_index(len: u16) -> usize {
+    debug_assert!((3..=258).contains(&len));
+    LEN_SYMBOL[(len - 3) as usize & 0xff] as usize
 }
 
-/// Fixed distance code lengths: thirty-two 5-bit codes.
-pub fn fixed_dist_lens() -> Vec<u8> {
-    vec![5u8; 30]
+/// Index into [`DIST_BASE`]/[`DIST_EXTRA`] for a match distance (1..=32768).
+#[inline(always)]
+pub fn distance_index(dist: u16) -> usize {
+    debug_assert!((1..=32768).contains(&dist));
+    let d = (dist - 1) as usize;
+    (if d < 256 {
+        DIST_SYMBOL[d]
+    } else {
+        DIST_SYMBOL[256 + (d >> 7)]
+    }) as usize
 }
 
 /// Map a match length (3..=258) to (litlen symbol, extra bits, extra value).
+#[cfg(test)]
 pub fn length_to_symbol(len: u16) -> (u16, u8, u16) {
-    debug_assert!((3..=258).contains(&len));
-    // Linear scan is fine: table has 29 entries and the hot path caches
-    // nothing larger.
-    let mut idx = 0;
-    for i in (0..LEN_BASE.len()).rev() {
-        if len >= LEN_BASE[i] {
-            idx = i;
-            break;
-        }
-    }
-    // Symbol 285 (len 258) has 0 extra bits, but lengths 227..=257 belong to
-    // symbol 284 — `rev` scan handles this because 258 matches index 28 first.
+    let idx = length_index(len);
     (257 + idx as u16, LEN_EXTRA[idx], len - LEN_BASE[idx])
 }
 
 /// Map a match distance (1..=32768) to (distance symbol, extra bits, extra value).
+#[cfg(test)]
 pub fn distance_to_symbol(dist: u16) -> (u16, u8, u16) {
-    debug_assert!(dist >= 1);
-    let mut idx = 0;
-    for i in (0..DIST_BASE.len()).rev() {
-        if dist >= DIST_BASE[i] {
-            idx = i;
-            break;
-        }
-    }
+    let idx = distance_index(dist);
     (idx as u16, DIST_EXTRA[idx], dist - DIST_BASE[idx])
 }
 
@@ -100,6 +144,22 @@ mod tests {
         assert_eq!(distance_to_symbol(6), (4, 1, 1));
         assert_eq!(distance_to_symbol(24577), (29, 13, 0));
         assert_eq!(distance_to_symbol(32768), (29, 13, 8191));
+    }
+
+    /// The tables are the reverse linear scan they replaced.
+    #[test]
+    fn lookup_tables_match_a_scan_of_the_bases() {
+        let scan = |bases: &[u16], v: u16| bases.iter().rposition(|&b| v >= b).unwrap();
+        for len in 3..=258u16 {
+            assert_eq!(length_index(len), scan(&LEN_BASE, len), "length {len}");
+        }
+        for dist in 1..=32768u16 {
+            assert_eq!(
+                distance_index(dist),
+                scan(&DIST_BASE, dist),
+                "distance {dist}"
+            );
+        }
     }
 
     #[test]

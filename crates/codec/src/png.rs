@@ -8,6 +8,8 @@
 //! This covers everything a screen-sharing payload needs; palette and
 //! interlaced images are intentionally out of scope and rejected cleanly.
 
+use std::borrow::Cow;
+
 use crate::checksum::Crc32;
 use crate::deflate::Level;
 use crate::image::{Image, MAX_DIMENSION};
@@ -143,7 +145,9 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     }
     let mut off = 8;
     let mut header: Option<(u32, u32, PngColor)> = None;
-    let mut idat: Vec<u8> = Vec::new();
+    // One IDAT chunk (all this encoder writes) is inflated where it lies;
+    // only a stream split over several chunks is gathered first.
+    let mut idat: Cow<'_, [u8]> = Cow::Borrowed(&[]);
     let mut seen_iend = false;
     while off < data.len() {
         let (kind, body, next) = read_chunk(data, off)?;
@@ -180,7 +184,8 @@ pub fn decode(data: &[u8]) -> Result<Image> {
                 }
                 header = Some((w, h, color));
             }
-            b"IDAT" => idat.extend_from_slice(body),
+            b"IDAT" if idat.is_empty() => idat = Cow::Borrowed(body),
+            b"IDAT" => idat.to_mut().extend_from_slice(body),
             b"IEND" => {
                 seen_iend = true;
                 break;
@@ -204,7 +209,7 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     let bpp = color.bytes_per_pixel();
     let stride = w as usize * bpp;
     let expected = (stride + 1) * h as usize;
-    let filtered = zlib::decompress(&idat, expected + 1)?;
+    let filtered = zlib::decompress_sized(&idat, expected + 1, Some(expected))?;
     if filtered.len() != expected {
         return Err(Error::SizeMismatch {
             expected,
@@ -231,10 +236,9 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     let rgba = match color {
         PngColor::Rgba => raw,
         PngColor::Rgb => {
-            let mut out = Vec::with_capacity(w as usize * h as usize * 4);
-            for px in raw.chunks_exact(3) {
-                out.extend_from_slice(px);
-                out.push(255);
+            let mut out = vec![255u8; w as usize * h as usize * 4];
+            for (dst, src) in out.chunks_exact_mut(4).zip(raw.chunks_exact(3)) {
+                dst[..3].copy_from_slice(src);
             }
             out
         }
@@ -242,7 +246,7 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     Image::from_rgba(w, h, rgba)
 }
 
-fn write_chunk(out: &mut Vec<u8>, kind: &[u8; 4], body: &[u8]) {
+pub(crate) fn write_chunk(out: &mut Vec<u8>, kind: &[u8; 4], body: &[u8]) {
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
     out.extend_from_slice(kind);
     out.extend_from_slice(body);

@@ -6,7 +6,8 @@ use crate::{Error, Result};
 
 /// Compress `data` into a zlib stream.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
+    let body = deflate::deflate(data, level);
+    let mut out = Vec::with_capacity(body.len() + 6);
     // CMF: CM=8 (deflate), CINFO=7 (32K window) -> 0x78.
     out.push(0x78);
     // FLG: FLEVEL bits, FDICT=0, FCHECK so that (CMF<<8 | FLG) % 31 == 0.
@@ -21,13 +22,23 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
         flg += (31 - rem) as u8;
     }
     out.push(flg);
-    out.extend_from_slice(&deflate::deflate(data, level));
+    out.extend_from_slice(&body);
     out.extend_from_slice(&adler32(data).to_be_bytes());
     out
 }
 
 /// Decompress a zlib stream, bounding output at `max_out` bytes.
 pub fn decompress(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
+    decompress_sized(data, max_out, None)
+}
+
+/// [`decompress`] for a caller that may know the output size, which is then
+/// reserved up front (`max_out` stays the limit).
+pub(crate) fn decompress_sized(
+    data: &[u8],
+    max_out: usize,
+    size_hint: Option<usize>,
+) -> Result<Vec<u8>> {
     if data.len() < 6 {
         return Err(Error::Truncated("zlib stream"));
     }
@@ -49,7 +60,7 @@ pub fn decompress(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
         return Err(Error::Unsupported("zlib preset dictionary"));
     }
     let body = &data[2..data.len() - 4];
-    let out = deflate::inflate(body, max_out)?;
+    let out = deflate::inflate::inflate_sized(body, max_out, size_hint)?;
     let stored = u32::from_be_bytes([
         data[data.len() - 4],
         data[data.len() - 3],

@@ -1832,7 +1832,10 @@ impl AppHost {
         }
         // Damage → RegionUpdates, freshest content, budget-bounded.
         let mut spent: u64 = 0;
-        let windows: Vec<WindowId> = pending.damage.keys().copied().collect();
+        // In window order: `HashMap` order differs from one map to the next,
+        // and the order of the updates is part of the wire digest.
+        let mut windows: Vec<WindowId> = pending.damage.keys().copied().collect();
+        windows.sort_unstable();
         for win in windows {
             // Window gone or no longer shared? Drop its damage.
             if !desktop.wm().get(win).map(|r| r.shared).unwrap_or(false) {

@@ -96,3 +96,43 @@ fn cross_frame_cache_halves_encodes_on_ping_pong() {
         "cross-frame cache should cut encodes ≥2×: {cross_frame} vs {per_step}"
     );
 }
+
+/// Several shared windows damaged in the same flush go out in window order,
+/// not in the order of a `HashMap` whose hasher is seeded per instance:
+/// sessions built from one seed in one process all fold the same wire
+/// digest.
+#[test]
+fn windows_damaged_in_one_flush_are_sent_in_one_order() {
+    let digest = || {
+        let mut d = Desktop::new(640, 480);
+        let wins: Vec<_> = (0..4u32)
+            .map(|i| {
+                let at = Rect::new(16 + i * 150, 40, 128, 96);
+                d.create_window(1, at, [200, 210, 220, 255])
+            })
+            .collect();
+        let mut s = SimSession::new(d, AhConfig::default(), 21);
+        let p = s.add_udp_participant(
+            Layout::Original,
+            LinkConfig::default(),
+            LinkConfig::default(),
+            None,
+            22,
+        );
+        for tick in 0..12u32 {
+            for (i, &win) in wins.iter().enumerate() {
+                let c = (tick * 17 + i as u32 * 40) as u8;
+                let at = Rect::new(tick % 4 * 16, 8, 48, 48);
+                s.ah.desktop_mut().fill(win, at, [c, c ^ 0x33, 90, 255]);
+            }
+            s.step(10_000);
+        }
+        let t = s.run_until(10_000, 5_000_000, |s| s.converged(p));
+        assert!(t.is_some(), "must converge");
+        s.wire_digest()
+    };
+    let first = digest();
+    for run in 1..6 {
+        assert_eq!(digest(), first, "run {run} folded a different wire digest");
+    }
+}
