@@ -33,7 +33,6 @@ fn main() {
                 EncodeOptions {
                     level: Level::Default,
                     quality: 75,
-                    ..EncodeOptions::default()
                 },
             );
             // Warm once, then measure the median of 5 runs.

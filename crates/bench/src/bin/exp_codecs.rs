@@ -1,62 +1,72 @@
-//! E22 — codec kernel throughput: the fixed-point DCT, the DEFLATE match
-//! loop, and the PNG scanline filters, measured at the kernel level.
+//! E22 — codec kernel throughput: the photographic branch (classify →
+//! DCT encode → DCT decode), the DEFLATE match loop, and the PNG scanline
+//! filters, measured at the kernel level.
 //!
-//! Three kernels are compared for the 8×8 DCT: the seed's naive O(N²)
-//! separable f32 transform (`dct::naive`), the scalar fixed-point Loeffler
-//! reference, and the vectorised lane-per-row production kernel. All three
-//! produce interchangeable coefficients (the two fixed-point ones
-//! bit-identically so), so the ratio is a pure speed comparison.
+//! The DCT rows are taken on the content and quality the `video_dct_udp`
+//! workload sends: `photo_frame(320, 240)` at quality 75. `block_us` is one
+//! `fdct` + `idct` of an 8×8 block of that frame, `encode_mb_per_s` /
+//! `decode_mb_per_s` the whole codec in raw-pixel MB/s, and
+//! `classify.ns_per_px` the classifier over the frame cut on the 128×128
+//! tile grid, per pixel of the tiles it judged.
 //!
 //! DEFLATE and PNG are measured as whole-stream MB/s on deterministic
 //! corpora: kernel-level wins there (u64 match extension, 4-byte hash
 //! chains, slice-pass filters) surface as end-to-end throughput.
 //!
-//! Emits `BENCH_codecs.json` (schema `adshare-bench-codecs/v2`, validated
-//! in CI by `obs_schema_check`) and exits non-zero if the vectorised DCT
-//! kernel is not at least 2x the naive f32 one.
+//! Emits `BENCH_codecs.json` (schema `adshare-bench-codecs/v3`, validated
+//! in CI by `obs_schema_check`) with the machine it was measured on.
 //!
-//! `--baseline FILE` compares the run against an earlier document (CI: the
-//! checked-in `BENCH_codecs.json`) and exits non-zero when any MB/s figure
-//! has fallen more than 30 % below it.
+//! `--baseline FILE` is the gate: it compares the run against an earlier
+//! document (CI: the checked-in `BENCH_codecs.json`) and exits non-zero
+//! when any throughput has fallen more than 30 % below it. A figure the
+//! baseline does not carry is reported as new, not as a failure.
 
-use adshare_bench::{print_table, timed, Content};
-use adshare_codec::codec::{AnyCodec, Codec};
+use adshare_bench::{machine_json, print_table, timed, Content};
 use adshare_codec::deflate::{deflate, inflate, Level};
-use adshare_codec::{dct, png, CodecKind};
+use adshare_codec::{classify, dct, png, Image, Rect};
 use adshare_obs::json::{parse, Json};
 
-const BLOCKS: usize = 512;
-const DCT_REPS: usize = 40;
+const REPS: usize = 15;
 
-/// Deterministic sample blocks with photographic-ish structure.
-fn sample_blocks() -> Vec<[i32; 64]> {
-    let mut state = 0x1357_9bdfu32;
-    (0..BLOCKS)
-        .map(|_| {
-            let mut b = [0i32; 64];
-            for v in b.iter_mut() {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                *v = ((state >> 20) as i32 % 256) - 128;
-            }
-            b
+/// Quality `video_dct_udp` encodes at (the `EncodeOptions` default).
+const DCT_QUALITY: u8 = 75;
+
+/// Median µs of `REPS` timed calls, after one warm-up call.
+fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    median(
+        (0..REPS)
+            .map(|_| {
+                let (out, us) = timed(&mut f);
+                std::hint::black_box(out);
+                us
+            })
+            .collect(),
+    )
+}
+
+/// The red plane of `img` as centred 8×8 sample blocks.
+fn sample_blocks(img: &Image) -> Vec<[i32; 64]> {
+    let (bw, bh) = (img.width() as usize / 8, img.height() as usize / 8);
+    (0..bw * bh)
+        .map(|b| {
+            std::array::from_fn(|i| {
+                let (x, y) = (b % bw * 8 + i % 8, b / bw * 8 + i / 8);
+                img.row(y as u32)[x * 4] as i32 - 128
+            })
         })
         .collect()
 }
 
-/// Median-of-reps µs for one full fdct+idct pass over the block batch.
-fn time_kernel(f: impl Fn(&mut Vec<[i32; 64]>)) -> f64 {
-    let template = sample_blocks();
-    let mut times = Vec::with_capacity(DCT_REPS);
-    let mut blocks = template.clone();
-    f(&mut blocks); // warm
-    for _ in 0..DCT_REPS {
-        let mut blocks = template.clone();
-        let (_, us) = timed(|| f(&mut blocks));
-        times.push(us);
-        std::hint::black_box(&blocks);
+/// `img` cut on the encode pipeline's default 128×128 tile grid.
+fn tiles(img: &Image) -> Vec<Image> {
+    let mut out = Vec::new();
+    for top in (0..img.height()).step_by(128) {
+        for left in (0..img.width()).step_by(128) {
+            out.push(img.crop(Rect::new(left, top, 128, 128)).expect("tile"));
+        }
     }
-    times.sort_by(f64::total_cmp);
-    times[DCT_REPS / 2]
+    out
 }
 
 /// The deterministic corpora from the golden-vector suite, writ larger so
@@ -100,7 +110,9 @@ fn median(mut v: Vec<f64>) -> f64 {
 /// fails the run.
 const BASELINE_TOLERANCE: f64 = 0.30;
 
-/// Every MB/s figure of a `BENCH_codecs.json` document, by name.
+/// Every throughput of a `BENCH_codecs.json` document, by name: the MB/s
+/// figures, and pixels per µs for the classifier so that higher is better
+/// on every row.
 fn throughputs(doc: &Json) -> Vec<(String, f64)> {
     let num = |node: &Json, key: &str| match node.get(key) {
         Some(Json::Num(n)) => Some(*n),
@@ -114,7 +126,18 @@ fn throughputs(doc: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut push = |name: String, value: Option<f64>| out.extend(value.map(|v| (name, v)));
     if let Some(d) = doc.get("dct") {
+        push(
+            "dct blocks/us".into(),
+            num(d, "block_us").map(|us| 1.0 / us),
+        );
         push("dct encode".into(), num(d, "encode_mb_per_s"));
+        push("dct decode".into(), num(d, "decode_mb_per_s"));
+    }
+    if let Some(c) = doc.get("classify") {
+        push(
+            "classify px/ns".into(),
+            num(c, "ns_per_px").map(|ns| 1.0 / ns),
+        );
     }
     for row in rows("deflate") {
         let name = format!("{}/{}", label(row, "corpus"), label(row, "level"));
@@ -130,7 +153,7 @@ fn throughputs(doc: &Json) -> Vec<(String, f64)> {
 }
 
 /// Compare this run's document with the baseline file; lists every figure
-/// that fell out of tolerance (or that the baseline does not have).
+/// that fell out of tolerance.
 fn regressions(ours: &str, baseline_path: &str) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
@@ -140,25 +163,26 @@ fn regressions(ours: &str, baseline_path: &str) -> Result<Vec<String>, String> {
     let mut bad = Vec::new();
     for (name, now) in &ours {
         let Some((_, was)) = base.iter().find(|(n, _)| n == name) else {
-            bad.push(format!("{name}: not in the baseline"));
+            let row = [name.as_str(), "-", &format!("{now:.2}"), "-", "new"];
+            rows.push(row.map(String::from).to_vec());
             continue;
         };
         let change = (now / was - 1.0) * 100.0;
         let ok = *now >= was * (1.0 - BASELINE_TOLERANCE);
         rows.push(vec![
             name.clone(),
-            format!("{was:.1}"),
-            format!("{now:.1}"),
+            format!("{was:.2}"),
+            format!("{now:.2}"),
             format!("{change:+.0}%"),
             if ok { "ok" } else { "REGRESSED" }.to_string(),
         ]);
         if !ok {
-            bad.push(format!("{name}: {was:.1} -> {now:.1} MB/s ({change:+.0}%)"));
+            bad.push(format!("{name}: {was:.2} -> {now:.2} ({change:+.0}%)"));
         }
     }
     print_table(
         &format!("E22d: against baseline {baseline_path} (fails below -30 %)"),
-        &["figure", "baseline MB/s", "now MB/s", "change", "verdict"],
+        &["figure", "baseline", "now", "change", "verdict"],
         &rows,
     );
     Ok(bad)
@@ -175,54 +199,58 @@ fn main() {
         }
     };
 
-    // --- DCT kernels -----------------------------------------------------
-    let naive_us = time_kernel(|blocks| {
+    // --- The photographic branch ----------------------------------------
+    let photo = Content::Photo.frame(320, 240, 7);
+    let pixels = (photo.width() * photo.height()) as f64;
+    let pixel_bytes = pixels * 4.0;
+
+    let blocks = sample_blocks(&photo);
+    let block_us = median_us(|| {
+        let mut blocks = blocks.clone();
         for b in blocks.iter_mut() {
-            let mut f = [0f32; 64];
-            for i in 0..64 {
-                f[i] = b[i] as f32;
+            dct::fdct(b);
+            // Quantise and dequantise with a flat step of 16: the forward
+            // output is the true coefficient times 8.
+            for c in b.iter_mut() {
+                *c = (*c >> 7) << 4;
             }
-            dct::naive::fdct(&mut f);
-            dct::naive::idct(&mut f);
-            for i in 0..64 {
-                b[i] = f[i] as i32;
-            }
+            dct::idct(b);
         }
-    });
-    let reference_us = time_kernel(|blocks| {
-        for b in blocks.iter_mut() {
-            dct::fdct_reference(b);
-            dct::idct_reference(b);
-        }
-    });
-    let fast_us = time_kernel(|blocks| {
-        for b in blocks.iter_mut() {
-            dct::fdct_fast(b);
-            dct::idct_fast(b);
-        }
-    });
-    let per_block = |us: f64| us / BLOCKS as f64;
-    let speedup_naive = naive_us / fast_us;
-    let speedup_ref = reference_us / fast_us;
+        blocks
+    }) / blocks.len() as f64;
+
+    let encoded = dct::encode(&photo, DCT_QUALITY);
+    let encode_us = median_us(|| dct::encode(&photo, DCT_QUALITY));
+    let decode_us = median_us(|| dct::decode(&encoded).expect("decode"));
+    let (dct_encode_mbs, dct_decode_mbs) = (pixel_bytes / encode_us, pixel_bytes / decode_us);
+
+    let tiles = tiles(&photo);
+    let classify_us = median_us(|| tiles.iter().map(classify::classify).collect::<Vec<_>>());
+    let classify_ns_per_px = classify_us * 1000.0 / pixels;
 
     print_table(
-        &format!("E22a: 8x8 DCT kernels (fdct+idct, {BLOCKS} blocks, median of {DCT_REPS})"),
-        &["kernel", "us/block", "vs fast"],
+        &format!("E22a: photographic branch (photo 320x240, q{DCT_QUALITY}, median of {REPS})"),
+        &["stage", "us/frame", "figure"],
         &[
             vec![
-                "naive f32 (seed)".into(),
-                format!("{:.3}", per_block(naive_us)),
-                format!("{speedup_naive:.2}x slower"),
+                "classify (128x128 tiles)".into(),
+                format!("{classify_us:.0}"),
+                format!("{classify_ns_per_px:.2} ns/px"),
             ],
             vec![
-                "fixed-point scalar".into(),
-                format!("{:.3}", per_block(reference_us)),
-                format!("{speedup_ref:.2}x slower"),
+                "dct encode".into(),
+                format!("{encode_us:.0}"),
+                format!("{dct_encode_mbs:.1} MB/s"),
             ],
             vec![
-                "fixed-point vector".into(),
-                format!("{:.3}", per_block(fast_us)),
-                "1.00x".into(),
+                "dct decode".into(),
+                format!("{decode_us:.0}"),
+                format!("{dct_decode_mbs:.1} MB/s"),
+            ],
+            vec![
+                "fdct + idct, 3 planes".into(),
+                format!("{:.0}", block_us * blocks.len() as f64 * 3.0),
+                format!("{block_us:.4} us/block"),
             ],
         ],
     );
@@ -281,7 +309,6 @@ fn main() {
     let mut png_json = Vec::new();
     for content in [Content::Ui, Content::Gradient, Content::Photo] {
         let img = content.frame(320, 240, 7);
-        let pixel_bytes = (320 * 240 * 4) as f64;
         let opts = png::PngOptions::default();
         let _ = png::encode(&img, opts);
         let reps = 7;
@@ -315,26 +342,11 @@ fn main() {
         &png_rows,
     );
 
-    // --- Whole-codec DCT sanity: the kernel win must survive the full
-    //     encode path (gather, quantise, entropy, deflate).
-    let photo = Content::Photo.frame(320, 240, 7);
-    let codec = AnyCodec::new(CodecKind::Dct);
-    let _ = codec.encode(&photo);
-    let mut enc_times = Vec::new();
-    for _ in 0..7 {
-        let (_, us) = timed(|| codec.encode(&photo));
-        enc_times.push(us);
-    }
-    let dct_encode_mbs = (320.0 * 240.0 * 4.0) / median(enc_times);
-
     let json = format!(
-        "{{\n  \"schema\": \"adshare-bench-codecs/v2\",\n  \"dct\": {{\n    \"block_us\": {{\"naive_f32\": {:.4}, \"reference\": {:.4}, \"fast\": {:.4}}},\n    \"speedup_fast_vs_naive\": {speedup_naive:.2},\n    \"speedup_fast_vs_reference\": {speedup_ref:.2},\n    \"encode_mb_per_s\": {dct_encode_mbs:.1}\n  }},\n  \"deflate\": [\n{}\n  ],\n  \"png\": [\n{}\n  ],\n  \"checks\": {{\"dct_fast_ge_2x_naive\": {}}}\n}}\n",
-        per_block(naive_us),
-        per_block(reference_us),
-        per_block(fast_us),
+        "{{\n  \"schema\": \"adshare-bench-codecs/v3\",\n  \"machine\": {},\n  \"dct\": {{\"block_us\": {block_us:.4}, \"encode_mb_per_s\": {dct_encode_mbs:.1}, \"decode_mb_per_s\": {dct_decode_mbs:.1}}},\n  \"classify\": {{\"ns_per_px\": {classify_ns_per_px:.3}}},\n  \"deflate\": [\n{}\n  ],\n  \"png\": [\n{}\n  ]\n}}\n",
+        machine_json(),
         deflate_json.join(",\n"),
         png_json.join(",\n"),
-        speedup_naive >= 2.0,
     );
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_codecs.json".into());
     match std::fs::write(&out, &json) {
@@ -342,20 +354,9 @@ fn main() {
         Err(e) => eprintln!("bench json write failed: {e}"),
     }
 
-    println!("\nchecks:");
-    println!(
-        "  fast DCT >= 2x naive f32: {} ({speedup_naive:.2}x)",
-        speedup_naive >= 2.0
-    );
-    println!("  fast DCT vs scalar fixed-point: {speedup_ref:.2}x (informational)");
-    println!("  whole-path DCT encode: {dct_encode_mbs:.0} MB/s (informational)");
-    if speedup_naive < 2.0 {
-        eprintln!("\nexpected the vectorised DCT kernel to be >= 2x the naive f32 kernel");
-        std::process::exit(1);
-    }
     if let Some(path) = baseline {
         match regressions(&json, &path) {
-            Ok(bad) if bad.is_empty() => println!("  no figure more than 30 % below {path}: true"),
+            Ok(bad) if bad.is_empty() => println!("\nno figure more than 30 % below {path}"),
             Ok(bad) => {
                 eprintln!("\nthroughput fell more than 30 % below {path}:");
                 for line in bad {

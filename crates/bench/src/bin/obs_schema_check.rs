@@ -21,7 +21,7 @@
 //! | `adshare-relay-tier-stats/v1` | `relay_tier_stats.schema.json` |
 //! | `adshare-scenario/v1`  | `scenario_result.schema.json`      |
 //! | `adshare-host-stats/v1` | `host_stats.schema.json`          |
-//! | `adshare-bench-codecs/v2` | `bench_codecs.schema.json`      |
+//! | `adshare-bench-codecs/v3` | `bench_codecs.schema.json`      |
 //! | `adshare-capture-manifest/v1` | `capture_manifest.schema.json` |
 //!
 //! Exits non-zero when any document fails to parse, carries an unknown
@@ -180,7 +180,7 @@ fn validate_document(schemas: &Schemas, doc: &Json) -> Result<String, String> {
         "adshare-relay-tier-stats/v1" => validate_tier(&schemas.tier, doc),
         "adshare-scenario/v1" => validate_scenario(&schemas.scenario, doc),
         "adshare-host-stats/v1" => validate_host(&schemas.host, doc),
-        "adshare-bench-codecs/v2" => validate_bench_codecs(&schemas.bench_codecs, doc),
+        "adshare-bench-codecs/v3" => validate_bench_codecs(&schemas.bench_codecs, doc),
         "adshare-capture-manifest/v1" => validate_capture_manifest(&schemas.capture_manifest, doc),
         other => Err(format!("unknown schema marker {other:?}")),
     }
@@ -232,21 +232,16 @@ fn validate_host(schema: &Json, doc: &Json) -> Result<String, String> {
 
 fn validate_bench_codecs(schema: &Json, doc: &Json) -> Result<String, String> {
     validate_node(schema, schema, doc)?;
-    let speedup = match doc.get("dct").and_then(|d| d.get("speedup_fast_vs_naive")) {
+    let num = |section: &str, key: &str| match doc.get(section).and_then(|s| s.get(key)) {
         Some(Json::Num(n)) => *n,
         _ => 0.0,
     };
-    let gate = matches!(
-        doc.get("checks")
-            .and_then(|c| c.get("dct_fast_ge_2x_naive")),
-        Some(Json::Bool(true))
-    );
-    if !gate {
-        return Err(format!(
-            "dct_fast_ge_2x_naive is false (speedup {speedup:.2}x)"
-        ));
-    }
-    Ok(format!("DCT fast {speedup:.2}x naive, gate passed"))
+    Ok(format!(
+        "DCT encode {:.0} / decode {:.0} MB/s, classify {:.2} ns/px",
+        num("dct", "encode_mb_per_s"),
+        num("dct", "decode_mb_per_s"),
+        num("classify", "ns_per_px"),
+    ))
 }
 
 fn validate_scenario(schema: &Json, doc: &Json) -> Result<String, String> {

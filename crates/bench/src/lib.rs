@@ -172,6 +172,34 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1e6)
 }
 
+/// The machine a `BENCH_*.json` was measured on, as a JSON object: logical
+/// cores, CPU model string and compiler version. A throughput without them
+/// cannot be compared with one taken elsewhere.
+pub fn machine_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    // `output` waits for the child, so nothing is left running.
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let mut out = format!("{{\"logical_cores\": {cores}, \"cpu_model\": ");
+    adshare_obs::json::write_string(&mut out, &cpu_model);
+    out.push_str(", \"rustc\": ");
+    adshare_obs::json::write_string(&mut out, &rustc);
+    out.push('}');
+    out
+}
+
 /// Format bytes human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 10 * 1024 * 1024 {

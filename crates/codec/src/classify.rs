@@ -4,12 +4,12 @@
 //! Theora or other media types, *according to their characteristics*" —
 //! lossless PNG for computer-generated regions, lossy coding for
 //! photographic ones. This module supplies the decision heuristic: screen
-//! content has few distinct colours and long flat runs; photographs have
-//! dense small-amplitude gradients almost everywhere.
+//! content is long flat runs broken by hard edges; photographs have dense
+//! small-amplitude gradients almost everywhere. It runs once per tile in
+//! front of the encode it steers, so it reads a bounded number of pixel
+//! pairs straight out of [`Image::data`] and builds nothing.
 
-use std::collections::HashSet;
-
-use crate::image::Image;
+use crate::image::{Image, BYTES_PER_PIXEL};
 
 /// The two coding regimes of §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,74 +25,64 @@ pub enum ContentClass {
 pub struct Classification {
     /// The verdict.
     pub class: ContentClass,
-    /// Distinct sampled colours / sampled pixels, 0..=1.
-    pub colour_ratio: f64,
     /// Fraction of sampled horizontal neighbour pairs with a small nonzero
     /// luma difference (1..=24) — the photographic-texture signature.
     pub texture_ratio: f64,
 }
 
 /// Sample budget: classification cost must stay negligible next to the
-/// encode it steers.
-const MAX_SAMPLES: u32 = 4096;
+/// encode it steers. Every `step`-th pixel in row-major order is sampled,
+/// with `step` chosen so that between 4 096 and 8 191 samples are taken.
+const MAX_SAMPLES: usize = 4096;
+
+/// Integer luma (BT.601 weights, per mille) of one RGBA pixel.
+#[inline(always)]
+fn luma(px: &[u8]) -> i32 {
+    (px[0] as i32 * 299 + px[1] as i32 * 587 + px[2] as i32 * 114) / 1000
+}
 
 /// Classify an image region.
+///
+/// Photographs (and video frames) are covered in small-amplitude gradients:
+/// measured texture ratios sit above 0.9 for noisy content and stay below
+/// 0.01 for flat UI and hard-edged text, whose luma steps are either zero
+/// (flat runs) or large (glyph edges). Grayscale photographs keep the
+/// texture signature even with few distinct colours, so texture alone
+/// decides.
 pub fn classify(img: &Image) -> Classification {
-    let (w, h) = (img.width(), img.height());
-    let total = (w as u64 * h as u64) as u32;
+    let data = img.data();
+    let w = img.width() as usize;
+    let total = data.len() / BYTES_PER_PIXEL;
     let step = (total / MAX_SAMPLES).max(1);
 
-    let mut colours: HashSet<[u8; 3]> = HashSet::new();
-    let mut samples = 0u32;
+    // Pixels step-1, 2·step-1, … of the row-major order; `x` is the sample's
+    // column, carried along so the walk needs no division per sample.
     let mut textured = 0u32;
     let mut pairs = 0u32;
-    let mut idx = 0u32;
-    for y in 0..h {
-        for x in 0..w {
-            idx = idx.wrapping_add(1);
-            if !idx.is_multiple_of(step) {
-                continue;
-            }
-            let [r, g, b, _] = img.pixel(x, y).expect("in bounds");
-            colours.insert([r, g, b]);
-            samples += 1;
-            if x + 1 < w {
-                let [r2, g2, b2, _] = img.pixel(x + 1, y).expect("in bounds");
-                let luma =
-                    |r: u8, g: u8, b: u8| (r as i32 * 299 + g as i32 * 587 + b as i32 * 114) / 1000;
-                let d = (luma(r, g, b) - luma(r2, g2, b2)).abs();
-                pairs += 1;
-                if (1..=24).contains(&d) {
-                    textured += 1;
-                }
-            }
+    let mut x = (step - 1) % w;
+    for k in (step - 1..total).step_by(step) {
+        if x + 1 < w {
+            let px = &data[k * BYTES_PER_PIXEL..(k + 2) * BYTES_PER_PIXEL];
+            let d = (luma(px) - luma(&px[BYTES_PER_PIXEL..])).abs();
+            pairs += 1;
+            textured += (1..=24).contains(&d) as u32;
+        }
+        x += step % w;
+        if x >= w {
+            x -= w;
         }
     }
-    let colour_ratio = if samples == 0 {
-        0.0
-    } else {
-        colours.len() as f64 / samples as f64
-    };
     let texture_ratio = if pairs == 0 {
         0.0
     } else {
         textured as f64 / pairs as f64
     };
-    // Photographs (and video frames) are covered in small-amplitude
-    // gradients: measured texture ratios sit above 0.9 for noisy content
-    // and stay below 0.01 for flat UI and hard-edged text, whose luma
-    // steps are either zero (flat runs) or large (glyph edges). Grayscale
-    // photographs keep the texture signature even with few distinct
-    // colours, so texture alone decides; the colour ratio is reported as
-    // supporting evidence.
-    let photographic = texture_ratio > 0.35;
     Classification {
-        class: if photographic {
+        class: if texture_ratio > 0.35 {
             ContentClass::Photographic
         } else {
             ContentClass::Synthetic
         },
-        colour_ratio,
         texture_ratio,
     }
 }
@@ -129,6 +119,107 @@ mod tests {
         img
     }
 
+    /// The classifier as first written — a walk over every pixel with a
+    /// modulo per step and two bounds-checked `pixel()` reads per sample.
+    /// Oracle of `stride_walk_visits_the_same_samples*`.
+    fn texture_ratio_oracle(img: &Image) -> f64 {
+        let (w, h) = (img.width(), img.height());
+        let step = (w * h / MAX_SAMPLES as u32).max(1);
+        let luma =
+            |[r, g, b, _]: [u8; 4]| (r as i32 * 299 + g as i32 * 587 + b as i32 * 114) / 1000;
+        let (mut textured, mut pairs, mut idx) = (0u32, 0u32, 0u32);
+        for y in 0..h {
+            for x in 0..w {
+                idx += 1;
+                if !idx.is_multiple_of(step) || x + 1 >= w {
+                    continue;
+                }
+                let d = (luma(img.pixel(x, y).unwrap()) - luma(img.pixel(x + 1, y).unwrap())).abs();
+                pairs += 1;
+                if (1..=24).contains(&d) {
+                    textured += 1;
+                }
+            }
+        }
+        if pairs == 0 {
+            0.0
+        } else {
+            textured as f64 / pairs as f64
+        }
+    }
+
+    fn assert_matches_oracle(img: &Image) {
+        let c = classify(img);
+        let ratio = texture_ratio_oracle(img);
+        assert_eq!(
+            c.texture_ratio.to_bits(),
+            ratio.to_bits(),
+            "{}x{}",
+            img.width(),
+            img.height()
+        );
+        assert_eq!(c.class == ContentClass::Photographic, ratio > 0.35);
+    }
+
+    fn text(w: u32, h: u32) -> Image {
+        // Hard black-on-white edges: large steps, few colours.
+        let mut img = Image::filled(w, h, [255, 255, 255, 255]).unwrap();
+        for i in 0..w * h / 50 {
+            img.set_pixel((i * 7) % w, (i * 13) % h, [0, 0, 0, 255]);
+        }
+        img
+    }
+
+    fn gradient(w: u32, h: u32) -> Image {
+        let mut img = Image::new(w, h).unwrap();
+        for y in 0..h {
+            for x in 0..w {
+                img.set_pixel(x, y, [(x * 2) as u8, (y * 2) as u8, ((x + y) as u8), 255]);
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn stride_walk_visits_the_same_samples() {
+        // Sizes on both sides of the sample budget (step 1, 2, 3, 4, 18),
+        // steps larger than, equal to and coprime with the width, and the
+        // degenerate strips that have no horizontal pair at all.
+        let sizes = [
+            (1, 1),
+            (1, 300),
+            (300, 1),
+            (2, 5000),
+            (5000, 2),
+            (3, 3),
+            (64, 64),
+            (91, 90),
+            (128, 128),
+            (128, 112),
+            (129, 127),
+            (320, 240),
+        ];
+        for (w, h) in sizes {
+            for make in [photo, text, gradient] {
+                assert_matches_oracle(&make(w, h));
+            }
+            if h > 32 && w > 13 {
+                assert_matches_oracle(&ui(w, h));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stride_walk_visits_the_same_samples_at_any_size(
+            w in 1u32..=300,
+            h in 1u32..=300,
+            kind in 0usize..3,
+        ) {
+            assert_matches_oracle(&[photo, text, gradient][kind](w, h));
+        }
+    }
+
     #[test]
     fn photo_classified_photographic() {
         let c = classify(&photo(160, 120));
@@ -149,14 +240,7 @@ mod tests {
 
     #[test]
     fn text_page_synthetic() {
-        // Hard black-on-white edges: large steps, few colours.
-        let mut img = Image::filled(200, 100, [255, 255, 255, 255]).unwrap();
-        for i in 0..400u32 {
-            let x = (i * 7) % 200;
-            let y = (i * 13) % 100;
-            img.set_pixel(x, y, [0, 0, 0, 255]);
-        }
-        assert_eq!(classify(&img).class, ContentClass::Synthetic);
+        assert_eq!(classify(&text(200, 100)).class, ContentClass::Synthetic);
     }
 
     #[test]
@@ -170,13 +254,7 @@ mod tests {
     fn smooth_gradient_without_noise_is_borderline_consistent() {
         // A pure gradient: lots of distinct colours, lots of small steps —
         // the DCT side wins, which is also the cheaper encoding for it.
-        let mut img = Image::new(128, 128).unwrap();
-        for y in 0..128 {
-            for x in 0..128 {
-                img.set_pixel(x, y, [(x * 2) as u8, (y * 2) as u8, ((x + y) as u8), 255]);
-            }
-        }
-        let c = classify(&img);
+        let c = classify(&gradient(128, 128));
         assert_eq!(c.class, ContentClass::Photographic, "{c:?}");
     }
 }

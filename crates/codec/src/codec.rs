@@ -69,10 +69,6 @@ pub struct EncodeOptions {
     pub level: Level,
     /// Quality 1..=100 for the lossy codec.
     pub quality: u8,
-    /// Which DCT transform implementation to run. Both are bit-identical
-    /// (wire bytes never depend on this); [`dct::Kernel::Reference`] is the
-    /// scalar ablation path.
-    pub dct_kernel: dct::Kernel,
 }
 
 impl Default for EncodeOptions {
@@ -80,7 +76,6 @@ impl Default for EncodeOptions {
         EncodeOptions {
             level: Level::Default,
             quality: 75,
-            dct_kernel: dct::Kernel::default(),
         }
     }
 }
@@ -150,7 +145,7 @@ impl Codec for AnyCodec {
                     },
                 )
             }
-            CodecKind::Dct => dct::encode_with(img, self.opts.quality, self.opts.dct_kernel),
+            CodecKind::Dct => dct::encode(img, self.opts.quality),
             CodecKind::Rle => rle::encode(img),
         }
     }

@@ -1031,6 +1031,21 @@ mod tests {
             }
             let _ = dct::decode(&file[..at]);
         }
+        // Below the DEFLATE layer: the coefficient body cut at every offset
+        // (always short of a block end, so always an error) and hostile
+        // bytes in every position of it, re-wrapped in a valid container.
+        let body = inflate(&file[13..], 1 << 20).unwrap();
+        let around = |body: &[u8]| [&file[..13], &deflate(body, Level::Fast)[..]].concat();
+        assert!(dct::decode(&around(&body)).is_ok());
+        for at in 0..body.len() {
+            assert!(
+                dct::decode(&around(&body[..at])).is_err(),
+                "body cut at {at}"
+            );
+            let mut m = body.clone();
+            m[at] ^= 0xff;
+            let _ = dct::decode(&around(&m));
+        }
     }
 
     // ---- the encoder half: package-merge -------------------------------

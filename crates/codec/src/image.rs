@@ -135,15 +135,11 @@ impl Image {
     /// Create an image filled with `rgba`.
     pub fn filled(width: u32, height: u32, rgba: [u8; 4]) -> Result<Self> {
         check_dims(width, height)?;
-        let pixels = width as usize * height as usize;
-        let mut data = Vec::with_capacity(pixels * BYTES_PER_PIXEL);
-        for _ in 0..pixels {
-            data.extend_from_slice(&rgba);
-        }
         Ok(Image {
             width,
             height,
-            data,
+            // One exactly-sized allocation, filled by doubling copies.
+            data: rgba.repeat(width as usize * height as usize),
         })
     }
 
@@ -404,7 +400,7 @@ impl Image {
     }
 }
 
-fn check_dims(width: u32, height: u32) -> Result<()> {
+pub(crate) fn check_dims(width: u32, height: u32) -> Result<()> {
     if width == 0 || height == 0 || width > MAX_DIMENSION || height > MAX_DIMENSION {
         return Err(Error::BadDimensions { width, height });
     }

@@ -32,6 +32,7 @@
 //! lossless catch-up/repair pass, so the fast subtree keeps pixel-identical
 //! parity while a slow subtree degrades gracefully instead of starving.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod encoder;

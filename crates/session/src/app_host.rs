@@ -1625,11 +1625,6 @@ impl AppHost {
         // characteristics" when adaptive mode is on, else the configured
         // codec. The closure is a pure function of the pixels, so it is
         // safe to run on the pool and its output safe to cache by content.
-        let dct_kernel = if cfg.dct_reference_kernel {
-            adshare_codec::dct::Kernel::Reference
-        } else {
-            adshare_codec::dct::Kernel::Fast
-        };
         let encode = |img: &Image| -> (u8, Vec<u8>) {
             if let Some(quality) = tier.dct_quality() {
                 let pt = registry.pt_for(CodecKind::Dct).expect("DCT registered");
@@ -1637,7 +1632,6 @@ impl AppHost {
                     CodecKind::Dct,
                     EncodeOptions {
                         quality,
-                        dct_kernel,
                         ..EncodeOptions::default()
                     },
                 );
@@ -1657,19 +1651,7 @@ impl AppHost {
                         .pt_for(cfg.codec)
                         .expect("configured codec registered")
                 };
-                let codec = *registry.get(pt).expect("registered");
-                let codec = if codec.kind() == CodecKind::Dct {
-                    AnyCodec::with_options(
-                        CodecKind::Dct,
-                        EncodeOptions {
-                            dct_kernel,
-                            ..EncodeOptions::default()
-                        },
-                    )
-                } else {
-                    codec
-                };
-                (pt, codec.encode(img))
+                (pt, registry.get(pt).expect("registered").encode(img))
             }
         };
         let tiles = pipeline.encode_batch(tier.as_gauge() as u8, jobs, encode);

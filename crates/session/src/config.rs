@@ -68,11 +68,6 @@ pub struct AhConfig {
     /// `workers: 1` + `cross_frame_cache: false` to reproduce the legacy
     /// serial per-step path.
     pub encode: adshare_encode::EncodeConfig,
-    /// Ablation: run the scalar reference DCT kernel instead of the
-    /// vectorised fast one. Wire bytes are identical either way (the
-    /// kernels are bit-identical by construction and proptest); this exists
-    /// to measure what the fast kernel buys (E22).
-    pub dct_reference_kernel: bool,
 }
 
 impl Default for AhConfig {
@@ -91,7 +86,6 @@ impl Default for AhConfig {
             floor_grant_us: None,
             adaptive_rate: None,
             encode: adshare_encode::EncodeConfig::default(),
-            dct_reference_kernel: false,
         }
     }
 }
