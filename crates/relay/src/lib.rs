@@ -36,8 +36,8 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use adshare_capture::{
-    fnv1a_fold, CaptureHandle, Direction as CapDirection, StreamKind as CapStreamKind,
-    Transport as CapTransport, FNV_OFFSET,
+    CaptureHandle, Direction as CapDirection, StreamKind as CapStreamKind,
+    Transport as CapTransport,
 };
 use adshare_codec::codec::{default_pt, AnyCodec, CodecKind, CodecRegistry};
 use adshare_codec::image::{Image, Rect};
@@ -62,7 +62,8 @@ use adshare_rtp::rtcp::{
     RtcpPacket, SourceDescription,
 };
 use adshare_rtp::session::RtpReceiver;
-use adshare_rtp::{framing, RtpHeader, RtpPacket};
+use adshare_rtp::{RtpHeader, RtpPacket};
+use adshare_session::egress::{Tap, Wire};
 
 /// Schema marker for [`RelayNode::stats_json`].
 pub const RELAY_STATS_SCHEMA: &str = "adshare-relay-stats/v1";
@@ -180,41 +181,67 @@ enum Unit {
     Synth(Vec<FragmentPacket>),
 }
 
-/// Downstream transport of one leg.
-enum LegTransport {
-    /// Simulated UDP link.
-    Udp(UdpChannel),
-    /// RFC 4571-framed reliable byte stream (simulated TCP). The leg's
-    /// tier controller reads the link's send-buffer backlog as its §7
-    /// congestion signal, so TCP legs degrade tiers instead of stalling.
-    Tcp(TcpLink),
-    /// Raw queue for embedding in real I/O loops (the demo binary): the
-    /// caller ships the bytes itself.
-    Raw(VecDeque<Vec<u8>>),
+/// The upstream stream's RTP identity, stamped on locally minted packets.
+#[derive(Clone, Copy, Default)]
+struct MediaId {
+    pt: u8,
+    ts: u32,
+    ssrc: u32,
+}
+
+/// What became of one NACKed leg sequence.
+enum Repair {
+    /// Resent from a local copy (own packet, suppression window, cache).
+    Absorbed,
+    /// Not in the shared cache: this upstream sequence must be escalated.
+    Miss(u16),
+    /// The leg no longer remembers the sequence; only a catch-up helps.
+    Pruned,
+}
+
+/// What one unit put on a leg.
+#[derive(Default)]
+struct Burst {
+    packets: u64,
+    bytes: u64,
+    /// Last leg sequence used.
+    last_seq: u16,
+    /// Last upstream sequence forwarded (the leg sequence when minted).
+    last_up: u16,
 }
 
 struct Leg {
-    transport: LegTransport,
+    /// Downstream transport: simulated UDP, an RFC 4571-framed TCP stream
+    /// (the tier controller reads its send-buffer backlog as the §7
+    /// congestion signal, so TCP legs degrade tiers instead of stalling),
+    /// or a raw queue the caller ships itself (the demo binary).
+    wire: Wire,
+    /// Running FNV-1a digest of every datagram sent on this leg plus the
+    /// capture sink, both updated inside the wire's send. E20's parity
+    /// gate compares a lossless leg's digest against the no-layers
+    /// baseline.
+    tap: Tap,
+    /// This leg's actor in events and capture records.
+    actor: u16,
     queue: FreshQueue<Rc<Unit>>,
     rate: RateController,
     /// Next downstream sequence number; `None` until the first forwarded
     /// packet pins it to that packet's upstream sequence (identity rewrite).
     next_seq: Option<u16>,
-    /// leg seq → upstream seq, for translating leg NACKs.
+    /// What the last [`SEQ_MAP_LIMIT`] leg sequences (oldest first in
+    /// `seq_log`) carried, for answering leg NACKs: a forwarded packet's
+    /// upstream sequence (repaired from the shared cache, escalated on a
+    /// miss), or the locally minted packet itself (catch-up burst, tier
+    /// re-encode — it has no upstream sequence to escalate to).
     seq_map: HashMap<u16, u16>,
+    minted: HashMap<u16, RtpPacket>,
     seq_log: VecDeque<u16>,
-    /// Synthesized catch-up packets by leg seq (for repairing burst loss).
-    catchup: HashMap<u16, RtpPacket>,
     last_catchup_us: Option<u64>,
     /// A departed viewer (churn): the leg stops participating in fan-out
     /// and feedback but keeps its slot so other legs' indices stay stable.
     closed: bool,
     /// Layered-quality state; `None` when the relay runs without layers.
     tier: Option<LegTier>,
-    /// Running FNV-1a digest of every datagram sent on this leg, folded at
-    /// the transport boundary. E20's parity gate compares a lossless leg's
-    /// digest against the no-layers baseline.
-    digest: u64,
 }
 
 /// Per-leg layered-quality state: an adaptive AIMD estimator fed by the
@@ -238,60 +265,90 @@ impl Leg {
         seq
     }
 
-    /// Ship one datagram on the leg's transport, folding the wire digest.
-    /// TCP legs frame per RFC 4571 and drop (digest untouched) when the
-    /// send buffer cannot take the whole frame — the backlog signal has
-    /// already told the tier controller to slow down.
-    fn send(&mut self, bytes: &[u8], now_us: u64) {
-        match &mut self.transport {
-            LegTransport::Udp(ch) => {
-                self.digest = fnv1a_fold(self.digest, bytes);
-                ch.send(now_us, bytes);
-            }
-            LegTransport::Tcp(link) => {
-                let Ok(framed) = framing::frame(bytes) else {
-                    return;
-                };
-                if link.can_accept(now_us, framed.len()) {
-                    self.digest = fnv1a_fold(self.digest, bytes);
-                    link.send(now_us, &framed);
-                }
-            }
-            LegTransport::Raw(q) => {
-                self.digest = fnv1a_fold(self.digest, bytes);
-                q.push_back(bytes.to_vec());
-            }
-        }
+    /// Ship one datagram, all-or-nothing: a TCP leg whose send buffer
+    /// cannot take the whole frame drops it (digest and capture untouched)
+    /// — the backlog signal has already told the tier controller to slow
+    /// down.
+    fn send(&mut self, kind: CapStreamKind, bytes: &[u8], now_us: u64) {
+        self.wire
+            .send_whole(&mut self.tap, kind, self.actor, now_us, bytes);
     }
 
-    /// Record a synthesized packet so leg NACKs for it are answered from
-    /// the local copy (it has no upstream sequence to escalate to).
-    fn note_synth_seq(&mut self, leg_seq: u16, pkt: RtpPacket) {
-        self.seq_map.remove(&leg_seq);
-        self.catchup.insert(leg_seq, pkt);
-        self.seq_log.push_back(leg_seq);
-        while self.seq_log.len() > SEQ_MAP_LIMIT {
-            if let Some(old) = self.seq_log.pop_front() {
-                self.seq_map.remove(&old);
-                self.catchup.remove(&old);
-            }
-        }
-    }
-
+    /// `leg_seq` carried upstream sequence `upstream_seq`. The 16-bit leg
+    /// sequence space wraps: a reused number must not stay shadowed by a
+    /// packet minted under it long ago (a NACK would replay stale pixels).
     fn map_seq(&mut self, leg_seq: u16, upstream_seq: u16) {
-        // The 16-bit leg sequence space wraps: if a live stream reuses a
-        // number an old catch-up burst once occupied, the stale synthesized
-        // packet must not shadow the fresh mapping (a NACK for the reused
-        // seq would replay stale pixels).
-        self.catchup.remove(&leg_seq);
+        self.minted.remove(&leg_seq);
         self.seq_map.insert(leg_seq, upstream_seq);
+        self.log_seq(leg_seq);
+    }
+
+    /// `leg_seq` carried the locally minted `pkt`.
+    fn keep_minted(&mut self, leg_seq: u16, pkt: RtpPacket) {
+        self.seq_map.remove(&leg_seq);
+        self.minted.insert(leg_seq, pkt);
+        self.log_seq(leg_seq);
+    }
+
+    /// Bound what the leg remembers to its last [`SEQ_MAP_LIMIT`] sequences.
+    fn log_seq(&mut self, leg_seq: u16) {
         self.seq_log.push_back(leg_seq);
         while self.seq_log.len() > SEQ_MAP_LIMIT {
             if let Some(old) = self.seq_log.pop_front() {
                 self.seq_map.remove(&old);
-                self.catchup.remove(&old);
+                self.minted.remove(&old);
             }
         }
+    }
+
+    /// (Re)send an upstream `pkt` under `leg_seq`.
+    fn send_as(&mut self, pkt: &RtpPacket, leg_seq: u16, now_us: u64) -> usize {
+        let mut out = pkt.clone();
+        out.header.sequence = leg_seq;
+        let encoded = out.encode();
+        self.send(CapStreamKind::Rtp, &encoded, now_us);
+        encoded.len()
+    }
+
+    /// Forward upstream packets under this leg's sequence space.
+    fn forward(&mut self, pkts: &[RtpPacket], now_us: u64) -> Burst {
+        let mut burst = Burst::default();
+        for pkt in pkts {
+            let leg_seq = self.alloc_seq(pkt.header.sequence);
+            self.map_seq(leg_seq, pkt.header.sequence);
+            burst.bytes += self.send_as(pkt, leg_seq, now_us) as u64;
+            burst.packets += 1;
+            burst.last_seq = leg_seq;
+            burst.last_up = pkt.header.sequence;
+        }
+        burst
+    }
+
+    /// Mint RTP headers for locally synthesised fragments (`(marker,
+    /// payload)` each) so the leg's sequence space stays contiguous across
+    /// forwarded and synthesised units; the packets are kept so NACKs for
+    /// them repair locally.
+    fn mint(
+        &mut self,
+        frags: impl Iterator<Item = (bool, Vec<u8>)>,
+        media: MediaId,
+        now_us: u64,
+    ) -> Burst {
+        let mut burst = Burst::default();
+        for (marker, payload) in frags {
+            let seq = self.alloc_seq(0);
+            let mut header = RtpHeader::new(media.pt, seq, media.ts, media.ssrc);
+            header.marker = marker;
+            let pkt = RtpPacket::new(header, payload);
+            let encoded = pkt.encode();
+            burst.bytes += encoded.len() as u64;
+            self.keep_minted(seq, pkt);
+            self.send(CapStreamKind::Rtp, &encoded, now_us);
+            burst.packets += 1;
+            burst.last_seq = seq;
+            burst.last_up = seq;
+        }
+        burst
     }
 }
 
@@ -324,9 +381,8 @@ pub struct RelayNode {
     depacketizer: RemotingDepacketizer,
     cache: RetransmitHistory,
     unit_pkts: Vec<RtpPacket>,
-    media_ssrc: u32,
-    media_pt: u8,
-    last_media_ts: u32,
+    /// RTP identity of the upstream stream as of its latest packet.
+    media: MediaId,
     // Shadow desktop state.
     codecs: CodecRegistry,
     windows: HashMap<u16, ShadowWindow>,
@@ -401,9 +457,7 @@ impl RelayNode {
             depacketizer: RemotingDepacketizer::new(),
             cache,
             unit_pkts: Vec::new(),
-            media_ssrc: 0,
-            media_pt: 0,
-            last_media_ts: 0,
+            media: MediaId::default(),
             codecs: CodecRegistry::default(),
             windows: HashMap::new(),
             z_order: Vec::new(),
@@ -434,6 +488,9 @@ impl RelayNode {
     /// Attach an armed capture sink; the relay tap points write through it
     /// with the caller-supplied `now_us` virtual clock.
     pub fn attach_capture(&mut self, capture: CaptureHandle) {
+        for leg in &mut self.legs {
+            leg.tap.attach_capture(capture.clone());
+        }
         self.capture = Some(capture);
     }
 
@@ -495,7 +552,7 @@ impl RelayNode {
     fn push_upstream_pli(&mut self, now_us: u64) {
         self.rtcp_out.push(RtcpPacket::Pli(PictureLossIndication {
             sender_ssrc: self.ssrc,
-            media_ssrc: self.media_ssrc,
+            media_ssrc: self.media.ssrc,
         }));
         self.last_upstream_pli_us = Some(now_us);
         self.stats.plis_upstream += 1;
@@ -510,23 +567,23 @@ impl RelayNode {
 
     /// Add a downstream leg over a simulated UDP link. Returns the leg id.
     pub fn add_leg_udp(&mut self, link: LinkConfig, seed: u64, rate_bps: Option<u64>) -> usize {
-        self.add_leg(LegTransport::Udp(UdpChannel::new(link, seed)), rate_bps)
+        self.add_leg(Wire::udp(link, seed), rate_bps)
     }
 
     /// Add a raw-queue leg: forwarded datagrams pile up for the caller to
     /// ship (the demo binary's real sockets). Returns the leg id.
     pub fn add_leg_raw(&mut self, rate_bps: Option<u64>) -> usize {
-        self.add_leg(LegTransport::Raw(VecDeque::new()), rate_bps)
+        self.add_leg(Wire::raw(), rate_bps)
     }
 
     /// Add an RFC 4571-framed TCP leg over a simulated reliable stream.
     /// The same tier controller drives it, fed by send-buffer backlog
     /// instead of RTCP loss. Returns the leg id.
     pub fn add_leg_tcp(&mut self, tcp: TcpConfig, rate_bps: Option<u64>) -> usize {
-        self.add_leg(LegTransport::Tcp(TcpLink::new(tcp)), rate_bps)
+        self.add_leg(Wire::tcp(tcp), rate_bps)
     }
 
-    fn add_leg(&mut self, transport: LegTransport, rate_bps: Option<u64>) -> usize {
+    fn add_leg(&mut self, wire: Wire, rate_bps: Option<u64>) -> usize {
         let tier = self.cfg.layers.as_ref().map(|l| LegTier {
             // The adaptive controller only *observes* (it meters the leg's
             // affordable rate and picks a tier); the fixed `rate` below
@@ -538,18 +595,23 @@ impl RelayNode {
             synth_msgs: 0,
             synth_bytes: 0,
         });
+        let mut tap = Tap::default();
+        if let Some(capture) = &self.capture {
+            tap.attach_capture(capture.clone());
+        }
         self.legs.push(Leg {
-            transport,
+            wire,
+            tap,
+            actor: Self::leg_actor(self.legs.len()),
             queue: FreshQueue::new(),
             rate: RateController::new_fixed(rate_bps, self.cfg.mtu),
             next_seq: None,
             seq_map: HashMap::new(),
+            minted: HashMap::new(),
             seq_log: VecDeque::new(),
-            catchup: HashMap::new(),
             last_catchup_us: None,
             closed: false,
             tier,
-            digest: FNV_OFFSET,
         });
         self.update_leg_gauge();
         let leg_idx = self.legs.len() - 1;
@@ -592,8 +654,8 @@ impl RelayNode {
         l.closed = true;
         l.queue = FreshQueue::new();
         l.seq_map.clear();
+        l.minted.clear();
         l.seq_log.clear();
-        l.catchup.clear();
         self.update_leg_gauge();
     }
 
@@ -610,32 +672,25 @@ impl RelayNode {
     /// The UDP channel behind a leg, when it has one (tests use this to
     /// inject deterministic loss and read link stats).
     pub fn leg_link_mut(&mut self, leg: usize) -> Option<&mut UdpChannel> {
-        match self.legs.get_mut(leg)?.transport {
-            LegTransport::Udp(ref mut ch) => Some(ch),
-            _ => None,
-        }
+        self.legs.get_mut(leg)?.wire.udp_link_mut()
     }
 
     /// Immutable view of a leg's UDP channel.
     pub fn leg_link(&self, leg: usize) -> Option<&UdpChannel> {
-        match self.legs.get(leg)?.transport {
-            LegTransport::Udp(ref ch) => Some(ch),
-            _ => None,
-        }
+        self.legs.get(leg)?.wire.udp_link()
     }
 
     /// The TCP link behind a leg, when it has one.
     pub fn leg_tcp_mut(&mut self, leg: usize) -> Option<&mut TcpLink> {
-        match self.legs.get_mut(leg)?.transport {
-            LegTransport::Tcp(ref mut link) => Some(link),
-            _ => None,
-        }
+        self.legs.get_mut(leg)?.wire.tcp_link_mut()
     }
 
     /// Running FNV-1a digest of every datagram shipped on a leg. A
     /// lossless leg's digest matches a no-layers relay's bit-exactly.
     pub fn leg_wire_digest(&self, leg: usize) -> u64 {
-        self.legs.get(leg).map_or(FNV_OFFSET, |l| l.digest)
+        self.legs
+            .get(leg)
+            .map_or(Tap::default().digest(), |l| l.tap.digest())
     }
 
     /// The leg's active quality tier (`None` when layers are disabled).
@@ -685,9 +740,11 @@ impl RelayNode {
         let Ok(pkt) = RtpPacket::decode(datagram) else {
             return;
         };
-        self.media_ssrc = pkt.header.ssrc;
-        self.media_pt = pkt.header.payload_type;
-        self.last_media_ts = pkt.header.timestamp;
+        self.media = MediaId {
+            pt: pkt.header.payload_type,
+            ts: pkt.header.timestamp,
+            ssrc: pkt.header.ssrc,
+        };
         self.receiver.on_packet(&pkt, ticks_of(now_us));
         self.reorder.ingest(pkt);
         self.drain_ready(now_us);
@@ -703,7 +760,7 @@ impl RelayNode {
             );
             self.rtcp_out.push(RtcpPacket::Nack(GenericNack::from_seqs(
                 self.ssrc,
-                self.media_ssrc,
+                self.media.ssrc,
                 &missing,
             )));
         }
@@ -984,9 +1041,8 @@ impl RelayNode {
         let Some(t) = leg.tier.as_mut() else {
             return;
         };
-        if let LegTransport::Tcp(link) = &mut leg.transport {
-            let capacity = link.config().send_buf;
-            t.rate.on_backlog(link.backlog(now_us), capacity, now_us);
+        if let Some((backlog, capacity)) = leg.wire.stream_backlog(now_us) {
+            t.rate.on_backlog(backlog, capacity, now_us);
         }
         t.rate.flush_budget(now_us);
         let want = tiers.clamp(t.rate.tier());
@@ -1065,9 +1121,7 @@ impl RelayNode {
     }
 
     fn flush_leg(&mut self, leg_idx: usize, now_us: u64) {
-        let media_pt = self.media_pt;
-        let media_ts = self.last_media_ts;
-        let media_ssrc = self.media_ssrc;
+        let media = self.media;
         let leg = &mut self.legs[leg_idx];
         if leg.closed {
             return;
@@ -1085,120 +1139,47 @@ impl RelayNode {
         if let Some(t) = leg.tier.as_mut() {
             t.rate.note_queue(leg.queue.len(), leg.queue.bytes());
         }
-        if units.is_empty() {
-            return;
-        }
-        let cap_transport = match leg.transport {
-            LegTransport::Udp(_) => CapTransport::Udp,
-            LegTransport::Tcp(_) => CapTransport::Tcp,
-            LegTransport::Raw(_) => CapTransport::None,
-        };
-        let mut events = Vec::new();
         for q in units {
-            match &*q.payload {
+            let (burst, synth) = match &*q.payload {
                 Unit::Rtcp(bytes) => {
-                    let out = bytes.clone();
-                    leg.rate.consume(out.len() as u64);
-                    if let Some(cap) = &self.capture {
-                        cap.record(
-                            CapDirection::Tx,
-                            CapStreamKind::Rtcp,
-                            cap_transport,
-                            Self::leg_actor(leg_idx),
-                            now_us,
-                            &out,
-                        );
-                    }
-                    leg.send(&out, now_us);
+                    leg.rate.consume(bytes.len() as u64);
+                    leg.send(CapStreamKind::Rtcp, bytes, now_us);
+                    continue;
                 }
-                Unit::Media(pkts) => {
-                    let mut msg_bytes = 0u64;
-                    let mut last_up = 0u16;
-                    let mut last_leg_seq = 0u16;
-                    for pkt in pkts {
-                        let leg_seq = leg.alloc_seq(pkt.header.sequence);
-                        leg.map_seq(leg_seq, pkt.header.sequence);
-                        let mut out = pkt.clone();
-                        out.header.sequence = leg_seq;
-                        let encoded = out.encode();
-                        msg_bytes += encoded.len() as u64;
-                        if let Some(cap) = &self.capture {
-                            cap.record(
-                                CapDirection::Tx,
-                                CapStreamKind::Rtp,
-                                cap_transport,
-                                Self::leg_actor(leg_idx),
-                                now_us,
-                                &encoded,
-                            );
-                        }
-                        leg.send(&encoded, now_us);
-                        last_up = pkt.header.sequence;
-                        last_leg_seq = leg_seq;
-                    }
-                    leg.rate.consume(msg_bytes);
-                    if let Some(t) = leg.tier.as_mut() {
-                        t.rate.consume(msg_bytes);
-                        t.verbatim_msgs += 1;
-                    }
-                    self.stats.forwarded_msgs += 1;
-                    self.stats.forwarded_packets += pkts.len() as u64;
-                    self.stats.forwarded_bytes += msg_bytes;
-                    let pkts_and_bytes = ((pkts.len() as u64) << 32) | (msg_bytes & 0xFFFF_FFFF);
-                    events.push((EventKind::RelayForward, u64::from(last_up), pkts_and_bytes));
-                    // Also record a generic RtpTx so existing health rules
-                    // (loss denominator) see relay egress.
-                    events.push((EventKind::RtpTx, u64::from(last_leg_seq), pkts_and_bytes));
-                }
+                Unit::Media(pkts) => (leg.forward(pkts, now_us), false),
                 Unit::Synth(frags) => {
-                    // Mint this leg's RTP headers here so its sequence
-                    // space stays contiguous across verbatim and synth
-                    // units; the packets land in the leg's catch-up map so
-                    // NACKs repair locally (there is no upstream sequence).
-                    let mut msg_bytes = 0u64;
-                    let mut last_leg_seq = 0u16;
-                    for frag in frags {
-                        let seq = leg.alloc_seq(0);
-                        let mut header = RtpHeader::new(media_pt, seq, media_ts, media_ssrc);
-                        header.marker = frag.marker;
-                        let pkt = RtpPacket::new(header, frag.payload.clone());
-                        let encoded = pkt.encode();
-                        msg_bytes += encoded.len() as u64;
-                        leg.note_synth_seq(seq, pkt);
-                        if let Some(cap) = &self.capture {
-                            cap.record(
-                                CapDirection::Tx,
-                                CapStreamKind::Rtp,
-                                cap_transport,
-                                Self::leg_actor(leg_idx),
-                                now_us,
-                                &encoded,
-                            );
-                        }
-                        leg.send(&encoded, now_us);
-                        last_leg_seq = seq;
-                    }
-                    leg.rate.consume(msg_bytes);
-                    if let Some(t) = leg.tier.as_mut() {
-                        t.rate.consume(msg_bytes);
-                        t.synth_msgs += 1;
-                        t.synth_bytes += msg_bytes;
-                    }
-                    self.stats.forwarded_msgs += 1;
-                    self.stats.forwarded_packets += frags.len() as u64;
-                    self.stats.forwarded_bytes += msg_bytes;
-                    let pkts_and_bytes = ((frags.len() as u64) << 32) | (msg_bytes & 0xFFFF_FFFF);
-                    events.push((
-                        EventKind::RelayForward,
-                        u64::from(last_leg_seq),
-                        pkts_and_bytes,
-                    ));
-                    events.push((EventKind::RtpTx, u64::from(last_leg_seq), pkts_and_bytes));
+                    let frags = frags.iter().map(|f| (f.marker, f.payload.clone()));
+                    (leg.mint(frags, media, now_us), true)
+                }
+            };
+            leg.rate.consume(burst.bytes);
+            if let Some(t) = leg.tier.as_mut() {
+                t.rate.consume(burst.bytes);
+                if synth {
+                    t.synth_msgs += 1;
+                    t.synth_bytes += burst.bytes;
+                } else {
+                    t.verbatim_msgs += 1;
                 }
             }
-        }
-        for (kind, a, b) in events {
-            self.rec(now_us, Self::leg_actor(leg_idx), kind, a, b);
+            self.stats.forwarded_msgs += 1;
+            self.stats.forwarded_packets += burst.packets;
+            self.stats.forwarded_bytes += burst.bytes;
+            if let Some(obs) = &self.obs {
+                let pkts_and_bytes = (burst.packets << 32) | (burst.bytes & 0xFFFF_FFFF);
+                let forwarded = u64::from(burst.last_up);
+                obs.event(
+                    now_us,
+                    leg.actor,
+                    EventKind::RelayForward,
+                    forwarded,
+                    pkts_and_bytes,
+                );
+                // Also record a generic RtpTx so existing health rules
+                // (loss denominator) see relay egress.
+                let leg_seq = u64::from(burst.last_seq);
+                obs.event(now_us, leg.actor, EventKind::RtpTx, leg_seq, pkts_and_bytes);
+            }
         }
     }
 
@@ -1206,18 +1187,7 @@ impl RelayNode {
     /// next in-order stream chunk, RFC 4571 framed; raw: all forwarded
     /// bytes).
     pub fn poll_leg(&mut self, leg: usize, now_us: u64) -> Vec<Vec<u8>> {
-        match &mut self.legs[leg].transport {
-            LegTransport::Udp(ch) => ch.poll(now_us),
-            LegTransport::Tcp(link) => {
-                let chunk = link.recv(now_us);
-                if chunk.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![chunk]
-                }
-            }
-            LegTransport::Raw(q) => q.drain(..).collect(),
-        }
+        self.legs[leg].wire.poll(0, now_us)
     }
 
     /// Feed RTCP from a downstream leg (NACK/PLI; reports are informational).
@@ -1268,59 +1238,14 @@ impl RelayNode {
         let mut escalate: Vec<u16> = Vec::new();
         let mut needs_catchup = false;
         for &leg_seq in lost {
-            // Catch-up packets live outside the shared cache.
-            let catchup_bytes = self.legs[leg_idx]
-                .catchup
-                .get(&leg_seq)
-                .map(|pkt| pkt.encode());
-            if let Some(encoded) = catchup_bytes {
-                self.legs[leg_idx].send(&encoded, now_us);
-                absorbed += 1;
-                first_absorbed.get_or_insert(leg_seq);
-                continue;
-            }
-            let Some(&up_seq) = self.legs[leg_idx].seq_map.get(&leg_seq) else {
-                // Mapping pruned: too old to repair packet-by-packet.
-                needs_catchup = true;
-                continue;
-            };
-            // Suppression window: another leg just NACKed this sequence —
-            // serve the retained copy without a second cache lookup.
-            if let Some((at, pkt)) = self.recent_retx.get(&up_seq) {
-                if now_us.saturating_sub(*at) <= self.cfg.suppression_window_us {
-                    let mut out = pkt.clone();
-                    out.header.sequence = leg_seq;
-                    self.legs[leg_idx].send(&out.encode(), now_us);
-                    self.stats.nacks_suppressed_seqs += 1;
+            match self.repair(leg_idx, leg_seq, now_us) {
+                Repair::Absorbed => {
                     absorbed += 1;
                     first_absorbed.get_or_insert(leg_seq);
-                    continue;
                 }
-            }
-            if let Some(pkt) = self.cache.lookup(up_seq) {
-                let pkt = pkt.clone();
-                self.rec(
-                    now_us,
-                    Self::leg_actor(leg_idx),
-                    EventKind::RelayCacheHit,
-                    u64::from(up_seq),
-                    pkt.wire_len() as u64,
-                );
-                self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
-                let mut out = pkt;
-                out.header.sequence = leg_seq;
-                self.legs[leg_idx].send(&out.encode(), now_us);
-                absorbed += 1;
-                first_absorbed.get_or_insert(leg_seq);
-            } else {
-                self.rec(
-                    now_us,
-                    Self::leg_actor(leg_idx),
-                    EventKind::RelayCacheMiss,
-                    u64::from(up_seq),
-                    0,
-                );
-                escalate.push(up_seq);
+                Repair::Miss(up_seq) => escalate.push(up_seq),
+                // Mapping pruned: too old to repair packet-by-packet.
+                Repair::Pruned => needs_catchup = true,
             }
         }
         if absorbed > 0 {
@@ -1349,13 +1274,58 @@ impl RelayNode {
             );
             self.rtcp_out.push(RtcpPacket::Nack(GenericNack::from_seqs(
                 self.ssrc,
-                self.media_ssrc,
+                self.media.ssrc,
                 &escalate,
             )));
         }
         if needs_catchup {
             self.handle_leg_pli(leg_idx, now_us);
         }
+    }
+
+    /// Answer one NACKed leg sequence locally if at all possible.
+    fn repair(&mut self, leg_idx: usize, leg_seq: u16, now_us: u64) -> Repair {
+        let leg = &mut self.legs[leg_idx];
+        // Locally minted packets live outside the shared cache.
+        if let Some(pkt) = leg.minted.get(&leg_seq) {
+            let encoded = pkt.encode();
+            leg.send(CapStreamKind::Rtp, &encoded, now_us);
+            return Repair::Absorbed;
+        }
+        let Some(&up_seq) = leg.seq_map.get(&leg_seq) else {
+            return Repair::Pruned;
+        };
+        // Suppression window: another leg just NACKed this sequence —
+        // serve the retained copy without a second cache lookup.
+        if let Some((at, pkt)) = self.recent_retx.get(&up_seq) {
+            if now_us.saturating_sub(*at) <= self.cfg.suppression_window_us {
+                leg.send_as(pkt, leg_seq, now_us);
+                self.stats.nacks_suppressed_seqs += 1;
+                return Repair::Absorbed;
+            }
+        }
+        let actor = leg.actor;
+        let Some(pkt) = self.cache.lookup(up_seq) else {
+            self.rec(
+                now_us,
+                actor,
+                EventKind::RelayCacheMiss,
+                u64::from(up_seq),
+                0,
+            );
+            return Repair::Miss(up_seq);
+        };
+        let len = pkt.wire_len() as u64;
+        self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
+        leg.send_as(pkt, leg_seq, now_us);
+        self.rec(
+            now_us,
+            actor,
+            EventKind::RelayCacheHit,
+            u64::from(up_seq),
+            len,
+        );
+        Repair::Absorbed
     }
 
     fn handle_leg_pli(&mut self, leg_idx: usize, now_us: u64) {
@@ -1452,31 +1422,24 @@ impl RelayNode {
             msgs.push(RemotingMessage::MousePointerInfo(mp.clone()));
         }
 
+        let media = self.media;
         let leg = &mut self.legs[leg_idx];
         // Everything still queued is already reflected in the snapshot;
         // delivering it after the burst would double-apply moves.
         leg.queue = FreshQueue::new();
         // A fresh burst obsoletes any previous one.
-        leg.catchup.clear();
+        leg.minted.clear();
         let mut burst_pkts = 0u64;
         let mut burst_bytes = 0u64;
         for msg in &msgs {
             let Ok(frags) = fragment(msg, self.cfg.mtu) else {
                 continue;
             };
-            for frag in frags {
-                let seq = leg.alloc_seq(0);
-                let mut header =
-                    RtpHeader::new(self.media_pt, seq, self.last_media_ts, self.media_ssrc);
-                header.marker = frag.marker;
-                let pkt = RtpPacket::new(header, frag.payload);
-                let encoded = pkt.encode();
-                burst_pkts += 1;
-                burst_bytes += encoded.len() as u64;
-                leg.catchup.insert(seq, pkt);
-                // The burst IS the refresh: bypass the pacer.
-                leg.send(&encoded, now_us);
-            }
+            // The burst IS the refresh: bypass the pacer.
+            let frags = frags.into_iter().map(|f| (f.marker, f.payload));
+            let burst = leg.mint(frags, media, now_us);
+            burst_pkts += burst.packets;
+            burst_bytes += burst.bytes;
         }
         leg.last_catchup_us = Some(now_us);
         self.stats.catchups_served += 1;
@@ -1506,7 +1469,7 @@ impl RelayNode {
         if self.receiver.received() > 0
             && ticks.saturating_sub(self.last_rr_ticks) >= RR_INTERVAL_TICKS
         {
-            let block = self.receiver.report_block(self.media_ssrc);
+            let block = self.receiver.report_block(self.media.ssrc);
             self.rtcp_out
                 .push(RtcpPacket::ReceiverReport(ReceiverReport {
                     ssrc: self.ssrc,
@@ -1528,12 +1491,6 @@ impl RelayNode {
         }
         let packets = std::mem::take(&mut self.rtcp_out);
         Some(encode_compound(&packets))
-    }
-
-    /// RFC 4571 framing of a forwarded datagram, for TCP legs managed by
-    /// the caller (the demo binary).
-    pub fn frame_for_tcp(bytes: &[u8]) -> Option<Vec<u8>> {
-        framing::frame(bytes).ok()
     }
 
     /// Layered-quality snapshot (`adshare-relay-tier-stats/v1`); legs is
@@ -1883,7 +1840,7 @@ mod tests {
         assert_eq!(relay.stats().catchups_served, 1);
         relay.poll_leg(leg, 1_000);
         let reused = *relay.legs[leg]
-            .catchup
+            .minted
             .keys()
             .min()
             .expect("burst retained for repair");
@@ -2146,7 +2103,7 @@ mod tests {
             }
         }
         assert!(!stream.is_empty());
-        let mut deframer = framing::Deframer::new(65_535);
+        let mut deframer = adshare_rtp::framing::Deframer::new(65_535);
         deframer.push(&stream);
         let mut frames = 0;
         while let Ok(Some(frame)) = deframer.pop() {

@@ -1,46 +1,37 @@
 //! The Application Host: capture → damage → encode → packetize → pace.
+//!
+//! This file is the public API, the per-step capture/merge/flush driver and
+//! the RTCP/HIP/BFCP handling. Turning pending state into remoting messages
+//! lives in `app_host/drain.rs`, putting messages on a transport in
+//! `app_host/leg.rs` (over the crate-wide [`crate::egress::Wire`] boundary).
 
-use std::collections::HashMap;
+mod drain;
+mod leg;
 
 use adshare_bfcp::{BfcpMessage, FloorChair, HidStatus};
-use adshare_capture::{
-    CaptureHandle, Direction as CapDirection, StreamKind as CapStreamKind,
-    Transport as CapTransport,
-};
-use adshare_codec::codec::{AnyCodec, EncodeOptions};
-use adshare_codec::{Codec, CodecKind, CodecRegistry, Image, Rect};
-use adshare_encode::{EncodePipeline, TileJob};
+use adshare_capture::CaptureHandle;
+use adshare_codec::{CodecRegistry, Rect};
+use adshare_encode::EncodePipeline;
 use adshare_layers::TierRequest;
-use adshare_netsim::multicast::MulticastGroup;
-use adshare_netsim::tcp::{TcpConfig, TcpLink};
-use adshare_netsim::time::us_to_ticks;
-use adshare_netsim::udp::{LinkConfig, UdpChannel};
-use adshare_obs::{
-    Counter, EventKind, FrameTrace, Histogram, Obs, Registry, ACTOR_AH, RATE_CAUSE_BACKLOG,
-    RATE_CAUSE_LOSS_REPORT, RATE_CAUSE_NACK_BURST,
-};
-use adshare_rate::{FreshQueue, QualityTier, RateController};
-use adshare_remoting::fragment::fragment;
+use adshare_netsim::tcp::TcpConfig;
+use adshare_netsim::udp::LinkConfig;
+use adshare_obs::{Counter, EventKind, Histogram, Obs, Registry, ACTOR_AH};
+use adshare_rate::{QualityTier, RateController};
 use adshare_remoting::hip::HipMessage;
 use adshare_remoting::keycodes;
-use adshare_remoting::message::{
-    MousePointerInfo, MoveRectangle, RegionUpdate, RemotingMessage, WindowManagerInfo,
-    WindowRecord as WireWindowRecord,
-};
-use adshare_remoting::WindowId as WireWindowId;
-use adshare_rtp::framing::frame_into;
-use adshare_rtp::history::RetransmitHistory;
+use adshare_remoting::message::RemotingMessage;
 use adshare_rtp::packet::RtpPacket;
-use adshare_rtp::rtcp::{decode_compound, RtcpPacket};
+use adshare_rtp::rtcp::{decode_compound, ReportBlock, RtcpPacket};
 use adshare_rtp::session::RtpSender;
-use adshare_screen::damage::DamageTracker;
 use adshare_screen::desktop::{Desktop, ScrollHint};
 use adshare_screen::wm::WindowId;
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{AhConfig, PointerPolicy};
+use crate::egress::{Tap, Wire};
+use drain::Pending;
+use leg::Leg;
 
 /// Identifies an attached participant at the AH.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,165 +148,39 @@ impl AhCounters {
     }
 }
 
-/// Per-participant pending output (what changed but has not been sent).
-#[derive(Debug, Default)]
-struct Pending {
-    wmi: bool,
-    scrolls: Vec<ScrollHint>,
-    damage: HashMap<WindowId, DamageTracker>,
-    pointer_moved: bool,
-    pointer_icon: bool,
-}
-
-impl Pending {
-    fn add_damage(
-        &mut self,
-        strategy: adshare_screen::damage::MergeStrategy,
-        win: WindowId,
-        rect: Rect,
-        now_us: u64,
-    ) {
-        self.damage
-            .entry(win)
-            .or_insert_with(|| DamageTracker::new(strategy))
-            .add_at(rect, now_us);
-    }
-
-    fn is_empty(&self) -> bool {
-        !self.wmi
-            && self.scrolls.is_empty()
-            && self.damage.values().all(|d| d.is_empty())
-            && !self.pointer_moved
-            && !self.pointer_icon
-    }
-}
-
+/// One attached participant: who it is and which leg carries its stream.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // one Transport per participant; not worth boxing
-enum Transport {
-    Udp {
-        channel: UdpChannel,
-    },
-    Tcp {
-        link: TcpLink,
-        outq: Vec<u8>,
-    },
-    /// Member of multicast session `session` (§4.3 allows several
-    /// simultaneous sessions with different transmission rates).
-    Multicast {
-        session: usize,
-    },
-}
-
-/// Encoded region updates (and control messages riding FIFO with them)
-/// awaiting pacer tokens, in adaptive-rate mode.
-type SendQueue = FreshQueue<(RemotingMessage, Option<FrameTrace>)>;
-
-/// One message drained from pending state, carrying the metadata the
-/// adaptive send queue needs for §7 supersede-on-coverage and byte-paced
-/// pops. Legacy paths just unwrap `msg`/`trace`.
-#[derive(Debug)]
-struct Drained {
-    msg: RemotingMessage,
-    trace: Option<FrameTrace>,
-    /// For RegionUpdates: source window and window-local rect, so newer
-    /// damage can supersede this update while it waits for pacer tokens.
-    region: Option<(WindowId, Rect)>,
-    /// Encoded payload size; 0 for control messages, which ride the queue
-    /// only to preserve FIFO ordering and are never dropped or deferred.
-    payload_bytes: u64,
-}
-
-impl Drained {
-    fn control(msg: RemotingMessage) -> Self {
-        Drained {
-            msg,
-            trace: None,
-            region: None,
-            payload_bytes: 0,
-        }
-    }
-}
-
-/// How many encoded-but-unsent bytes the adaptive path keeps warm ahead of
-/// the pacer before it stops encoding fresh damage. Bounds both encode work
-/// thrown away by superseding and the staleness of queued pixels.
-const QUEUE_HEADROOM_BYTES: u64 = 64 * 1024;
-
-/// The adaptive-rate send state shared by unicast and multicast flushes.
-#[derive(Debug)]
-struct RateState {
-    rate: RateController,
-    /// Paced send queue with §7 supersede-on-coverage (adaptive only;
-    /// stays empty in fixed mode).
-    queue: SendQueue,
-    /// Regions sent at a lossy tier, owed a lossless repair before the
-    /// participant can converge pixel-identical.
-    degraded: HashMap<WindowId, DamageTracker>,
-    /// Lossless-repair mode: forces the lossless tier until the backlog of
-    /// degraded regions has fully drained.
-    repairing: bool,
-    /// When damage was last drained into encodes (for tier coalescing).
-    last_encode_us: u64,
-    /// Last rate estimate reported to the flight recorder (AIMD growth
-    /// detection; 0 = not yet observed).
-    last_rate_bps: u64,
-    /// Tier pinned by a downstream `TierRequest` (a relay asking for the
-    /// lossiest tier its whole subtree still affords). `None` = publish
-    /// lossless as usual; the AH's own congestion estimate can still pick
-    /// an even lossier tier, so the effective tier is `max(own, pin)`.
-    tier_pin: Option<QualityTier>,
-}
-
-impl RateState {
-    fn new(rate: RateController) -> Self {
-        RateState {
-            rate,
-            queue: FreshQueue::new(),
-            degraded: HashMap::new(),
-            repairing: false,
-            last_encode_us: 0,
-            last_rate_bps: 0,
-            tier_pin: None,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PState {
+struct Member {
     user_id: u16,
-    transport: Transport,
-    sender: RtpSender,
-    history: Option<RetransmitHistory>,
-    pending: Pending,
-    /// Pacing, congestion control, and adaptive quality for this path.
-    rs: RateState,
+    /// Slot of the leg in [`AppHost::legs`]: its own for unicast, its
+    /// session's for a multicast member.
+    leg: usize,
+    /// Receiver index on that leg's wire (the group member; 0 for unicast).
+    receiver: usize,
     /// Latest RTCP receiver-report block from this participant: the AH's
     /// view of its reception quality (loss fraction, jitter).
-    last_report: Option<adshare_rtp::rtcp::ReportBlock>,
-    /// When the last RTCP sender report was emitted (µs).
-    last_sr_us: u64,
+    last_report: Option<ReportBlock>,
 }
 
-#[derive(Debug)]
-struct McastState {
-    group: MulticastGroup,
-    sender: RtpSender,
-    history: Option<RetransmitHistory>,
-    pending: Pending,
-    /// Pacing, congestion control, and adaptive quality for the session.
-    /// Every member's RTCP feedback feeds this one controller, so the
-    /// session reacts to its worst path.
-    rs: RateState,
-    /// Time of the last flush attempt (gates SR emission for idle groups).
-    last_flush_us: u64,
-    /// Member index per handle.
-    members: HashMap<usize, usize>,
-    /// Recently retransmitted seqs → time, to deduplicate the storm of
-    /// identical NACKs a shared loss produces across the group.
-    recent_retx: HashMap<u16, u64>,
-    /// When the last sender report was emitted (µs).
-    last_sr_us: u64,
+/// What a leg reads or updates besides itself: the rest of the AH,
+/// borrowed field by field so a leg can be borrowed alongside.
+struct Cx<'a> {
+    desktop: &'a Desktop,
+    cfg: &'a AhConfig,
+    registry: &'a CodecRegistry,
+    counters: &'a AhCounters,
+    encode: &'a mut EncodePipeline,
+    obs: Option<&'a Obs>,
+    tap: &'a mut Tap,
+}
+
+impl Cx<'_> {
+    /// Record a flight-recorder event, if observed.
+    fn event(&self, now_us: u64, actor: u16, kind: EventKind, a: u64, b: u64) {
+        if let Some(obs) = self.obs {
+            obs.event(now_us, actor, kind, a, b);
+        }
+    }
 }
 
 /// The application host (Figure 1's server side).
@@ -328,8 +193,14 @@ pub struct AppHost {
     chair: FloorChair,
     /// Whether HIP injection requires holding the BFCP floor.
     require_floor: bool,
-    participants: Vec<Option<PState>>,
-    mcast: Vec<McastState>,
+    /// Attached participants by handle; `None` once detached.
+    participants: Vec<Option<Member>>,
+    /// Every egress path, in creation order: one leg per unicast
+    /// participant (freed on detach) and one per multicast session.
+    legs: Vec<Option<Leg>>,
+    /// Multicast session index → slot of its leg in `legs` (§4.3 allows
+    /// several simultaneous sessions with different transmission rates).
+    mcast: Vec<usize>,
     injected: Vec<(u16, HipMessage)>,
     counters: AhCounters,
     /// Tile-encode pipeline: damage tiling, the cross-frame
@@ -345,42 +216,13 @@ pub struct AppHost {
     known_shared: std::collections::HashSet<WindowId>,
     /// Encode-cache evictions already reported to the flight recorder.
     last_evictions: u64,
-    /// Order-sensitive FNV-1a over every RTP/RTCP packet this AH produced
-    /// (pre-framing). Two runs with identical wire output — the guarantee
-    /// the multi-tenant host's parity tests pin down — have equal digests.
-    wire_digest: u64,
-    /// Consent-gated wire-capture sink, when armed. Every egress tap sits
-    /// immediately after the matching `wire_digest` fold, so capture record
-    /// order equals fold order and a replay can reproduce the digest.
-    capture: Option<CaptureHandle>,
-}
-
-/// Capture-tap one egress packet (no-op when no capture is armed). Free
-/// function so call sites inside disjoint-field borrows of `AppHost` can
-/// use it.
-fn cap_tx(
-    capture: &Option<CaptureHandle>,
-    kind: CapStreamKind,
-    transport: CapTransport,
-    actor: u16,
-    now_us: u64,
-    bytes: &[u8],
-) {
-    if let Some(cap) = capture {
-        cap.record(CapDirection::Tx, kind, transport, actor, now_us, bytes);
-    }
-}
-
-/// FNV-1a offset basis (the wire digest's initial value).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into an order-sensitive FNV-1a digest.
-fn fnv1a_fold(mut digest: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        digest ^= b as u64;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    digest
+    /// Order-sensitive digest over every RTP/RTCP packet this AH produced
+    /// (pre-framing) and the consent-gated capture sink, when armed. Both
+    /// are updated inside [`Wire::send`], so capture record order equals
+    /// fold order and a replay can reproduce the digest. Two runs with
+    /// identical wire output — the guarantee the multi-tenant host's
+    /// parity tests pin down — have equal digests.
+    tap: Tap,
 }
 
 impl AppHost {
@@ -414,46 +256,38 @@ impl AppHost {
             rng: StdRng::seed_from_u64(seed),
             require_floor: false,
             participants: Vec::new(),
+            legs: Vec::new(),
             mcast: Vec::new(),
             injected: Vec::new(),
             counters: AhCounters::default(),
             obs: None,
             last_pointer_rect: None,
             last_evictions: 0,
-            wire_digest: FNV_OFFSET,
-            capture: None,
+            tap: Tap::default(),
         }
     }
 
     /// Order-sensitive digest of every packet produced so far — equal
     /// digests mean byte-identical wire output in identical order.
     pub fn wire_digest(&self) -> u64 {
-        self.wire_digest
+        self.tap.digest()
     }
 
     /// Attach an armed capture sink: from now on every egress RTP/RTCP
     /// packet is recorded next to its `wire_digest` fold, in fold order.
     pub fn attach_capture(&mut self, capture: CaptureHandle) {
-        self.capture = Some(capture);
+        self.tap.attach_capture(capture);
     }
 
     /// The armed capture sink, if any.
     pub fn capture(&self) -> Option<&CaptureHandle> {
-        self.capture.as_ref()
+        self.tap.capture()
     }
 
     /// Record a flight-recorder event under the AH actor, if observed.
     fn rec_event(&self, now_us: u64, kind: EventKind, a: u64, b: u64) {
         if let Some(obs) = &self.obs {
             obs.event(now_us, ACTOR_AH, kind, a, b);
-        }
-    }
-
-    /// Record an event attributed to a specific participant (its handle
-    /// index as the actor), so health rules can name the offender.
-    fn rec_event_for(&self, now_us: u64, actor: u16, kind: EventKind, a: u64, b: u64) {
-        if let Some(obs) = &self.obs {
-            obs.event(now_us, actor, kind, a, b);
         }
     }
 
@@ -475,20 +309,6 @@ impl AppHost {
                 }
             }
         }
-    }
-
-    /// Refresh a path's rate estimate and report AIMD growth as a
-    /// [`EventKind::RateUp`] event (decreases are cause-tagged at the
-    /// congestion-signal sites instead).
-    fn note_rate_change(obs: Option<&Obs>, rs: &mut RateState, now_us: u64) {
-        let Some(obs) = obs else { return };
-        let Some(rate) = rs.rate.rate_bps(now_us) else {
-            return;
-        };
-        if rs.last_rate_bps > 0 && rate > rs.last_rate_bps {
-            obs.event(now_us, ACTOR_AH, EventKind::RateUp, rate, rs.last_rate_bps);
-        }
-        rs.last_rate_bps = rate;
     }
 
     /// The shared desktop (drive workloads through this).
@@ -532,19 +352,14 @@ impl AppHost {
     }
 
     /// Attach an observability bundle: adopt the AH counters under `ah.*`,
-    /// register every existing transport's counters, and start registering
-    /// frame traces at packetize time so participants can complete them.
-    /// Transports attached later register themselves automatically.
+    /// register every existing leg's transport, controller and history,
+    /// and start registering frame traces at packetize time so participants
+    /// can complete them. Legs attached later register themselves.
     pub fn attach_obs(&mut self, obs: Obs) {
         self.counters.register(&obs.registry);
         self.encode.register_metrics(&obs.registry, "ah.encode");
-        for (idx, slot) in self.participants.iter().enumerate() {
-            if let Some(p) = slot {
-                Self::register_participant(&obs.registry, idx, p);
-            }
-        }
-        for (i, m) in self.mcast.iter().enumerate() {
-            Self::register_mcast(&obs.registry, i, m);
+        for leg in self.legs.iter().flatten() {
+            leg.register_metrics(&obs.registry);
         }
         self.obs = Some(obs);
     }
@@ -554,32 +369,66 @@ impl AppHost {
         self.obs.as_ref()
     }
 
-    fn register_participant(registry: &Registry, idx: usize, p: &PState) {
-        match &p.transport {
-            Transport::Udp { channel, .. } => {
-                channel.register_metrics(registry, &format!("ah.participant.{idx}.udp"));
-            }
-            Transport::Tcp { link, .. } => {
-                link.register_metrics(registry, &format!("ah.participant.{idx}.tcp"));
-            }
-            // Multicast members are registered with their group.
-            Transport::Multicast { .. } => return,
-        }
-        p.rs.rate
-            .register_metrics(registry, &format!("ah.participant.{idx}.rate"));
-        if let Some(h) = &p.history {
-            h.register_metrics(registry, &format!("ah.participant.{idx}.retx_history"));
-        }
+    /// The AH's fields a leg works against, split from the legs themselves
+    /// so both can be borrowed at once.
+    fn parts(&mut self) -> (Cx<'_>, &mut [Option<Leg>]) {
+        let cx = Cx {
+            desktop: &self.desktop,
+            cfg: &self.cfg,
+            registry: &self.registry,
+            counters: &self.counters,
+            encode: &mut self.encode,
+            obs: self.obs.as_ref(),
+            tap: &mut self.tap,
+        };
+        (cx, &mut self.legs)
     }
 
-    fn register_mcast(registry: &Registry, session: usize, m: &McastState) {
-        m.group
-            .register_metrics(registry, &format!("ah.mcast.{session}"));
-        m.rs.rate
-            .register_metrics(registry, &format!("ah.mcast.{session}.rate"));
-        if let Some(h) = &m.history {
-            h.register_metrics(registry, &format!("ah.mcast.{session}.retx_history"));
+    /// Where `handle`'s stream goes: `(leg slot, receiver index)`.
+    fn route(&self, handle: ParticipantHandle) -> Option<(usize, usize)> {
+        let member = self.participants.get(handle.0)?.as_ref()?;
+        Some((member.leg, member.receiver))
+    }
+
+    /// The leg governing `handle`'s sends: its own for unicast, the
+    /// session's for a multicast member.
+    fn leg(&self, handle: ParticipantHandle) -> Option<&Leg> {
+        self.legs[self.route(handle)?.0].as_ref()
+    }
+
+    /// Create the leg for a new path — a unicast participant's (it takes
+    /// the next handle index as its actor) or a multicast session's — and
+    /// register its metrics if observed. Returns its slot.
+    fn add_leg(&mut self, wire: Wire, ssrc: u32, rate_bps: Option<u64>) -> usize {
+        let sender = RtpSender::new(ssrc, self.cfg.remoting_pt, &mut self.rng);
+        // Adaptive when the config enables it (the static `rate_bps` then
+        // caps the estimate), else the fixed-rate pacer.
+        let rate = match self.cfg.adaptive_rate {
+            Some(rc) => RateController::new_adaptive(rc, rate_bps, self.cfg.mtu),
+            None => RateController::new_fixed(rate_bps, self.cfg.mtu),
+        };
+        let (actor, prefix) = if wire.is_group() {
+            (ACTOR_AH, format!("ah.mcast.{}", self.mcast.len()))
+        } else {
+            let idx = self.participants.len();
+            (idx as u16, format!("ah.participant.{idx}"))
+        };
+        let leg = Leg::new(wire, sender, rate, &self.cfg, actor, prefix);
+        if let Some(obs) = &self.obs {
+            leg.register_metrics(&obs.registry);
         }
+        self.legs.push(Some(leg));
+        self.legs.len() - 1
+    }
+
+    fn add_member(&mut self, user_id: u16, leg: usize, receiver: usize) -> ParticipantHandle {
+        self.participants.push(Some(Member {
+            user_id,
+            leg,
+            receiver,
+            last_report: None,
+        }));
+        ParticipantHandle(self.participants.len() - 1)
     }
 
     /// Attach a unicast UDP participant; the participant must send a PLI to
@@ -593,108 +442,31 @@ impl AppHost {
         seed: u64,
         rate_bps: Option<u64>,
     ) -> ParticipantHandle {
-        let sender = RtpSender::new(
-            0x41480000 | user_id as u32,
-            self.cfg.remoting_pt,
-            &mut self.rng,
-        );
-        let history = self
-            .cfg
-            .retransmissions
-            .then(|| RetransmitHistory::new(self.cfg.history.0, self.cfg.history.1));
-        let state = PState {
-            user_id,
-            transport: Transport::Udp {
-                channel: UdpChannel::new(link, seed),
-            },
-            sender,
-            history,
-            pending: Pending::default(),
-            rs: RateState::new(Self::make_controller(&self.cfg, rate_bps)),
-            last_report: None,
-            last_sr_us: 0,
-        };
-        self.participants.push(Some(state));
-        let handle = ParticipantHandle(self.participants.len() - 1);
-        if let Some(obs) = &self.obs {
-            let p = self.participants[handle.0].as_ref().expect("just pushed");
-            Self::register_participant(&obs.registry, handle.0, p);
-        }
-        handle
-    }
-
-    /// The congestion controller for a new path: adaptive when the config
-    /// enables it (the static `rate_bps` then caps the estimate), else the
-    /// legacy fixed-rate pacer.
-    fn make_controller(cfg: &AhConfig, rate_bps: Option<u64>) -> RateController {
-        match cfg.adaptive_rate {
-            Some(rc) => RateController::new_adaptive(rc, rate_bps, cfg.mtu),
-            None => RateController::new_fixed(rate_bps, cfg.mtu),
-        }
+        let ssrc = 0x41480000 | user_id as u32;
+        let leg = self.add_leg(Wire::udp(link, seed), ssrc, rate_bps);
+        self.add_member(user_id, leg, 0)
     }
 
     /// Attach a TCP participant. Initial state is sent immediately (§4.4:
     /// "right after the TCP connection establishment").
     pub fn attach_tcp(&mut self, user_id: u16, link: TcpConfig) -> ParticipantHandle {
-        let sender = RtpSender::new(
-            0x41480000 | user_id as u32,
-            self.cfg.remoting_pt,
-            &mut self.rng,
-        );
-        let mut state = PState {
-            user_id,
-            transport: Transport::Tcp {
-                link: TcpLink::new(link),
-                outq: Vec::new(),
-            },
-            sender,
-            history: None,
-            pending: Pending::default(),
-            // TCP is never byte-paced here (the link backpressures); the
-            // controller still adapts quality from the backlog signal.
-            rs: RateState::new(Self::make_controller(&self.cfg, None)),
-            last_report: None,
-            last_sr_us: 0,
-        };
-        Self::schedule_full_refresh(&self.desktop, &self.cfg, &mut state.pending, 0);
-        self.participants.push(Some(state));
-        let handle = ParticipantHandle(self.participants.len() - 1);
-        if let Some(obs) = &self.obs {
-            let p = self.participants[handle.0].as_ref().expect("just pushed");
-            Self::register_participant(&obs.registry, handle.0, p);
-        }
-        handle
+        let ssrc = 0x41480000 | user_id as u32;
+        // TCP is never byte-paced here (the link backpressures); the
+        // controller still adapts quality from the backlog signal.
+        let slot = self.add_leg(Wire::tcp(link), ssrc, None);
+        let leg = self.legs[slot].as_mut().expect("just added");
+        Self::schedule_full_refresh(&self.desktop, &self.cfg, &mut leg.pending, 0);
+        self.add_member(user_id, slot, 0)
     }
 
     /// Create a multicast session with its own pacing rate; returns its
     /// index. §4.3: "Several simultaneous multicast sessions with different
     /// transmission rates can be created at the AH."
     pub fn create_multicast_session(&mut self, rate_bps: Option<u64>) -> usize {
-        let sender = RtpSender::new(
-            0x4d430001 + self.mcast.len() as u32,
-            self.cfg.remoting_pt,
-            &mut self.rng,
-        );
-        let history = self
-            .cfg
-            .retransmissions
-            .then(|| RetransmitHistory::new(self.cfg.history.0, self.cfg.history.1));
-        self.mcast.push(McastState {
-            group: MulticastGroup::new(),
-            sender,
-            history,
-            pending: Pending::default(),
-            rs: RateState::new(Self::make_controller(&self.cfg, rate_bps)),
-            last_flush_us: 0,
-            members: HashMap::new(),
-            recent_retx: HashMap::new(),
-            last_sr_us: 0,
-        });
-        let session = self.mcast.len() - 1;
-        if let Some(obs) = &self.obs {
-            Self::register_mcast(&obs.registry, session, &self.mcast[session]);
-        }
-        session
+        let ssrc = 0x4d430001 + self.mcast.len() as u32;
+        let slot = self.add_leg(Wire::multicast(), ssrc, rate_bps);
+        self.mcast.push(slot);
+        self.mcast.len() - 1
     }
 
     /// Ensure a default multicast session (index 0) exists.
@@ -724,37 +496,31 @@ impl AppHost {
         link: LinkConfig,
         seed: u64,
     ) -> Option<ParticipantHandle> {
-        if session >= self.mcast.len() {
-            return None;
-        }
-        let state = PState {
-            user_id,
-            transport: Transport::Multicast { session },
-            sender: RtpSender::new(0, 0, &mut self.rng), // unused for mcast
-            history: None,
-            pending: Pending::default(),
-            // Pacing happens at the session, not the member.
-            rs: RateState::new(RateController::new_fixed(None, self.cfg.mtu)),
-            last_report: None,
-            last_sr_us: 0,
-        };
-        self.participants.push(Some(state));
-        let handle = ParticipantHandle(self.participants.len() - 1);
-        let mcast = &mut self.mcast[session];
-        let member = mcast.group.join(link, seed);
-        mcast.members.insert(handle.0, member);
+        let slot = *self.mcast.get(session)?;
+        // A member has no sender of its own, but it used to carry an unused
+        // one that drew a random seq and timestamp offset from the AH's
+        // RNG. Burn the same draws so every sender created afterwards keeps
+        // its initial values (tests/fixtures/wire_golden.txt pins them);
+        // dropping the burn is a separate change with a new fixture.
+        let _ = RtpSender::new(0, 0, &mut self.rng);
+        let leg = self.legs[slot].as_mut().expect("sessions are never freed");
+        let receiver = leg.wire.join(link, seed).expect("session legs are groups");
         if let Some(obs) = &self.obs {
             // Re-registration is idempotent for existing members and picks
             // up the newly joined one.
-            Self::register_mcast(&obs.registry, session, mcast);
+            leg.register_metrics(&obs.registry);
         }
-        Some(handle)
+        Some(self.add_member(user_id, slot, receiver))
     }
 
-    /// Detach a participant (session end).
+    /// Detach a participant (session end). A unicast leg goes with it; a
+    /// multicast session keeps sending to its group.
     pub fn detach(&mut self, handle: ParticipantHandle) {
-        if let Some(slot) = self.participants.get_mut(handle.0) {
-            *slot = None;
+        let Some(member) = self.participants.get_mut(handle.0).and_then(Option::take) else {
+            return;
+        };
+        if self.legs[member.leg].as_ref().is_some_and(|l| !l.shared()) {
+            self.legs[member.leg] = None;
         }
     }
 
@@ -766,10 +532,11 @@ impl AppHost {
         handle: ParticipantHandle,
         steps: Vec<adshare_netsim::LinkStep>,
     ) {
-        if let Some(Some(p)) = self.participants.get_mut(handle.0) {
-            if let Transport::Udp { channel } = &mut p.transport {
-                channel.set_schedule(steps);
-            }
+        let Some((slot, _)) = self.route(handle) else {
+            return;
+        };
+        if let Some(channel) = self.legs[slot].as_mut().and_then(|l| l.wire.udp_link_mut()) {
+            channel.set_schedule(steps);
         }
     }
 
@@ -777,31 +544,12 @@ impl AppHost {
     /// controller has applied so far (0 for fixed-rate paths; a multicast
     /// member reports its session's shared controller).
     pub fn rate_decreases(&self, handle: ParticipantHandle) -> u64 {
-        let Some(p) = self.participants.get(handle.0).and_then(|p| p.as_ref()) else {
-            return 0;
-        };
-        match p.transport {
-            Transport::Multicast { session } => {
-                self.mcast.get(session).map_or(0, |m| m.rs.rate.decreases())
-            }
-            _ => p.rs.rate.decreases(),
-        }
+        self.leg(handle).map_or(0, |l| l.rs.rate.decreases())
     }
 
     /// The AH egress byte count for one participant's transport.
     pub fn participant_bytes_sent(&self, handle: ParticipantHandle) -> u64 {
-        match self.participants.get(handle.0).and_then(|p| p.as_ref()) {
-            Some(p) => match &p.transport {
-                Transport::Udp { channel, .. } => channel.stats().bytes_sent,
-                Transport::Tcp { link, .. } => link.stats().bytes_accepted,
-                Transport::Multicast { session } => self
-                    .mcast
-                    .get(*session)
-                    .map(|m| m.group.egress().1)
-                    .unwrap_or(0),
-            },
-            None => 0,
-        }
+        self.leg(handle).map_or(0, |l| l.wire.bytes_sent())
     }
 
     /// Capture desktop changes and flush to all participants.
@@ -892,27 +640,19 @@ impl AppHost {
             pending.pointer_moved |= ptr_moved;
             pending.pointer_icon |= ptr_icon;
         };
-        for slot in self.participants.iter_mut().flatten() {
-            if !matches!(slot.transport, Transport::Multicast { .. }) {
-                merge(&mut slot.pending);
-            }
-        }
-        for m in &mut self.mcast {
-            if !m.members.is_empty() {
-                merge(&mut m.pending);
+        for leg in self.legs.iter_mut().flatten() {
+            if leg.wire.has_receivers() {
+                merge(&mut leg.pending);
             }
         }
 
-        // 3. Flush per participant. The encode pipeline's content-addressed
-        // cache is shared across all of them (and across frames): identical
+        // 3. Flush per leg. The encode pipeline's content-addressed cache
+        // is shared across all of them (and across frames): identical
         // pixels encode once no matter which participant or transport asks,
         // and the quality tier is part of the cache key so participants at
         // different tiers never share an encode.
         self.encode.begin_step();
-        for idx in 0..self.participants.len() {
-            self.flush_unicast(idx, now_us);
-        }
-        self.flush_multicast(now_us);
+        self.each_leg(|leg, cx| leg.flush(cx, now_us));
         let evictions = self.encode.cache_evictions();
         if evictions > self.last_evictions {
             self.rec_event(
@@ -923,145 +663,39 @@ impl AppHost {
             );
             self.last_evictions = evictions;
         }
-        self.emit_sender_reports(now_us);
+        self.each_leg(|leg, cx| leg.emit_sender_report(cx, now_us));
     }
 
-    /// Periodic RTCP sender reports (RFC 3550 §6.4.1), multiplexed onto the
-    /// media path per RFC 5761. They give participants the wall-clock ↔
-    /// RTP-timestamp mapping used to measure capture→display latency.
-    fn emit_sender_reports(&mut self, now_us: u64) {
-        const SR_INTERVAL_US: u64 = 1_000_000;
-        let ticks = us_to_ticks(now_us) as u32;
-        for slot in self.participants.iter_mut().flatten() {
-            if now_us.saturating_sub(slot.last_sr_us) < SR_INTERVAL_US {
-                continue;
+    /// Visit every leg in wire order: unicast participants in handle
+    /// order, then multicast sessions in index order. `step` flushes and
+    /// then reports in this order, and the wire digest pins it.
+    fn each_leg(&mut self, mut visit: impl FnMut(&mut Leg, &mut Cx<'_>)) {
+        let (mut cx, legs) = self.parts();
+        for shared in [false, true] {
+            for leg in legs.iter_mut().flatten().filter(|l| l.shared() == shared) {
+                visit(leg, &mut cx);
             }
-            let (packets, octets) = slot.sender.sent_counts();
-            if packets == 0 {
-                continue;
-            }
-            slot.last_sr_us = now_us;
-            let sr = adshare_rtp::rtcp::SenderReport {
-                ssrc: slot.sender.ssrc(),
-                // NTP field carries the virtual clock in µs — the mapping is
-                // what matters, not the epoch.
-                ntp: now_us,
-                rtp_ts: slot.sender.timestamp_for(ticks),
-                packet_count: packets as u32,
-                octet_count: octets as u32,
-                reports: vec![],
-            };
-            // RFC 3550 §6.1: every RTCP compound includes an SDES CNAME.
-            let sdes =
-                adshare_rtp::rtcp::SourceDescription::cname(slot.sender.ssrc(), "ah@adshare");
-            let bytes = adshare_rtp::rtcp::encode_compound(&[
-                adshare_rtp::rtcp::RtcpPacket::SenderReport(sr),
-                adshare_rtp::rtcp::RtcpPacket::Sdes(sdes),
-            ]);
-            self.counters.sr_sent.inc();
-            self.wire_digest = fnv1a_fold(self.wire_digest, &bytes);
-            let cap_transport = match &slot.transport {
-                Transport::Udp { .. } => CapTransport::Udp,
-                Transport::Tcp { .. } => CapTransport::Tcp,
-                Transport::Multicast { .. } => CapTransport::Multicast,
-            };
-            cap_tx(
-                &self.capture,
-                CapStreamKind::Rtcp,
-                cap_transport,
-                ACTOR_AH,
-                now_us,
-                &bytes,
-            );
-            match &mut slot.transport {
-                Transport::Udp { channel, .. } => channel.send(now_us, &bytes),
-                Transport::Tcp { link, outq } => {
-                    let mut framed = Vec::with_capacity(bytes.len() + 2);
-                    let _ = frame_into(&mut framed, &bytes);
-                    if outq.is_empty() {
-                        let n = link.send(now_us, &framed);
-                        if n < framed.len() {
-                            outq.extend_from_slice(&framed[n..]);
-                        }
-                    } else {
-                        outq.extend_from_slice(&framed);
-                    }
-                }
-                Transport::Multicast { .. } => {}
-            }
-        }
-        // One SR per multicast session, into the group.
-        for m in &mut self.mcast {
-            if m.members.is_empty() || now_us.saturating_sub(m.last_flush_us) > SR_INTERVAL_US * 10
-            {
-                continue;
-            }
-            if now_us.saturating_sub(m.last_sr_us) < SR_INTERVAL_US {
-                continue;
-            }
-            let (packets, octets) = m.sender.sent_counts();
-            if packets == 0 {
-                continue;
-            }
-            m.last_sr_us = now_us;
-            let sr = adshare_rtp::rtcp::SenderReport {
-                ssrc: m.sender.ssrc(),
-                ntp: now_us,
-                rtp_ts: m.sender.timestamp_for(ticks),
-                packet_count: packets as u32,
-                octet_count: octets as u32,
-                reports: vec![],
-            };
-            let sdes = adshare_rtp::rtcp::SourceDescription::cname(m.sender.ssrc(), "ah@adshare");
-            let bytes = adshare_rtp::rtcp::encode_compound(&[
-                adshare_rtp::rtcp::RtcpPacket::SenderReport(sr),
-                adshare_rtp::rtcp::RtcpPacket::Sdes(sdes),
-            ]);
-            self.counters.sr_sent.inc();
-            self.wire_digest = fnv1a_fold(self.wire_digest, &bytes);
-            cap_tx(
-                &self.capture,
-                CapStreamKind::Rtcp,
-                CapTransport::Multicast,
-                ACTOR_AH,
-                now_us,
-                &bytes,
-            );
-            m.group.send(now_us, &bytes);
         }
     }
 
     /// Datagrams arriving at a UDP participant by `now_us`.
     pub fn poll_udp(&mut self, handle: ParticipantHandle, now_us: u64) -> Vec<Vec<u8>> {
-        match self.participants.get_mut(handle.0).and_then(|p| p.as_mut()) {
-            Some(PState {
-                transport: Transport::Udp { channel, .. },
-                ..
-            }) => channel.poll(now_us),
-            Some(PState {
-                transport: Transport::Multicast { session },
-                ..
-            }) => {
-                let session = *session;
-                let Some(m) = self.mcast.get_mut(session) else {
-                    return Vec::new();
-                };
-                let Some(&member) = m.members.get(&handle.0) else {
-                    return Vec::new();
-                };
-                m.group.poll(member, now_us)
-            }
+        let Some((slot, receiver)) = self.route(handle) else {
+            return Vec::new();
+        };
+        match &mut self.legs[slot] {
+            Some(leg) if !leg.wire.is_stream() => leg.wire.poll(receiver, now_us),
             _ => Vec::new(),
         }
     }
 
     /// Stream bytes arriving at a TCP participant by `now_us`.
     pub fn poll_tcp(&mut self, handle: ParticipantHandle, now_us: u64) -> Vec<u8> {
-        match self.participants.get_mut(handle.0).and_then(|p| p.as_mut()) {
-            Some(PState {
-                transport: Transport::Tcp { link, .. },
-                ..
-            }) => link.recv(now_us),
+        let Some((slot, _)) = self.route(handle) else {
+            return Vec::new();
+        };
+        match &mut self.legs[slot] {
+            Some(leg) if leg.wire.is_stream() => leg.wire.poll(0, now_us).pop().unwrap_or_default(),
             _ => Vec::new(),
         }
     }
@@ -1071,13 +705,22 @@ impl AppHost {
         let Ok(packets) = decode_compound(bytes) else {
             return;
         };
+        let Some((slot, _)) = self.route(handle) else {
+            return;
+        };
+        let actor = handle.0 as u16;
+        let (mut cx, legs) = self.parts();
+        let Some(leg) = legs[slot].as_mut() else {
+            return;
+        };
+        let mut report = None;
         for pkt in packets {
             match pkt {
                 RtcpPacket::Pli(_) => {
-                    let served = self.full_refresh_for(handle, now_us);
-                    self.rec_event_for(
+                    let served = leg.full_refresh(&cx, now_us);
+                    cx.event(
                         now_us,
-                        handle.0 as u16,
+                        actor,
                         EventKind::PliReceived,
                         served as u64,
                         handle.0 as u64,
@@ -1085,45 +728,30 @@ impl AppHost {
                 }
                 RtcpPacket::Nack(nack) => {
                     let lost = nack.lost_seqs();
-                    self.rec_event_for(
+                    cx.event(
                         now_us,
-                        handle.0 as u16,
+                        actor,
                         EventKind::NackReceived,
                         lost.len() as u64,
                         lost.first().copied().unwrap_or(0) as u64,
                     );
-                    // A NACK is also a congestion signal for the path's
-                    // estimator (a burst decreases, a trickle holds off).
-                    let mut decreased_to = None;
-                    if let Some(rs) = self.rate_state_mut(handle) {
-                        let before = rs.rate.decreases();
-                        rs.rate.on_nack(lost.len(), now_us);
-                        if rs.rate.decreases() > before {
-                            decreased_to = Some(rs.rate.rate_bps(now_us).unwrap_or(0));
-                        }
-                    }
-                    if let Some(rate) = decreased_to {
-                        self.rec_event(now_us, EventKind::RateDown, rate, RATE_CAUSE_NACK_BURST);
-                    }
-                    self.retransmit(handle, &lost, now_us);
+                    leg.on_nack(&mut cx, &lost, now_us);
                 }
                 RtcpPacket::ReceiverReport(rr) => {
                     if let Some(block) = rr.reports.into_iter().next() {
-                        self.handle_receiver_report(handle, block, now_us);
+                        leg.on_receiver_report(&mut cx, &block, now_us);
+                        report = Some(block);
                     }
                 }
                 RtcpPacket::Unknown { ref raw, .. } => {
                     // A relay's tier subscription (RTCP APP "ADTR"): pin
-                    // this participant's published tier so the whole
-                    // subtree stops paying for quality it cannot deliver.
+                    // this path's published tier so the whole subtree
+                    // stops paying for quality it cannot deliver.
                     if let Some(req) = TierRequest::decode(raw) {
-                        let pin = (req.tier != QualityTier::Lossless).then_some(req.tier);
-                        if let Some(rs) = self.rate_state_mut(handle) {
-                            rs.tier_pin = pin;
-                        }
-                        self.rec_event_for(
+                        leg.rs.tier_pin = (req.tier != QualityTier::Lossless).then_some(req.tier);
+                        cx.event(
                             now_us,
-                            handle.0 as u16,
+                            actor,
                             EventKind::TierRequest,
                             req.tier.as_gauge() as u64,
                             0,
@@ -1133,234 +761,8 @@ impl AppHost {
                 _ => {}
             }
         }
-    }
-
-    /// The congestion-control state governing a participant's sends: its
-    /// own for unicast, the session's for a multicast member.
-    fn rate_state_mut(&mut self, handle: ParticipantHandle) -> Option<&mut RateState> {
-        let session = match self.participants.get(handle.0).and_then(|p| p.as_ref()) {
-            Some(PState {
-                transport: Transport::Multicast { session },
-                ..
-            }) => Some(*session),
-            Some(_) => None,
-            None => return None,
-        };
-        match session {
-            Some(s) => self.mcast.get_mut(s).map(|m| &mut m.rs),
-            None => self
-                .participants
-                .get_mut(handle.0)
-                .and_then(|p| p.as_mut())
-                .map(|p| &mut p.rs),
-        }
-    }
-
-    /// Schedule a full refresh toward `handle`'s path, subject to the
-    /// adaptive controller's PLI throttle (a denied requester re-asks via
-    /// its resync timer; fixed-rate mode never throttles). Returns whether
-    /// the refresh was actually scheduled.
-    fn full_refresh_for(&mut self, handle: ParticipantHandle, now_us: u64) -> bool {
-        let allowed = match self.rate_state_mut(handle) {
-            Some(rs) => rs.rate.allow_refresh(now_us),
-            None => return false,
-        };
-        if !allowed {
-            return false;
-        }
-        self.counters.full_refreshes.inc();
-        let mcast_session = match self.participants.get(handle.0).and_then(|p| p.as_ref()) {
-            Some(PState {
-                transport: Transport::Multicast { session },
-                ..
-            }) => Some(*session),
-            _ => None,
-        };
-        if let Some(session) = mcast_session {
-            if let Some(m) = self.mcast.get_mut(session) {
-                Self::schedule_full_refresh(&self.desktop, &self.cfg, &mut m.pending, now_us);
-            }
-        } else if let Some(p) = self.participants.get_mut(handle.0).and_then(|p| p.as_mut()) {
-            Self::schedule_full_refresh(&self.desktop, &self.cfg, &mut p.pending, now_us);
-        }
-        true
-    }
-
-    /// Process a reception report: stash it as the AH's quality view of the
-    /// path, and repair *tail loss*. NACKs only fire when a later packet
-    /// reveals a gap, so packets lost at the end of a burst (nothing behind
-    /// them) would otherwise desynchronize a participant forever. The RR's
-    /// extended-highest-sequence tells the AH how far behind the receiver
-    /// is; a short deficit is answered from retransmit history, a hopeless
-    /// one with a full refresh.
-    fn handle_receiver_report(
-        &mut self,
-        handle: ParticipantHandle,
-        block: adshare_rtp::rtcp::ReportBlock,
-        now_us: u64,
-    ) {
-        let reported = block.highest_seq as u16;
-        let fraction_lost = block.fraction_lost;
-        let mut session_idx = None;
-        let mut is_tcp = false;
-        {
-            let Some(p) = self.participants.get_mut(handle.0).and_then(|p| p.as_mut()) else {
-                return;
-            };
-            match p.transport {
-                Transport::Multicast { session } => session_idx = Some(session),
-                Transport::Tcp { .. } => is_tcp = true,
-                Transport::Udp { .. } => {}
-            }
-            p.last_report = Some(block);
-        }
-        // TCP is reliable and in-order: a lagging RR just means queued bytes
-        // (the estimator watches the send-buffer backlog instead).
-        if is_tcp {
-            return;
-        }
-        // The receiver's loss fraction is the primary congestion signal.
-        let mut decreased_to = None;
-        if let Some(rs) = self.rate_state_mut(handle) {
-            let before = rs.rate.decreases();
-            rs.rate.on_report(fraction_lost, now_us);
-            if rs.rate.decreases() > before {
-                decreased_to = Some(rs.rate.rate_bps(now_us).unwrap_or(0));
-            }
-        }
-        if let Some(rate) = decreased_to {
-            self.rec_event(now_us, EventKind::RateDown, rate, RATE_CAUSE_LOSS_REPORT);
-        }
-        let sender = match session_idx {
-            Some(s) => self.mcast.get(s).map(|m| &m.sender),
-            None => self
-                .participants
-                .get(handle.0)
-                .and_then(|p| p.as_ref())
-                .map(|p| &p.sender),
-        };
-        let Some(sender) = sender else { return };
-        if sender.sent_counts().0 == 0 {
-            return;
-        }
-        let last_sent = sender.peek_seq().wrapping_sub(1);
-        let gap = last_sent.wrapping_sub(reported);
-        /// Largest tail deficit worth repairing packet-by-packet; beyond
-        /// this (or past the history window) a refresh is cheaper.
-        const TAIL_REPAIR_MAX: u16 = 64;
-        if gap == 0 || gap >= 0x8000 {
-            // Up to date, or the report is ahead of our bookkeeping
-            // (sequence wrap mid-flight); nothing to repair.
-        } else if gap <= TAIL_REPAIR_MAX {
-            let seqs: Vec<u16> = (1..=gap).map(|i| reported.wrapping_add(i)).collect();
-            self.counters.tail_repairs.inc();
-            self.retransmit(handle, &seqs, now_us);
-        } else {
-            self.full_refresh_for(handle, now_us);
-        }
-    }
-
-    fn retransmit(&mut self, handle: ParticipantHandle, seqs: &[u16], now_us: u64) {
-        if !self.cfg.retransmissions {
-            return;
-        }
-        let Some(p) = self.participants.get_mut(handle.0).and_then(|p| p.as_mut()) else {
-            return;
-        };
-        match &mut p.transport {
-            Transport::Udp { channel, .. } => {
-                if let Some(history) = &mut p.history {
-                    for &seq in seqs {
-                        if let Some(pkt) = history.lookup(seq) {
-                            let encoded = pkt.encode();
-                            self.wire_digest = fnv1a_fold(self.wire_digest, &encoded);
-                            cap_tx(
-                                &self.capture,
-                                CapStreamKind::Rtp,
-                                CapTransport::Udp,
-                                handle.0 as u16,
-                                now_us,
-                                &encoded,
-                            );
-                            channel.send(now_us, &encoded);
-                            self.counters.retransmits.inc();
-                            self.counters.bytes_sent.add(encoded.len() as u64);
-                            if let Some(obs) = &self.obs {
-                                obs.event(
-                                    now_us,
-                                    handle.0 as u16,
-                                    EventKind::RetxServed,
-                                    seq as u64,
-                                    encoded.len() as u64,
-                                );
-                            }
-                        } else if let Some(obs) = &self.obs {
-                            obs.event(
-                                now_us,
-                                handle.0 as u16,
-                                EventKind::RetxExpired,
-                                seq as u64,
-                                0,
-                            );
-                        }
-                    }
-                }
-            }
-            Transport::Multicast { session } => {
-                if let Some(m) = self.mcast.get_mut(*session) {
-                    // A repair already multicast within the window reaches
-                    // every member; answering the same NACK again only
-                    // amplifies the storm.
-                    const RETX_DEDUP_WINDOW_US: u64 = 100_000;
-                    m.recent_retx
-                        .retain(|_, &mut at| now_us.saturating_sub(at) < RETX_DEDUP_WINDOW_US);
-                    if let Some(history) = &mut m.history {
-                        for &seq in seqs {
-                            if m.recent_retx.contains_key(&seq) {
-                                self.counters.retransmits_suppressed.inc();
-                                if let Some(obs) = &self.obs {
-                                    obs.event(
-                                        now_us,
-                                        ACTOR_AH,
-                                        EventKind::RetxSuppressed,
-                                        seq as u64,
-                                        0,
-                                    );
-                                }
-                                continue;
-                            }
-                            if let Some(pkt) = history.lookup(seq) {
-                                let encoded = pkt.encode();
-                                self.wire_digest = fnv1a_fold(self.wire_digest, &encoded);
-                                cap_tx(
-                                    &self.capture,
-                                    CapStreamKind::Rtp,
-                                    CapTransport::Multicast,
-                                    ACTOR_AH,
-                                    now_us,
-                                    &encoded,
-                                );
-                                m.group.send(now_us, &encoded);
-                                m.recent_retx.insert(seq, now_us);
-                                self.counters.retransmits.inc();
-                                self.counters.bytes_sent.add(encoded.len() as u64);
-                                if let Some(obs) = &self.obs {
-                                    obs.event(
-                                        now_us,
-                                        ACTOR_AH,
-                                        EventKind::RetxServed,
-                                        seq as u64,
-                                        encoded.len() as u64,
-                                    );
-                                }
-                            } else if let Some(obs) = &self.obs {
-                                obs.event(now_us, ACTOR_AH, EventKind::RetxExpired, seq as u64, 0);
-                            }
-                        }
-                    }
-                }
-            }
-            Transport::Tcp { .. } => {} // TCP is reliable; NACK not used
+        if let (Some(block), Some(Some(member))) = (report, self.participants.get_mut(handle.0)) {
+            member.last_report = Some(block);
         }
     }
 
@@ -1453,24 +855,11 @@ impl AppHost {
     /// — lets an orchestrator advance the clock straight to the next
     /// interesting instant instead of polling on a fixed tick.
     pub fn next_event_us(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let mut fold = |e: Option<u64>| {
-            min = match (min, e) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        for slot in self.participants.iter().flatten() {
-            match &slot.transport {
-                Transport::Udp { channel, .. } => fold(channel.next_delivery_us()),
-                Transport::Tcp { link, .. } => fold(link.next_event_us()),
-                Transport::Multicast { .. } => {}
-            }
-        }
-        for m in &self.mcast {
-            fold(m.group.next_delivery_us());
-        }
-        min
+        self.legs
+            .iter()
+            .flatten()
+            .filter_map(|l| l.wire.next_event_us())
+            .min()
     }
 
     /// Whether any path still holds unflushed work — pending damage, a
@@ -1478,24 +867,7 @@ impl AppHost {
     /// behind a full send buffer. A host can skip stepping a session whose
     /// workload is idle and whose paths report nothing pending.
     pub fn has_pending(&self) -> bool {
-        let rs_busy =
-            |rs: &RateState| rs.repairing || !rs.queue.is_empty() || !rs.degraded.is_empty();
-        for slot in self.participants.iter().flatten() {
-            if matches!(slot.transport, Transport::Multicast { .. }) {
-                continue;
-            }
-            if !slot.pending.is_empty() || rs_busy(&slot.rs) {
-                return true;
-            }
-            if let Transport::Tcp { outq, .. } = &slot.transport {
-                if !outq.is_empty() {
-                    return true;
-                }
-            }
-        }
-        self.mcast
-            .iter()
-            .any(|m| !m.members.is_empty() && (!m.pending.is_empty() || rs_busy(&m.rs)))
+        self.legs.iter().flatten().any(Leg::has_pending)
     }
 
     /// Take the HIP events accepted so far: (user, event).
@@ -1505,894 +877,17 @@ impl AppHost {
 
     /// The latest RTCP receiver report from a participant — the AH's view
     /// of that path's loss fraction and jitter (RFC 3550 §6.4).
-    pub fn reception_report(
-        &self,
-        handle: ParticipantHandle,
-    ) -> Option<&adshare_rtp::rtcp::ReportBlock> {
+    pub fn reception_report(&self, handle: ParticipantHandle) -> Option<&ReportBlock> {
         self.participants
             .get(handle.0)
             .and_then(|p| p.as_ref())
             .and_then(|p| p.last_report.as_ref())
     }
 
-    fn schedule_full_refresh(
-        desktop: &Desktop,
-        cfg: &AhConfig,
-        pending: &mut Pending,
-        now_us: u64,
-    ) {
-        pending.wmi = true;
-        pending.pointer_moved = true;
-        pending.pointer_icon = true;
-        for rec in desktop.wm().shared_records() {
-            pending.add_damage(
-                cfg.damage_strategy,
-                rec.id,
-                Rect::new(0, 0, rec.rect.width, rec.rect.height),
-                now_us,
-            );
-        }
-    }
-
     /// Build a WindowManagerInfo message reflecting current WM state
     /// (exposed for tests and the real-socket examples).
     pub fn build_wmi(&self) -> RemotingMessage {
         Self::build_wmi_static(&self.desktop)
-    }
-
-    /// Composite the pointer into `crop` (a window-local `tile` of window
-    /// record rect `rec_rect`) where the pointer overlaps it. Runs before
-    /// hashing, so pointer pixels are part of the tile's cache identity.
-    fn composite_pointer(desktop: &Desktop, rec_rect: Rect, tile: Rect, crop: &mut Image) {
-        let ptr = desktop.pointer();
-        let ptr_rect = ptr.rect();
-        let region_desktop = Rect::new(
-            rec_rect.left + tile.left,
-            rec_rect.top + tile.top,
-            tile.width,
-            tile.height,
-        );
-        if !ptr_rect.intersects(&region_desktop) {
-            return;
-        }
-        let icon = ptr.icon();
-        for dy in 0..icon.height() {
-            for dx in 0..icon.width() {
-                let px = icon.pixel(dx, dy).expect("in bounds");
-                if px[3] == 0 {
-                    continue;
-                }
-                let dx_abs = ptr_rect.left + dx;
-                let dy_abs = ptr_rect.top + dy;
-                if region_desktop.contains(dx_abs, dy_abs) {
-                    crop.set_pixel(
-                        dx_abs - region_desktop.left,
-                        dy_abs - region_desktop.top,
-                        px,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Encode one damaged region of a window through the tile pipeline.
-    /// The region is split along the pipeline's fixed grid; tiles already
-    /// in the content-addressed cache are served without encoding, the
-    /// rest encode on the worker pool. Returns `(payload_type, tile_rect,
-    /// payload, encode_us)` per tile in deterministic row-major order
-    /// (`encode_us` is 0 on a cache hit). At a lossy `tier` every tile is
-    /// sent as coarse DCT regardless of the configured codec (the decoder
-    /// needs no side channel; the payload type says DCT), and the tier is
-    /// part of the cache key so a lossy encode never poisons a lossless
-    /// lookup.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_region_tiles(
-        desktop: &Desktop,
-        cfg: &AhConfig,
-        registry: &CodecRegistry,
-        counters: &AhCounters,
-        pipeline: &mut EncodePipeline,
-        obs: Option<&Obs>,
-        now_us: u64,
-        win: WindowId,
-        rect: Rect,
-        tier: QualityTier,
-    ) -> Vec<(u8, Rect, Bytes, u64)> {
-        let Some(rec) = desktop.wm().get(win).filter(|r| r.shared).copied() else {
-            return Vec::new();
-        };
-        let Some(content) = desktop.window_content(win) else {
-            return Vec::new();
-        };
-        let Some(rect) = rect.intersect(&content.bounds()) else {
-            return Vec::new();
-        };
-        let mut jobs = Vec::new();
-        for tile in pipeline.tile(rect) {
-            let Ok(mut crop) = content.crop(tile) else {
-                continue;
-            };
-            if cfg.pointer == PointerPolicy::InStream {
-                Self::composite_pointer(desktop, rec.rect, tile, &mut crop);
-            }
-            jobs.push(TileJob {
-                rect: tile,
-                image: crop,
-            });
-        }
-        // A congestion-driven lossy tier overrides codec choice entirely;
-        // otherwise §4.2: pick the codec "according to their
-        // characteristics" when adaptive mode is on, else the configured
-        // codec. The closure is a pure function of the pixels, so it is
-        // safe to run on the pool and its output safe to cache by content.
-        let encode = |img: &Image| -> (u8, Vec<u8>) {
-            if let Some(quality) = tier.dct_quality() {
-                let pt = registry.pt_for(CodecKind::Dct).expect("DCT registered");
-                let codec = AnyCodec::with_options(
-                    CodecKind::Dct,
-                    EncodeOptions {
-                        quality,
-                        ..EncodeOptions::default()
-                    },
-                );
-                (pt, codec.encode(img))
-            } else {
-                let pt = if cfg.adaptive_codec {
-                    match adshare_codec::classify(img).class {
-                        adshare_codec::ContentClass::Photographic => {
-                            registry.pt_for(CodecKind::Dct).expect("DCT registered")
-                        }
-                        adshare_codec::ContentClass::Synthetic => registry
-                            .pt_for(cfg.codec)
-                            .expect("configured codec registered"),
-                    }
-                } else {
-                    registry
-                        .pt_for(cfg.codec)
-                        .expect("configured codec registered")
-                };
-                (pt, registry.get(pt).expect("registered").encode(img))
-            }
-        };
-        let tiles = pipeline.encode_batch(tier.as_gauge() as u8, jobs, encode);
-        let total = tiles.len() as u64;
-        let mut hits = 0u64;
-        // Per-codec encode CPU split: (cpu_us, encodes, bytes) per payload
-        // type actually used this batch, folded into `codec.<name>.*` after
-        // the loop so registry lookups happen once per codec, not per tile.
-        let mut per_codec: Vec<(u8, u64, u64, u64, Vec<u64>)> = Vec::new();
-        let out: Vec<(u8, Rect, Bytes, u64)> = tiles
-            .into_iter()
-            .map(|t| {
-                if t.cache_hit {
-                    hits += 1;
-                } else {
-                    counters.encodes.inc();
-                    counters.encoded_bytes.add(t.payload.len() as u64);
-                    counters.encode_us.record(t.encode_us);
-                    if obs.is_some() {
-                        let slot = match per_codec.iter_mut().find(|e| e.0 == t.payload_type) {
-                            Some(s) => s,
-                            None => {
-                                per_codec.push((t.payload_type, 0, 0, 0, Vec::new()));
-                                per_codec.last_mut().expect("just pushed")
-                            }
-                        };
-                        slot.1 += t.encode_us;
-                        slot.2 += 1;
-                        slot.3 += t.payload.len() as u64;
-                        slot.4.push(t.encode_us);
-                    }
-                }
-                (t.payload_type, t.rect, t.payload, t.encode_us)
-            })
-            .collect();
-        if let Some(obs) = obs {
-            for (pt, cpu_us, encodes, bytes, samples) in per_codec {
-                let name = registry
-                    .get(pt)
-                    .map(|c| c.kind().encoding_name())
-                    .unwrap_or("unknown");
-                obs.registry
-                    .counter(&format!("codec.{name}.cpu_us_total"))
-                    .add(cpu_us);
-                obs.registry
-                    .counter(&format!("codec.{name}.encodes"))
-                    .add(encodes);
-                obs.registry
-                    .counter(&format!("codec.{name}.bytes"))
-                    .add(bytes);
-                let hist = obs.registry.histogram(&format!("codec.{name}.encode_us"));
-                for us in samples {
-                    hist.record(us);
-                }
-            }
-            if hits > 0 {
-                obs.event(now_us, ACTOR_AH, EventKind::CacheHit, hits, total);
-            }
-            if hits < total {
-                obs.event(now_us, ACTOR_AH, EventKind::CacheMiss, total - hits, total);
-            }
-        }
-        out
-    }
-
-    /// Build the ordered message list for a pending state, consuming it.
-    /// `budget_bytes` bounds how many encoded-payload bytes of RegionUpdates
-    /// are drained this flush (None = unlimited); undrained damage stays.
-    /// At a lossy `tier`, every drained region is also remembered in
-    /// `degraded` so a lossless repair can follow once bandwidth allows.
-    ///
-    /// Each RegionUpdate is paired with a partially-filled [`FrameTrace`]
-    /// (damage age, encode cost, payload size); the flush path completes it
-    /// with fragmentation and send timing before registering it.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_pending(
-        desktop: &Desktop,
-        cfg: &AhConfig,
-        registry: &CodecRegistry,
-        counters: &AhCounters,
-        pipeline: &mut EncodePipeline,
-        obs: Option<&Obs>,
-        pending: &mut Pending,
-        budget_bytes: Option<u64>,
-        now_us: u64,
-        tier: QualityTier,
-        mut degraded: Option<&mut HashMap<WindowId, DamageTracker>>,
-    ) -> Vec<Drained> {
-        let mut out: Vec<Drained> = Vec::new();
-        if pending.wmi {
-            pending.wmi = false;
-            out.push(Drained::control(Self::build_wmi_static(desktop)));
-            counters.wmi_msgs.inc();
-        }
-        for hint in std::mem::take(&mut pending.scrolls) {
-            if !cfg.use_move_rectangle {
-                // Ablation: convert the scroll into plain damage of the
-                // whole scrolled area.
-                let dst = Rect::new(hint.dst_left, hint.dst_top, hint.src.width, hint.src.height);
-                pending.add_damage(
-                    cfg.damage_strategy,
-                    hint.window,
-                    hint.src.union(&dst),
-                    now_us,
-                );
-                continue;
-            }
-            let Some(rec) = desktop.wm().get(hint.window).filter(|r| r.shared) else {
-                continue;
-            };
-            out.push(Drained::control(RemotingMessage::MoveRectangle(
-                MoveRectangle {
-                    window_id: WireWindowId(hint.window.0),
-                    src_left: rec.rect.left + hint.src.left,
-                    src_top: rec.rect.top + hint.src.top,
-                    width: hint.src.width,
-                    height: hint.src.height,
-                    dst_left: rec.rect.left + hint.dst_left,
-                    dst_top: rec.rect.top + hint.dst_top,
-                },
-            )));
-            counters.move_msgs.inc();
-        }
-        if cfg.pointer == PointerPolicy::Explicit && (pending.pointer_moved || pending.pointer_icon)
-        {
-            let ptr = desktop.pointer();
-            let (x, y) = ptr.position();
-            let image = if pending.pointer_icon {
-                let raw_pt = registry.pt_for(CodecKind::Raw).expect("raw registered");
-                let codec = registry.get(raw_pt).expect("registered");
-                Some((raw_pt, Bytes::from(codec.encode(ptr.icon()))))
-            } else {
-                None
-            };
-            let window_id = desktop
-                .wm()
-                .window_at(x, y)
-                .filter(|r| r.shared)
-                .map(|r| WireWindowId(r.id.0))
-                .unwrap_or(WireWindowId(0));
-            let (pt, image_bytes) = match image {
-                Some((pt, b)) => (pt, Some(b)),
-                None => (
-                    registry.pt_for(CodecKind::Raw).expect("raw registered"),
-                    None,
-                ),
-            };
-            out.push(Drained::control(RemotingMessage::MousePointerInfo(
-                MousePointerInfo {
-                    window_id,
-                    payload_type: pt,
-                    left: x,
-                    top: y,
-                    image: image_bytes,
-                },
-            )));
-            counters.pointer_msgs.inc();
-            pending.pointer_moved = false;
-            pending.pointer_icon = false;
-        }
-        // Damage → RegionUpdates, freshest content, budget-bounded.
-        let mut spent: u64 = 0;
-        // In window order: `HashMap` order differs from one map to the next,
-        // and the order of the updates is part of the wire digest.
-        let mut windows: Vec<WindowId> = pending.damage.keys().copied().collect();
-        windows.sort_unstable();
-        for win in windows {
-            // Window gone or no longer shared? Drop its damage.
-            if !desktop.wm().get(win).map(|r| r.shared).unwrap_or(false) {
-                pending.damage.remove(&win);
-                continue;
-            }
-            let tracker = pending.damage.get_mut(&win).expect("keyed");
-            let damage_at_us = tracker.oldest_pending_us().unwrap_or(now_us);
-            let rects = tracker.take();
-            let mut unspent = Vec::new();
-            for rect in rects {
-                if budget_bytes.is_some_and(|b| spent >= b) {
-                    unspent.push(rect);
-                    continue;
-                }
-                // One pipeline batch per damage rect: a full-window refresh
-                // becomes dozens of tiles encoding in parallel, and each
-                // tile is a stable content-addressed cache unit.
-                for (pt, tile, payload, encode_us) in Self::encode_region_tiles(
-                    desktop, cfg, registry, counters, pipeline, obs, now_us, win, rect, tier,
-                ) {
-                    spent += payload.len() as u64;
-                    if tier.is_lossy() {
-                        // A lossy encode leaves the participant with
-                        // approximate pixels; remember the region so a
-                        // lossless repair pass can follow once bandwidth
-                        // allows (pixel-identical convergence).
-                        if let Some(d) = degraded.as_deref_mut() {
-                            d.entry(win)
-                                .or_insert_with(|| DamageTracker::new(cfg.damage_strategy))
-                                .add_at(tile, now_us);
-                        }
-                    }
-                    let trace = FrameTrace {
-                        window_id: win.0,
-                        damage_at_us,
-                        encode_wall_us: encode_us,
-                        bytes: payload.len() as u64,
-                        ..FrameTrace::default()
-                    };
-                    let rec = desktop.wm().get(win).expect("checked above");
-                    let payload_bytes = payload.len() as u64;
-                    out.push(Drained {
-                        msg: RemotingMessage::RegionUpdate(RegionUpdate {
-                            window_id: WireWindowId(win.0),
-                            payload_type: pt,
-                            left: rec.rect.left + tile.left,
-                            top: rec.rect.top + tile.top,
-                            payload,
-                        }),
-                        trace: Some(trace),
-                        region: Some((win, tile)),
-                        payload_bytes,
-                    });
-                    counters.region_msgs.inc();
-                }
-            }
-            // Budget-deferred rects keep their original observation time so
-            // the damage stage reflects the full queueing delay.
-            for rect in unspent {
-                tracker.add_at(rect, damage_at_us);
-            }
-        }
-        out
-    }
-
-    /// Adaptive-mode drain (UDP unicast and multicast): pick the encode
-    /// tier, re-inject owed lossless repairs, encode under the
-    /// coalesce/headroom gate, and route everything through the
-    /// supersede-on-coverage send queue. Returns the messages the pacer
-    /// releases this flush, in FIFO order.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_adaptive(
-        desktop: &Desktop,
-        cfg: &AhConfig,
-        registry: &CodecRegistry,
-        counters: &AhCounters,
-        pipeline: &mut EncodePipeline,
-        obs: Option<&Obs>,
-        pending: &mut Pending,
-        rs: &mut RateState,
-        budget: Option<u64>,
-        now_us: u64,
-    ) -> Vec<(RemotingMessage, Option<FrameTrace>)> {
-        // Tier: forced lossless while a repair pass is draining, else the
-        // lossier of the bandwidth estimate and a downstream tier pin.
-        let mut tier = if rs.repairing {
-            QualityTier::Lossless
-        } else {
-            rs.rate
-                .tier()
-                .max(rs.tier_pin.unwrap_or(QualityTier::Lossless))
-        };
-        // Owed repairs re-enter as damage once the estimate is back at the
-        // lossless tier, or when there is nothing fresher to send. The
-        // repair pins the tier lossless until it drains, so repaired
-        // pixels are never immediately re-degraded.
-        let idle = pending.is_empty() && rs.queue.is_empty();
-        if !rs.degraded.is_empty() && (tier == QualityTier::Lossless || idle) {
-            for (win, mut tracker) in std::mem::take(&mut rs.degraded) {
-                for rect in tracker.take() {
-                    pending.add_damage(cfg.damage_strategy, win, rect, now_us);
-                }
-            }
-            rs.repairing = true;
-            tier = QualityTier::Lossless;
-        }
-        // Encode gate: stop producing fresh encodes while the queue already
-        // holds a pacer-window's worth (supersede keeps it fresh), or while
-        // inside the tier's damage-coalescing interval. Control messages
-        // still drain — a zero budget only defers rect encodes.
-        let queued = rs.queue.bytes();
-        let coalescing = now_us.saturating_sub(rs.last_encode_us) < rs.rate.coalesce_us();
-        let encode_budget = if queued >= QUEUE_HEADROOM_BYTES || coalescing {
-            Some(0)
-        } else {
-            budget.map(|b| b.saturating_add(QUEUE_HEADROOM_BYTES - queued))
-        };
-        let drained = Self::drain_pending(
-            desktop,
-            cfg,
-            registry,
-            counters,
-            pipeline,
-            obs,
-            pending,
-            encode_budget,
-            now_us,
-            tier,
-            Some(&mut rs.degraded),
-        );
-        if drained.iter().any(|d| d.region.is_some()) {
-            rs.last_encode_us = now_us;
-        }
-        for d in drained {
-            match d.region {
-                Some((win, rect)) => {
-                    // §7 generalised to UDP: fresher damage covering a
-                    // queued-but-unsent update makes it stale; drop it and
-                    // let the fresh encode (pushed at `now_us`, so never
-                    // self-superseded) take its place.
-                    let dropped = rs.queue.supersede(win.0 as u64, rect, now_us);
-                    rs.rate.note_superseded(dropped);
-                    if dropped > 0 {
-                        if let Some(obs) = obs {
-                            obs.event(
-                                now_us,
-                                ACTOR_AH,
-                                EventKind::PacerSupersede,
-                                dropped as u64,
-                                0,
-                            );
-                        }
-                    }
-                    rs.queue.push(
-                        win.0 as u64,
-                        rect,
-                        now_us,
-                        d.payload_bytes,
-                        (d.msg, d.trace),
-                    );
-                }
-                // Control messages: a window id no real window uses, an
-                // empty rect and zero bytes — never superseded, virtually
-                // free to pop, but strictly FIFO with the region updates
-                // around them (MoveRectangle ordering matters).
-                None => rs
-                    .queue
-                    .push(u64::MAX, Rect::new(0, 0, 0, 0), now_us, 0, (d.msg, d.trace)),
-            }
-        }
-        let released = rs.queue.pop_budget(budget);
-        // Repair complete once every owed region was re-encoded and sent.
-        if rs.repairing && pending.is_empty() && rs.queue.is_empty() && rs.degraded.is_empty() {
-            rs.repairing = false;
-        }
-        rs.rate.note_queue(rs.queue.len(), rs.queue.bytes());
-        released.into_iter().map(|q| q.payload).collect()
-    }
-
-    fn build_wmi_static(desktop: &Desktop) -> RemotingMessage {
-        let windows = desktop
-            .wm()
-            .shared_records()
-            .map(|r| WireWindowRecord {
-                window_id: WireWindowId(r.id.0),
-                group_id: r.group,
-                left: r.rect.left,
-                top: r.rect.top,
-                width: r.rect.width,
-                height: r.rect.height,
-            })
-            .collect();
-        RemotingMessage::WindowManagerInfo(WindowManagerInfo { windows })
-    }
-
-    fn flush_unicast(&mut self, idx: usize, now_us: u64) {
-        let Some(Some(p)) = self.participants.get_mut(idx) else {
-            return;
-        };
-        let ticks = us_to_ticks(now_us) as u32;
-        match &mut p.transport {
-            Transport::Tcp { link, outq } => {
-                // Push queued bytes first.
-                if !outq.is_empty() {
-                    let n = link.send(now_us, outq);
-                    outq.drain(..n);
-                }
-                let backlog = link.backlog(now_us) + outq.len();
-                if p.rs.rate.is_adaptive() {
-                    // §7's select() signal doubles as TCP's congestion
-                    // signal: the controller adapts quality from the
-                    // send-buffer occupancy. TCP is never byte-paced here
-                    // — the buffer itself does the pacing.
-                    let before = p.rs.rate.decreases();
-                    p.rs.rate
-                        .on_backlog(backlog, link.config().send_buf, now_us);
-                    let _ = p.rs.rate.flush_budget(now_us); // refresh gauges
-                    if p.rs.rate.decreases() > before {
-                        if let Some(obs) = &self.obs {
-                            obs.event(
-                                now_us,
-                                ACTOR_AH,
-                                EventKind::RateDown,
-                                p.rs.rate.rate_bps(now_us).unwrap_or(0),
-                                RATE_CAUSE_BACKLOG,
-                            );
-                        }
-                    }
-                    Self::note_rate_change(self.obs.as_ref(), &mut p.rs, now_us);
-                }
-                let mut tier = if p.rs.repairing {
-                    QualityTier::Lossless
-                } else {
-                    p.rs.rate
-                        .tier()
-                        .max(p.rs.tier_pin.unwrap_or(QualityTier::Lossless))
-                };
-                // Owed lossless repairs re-enter once the buffer is clean.
-                if !p.rs.degraded.is_empty()
-                    && backlog == 0
-                    && (tier == QualityTier::Lossless || p.pending.is_empty())
-                {
-                    for (win, mut tracker) in std::mem::take(&mut p.rs.degraded) {
-                        for rect in tracker.take() {
-                            p.pending
-                                .add_damage(self.cfg.damage_strategy, win, rect, now_us);
-                        }
-                    }
-                    p.rs.repairing = true;
-                    tier = QualityTier::Lossless;
-                }
-                if p.pending.is_empty() {
-                    return;
-                }
-                if self.cfg.tcp_freshness_policy && backlog > 0 {
-                    // §7: backlog present — hold pending state, send the
-                    // freshest version once the buffer drains.
-                    if let Some(obs) = &self.obs {
-                        obs.event(
-                            now_us,
-                            idx as u16,
-                            EventKind::BacklogSkip,
-                            backlog as u64,
-                            0,
-                        );
-                    }
-                    return;
-                }
-                let msgs = Self::drain_pending(
-                    &self.desktop,
-                    &self.cfg,
-                    &self.registry,
-                    &self.counters,
-                    &mut self.encode,
-                    self.obs.as_ref(),
-                    &mut p.pending,
-                    None,
-                    now_us,
-                    tier,
-                    Some(&mut p.rs.degraded),
-                );
-                if p.rs.repairing && tier == QualityTier::Lossless {
-                    // Unbudgeted drain: the whole repair just went out.
-                    p.rs.repairing = false;
-                }
-                // TCP frames can carry large payloads; use a large RTP
-                // payload budget to minimise per-packet overhead but stay
-                // under the RFC 4571 16-bit frame limit.
-                for (msg, seed) in msgs.into_iter().map(|d| (d.msg, d.trace)) {
-                    let frag_start = std::time::Instant::now();
-                    let Ok(frags) = fragment(&msg, 60_000) else {
-                        continue;
-                    };
-                    let fragment_us = frag_start.elapsed().as_micros() as u64;
-                    self.counters.fragment_us.record(fragment_us);
-                    let nfrags = frags.len() as u32;
-                    let mut marker_seq = None;
-                    let mut msg_bytes = 0u64;
-                    for f in frags {
-                        let marker = f.marker;
-                        let pkt = p.sender.next_packet(ticks, marker, f.payload);
-                        if marker {
-                            marker_seq = Some(pkt.header.sequence);
-                        }
-                        self.counters.rtp_packets.inc();
-                        let encoded = pkt.encode();
-                        self.wire_digest = fnv1a_fold(self.wire_digest, &encoded);
-                        cap_tx(
-                            &self.capture,
-                            CapStreamKind::Rtp,
-                            CapTransport::Tcp,
-                            idx as u16,
-                            now_us,
-                            &encoded,
-                        );
-                        let mut framed = Vec::with_capacity(encoded.len() + 2);
-                        let _ = frame_into(&mut framed, &encoded);
-                        self.counters.bytes_sent.add(framed.len() as u64);
-                        msg_bytes += framed.len() as u64;
-                        // Stream bytes must stay ordered: once anything is
-                        // queued, everything after it queues behind it.
-                        if outq.is_empty() {
-                            let n = link.send(now_us, &framed);
-                            if n < framed.len() {
-                                outq.extend_from_slice(&framed[n..]);
-                            }
-                        } else {
-                            outq.extend_from_slice(&framed);
-                        }
-                    }
-                    if let Some(obs) = &self.obs {
-                        obs.event(
-                            now_us,
-                            idx as u16,
-                            EventKind::RtpTx,
-                            marker_seq.unwrap_or(0) as u64,
-                            ((nfrags as u64) << 32) | (msg_bytes & 0xFFFF_FFFF),
-                        );
-                    }
-                    if let (Some(obs), Some(mut trace), Some(seq)) = (&self.obs, seed, marker_seq) {
-                        trace.sent_at_us = now_us;
-                        trace.fragment_wall_us = fragment_us;
-                        trace.fragments = nfrags;
-                        obs.traces.register(p.sender.ssrc(), seq, trace);
-                    }
-                }
-            }
-            Transport::Udp { channel, .. } => {
-                let adaptive = p.rs.rate.is_adaptive();
-                let rs_idle = p.rs.degraded.is_empty() && (!adaptive || p.rs.queue.is_empty());
-                if p.pending.is_empty() && rs_idle {
-                    if adaptive {
-                        // Nothing to send, but the lazy additive increase
-                        // still accrues: refresh the rate/tier gauges so an
-                        // idle recovered leg reads lossless, not its last
-                        // congested snapshot.
-                        let _ = p.rs.rate.flush_budget(now_us);
-                    }
-                    return;
-                }
-                // Token bucket for §4.3 AH-side pacing (fixed link rate or
-                // the live congestion estimate).
-                let budget = p.rs.rate.flush_budget(now_us);
-                Self::note_rate_change(self.obs.as_ref(), &mut p.rs, now_us);
-                let msgs: Vec<(RemotingMessage, Option<FrameTrace>)> = if adaptive {
-                    Self::drain_adaptive(
-                        &self.desktop,
-                        &self.cfg,
-                        &self.registry,
-                        &self.counters,
-                        &mut self.encode,
-                        self.obs.as_ref(),
-                        &mut p.pending,
-                        &mut p.rs,
-                        budget,
-                        now_us,
-                    )
-                } else {
-                    // A fixed-rate leg has no congestion estimate, but a
-                    // downstream TierRequest can still pin it lossy; owed
-                    // repairs re-enter as soon as the pin lifts.
-                    let tier = if p.rs.repairing || p.rs.tier_pin.is_none() {
-                        QualityTier::Lossless
-                    } else {
-                        p.rs.tier_pin.unwrap_or(QualityTier::Lossless)
-                    };
-                    if tier == QualityTier::Lossless && !p.rs.degraded.is_empty() {
-                        for (win, mut tracker) in std::mem::take(&mut p.rs.degraded) {
-                            for rect in tracker.take() {
-                                p.pending
-                                    .add_damage(self.cfg.damage_strategy, win, rect, now_us);
-                            }
-                        }
-                        p.rs.repairing = true;
-                    }
-                    let drained = Self::drain_pending(
-                        &self.desktop,
-                        &self.cfg,
-                        &self.registry,
-                        &self.counters,
-                        &mut self.encode,
-                        self.obs.as_ref(),
-                        &mut p.pending,
-                        budget,
-                        now_us,
-                        tier,
-                        Some(&mut p.rs.degraded),
-                    );
-                    if p.rs.repairing && p.pending.is_empty() && p.rs.degraded.is_empty() {
-                        p.rs.repairing = false;
-                    }
-                    drained.into_iter().map(|d| (d.msg, d.trace)).collect()
-                };
-                let mut sent_bytes = 0u64;
-                for (msg, seed) in msgs {
-                    let frag_start = std::time::Instant::now();
-                    let Ok(frags) = fragment(&msg, self.cfg.mtu) else {
-                        continue;
-                    };
-                    let fragment_us = frag_start.elapsed().as_micros() as u64;
-                    self.counters.fragment_us.record(fragment_us);
-                    let nfrags = frags.len() as u32;
-                    let mut marker_seq = None;
-                    let mut msg_bytes = 0u64;
-                    for f in frags {
-                        let marker = f.marker;
-                        let pkt = p.sender.next_packet(ticks, marker, f.payload);
-                        if marker {
-                            marker_seq = Some(pkt.header.sequence);
-                        }
-                        self.counters.rtp_packets.inc();
-                        let encoded = pkt.encode();
-                        self.wire_digest = fnv1a_fold(self.wire_digest, &encoded);
-                        cap_tx(
-                            &self.capture,
-                            CapStreamKind::Rtp,
-                            CapTransport::Udp,
-                            idx as u16,
-                            now_us,
-                            &encoded,
-                        );
-                        sent_bytes += encoded.len() as u64;
-                        msg_bytes += encoded.len() as u64;
-                        self.counters.bytes_sent.add(encoded.len() as u64);
-                        channel.send(now_us, &encoded);
-                        if let Some(history) = &mut p.history {
-                            history.record(pkt);
-                        }
-                    }
-                    if let Some(obs) = &self.obs {
-                        obs.event(
-                            now_us,
-                            idx as u16,
-                            EventKind::RtpTx,
-                            marker_seq.unwrap_or(0) as u64,
-                            ((nfrags as u64) << 32) | (msg_bytes & 0xFFFF_FFFF),
-                        );
-                    }
-                    if let (Some(obs), Some(mut trace), Some(seq)) = (&self.obs, seed, marker_seq) {
-                        trace.sent_at_us = now_us;
-                        trace.fragment_wall_us = fragment_us;
-                        trace.fragments = nfrags;
-                        obs.traces.register(p.sender.ssrc(), seq, trace);
-                    }
-                }
-                p.rs.rate.consume(sent_bytes);
-            }
-            Transport::Multicast { .. } => {}
-        }
-    }
-
-    fn flush_multicast(&mut self, now_us: u64) {
-        for session in 0..self.mcast.len() {
-            self.flush_multicast_session(session, now_us);
-        }
-    }
-
-    fn flush_multicast_session(&mut self, session: usize, now_us: u64) {
-        let Some(m) = self.mcast.get_mut(session) else {
-            return;
-        };
-        let adaptive = m.rs.rate.is_adaptive();
-        let rs_idle = !adaptive || (m.rs.queue.is_empty() && m.rs.degraded.is_empty());
-        if m.members.is_empty() || (m.pending.is_empty() && rs_idle) {
-            return;
-        }
-        let ticks = us_to_ticks(now_us) as u32;
-        let budget = m.rs.rate.flush_budget(now_us);
-        Self::note_rate_change(self.obs.as_ref(), &mut m.rs, now_us);
-        m.last_flush_us = now_us;
-        let msgs: Vec<(RemotingMessage, Option<FrameTrace>)> = if adaptive {
-            Self::drain_adaptive(
-                &self.desktop,
-                &self.cfg,
-                &self.registry,
-                &self.counters,
-                &mut self.encode,
-                self.obs.as_ref(),
-                &mut m.pending,
-                &mut m.rs,
-                budget,
-                now_us,
-            )
-        } else {
-            Self::drain_pending(
-                &self.desktop,
-                &self.cfg,
-                &self.registry,
-                &self.counters,
-                &mut self.encode,
-                self.obs.as_ref(),
-                &mut m.pending,
-                budget,
-                now_us,
-                QualityTier::Lossless,
-                None,
-            )
-            .into_iter()
-            .map(|d| (d.msg, d.trace))
-            .collect()
-        };
-        let mut sent_bytes = 0u64;
-        for (msg, seed) in msgs {
-            let frag_start = std::time::Instant::now();
-            let Ok(frags) = fragment(&msg, self.cfg.mtu) else {
-                continue;
-            };
-            let fragment_us = frag_start.elapsed().as_micros() as u64;
-            self.counters.fragment_us.record(fragment_us);
-            let nfrags = frags.len() as u32;
-            let mut marker_seq = None;
-            let mut msg_bytes = 0u64;
-            for f in frags {
-                let marker = f.marker;
-                let pkt = m.sender.next_packet(ticks, marker, f.payload);
-                if marker {
-                    marker_seq = Some(pkt.header.sequence);
-                }
-                self.counters.rtp_packets.inc();
-                let encoded = pkt.encode();
-                self.wire_digest = fnv1a_fold(self.wire_digest, &encoded);
-                cap_tx(
-                    &self.capture,
-                    CapStreamKind::Rtp,
-                    CapTransport::Multicast,
-                    ACTOR_AH,
-                    now_us,
-                    &encoded,
-                );
-                sent_bytes += encoded.len() as u64;
-                msg_bytes += encoded.len() as u64;
-                self.counters.bytes_sent.add(encoded.len() as u64);
-                m.group.send(now_us, &encoded);
-                if let Some(history) = &mut m.history {
-                    history.record(pkt);
-                }
-            }
-            if let Some(obs) = &self.obs {
-                obs.event(
-                    now_us,
-                    ACTOR_AH,
-                    EventKind::RtpTx,
-                    marker_seq.unwrap_or(0) as u64,
-                    ((nfrags as u64) << 32) | (msg_bytes & 0xFFFF_FFFF),
-                );
-            }
-            if let (Some(obs), Some(mut trace), Some(seq)) = (&self.obs, seed, marker_seq) {
-                trace.sent_at_us = now_us;
-                trace.fragment_wall_us = fragment_us;
-                trace.fragments = nfrags;
-                obs.traces.register(m.sender.ssrc(), seq, trace);
-            }
-        }
-        m.rs.rate.consume(sent_bytes);
     }
 }
 
@@ -2409,6 +904,7 @@ fn bfcp_target(msg: &BfcpMessage) -> u16 {
 mod tests {
     use super::*;
     use adshare_remoting::registry::MouseButton;
+    use adshare_remoting::WindowId as WireWindowId;
 
     fn ah_with_window() -> (AppHost, WindowId) {
         let mut desktop = Desktop::new(640, 480);
@@ -2609,8 +1105,15 @@ mod tests {
 
     #[test]
     fn tier_request_pins_fixed_leg_lossy_then_repairs_on_release() {
+        // One tier rule for every fixed-rate leg: a unicast participant's
+        // and a multicast session's (pinned by one of its members).
+        tier_request_round_trip(|ah| ah.attach_udp(1, LinkConfig::default(), 1, None));
+        tier_request_round_trip(|ah| ah.attach_multicast(1, LinkConfig::default(), 1));
+    }
+
+    fn tier_request_round_trip(attach: impl FnOnce(&mut AppHost) -> ParticipantHandle) {
         let (mut ah, win) = ah_with_window();
-        let h = ah.attach_udp(1, LinkConfig::default(), 1, None);
+        let h = attach(&mut ah);
         let pli = RtcpPacket::Pli(adshare_rtp::rtcp::PictureLossIndication {
             sender_ssrc: 1,
             media_ssrc: 2,

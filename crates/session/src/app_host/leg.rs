@@ -1,0 +1,441 @@
+//! The AH's one egress leg: sequence remoting messages into RTP, pace them
+//! (§4.3), keep them for Generic NACK (§5.3), report them (RTCP SR) — over
+//! whichever [`Wire`] the path uses. A unicast participant owns its leg;
+//! the members of a multicast session share theirs.
+//!
+//! The only transport-specific part of a flush is where the byte budget
+//! comes from: a datagram path asks its token bucket, a stream reads its
+//! send-buffer backlog (which is also its congestion signal and, per §7,
+//! its reason to hold stale state back).
+
+use std::collections::HashMap;
+
+use adshare_capture::StreamKind;
+use adshare_netsim::time::us_to_ticks;
+use adshare_obs::{
+    EventKind, FrameTrace, Obs, Registry, ACTOR_AH, RATE_CAUSE_BACKLOG, RATE_CAUSE_LOSS_REPORT,
+    RATE_CAUSE_NACK_BURST,
+};
+use adshare_rate::RateController;
+use adshare_remoting::fragment::fragment;
+use adshare_remoting::message::RemotingMessage;
+use adshare_rtp::history::RetransmitHistory;
+use adshare_rtp::rtcp::{
+    encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
+};
+use adshare_rtp::session::RtpSender;
+
+use super::drain::{Pending, RateState};
+use super::{AppHost, Cx};
+use crate::config::AhConfig;
+use crate::egress::Wire;
+
+/// A repair already multicast within this window reaches every member;
+/// answering the same NACK again only amplifies the storm.
+const RETX_DEDUP_WINDOW_US: u64 = 100_000;
+
+/// Largest RR tail deficit worth repairing packet-by-packet; beyond this
+/// (or past the history window) a refresh is cheaper.
+const TAIL_REPAIR_MAX: u16 = 64;
+
+const SR_INTERVAL_US: u64 = 1_000_000;
+
+/// RTP payload budget per packet on a stream: TCP frames can carry large
+/// payloads, so minimise per-packet overhead but stay under the RFC 4571
+/// 16-bit frame limit.
+const STREAM_MTU: usize = 60_000;
+
+#[derive(Debug)]
+pub(super) struct Leg {
+    pub(super) wire: Wire,
+    sender: RtpSender,
+    history: Option<RetransmitHistory>,
+    pub(super) pending: Pending,
+    /// Pacing, congestion control and adaptive quality for this path. On a
+    /// shared leg every member's RTCP feeds this one controller, so the
+    /// session reacts to its worst path.
+    pub(super) rs: RateState,
+    /// When the last RTCP sender report was emitted (µs).
+    last_sr_us: u64,
+    /// When the leg last got past its idle check (µs).
+    last_flush_us: u64,
+    /// RTP payload budget per packet.
+    mtu: usize,
+    /// Actor of this leg's media in events and captures: the participant's
+    /// handle index, or [`ACTOR_AH`] for a group.
+    actor: u16,
+    /// Registry prefix (`ah.participant.{i}` / `ah.mcast.{s}`).
+    prefix: String,
+    /// Recently retransmitted seqs → time (shared legs only), collapsing
+    /// the storm of identical NACKs a shared loss produces.
+    recent_retx: HashMap<u16, u64>,
+}
+
+/// Refresh a path's rate estimate and report AIMD growth as a
+/// [`EventKind::RateUp`] event (decreases are cause-tagged at the
+/// congestion-signal sites instead).
+fn note_rate_change(obs: Option<&Obs>, rs: &mut RateState, now_us: u64) {
+    let Some(obs) = obs else { return };
+    let Some(rate) = rs.rate.rate_bps(now_us) else {
+        return;
+    };
+    if rs.last_rate_bps > 0 && rate > rs.last_rate_bps {
+        obs.event(now_us, ACTOR_AH, EventKind::RateUp, rate, rs.last_rate_bps);
+    }
+    rs.last_rate_bps = rate;
+}
+
+impl Leg {
+    pub(super) fn new(
+        wire: Wire,
+        sender: RtpSender,
+        rate: RateController,
+        cfg: &AhConfig,
+        actor: u16,
+        prefix: String,
+    ) -> Self {
+        // A stream is reliable: nothing to retransmit.
+        let history = (cfg.retransmissions && !wire.is_stream())
+            .then(|| RetransmitHistory::new(cfg.history.0, cfg.history.1));
+        Leg {
+            mtu: if wire.is_stream() {
+                STREAM_MTU
+            } else {
+                cfg.mtu
+            },
+            wire,
+            sender,
+            history,
+            pending: Pending::default(),
+            rs: RateState::new(rate),
+            last_sr_us: 0,
+            last_flush_us: 0,
+            actor,
+            prefix,
+            recent_retx: HashMap::new(),
+        }
+    }
+
+    /// Export the transport, controller and history under the leg's prefix
+    /// (idempotent; re-run after a group gains a member).
+    pub(super) fn register_metrics(&self, registry: &Registry) {
+        let prefix = &self.prefix;
+        self.wire.register_metrics(registry, prefix);
+        self.rs
+            .rate
+            .register_metrics(registry, &format!("{prefix}.rate"));
+        if let Some(h) = &self.history {
+            h.register_metrics(registry, &format!("{prefix}.retx_history"));
+        }
+    }
+
+    /// A multicast session's leg: several receivers' feedback lands on it,
+    /// so repairs are deduplicated, an idle group stops sending reports,
+    /// and the bucket accrues only while the group flushes.
+    pub(super) fn shared(&self) -> bool {
+        self.wire.is_group()
+    }
+
+    /// Whether the leg still holds unflushed work — pending damage, a
+    /// non-empty pacer queue, owed lossless repairs, or stream bytes queued
+    /// behind a full send buffer.
+    pub(super) fn has_pending(&self) -> bool {
+        self.wire.has_receivers()
+            && (!self.pending.is_empty() || self.rs.busy() || self.wire.has_unsent())
+    }
+
+    /// Feed the path's estimator one congestion signal; a multiplicative
+    /// decrease it causes is reported as a cause-tagged `RateDown`.
+    fn feed_rate(
+        &mut self,
+        cx: &Cx<'_>,
+        now_us: u64,
+        cause: u64,
+        signal: impl FnOnce(&mut RateController),
+    ) {
+        let before = self.rs.rate.decreases();
+        signal(&mut self.rs.rate);
+        if self.rs.rate.decreases() > before {
+            let rate = self.rs.rate.rate_bps(now_us).unwrap_or(0);
+            cx.event(now_us, ACTOR_AH, EventKind::RateDown, rate, cause);
+        }
+    }
+
+    /// Start a flush — where the byte budget comes from is its only
+    /// transport-specific part. Returns `(budget, stream backlog)`, the
+    /// backlog `None` on a datagram path; `None` when the path is idle.
+    fn budget(&mut self, cx: &Cx<'_>, now_us: u64) -> Option<(Option<u64>, Option<usize>)> {
+        let adaptive = self.rs.rate.is_adaptive();
+        if let Some((backlog, capacity)) = self.wire.stream_backlog(now_us) {
+            if adaptive {
+                // §7's select() signal doubles as TCP's congestion signal:
+                // the controller adapts quality from the send-buffer
+                // occupancy. A stream is never byte-paced — the buffer
+                // itself does the pacing.
+                self.feed_rate(cx, now_us, RATE_CAUSE_BACKLOG, |rate| {
+                    rate.on_backlog(backlog, capacity, now_us)
+                });
+                let _ = self.rs.rate.flush_budget(now_us); // refresh gauges
+                note_rate_change(cx.obs, &mut self.rs, now_us);
+            }
+            return Some((None, Some(backlog)));
+        }
+        let rs_idle = self.rs.degraded.is_empty() && (!adaptive || self.rs.queue.is_empty());
+        if self.pending.is_empty() && rs_idle {
+            if adaptive && !self.shared() {
+                // Nothing to send, but the lazy additive increase still
+                // accrues: refresh the rate/tier gauges so an idle
+                // recovered leg reads lossless, not its last congested
+                // snapshot.
+                let _ = self.rs.rate.flush_budget(now_us);
+            }
+            return None;
+        }
+        // Token bucket for §4.3 AH-side pacing (fixed link rate or the live
+        // congestion estimate).
+        let budget = self.rs.rate.flush_budget(now_us);
+        note_rate_change(cx.obs, &mut self.rs, now_us);
+        Some((budget, None))
+    }
+
+    /// Drain what the path affords this step and send it.
+    pub(super) fn flush(&mut self, cx: &mut Cx<'_>, now_us: u64) {
+        if !self.wire.has_receivers() {
+            return;
+        }
+        let Some((budget, stream)) = self.budget(cx, now_us) else {
+            return;
+        };
+        self.last_flush_us = now_us;
+        let adaptive = self.rs.rate.is_adaptive();
+        let backlog = stream.unwrap_or(0);
+        let tier = self.rs.pick_tier(
+            &mut self.pending,
+            cx.cfg.damage_strategy,
+            adaptive || stream.is_some(),
+            backlog == 0,
+            now_us,
+        );
+        if stream.is_some() {
+            if self.pending.is_empty() {
+                return;
+            }
+            if cx.cfg.tcp_freshness_policy && backlog > 0 {
+                // §7: backlog present — hold pending state, send the
+                // freshest version once the buffer drains.
+                cx.event(
+                    now_us,
+                    self.actor,
+                    EventKind::BacklogSkip,
+                    backlog as u64,
+                    0,
+                );
+                return;
+            }
+        }
+        let msgs: Vec<(RemotingMessage, Option<FrameTrace>)> = if adaptive && stream.is_none() {
+            AppHost::drain_adaptive(cx, &mut self.pending, &mut self.rs, budget, now_us, tier)
+        } else {
+            let degraded = Some(&mut self.rs.degraded);
+            let drained =
+                AppHost::drain_pending(cx, &mut self.pending, budget, now_us, tier, degraded);
+            // A stream drains unbudgeted, so its whole repair just went
+            // out; a paced leg is done once nothing owed is left pending.
+            if self.rs.repairing
+                && self.rs.degraded.is_empty()
+                && (stream.is_some() || self.pending.is_empty())
+            {
+                self.rs.repairing = false;
+            }
+            drained.into_iter().map(|d| (d.msg, d.trace)).collect()
+        };
+        let mut sent = 0u64;
+        for (msg, trace) in msgs {
+            sent += self.send_message(cx, &msg, trace, now_us);
+        }
+        if stream.is_none() {
+            self.rs.rate.consume(sent);
+        }
+    }
+
+    /// Fragment one message onto this leg's RTP stream and send it; returns
+    /// the bytes put on the transport.
+    fn send_message(
+        &mut self,
+        cx: &mut Cx<'_>,
+        msg: &RemotingMessage,
+        seed: Option<FrameTrace>,
+        now_us: u64,
+    ) -> u64 {
+        let ticks = us_to_ticks(now_us) as u32;
+        let frag_start = std::time::Instant::now();
+        let Ok(frags) = fragment(msg, self.mtu) else {
+            return 0;
+        };
+        let fragment_us = frag_start.elapsed().as_micros() as u64;
+        cx.counters.fragment_us.record(fragment_us);
+        let nfrags = frags.len() as u32;
+        let mut marker_seq = None;
+        let mut msg_bytes = 0u64;
+        for f in frags {
+            let marker = f.marker;
+            let pkt = self.sender.next_packet(ticks, marker, f.payload);
+            if marker {
+                marker_seq = Some(pkt.header.sequence);
+            }
+            cx.counters.rtp_packets.inc();
+            let encoded = pkt.encode();
+            let on_wire = self
+                .wire
+                .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &encoded)
+                as u64;
+            msg_bytes += on_wire;
+            cx.counters.bytes_sent.add(on_wire);
+            if let Some(history) = &mut self.history {
+                history.record(pkt);
+            }
+        }
+        cx.event(
+            now_us,
+            self.actor,
+            EventKind::RtpTx,
+            marker_seq.unwrap_or(0) as u64,
+            ((nfrags as u64) << 32) | (msg_bytes & 0xFFFF_FFFF),
+        );
+        if let (Some(obs), Some(mut trace), Some(seq)) = (cx.obs, seed, marker_seq) {
+            trace.sent_at_us = now_us;
+            trace.fragment_wall_us = fragment_us;
+            trace.fragments = nfrags;
+            obs.traces.register(self.sender.ssrc(), seq, trace);
+        }
+        msg_bytes
+    }
+
+    /// Answer a NACK (or an RR tail deficit) from the retransmit history.
+    fn retransmit(&mut self, cx: &mut Cx<'_>, seqs: &[u16], now_us: u64) {
+        self.recent_retx
+            .retain(|_, &mut at| now_us.saturating_sub(at) < RETX_DEDUP_WINDOW_US);
+        let shared = self.shared();
+        let Some(history) = &mut self.history else {
+            return;
+        };
+        for &seq in seqs {
+            if self.recent_retx.contains_key(&seq) {
+                cx.counters.retransmits_suppressed.inc();
+                cx.event(now_us, self.actor, EventKind::RetxSuppressed, seq as u64, 0);
+                continue;
+            }
+            let Some(pkt) = history.lookup(seq) else {
+                cx.event(now_us, self.actor, EventKind::RetxExpired, seq as u64, 0);
+                continue;
+            };
+            let encoded = pkt.encode();
+            self.wire
+                .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &encoded);
+            if shared {
+                self.recent_retx.insert(seq, now_us);
+            }
+            cx.counters.retransmits.inc();
+            cx.counters.bytes_sent.add(encoded.len() as u64);
+            cx.event(
+                now_us,
+                self.actor,
+                EventKind::RetxServed,
+                seq as u64,
+                encoded.len() as u64,
+            );
+        }
+    }
+
+    /// Periodic RTCP sender report (RFC 3550 §6.4.1), multiplexed onto the
+    /// media path per RFC 5761. It gives participants the wall-clock ↔
+    /// RTP-timestamp mapping used to measure capture→display latency.
+    pub(super) fn emit_sender_report(&mut self, cx: &mut Cx<'_>, now_us: u64) {
+        let group_idle =
+            self.shared() && now_us.saturating_sub(self.last_flush_us) > SR_INTERVAL_US * 10;
+        if !self.wire.has_receivers() || group_idle {
+            return;
+        }
+        if now_us.saturating_sub(self.last_sr_us) < SR_INTERVAL_US {
+            return;
+        }
+        let (packets, octets) = self.sender.sent_counts();
+        if packets == 0 {
+            return;
+        }
+        self.last_sr_us = now_us;
+        let ssrc = self.sender.ssrc();
+        let sr = SenderReport {
+            ssrc,
+            // NTP field carries the virtual clock in µs — the mapping is
+            // what matters, not the epoch.
+            ntp: now_us,
+            rtp_ts: self.sender.timestamp_for(us_to_ticks(now_us) as u32),
+            packet_count: packets as u32,
+            octet_count: octets as u32,
+            reports: vec![],
+        };
+        // RFC 3550 §6.1: every RTCP compound includes an SDES CNAME.
+        let bytes = encode_compound(&[
+            RtcpPacket::SenderReport(sr),
+            RtcpPacket::Sdes(SourceDescription::cname(ssrc, "ah@adshare")),
+        ]);
+        cx.counters.sr_sent.inc();
+        self.wire
+            .send(cx.tap, StreamKind::Rtcp, ACTOR_AH, now_us, &bytes);
+    }
+
+    /// Schedule a full refresh, subject to the adaptive controller's PLI
+    /// throttle (a denied requester re-asks via its resync timer;
+    /// fixed-rate mode never throttles). Returns whether it was scheduled.
+    pub(super) fn full_refresh(&mut self, cx: &Cx<'_>, now_us: u64) -> bool {
+        if !self.rs.rate.allow_refresh(now_us) {
+            return false;
+        }
+        cx.counters.full_refreshes.inc();
+        AppHost::schedule_full_refresh(cx.desktop, cx.cfg, &mut self.pending, now_us);
+        true
+    }
+
+    /// A Generic NACK: a congestion signal for the path's estimator (a
+    /// burst decreases, a trickle holds off), then the repair itself.
+    pub(super) fn on_nack(&mut self, cx: &mut Cx<'_>, lost: &[u16], now_us: u64) {
+        self.feed_rate(cx, now_us, RATE_CAUSE_NACK_BURST, |rate| {
+            rate.on_nack(lost.len(), now_us)
+        });
+        self.retransmit(cx, lost, now_us);
+    }
+
+    /// A reception report: the loss fraction feeds the estimator, and the
+    /// extended-highest-sequence repairs *tail loss*. NACKs only fire when
+    /// a later packet reveals a gap, so packets lost at the end of a burst
+    /// (nothing behind them) would otherwise desynchronize a participant
+    /// forever. A short deficit is answered from retransmit history, a
+    /// hopeless one with a full refresh.
+    pub(super) fn on_receiver_report(&mut self, cx: &mut Cx<'_>, block: &ReportBlock, now_us: u64) {
+        // A stream is reliable and in-order: a lagging RR just means queued
+        // bytes (the estimator watches the send-buffer backlog instead).
+        if self.wire.is_stream() {
+            return;
+        }
+        self.feed_rate(cx, now_us, RATE_CAUSE_LOSS_REPORT, |rate| {
+            rate.on_report(block.fraction_lost, now_us)
+        });
+        if self.sender.sent_counts().0 == 0 {
+            return;
+        }
+        let reported = block.highest_seq as u16;
+        let last_sent = self.sender.peek_seq().wrapping_sub(1);
+        let gap = last_sent.wrapping_sub(reported);
+        if gap == 0 || gap >= 0x8000 {
+            // Up to date, or the report is ahead of our bookkeeping
+            // (sequence wrap mid-flight); nothing to repair.
+        } else if gap <= TAIL_REPAIR_MAX {
+            let seqs: Vec<u16> = (1..=gap).map(|i| reported.wrapping_add(i)).collect();
+            cx.counters.tail_repairs.inc();
+            self.retransmit(cx, &seqs, now_us);
+        } else {
+            self.full_refresh(cx, now_us);
+        }
+    }
+}

@@ -1,0 +1,392 @@
+//! The wire boundary: the one place a datagram leaves a sender.
+//!
+//! Everything the AH and the relay put on a transport goes through
+//! [`Wire::send`] (or its all-or-nothing sibling [`Wire::send_whole`]),
+//! which folds the sender's wire digest, taps the capture, frames for TCP
+//! (RFC 4571) and touches the transport — in that order, in one function.
+//! A packet is therefore *tapped iff folded iff sent* by construction: a
+//! capture refolds to the digest of the leg it was taken from, and a frame
+//! a full TCP send buffer refuses appears in neither.
+//!
+//! The digest and the capture sink live in a [`Tap`] the caller passes in,
+//! because the two senders scope them differently: the AH folds every leg
+//! into one order-sensitive session digest, a relay keeps one per leg.
+
+use std::collections::VecDeque;
+
+use adshare_capture::{
+    fnv1a_fold, CaptureHandle, Direction, StreamKind, Transport as CapTransport, FNV_OFFSET,
+};
+use adshare_netsim::multicast::MulticastGroup;
+use adshare_netsim::tcp::{TcpConfig, TcpLink};
+use adshare_netsim::udp::{LinkConfig, UdpChannel};
+use adshare_obs::Registry;
+use adshare_rtp::framing::{frame_into, MAX_FRAME_LEN};
+
+/// Running egress digest plus the capture sink recording the same bytes.
+#[derive(Debug)]
+pub struct Tap {
+    digest: u64,
+    capture: Option<CaptureHandle>,
+}
+
+impl Default for Tap {
+    fn default() -> Self {
+        Tap {
+            digest: FNV_OFFSET,
+            capture: None,
+        }
+    }
+}
+
+impl Tap {
+    /// Order-sensitive FNV-1a over every datagram sent through this tap
+    /// (pre-framing) — equal digests mean byte-identical wire output in
+    /// identical order.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Arm the capture: from now on every send is recorded at its fold.
+    pub fn attach_capture(&mut self, capture: CaptureHandle) {
+        self.capture = Some(capture);
+    }
+
+    /// The armed capture sink, if any.
+    pub fn capture(&self) -> Option<&CaptureHandle> {
+        self.capture.as_ref()
+    }
+
+    fn note(
+        &mut self,
+        kind: StreamKind,
+        transport: CapTransport,
+        actor: u16,
+        now_us: u64,
+        datagram: &[u8],
+    ) {
+        self.digest = fnv1a_fold(self.digest, datagram);
+        if let Some(cap) = &self.capture {
+            cap.record(Direction::Tx, kind, transport, actor, now_us, datagram);
+        }
+    }
+}
+
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one link per leg; not worth boxing
+enum Link {
+    Udp(UdpChannel),
+    /// RFC 4571-framed reliable stream. `outq` holds framed bytes the send
+    /// buffer refused, for senders that keep the stream ordered
+    /// ([`Wire::send`]); it stays empty under [`Wire::send_whole`].
+    Tcp {
+        link: TcpLink,
+        outq: Vec<u8>,
+    },
+    Multicast(MulticastGroup),
+    /// Datagrams pile up for the caller to ship over real sockets.
+    Raw(VecDeque<Vec<u8>>),
+}
+
+/// One downstream transport and the only code that writes to it.
+#[derive(Debug)]
+pub struct Wire {
+    link: Link,
+    /// Reused RFC 4571 framing buffer (no allocation per TCP packet).
+    framed: Vec<u8>,
+}
+
+impl Wire {
+    fn new(link: Link) -> Self {
+        Wire {
+            link,
+            framed: Vec::new(),
+        }
+    }
+
+    /// A simulated unicast UDP path.
+    pub fn udp(link: LinkConfig, seed: u64) -> Self {
+        Self::new(Link::Udp(UdpChannel::new(link, seed)))
+    }
+
+    /// A simulated TCP connection carrying RFC 4571 frames.
+    pub fn tcp(link: TcpConfig) -> Self {
+        Self::new(Link::Tcp {
+            link: TcpLink::new(link),
+            outq: Vec::new(),
+        })
+    }
+
+    /// An (initially empty) multicast group; see [`Wire::join`].
+    pub fn multicast() -> Self {
+        Self::new(Link::Multicast(MulticastGroup::new()))
+    }
+
+    /// A raw queue drained by [`Wire::poll`] for the caller to ship.
+    pub fn raw() -> Self {
+        Self::new(Link::Raw(VecDeque::new()))
+    }
+
+    /// Add a receiver to a multicast group; returns its member index
+    /// (`None` on a unicast wire).
+    pub fn join(&mut self, link: LinkConfig, seed: u64) -> Option<usize> {
+        match &mut self.link {
+            Link::Multicast(group) => Some(group.join(link, seed)),
+            _ => None,
+        }
+    }
+
+    /// Whether this wire fans out to a group ([`Wire::multicast`]).
+    pub fn is_group(&self) -> bool {
+        matches!(self.link, Link::Multicast(_))
+    }
+
+    /// Whether anyone can receive: false only for a memberless group.
+    pub fn has_receivers(&self) -> bool {
+        !matches!(&self.link, Link::Multicast(group) if group.is_empty())
+    }
+
+    /// Whether this is a reliable in-order byte stream (no NACK, no RR
+    /// tail repair; congestion shows as send-buffer backlog instead).
+    pub fn is_stream(&self) -> bool {
+        matches!(self.link, Link::Tcp { .. })
+    }
+
+    fn cap_transport(&self) -> CapTransport {
+        match self.link {
+            Link::Udp(_) => CapTransport::Udp,
+            Link::Tcp { .. } => CapTransport::Tcp,
+            Link::Multicast(_) => CapTransport::Multicast,
+            Link::Raw(_) => CapTransport::None,
+        }
+    }
+
+    /// Send one RTP/RTCP datagram, keeping a stream ordered: what a TCP
+    /// send buffer refuses spills to a queue that [`Wire::stream_backlog`]
+    /// pushes first, so nothing is ever dropped. Returns the bytes put on
+    /// the transport (the framed length on TCP).
+    pub fn send(
+        &mut self,
+        tap: &mut Tap,
+        kind: StreamKind,
+        actor: u16,
+        now_us: u64,
+        datagram: &[u8],
+    ) -> usize {
+        if self.is_stream() && datagram.len() > MAX_FRAME_LEN {
+            return 0;
+        }
+        tap.note(kind, self.cap_transport(), actor, now_us, datagram);
+        match &mut self.link {
+            Link::Udp(channel) => channel.send(now_us, datagram),
+            Link::Multicast(group) => group.send(now_us, datagram),
+            Link::Raw(queue) => queue.push_back(datagram.to_vec()),
+            Link::Tcp { link, outq } => {
+                self.framed.clear();
+                let _ = frame_into(&mut self.framed, datagram);
+                // Stream bytes must stay ordered: once anything is queued,
+                // everything after it queues behind it.
+                let accepted = if outq.is_empty() {
+                    link.send(now_us, &self.framed)
+                } else {
+                    0
+                };
+                outq.extend_from_slice(&self.framed[accepted..]);
+                return self.framed.len();
+            }
+        }
+        datagram.len()
+    }
+
+    /// Send one datagram all-or-nothing: a TCP send buffer that cannot take
+    /// the whole frame refuses it (returns `false`; nothing folded, taped
+    /// or sent — the backlog signal has already told the sender's tier
+    /// controller to slow down). Datagram transports always accept.
+    pub fn send_whole(
+        &mut self,
+        tap: &mut Tap,
+        kind: StreamKind,
+        actor: u16,
+        now_us: u64,
+        datagram: &[u8],
+    ) -> bool {
+        if let Link::Tcp { link, .. } = &mut self.link {
+            if datagram.len() > MAX_FRAME_LEN || !link.can_accept(now_us, datagram.len() + 2) {
+                return false;
+            }
+        }
+        self.send(tap, kind, actor, now_us, datagram);
+        true
+    }
+
+    /// For a stream: push the spill queue, then report `(backlog bytes,
+    /// send-buffer capacity)` — the §7 signal. `None` on datagram wires.
+    pub fn stream_backlog(&mut self, now_us: u64) -> Option<(usize, usize)> {
+        let Link::Tcp { link, outq } = &mut self.link else {
+            return None;
+        };
+        if !outq.is_empty() {
+            let n = link.send(now_us, outq);
+            outq.drain(..n);
+        }
+        Some((link.backlog(now_us) + outq.len(), link.config().send_buf))
+    }
+
+    /// Whether framed bytes still wait behind a full send buffer.
+    pub fn has_unsent(&self) -> bool {
+        matches!(&self.link, Link::Tcp { outq, .. } if !outq.is_empty())
+    }
+
+    /// What has arrived at the receiver by `now_us`: datagrams (UDP; one
+    /// multicast `member`; everything queued on a raw wire) or the next
+    /// in-order stream chunk as a single element (TCP).
+    pub fn poll(&mut self, member: usize, now_us: u64) -> Vec<Vec<u8>> {
+        match &mut self.link {
+            Link::Udp(channel) => channel.poll(now_us),
+            Link::Multicast(group) => group.poll(member, now_us),
+            Link::Raw(queue) => queue.drain(..).collect(),
+            Link::Tcp { link, .. } => {
+                let chunk = link.recv(now_us);
+                if chunk.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![chunk]
+                }
+            }
+        }
+    }
+
+    /// Earliest pending delivery or serializer event, in µs.
+    pub fn next_event_us(&self) -> Option<u64> {
+        match &self.link {
+            Link::Udp(channel) => channel.next_delivery_us(),
+            Link::Tcp { link, .. } => link.next_event_us(),
+            Link::Multicast(group) => group.next_delivery_us(),
+            Link::Raw(_) => None,
+        }
+    }
+
+    /// Bytes the sender has put on this transport (a group counts once,
+    /// independent of its size; a raw queue keeps no count).
+    pub fn bytes_sent(&self) -> u64 {
+        match &self.link {
+            Link::Udp(channel) => channel.stats().bytes_sent,
+            Link::Tcp { link, .. } => link.stats().bytes_accepted,
+            Link::Multicast(group) => group.egress().1,
+            Link::Raw(_) => 0,
+        }
+    }
+
+    /// Adopt the transport's counters into `registry`: `{prefix}.udp.*`,
+    /// `{prefix}.tcp.*`, or — for a group — `{prefix}.tx_*` plus
+    /// `{prefix}.member.{i}.*` for every current member.
+    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
+        match &self.link {
+            Link::Udp(channel) => channel.register_metrics(registry, &format!("{prefix}.udp")),
+            Link::Tcp { link, .. } => link.register_metrics(registry, &format!("{prefix}.tcp")),
+            Link::Multicast(group) => group.register_metrics(registry, prefix),
+            Link::Raw(_) => {}
+        }
+    }
+
+    /// The UDP channel behind this wire, when it has one.
+    pub fn udp_link(&self) -> Option<&UdpChannel> {
+        match &self.link {
+            Link::Udp(channel) => Some(channel),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the UDP channel (link schedules, injected loss).
+    pub fn udp_link_mut(&mut self) -> Option<&mut UdpChannel> {
+        match &mut self.link {
+            Link::Udp(channel) => Some(channel),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the TCP link, when it has one.
+    pub fn tcp_link_mut(&mut self) -> Option<&mut TcpLink> {
+        match &mut self.link {
+            Link::Tcp { link, .. } => Some(link),
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adshare_capture::{parse_capture, CaptureConfig, CaptureMode};
+
+    fn armed_tap() -> Tap {
+        let mut tap = Tap::default();
+        tap.attach_capture(
+            CaptureHandle::arm(CaptureConfig {
+                consent: true,
+                mode: CaptureMode::Full,
+                session_id: 1,
+                start_us: 0,
+            })
+            .expect("consented"),
+        );
+        tap
+    }
+
+    fn tight_tcp() -> Wire {
+        Wire::tcp(TcpConfig {
+            rate_bps: 100_000,
+            delay_us: 1_000,
+            send_buf: 64,
+        })
+    }
+
+    #[test]
+    fn ordered_send_spills_and_delivers_every_byte_in_order() {
+        let mut tap = armed_tap();
+        let mut wire = tight_tcp();
+        let mut expect = Vec::new();
+        for i in 0..10u8 {
+            let datagram = [i; 40];
+            assert_eq!(wire.send(&mut tap, StreamKind::Rtp, 7, 0, &datagram), 42);
+            expect.extend_from_slice(&[0, 40]);
+            expect.extend_from_slice(&datagram);
+        }
+        assert!(wire.has_unsent(), "64-byte buffer must spill");
+        let mut got = Vec::new();
+        let mut now = 0;
+        while got.len() < expect.len() && now < 10_000_000 {
+            now += 1_000;
+            wire.stream_backlog(now);
+            got.extend(wire.poll(0, now).concat());
+        }
+        assert_eq!(got, expect);
+        assert_eq!(tap.capture().unwrap().wire_digest(), tap.digest());
+    }
+
+    #[test]
+    fn whole_send_refuses_without_fold_or_tape() {
+        let mut tap = armed_tap();
+        let mut wire = tight_tcp();
+        // The serializer takes the first frame at once; the second fills
+        // the 64-byte buffer; the third does not fit.
+        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &[1; 40]));
+        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &[2; 40]));
+        let accepted = tap.digest();
+        assert!(!wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &[3; 40]));
+        assert_eq!(tap.digest(), accepted, "a refused frame is not folded");
+        assert!(!wire.has_unsent(), "all-or-nothing never spills");
+        let cap = parse_capture(&tap.capture().unwrap().to_bytes()).unwrap();
+        assert_eq!(cap.records.len(), 2, "a refused frame is not taped");
+        assert_eq!(tap.capture().unwrap().wire_digest(), tap.digest());
+    }
+
+    #[test]
+    fn memberless_group_has_no_receivers() {
+        let mut wire = Wire::multicast();
+        assert!(!wire.has_receivers());
+        assert_eq!(wire.join(LinkConfig::default(), 1), Some(0));
+        assert!(wire.has_receivers());
+        assert_eq!(Wire::raw().join(LinkConfig::default(), 1), None);
+    }
+}

@@ -10,6 +10,8 @@
 //!
 //! * [`config`] — tunables for both sides (codec, MTU, §7 policy, …).
 //! * [`app_host`] — the AH pipeline and per-participant transmit state.
+//! * [`egress`] — the wire boundary every sender (AH legs, relay legs)
+//!   writes through: digest fold, capture tap, TCP framing, transport.
 //! * [`participant`] — the viewer pipeline and layout policies.
 //! * [`sim`] — a deterministic orchestrator binding AHs and participants
 //!   over `adshare-netsim` links; every experiment drives this.
@@ -29,6 +31,7 @@ pub mod app_host;
 pub mod baseline;
 pub mod config;
 pub mod driver;
+pub mod egress;
 pub mod participant;
 pub mod replay;
 pub mod scenario;

@@ -234,6 +234,115 @@ fn late_joiner_converges_from_relay_catchup_without_upstream_refresh() {
     assert!(sim.converged(a), "existing participant undisturbed");
 }
 
+/// Fold a capture's egress RTP/RTCP records for one actor, in record
+/// order — what `leg_wire_digest` reports if the tap sits at the fold.
+fn capture_digest_for(cap: &CaptureHandle, actor: u16) -> (u64, usize) {
+    let mut records = parse_capture(&cap.to_bytes())
+        .expect("capture parses")
+        .records;
+    records.retain(|r| r.actor == actor);
+    (adshare::capture::wire_digest_of(&records), records.len())
+}
+
+/// A relay capture holds exactly what each leg put on its transport:
+/// NACK repairs (catch-up copy, suppression copy, cache hit), the catch-up
+/// burst and forwarded RTCP are taped, and a TCP frame the send buffer
+/// refused is not — "tapped iff folded iff sent".
+#[test]
+fn relay_capture_refolds_to_leg_digest() {
+    use adshare::obs::ACTOR_LEG_BASE;
+    let cap = CaptureHandle::arm(CaptureConfig {
+        consent: true,
+        mode: CaptureMode::Full,
+        session_id: 15,
+        start_us: 0,
+    })
+    .expect("consented");
+    let mut ah = AppHost::new(shared_desktop(), AhConfig::default(), 42);
+    let h = ah.attach_udp(1, ms(0), 7, None);
+    let mut relay = RelayNode::new(RelayConfig::default(), 0);
+    relay.attach_capture(cap.clone());
+    // A lossy UDP leg whose viewer NACKs and later PLIs for a catch-up.
+    let lossy = LinkConfig {
+        loss: 0.08,
+        delay_us: 5_000,
+        ..Default::default()
+    };
+    let udp = relay.add_leg_udp(lossy, 11, None);
+    // A TCP leg too small for the traffic: whole frames get refused.
+    let tcp = relay.add_leg_tcp(
+        TcpConfig {
+            rate_bps: 100_000,
+            delay_us: 5_000,
+            send_buf: 1_500,
+        },
+        None,
+    );
+    // A roomy leg carrying the same from-start stream as the TCP leg.
+    let raw = relay.add_leg_raw(None);
+    relay.subscribe(0);
+    let mut viewer = Participant::new(1, Layout::Original, true, 9);
+    viewer.request_refresh();
+
+    let mut now = 0u64;
+    for step in 0u32..1_600 {
+        now += 5_000;
+        let ticks = us_to_ticks(now);
+        if step % 9 == 5 {
+            let id = ah.desktop().wm().shared_records().next().unwrap().id;
+            ah.desktop_mut().fill(
+                id,
+                Rect::new(step % 80, 10, 40, 30),
+                [step as u8, 120, 200, 255],
+            );
+        }
+        if step == 900 {
+            // The viewer asks again mid-session: served from the shadow.
+            viewer.request_refresh();
+        }
+        ah.step(now);
+        for dg in ah.poll_udp(h, now) {
+            relay.ingest_upstream(&dg, now);
+        }
+        relay.step(now);
+        if let Some(r) = relay.take_upstream_rtcp() {
+            ah.handle_rtcp(h, &r, now);
+        }
+        for dg in relay.poll_leg(udp, now) {
+            viewer.handle_datagram(&dg, ticks);
+        }
+        viewer.tick(ticks);
+        if let Some(r) = viewer.take_rtcp() {
+            relay.handle_leg_rtcp(udp, &r, now);
+        }
+        relay.poll_leg(tcp, now);
+        relay.poll_leg(raw, now);
+    }
+    let stats = relay.stats();
+    assert!(
+        stats.nacks_absorbed_seqs > 0,
+        "leg NACKs repaired: {stats:?}"
+    );
+    assert!(
+        stats.catchups_served >= 2,
+        "join + re-PLI bursts: {stats:?}"
+    );
+    assert_ne!(
+        relay.leg_wire_digest(tcp),
+        relay.leg_wire_digest(raw),
+        "the TCP send buffer must have refused frames"
+    );
+    for (name, leg) in [("udp", udp), ("tcp", tcp), ("raw", raw)] {
+        let (digest, records) = capture_digest_for(&cap, ACTOR_LEG_BASE | leg as u16);
+        assert!(records > 0, "{name} leg taped nothing");
+        assert_eq!(
+            digest,
+            relay.leg_wire_digest(leg),
+            "{name} leg: capture ({records} records) must refold to the leg digest"
+        );
+    }
+}
+
 proptest! {
     /// The shared retransmit cache never exceeds either bound, and evicts
     /// oldest-first: what survives is exactly the longest suffix of the
