@@ -1,41 +1,21 @@
-//! Run every experiment binary in sequence (the full evaluation of
-//! EXPERIMENTS.md). Equivalent to running each `exp_*` binary by hand.
+//! Run every experiment binary of [`adshare_bench::EXPERIMENTS`] in
+//! sequence (the full evaluation of EXPERIMENTS.md, E1–E23). Equivalent to
+//! running each `exp_*` binary by hand.
 
 use std::process::Command;
 
 fn main() {
-    let exps = [
-        "exp_codec_content",
-        "exp_fragmentation",
-        "exp_scroll",
-        "exp_backlog",
-        "exp_loss_recovery",
-        "exp_late_joiner",
-        "exp_hip",
-        "exp_fanout",
-        "exp_damage",
-        "exp_vs_vnc",
-        "exp_bfcp",
-        "exp_adaptive",
-        "exp_app_vs_desktop",
-        "exp_rate_adapt",
-        "exp_encode_cache",
-        "exp_codecs",
-    ];
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir");
     let mut failures = Vec::new();
-    for exp in exps {
+    for (number, exp) in adshare_bench::EXPERIMENTS {
         println!("\n===================================================================");
-        println!("== {exp}");
+        println!("== E{number}: {exp}");
         println!("===================================================================");
         let status = Command::new(dir.join(exp)).status();
-        match status {
-            Ok(s) if s.success() => {}
-            other => {
-                eprintln!("!! {exp} failed: {other:?}");
-                failures.push(exp);
-            }
+        if !matches!(&status, Ok(s) if s.success()) {
+            eprintln!("!! {exp} failed: {status:?}");
+            failures.push(exp);
         }
     }
     if !failures.is_empty() {

@@ -24,7 +24,7 @@
 //! `adshare-capture-manifest/v1` manifest, the historical trace, and an
 //! `adshare-obs/v1` snapshot for `obs_schema_check`.
 
-use adshare_bench::{emit_snapshot, fmt_bytes, print_table, timed, OBS_SNAPSHOT_DIR};
+use adshare_bench::{emit_document, emit_snapshot, fmt_bytes, print_table, timed};
 use adshare_capture::{manifest_json, parse_capture, CaptureMode};
 use adshare_host::{CacheSharing, HostConfig, MultiHost, Workload as HostWorkload};
 use adshare_netsim::udp::LinkConfig;
@@ -174,9 +174,6 @@ fn host_run(warm: Option<&[u8]>) -> (u64, u64, Vec<u8>) {
 }
 
 fn main() {
-    let dir = std::env::var("OBS_SNAPSHOT_DIR").unwrap_or_else(|_| OBS_SNAPSHOT_DIR.to_string());
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).expect("create snapshot dir");
     let gate_pct: f64 = std::env::var("CAPTURE_OVERHEAD_GATE_PCT")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -265,26 +262,20 @@ fn main() {
         on.wire_digest(),
         "capture egress digest diverged from the live session"
     );
-    assert!(
-        !trace.contains("\"ts\": -"),
-        "historical trace contains negative timestamps"
-    );
+    // Parses every record: a negative or fractional `ts` is an error there.
+    adshare_obs::validate_chrome_trace(&trace).expect("historical trace validates");
     assert!(
         warm_hits > cold_hits && warm_misses < cold_misses,
         "prewarm did not improve the re-share: {warm_hits}/{warm_misses} vs {cold_hits}/{cold_misses}"
     );
 
-    let bin_path = dir.join("exp_capture.bin");
-    std::fs::write(&bin_path, &cap_bytes).expect("write capture");
-    println!("\ncapture:      {}", bin_path.display());
-    let manifest_path = dir.join("exp_capture_manifest.json");
-    std::fs::write(&manifest_path, manifest_json(&manifest)).expect("write manifest");
-    println!("manifest:     {}", manifest_path.display());
-    let trace_path = dir.join("exp_capture_trace.json");
-    std::fs::write(&trace_path, &trace).expect("write trace");
-    println!("trace:        {}", trace_path.display());
-    match emit_snapshot(&on.obs().registry, "exp_capture") {
-        Ok(path) => println!("obs snapshot: {}", path.display()),
-        Err(e) => eprintln!("obs snapshot write failed: {e}"),
-    }
+    println!();
+    emit_document("capture:", "exp_capture.bin", &cap_bytes);
+    emit_document(
+        "manifest:",
+        "exp_capture_manifest.json",
+        manifest_json(&manifest),
+    );
+    emit_document("trace:", "exp_capture_trace.json", &trace);
+    emit_snapshot(&on.obs().registry, "exp_capture");
 }

@@ -21,10 +21,10 @@
 //! when any throughput has fallen more than 30 % below it. A figure the
 //! baseline does not carry is reported as new, not as a failure.
 
-use adshare_bench::{machine_json, print_table, timed, Content};
+use adshare_bench::{machine_json, print_table, round_to, timed, write_bench_json, Content};
 use adshare_codec::deflate::{deflate, inflate, Level};
 use adshare_codec::{classify, dct, png, Image, Rect};
-use adshare_obs::json::{parse, Json};
+use adshare_obs::json::{self, parse, Json};
 
 const REPS: usize = 15;
 
@@ -286,9 +286,7 @@ fn main() {
                 format!("{inflate_mbs:.1}"),
                 format!("{ratio:.2}x"),
             ]);
-            deflate_json.push(format!(
-                "    {{\"corpus\":\"{name}\",\"level\":\"{level:?}\",\"mb_per_s\":{mbs:.1},\"inflate_mb_per_s\":{inflate_mbs:.1},\"ratio\":{ratio:.2}}}"
-            ));
+            deflate_json.push((name, format!("{level:?}"), mbs, inflate_mbs, ratio));
         }
     }
     print_table(
@@ -331,10 +329,7 @@ fn main() {
             format!("{enc_mbs:.0}"),
             format!("{dec_mbs:.0}"),
         ]);
-        png_json.push(format!(
-            "    {{\"content\":\"{}\",\"encode_mb_per_s\":{enc_mbs:.1},\"decode_mb_per_s\":{dec_mbs:.1}}}",
-            content.name()
-        ));
+        png_json.push((content.name(), enc_mbs, dec_mbs));
     }
     print_table(
         "E22c: PNG whole-codec throughput (320x240, raw-pixel MB/s)",
@@ -342,17 +337,39 @@ fn main() {
         &png_rows,
     );
 
-    let json = format!(
-        "{{\n  \"schema\": \"adshare-bench-codecs/v3\",\n  \"machine\": {},\n  \"dct\": {{\"block_us\": {block_us:.4}, \"encode_mb_per_s\": {dct_encode_mbs:.1}, \"decode_mb_per_s\": {dct_decode_mbs:.1}}},\n  \"classify\": {{\"ns_per_px\": {classify_ns_per_px:.3}}},\n  \"deflate\": [\n{}\n  ],\n  \"png\": [\n{}\n  ]\n}}\n",
-        machine_json(),
-        deflate_json.join(",\n"),
-        png_json.join(",\n"),
-    );
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_codecs.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nbench json: {out}"),
-        Err(e) => eprintln!("bench json write failed: {e}"),
-    }
+    let json = json::object(|o| {
+        o.str("schema", "adshare-bench-codecs/v3")
+            .object("machine", machine_json)
+            .object("dct", |o| {
+                o.f64("block_us", round_to(block_us, 4))
+                    .f64("encode_mb_per_s", round_to(dct_encode_mbs, 1))
+                    .f64("decode_mb_per_s", round_to(dct_decode_mbs, 1));
+            })
+            .object("classify", |o| {
+                o.f64("ns_per_px", round_to(classify_ns_per_px, 3));
+            })
+            .array("deflate", |rows| {
+                for (corpus, level, mbs, inflate_mbs, ratio) in &deflate_json {
+                    rows.object(|o| {
+                        o.str("corpus", corpus)
+                            .str("level", level)
+                            .f64("mb_per_s", round_to(*mbs, 1))
+                            .f64("inflate_mb_per_s", round_to(*inflate_mbs, 1))
+                            .f64("ratio", round_to(*ratio, 2));
+                    });
+                }
+            })
+            .array("png", |rows| {
+                for (content, enc_mbs, dec_mbs) in &png_json {
+                    rows.object(|o| {
+                        o.str("content", content)
+                            .f64("encode_mb_per_s", round_to(*enc_mbs, 1))
+                            .f64("decode_mb_per_s", round_to(*dec_mbs, 1));
+                    });
+                }
+            });
+    });
+    write_bench_json("BENCH_OUT", "BENCH_codecs.json", &json);
 
     if let Some(path) = baseline {
         match regressions(&json, &path) {

@@ -18,9 +18,10 @@
 //! (validated by `obs_schema_check`) and a machine-readable comparison to
 //! `BENCH_encode.json`.
 
-use adshare_bench::{emit_snapshot, print_table, timed, Content};
+use adshare_bench::{emit_snapshot, print_table, round_to, timed, write_bench_json, Content};
 use adshare_encode::{EncodeConfig, TileConfig};
 use adshare_netsim::udp::LinkConfig;
+use adshare_obs::json::{self, Obj};
 use adshare_screen::workload::{PingPong, Scrolling, Typing, Workload};
 use adshare_screen::{Desktop, Rect};
 use adshare_session::{AhConfig, Layout, SimSession};
@@ -171,28 +172,19 @@ fn run_fan_out(pipelined: bool, emit: bool) -> Outcome {
         .expect("fan-out converges");
     });
     if emit {
-        match emit_snapshot(&s.obs().registry, "exp_encode_cache") {
-            Ok(path) => println!("obs snapshot: {}", path.display()),
-            Err(e) => eprintln!("obs snapshot write failed: {e}"),
-        }
+        emit_snapshot(&s.obs().registry, "exp_encode_cache");
     }
     outcome(&s, us / 1000.0)
 }
 
-fn json_for(name: &str, base: &Outcome, pipe: &Outcome) -> String {
-    let obj = |o: &Outcome| {
-        format!(
-            "{{\"encodes\":{},\"encoded_kib\":{},\"encode_wall_ms\":{:.1},\"encode_cpu_ms\":{:.1},\"cache_hits\":{},\"bytes_saved_kib\":{},\"run_ms\":{:.1}}}",
-            o.encodes, o.encoded_kib, o.encode_wall_ms, o.encode_cpu_ms, o.cache_hits, o.saved_kib, o.run_ms
-        )
-    };
-    format!(
-        "    {{\"workload\":\"{name}\",\"baseline\":{},\"pipelined\":{},\"encode_reduction_x\":{:.2},\"wall_speedup_x\":{:.2}}}",
-        obj(base),
-        obj(pipe),
-        base.encodes as f64 / pipe.encodes.max(1) as f64,
-        base.encode_wall_ms / pipe.encode_wall_ms.max(0.001),
-    )
+fn outcome_json(o: &mut Obj<'_>, outcome: &Outcome) {
+    o.u64("encodes", outcome.encodes)
+        .u64("encoded_kib", outcome.encoded_kib)
+        .f64("encode_wall_ms", round_to(outcome.encode_wall_ms, 1))
+        .f64("encode_cpu_ms", round_to(outcome.encode_cpu_ms, 1))
+        .u64("cache_hits", outcome.cache_hits)
+        .u64("bytes_saved_kib", outcome.saved_kib)
+        .f64("run_ms", round_to(outcome.run_ms, 1));
 }
 
 fn main() {
@@ -237,19 +229,23 @@ fn main() {
         &rows,
     );
 
-    let entries: Vec<String> = workloads
-        .iter()
-        .map(|(n, b, p)| json_for(n, b, p))
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"adshare-bench-encode/v1\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_encode.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nbench json: {out}"),
-        Err(e) => eprintln!("bench json write failed: {e}"),
-    }
+    let json = json::object(|o| {
+        o.str("schema", "adshare-bench-encode/v1")
+            .array("workloads", |rows| {
+                for (name, base, pipe) in &workloads {
+                    let reduction = base.encodes as f64 / pipe.encodes.max(1) as f64;
+                    let speedup = base.encode_wall_ms / pipe.encode_wall_ms.max(0.001);
+                    rows.object(|o| {
+                        o.str("workload", name)
+                            .object("baseline", |o| outcome_json(o, base))
+                            .object("pipelined", |o| outcome_json(o, pipe))
+                            .f64("encode_reduction_x", round_to(reduction, 2))
+                            .f64("wall_speedup_x", round_to(speedup, 2));
+                    });
+                }
+            });
+    });
+    write_bench_json("BENCH_OUT", "BENCH_encode.json", &json);
 
     // The hard gate is the encode-call count: it is deterministic and
     // machine-independent. Wall-clock is reported alongside — the pool

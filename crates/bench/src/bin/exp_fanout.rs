@@ -118,9 +118,6 @@ fn main() {
     // Export the observability registry of the last (48-viewer multicast)
     // run so CI can validate the snapshot format.
     if let Some(registry) = last_registry {
-        match emit_snapshot(&registry, "exp_fanout") {
-            Ok(path) => println!("\nobs snapshot: {}", path.display()),
-            Err(e) => eprintln!("obs snapshot write failed: {e}"),
-        }
+        emit_snapshot(&registry, "exp_fanout");
     }
 }

@@ -17,7 +17,7 @@
 
 use std::path::Path;
 
-use adshare_bench::{emit_snapshot, print_table, OBS_SNAPSHOT_DIR};
+use adshare_bench::{emit_document, emit_snapshot, print_table, snapshot_dir};
 use adshare_netsim::udp::LinkConfig;
 use adshare_obs::{HealthConfig, HealthReport, HealthStatus};
 use adshare_screen::workload::{Typing, Workload};
@@ -98,8 +98,7 @@ fn rule_cell(report: &HealthReport, name: &str) -> String {
 }
 
 fn main() {
-    let dir = std::env::var("OBS_SNAPSHOT_DIR").unwrap_or_else(|_| OBS_SNAPSHOT_DIR.to_string());
-    let dir = std::path::PathBuf::from(dir);
+    let dir = snapshot_dir();
     std::fs::create_dir_all(&dir).expect("create snapshot dir");
 
     let clean = run(0.0, None, 300, None);
@@ -167,19 +166,12 @@ fn main() {
     drop(engine);
 
     // Export every document kind for obs_schema_check.
-    match emit_snapshot(&lossy.session.obs().registry, "exp_health") {
-        Ok(path) => println!("\nobs snapshot: {}", path.display()),
-        Err(e) => eprintln!("obs snapshot write failed: {e}"),
-    }
-    let events_path = dir.join("exp_health_events.json");
-    std::fs::write(&events_path, lossy.session.obs().recorder.to_json()).expect("write events");
-    println!("event log:    {}", events_path.display());
-    let report_path = dir.join("exp_health_report.json");
-    std::fs::write(&report_path, lossy.report.to_json()).expect("write report");
-    println!("health report: {}", report_path.display());
+    emit_snapshot(&lossy.session.obs().registry, "exp_health");
+    let events = lossy.session.obs().recorder.to_json();
+    emit_document("event log:", "exp_health_events.json", events);
+    let report = lossy.report.to_json();
+    emit_document("health report:", "exp_health_report.json", report);
     let engine = critical.session.obs().health.lock().unwrap();
     let blackbox = engine.last_dump().expect("CRITICAL run kept its dump");
-    let blackbox_path = dir.join("exp_health_blackbox.json");
-    std::fs::write(&blackbox_path, blackbox).expect("write blackbox");
-    println!("black box:    {}", blackbox_path.display());
+    emit_document("black box:", "exp_health_blackbox.json", blackbox);
 }

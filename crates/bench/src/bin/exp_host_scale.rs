@@ -21,12 +21,11 @@
 //! registry snapshot (`adshare-obs/v1`) for `obs_schema_check`, plus a
 //! machine-readable comparison to `BENCH_host.json`.
 
-use std::path::Path;
-
-use adshare_bench::{print_table, OBS_SNAPSHOT_DIR};
+use adshare_bench::{emit_document, emit_snapshot, print_table, round_to, write_bench_json};
 use adshare_codec::Rect;
 use adshare_host::{CacheSharing, HostConfig, HostStats, MultiHost};
 use adshare_netsim::udp::LinkConfig;
+use adshare_obs::json::{self, Obj};
 use adshare_screen::wm::WindowId;
 use adshare_screen::Desktop;
 use adshare_session::{AhConfig, Layout, SimSession};
@@ -127,25 +126,18 @@ fn row(o: &Outcome) -> Vec<String> {
     ]
 }
 
-fn bench_entry(o: &Outcome) -> String {
-    let s = &o.stats;
-    format!(
-        concat!(
-            "    {{\"sessions\":{},\"services\":{},\"cpu_us\":{},\"wall_us\":{},",
-            "\"cpu_us_per_service\":{:.2},\"cache_hits\":{},\"cache_misses\":{},",
-            "\"hit_rate_pct\":{},\"cache_kib\":{},\"inline_fallbacks\":{}}}"
-        ),
-        s.sessions,
-        s.services,
-        s.cpu_us,
-        s.wall_us,
-        per_service_cpu(s),
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_hit_rate_pct,
-        s.cache_bytes >> 10,
-        s.pool_inline_fallbacks,
-    )
+fn bench_entry(o: &mut Obj<'_>, outcome: &Outcome) {
+    let s = &outcome.stats;
+    o.u64("sessions", s.sessions)
+        .u64("services", s.services)
+        .u64("cpu_us", s.cpu_us)
+        .u64("wall_us", s.wall_us)
+        .f64("cpu_us_per_service", round_to(per_service_cpu(s), 2))
+        .u64("cache_hits", s.cache_hits)
+        .u64("cache_misses", s.cache_misses)
+        .u64("hit_rate_pct", s.cache_hit_rate_pct)
+        .u64("cache_kib", s.cache_bytes >> 10)
+        .u64("inline_fallbacks", s.pool_inline_fallbacks);
 }
 
 fn main() {
@@ -225,25 +217,21 @@ fn main() {
     );
 
     // Export for obs_schema_check: host stats document + registry snapshot.
-    let dir = std::env::var("OBS_SNAPSHOT_DIR").unwrap_or_else(|_| OBS_SNAPSHOT_DIR.to_string());
-    let dir = Path::new(&dir);
-    std::fs::create_dir_all(dir).expect("create snapshot dir");
-    let stats_path = dir.join("exp_host_scale_host.json");
-    std::fs::write(&stats_path, big.stats.to_json()).expect("write host stats");
-    println!("\nhost stats:   {}", stats_path.display());
-    match adshare_bench::emit_snapshot(big.host.registry(), "exp_host_scale") {
-        Ok(path) => println!("obs snapshot: {}", path.display()),
-        Err(e) => eprintln!("obs snapshot write failed: {e}"),
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"adshare-bench-host/v1\",\n  \"runs\": [\n{},\n{}\n  ]\n}}\n",
-        bench_entry(&base),
-        bench_entry(&big)
+    println!();
+    emit_document(
+        "host stats:",
+        "exp_host_scale_host.json",
+        big.stats.to_json(),
     );
-    let out = std::env::var("BENCH_HOST_OUT").unwrap_or_else(|_| "BENCH_host.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("bench json:   {out}"),
-        Err(e) => eprintln!("bench json write failed: {e}"),
-    }
+    emit_snapshot(big.host.registry(), "exp_host_scale");
+
+    let json = json::object(|o| {
+        o.str("schema", "adshare-bench-host/v1")
+            .array("runs", |runs| {
+                for outcome in [&base, &big] {
+                    runs.object(|o| bench_entry(o, outcome));
+                }
+            });
+    });
+    write_bench_json("BENCH_HOST_OUT", "BENCH_host.json", &json);
 }

@@ -24,9 +24,7 @@
 //! tier-stats document (`adshare-relay-tier-stats/v1`) for
 //! `obs_schema_check`.
 
-use std::path::Path;
-
-use adshare_bench::{emit_snapshot, print_table, OBS_SNAPSHOT_DIR};
+use adshare_bench::{emit_document, emit_snapshot, print_table};
 use adshare_layers::{LayersConfig, TierStats};
 use adshare_netsim::tcp::TcpConfig;
 use adshare_netsim::udp::LinkConfig;
@@ -379,14 +377,7 @@ fn main() {
     );
 
     // Export for obs_schema_check: registry snapshot + tier-stats document.
-    let dir = std::env::var("OBS_SNAPSHOT_DIR").unwrap_or_else(|_| OBS_SNAPSHOT_DIR.to_string());
-    let dir = Path::new(&dir);
-    std::fs::create_dir_all(dir).expect("create snapshot dir");
-    match emit_snapshot(&layered.sim.obs().registry, "exp_layers") {
-        Ok(path) => println!("\nobs snapshot: {}", path.display()),
-        Err(e) => eprintln!("obs snapshot write failed: {e}"),
-    }
-    let stats_path = dir.join("exp_layers_tier_stats.json");
-    std::fs::write(&stats_path, layered.stats.to_json()).expect("write tier stats");
-    println!("tier stats:   {}", stats_path.display());
+    emit_snapshot(&layered.sim.obs().registry, "exp_layers");
+    let doc = layered.stats.to_json();
+    emit_document("tier stats:", "exp_layers_tier_stats.json", doc);
 }

@@ -108,9 +108,6 @@ fn main() {
     // Export the observability registry of the last (10% loss, NACK) run so
     // CI can validate the snapshot format.
     if let Some(registry) = last_registry {
-        match emit_snapshot(&registry, "exp_loss_recovery") {
-            Ok(path) => println!("\nobs snapshot: {}", path.display()),
-            Err(e) => eprintln!("obs snapshot write failed: {e}"),
-        }
+        emit_snapshot(&registry, "exp_loss_recovery");
     }
 }

@@ -93,10 +93,7 @@ fn run(adaptive: bool) -> Outcome {
         LINK_BPS as i64 / 1000
     };
     if adaptive {
-        match emit_snapshot(&s.obs().registry, "exp_rate_adapt") {
-            Ok(path) => println!("obs snapshot: {}", path.display()),
-            Err(e) => eprintln!("obs snapshot write failed: {e}"),
-        }
+        emit_snapshot(&s.obs().registry, "exp_rate_adapt");
     }
     Outcome {
         wire_kib: wire / 1024,

@@ -15,9 +15,7 @@
 //! Emits the registry snapshot (`adshare-obs/v1`) and the fan-out relay's
 //! stats document (`adshare-relay-stats/v1`) for `obs_schema_check`.
 
-use std::path::Path;
-
-use adshare_bench::{emit_snapshot, print_table, OBS_SNAPSHOT_DIR};
+use adshare_bench::{emit_document, emit_snapshot, print_table};
 use adshare_netsim::udp::LinkConfig;
 use adshare_relay::sim::{RelaySim, Upstream};
 use adshare_relay::{RelayConfig, RelayStats};
@@ -274,15 +272,7 @@ fn main() {
     );
 
     // Export for obs_schema_check: registry snapshot + relay stats document.
-    let dir = std::env::var("OBS_SNAPSHOT_DIR").unwrap_or_else(|_| OBS_SNAPSHOT_DIR.to_string());
-    let dir = Path::new(&dir);
-    std::fs::create_dir_all(dir).expect("create snapshot dir");
-    match emit_snapshot(&relayed32.sim.obs().registry, "exp_relay_fanout") {
-        Ok(path) => println!("\nobs snapshot: {}", path.display()),
-        Err(e) => eprintln!("obs snapshot write failed: {e}"),
-    }
-    let stats_path = dir.join("exp_relay_fanout_relay.json");
+    emit_snapshot(&relayed32.sim.obs().registry, "exp_relay_fanout");
     let doc = relayed32.sim.relay(relayed32.fanout_relay).stats_json();
-    std::fs::write(&stats_path, doc).expect("write relay stats");
-    println!("relay stats:  {}", stats_path.display());
+    emit_document("relay stats:", "exp_relay_fanout_relay.json", doc);
 }

@@ -16,7 +16,7 @@
 //! there for CI to upload. Exits non-zero when any scenario fails, so the
 //! suite doubles as a release gate.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use adshare_bench::print_table;
@@ -28,13 +28,6 @@ const FLASH_SEED: u64 = 708;
 const CHURN_SEED: u64 = 41;
 const CLIFF_SEED: u64 = 913;
 const FLOOR_SEED: u64 = 1201;
-
-fn artifact_dir() -> PathBuf {
-    PathBuf::from(
-        std::env::var("OBS_SNAPSHOT_DIR")
-            .unwrap_or_else(|_| adshare_bench::OBS_SNAPSHOT_DIR.into()),
-    )
-}
 
 fn run_all(dir: &Path) -> Vec<ScenarioOutcome> {
     let mut out = Vec::new();
@@ -56,7 +49,7 @@ fn run_all(dir: &Path) -> Vec<ScenarioOutcome> {
 }
 
 fn main() -> ExitCode {
-    let dir = artifact_dir();
+    let dir = adshare_bench::snapshot_dir();
     let outcomes = run_all(&dir);
 
     let rows: Vec<Vec<String>> = outcomes

@@ -5,8 +5,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use adshare_codec::{Image, Rect};
@@ -114,27 +113,77 @@ impl Content {
     }
 }
 
-/// Default directory where experiment binaries drop `adshare-obs/v1`
-/// registry snapshots (relative to the working directory). Overridable via
-/// the `OBS_SNAPSHOT_DIR` environment variable.
+/// The experiment roster: every `exp_*` binary with the EXPERIMENTS.md
+/// section it produces, in section order. `exp_all` runs exactly this list;
+/// a test holds it equal to the `exp_*` bins the crate builds. (E11 is the
+/// criterion bench `micro`, not a binary.)
+pub const EXPERIMENTS: [(u32, &str); 22] = [
+    (1, "exp_codec_content"),
+    (2, "exp_fragmentation"),
+    (3, "exp_scroll"),
+    (4, "exp_backlog"),
+    (5, "exp_loss_recovery"),
+    (6, "exp_late_joiner"),
+    (7, "exp_fanout"),
+    (8, "exp_hip"),
+    (9, "exp_damage"),
+    (10, "exp_vs_vnc"),
+    (12, "exp_bfcp"),
+    (13, "exp_app_vs_desktop"),
+    (14, "exp_adaptive"),
+    (15, "exp_rate_adapt"),
+    (16, "exp_encode_cache"),
+    (17, "exp_health"),
+    (18, "exp_relay_fanout"),
+    (19, "exp_scenarios"),
+    (20, "exp_layers"),
+    (21, "exp_host_scale"),
+    (22, "exp_codecs"),
+    (23, "exp_capture"),
+];
+
+/// Default directory where experiment binaries drop their documents
+/// (relative to the working directory). Overridable via the
+/// `OBS_SNAPSHOT_DIR` environment variable.
 pub const OBS_SNAPSHOT_DIR: &str = "target/obs";
 
-/// Write `registry`'s snapshot to `dir/<name>.json` (creating `dir` if
-/// needed) and return the path written.
-pub fn emit_snapshot_to(registry: &Registry, dir: &Path, name: &str) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, registry.snapshot().to_json())?;
-    Ok(path)
+/// Where this run's documents go: `$OBS_SNAPSHOT_DIR`, else
+/// [`OBS_SNAPSHOT_DIR`].
+pub fn snapshot_dir() -> PathBuf {
+    std::env::var_os("OBS_SNAPSHOT_DIR").map_or_else(|| OBS_SNAPSHOT_DIR.into(), PathBuf::from)
 }
 
-/// Write `registry`'s `adshare-obs/v1` snapshot to the standard location —
-/// `$OBS_SNAPSHOT_DIR` or [`OBS_SNAPSHOT_DIR`] — as `<name>.json`. The
-/// emitted document is what `obs_schema_check` validates against
-/// `schemas/obs_snapshot.schema.json`.
-pub fn emit_snapshot(registry: &Registry, name: &str) -> io::Result<PathBuf> {
-    let dir = std::env::var("OBS_SNAPSHOT_DIR").unwrap_or_else(|_| OBS_SNAPSHOT_DIR.to_string());
-    emit_snapshot_to(registry, Path::new(&dir), name)
+/// Write one artifact (a JSON document, a capture) as `file_name` under
+/// [`snapshot_dir`], creating the directory, and print `label` with the
+/// path. Panics when it cannot be written: an experiment whose artifacts
+/// are missing must not pass, because `obs_schema_check` and the CI uploads
+/// read them next.
+pub fn emit_document(label: &str, file_name: &str, contents: impl AsRef<[u8]>) {
+    let dir = snapshot_dir();
+    let path = dir.join(file_name);
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("{label:<14}{}", path.display());
+}
+
+/// Emit `registry`'s `adshare-obs/v1` snapshot as `<name>.json` — the
+/// document `schemas/obs_snapshot.schema.json` describes.
+pub fn emit_snapshot(registry: &Registry, name: &str) {
+    let file_name = format!("{name}.json");
+    emit_document("obs snapshot:", &file_name, registry.snapshot().to_json());
+}
+
+/// Write a `BENCH_*.json` to the path in environment variable `out_var`,
+/// else to `default_path` (the checked-in file, when run from the
+/// repository root). A failed write is reported, not fatal: the tables
+/// above it are the experiment.
+pub fn write_bench_json(out_var: &str, default_path: &str, json: &str) {
+    let out = std::env::var(out_var).unwrap_or_else(|_| default_path.into());
+    match std::fs::write(&out, format!("{json}\n")) {
+        Ok(()) => println!("\nbench json: {out}"),
+        Err(e) => eprintln!("bench json write failed: {e}"),
+    }
 }
 
 /// Print a markdown table with aligned columns.
@@ -172,10 +221,10 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1e6)
 }
 
-/// The machine a `BENCH_*.json` was measured on, as a JSON object: logical
-/// cores, CPU model string and compiler version. A throughput without them
-/// cannot be compared with one taken elsewhere.
-pub fn machine_json() -> String {
+/// The machine a `BENCH_*.json` was measured on, as the members of its
+/// `machine` object: logical cores, CPU model string and compiler version.
+/// A throughput without them cannot be compared with one taken elsewhere.
+pub fn machine_json(o: &mut adshare_obs::json::Obj<'_>) {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -192,12 +241,17 @@ pub fn machine_json() -> String {
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".into());
-    let mut out = format!("{{\"logical_cores\": {cores}, \"cpu_model\": ");
-    adshare_obs::json::write_string(&mut out, &cpu_model);
-    out.push_str(", \"rustc\": ");
-    adshare_obs::json::write_string(&mut out, &rustc);
-    out.push('}');
-    out
+    o.u64("logical_cores", cores as u64)
+        .str("cpu_model", &cpu_model)
+        .str("rustc", &rustc);
+}
+
+/// `v` rounded to `decimals` places — how a `BENCH_*.json` records a
+/// measurement, so the checked-in files change by digits that mean
+/// something.
+pub fn round_to(v: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (v * scale).round() / scale
 }
 
 /// Format bytes human-readably.
@@ -225,6 +279,32 @@ mod tests {
     }
 
     #[test]
+    fn roster_lists_every_experiment_binary() {
+        let mut roster: Vec<&str> = EXPERIMENTS.iter().map(|(_, bin)| *bin).collect();
+        roster.sort_unstable();
+        // Both declarations of "the bins": `[[bin]]` entries in the manifest
+        // and the sources Cargo auto-discovers.
+        let manifest = include_str!("../Cargo.toml");
+        let mut declared: Vec<&str> = manifest
+            .lines()
+            .filter_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+            .filter(|name| name.starts_with("exp_") && *name != "exp_all")
+            .collect();
+        declared.sort_unstable();
+        assert_eq!(roster, declared, "roster vs [[bin]] entries");
+        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut sources: Vec<String> = std::fs::read_dir(bin_dir)
+            .expect("src/bin")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter_map(|f| f.strip_suffix(".rs").map(String::from))
+            .filter(|name| name.starts_with("exp_") && name != "exp_all")
+            .collect();
+        sources.sort_unstable();
+        assert_eq!(roster, sources, "roster vs src/bin/exp_*.rs");
+        assert!(EXPERIMENTS.windows(2).all(|w| w[0].0 < w[1].0), "E order");
+    }
+
+    #[test]
     fn frames_deterministic() {
         for c in Content::ALL {
             assert_eq!(c.frame(64, 48, 9), c.frame(64, 48, 9));
@@ -239,33 +319,16 @@ mod tests {
     }
 
     #[test]
-    fn emit_snapshot_writes_parseable_json() {
+    fn emit_snapshot_writes_the_document_under_the_snapshot_dir() {
         let registry = Registry::new();
         registry.counter("test.counter").add(7);
-        registry.histogram("test.hist").record(123);
         let dir = std::env::temp_dir().join("adshare-bench-emit-test");
-        let path = emit_snapshot_to(&registry, &dir, "snapshot").expect("write");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let doc = adshare_obs::json::parse(&text).expect("valid JSON");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some(adshare_obs::SNAPSHOT_SCHEMA)
-        );
-        let metrics = doc.get("metrics").expect("metrics object");
-        assert_eq!(
-            metrics
-                .get("test.counter")
-                .and_then(|m| m.get("value"))
-                .and_then(|v| v.as_u64()),
-            Some(7)
-        );
-        assert_eq!(
-            metrics
-                .get("test.hist")
-                .and_then(|m| m.get("count"))
-                .and_then(|v| v.as_u64()),
-            Some(1)
-        );
+        // No other test in this crate reads the variable.
+        std::env::set_var("OBS_SNAPSHOT_DIR", &dir);
+        emit_snapshot(&registry, "snapshot");
+        std::env::remove_var("OBS_SNAPSHOT_DIR");
+        let text = std::fs::read_to_string(dir.join("snapshot.json")).expect("read back");
+        assert_eq!(text, registry.snapshot().to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -126,47 +126,38 @@ fn parse_hex(s: &str) -> Result<u64, String> {
 
 /// Serialize a [`ManifestSummary`] as the manifest JSON document.
 pub fn manifest_json(m: &ManifestSummary) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"schema\":");
-    json::write_string(&mut out, CAPTURE_MANIFEST_SCHEMA);
-    out.push_str(&format!(",\"session_id\":{}", m.session_id));
-    out.push_str(&format!(",\"consent\":{}", m.consent));
-    out.push_str(",\"mode\":");
-    json::write_string(&mut out, if m.ring { "ring" } else { "full" });
-    out.push_str(&format!(",\"window_us\":{}", m.window_us));
-    out.push_str(&format!(",\"records\":{}", m.records));
-    out.push_str(&format!(",\"bytes\":{}", m.bytes));
-    out.push_str(&format!(",\"truncated\":{}", m.truncated));
-    out.push_str(&format!(",\"truncated_records\":{}", m.truncated_records));
-    out.push_str(&format!(",\"truncated_bytes\":{}", m.truncated_bytes));
-    out.push_str(&format!(",\"duration_us\":{}", m.duration_us));
-    out.push_str(",\"wire_digest\":");
-    json::write_string(&mut out, &hex(m.wire_digest));
-    out.push_str(",\"surface_digests\":[");
-    for (i, (actor, digest)) in m.surface_digests.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"actor\":{actor},\"digest\":"));
-        json::write_string(&mut out, &hex(*digest));
-        out.push('}');
-    }
-    out.push_str("],\"streams\":[");
-    for (i, s) in m.streams.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"kind\":");
-        json::write_string(&mut out, s.kind.name());
-        out.push_str(",\"dir\":");
-        json::write_string(&mut out, s.dir.name());
-        out.push_str(&format!(
-            ",\"records\":{},\"bytes\":{}}}",
-            s.records, s.bytes
-        ));
-    }
-    out.push_str("]}");
-    out
+    json::object(|o| {
+        o.str("schema", CAPTURE_MANIFEST_SCHEMA)
+            .u64("session_id", m.session_id)
+            .bool("consent", m.consent)
+            .str("mode", if m.ring { "ring" } else { "full" })
+            .u64("window_us", m.window_us)
+            .u64("records", m.records)
+            .u64("bytes", m.bytes)
+            .bool("truncated", m.truncated)
+            .u64("truncated_records", m.truncated_records)
+            .u64("truncated_bytes", m.truncated_bytes)
+            .u64("duration_us", m.duration_us)
+            .str("wire_digest", &hex(m.wire_digest))
+            .array("surface_digests", |items| {
+                for (actor, digest) in &m.surface_digests {
+                    items.object(|o| {
+                        o.u64("actor", u64::from(*actor))
+                            .str("digest", &hex(*digest));
+                    });
+                }
+            })
+            .array("streams", |items| {
+                for s in &m.streams {
+                    items.object(|o| {
+                        o.str("kind", s.kind.name())
+                            .str("dir", s.dir.name())
+                            .u64("records", s.records)
+                            .u64("bytes", s.bytes);
+                    });
+                }
+            });
+    })
 }
 
 fn kind_by_name(name: &str) -> Result<StreamKind, String> {

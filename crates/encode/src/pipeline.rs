@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use adshare_codec::checksum::fast_hash64;
 use adshare_codec::{Image, Rect};
-use adshare_obs::{Counter, Gauge, Histogram, Registry};
+use adshare_obs::Registry;
 use bytes::Bytes;
 
 use crate::cache::{CacheKey, EncodeCache};
@@ -66,62 +66,40 @@ pub struct EncodedTile {
     pub cache_hit: bool,
 }
 
-/// Observability handles for the pipeline (adopt into a registry via
-/// [`EncodePipeline::register_metrics`]).
-#[derive(Debug, Clone, Default)]
-struct Metrics {
-    /// Tiles submitted for encoding.
-    tiles: Counter,
-    /// Cross-frame cache hits.
-    cache_hits: Counter,
-    /// Cache misses (fresh encodes).
-    cache_misses: Counter,
-    /// Intra-batch dedup hits (same content twice in one batch).
-    dedup_hits: Counter,
-    /// Entries evicted to hold the byte budget.
-    evictions: Counter,
-    /// Encoded bytes served from cache instead of re-encoded.
-    bytes_saved: Counter,
-    /// Current cached payload bytes.
-    cache_bytes: Gauge,
-    /// Current cache entry count.
-    cache_entries: Gauge,
-    /// Per-miss encode wall µs.
-    tile_encode_us: Histogram,
-    /// Per-batch wall µs (misses only; hit-only batches are free).
-    batch_wall_us: Histogram,
-    /// Parallel speedup ×100 per batch (cpu/wall; 100 = serial).
-    speedup_x100: Histogram,
-    /// Worker busy time in percent of `workers × wall`, per batch.
-    pool_utilization_pct: Histogram,
-    /// Workers used by the last parallel batch.
-    pool_workers: Gauge,
-    /// Σ batch wall µs (counter, so runs can be compared by subtraction).
-    wall_us_total: Counter,
-    /// Σ per-tile encode µs (the serial-equivalent cost).
-    cpu_us_total: Counter,
-}
-
-impl Metrics {
-    fn register(&self, registry: &Registry, prefix: &str) {
-        registry.adopt_counter(&format!("{prefix}.tiles"), &self.tiles);
-        registry.adopt_counter(&format!("{prefix}.cache.hits"), &self.cache_hits);
-        registry.adopt_counter(&format!("{prefix}.cache.misses"), &self.cache_misses);
-        registry.adopt_counter(&format!("{prefix}.cache.dedup_hits"), &self.dedup_hits);
-        registry.adopt_counter(&format!("{prefix}.cache.evictions"), &self.evictions);
-        registry.adopt_counter(&format!("{prefix}.cache.bytes_saved"), &self.bytes_saved);
-        registry.adopt_gauge(&format!("{prefix}.cache.bytes"), &self.cache_bytes);
-        registry.adopt_gauge(&format!("{prefix}.cache.entries"), &self.cache_entries);
-        registry.adopt_histogram(&format!("{prefix}.tile_encode_us"), &self.tile_encode_us);
-        registry.adopt_histogram(&format!("{prefix}.batch_wall_us"), &self.batch_wall_us);
-        registry.adopt_histogram(&format!("{prefix}.speedup_x100"), &self.speedup_x100);
-        registry.adopt_histogram(
-            &format!("{prefix}.pool_utilization_pct"),
-            &self.pool_utilization_pct,
-        );
-        registry.adopt_gauge(&format!("{prefix}.pool_workers"), &self.pool_workers);
-        registry.adopt_counter(&format!("{prefix}.wall_us_total"), &self.wall_us_total);
-        registry.adopt_counter(&format!("{prefix}.cpu_us_total"), &self.cpu_us_total);
+adshare_obs::metric_set! {
+    /// Observability handles for the pipeline (adopt into a registry via
+    /// [`EncodePipeline::register_metrics`]).
+    struct Metrics {
+        /// Tiles submitted for encoding.
+        tiles: counter "tiles",
+        /// Cross-frame cache hits.
+        cache_hits: counter "cache.hits",
+        /// Cache misses (fresh encodes).
+        cache_misses: counter "cache.misses",
+        /// Intra-batch dedup hits (same content twice in one batch).
+        dedup_hits: counter "cache.dedup_hits",
+        /// Entries evicted to hold the byte budget.
+        evictions: counter "cache.evictions",
+        /// Encoded bytes served from cache instead of re-encoded.
+        bytes_saved: counter "cache.bytes_saved",
+        /// Current cached payload bytes.
+        cache_bytes: gauge "cache.bytes",
+        /// Current cache entry count.
+        cache_entries: gauge "cache.entries",
+        /// Per-miss encode wall µs.
+        tile_encode_us: histogram "tile_encode_us",
+        /// Per-batch wall µs (misses only; hit-only batches are free).
+        batch_wall_us: histogram "batch_wall_us",
+        /// Parallel speedup ×100 per batch (cpu/wall; 100 = serial).
+        speedup_x100: histogram "speedup_x100",
+        /// Worker busy time in percent of `workers × wall`, per batch.
+        pool_utilization_pct: histogram "pool_utilization_pct",
+        /// Workers used by the last parallel batch.
+        pool_workers: gauge "pool_workers",
+        /// Σ batch wall µs (counter, so runs can be compared by subtraction).
+        wall_us_total: counter "wall_us_total",
+        /// Σ per-tile encode µs (the serial-equivalent cost).
+        cpu_us_total: counter "cpu_us_total",
     }
 }
 

@@ -57,114 +57,46 @@ pub struct HostStats {
 }
 
 impl HostStats {
-    /// Single-line JSON document carrying the [`HOST_STATS_SCHEMA`] marker.
+    /// JSON document carrying the [`HOST_STATS_SCHEMA`] marker.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema\":\"{schema}\",",
-                "\"sessions\":{sessions},",
-                "\"active_sessions\":{active},",
-                "\"services\":{services},",
-                "\"wall_us\":{wall},",
-                "\"cpu_us\":{cpu},",
-                "\"steps_min\":{smin},",
-                "\"steps_max\":{smax},",
-                "\"cache\":{{\"hits\":{hits},\"misses\":{misses},",
-                "\"insertions\":{ins},\"evictions\":{evict},",
-                "\"entries\":{entries},\"bytes\":{bytes},",
-                "\"shards\":{shards},\"hit_rate_pct\":{rate}}},",
-                "\"pool\":{{\"max_workers\":{workers},",
-                "\"inline_fallbacks\":{fallbacks}}},",
-                "\"codec\":{codec}}}"
-            ),
-            schema = HOST_STATS_SCHEMA,
-            sessions = self.sessions,
-            active = self.active_sessions,
-            services = self.services,
-            wall = self.wall_us,
-            cpu = self.cpu_us,
-            smin = self.steps_min,
-            smax = self.steps_max,
-            hits = self.cache_hits,
-            misses = self.cache_misses,
-            ins = self.cache_insertions,
-            evict = self.cache_evictions,
-            entries = self.cache_entries,
-            bytes = self.cache_bytes,
-            shards = self.cache_shards,
-            rate = self.cache_hit_rate_pct,
-            workers = self.pool_max_workers,
-            fallbacks = self.pool_inline_fallbacks,
-            codec = self.codec_json(),
-        )
-    }
-
-    /// The `"codec"` sub-object: one entry per [`CODEC_NAMES`] codec.
-    fn codec_json(&self) -> String {
-        let entries: Vec<String> = CODEC_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                format!(
-                    "\"{name}\":{{\"cpu_us\":{},\"encodes\":{}}}",
-                    self.codec_cpu_us[i], self.codec_encodes[i]
-                )
-            })
-            .collect();
-        format!("{{{}}}", entries.join(","))
+        adshare_obs::json::object(|o| {
+            o.str("schema", HOST_STATS_SCHEMA)
+                .u64("sessions", self.sessions)
+                .u64("active_sessions", self.active_sessions)
+                .u64("services", self.services)
+                .u64("wall_us", self.wall_us)
+                .u64("cpu_us", self.cpu_us)
+                .u64("steps_min", self.steps_min)
+                .u64("steps_max", self.steps_max)
+                .object("cache", |o| {
+                    o.u64("hits", self.cache_hits)
+                        .u64("misses", self.cache_misses)
+                        .u64("insertions", self.cache_insertions)
+                        .u64("evictions", self.cache_evictions)
+                        .u64("entries", self.cache_entries)
+                        .u64("bytes", self.cache_bytes)
+                        .u64("shards", self.cache_shards)
+                        .u64("hit_rate_pct", self.cache_hit_rate_pct);
+                })
+                .object("pool", |o| {
+                    o.u64("max_workers", self.pool_max_workers)
+                        .u64("inline_fallbacks", self.pool_inline_fallbacks);
+                })
+                .object("codec", |codecs| {
+                    for (i, name) in CODEC_NAMES.iter().enumerate() {
+                        codecs.object(name, |o| {
+                            o.u64("cpu_us", self.codec_cpu_us[i])
+                                .u64("encodes", self.codec_encodes[i]);
+                        });
+                    }
+                });
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> HostStats {
-        HostStats {
-            sessions: 64,
-            active_sessions: 12,
-            services: 4096,
-            wall_us: 125_000,
-            cpu_us: 118_000,
-            steps_min: 60,
-            steps_max: 68,
-            cache_hits: 9_000,
-            cache_misses: 1_000,
-            cache_insertions: 1_000,
-            cache_evictions: 3,
-            cache_entries: 997,
-            cache_bytes: 5 << 20,
-            cache_shards: 16,
-            cache_hit_rate_pct: 90,
-            pool_max_workers: 8,
-            pool_inline_fallbacks: 2,
-            codec_cpu_us: [0, 90_000, 28_000, 0],
-            codec_encodes: [0, 800, 200, 0],
-        }
-    }
-
-    #[test]
-    fn json_is_parseable_and_carries_the_marker() {
-        let json = sample().to_json();
-        let doc = adshare_obs::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some(HOST_STATS_SCHEMA)
-        );
-        assert_eq!(doc.get("sessions").and_then(|v| v.as_u64()), Some(64));
-        let cache = doc.get("cache").expect("cache object");
-        assert_eq!(cache.get("hit_rate_pct").and_then(|v| v.as_u64()), Some(90));
-        assert_eq!(cache.get("shards").and_then(|v| v.as_u64()), Some(16));
-        let pool = doc.get("pool").expect("pool object");
-        assert_eq!(pool.get("max_workers").and_then(|v| v.as_u64()), Some(8));
-        let codec = doc.get("codec").expect("codec object");
-        let png = codec.get("png").expect("png entry");
-        assert_eq!(png.get("cpu_us").and_then(|v| v.as_u64()), Some(90_000));
-        assert_eq!(png.get("encodes").and_then(|v| v.as_u64()), Some(800));
-        for name in CODEC_NAMES {
-            assert!(codec.get(name).is_some(), "codec entry {name}");
-        }
-    }
 
     #[test]
     fn codec_names_match_codec_kind_order() {

@@ -43,40 +43,37 @@ pub struct TierStats {
 impl TierStats {
     /// Serialize to the schema'd JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.legs.len() * 160);
-        out.push_str(&format!(
-            "{{\"schema\":\"{}\",\"relay_id\":{},\"upstream_tier\":{},\"tier_requests\":{},\"legs\":[",
-            TIER_STATS_SCHEMA, self.relay_id, self.upstream_tier, self.tier_requests
-        ));
-        for (i, leg) in self.legs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"leg\":{},\"tier\":{},\"switches\":{},\"downgrades\":{},\
-                 \"verbatim_msgs\":{},\"synth_msgs\":{},\"synth_bytes\":{},\"est_rate_bps\":{}}}",
-                leg.leg,
-                leg.tier,
-                leg.switches,
-                leg.downgrades,
-                leg.verbatim_msgs,
-                leg.synth_msgs,
-                leg.synth_bytes,
-                leg.est_rate_bps
-            ));
-        }
-        out.push_str("]}");
-        out
+        adshare_obs::json::object(|o| {
+            o.str("schema", TIER_STATS_SCHEMA)
+                .u64("relay_id", self.relay_id as u64)
+                .u64("upstream_tier", u64::from(self.upstream_tier))
+                .u64("tier_requests", self.tier_requests)
+                .array("legs", |legs| {
+                    for leg in &self.legs {
+                        legs.object(|o| {
+                            o.u64("leg", leg.leg as u64)
+                                .u64("tier", u64::from(leg.tier))
+                                .u64("switches", leg.switches)
+                                .u64("downgrades", leg.downgrades)
+                                .u64("verbatim_msgs", leg.verbatim_msgs)
+                                .u64("synth_msgs", leg.synth_msgs)
+                                .u64("synth_bytes", leg.synth_bytes)
+                                .u64("est_rate_bps", leg.est_rate_bps);
+                        });
+                    }
+                });
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adshare_obs::json::{parse, Json};
 
     #[test]
-    fn json_shape() {
-        let stats = TierStats {
+    fn json_carries_every_field() {
+        let mut stats = TierStats {
             relay_id: 3,
             upstream_tier: 1,
             tier_requests: 2,
@@ -91,23 +88,30 @@ mod tests {
                 est_rate_bps: 900_000,
             }],
         };
-        let json = stats.to_json();
-        assert!(json.starts_with("{\"schema\":\"adshare-relay-tier-stats/v1\""));
-        assert!(json.contains("\"relay_id\":3"));
-        assert!(json.contains("\"upstream_tier\":1"));
-        assert!(json.contains("\"legs\":[{\"leg\":0,\"tier\":2"));
-        assert!(json.contains("\"est_rate_bps\":900000"));
-        assert!(json.ends_with("]}"));
-    }
+        let doc = parse(&stats.to_json()).expect("valid JSON");
+        let top = |key: &str| doc.get(key).and_then(Json::as_u64);
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(TIER_STATS_SCHEMA)
+        );
+        assert_eq!((top("relay_id"), top("upstream_tier")), (Some(3), Some(1)));
+        assert_eq!(top("tier_requests"), Some(2));
+        let legs = doc.get("legs").and_then(Json::as_array).unwrap();
+        let leg = |key: &str| legs[0].get(key).and_then(Json::as_u64);
+        assert_eq!((leg("leg"), leg("tier")), (Some(0), Some(2)));
+        assert_eq!((leg("switches"), leg("downgrades")), (Some(4), Some(3)));
+        assert_eq!(
+            (leg("verbatim_msgs"), leg("synth_msgs")),
+            (Some(10), Some(20))
+        );
+        assert_eq!(leg("synth_bytes"), Some(4096));
+        assert_eq!(leg("est_rate_bps"), Some(900_000));
 
-    #[test]
-    fn empty_legs_still_valid() {
-        let stats = TierStats {
-            relay_id: 0,
-            upstream_tier: 0,
-            tier_requests: 0,
-            legs: Vec::new(),
-        };
-        assert!(stats.to_json().contains("\"legs\":[]"));
+        stats.legs.clear();
+        let doc = parse(&stats.to_json()).expect("valid JSON");
+        assert_eq!(
+            doc.get("legs").and_then(Json::as_array).map(<[Json]>::len),
+            Some(0)
+        );
     }
 }

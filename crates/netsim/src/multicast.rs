@@ -3,28 +3,32 @@
 //! unicast transmissions"; §4.3: "Several simultaneous multicast sessions
 //! with different transmission rates can be created").
 
-use adshare_obs::{Counter, Registry};
+use adshare_obs::Registry;
 
 use crate::udp::{LinkConfig, UdpChannel, UdpStats};
 
+adshare_obs::metric_set! {
+    /// What the AH sends into a group, counted once however many members
+    /// receive it.
+    struct EgressCounters {
+        /// Datagrams sent into the group.
+        sent: counter "tx_datagrams",
+        /// Bytes sent into the group.
+        bytes_sent: counter "tx_bytes",
+    }
+}
+
 /// A multicast group: one ingress, N member channels.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MulticastGroup {
     members: Vec<UdpChannel>,
-    /// Datagrams sent into the group (counted once, as the AH's egress).
-    sent: Counter,
-    /// Bytes sent into the group.
-    bytes_sent: Counter,
+    egress: EgressCounters,
 }
 
 impl MulticastGroup {
     /// An empty group.
     pub fn new() -> Self {
-        MulticastGroup {
-            members: Vec::new(),
-            sent: Counter::new(),
-            bytes_sent: Counter::new(),
-        }
+        MulticastGroup::default()
     }
 
     /// Add a member with its own path characteristics; returns its index.
@@ -53,8 +57,8 @@ impl MulticastGroup {
     /// Send one datagram to every member. The AH pays the cost once —
     /// that is multicast's whole point, and experiment E7 measures it.
     pub fn send(&mut self, now_us: u64, payload: &[u8]) {
-        self.sent.inc();
-        self.bytes_sent.add(payload.len() as u64);
+        self.egress.sent.inc();
+        self.egress.bytes_sent.add(payload.len() as u64);
         for m in &mut self.members {
             m.send(now_us, payload);
         }
@@ -71,7 +75,7 @@ impl MulticastGroup {
     /// The AH-side egress counters: (datagrams, bytes) — independent of
     /// group size.
     pub fn egress(&self) -> (u64, u64) {
-        (self.sent.get(), self.bytes_sent.get())
+        (self.egress.sent.get(), self.egress.bytes_sent.get())
     }
 
     /// Earliest pending delivery across all members, for event-driven
@@ -92,17 +96,10 @@ impl MulticastGroup {
     /// counters into `registry`: egress under `{prefix}.tx_*`, member `i`
     /// under `{prefix}.member.{i}.*`.
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.adopt_counter(&format!("{prefix}.tx_datagrams"), &self.sent);
-        registry.adopt_counter(&format!("{prefix}.tx_bytes"), &self.bytes_sent);
+        self.egress.register(registry, prefix);
         for (i, m) in self.members.iter().enumerate() {
             m.register_metrics(registry, &format!("{prefix}.member.{i}"));
         }
-    }
-}
-
-impl Default for MulticastGroup {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -5,7 +5,7 @@
 //! the select() command) and only send the most recent screen data when
 //! there is no backlog".
 
-use adshare_obs::{Counter, Gauge, Registry};
+use adshare_obs::Registry;
 
 /// TCP link parameters.
 #[derive(Debug, Clone, Copy)]
@@ -28,28 +28,24 @@ impl Default for TcpConfig {
     }
 }
 
-/// Stream statistics (a point-in-time copy of the link's counters).
-///
-/// The stream is reliable, so once the link is drained every accepted byte
-/// is delivered: `bytes_accepted == bytes_delivered`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TcpStats {
-    /// Bytes accepted into the send buffer.
-    pub bytes_accepted: u64,
-    /// Bytes the sender offered but the buffer could not take.
-    pub bytes_refused: u64,
-    /// Bytes delivered to the receiver.
-    pub bytes_delivered: u64,
-}
-
-/// Live counter handles behind [`TcpStats`]; adoptable into a [`Registry`].
-#[derive(Debug, Clone, Default)]
-struct TcpCounters {
-    bytes_accepted: Counter,
-    bytes_refused: Counter,
-    bytes_delivered: Counter,
-    /// Current send-buffer occupancy — the §7 backlog signal as a gauge.
-    backlog: Gauge,
+adshare_obs::metric_set! {
+    /// Live handles behind [`TcpStats`], plus the backlog gauge.
+    struct TcpCounters {
+        /// Current send-buffer occupancy — the §7 backlog signal as a gauge.
+        backlog: gauge "backlog_bytes",
+    }
+    /// Stream statistics (a point-in-time copy of the link's counters).
+    ///
+    /// The stream is reliable, so once the link is drained every accepted
+    /// byte is delivered: `bytes_accepted == bytes_delivered`.
+    pub struct TcpStats {
+        /// Bytes accepted into the send buffer.
+        bytes_accepted: counter "tx_bytes",
+        /// Bytes the sender offered but the buffer could not take.
+        bytes_refused: counter "refused_bytes",
+        /// Bytes delivered to the receiver.
+        bytes_delivered: counter "rx_bytes",
+    }
 }
 
 /// A unidirectional reliable byte stream.
@@ -149,22 +145,13 @@ impl TcpLink {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> TcpStats {
-        let c = &self.counters;
-        TcpStats {
-            bytes_accepted: c.bytes_accepted.get(),
-            bytes_refused: c.bytes_refused.get(),
-            bytes_delivered: c.bytes_delivered.get(),
-        }
+        self.counters.stats()
     }
 
     /// Adopt this link's counters into `registry` under `prefix`
     /// (e.g. `participant.2.tcp` → `participant.2.tcp.tx_bytes`, ...).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        let c = &self.counters;
-        registry.adopt_counter(&format!("{prefix}.tx_bytes"), &c.bytes_accepted);
-        registry.adopt_counter(&format!("{prefix}.refused_bytes"), &c.bytes_refused);
-        registry.adopt_counter(&format!("{prefix}.rx_bytes"), &c.bytes_delivered);
-        registry.adopt_gauge(&format!("{prefix}.backlog_bytes"), &c.backlog);
+        self.counters.register(registry, prefix);
     }
 
     /// Drain the send buffer onto the wire as the serializer frees up.

@@ -6,7 +6,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use adshare_obs::{Counter, Registry};
+use adshare_obs::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,47 +51,37 @@ pub struct LinkStep {
     pub cfg: LinkConfig,
 }
 
-/// Delivery statistics (a point-in-time copy of the channel's counters).
-///
-/// Accounting is byte-exact: every offered datagram ends up delivered,
-/// dropped, or still in flight, and duplication is tracked separately, so
-/// once the channel is drained
-///
-/// ```text
-/// sent + duplicated == delivered + dropped
-/// bytes_sent + bytes_duplicated == bytes_delivered + bytes_dropped
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UdpStats {
-    /// Datagrams offered to the channel.
-    pub sent: u64,
-    /// Datagrams delivered (includes duplicates).
-    pub delivered: u64,
-    /// Datagrams dropped by loss, MTU, or rate policing.
-    pub dropped: u64,
-    /// Extra datagram copies injected by duplication.
-    pub duplicated: u64,
-    /// Payload bytes offered.
-    pub bytes_sent: u64,
-    /// Payload bytes delivered (includes duplicate copies).
-    pub bytes_delivered: u64,
-    /// Payload bytes dropped by loss, MTU, or rate policing.
-    pub bytes_dropped: u64,
-    /// Payload bytes added by duplicate copies.
-    pub bytes_duplicated: u64,
-}
-
-/// Live counter handles behind [`UdpStats`]; adoptable into a [`Registry`].
-#[derive(Debug, Clone, Default)]
-struct UdpCounters {
-    sent: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    duplicated: Counter,
-    bytes_sent: Counter,
-    bytes_delivered: Counter,
-    bytes_dropped: Counter,
-    bytes_duplicated: Counter,
+adshare_obs::metric_set! {
+    /// Live counter handles behind [`UdpStats`].
+    struct UdpCounters {}
+    /// Delivery statistics (a point-in-time copy of the channel's counters).
+    ///
+    /// Accounting is byte-exact: every offered datagram ends up delivered,
+    /// dropped, or still in flight, and duplication is tracked separately, so
+    /// once the channel is drained
+    ///
+    /// ```text
+    /// sent + duplicated == delivered + dropped
+    /// bytes_sent + bytes_duplicated == bytes_delivered + bytes_dropped
+    /// ```
+    pub struct UdpStats {
+        /// Datagrams offered to the channel.
+        sent: counter "tx_datagrams",
+        /// Payload bytes offered.
+        bytes_sent: counter "tx_bytes",
+        /// Datagrams delivered (includes duplicates).
+        delivered: counter "rx_datagrams",
+        /// Payload bytes delivered (includes duplicate copies).
+        bytes_delivered: counter "rx_bytes",
+        /// Datagrams dropped by loss, MTU, or rate policing.
+        dropped: counter "dropped_datagrams",
+        /// Payload bytes dropped by loss, MTU, or rate policing.
+        bytes_dropped: counter "dropped_bytes",
+        /// Extra datagram copies injected by duplication.
+        duplicated: counter "dup_datagrams",
+        /// Payload bytes added by duplicate copies.
+        bytes_duplicated: counter "dup_bytes",
+    }
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -271,31 +261,13 @@ impl UdpChannel {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> UdpStats {
-        let c = &self.counters;
-        UdpStats {
-            sent: c.sent.get(),
-            delivered: c.delivered.get(),
-            dropped: c.dropped.get(),
-            duplicated: c.duplicated.get(),
-            bytes_sent: c.bytes_sent.get(),
-            bytes_delivered: c.bytes_delivered.get(),
-            bytes_dropped: c.bytes_dropped.get(),
-            bytes_duplicated: c.bytes_duplicated.get(),
-        }
+        self.counters.stats()
     }
 
     /// Adopt this channel's counters into `registry` under `prefix`
     /// (e.g. `participant.0.udp` → `participant.0.udp.tx_bytes`, ...).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        let c = &self.counters;
-        registry.adopt_counter(&format!("{prefix}.tx_datagrams"), &c.sent);
-        registry.adopt_counter(&format!("{prefix}.tx_bytes"), &c.bytes_sent);
-        registry.adopt_counter(&format!("{prefix}.rx_datagrams"), &c.delivered);
-        registry.adopt_counter(&format!("{prefix}.rx_bytes"), &c.bytes_delivered);
-        registry.adopt_counter(&format!("{prefix}.dropped_datagrams"), &c.dropped);
-        registry.adopt_counter(&format!("{prefix}.dropped_bytes"), &c.bytes_dropped);
-        registry.adopt_counter(&format!("{prefix}.dup_datagrams"), &c.duplicated);
-        registry.adopt_counter(&format!("{prefix}.dup_bytes"), &c.bytes_duplicated);
+        self.counters.register(registry, prefix);
     }
 }
 

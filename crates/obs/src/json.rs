@@ -1,11 +1,200 @@
-//! A minimal JSON writer helper and recursive-descent parser.
+//! The workspace's one JSON layer: a streaming writer and a
+//! recursive-descent parser (no serde is available offline).
 //!
-//! No serde is available offline, so snapshot export is hand-serialized
-//! (in `registry.rs`) and this module provides the matching parser used by
-//! tests and the `obs_schema_check` validation bin to verify that exported
-//! documents are well-formed and shaped as claimed.
+//! Every document the system emits about itself — registry snapshots, event
+//! logs, health reports, black boxes, Chrome traces, relay/host/tier stats,
+//! scenario outcomes, capture manifests, `BENCH_*.json` — is written through
+//! [`object`]: an emitter is a plain function that names keys and hands over
+//! values, and [`Obj`]/[`Arr`] place the commas, quote the keys, escape the
+//! strings and print the numbers. Whatever it is handed, the writer produces
+//! a document [`parse`] accepts. The parser is what tests, the
+//! [`crate::schema`] walker and `obs_schema_check` read documents back with.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Containers nested deeper than this are written on one line; shallower
+/// ones put each member on its own line, so a snapshot greps to one metric
+/// per line and a checked-in `BENCH_*.json` diffs row by row.
+const BREAK_DEPTH: usize = 2;
+
+/// Write one JSON document: `fill` adds the members of its top-level object.
+pub fn object(fill: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, 0, fill);
+    out
+}
+
+fn write_object(out: &mut String, depth: usize, fill: impl FnOnce(&mut Obj<'_>)) {
+    let mut obj = Obj(Scope::open(out, depth, '{'));
+    fill(&mut obj);
+    obj.0.close('}');
+}
+
+fn write_array(out: &mut String, depth: usize, fill: impl FnOnce(&mut Arr<'_>)) {
+    let mut arr = Arr(Scope::open(out, depth, '['));
+    fill(&mut arr);
+    arr.0.close(']');
+}
+
+/// An open `{}` or `[]`: where the next member goes and whether it needs a
+/// comma.
+struct Scope<'a> {
+    out: &'a mut String,
+    /// Nesting depth of this container; the document itself is 0.
+    depth: usize,
+    empty: bool,
+}
+
+impl<'a> Scope<'a> {
+    fn open(out: &'a mut String, depth: usize, bracket: char) -> Scope<'a> {
+        out.push(bracket);
+        Scope {
+            out,
+            depth,
+            empty: true,
+        }
+    }
+
+    fn line_break(&mut self, indent: usize) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n("  ", indent));
+    }
+
+    /// Comma and spacing before the next member or item.
+    fn next(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        if self.depth < BREAK_DEPTH {
+            self.line_break(self.depth + 1);
+        } else if !self.empty {
+            self.out.push(' ');
+        }
+        self.empty = false;
+    }
+
+    fn close(mut self, bracket: char) {
+        if !self.empty && self.depth < BREAK_DEPTH {
+            self.line_break(self.depth);
+        }
+        self.out.push(bracket);
+    }
+
+    fn display(&mut self, v: impl std::fmt::Display) {
+        write!(self.out, "{v}").expect("writing to a String cannot fail");
+    }
+
+    /// Finite values in full precision; ±∞ as ±`f64::MAX` and NaN as `null`,
+    /// because JSON has no spelling for them and `inf`/`NaN` do not parse.
+    fn f64(&mut self, v: f64) {
+        if v.is_nan() {
+            self.out.push_str("null");
+        } else {
+            self.display(format_args!("{:?}", v.clamp(f64::MIN, f64::MAX)));
+        }
+    }
+}
+
+/// An object under construction: every method adds one member and returns
+/// the object for chaining.
+pub struct Obj<'a>(Scope<'a>);
+
+impl Obj<'_> {
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.0.next();
+        write_string(self.0.out, key);
+        self.0.out.push_str(": ");
+        self
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_string(self.key(key).0.out, value);
+        self
+    }
+
+    /// An unsigned integer member.
+    pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
+        self.key(key).0.display(value);
+        self
+    }
+
+    /// A signed integer member.
+    pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
+        self.key(key).0.display(value);
+        self
+    }
+
+    /// A floating-point member: finite values in full precision, ±∞ as
+    /// ±`f64::MAX`, NaN as `null` (JSON spells none of the three, and a
+    /// document must parse whatever threshold or ratio it is handed).
+    pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        self.key(key).0.f64(value);
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).0.display(value);
+        self
+    }
+
+    /// A member whose value is an already rendered JSON document (another
+    /// emitter's output), embedded verbatim.
+    pub fn raw(&mut self, key: &str, document: &str) -> &mut Self {
+        self.key(key).0.out.push_str(document);
+        self
+    }
+
+    /// A nested object member; `fill` adds its members.
+    pub fn object(&mut self, key: &str, fill: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        self.key(key);
+        write_object(self.0.out, self.0.depth + 1, fill);
+        self
+    }
+
+    /// A nested array member; `fill` appends its items.
+    pub fn array(&mut self, key: &str, fill: impl FnOnce(&mut Arr<'_>)) -> &mut Self {
+        self.key(key);
+        write_array(self.0.out, self.0.depth + 1, fill);
+        self
+    }
+}
+
+/// An array under construction: every method appends one item and returns
+/// the array for chaining.
+pub struct Arr<'a>(Scope<'a>);
+
+impl Arr<'_> {
+    /// A string item.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.0.next();
+        write_string(self.0.out, value);
+        self
+    }
+
+    /// An unsigned integer item.
+    pub fn u64(&mut self, value: u64) -> &mut Self {
+        self.0.next();
+        self.0.display(value);
+        self
+    }
+
+    /// An object item; `fill` adds its members.
+    pub fn object(&mut self, fill: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        self.0.next();
+        write_object(self.0.out, self.0.depth + 1, fill);
+        self
+    }
+
+    /// An array item; `fill` appends its items.
+    pub fn array(&mut self, fill: impl FnOnce(&mut Arr<'_>)) -> &mut Self {
+        self.0.next();
+        write_array(self.0.out, self.0.depth + 1, fill);
+        self
+    }
+}
 
 /// Escape and write `s` as a JSON string (with surrounding quotes).
 pub fn write_string(out: &mut String, s: &str) {
@@ -281,6 +470,62 @@ mod tests {
         let mut buf = String::new();
         write_string(&mut buf, original);
         assert_eq!(parse(&buf).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn written_documents_parse_back_whatever_they_are_handed() {
+        let hostile = "sp\"an\\ with\nnewline \u{1}";
+        let text = object(|o| {
+            o.str(hostile, hostile)
+                .u64("max", u64::MAX)
+                .i64("negative", -7)
+                .bool("flag", true)
+                .f64("ratio", 1.25e-7)
+                .f64("huge", 1e300)
+                .f64("inf", f64::INFINITY)
+                .f64("neg_inf", f64::NEG_INFINITY)
+                .f64("nan", f64::NAN)
+                .raw(
+                    "embedded",
+                    &object(|o| {
+                        o.u64("n", 1);
+                    }),
+                )
+                .object("empty_object", |_| {})
+                .array("empty_array", |_| {})
+                .array("rows", |rows| {
+                    rows.str(hostile).u64(3).array(|pair| {
+                        pair.u64(1).u64(2);
+                    });
+                    rows.object(|o| {
+                        o.object("deep", |o| {
+                            o.u64("deeper", 4);
+                        });
+                    });
+                });
+        });
+        let doc = parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(doc.get(hostile).and_then(Json::as_str), Some(hostile));
+        assert_eq!(doc.get("max"), Some(&Json::Num(u64::MAX as f64)));
+        assert_eq!(doc.get("negative").and_then(Json::as_i64), Some(-7));
+        assert_eq!(doc.get("flag"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("ratio"), Some(&Json::Num(1.25e-7)));
+        assert_eq!(doc.get("huge"), Some(&Json::Num(1e300)));
+        assert_eq!(doc.get("inf"), Some(&Json::Num(f64::MAX)));
+        assert_eq!(doc.get("neg_inf"), Some(&Json::Num(f64::MIN)));
+        assert_eq!(doc.get("nan"), Some(&Json::Null));
+        let embedded = doc.get("embedded").and_then(|e| e.get("n"));
+        assert_eq!(embedded.and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("empty_object"), Some(&Json::Obj(BTreeMap::new())));
+        assert_eq!(doc.get("empty_array"), Some(&Json::Arr(Vec::new())));
+        let rows = doc.get("rows").and_then(Json::as_array).unwrap();
+        assert_eq!(rows[0].as_str(), Some(hostile));
+        assert_eq!(rows[2].as_array().map(<[Json]>::len), Some(2));
+        let deeper = rows[3].get("deep").and_then(|d| d.get("deeper"));
+        assert_eq!(deeper.and_then(Json::as_u64), Some(4));
+        // Shallow members get a line each; deep ones share their parent's.
+        assert!(text.lines().any(|l| l.trim_start().starts_with("\"max\"")));
+        assert_eq!(text.lines().filter(|l| l.contains("deeper")).count(), 1);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   and recorder events.
 //! - [`Obs`]: the cloneable bundle (registry + sink + stage histograms +
 //!   recorder + health) threaded through AH, participants, and transports.
+//! - [`json`], [`metric_set!`] and [`schema`]: the one document layer under
+//!   all of the above and under every other crate's stats — a streaming
+//!   JSON writer (and parser), a metric set declared once, and the walker
+//!   that checks any emitted document against the checked-in schema files.
 //!
 //! See DESIGN.md § Observability and § Flight recorder & health for the
 //! naming scheme and how to add a metric, event, or rule.
@@ -33,6 +37,8 @@ pub mod health;
 pub mod json;
 pub mod metrics;
 pub mod registry;
+pub mod schema;
+mod set;
 pub mod timeline;
 pub mod trace;
 

@@ -254,52 +254,39 @@ impl Snapshot {
     /// Histogram `buckets` are `[inclusive_upper_bound, count]` pairs for
     /// non-empty buckets only.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.metrics.len() * 64);
-        out.push_str("{\n  \"schema\": ");
-        json::write_string(&mut out, SNAPSHOT_SCHEMA);
-        out.push_str(",\n  \"metrics\": {");
-        let mut first = true;
-        for (name, m) in &self.metrics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            json::write_string(&mut out, name);
-            out.push_str(": ");
-            match m {
-                MetricSnapshot::Counter(v) => {
-                    out.push_str(&format!("{{\"type\": \"counter\", \"value\": {v}}}"));
-                }
-                MetricSnapshot::Gauge(v) => {
-                    out.push_str(&format!("{{\"type\": \"gauge\", \"value\": {v}}}"));
-                }
-                MetricSnapshot::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \
-                         \"min\": {}, \"max\": {}, \"mean\": {}, \
-                         \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                        h.count,
-                        h.sum,
-                        h.min,
-                        h.max,
-                        h.mean(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99()
-                    ));
-                    for (i, (le, c)) in h.nonzero_buckets().into_iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
+        json::object(|o| {
+            o.str("schema", SNAPSHOT_SCHEMA);
+            o.object("metrics", |metrics| {
+                for (name, m) in &self.metrics {
+                    metrics.object(name, |o| match m {
+                        MetricSnapshot::Counter(v) => {
+                            o.str("type", "counter").u64("value", *v);
                         }
-                        out.push_str(&format!("[{le}, {c}]"));
-                    }
-                    out.push_str("]}");
+                        MetricSnapshot::Gauge(v) => {
+                            o.str("type", "gauge").i64("value", *v);
+                        }
+                        MetricSnapshot::Histogram(h) => {
+                            o.str("type", "histogram")
+                                .u64("count", h.count)
+                                .u64("sum", h.sum)
+                                .u64("min", h.min)
+                                .u64("max", h.max)
+                                .u64("mean", h.mean())
+                                .u64("p50", h.p50())
+                                .u64("p90", h.p90())
+                                .u64("p99", h.p99())
+                                .array("buckets", |buckets| {
+                                    for (le, c) in h.nonzero_buckets() {
+                                        buckets.array(|pair| {
+                                            pair.u64(le).u64(c);
+                                        });
+                                    }
+                                });
+                        }
+                    });
                 }
-            }
-        }
-        out.push_str("\n  }\n}\n");
-        out
+            });
+        })
     }
 }
 

@@ -12,14 +12,14 @@
 //!   carrying instant (`ph: "i"`) events named by
 //!   [`EventKind::name`](crate::events::EventKind::name).
 //!
-//! Serialization is by hand on top of [`crate::json`] (serde is
-//! unavailable offline); [`validate_chrome_trace`] re-parses a document and
+//! Serialization goes through the [`crate::json`] writer;
+//! [`validate_chrome_trace`] re-parses a document and
 //! checks the structural invariants Perfetto relies on — used by the
 //! proptest suite and by `adshare-demo sim --trace` before writing the
 //! file.
 
 use crate::events::{Event, ACTOR_AH};
-use crate::json::{self, Json};
+use crate::json::{self, Arr, Json, Obj};
 use crate::trace::{CompletedTrace, STAGE_NAMES};
 
 /// Synthetic pid for the whole session (Chrome traces require one).
@@ -65,26 +65,37 @@ fn event_tid(actor: u16) -> u64 {
     }
 }
 
-fn push_meta(out: &mut String, tid: u64, name: &str) {
-    out.push_str(&format!(
-        "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {PID}, \"tid\": {tid}, \"args\": {{\"name\": "
-    ));
-    json::write_string(out, name);
-    out.push_str("}}");
+/// A `thread_name` metadata record: labels track `tid`.
+fn push_meta(events: &mut Arr<'_>, tid: u64, name: &str) {
+    events.object(|o| {
+        o.str("name", "thread_name")
+            .str("ph", "M")
+            .u64("pid", PID)
+            .u64("tid", tid)
+            .object("args", |a| {
+                a.str("name", name);
+            });
+    });
 }
 
-fn push_span(out: &mut String, name: &str, tid: u64, ts: u64, dur: u64, args: &str) {
-    out.push_str("{\"name\": ");
-    json::write_string(out, name);
-    out.push_str(&format!(
-        ", \"ph\": \"B\", \"pid\": {PID}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {args}}}, "
-    ));
-    out.push_str("{\"name\": ");
-    json::write_string(out, name);
-    out.push_str(&format!(
-        ", \"ph\": \"E\", \"pid\": {PID}, \"tid\": {tid}, \"ts\": {}}}",
-        ts + dur
-    ));
+/// One record of phase `ph` on track `tid` at `ts`; `rest` adds whatever
+/// else that phase carries (`args`, the instant scope).
+fn push_event(
+    events: &mut Arr<'_>,
+    name: &str,
+    ph: &str,
+    tid: u64,
+    ts: u64,
+    rest: impl FnOnce(&mut Obj<'_>),
+) {
+    events.object(|o| {
+        o.str("name", name)
+            .str("ph", ph)
+            .u64("pid", PID)
+            .u64("tid", tid)
+            .u64("ts", ts);
+        rest(o);
+    });
 }
 
 /// Render completed frame traces plus recorder events as Chrome-trace JSON.
@@ -105,113 +116,85 @@ pub fn chrome_trace_json_with_packets(
     events: &[Event],
     packets: &[PacketSample],
 ) -> String {
-    let mut out =
-        String::with_capacity(256 + traces.len() * 600 + events.len() * 160 + packets.len() * 140);
-    out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-    };
+    json::object(|doc| {
+        doc.str("displayTimeUnit", "ms");
+        doc.array("traceEvents", |out| {
+            // Track metadata. The "total" pseudo-stage gets no track of its own.
+            for (i, stage) in STAGE_NAMES.iter().enumerate() {
+                if *stage != "total" {
+                    push_meta(out, TID_STAGES + i as u64, &format!("pipeline.{stage}"));
+                }
+            }
+            push_meta(out, TID_AH_EVENTS, "ah.events");
+            let mut actors: Vec<u16> = events
+                .iter()
+                .map(|e| e.actor)
+                .filter(|a| *a != ACTOR_AH)
+                .collect();
+            actors.sort_unstable();
+            actors.dedup();
+            for a in actors {
+                push_meta(out, event_tid(a), &format!("participant {a} events"));
+            }
+            let mut lanes: Vec<(u64, &str)> =
+                packets.iter().map(|p| (p.lane, p.track.as_str())).collect();
+            lanes.sort_unstable();
+            lanes.dedup_by_key(|(lane, _)| *lane);
+            for (lane, track) in lanes {
+                push_meta(out, TID_CAPTURE + lane, track);
+            }
 
-    // Track metadata. The "total" pseudo-stage gets no track of its own.
-    for (i, stage) in STAGE_NAMES.iter().enumerate() {
-        if *stage == "total" {
-            continue;
-        }
-        sep(&mut out);
-        push_meta(
-            &mut out,
-            TID_STAGES + i as u64,
-            &format!("pipeline.{stage}"),
-        );
-    }
-    sep(&mut out);
-    push_meta(&mut out, TID_AH_EVENTS, "ah.events");
-    let mut actors: Vec<u16> = events
-        .iter()
-        .map(|e| e.actor)
-        .filter(|a| *a != ACTOR_AH)
-        .collect();
-    actors.sort_unstable();
-    actors.dedup();
-    for a in &actors {
-        sep(&mut out);
-        push_meta(&mut out, event_tid(*a), &format!("participant {a} events"));
-    }
-    let mut lanes: Vec<(u64, &str)> = packets.iter().map(|p| (p.lane, p.track.as_str())).collect();
-    lanes.sort_unstable();
-    lanes.dedup_by_key(|(lane, _)| *lane);
-    for (lane, track) in lanes {
-        sep(&mut out);
-        push_meta(&mut out, TID_CAPTURE + lane, track);
-    }
+            // Stage spans. Virtual-time stages (damage, transport) sit at their
+            // true positions; wall-clock stages (encode, fragment, decode) are
+            // placed back-to-back after the span they belong to, so the frame
+            // reads left-to-right even though the axes differ (see trace.rs
+            // module docs).
+            for t in traces {
+                let spans: [(usize, u64, u64); 5] = [
+                    (0, t.trace.damage_at_us, t.stages.damage_us),
+                    (1, t.trace.sent_at_us, t.stages.encode_us),
+                    (
+                        2,
+                        t.trace.sent_at_us + t.stages.encode_us,
+                        t.stages.fragment_us,
+                    ),
+                    (3, t.trace.sent_at_us, t.stages.transport_us),
+                    (4, t.delivered_at_us, t.stages.decode_us),
+                ];
+                for (stage_idx, ts, dur) in spans {
+                    let name = format!("{} #{}", STAGE_NAMES[stage_idx], t.seq);
+                    let tid = TID_STAGES + stage_idx as u64;
+                    push_event(out, &name, "B", tid, ts, |o| {
+                        o.object("args", |a| {
+                            a.u64("ssrc", u64::from(t.ssrc))
+                                .u64("seq", u64::from(t.seq))
+                                .u64("window", u64::from(t.trace.window_id))
+                                .u64("bytes", t.trace.bytes)
+                                .u64("fragments", u64::from(t.trace.fragments));
+                        });
+                    });
+                    push_event(out, &name, "E", tid, ts + dur, |_| {});
+                }
+            }
 
-    // Stage spans. Virtual-time stages (damage, transport) sit at their
-    // true positions; wall-clock stages (encode, fragment, decode) are
-    // placed back-to-back after the span they belong to, so the frame reads
-    // left-to-right even though the axes differ (see trace.rs module docs).
-    for t in traces {
-        let args = format!(
-            "{{\"ssrc\": {}, \"seq\": {}, \"window\": {}, \"bytes\": {}, \"fragments\": {}}}",
-            t.ssrc, t.seq, t.trace.window_id, t.trace.bytes, t.trace.fragments
-        );
-        let spans: [(usize, u64, u64); 5] = [
-            (0, t.trace.damage_at_us, t.stages.damage_us),
-            (1, t.trace.sent_at_us, t.stages.encode_us),
-            (
-                2,
-                t.trace.sent_at_us + t.stages.encode_us,
-                t.stages.fragment_us,
-            ),
-            (3, t.trace.sent_at_us, t.stages.transport_us),
-            (4, t.delivered_at_us, t.stages.decode_us),
-        ];
-        for (stage_idx, ts, dur) in spans {
-            sep(&mut out);
-            push_span(
-                &mut out,
-                &format!("{} #{}", STAGE_NAMES[stage_idx], t.seq),
-                TID_STAGES + stage_idx as u64,
-                ts,
-                dur,
-                &args,
-            );
-        }
-    }
-
-    // Recorder events as thread-scoped instants.
-    for e in events {
-        sep(&mut out);
-        out.push_str("{\"name\": ");
-        json::write_string(&mut out, e.kind.name());
-        out.push_str(&format!(
-            ", \"ph\": \"i\", \"s\": \"t\", \"pid\": {PID}, \"tid\": {}, \"ts\": {}, \"args\": {{\"seq\": {}, \"a\": {}, \"b\": {}}}}}",
-            event_tid(e.actor),
-            e.ts_us,
-            e.seq,
-            e.a,
-            e.b
-        ));
-    }
-
-    // Capture packet samples as thread-scoped instants on their lanes.
-    for p in packets {
-        sep(&mut out);
-        out.push_str("{\"name\": ");
-        json::write_string(&mut out, &p.name);
-        out.push_str(&format!(
-            ", \"ph\": \"i\", \"s\": \"t\", \"pid\": {PID}, \"tid\": {}, \"ts\": {}, \"args\": {{\"bytes\": {}, \"actor\": {}}}}}",
-            TID_CAPTURE + p.lane,
-            p.ts_us,
-            p.bytes,
-            p.actor
-        ));
-    }
-
-    out.push_str("]}");
-    out
+            // Recorder events and capture packet samples: thread-scoped
+            // instants with their payload as `args`.
+            for e in events {
+                push_event(out, e.kind.name(), "i", event_tid(e.actor), e.ts_us, |o| {
+                    o.str("s", "t").object("args", |a| {
+                        a.u64("seq", e.seq).u64("a", e.a).u64("b", e.b);
+                    });
+                });
+            }
+            for p in packets {
+                push_event(out, &p.name, "i", TID_CAPTURE + p.lane, p.ts_us, |o| {
+                    o.str("s", "t").object("args", |a| {
+                        a.u64("bytes", p.bytes).u64("actor", u64::from(p.actor));
+                    });
+                });
+            }
+        });
+    })
 }
 
 fn field<'a>(obj: &'a Json, key: &str, idx: usize) -> Result<&'a Json, String> {
@@ -353,10 +336,28 @@ mod tests {
         ];
         let text = chrome_trace_json_with_packets(&[completed(7)], &r.snapshot(), &packets);
         validate_chrome_trace(&text).expect("valid merged trace");
-        assert!(text.contains("capture.tx"));
-        assert!(text.contains("capture.rx"));
-        assert!(text.contains("\"tid\": 200"));
-        assert!(text.contains("\"tid\": 201"));
+        // Each lane is labelled once, and each sample sits on its lane's tid.
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        for (track, tid) in [("capture.tx", 200), ("capture.rx", 201)] {
+            let on_tid = |ph: &str| {
+                events
+                    .iter()
+                    .filter(|e| {
+                        e.get("tid").and_then(Json::as_u64) == Some(tid)
+                            && e.get("ph").and_then(Json::as_str) == Some(ph)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let meta = on_tid("M");
+            assert_eq!(meta.len(), 1, "{track}");
+            let label = meta[0].get("args").and_then(|a| a.get("name"));
+            assert_eq!(label.and_then(Json::as_str), Some(track));
+            let samples = on_tid("i");
+            assert_eq!(samples.len(), 1, "{track}");
+            let bytes = samples[0].get("args").and_then(|a| a.get("bytes"));
+            assert_eq!(bytes.and_then(Json::as_u64), Some(1_200));
+        }
     }
 
     #[test]
@@ -365,6 +366,16 @@ mod tests {
         assert!(validate_chrome_trace(text).is_err());
         let text = "{\"traceEvents\": [{\"name\": \"x\", \"ph\": \"E\", \"pid\": 1, \"tid\": 2, \"ts\": 5}]}";
         assert!(validate_chrome_trace(text).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_negative_and_fractional_timestamps() {
+        for ts in ["-5", "0.5"] {
+            let text = format!(
+                "{{\"traceEvents\": [{{\"name\": \"x\", \"ph\": \"i\", \"pid\": 1, \"tid\": 2, \"ts\": {ts}}}]}}"
+            );
+            assert!(validate_chrome_trace(&text).is_err(), "ts {ts}");
+        }
     }
 
     #[test]
@@ -377,11 +388,17 @@ mod tests {
 
     #[test]
     fn names_needing_escapes_survive_round_trip() {
-        // write_string must keep the document parseable even for hostile
-        // names; the validator parsing it back is the proof.
-        let mut out = String::from("{\"traceEvents\": [{\"name\": ");
-        json::write_string(&mut out, "sp\"an\\ with\nnewline");
-        out.push_str(", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 2, \"ts\": 5}]}");
-        validate_chrome_trace(&out).expect("escaped name parses");
+        // A hostile sample name must leave the document parseable; the
+        // validator parsing it back is the proof.
+        let hostile = PacketSample {
+            track: "capture\ttx".into(),
+            lane: 0,
+            name: "sp\"an\\ with\nnewline".into(),
+            ts_us: 5,
+            bytes: 1,
+            actor: 0,
+        };
+        let text = chrome_trace_json_with_packets(&[], &[], &[hostile]);
+        validate_chrome_trace(&text).expect("escaped name parses");
     }
 }

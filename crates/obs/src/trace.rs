@@ -13,7 +13,7 @@
 //! `*_wall_us` fields are **wall-clock CPU time** spent in a stage. The two
 //! axes never mix inside a single stage figure.
 
-use crate::metrics::{Counter, Histogram};
+use crate::metrics::Histogram;
 use crate::registry::Registry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -90,9 +90,16 @@ struct TraceSinkInner {
 pub struct TraceSink {
     inner: Arc<Mutex<TraceSinkInner>>,
     capacity: usize,
-    registered: Counter,
-    completed: Counter,
-    evicted: Counter,
+    counters: SinkCounters,
+}
+
+crate::metric_set! {
+    /// The sink's own health counters.
+    struct SinkCounters {
+        registered: counter "registered",
+        completed: counter "completed",
+        evicted: counter "evicted",
+    }
 }
 
 impl Default for TraceSink {
@@ -107,17 +114,13 @@ impl TraceSink {
         TraceSink {
             inner: Arc::new(Mutex::new(TraceSinkInner::default())),
             capacity: capacity.max(1),
-            registered: Counter::new(),
-            completed: Counter::new(),
-            evicted: Counter::new(),
+            counters: SinkCounters::default(),
         }
     }
 
     /// Expose the sink's own health counters on `registry`.
     pub fn register_metrics(&self, registry: &Registry) {
-        registry.adopt_counter("trace.registered", &self.registered);
-        registry.adopt_counter("trace.completed", &self.completed);
-        registry.adopt_counter("trace.evicted", &self.evicted);
+        self.counters.register(registry, "trace");
     }
 
     /// Sender side: file `trace` under the marker fragment's `(ssrc, seq)`.
@@ -130,13 +133,13 @@ impl TraceSink {
         while inner.pending.len() > self.capacity {
             if let Some(old) = inner.pending_order.pop_front() {
                 if inner.pending.remove(&old).is_some() {
-                    self.evicted.inc();
+                    self.counters.evicted.inc();
                 }
             } else {
                 break;
             }
         }
-        self.registered.inc();
+        self.counters.registered.inc();
     }
 
     /// Receiver side: a message keyed by `(ssrc, seq)` finished reassembly
@@ -162,7 +165,7 @@ impl TraceSink {
         while inner.completed.len() > self.capacity {
             inner.completed.pop_front();
         }
-        self.completed.inc();
+        self.counters.completed.inc();
         Some(stages)
     }
 

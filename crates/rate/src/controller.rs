@@ -1,6 +1,6 @@
 //! The per-participant bundle the session layer drives.
 
-use adshare_obs::{Counter, Gauge, Histogram, Registry};
+use adshare_obs::Registry;
 
 use crate::estimator::{BandwidthEstimator, RateConfig};
 use crate::pacer::TokenBucket;
@@ -27,14 +27,28 @@ pub struct RateController {
     cap_bps: Option<u64>,
     bucket: TokenBucket,
     quality: QualityController,
-    // Observability (inert until adopted into a registry).
-    rate_gauge: Gauge,
-    rate_hist: Histogram,
-    tier_gauge: Gauge,
-    superseded: Counter,
-    queue_depth: Gauge,
-    queue_bytes: Gauge,
-    refresh_throttled: Counter,
+    /// Inert until adopted into a registry.
+    metrics: Metrics,
+}
+
+adshare_obs::metric_set! {
+    /// What a controller exports (see [`RateController::register_metrics`]).
+    struct Metrics {
+        /// Current pacing rate, bits/second.
+        rate_bps: gauge "rate_bps",
+        /// Every pacing rate the estimator settled on.
+        rate_bps_hist: histogram "rate_bps_hist",
+        /// Active quality tier (0 = lossless).
+        tier: gauge "tier",
+        /// Queued updates dropped because fresher damage superseded them.
+        superseded: counter "superseded",
+        /// Send-queue occupancy, messages.
+        queue_depth: gauge "queue_depth",
+        /// Send-queue occupancy, bytes.
+        queue_bytes: gauge "queue_bytes",
+        /// Full refreshes refused by the PLI rate limit.
+        refresh_throttled: counter "refresh_throttled",
+    }
 }
 
 /// Burst window for fixed-rate buckets (matches the legacy 250 ms
@@ -63,13 +77,7 @@ impl RateController {
             cap_bps,
             bucket: TokenBucket::new(initial, burst_window_us, 2 * mtu as u64),
             quality: QualityController::new(cfg),
-            rate_gauge: Gauge::new(),
-            rate_hist: Histogram::new(),
-            tier_gauge: Gauge::new(),
-            superseded: Counter::new(),
-            queue_depth: Gauge::new(),
-            queue_bytes: Gauge::new(),
-            refresh_throttled: Counter::new(),
+            metrics: Metrics::default(),
         }
     }
 
@@ -143,11 +151,11 @@ impl RateController {
         if self.is_adaptive() {
             self.bucket.set_rate(rate);
             if let Some(r) = rate {
-                self.rate_gauge.set(r as i64);
-                self.rate_hist.record(r);
+                self.metrics.rate_bps.set(r as i64);
+                self.metrics.rate_bps_hist.record(r);
             }
             let tier = self.quality.tier_for(rate.unwrap_or(u64::MAX));
-            self.tier_gauge.set(tier.as_gauge());
+            self.metrics.tier.set(tier.as_gauge());
         }
         self.bucket.refill(now_us);
         self.bucket.budget()
@@ -185,20 +193,20 @@ impl RateController {
         }
         let ok = self.quality.allow_refresh(now_us);
         if !ok {
-            self.refresh_throttled.inc();
+            self.metrics.refresh_throttled.inc();
         }
         ok
     }
 
     /// Record that `n` queued updates were superseded by fresher damage.
     pub fn note_superseded(&self, n: usize) {
-        self.superseded.add(n as u64);
+        self.metrics.superseded.add(n as u64);
     }
 
     /// Record the send queue's current occupancy.
     pub fn note_queue(&self, depth: usize, bytes: u64) {
-        self.queue_depth.set(depth as i64);
-        self.queue_bytes.set(bytes as i64);
+        self.metrics.queue_depth.set(depth as i64);
+        self.metrics.queue_bytes.set(bytes as i64);
     }
 
     /// Number of multiplicative decreases the estimator applied so far.
@@ -211,16 +219,7 @@ impl RateController {
     /// Adopt this controller's metrics into `registry` under `prefix`
     /// (e.g. `ah.rate.p0` → `ah.rate.p0.rate_bps`, `.tier`, …).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.adopt_gauge(&format!("{prefix}.rate_bps"), &self.rate_gauge);
-        registry.adopt_histogram(&format!("{prefix}.rate_bps_hist"), &self.rate_hist);
-        registry.adopt_gauge(&format!("{prefix}.tier"), &self.tier_gauge);
-        registry.adopt_counter(&format!("{prefix}.superseded"), &self.superseded);
-        registry.adopt_gauge(&format!("{prefix}.queue_depth"), &self.queue_depth);
-        registry.adopt_gauge(&format!("{prefix}.queue_bytes"), &self.queue_bytes);
-        registry.adopt_counter(
-            &format!("{prefix}.refresh_throttled"),
-            &self.refresh_throttled,
-        );
+        self.metrics.register(registry, prefix);
     }
 }
 

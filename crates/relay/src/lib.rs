@@ -117,8 +117,12 @@ impl Default for RelayConfig {
     }
 }
 
-/// Aggregate relay counters (also exported as `relay.*` metrics and as
-/// flight-recorder events when an [`Obs`] is attached).
+/// Aggregate relay counters, read through [`RelayNode::stats`] and
+/// [`RelayNode::stats_json`]. They are plain fields, **not** registry
+/// metrics: with an [`Obs`] attached the registry carries only the shared
+/// retransmit cache (`relay.{id}.retx_cache.*`), the leg count
+/// (`relay.{id}.legs`) and each leg's link and tier gauges, while the
+/// decisions counted here also appear as flight-recorder events.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RelayStats {
     /// Remoting messages forwarded downstream (per leg).
@@ -1524,42 +1528,40 @@ impl RelayNode {
     pub fn stats_json(&self) -> String {
         let s = &self.stats;
         let (hits, misses) = self.cache.stats();
-        format!(
-            concat!(
-                "{{\"schema\":\"{schema}\",\"legs\":{legs},\"synced\":{synced},",
-                "\"forwarded\":{{\"msgs\":{fmsgs},\"packets\":{fpkts},\"bytes\":{fbytes},",
-                "\"superseded\":{sup}}},",
-                "\"cache\":{{\"hits\":{hits},\"misses\":{misses},\"packets\":{cpkts},",
-                "\"bytes\":{cbytes}}},",
-                "\"nack\":{{\"received\":{nrecv},\"absorbed_seqs\":{nabs},",
-                "\"suppressed_seqs\":{nsup},\"escalated_msgs\":{nesc},",
-                "\"escalated_seqs\":{sesc},\"upstream_gap_nacks\":{ngap}}},",
-                "\"pli\":{{\"received\":{precv},\"upstream\":{pup},\"coalesced\":{pco}}},",
-                "\"catchup\":{{\"served\":{cserved},\"bytes\":{csbytes}}}}}"
-            ),
-            schema = RELAY_STATS_SCHEMA,
-            legs = self.legs.len(),
-            synced = self.synced,
-            fmsgs = s.forwarded_msgs,
-            fpkts = s.forwarded_packets,
-            fbytes = s.forwarded_bytes,
-            sup = s.superseded_msgs,
-            hits = hits,
-            misses = misses,
-            cpkts = self.cache.len(),
-            cbytes = self.cache.bytes(),
-            nrecv = s.nacks_received,
-            nabs = s.nacks_absorbed_seqs,
-            nsup = s.nacks_suppressed_seqs,
-            nesc = s.nacks_escalated,
-            sesc = s.seqs_escalated,
-            ngap = s.upstream_gap_nacks,
-            precv = s.plis_received,
-            pup = s.plis_upstream,
-            pco = s.plis_coalesced,
-            cserved = s.catchups_served,
-            csbytes = s.catchup_bytes,
-        )
+        adshare_obs::json::object(|o| {
+            o.str("schema", RELAY_STATS_SCHEMA)
+                .u64("legs", self.legs.len() as u64)
+                .bool("synced", self.synced)
+                .object("forwarded", |o| {
+                    o.u64("msgs", s.forwarded_msgs)
+                        .u64("packets", s.forwarded_packets)
+                        .u64("bytes", s.forwarded_bytes)
+                        .u64("superseded", s.superseded_msgs);
+                })
+                .object("cache", |o| {
+                    o.u64("hits", hits)
+                        .u64("misses", misses)
+                        .u64("packets", self.cache.len() as u64)
+                        .u64("bytes", self.cache.bytes() as u64);
+                })
+                .object("nack", |o| {
+                    o.u64("received", s.nacks_received)
+                        .u64("absorbed_seqs", s.nacks_absorbed_seqs)
+                        .u64("suppressed_seqs", s.nacks_suppressed_seqs)
+                        .u64("escalated_msgs", s.nacks_escalated)
+                        .u64("escalated_seqs", s.seqs_escalated)
+                        .u64("upstream_gap_nacks", s.upstream_gap_nacks);
+                })
+                .object("pli", |o| {
+                    o.u64("received", s.plis_received)
+                        .u64("upstream", s.plis_upstream)
+                        .u64("coalesced", s.plis_coalesced);
+                })
+                .object("catchup", |o| {
+                    o.u64("served", s.catchups_served)
+                        .u64("bytes", s.catchup_bytes);
+                });
+        })
     }
 }
 
@@ -1917,18 +1919,6 @@ mod tests {
         assert_eq!(stats_after.plis_received, stats_before.plis_received);
         assert_eq!(stats_after.catchups_served, stats_before.catchups_served);
         assert!(relay.poll_leg(gone, 3_000).is_empty());
-    }
-
-    #[test]
-    fn relay_stats_json_has_schema_marker() {
-        let relay = RelayNode::new(RelayConfig::default(), 3);
-        let json = relay.stats_json();
-        assert!(json.starts_with("{\"schema\":\"adshare-relay-stats/v1\""));
-        let parsed = adshare_obs::json::parse(&json).expect("valid JSON");
-        let obj = parsed.as_object().unwrap();
-        assert!(obj.contains_key("cache"));
-        assert!(obj.contains_key("nack"));
-        assert!(obj.contains_key("catchup"));
     }
 
     // ---- layered quality ----

@@ -4,20 +4,19 @@
 //! e2e tests drive this the way [`adshare_session::SimSession`] drives the
 //! direct topology.
 
-use adshare_capture::{CaptureConfig, CaptureError, CaptureHandle, CaptureMode};
+use adshare_capture::{CaptureError, CaptureHandle, CaptureMode};
 use adshare_layers::TierStats;
 use adshare_netsim::tcp::TcpConfig;
 use adshare_netsim::time::{us_to_ticks, VirtualClock};
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
-use adshare_obs::{EventKind, Obs, ACTOR_AH};
+use adshare_obs::Obs;
 use adshare_screen::desktop::Desktop;
 use adshare_sdp::{build_ah_offer, build_relay_offer, OfferParams, SessionDescription};
+use adshare_session::participant::GapWatch;
+use adshare_session::sim::{arm_capture, dump_capture_on_critical};
 use adshare_session::{AhConfig, AppHost, Layout, Participant, ParticipantHandle};
 
 use crate::{RelayConfig, RelayNode};
-
-/// Consecutive stuck sim-steps before a participant abandons a reorder gap.
-const GAP_TIMEOUT_TICKS: u32 = 40;
 
 /// Where a relay subscribes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +44,7 @@ struct SimLeg {
     relay: usize,
     leg: usize,
     upstream: UdpChannel,
-    stuck_ticks: u32,
-    last_held: usize,
+    gap: GapWatch,
     /// `false` once the viewer has left. The slot stays so participant
     /// indices remain stable under churn, mirroring relay leg indices.
     active: bool,
@@ -104,23 +102,10 @@ impl RelaySim {
         session_id: u64,
     ) -> Result<CaptureHandle, CaptureError> {
         let now = self.clock.now_us();
-        let cap = CaptureHandle::arm(CaptureConfig {
-            consent,
-            mode,
-            session_id,
-            start_us: now,
-        })?;
-        cap.attach_obs(self.obs.clone());
-        self.ah.attach_capture(cap.clone());
+        let cap = arm_capture(&mut self.ah, &self.obs, now, consent, mode, session_id)?;
         for stage in &mut self.relays {
             stage.node.attach_capture(cap.clone());
         }
-        let (ring, window) = match mode {
-            CaptureMode::Ring { window_us } => (1, window_us),
-            CaptureMode::Full => (0, 0),
-        };
-        self.obs
-            .event(now, ACTOR_AH, EventKind::CaptureArmed, ring, window);
         self.capture = Some(cap.clone());
         Ok(cap)
     }
@@ -146,18 +131,7 @@ impl RelaySim {
         session_id: u64,
     ) -> Result<(), CaptureError> {
         let cap = self.arm_capture(consent, CaptureMode::Ring { window_us }, session_id)?;
-        let recorder = self.obs.recorder.clone();
-        self.obs
-            .health
-            .lock()
-            .expect("health engine poisoned")
-            .set_capture_hook(Box::new(move |at_us| {
-                cap.finalize(&recorder.snapshot());
-                let path = dir.join(format!("capture-critical-{at_us}.bin"));
-                cap.write_to(&path)
-                    .ok()
-                    .map(|()| path.display().to_string())
-            }));
+        dump_capture_on_critical(&self.obs, cap, dir);
         Ok(())
     }
 
@@ -279,8 +253,7 @@ impl RelaySim {
             relay,
             leg,
             upstream,
-            stuck_ticks: 0,
-            last_held: 0,
+            gap: GapWatch::default(),
             active: true,
             tcp,
         });
@@ -406,17 +379,7 @@ impl RelaySim {
                     sp.participant.handle_datagram(&dg, ticks);
                 }
             }
-            let held = sp.participant.reorder_held();
-            if held > 0 && held == sp.last_held {
-                sp.stuck_ticks += 1;
-                if sp.stuck_ticks >= GAP_TIMEOUT_TICKS {
-                    sp.participant.recover_from_gap();
-                    sp.stuck_ticks = 0;
-                }
-            } else {
-                sp.stuck_ticks = 0;
-            }
-            sp.last_held = sp.participant.reorder_held();
+            sp.gap.step(&mut sp.participant);
             sp.participant.tick(ticks);
             if let Some(bytes) = sp.participant.take_rtcp() {
                 sp.upstream.send(now, &bytes);
@@ -446,53 +409,15 @@ impl RelaySim {
 
     /// Whether a participant's view matches the AH pixel for pixel.
     pub fn converged(&self, idx: usize) -> bool {
-        let p = &self.participants[idx].participant;
-        if !p.synced() {
-            return false;
-        }
-        let records: Vec<_> = self.ah.desktop().wm().shared_records().collect();
-        if records.len() != p.z_order().len() {
-            return false;
-        }
-        for rec in records {
-            let Some(content) = p.window_content(rec.id.0) else {
-                return false;
-            };
-            let Some(ah_content) = self.ah.desktop().window_content(rec.id) else {
-                return false;
-            };
-            if content != ah_content {
-                return false;
-            }
-        }
-        true
+        let viewer = &self.participants[idx].participant;
+        viewer.converged_with(self.ah.desktop())
     }
 
     /// Mean per-pixel absolute error between a participant's windows and
     /// the AH's (0.0 = identical).
     pub fn divergence(&self, idx: usize) -> f64 {
-        let p = &self.participants[idx].participant;
-        let records: Vec<_> = self.ah.desktop().wm().shared_records().collect();
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for rec in records {
-            let (Some(local), Some(remote)) = (
-                p.window_content(rec.id.0),
-                self.ah.desktop().window_content(rec.id),
-            ) else {
-                return f64::INFINITY;
-            };
-            if local.width() != remote.width() || local.height() != remote.height() {
-                return f64::INFINITY;
-            }
-            total += local.mean_abs_error(remote);
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
+        let viewer = &self.participants[idx].participant;
+        viewer.divergence_from(self.ah.desktop())
     }
 }
 

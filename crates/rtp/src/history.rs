@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use adshare_obs::{Gauge, Registry};
+use adshare_obs::Registry;
 
 use crate::packet::RtpPacket;
 use crate::seq::seq_delta;
@@ -22,9 +22,18 @@ pub struct RetransmitHistory {
     bytes: usize,
     hits: u64,
     misses: u64,
-    // Occupancy gauges (inert until adopted into a registry).
-    g_packets: Gauge,
-    g_bytes: Gauge,
+    /// Inert until adopted into a registry.
+    occupancy: Occupancy,
+}
+
+adshare_obs::metric_set! {
+    /// How full the history is, against its static caps.
+    struct Occupancy {
+        /// Packets currently cached.
+        packets: gauge "packets",
+        /// Bytes currently cached (wire size).
+        bytes: gauge "bytes",
+    }
 }
 
 impl RetransmitHistory {
@@ -38,8 +47,7 @@ impl RetransmitHistory {
             bytes: 0,
             hits: 0,
             misses: 0,
-            g_packets: Gauge::new(),
-            g_bytes: Gauge::new(),
+            occupancy: Occupancy::default(),
         }
     }
 
@@ -54,8 +62,8 @@ impl RetransmitHistory {
                 break;
             }
         }
-        self.g_packets.set(self.entries.len() as i64);
-        self.g_bytes.set(self.bytes as i64);
+        self.occupancy.packets.set(self.entries.len() as i64);
+        self.occupancy.bytes.set(self.bytes as i64);
     }
 
     /// Look up a packet by sequence number (binary search: the deque is in
@@ -119,8 +127,7 @@ impl RetransmitHistory {
     /// `{prefix}.packets` / `{prefix}.bytes` against the static caps
     /// `{prefix}.max_packets` / `{prefix}.max_bytes`.
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.adopt_gauge(&format!("{prefix}.packets"), &self.g_packets);
-        registry.adopt_gauge(&format!("{prefix}.bytes"), &self.g_bytes);
+        self.occupancy.register(registry, prefix);
         registry
             .gauge(&format!("{prefix}.max_packets"))
             .set(self.max_packets as i64);

@@ -15,7 +15,7 @@ use adshare_encode::EncodePipeline;
 use adshare_layers::TierRequest;
 use adshare_netsim::tcp::TcpConfig;
 use adshare_netsim::udp::LinkConfig;
-use adshare_obs::{Counter, EventKind, Histogram, Obs, Registry, ACTOR_AH};
+use adshare_obs::{EventKind, Obs, ACTOR_AH};
 use adshare_rate::{QualityTier, RateController};
 use adshare_remoting::hip::HipMessage;
 use adshare_remoting::keycodes;
@@ -37,114 +37,51 @@ use leg::Leg;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParticipantHandle(pub usize);
 
-/// AH-side cumulative statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AhStats {
-    /// WindowManagerInfo messages sent (counting per participant).
-    pub wmi_msgs: u64,
-    /// RegionUpdate messages sent.
-    pub region_msgs: u64,
-    /// MoveRectangle messages sent.
-    pub move_msgs: u64,
-    /// MousePointerInfo messages sent.
-    pub pointer_msgs: u64,
-    /// Distinct region encodes performed (cache misses).
-    pub encodes: u64,
-    /// Encoded payload bytes produced (before packetization).
-    pub encoded_bytes: u64,
-    /// RTP packets emitted.
-    pub rtp_packets: u64,
-    /// Bytes offered to transports.
-    pub bytes_sent: u64,
-    /// NACK-triggered retransmissions.
-    pub retransmits: u64,
-    /// Multicast retransmissions suppressed by the dedup window (another
-    /// member already triggered the same repair).
-    pub retransmits_suppressed: u64,
-    /// PLI-triggered full refreshes.
-    pub full_refreshes: u64,
-    /// RR-driven tail-loss repairs (receiver behind the send tail with no
-    /// later packet to reveal the gap; repaired from history).
-    pub tail_repairs: u64,
-    /// RTCP sender reports emitted.
-    pub sr_sent: u64,
-    /// HIP events accepted and injected.
-    pub hip_injected: u64,
-    /// HIP events rejected by the §4.1 legitimacy gate or floor control.
-    pub hip_rejected: u64,
-}
-
-/// Live handles behind [`AhStats`]. Shared atomics so the same counts can be
-/// adopted into an [`adshare_obs::Registry`] under `ah.*` while the POD
-/// accessor keeps working.
-#[derive(Debug, Clone, Default)]
-struct AhCounters {
-    wmi_msgs: Counter,
-    region_msgs: Counter,
-    move_msgs: Counter,
-    pointer_msgs: Counter,
-    encodes: Counter,
-    encoded_bytes: Counter,
-    rtp_packets: Counter,
-    bytes_sent: Counter,
-    retransmits: Counter,
-    retransmits_suppressed: Counter,
-    full_refreshes: Counter,
-    tail_repairs: Counter,
-    sr_sent: Counter,
-    hip_injected: Counter,
-    hip_rejected: Counter,
-    /// Wall-clock µs per region encode (cache misses only).
-    encode_us: Histogram,
-    /// Wall-clock µs per message fragmentation pass.
-    fragment_us: Histogram,
-}
-
-impl AhCounters {
-    fn stats(&self) -> AhStats {
-        AhStats {
-            wmi_msgs: self.wmi_msgs.get(),
-            region_msgs: self.region_msgs.get(),
-            move_msgs: self.move_msgs.get(),
-            pointer_msgs: self.pointer_msgs.get(),
-            encodes: self.encodes.get(),
-            encoded_bytes: self.encoded_bytes.get(),
-            rtp_packets: self.rtp_packets.get(),
-            bytes_sent: self.bytes_sent.get(),
-            retransmits: self.retransmits.get(),
-            retransmits_suppressed: self.retransmits_suppressed.get(),
-            full_refreshes: self.full_refreshes.get(),
-            tail_repairs: self.tail_repairs.get(),
-            sr_sent: self.sr_sent.get(),
-            hip_injected: self.hip_injected.get(),
-            hip_rejected: self.hip_rejected.get(),
-        }
+adshare_obs::metric_set! {
+    /// Live handles behind [`AhStats`]: shared atomics, so the same counts
+    /// are exported under `ah.*` once an [`Obs`] is attached while the POD
+    /// accessor keeps working.
+    struct AhCounters {
+        /// Wall-clock µs per region encode (cache misses only).
+        encode_us: histogram "encode_us",
+        /// Wall-clock µs per message fragmentation pass.
+        fragment_us: histogram "fragment_us",
     }
-
-    /// Adopt every handle into `registry` under `ah.*`. The NACK repair
-    /// counter is exported as `ah.retransmissions` (the canonical metric
-    /// name); [`AhStats::retransmits`] remains the POD field name.
-    fn register(&self, registry: &Registry) {
-        registry.adopt_counter("ah.wmi_msgs", &self.wmi_msgs);
-        registry.adopt_counter("ah.region_msgs", &self.region_msgs);
-        registry.adopt_counter("ah.move_msgs", &self.move_msgs);
-        registry.adopt_counter("ah.pointer_msgs", &self.pointer_msgs);
-        registry.adopt_counter("ah.encodes", &self.encodes);
-        registry.adopt_counter("ah.encoded_bytes", &self.encoded_bytes);
-        registry.adopt_counter("ah.rtp_packets", &self.rtp_packets);
-        registry.adopt_counter("ah.tx_bytes", &self.bytes_sent);
-        registry.adopt_counter("ah.retransmissions", &self.retransmits);
-        registry.adopt_counter(
-            "ah.retransmissions_suppressed",
-            &self.retransmits_suppressed,
-        );
-        registry.adopt_counter("ah.full_refreshes", &self.full_refreshes);
-        registry.adopt_counter("ah.tail_repairs", &self.tail_repairs);
-        registry.adopt_counter("ah.sr_sent", &self.sr_sent);
-        registry.adopt_counter("ah.hip_injected", &self.hip_injected);
-        registry.adopt_counter("ah.hip_rejected", &self.hip_rejected);
-        registry.adopt_histogram("ah.encode_us", &self.encode_us);
-        registry.adopt_histogram("ah.fragment_us", &self.fragment_us);
+    /// AH-side cumulative statistics.
+    pub struct AhStats {
+        /// WindowManagerInfo messages sent (counting per participant).
+        wmi_msgs: counter "wmi_msgs",
+        /// RegionUpdate messages sent.
+        region_msgs: counter "region_msgs",
+        /// MoveRectangle messages sent.
+        move_msgs: counter "move_msgs",
+        /// MousePointerInfo messages sent.
+        pointer_msgs: counter "pointer_msgs",
+        /// Distinct region encodes performed (cache misses).
+        encodes: counter "encodes",
+        /// Encoded payload bytes produced (before packetization).
+        encoded_bytes: counter "encoded_bytes",
+        /// RTP packets emitted.
+        rtp_packets: counter "rtp_packets",
+        /// Bytes offered to transports.
+        bytes_sent: counter "tx_bytes",
+        /// NACK-triggered retransmissions (`ah.retransmissions` is the
+        /// canonical metric name).
+        retransmits: counter "retransmissions",
+        /// Multicast retransmissions suppressed by the dedup window (another
+        /// member already triggered the same repair).
+        retransmits_suppressed: counter "retransmissions_suppressed",
+        /// PLI-triggered full refreshes.
+        full_refreshes: counter "full_refreshes",
+        /// RR-driven tail-loss repairs (receiver behind the send tail with no
+        /// later packet to reveal the gap; repaired from history).
+        tail_repairs: counter "tail_repairs",
+        /// RTCP sender reports emitted.
+        sr_sent: counter "sr_sent",
+        /// HIP events accepted and injected.
+        hip_injected: counter "hip_injected",
+        /// HIP events rejected by the §4.1 legitimacy gate or floor control.
+        hip_rejected: counter "hip_rejected",
     }
 }
 
@@ -356,7 +293,7 @@ impl AppHost {
     /// and start registering frame traces at packetize time so participants
     /// can complete them. Legs attached later register themselves.
     pub fn attach_obs(&mut self, obs: Obs) {
-        self.counters.register(&obs.registry);
+        self.counters.register(&obs.registry, "ah");
         self.encode.register_metrics(&obs.registry, "ah.encode");
         for leg in self.legs.iter().flatten() {
             leg.register_metrics(&obs.registry);

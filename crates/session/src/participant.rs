@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use adshare_bfcp::FloorClient;
 use adshare_codec::{Codec, CodecRegistry, Image, Rect};
-use adshare_obs::{Counter, EventKind, Gauge, Histogram, Obs};
+use adshare_obs::{EventKind, Obs};
 use adshare_remoting::hip::HipMessage;
 use adshare_remoting::message::RemotingMessage;
 use adshare_remoting::packetizer::{HipPacketizer, RemotingDepacketizer};
@@ -15,6 +15,7 @@ use adshare_rtp::packet::RtpPacket;
 use adshare_rtp::reorder::ReorderBuffer;
 use adshare_rtp::rtcp::{encode_compound, GenericNack, PictureLossIndication, RtcpPacket};
 use adshare_rtp::session::{RtpReceiver, RtpSender};
+use adshare_screen::Desktop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,9 +108,8 @@ pub struct Participant {
     synced: bool,
     stats: ParticipantStats,
     media_ssrc: u32,
-    /// RTP media packets ingested (datagram or stream), live counter so it
-    /// can be adopted into an observability registry.
-    rx_packets: Counter,
+    /// Exported under `participant.{index}.*` once an [`Obs`] is attached.
+    metrics: Metrics,
     /// Observability bundle when attached; completes frame traces the AH
     /// registered at packetize time.
     obs: Option<Obs>,
@@ -122,10 +122,20 @@ pub struct Participant {
     last_copy_stats: (u64, u64),
     /// Dropped-partial count already reported to the recorder.
     last_dropped: u64,
-    /// End-to-end latency histogram (`participant.{i}.frame_latency_us`).
-    frame_latency: Option<Histogram>,
-    /// Registry mirrors of the latest RR: (cumulative lost, highest seq).
-    rr_gauges: Option<(Gauge, Gauge)>,
+}
+
+adshare_obs::metric_set! {
+    /// What a participant exports about its own reception.
+    struct Metrics {
+        /// RTP media packets ingested (datagram or stream).
+        rx_packets: counter "rtp_rx_packets",
+        /// End-to-end latency of each delivered frame, µs.
+        frame_latency: histogram "frame_latency_us",
+        /// Cumulative loss reported in the latest RR.
+        rtcp_cum_lost: gauge "rtcp_cum_lost",
+        /// Highest sequence number reported in the latest RR.
+        rtcp_highest_seq: gauge "rtcp_highest_seq",
+    }
 }
 
 impl Participant {
@@ -164,14 +174,12 @@ impl Participant {
             synced: false,
             stats: ParticipantStats::default(),
             media_ssrc: 0,
-            rx_packets: Counter::new(),
+            metrics: Metrics::default(),
             obs: None,
             obs_actor: 0,
             last_ticks: 0,
             last_copy_stats: (0, 0),
             last_dropped: 0,
-            frame_latency: None,
-            rr_gauges: None,
         }
     }
 
@@ -180,17 +188,8 @@ impl Participant {
     /// end-to-end latency into `participant.{index}.frame_latency_us`, and
     /// complete the frame traces the AH registers at packetize time.
     pub fn attach_obs(&mut self, obs: &Obs, index: usize) {
-        let prefix = format!("participant.{index}");
-        obs.registry
-            .adopt_counter(&format!("{prefix}.rtp_rx_packets"), &self.rx_packets);
-        self.frame_latency = Some(
-            obs.registry
-                .histogram(&format!("{prefix}.frame_latency_us")),
-        );
-        self.rr_gauges = Some((
-            obs.registry.gauge(&format!("{prefix}.rtcp_cum_lost")),
-            obs.registry.gauge(&format!("{prefix}.rtcp_highest_seq")),
-        ));
+        self.metrics
+            .register(&obs.registry, &format!("participant.{index}"));
         self.obs_actor = index as u16;
         self.obs = Some(obs.clone());
     }
@@ -283,10 +282,9 @@ impl Participant {
             && now_ticks.saturating_sub(self.last_rr_ticks) >= RR_INTERVAL_TICKS
         {
             let block = self.receiver.report_block(self.media_ssrc);
-            if let Some((lost_g, highest_g)) = &self.rr_gauges {
-                lost_g.set(block.cumulative_lost as i64);
-                highest_g.set(block.highest_seq as i64);
-            }
+            let mirror = &self.metrics;
+            mirror.rtcp_cum_lost.set(block.cumulative_lost as i64);
+            mirror.rtcp_highest_seq.set(block.highest_seq as i64);
             self.rtcp_out.push(RtcpPacket::ReceiverReport(
                 adshare_rtp::rtcp::ReceiverReport {
                     ssrc: self.ssrc,
@@ -348,7 +346,7 @@ impl Participant {
         self.last_ticks = now_ticks;
         self.media_ssrc = pkt.header.ssrc;
         let seq = pkt.header.sequence;
-        self.rx_packets.inc();
+        self.metrics.rx_packets.inc();
         self.rec(EventKind::RtpRx, seq as u64, pkt.payload.len() as u64);
         self.receiver.on_packet(&pkt, now_ticks);
         self.reorder.ingest(pkt);
@@ -443,7 +441,7 @@ impl Participant {
             };
             self.last_ticks = now_ticks;
             self.media_ssrc = pkt.header.ssrc;
-            self.rx_packets.inc();
+            self.metrics.rx_packets.inc();
             self.rec(
                 EventKind::RtpRx,
                 pkt.header.sequence as u64,
@@ -503,6 +501,41 @@ impl Participant {
     /// Number of packets parked in the reorder buffer (for timeout logic).
     pub fn reorder_held(&self) -> usize {
         self.reorder.held_len()
+    }
+
+    /// Whether this view of every shared window matches `desktop` pixel for
+    /// pixel — the convergence criterion of the simulations.
+    pub fn converged_with(&self, desktop: &Desktop) -> bool {
+        if !self.synced() {
+            return false;
+        }
+        let records: Vec<_> = desktop.wm().shared_records().collect();
+        records.len() == self.z_order().len()
+            && records.iter().all(|rec| {
+                let local = self.window_content(rec.id.0);
+                local.is_some() && local == desktop.window_content(rec.id)
+            })
+    }
+
+    /// Mean per-pixel absolute error between this view's windows and
+    /// `desktop`'s (0.0 = identical; tolerates lossy codecs). Infinite when
+    /// a shared window is missing or has another size here.
+    pub fn divergence_from(&self, desktop: &Desktop) -> f64 {
+        let mut errors = Vec::new();
+        for rec in desktop.wm().shared_records() {
+            match (
+                self.window_content(rec.id.0),
+                desktop.window_content(rec.id),
+            ) {
+                (Some(local), Some(remote))
+                    if local.width() == remote.width() && local.height() == remote.height() =>
+                {
+                    errors.push(local.mean_abs_error(remote));
+                }
+                _ => return f64::INFINITY,
+            }
+        }
+        errors.iter().sum::<f64>() / errors.len().max(1) as f64
     }
 
     /// Announce departure (RFC 3550 §6.6): queue a BYE for the next RTCP
@@ -572,9 +605,7 @@ impl Participant {
         let now_us = now_ticks * 100 / 9; // 90 kHz ticks → µs
         if let Some(obs) = &self.obs {
             if let Some(stages) = obs.complete_frame(ssrc, seq, now_us, decode_us) {
-                if let Some(h) = &self.frame_latency {
-                    h.record(stages.total_us);
-                }
+                self.metrics.frame_latency.record(stages.total_us);
                 // Virtual-time staleness only (damage → delivered): the
                 // health engine's windowed staleness rule consumes this,
                 // and excluding wall-clock encode/decode keeps verdicts
@@ -891,6 +922,38 @@ impl Participant {
             }
         }
         None
+    }
+}
+
+/// How many consecutive stuck steps before a viewer gives up on a reorder
+/// gap and falls back to PLI.
+const GAP_TIMEOUT_TICKS: u32 = 40;
+
+/// The simulations' gap timeout: a packet lost and never retransmitted
+/// would park a viewer's reorder buffer forever, so after
+/// `GAP_TIMEOUT_TICKS` steps stuck on the same hole the viewer skips it
+/// and asks for a refresh.
+#[derive(Debug, Default)]
+pub struct GapWatch {
+    stuck_ticks: u32,
+    last_held: usize,
+}
+
+impl GapWatch {
+    /// Account one simulation step of `participant`. Returns whether it
+    /// gave up on a hole this step ([`Participant::recover_from_gap`] has
+    /// run), so a capturing caller can tape the marker a replay needs.
+    pub fn step(&mut self, participant: &mut Participant) -> bool {
+        let held = participant.reorder_held();
+        let stuck = held > 0 && held == self.last_held;
+        self.stuck_ticks = if stuck { self.stuck_ticks + 1 } else { 0 };
+        let timed_out = self.stuck_ticks >= GAP_TIMEOUT_TICKS;
+        if timed_out {
+            participant.recover_from_gap();
+            self.stuck_ticks = 0;
+        }
+        self.last_held = participant.reorder_held();
+        timed_out
     }
 }
 

@@ -276,32 +276,22 @@ impl ScenarioOutcome {
     /// Serialize as an `adshare-scenario/v1` document (see
     /// `schemas/scenario_result.schema.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.violations.len() * 64);
-        out.push_str("{\"schema\": ");
-        json::write_string(&mut out, SCENARIO_SCHEMA);
-        out.push_str(", \"name\": ");
-        json::write_string(&mut out, &self.name);
-        out.push_str(&format!(
-            ", \"seed\": {}, \"passed\": {}, \"checks\": {}, \"worst\": ",
-            self.seed,
-            self.passed,
-            self.reports.len()
-        ));
-        json::write_string(&mut out, self.worst.as_str());
-        out.push_str(&format!(
-            ", \"converged\": {}, \"active_participants\": {}, \"log_lines\": {}, \"violations\": [",
-            self.converged,
-            self.active_participants,
-            self.log.len()
-        ));
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::write_string(&mut out, v);
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.str("schema", SCENARIO_SCHEMA)
+                .str("name", &self.name)
+                .u64("seed", self.seed)
+                .bool("passed", self.passed)
+                .u64("checks", self.reports.len() as u64)
+                .str("worst", self.worst.as_str())
+                .bool("converged", self.converged)
+                .u64("active_participants", self.active_participants as u64)
+                .u64("log_lines", self.log.len() as u64)
+                .array("violations", |items| {
+                    for v in &self.violations {
+                        items.str(v);
+                    }
+                });
+        })
     }
 
     /// Write the outcome document (always) and, on failure, the full event

@@ -15,11 +15,7 @@ use adshare_screen::desktop::Desktop;
 
 use crate::app_host::{AppHost, ParticipantHandle};
 use crate::config::{AhConfig, Layout, TransportKind};
-use crate::participant::Participant;
-
-/// How many consecutive stuck ticks before a participant gives up on a
-/// reorder gap and falls back to PLI.
-const GAP_TIMEOUT_TICKS: u32 = 40;
+use crate::participant::{GapWatch, Participant};
 
 /// Mirror of the participant's RTCP classifier: a compound RTCP packet
 /// carries a packet type in `200..=206` in its second byte, anything else
@@ -32,6 +28,53 @@ fn rx_kind(datagram: &[u8]) -> CapStreamKind {
     }
 }
 
+/// Arm a consent-gated capture on `ah`'s egress at `now_us`, shared by
+/// [`SimSession`] and the relay simulation. `now_us` comes from the
+/// caller's clock, so capture records and flight-recorder events share one
+/// virtual-time origin and a merged timeline never shows negative spans.
+/// Fails with [`CaptureError::ConsentRequired`] unless `consent` is set.
+pub fn arm_capture(
+    ah: &mut AppHost,
+    obs: &Obs,
+    now_us: u64,
+    consent: bool,
+    mode: CaptureMode,
+    session_id: u64,
+) -> Result<CaptureHandle, CaptureError> {
+    let cap = CaptureHandle::arm(CaptureConfig {
+        consent,
+        mode,
+        session_id,
+        start_us: now_us,
+    })?;
+    cap.attach_obs(obs.clone());
+    ah.attach_capture(cap.clone());
+    let (ring, window) = match mode {
+        CaptureMode::Ring { window_us } => (1, window_us),
+        CaptureMode::Full => (0, 0),
+    };
+    obs.event(now_us, ACTOR_AH, EventKind::CaptureArmed, ring, window);
+    Ok(cap)
+}
+
+/// Hook an armed ring capture into the health engine: when a CRITICAL
+/// black-box dump fires, the ring (with the flight-recorder snapshot
+/// embedded) is written into `dir` next to the dump and its path is
+/// reported in the black-box JSON as `capture_path`.
+pub fn dump_capture_on_critical(obs: &Obs, cap: CaptureHandle, dir: std::path::PathBuf) {
+    let recorder = obs.recorder.clone();
+    obs.health
+        .lock()
+        .expect("health engine poisoned")
+        .set_capture_hook(Box::new(move |at_us| {
+            cap.finalize(&recorder.snapshot());
+            let path = dir.join(format!("capture-critical-{at_us}.bin"));
+            cap.write_to(&path)
+                .ok()
+                .map(|()| path.display().to_string())
+        }));
+}
+
 struct SimParticipant {
     handle: ParticipantHandle,
     participant: Participant,
@@ -41,8 +84,7 @@ struct SimParticipant {
     /// Pending upstream classification: RTCP datagrams are prefixed 'R',
     /// HIP datagrams 'H', BFCP 'B' (the real system uses distinct ports;
     /// the tag models exactly that demultiplexing).
-    stuck_ticks: u32,
-    last_held: usize,
+    gap: GapWatch,
     /// False once the viewer has left (churn); the slot stays so other
     /// participants keep their indices.
     active: bool,
@@ -93,11 +135,7 @@ impl SimSession {
     }
 
     /// Arm a consent-gated capture covering the AH egress and every
-    /// session-level delivery point. `start_us` is stamped from the session
-    /// clock, so capture records and flight-recorder events share one
-    /// virtual-time origin and a merged timeline never shows negative
-    /// spans. Fails with [`CaptureError::ConsentRequired`] unless `consent`
-    /// is set.
+    /// session-level delivery point (see [`arm_capture`]).
     pub fn arm_capture(
         &mut self,
         consent: bool,
@@ -105,20 +143,7 @@ impl SimSession {
         session_id: u64,
     ) -> Result<CaptureHandle, CaptureError> {
         let now = self.clock.now_us();
-        let cap = CaptureHandle::arm(CaptureConfig {
-            consent,
-            mode,
-            session_id,
-            start_us: now,
-        })?;
-        cap.attach_obs(self.obs.clone());
-        self.ah.attach_capture(cap.clone());
-        let (ring, window) = match mode {
-            CaptureMode::Ring { window_us } => (1, window_us),
-            CaptureMode::Full => (0, 0),
-        };
-        self.obs
-            .event(now, ACTOR_AH, EventKind::CaptureArmed, ring, window);
+        let cap = arm_capture(&mut self.ah, &self.obs, now, consent, mode, session_id)?;
         self.capture = Some(cap.clone());
         Ok(cap)
     }
@@ -180,18 +205,7 @@ impl SimSession {
         session_id: u64,
     ) -> Result<(), CaptureError> {
         let cap = self.arm_capture(consent, CaptureMode::Ring { window_us }, session_id)?;
-        let recorder = self.obs.recorder.clone();
-        self.obs
-            .health
-            .lock()
-            .expect("health engine poisoned")
-            .set_capture_hook(Box::new(move |at_us| {
-                cap.finalize(&recorder.snapshot());
-                let path = dir.join(format!("capture-critical-{at_us}.bin"));
-                cap.write_to(&path)
-                    .ok()
-                    .map(|()| path.display().to_string())
-            }));
+        dump_capture_on_critical(&self.obs, cap, dir);
         Ok(())
     }
 
@@ -251,8 +265,7 @@ impl SimSession {
             participant,
             kind: TransportKind::Udp,
             upstream,
-            stuck_ticks: 0,
-            last_held: 0,
+            gap: GapWatch::default(),
             active: true,
         });
         idx
@@ -278,8 +291,7 @@ impl SimSession {
             participant,
             kind: TransportKind::Tcp,
             upstream,
-            stuck_ticks: 0,
-            last_held: 0,
+            gap: GapWatch::default(),
             active: true,
         });
         idx
@@ -333,8 +345,7 @@ impl SimSession {
             participant,
             kind: TransportKind::Multicast,
             upstream,
-            stuck_ticks: 0,
-            last_held: 0,
+            gap: GapWatch::default(),
             active: true,
         });
         idx
@@ -422,23 +433,12 @@ impl SimSession {
                     }
                 }
             }
-            // Gap timeout: a packet lost and never retransmitted would park
-            // the reorder buffer forever; fall back to PLI.
-            let held = sp.participant.reorder_held();
-            if held > 0 && held == sp.last_held {
-                sp.stuck_ticks += 1;
-                if sp.stuck_ticks >= GAP_TIMEOUT_TICKS {
-                    sp.participant.recover_from_gap();
-                    if let Some(cap) = &capture {
-                        // Control marker: replay must skip the same hole.
-                        cap.record_gap_recover(idx as u16, now);
-                    }
-                    sp.stuck_ticks = 0;
+            if sp.gap.step(&mut sp.participant) {
+                if let Some(cap) = &capture {
+                    // Control marker: replay must skip the same hole.
+                    cap.record_gap_recover(idx as u16, now);
                 }
-            } else {
-                sp.stuck_ticks = 0;
             }
-            sp.last_held = sp.participant.reorder_held();
 
             // Housekeeping (resync retry for unsynced joiners).
             sp.participant.tick(ticks);
@@ -625,53 +625,15 @@ impl SimSession {
     /// Whether a participant's view of every window matches the AH pixel
     /// for pixel (used as the convergence criterion in experiments).
     pub fn converged(&self, idx: usize) -> bool {
-        let p = &self.participants[idx].participant;
-        if !p.synced() {
-            return false;
-        }
-        let records: Vec<_> = self.ah.desktop().wm().shared_records().collect();
-        if records.len() != p.z_order().len() {
-            return false;
-        }
-        for rec in records {
-            let Some(content) = p.window_content(rec.id.0) else {
-                return false;
-            };
-            let Some(ah_content) = self.ah.desktop().window_content(rec.id) else {
-                return false;
-            };
-            if content != ah_content {
-                return false;
-            }
-        }
-        true
+        let viewer = &self.participants[idx].participant;
+        viewer.converged_with(self.ah.desktop())
     }
 
     /// Mean per-pixel absolute error between a participant's windows and
     /// the AH's (0.0 = identical; tolerates lossy codecs).
     pub fn divergence(&self, idx: usize) -> f64 {
-        let p = &self.participants[idx].participant;
-        let records: Vec<_> = self.ah.desktop().wm().shared_records().collect();
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for rec in records {
-            let (Some(local), Some(remote)) = (
-                p.window_content(rec.id.0),
-                self.ah.desktop().window_content(rec.id),
-            ) else {
-                return f64::INFINITY;
-            };
-            if local.width() != remote.width() || local.height() != remote.height() {
-                return f64::INFINITY;
-            }
-            total += local.mean_abs_error(remote);
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
+        let viewer = &self.participants[idx].participant;
+        viewer.divergence_from(self.ah.desktop())
     }
 
     /// Advance straight to the next interesting instant: the earlier of the

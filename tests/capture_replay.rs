@@ -90,14 +90,12 @@ fn scenario_suite_run_replays_bit_exact_from_disk() {
         report.surfaces
     );
 
-    // Historical Perfetto export from the capture file alone.
+    // Historical Perfetto export from the capture file alone. The validator
+    // parses every record and rejects a `ts` that is not a non-negative
+    // integer, so a merged timeline cannot carry a negative timestamp.
     let trace = historical_chrome_trace(&capture);
     validate_chrome_trace(&trace).expect("historical timeline validates");
     assert!(trace.contains("capture.rx"), "packet lanes missing");
-    assert!(
-        !trace.contains("\"ts\": -"),
-        "merged timeline produced a negative timestamp"
-    );
 }
 
 /// Arming is consent-gated at every level: the sink refuses, and so does
