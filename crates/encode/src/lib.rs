@@ -43,7 +43,7 @@ pub mod shared;
 pub mod tiling;
 
 pub use cache::{CacheKey, EncodeCache};
-pub use pipeline::{EncodeConfig, EncodePipeline, EncodedTile, TileJob};
+pub use pipeline::{EncodeConfig, EncodePipeline, EncodedTile, RegionKey, RegionTiles, TileJob};
 pub use pool::{scoped_map, PoolStats, WorkerPool};
 pub use shared::SharedEncodeCache;
 pub use tiling::{tiles, TileConfig};

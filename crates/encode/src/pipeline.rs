@@ -1,6 +1,7 @@
 //! The tile-encode pipeline: hash → cache → parallel encode → ordered
 //! assembly, with observability for every stage.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use adshare_codec::checksum::fast_hash64;
@@ -66,6 +67,55 @@ pub struct EncodedTile {
     pub cache_hit: bool,
 }
 
+/// What a region request is keyed by within one step: which surface, which
+/// rectangle of it, at which quality tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RegionKey {
+    /// The surface (window) the region belongs to.
+    pub surface: u64,
+    /// The region, in the surface's own coordinates.
+    pub rect: Rect,
+    /// Quality tier id, as in [`CacheKey::tier`].
+    pub tier: u8,
+}
+
+/// The encoded tiles of one region, as one requester sees them: a shared
+/// handle on the list (and, through each payload's [`Bytes`], on the
+/// encoded bytes) the first request of the step produced.
+#[derive(Debug, Clone)]
+pub struct RegionTiles {
+    tiles: Arc<[EncodedTile]>,
+    repeated: bool,
+}
+
+impl RegionTiles {
+    /// Whether an earlier request this step already produced these tiles,
+    /// so that this one cropped, hashed, looked up and encoded nothing.
+    pub fn repeated(&self) -> bool {
+        self.repeated
+    }
+
+    /// How many tiles the region has.
+    pub fn len(&self) -> usize {
+        self.tiles.len()
+    }
+
+    /// Whether the region produced no tile at all.
+    pub fn is_empty(&self) -> bool {
+        self.tiles.is_empty()
+    }
+
+    /// The tiles in row-major order, as *this* request got them: on a
+    /// repeat every tile is a cache hit that cost no encode time.
+    pub fn iter(&self) -> impl Iterator<Item = EncodedTile> + '_ {
+        self.tiles.iter().map(|t| EncodedTile {
+            encode_us: if self.repeated { 0 } else { t.encode_us },
+            cache_hit: self.repeated || t.cache_hit,
+            ..t.clone()
+        })
+    }
+}
+
 adshare_obs::metric_set! {
     /// Observability handles for the pipeline (adopt into a registry via
     /// [`EncodePipeline::register_metrics`]).
@@ -125,6 +175,14 @@ impl CacheBackend {
         }
     }
 
+    /// Count `n` hits answered without a lookup (the shared cache keeps a
+    /// process-wide tally of its own; a private one has none).
+    fn count_hits(&self, n: u64) {
+        if let CacheBackend::Shared { cache, .. } = self {
+            cache.count_hits(n);
+        }
+    }
+
     fn get(&mut self, key: &CacheKey) -> Option<(u8, Bytes)> {
         match self {
             CacheBackend::Private(cache) => cache.get(key),
@@ -170,6 +228,10 @@ pub struct EncodePipeline {
     /// Bounded process-wide spawn budget; `None` means each batch may use
     /// the full per-pipeline `workers` count (single-session behaviour).
     pool: Option<WorkerPool>,
+    /// Regions already encoded this step, in front of the cache: a second
+    /// requester of the same `(surface, rect, tier)` gets the first one's
+    /// tiles by handle. Cleared by [`EncodePipeline::begin_step`].
+    step_regions: HashMap<RegionKey, Arc<[EncodedTile]>>,
     metrics: Metrics,
 }
 
@@ -194,6 +256,7 @@ impl EncodePipeline {
             workers: resolve_workers(cfg.workers),
             backend: CacheBackend::Private(EncodeCache::new(cfg.cache_budget_bytes)),
             pool: None,
+            step_regions: HashMap::new(),
             metrics: Metrics::default(),
             cfg,
         }
@@ -218,6 +281,7 @@ impl EncodePipeline {
             workers: resolve_workers(cfg.workers),
             backend: CacheBackend::Shared { cache, namespace },
             pool: Some(pool),
+            step_regions: HashMap::new(),
             metrics: Metrics::default(),
             cfg,
         }
@@ -246,11 +310,14 @@ impl EncodePipeline {
         }
     }
 
-    /// Frame boundary: clears the cache in per-step compatibility mode,
-    /// no-op when the cross-frame cache is on. A shared cache is never
-    /// cleared (it outlives any one session's step), so per-step mode only
-    /// applies to private pipelines.
+    /// Frame boundary: the surfaces may have been repainted, so the step's
+    /// region index ([`EncodePipeline::encode_region`]) is forgotten. Also
+    /// clears the cache in per-step compatibility mode (a no-op when the
+    /// cross-frame cache is on; a shared cache is never cleared — it
+    /// outlives any one session's step — so per-step mode only applies to
+    /// private pipelines).
     pub fn begin_step(&mut self) {
+        self.step_regions.clear();
         if !self.cfg.cross_frame_cache {
             if let CacheBackend::Private(cache) = &mut self.backend {
                 cache.clear();
@@ -309,6 +376,50 @@ impl EncodePipeline {
                 cache.preload(&own)
             }
             CacheBackend::Shared { cache, namespace } => cache.preload(*namespace, entries),
+        }
+    }
+
+    /// The tiles of one damaged region, encoded at most once per step.
+    ///
+    /// Between two [`EncodePipeline::begin_step`] calls the caller promises
+    /// that `jobs` and `encode` are pure functions of `key` — the surface is
+    /// not repainted, the pointer does not move — which is what a sender
+    /// flushing one capture to many legs can promise. The first request for
+    /// a key runs `jobs` (tile, crop, composite) and sends the result
+    /// through [`EncodePipeline::encode_batch`] at `key.tier`, exactly as
+    /// if it had called that directly; every later request in the step gets
+    /// the same list by handle and runs neither closure: no crop, no hash,
+    /// no cache lookup.
+    ///
+    /// A repeat is counted as the cache hits it stands in for — `tiles`,
+    /// `cache.hits` and `cache.bytes_saved` move as if each tile had been
+    /// looked up and found — so hit ratios read the same with one leg or
+    /// eight. What it does not do is refresh the entries' recency in the
+    /// cache. The index belongs to this pipeline alone, even when the cache
+    /// behind it is shared between tenants.
+    pub fn encode_region<J, F>(&mut self, key: RegionKey, jobs: J, encode: F) -> RegionTiles
+    where
+        J: FnOnce() -> Vec<TileJob>,
+        F: Fn(&Image) -> (u8, Vec<u8>) + Sync,
+    {
+        if let Some(tiles) = self.step_regions.get(&key) {
+            let n = tiles.len() as u64;
+            self.metrics.tiles.add(n);
+            self.metrics.cache_hits.add(n);
+            self.metrics
+                .bytes_saved
+                .add(tiles.iter().map(|t| t.payload.len() as u64).sum());
+            self.backend.count_hits(n);
+            return RegionTiles {
+                tiles: tiles.clone(),
+                repeated: true,
+            };
+        }
+        let tiles: Arc<[EncodedTile]> = self.encode_batch(key.tier, jobs(), encode).into();
+        self.step_regions.insert(key, tiles.clone());
+        RegionTiles {
+            tiles,
+            repeated: false,
         }
     }
 
@@ -521,6 +632,71 @@ mod tests {
         assert_eq!(out[0].payload, out[1].payload);
         assert_eq!(out[0].rect, Rect::new(0, 0, 8, 8));
         assert_eq!(out[1].rect, Rect::new(8, 0, 8, 8));
+    }
+
+    #[test]
+    fn a_region_is_built_and_encoded_once_per_step() {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let built = std::cell::Cell::new(0);
+        let mut p = EncodePipeline::new(EncodeConfig {
+            workers: 1,
+            ..EncodeConfig::default()
+        });
+        let registry = Registry::new();
+        p.register_metrics(&registry, "enc");
+        let key = RegionKey {
+            surface: 3,
+            rect: Rect::new(0, 0, 16, 8),
+            tier: 0,
+        };
+        let jobs = || {
+            built.set(built.get() + 1);
+            vec![
+                TileJob {
+                    rect: Rect::new(0, 0, 8, 8),
+                    image: flat(8, 8, 1),
+                },
+                TileJob {
+                    rect: Rect::new(8, 0, 8, 8),
+                    image: flat(8, 8, 2),
+                },
+            ]
+        };
+        let first = p.encode_region(key, jobs, counting_encoder(&calls));
+        assert!(!first.repeated());
+        assert!(first.iter().all(|t| !t.cache_hit));
+        for _ in 0..7 {
+            let again = p.encode_region(key, jobs, counting_encoder(&calls));
+            assert!(again.repeated());
+            assert!(again.iter().all(|t| t.cache_hit && t.encode_us == 0));
+            assert!(again
+                .iter()
+                .zip(first.iter())
+                .all(|(a, b)| a.payload == b.payload && a.rect == b.rect));
+        }
+        assert_eq!(built.get(), 1, "later requests crop nothing");
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 2);
+        // Eight requesters, two tiles each: sixteen lookups, two misses —
+        // what eight trips through the cache would have counted.
+        assert_eq!(registry.counter_value("enc.tiles"), Some(16));
+        assert_eq!(registry.counter_value("enc.cache.misses"), Some(2));
+        assert_eq!(registry.counter_value("enc.cache.hits"), Some(14));
+        assert_eq!(
+            registry.counter_value("enc.cache.bytes_saved"),
+            Some(14 * 16)
+        );
+        // Another tier or rect is another region.
+        let lossy = RegionKey { tier: 2, ..key };
+        assert!(!p
+            .encode_region(lossy, jobs, counting_encoder(&calls))
+            .repeated());
+        // A new step forgets the index; the cache behind it still hits.
+        p.begin_step();
+        let next = p.encode_region(key, jobs, counting_encoder(&calls));
+        assert!(!next.repeated());
+        assert!(next.iter().all(|t| t.cache_hit));
+        assert_eq!(built.get(), 3);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 4);
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl SharedEncodeCache {
             .insert(key, payload_type, payload)
     }
 
+    /// Count `n` lookups a tenant answered from its own step-scoped region
+    /// index (see [`crate::EncodePipeline::encode_region`]): each stands for
+    /// the hit it replaced, so the process-wide ratio reads the same.
+    pub fn count_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Process-wide lookup hits.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)

@@ -4,6 +4,7 @@
 //! with different transmission rates can be created").
 
 use adshare_obs::Registry;
+use bytes::Bytes;
 
 use crate::udp::{LinkConfig, UdpChannel, UdpStats};
 
@@ -55,17 +56,24 @@ impl MulticastGroup {
     }
 
     /// Send one datagram to every member. The AH pays the cost once —
-    /// that is multicast's whole point, and experiment E7 measures it.
-    pub fn send(&mut self, now_us: u64, payload: &[u8]) {
+    /// that is multicast's whole point, and experiment E7 measures it —
+    /// and so does the allocator: every member queues the sender's buffer.
+    pub fn send_bytes(&mut self, now_us: u64, payload: &Bytes) {
         self.egress.sent.inc();
         self.egress.bytes_sent.add(payload.len() as u64);
         for m in &mut self.members {
-            m.send(now_us, payload);
+            m.send_bytes(now_us, payload);
         }
     }
 
+    /// [`MulticastGroup::send_bytes`] for a borrowed datagram, copied once
+    /// for the whole group.
+    pub fn send(&mut self, now_us: u64, payload: &[u8]) {
+        self.send_bytes(now_us, &Bytes::copy_from_slice(payload));
+    }
+
     /// Poll one member's deliveries.
-    pub fn poll(&mut self, member: usize, now_us: u64) -> Vec<Vec<u8>> {
+    pub fn poll(&mut self, member: usize, now_us: u64) -> Vec<Bytes> {
         self.members
             .get_mut(member)
             .map(|m| m.poll(now_us))
@@ -125,6 +133,23 @@ mod tests {
             assert_eq!(got, vec![b"frame".to_vec()], "member {m}");
         }
         assert_eq!(g.egress(), (1, 5));
+    }
+
+    #[test]
+    fn members_share_the_senders_buffer() {
+        let mut g = MulticastGroup::new();
+        for i in 0..3 {
+            g.join(LinkConfig::default(), i);
+        }
+        let datagram = Bytes::copy_from_slice(b"frame");
+        g.send_bytes(0, &datagram);
+        for m in 0..3 {
+            let got = g.poll(m, 100_000);
+            assert!(
+                std::ptr::eq(got[0].as_ptr(), datagram.as_ptr()),
+                "member {m}"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use adshare_obs::Registry;
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,7 +90,9 @@ struct InFlight {
     deliver_at: u64,
     /// Tie-break so equal-time packets keep send order.
     seq: u64,
-    payload: Vec<u8>,
+    /// A handle on the sender's buffer: a duplicated delivery and every
+    /// multicast member share the one allocation.
+    payload: Bytes,
 }
 
 impl Ord for InFlight {
@@ -169,18 +172,32 @@ impl UdpChannel {
         self.drop_pending += n;
     }
 
-    /// Offer a datagram at time `now_us`.
+    /// Offer a borrowed datagram at time `now_us`; the channel copies it
+    /// once if it survives to be queued. Same channel behaviour as
+    /// [`UdpChannel::send_bytes`], for a caller without a [`Bytes`] in hand.
     pub fn send(&mut self, now_us: u64, payload: &[u8]) {
+        self.offer(now_us, payload.len(), || Bytes::copy_from_slice(payload));
+    }
+
+    /// Offer a datagram the sender already holds as a shared buffer: the
+    /// channel queues a clone of the handle, never a copy of the bytes.
+    pub fn send_bytes(&mut self, now_us: u64, payload: &Bytes) {
+        self.offer(now_us, payload.len(), || payload.clone());
+    }
+
+    /// The channel model. `handle` is only called for a datagram that gets
+    /// past MTU, rate policing and loss.
+    fn offer(&mut self, now_us: u64, len: usize, handle: impl FnOnce() -> Bytes) {
         self.apply_schedule(now_us);
         self.counters.sent.inc();
-        self.counters.bytes_sent.add(payload.len() as u64);
+        self.counters.bytes_sent.add(len as u64);
         if self.drop_pending > 0 {
             self.drop_pending -= 1;
-            self.drop(payload.len());
+            self.drop(len);
             return;
         }
-        if payload.len() > self.cfg.mtu {
-            self.drop(payload.len());
+        if len > self.cfg.mtu {
+            self.drop(len);
             return;
         }
         // Serialisation delay under the rate limit. The channel models a
@@ -189,14 +206,14 @@ impl UdpChannel {
         let ser_start = self.tx_free_at.max(now_us);
         if let Some(rate) = self.cfg.rate_bps {
             if ser_start > now_us + 100_000 {
-                self.drop(payload.len());
+                self.drop(len);
                 return;
             }
-            let ser_us = (payload.len() as u64 * 8).saturating_mul(1_000_000) / rate.max(1);
+            let ser_us = (len as u64 * 8).saturating_mul(1_000_000) / rate.max(1);
             self.tx_free_at = ser_start + ser_us;
         }
         if self.rng.gen_bool(self.cfg.loss.clamp(0.0, 1.0)) {
-            self.drop(payload.len());
+            self.drop(len);
             return;
         }
         let base = if self.cfg.rate_bps.is_some() {
@@ -210,20 +227,21 @@ impl UdpChannel {
             0
         };
         let deliver_at = base + self.cfg.delay_us + jitter;
+        let payload = handle();
         self.queue.push(Reverse(InFlight {
             deliver_at,
             seq: self.next_seq,
-            payload: payload.to_vec(),
+            payload: payload.clone(),
         }));
         self.next_seq += 1;
         if self.rng.gen_bool(self.cfg.duplicate.clamp(0.0, 1.0)) {
             self.counters.duplicated.inc();
-            self.counters.bytes_duplicated.add(payload.len() as u64);
+            self.counters.bytes_duplicated.add(len as u64);
             let dup_at = deliver_at + self.rng.gen_range(0..=self.cfg.jitter_us.max(1000));
             self.queue.push(Reverse(InFlight {
                 deliver_at: dup_at,
                 seq: self.next_seq,
-                payload: payload.to_vec(),
+                payload,
             }));
             self.next_seq += 1;
         }
@@ -235,7 +253,7 @@ impl UdpChannel {
     }
 
     /// Collect all datagrams due by `now_us`, in delivery-time order.
-    pub fn poll(&mut self, now_us: u64) -> Vec<Vec<u8>> {
+    pub fn poll(&mut self, now_us: u64) -> Vec<Bytes> {
         let mut out = Vec::new();
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.deliver_at > now_us {
@@ -349,6 +367,31 @@ mod tests {
         ch.send(0, b"dup");
         let got = ch.poll(1_000_000);
         assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn owned_sends_are_queued_by_handle() {
+        let cfg = LinkConfig {
+            duplicate: 1.0,
+            delay_us: 0,
+            ..Default::default()
+        };
+        let mut ch = UdpChannel::new(cfg, 9);
+        let datagram = Bytes::copy_from_slice(b"one buffer");
+        ch.send_bytes(0, &datagram);
+        let got = ch.poll(1_000_000);
+        assert_eq!(got.len(), 2, "delivered and duplicated");
+        for delivered in &got {
+            assert!(
+                std::ptr::eq(delivered.as_ptr(), datagram.as_ptr()),
+                "the receiver gets the sender's buffer, not a copy"
+            );
+        }
+        // The borrowed spelling is the same channel: same draws, same stats.
+        let mut borrowed = UdpChannel::new(cfg, 9);
+        borrowed.send(0, b"one buffer");
+        assert_eq!(borrowed.poll(1_000_000), got);
+        assert_eq!(borrowed.stats().bytes_delivered, ch.stats().bytes_delivered);
     }
 
     #[test]

@@ -64,6 +64,7 @@ use adshare_rtp::rtcp::{
 use adshare_rtp::session::RtpReceiver;
 use adshare_rtp::{RtpHeader, RtpPacket};
 use adshare_session::egress::{Tap, Wire};
+use bytes::Bytes;
 
 /// Schema marker for [`RelayNode::stats_json`].
 pub const RELAY_STATS_SCHEMA: &str = "adshare-relay-stats/v1";
@@ -174,10 +175,10 @@ impl RelayStats {
 enum Unit {
     /// RTP packets carrying exactly one remoting message.
     Media(Vec<RtpPacket>),
-    /// An upstream RTCP compound (sender reports) forwarded byte-for-byte,
-    /// queued in-line so downstream sees the same interleaving as direct
-    /// delivery.
-    Rtcp(Vec<u8>),
+    /// An upstream RTCP compound (sender reports) forwarded byte-for-byte —
+    /// every leg sends the buffer it arrived in — queued in-line so
+    /// downstream sees the same interleaving as direct delivery.
+    Rtcp(Bytes),
     /// A locally re-encoded rendition of one region update for legs whose
     /// active tier is lossier than the upstream stream. Fragments only —
     /// RTP headers are minted per leg at flush time so each leg keeps its
@@ -246,6 +247,8 @@ struct Leg {
     closed: bool,
     /// Layered-quality state; `None` when the relay runs without layers.
     tier: Option<LegTier>,
+    /// Working space for serialising a packet under this leg's sequence.
+    scratch: Vec<u8>,
 }
 
 /// Per-leg layered-quality state: an adaptive AIMD estimator fed by the
@@ -273,7 +276,7 @@ impl Leg {
     /// cannot take the whole frame drops it (digest and capture untouched)
     /// — the backlog signal has already told the tier controller to slow
     /// down.
-    fn send(&mut self, kind: CapStreamKind, bytes: &[u8], now_us: u64) {
+    fn send(&mut self, kind: CapStreamKind, bytes: &Bytes, now_us: u64) {
         self.wire
             .send_whole(&mut self.tap, kind, self.actor, now_us, bytes);
     }
@@ -305,11 +308,12 @@ impl Leg {
         }
     }
 
-    /// (Re)send an upstream `pkt` under `leg_seq`.
+    /// (Re)send an upstream `pkt` under `leg_seq`: serialised once, into
+    /// the buffer the link then holds.
     fn send_as(&mut self, pkt: &RtpPacket, leg_seq: u16, now_us: u64) -> usize {
         let mut out = pkt.clone();
         out.header.sequence = leg_seq;
-        let encoded = out.encode();
+        let encoded = out.datagram(&mut self.scratch);
         self.send(CapStreamKind::Rtp, &encoded, now_us);
         encoded.len()
     }
@@ -332,9 +336,9 @@ impl Leg {
     /// payload)` each) so the leg's sequence space stays contiguous across
     /// forwarded and synthesised units; the packets are kept so NACKs for
     /// them repair locally.
-    fn mint(
+    fn mint<'a>(
         &mut self,
-        frags: impl Iterator<Item = (bool, Vec<u8>)>,
+        frags: impl Iterator<Item = (bool, &'a [u8])>,
         media: MediaId,
         now_us: u64,
     ) -> Burst {
@@ -343,8 +347,9 @@ impl Leg {
             let seq = self.alloc_seq(0);
             let mut header = RtpHeader::new(media.pt, seq, media.ts, media.ssrc);
             header.marker = marker;
-            let pkt = RtpPacket::new(header, payload);
-            let encoded = pkt.encode();
+            // One buffer: the link queues it and the kept packet owns it.
+            let pkt = RtpPacket::assemble(header, &[payload], &mut self.scratch);
+            let encoded = pkt.datagram(&mut self.scratch);
             burst.bytes += encoded.len() as u64;
             self.keep_minted(seq, pkt);
             self.send(CapStreamKind::Rtp, &encoded, now_us);
@@ -616,6 +621,7 @@ impl RelayNode {
             last_catchup_us: None,
             closed: false,
             tier,
+            scratch: Vec::new(),
         });
         self.update_leg_gauge();
         let leg_idx = self.legs.len() - 1;
@@ -711,10 +717,19 @@ impl RelayNode {
         self.upstream_tier
     }
 
-    /// Ingest one upstream datagram (RTP or rtcp-muxed RTCP).
+    /// [`RelayNode::ingest_upstream_bytes`] for a borrowed datagram (real
+    /// sockets, tests): the same ingest after one copy.
     pub fn ingest_upstream(&mut self, datagram: &[u8], now_us: u64) {
+        self.ingest_upstream_bytes(Bytes::copy_from_slice(datagram), now_us);
+    }
+
+    /// Ingest one upstream datagram (RTP or rtcp-muxed RTCP). The relay
+    /// keeps handles on `datagram` — the payload of every cached and queued
+    /// packet is a slice of it, a forwarded RTCP compound is it — and never
+    /// copies it.
+    pub fn ingest_upstream_bytes(&mut self, datagram: Bytes, now_us: u64) {
         if let Some(cap) = &self.capture {
-            let kind = if is_rtcp(datagram) {
+            let kind = if is_rtcp(&datagram) {
                 CapStreamKind::Rtcp
             } else {
                 CapStreamKind::Rtp
@@ -725,14 +740,14 @@ impl RelayNode {
                 CapTransport::Udp,
                 ACTOR_RELAY,
                 now_us,
-                datagram,
+                &datagram,
             );
         }
-        if is_rtcp(datagram) {
+        if is_rtcp(&datagram) {
             // Sender reports anchor downstream playout clocks; forward the
             // compound byte-for-byte, in stream order through the queues.
-            let unit = Rc::new(Unit::Rtcp(datagram.to_vec()));
             let bytes = datagram.len() as u64;
+            let unit = Rc::new(Unit::Rtcp(datagram));
             self.unit_counter += 1;
             let key = (1u64 << 63) | self.unit_counter;
             for leg in self.legs.iter_mut().filter(|l| !l.closed) {
@@ -741,7 +756,7 @@ impl RelayNode {
             }
             return;
         }
-        let Ok(pkt) = RtpPacket::decode(datagram) else {
+        let Ok(pkt) = RtpPacket::decode_bytes(datagram) else {
             return;
         };
         self.media = MediaId {
@@ -1152,7 +1167,7 @@ impl RelayNode {
                 }
                 Unit::Media(pkts) => (leg.forward(pkts, now_us), false),
                 Unit::Synth(frags) => {
-                    let frags = frags.iter().map(|f| (f.marker, f.payload.clone()));
+                    let frags = frags.iter().map(|f| (f.marker, &f.payload[..]));
                     (leg.mint(frags, media, now_us), true)
                 }
             };
@@ -1187,11 +1202,33 @@ impl RelayNode {
         }
     }
 
-    /// Drain datagrams delivered to one leg (UDP: link-delayed; TCP: the
-    /// next in-order stream chunk, RFC 4571 framed; raw: all forwarded
-    /// bytes).
-    pub fn poll_leg(&mut self, leg: usize, now_us: u64) -> Vec<Vec<u8>> {
+    /// Drain the datagrams delivered to one datagram leg (UDP:
+    /// link-delayed; raw: everything forwarded), each the buffer the leg
+    /// sent. Empty on a TCP leg — see [`RelayNode::poll_leg_stream`].
+    pub fn poll_leg_bytes(&mut self, leg: usize, now_us: u64) -> Vec<Bytes> {
         self.legs[leg].wire.poll(0, now_us)
+    }
+
+    /// The next in-order chunk of a TCP leg's RFC 4571-framed stream (empty
+    /// when nothing arrived, and on a datagram leg).
+    pub fn poll_leg_stream(&mut self, leg: usize, now_us: u64) -> Vec<u8> {
+        self.legs[leg].wire.poll_stream(now_us)
+    }
+
+    /// Either of the above as plain vectors, for a caller that does not
+    /// care which kind of leg it polls: the datagrams copied out one by
+    /// one, or the stream chunk as a single element.
+    pub fn poll_leg(&mut self, leg: usize, now_us: u64) -> Vec<Vec<u8>> {
+        if self.legs[leg].wire.is_stream() {
+            let chunk = self.poll_leg_stream(leg, now_us);
+            return if chunk.is_empty() {
+                Vec::new()
+            } else {
+                vec![chunk]
+            };
+        }
+        let datagrams = self.poll_leg_bytes(leg, now_us);
+        datagrams.iter().map(Bytes::to_vec).collect()
     }
 
     /// Feed RTCP from a downstream leg (NACK/PLI; reports are informational).
@@ -1292,7 +1329,7 @@ impl RelayNode {
         let leg = &mut self.legs[leg_idx];
         // Locally minted packets live outside the shared cache.
         if let Some(pkt) = leg.minted.get(&leg_seq) {
-            let encoded = pkt.encode();
+            let encoded = pkt.datagram(&mut leg.scratch);
             leg.send(CapStreamKind::Rtp, &encoded, now_us);
             return Repair::Absorbed;
         }
@@ -1440,7 +1477,7 @@ impl RelayNode {
                 continue;
             };
             // The burst IS the refresh: bypass the pacer.
-            let frags = frags.into_iter().map(|f| (f.marker, f.payload));
+            let frags = frags.iter().map(|f| (f.marker, &f.payload[..]));
             let burst = leg.mint(frags, media, now_us);
             burst_pkts += burst.packets;
             burst_bytes += burst.bytes;

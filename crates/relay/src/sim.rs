@@ -341,12 +341,12 @@ impl RelaySim {
             let datagrams = match self.relays[i].parent {
                 None => {
                     let handle = self.relays[i].handle.expect("AH-attached relay");
-                    self.ah.poll_udp(handle, now)
+                    self.ah.poll_udp_bytes(handle, now)
                 }
-                Some((parent, leg)) => self.relays[parent].node.poll_leg(leg, now),
+                Some((parent, leg)) => self.relays[parent].node.poll_leg_bytes(leg, now),
             };
             for dg in datagrams {
-                self.relays[i].node.ingest_upstream(&dg, now);
+                self.relays[i].node.ingest_upstream_bytes(dg, now);
             }
             self.relays[i].node.step(now);
             // Upstream RTCP (NACK escalations, coalesced PLIs, reports).
@@ -372,11 +372,14 @@ impl RelaySim {
                 continue;
             }
             let stage = &mut self.relays[sp.relay];
-            for dg in stage.node.poll_leg(sp.leg, now) {
-                if sp.tcp {
-                    sp.participant.handle_stream(&dg, ticks);
-                } else {
-                    sp.participant.handle_datagram(&dg, ticks);
+            if sp.tcp {
+                let chunk = stage.node.poll_leg_stream(sp.leg, now);
+                if !chunk.is_empty() {
+                    sp.participant.handle_stream(&chunk, ticks);
+                }
+            } else {
+                for dg in stage.node.poll_leg_bytes(sp.leg, now) {
+                    sp.participant.handle_datagram_bytes(dg, ticks);
                 }
             }
             sp.gap.step(&mut sp.participant);

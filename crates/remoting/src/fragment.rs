@@ -41,6 +41,12 @@ pub const MIN_FRAGMENT_BUDGET: usize = COMMON_HEADER_LEN + 8 + 1;
 /// `WindowManagerInfo` and `MoveRectangle` are never fragmented (the draft
 /// defines fragmentation only for content-carrying messages); they must fit
 /// `max_payload` or an error is returned.
+///
+/// This builds a list and a buffer per packet. Senders use
+/// [`for_each_fragment`], which builds neither; this function is kept,
+/// deliberately sharing no code with it, as the reference the tests compare
+/// it with (and as the spelling the relay's tier re-encoder and `e2ebench`
+/// call).
 pub fn fragment(msg: &RemotingMessage, max_payload: usize) -> Result<Vec<FragmentPacket>> {
     match msg {
         RemotingMessage::RegionUpdate(ru) => Ok(fragment_content(
@@ -134,6 +140,72 @@ fn fragment_content(
     Ok(packets)
 }
 
+/// Visit the RTP payloads [`fragment`] would produce for `msg`, in order,
+/// without building any of them: `emit(marker, head, chunk)` is called once
+/// per packet with the RTP marker bit, the packet's remoting header(s) —
+/// the common header, plus `left`/`top` on the first packet of a
+/// content-carrying message, or the whole encoding of a message that is
+/// never fragmented — and the slice of the message's own payload that
+/// follows them. The packet's payload is `head` then `chunk`.
+///
+/// Fails exactly where `fragment` fails, before the first `emit`.
+pub fn for_each_fragment(
+    msg: &RemotingMessage,
+    max_payload: usize,
+    mut emit: impl FnMut(bool, &[u8], &[u8]),
+) -> Result<()> {
+    let (msg_type, window, pt, left, top, body): (u8, WindowId, u8, u32, u32, &[u8]) = match msg {
+        RemotingMessage::RegionUpdate(ru) => (
+            MSG_REGION_UPDATE,
+            ru.window_id,
+            ru.payload_type,
+            ru.left,
+            ru.top,
+            &ru.payload,
+        ),
+        RemotingMessage::MousePointerInfo(mp) => (
+            MSG_MOUSE_POINTER_INFO,
+            mp.window_id,
+            mp.payload_type,
+            mp.left,
+            mp.top,
+            mp.image.as_deref().unwrap_or(&[]),
+        ),
+        other => {
+            let encoded = other.encode();
+            if encoded.len() > max_payload {
+                return Err(Error::MtuTooSmall {
+                    mtu: max_payload,
+                    min: encoded.len(),
+                });
+            }
+            emit(false, &encoded, &[]);
+            return Ok(());
+        }
+    };
+    if max_payload < MIN_FRAGMENT_BUDGET {
+        return Err(Error::MtuTooSmall {
+            mtu: max_payload,
+            min: MIN_FRAGMENT_BUDGET,
+        });
+    }
+    let common =
+        |first: bool| CommonHeader::with_fragment_param(msg_type, first, pt, window).to_bytes();
+    let (first, mut rest) = body.split_at(body.len().min(max_payload - COMMON_HEADER_LEN - 8));
+    let mut head = [0u8; COMMON_HEADER_LEN + 8];
+    head[..4].copy_from_slice(&common(true));
+    head[4..8].copy_from_slice(&left.to_be_bytes());
+    head[8..].copy_from_slice(&top.to_be_bytes());
+    emit(rest.is_empty(), &head, first);
+    let head = common(false);
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(rest.len().min(max_payload - COMMON_HEADER_LEN));
+        emit(tail.is_empty(), &head, chunk);
+        rest = tail;
+    }
+    Ok(())
+}
+
 /// In-progress reassembly state. Fragment payload slices are *borrowed*
 /// (`Bytes` sub-slices sharing the packet allocation) and joined exactly
 /// once at completion — the old per-fragment `extend_from_slice` copy is
@@ -215,13 +287,13 @@ impl Reassembler {
             let body = payload.slice(rest_off + 8..);
             if marker {
                 // Not fragmented: complete immediately, borrowing the slice.
-                return Ok(Some(self.build(
+                return Ok(Some(build(
                     header.msg_type,
                     header.window_id,
                     header.payload_type(),
                     left,
                     top,
-                    vec![body],
+                    body,
                 )));
             }
             self.partial = Some(Partial {
@@ -258,7 +330,8 @@ impl Reassembler {
                     parts,
                     ..
                 } = partial;
-                return Ok(Some(self.build(msg_type, window, pt, left, top, parts)));
+                let body = self.join(&parts);
+                return Ok(Some(build(msg_type, window, pt, left, top, body)));
             }
             self.partial = Some(partial);
             Ok(None)
@@ -275,46 +348,14 @@ impl Reassembler {
         self.feed_bytes(marker, Bytes::copy_from_slice(payload))
     }
 
-    fn build(
-        &mut self,
-        msg_type: u8,
-        window: WindowId,
-        pt: u8,
-        left: u32,
-        top: u32,
-        parts: Vec<Bytes>,
-    ) -> RemotingMessage {
-        let body = self.join(parts);
-        if msg_type == MSG_REGION_UPDATE {
-            RemotingMessage::RegionUpdate(RegionUpdate {
-                window_id: window,
-                payload_type: pt,
-                left,
-                top,
-                payload: body,
-            })
-        } else {
-            RemotingMessage::MousePointerInfo(MousePointerInfo {
-                window_id: window,
-                payload_type: pt,
-                left,
-                top,
-                image: if body.is_empty() { None } else { Some(body) },
-            })
-        }
-    }
-
-    /// One part passes through untouched (zero-copy); several parts are
-    /// joined with exactly one allocation + copy, which the counters record.
-    fn join(&mut self, mut parts: Vec<Bytes>) -> Bytes {
-        if parts.len() == 1 {
-            return parts.pop().expect("one part");
-        }
+    /// Join the parts of a fragmented message: exactly one allocation and
+    /// one copy of the body, which the counters record.
+    fn join(&mut self, parts: &[Bytes]) -> Bytes {
         let total: usize = parts.iter().map(|p| p.len()).sum();
         self.allocations += 1;
         self.bytes_copied += total as u64;
         let mut body = Vec::with_capacity(total);
-        for p in &parts {
+        for p in parts {
             body.extend_from_slice(p);
         }
         Bytes::from(body)
@@ -352,6 +393,34 @@ impl Reassembler {
     /// [`Reassembler::allocations`]).
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied
+    }
+}
+
+/// A completed content-carrying message around its reassembled `body`.
+fn build(
+    msg_type: u8,
+    window: WindowId,
+    pt: u8,
+    left: u32,
+    top: u32,
+    body: Bytes,
+) -> RemotingMessage {
+    if msg_type == MSG_REGION_UPDATE {
+        RemotingMessage::RegionUpdate(RegionUpdate {
+            window_id: window,
+            payload_type: pt,
+            left,
+            top,
+            payload: body,
+        })
+    } else {
+        RemotingMessage::MousePointerInfo(MousePointerInfo {
+            window_id: window,
+            payload_type: pt,
+            left,
+            top,
+            image: if body.is_empty() { None } else { Some(body) },
+        })
     }
 }
 

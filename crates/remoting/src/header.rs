@@ -72,11 +72,15 @@ impl CommonHeader {
         self.parameter & 0x7f
     }
 
+    /// The header's four octets on the wire.
+    pub fn to_bytes(&self) -> [u8; COMMON_HEADER_LEN] {
+        let id = self.window_id.0.to_be_bytes();
+        [self.msg_type, self.parameter, id[0], id[1]]
+    }
+
     /// Append to a buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.msg_type);
-        out.push(self.parameter);
-        out.extend_from_slice(&self.window_id.0.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parse from the front of `buf`; returns the header and remaining bytes.

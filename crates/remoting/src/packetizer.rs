@@ -10,10 +10,33 @@
 use adshare_rtp::packet::RtpPacket;
 use adshare_rtp::session::RtpSender;
 
-use crate::fragment::{fragment, Reassembler};
+use crate::fragment::{for_each_fragment, Reassembler};
 use crate::hip::HipMessage;
 use crate::message::RemotingMessage;
 use crate::{Error, Result};
+
+/// Serialise one message captured at `media_ticks` (90 kHz) onto `sender`'s
+/// stream, handing each packet to `emit` as it is built.
+///
+/// Every fragment is written exactly once: RTP header, remoting header(s)
+/// and the chunk sliced straight out of the message's payload go into one
+/// datagram buffer ([`RtpSender::next_datagram`]) — one heap allocation per
+/// packet, no fragment list, no per-fragment payload buffer. The datagrams
+/// are byte-for-byte those of `fragment()` → `next_packet()` → `encode()`,
+/// and like that chain nothing is sent (and `sender` is untouched) when the
+/// message does not fit `max_payload`.
+pub fn packetize_with(
+    sender: &mut RtpSender,
+    msg: &RemotingMessage,
+    max_payload: usize,
+    media_ticks: u32,
+    scratch: &mut Vec<u8>,
+    mut emit: impl FnMut(RtpPacket),
+) -> Result<()> {
+    for_each_fragment(msg, max_payload, |marker, head, chunk| {
+        emit(sender.next_datagram(media_ticks, marker, &[head, chunk], scratch))
+    })
+}
 
 /// Packetizes remoting messages onto an RTP stream.
 #[derive(Debug)]
@@ -22,6 +45,8 @@ pub struct RemotingPacketizer {
     /// Maximum RTP payload bytes per packet (transport MTU minus RTP/UDP/IP
     /// overhead, or a large value for TCP).
     max_payload: usize,
+    /// Working space for [`packetize_with`].
+    scratch: Vec<u8>,
 }
 
 impl RemotingPacketizer {
@@ -30,6 +55,7 @@ impl RemotingPacketizer {
         RemotingPacketizer {
             sender,
             max_payload,
+            scratch: Vec::new(),
         }
     }
 
@@ -50,11 +76,16 @@ impl RemotingPacketizer {
 
     /// Packetize one message captured at `media_ticks` (90 kHz).
     pub fn packetize(&mut self, msg: &RemotingMessage, media_ticks: u32) -> Result<Vec<RtpPacket>> {
-        let fragments = fragment(msg, self.max_payload)?;
-        Ok(fragments
-            .into_iter()
-            .map(|f| self.sender.next_packet(media_ticks, f.marker, f.payload))
-            .collect())
+        let mut packets = Vec::new();
+        packetize_with(
+            &mut self.sender,
+            msg,
+            self.max_payload,
+            media_ticks,
+            &mut self.scratch,
+            |pkt| packets.push(pkt),
+        )?;
+        Ok(packets)
     }
 }
 

@@ -38,7 +38,8 @@ adshare_obs::metric_set! {
 
 impl RetransmitHistory {
     /// Create a history bounded by `max_packets` packets and `max_bytes`
-    /// total payload bytes (whichever is hit first).
+    /// total bytes on the wire — headers included, each packet counting its
+    /// [`RtpPacket::wire_len`] — whichever is hit first.
     pub fn new(max_packets: usize, max_bytes: usize) -> Self {
         RetransmitHistory {
             entries: VecDeque::new(),
@@ -51,19 +52,31 @@ impl RetransmitHistory {
         }
     }
 
-    /// Record a packet that was just sent.
+    /// Record a packet that was just sent, evicting oldest-first until both
+    /// caps hold. Room is made *before* the push, so the ring never holds
+    /// more than `max_packets` entries and its buffer never grows past that
+    /// (pushing first would double it the moment the cap is first reached).
     pub fn record(&mut self, pkt: RtpPacket) {
-        self.bytes += pkt.wire_len();
+        let len = pkt.wire_len();
+        while !self.entries.is_empty()
+            && (self.entries.len() >= self.max_packets || self.bytes + len > self.max_bytes)
+        {
+            self.evict_oldest();
+        }
+        self.bytes += len;
         self.entries.push_back(pkt);
-        while self.entries.len() > self.max_packets || self.bytes > self.max_bytes {
-            if let Some(evicted) = self.entries.pop_front() {
-                self.bytes -= evicted.wire_len();
-            } else {
-                break;
-            }
+        if self.bytes > self.max_bytes {
+            // Larger than the whole byte budget on its own: not kept.
+            self.evict_oldest();
         }
         self.occupancy.packets.set(self.entries.len() as i64);
         self.occupancy.bytes.set(self.bytes as i64);
+    }
+
+    fn evict_oldest(&mut self) {
+        if let Some(evicted) = self.entries.pop_front() {
+            self.bytes -= evicted.wire_len();
+        }
     }
 
     /// Look up a packet by sequence number (binary search: the deque is in
@@ -187,6 +200,26 @@ mod tests {
         }
         assert!(h.bytes() <= 100);
         assert!(h.len() <= 2);
+    }
+
+    #[test]
+    fn ring_never_outgrows_the_packet_cap() {
+        let mut h = RetransmitHistory::new(64, 1 << 20);
+        for s in 0..1000u16 {
+            h.record(pkt(s, 10));
+            assert!(h.len() <= 64);
+        }
+        assert!(h.entries.capacity() <= 64, "evict before push");
+        assert!(h.lookup(936).is_some() && h.lookup(935).is_none());
+    }
+
+    #[test]
+    fn oversize_packet_is_not_kept() {
+        let mut h = RetransmitHistory::new(10, 100);
+        h.record(pkt(1, 20));
+        h.record(pkt(2, 200));
+        assert!(h.is_empty());
+        assert_eq!(h.bytes(), 0);
     }
 
     #[test]

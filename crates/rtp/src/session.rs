@@ -60,6 +60,25 @@ impl RtpSender {
         media_ticks.wrapping_add(self.ts_offset)
     }
 
+    /// Stamp the next header in the stream and advance the sequence.
+    fn next_header(&mut self, media_ticks: u32, marker: bool) -> RtpHeader {
+        let mut header = RtpHeader::new(
+            self.payload_type,
+            self.next_seq,
+            self.timestamp_for(media_ticks),
+            self.ssrc,
+        );
+        header.marker = marker;
+        self.next_seq = self.next_seq.wrapping_add(1);
+        header
+    }
+
+    fn count(&mut self, pkt: RtpPacket) -> RtpPacket {
+        self.packets_sent += 1;
+        self.octets_sent += pkt.payload.len() as u64;
+        pkt
+    }
+
     /// Build the next packet in the stream.
     ///
     /// `media_ticks` is the capture instant in 90 kHz ticks; `marker` follows
@@ -70,18 +89,23 @@ impl RtpSender {
         marker: bool,
         payload: impl Into<bytes::Bytes>,
     ) -> RtpPacket {
-        let mut header = RtpHeader::new(
-            self.payload_type,
-            self.next_seq,
-            self.timestamp_for(media_ticks),
-            self.ssrc,
-        );
-        header.marker = marker;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let pkt = RtpPacket::new(header, payload);
-        self.packets_sent += 1;
-        self.octets_sent += pkt.payload.len() as u64;
-        pkt
+        let header = self.next_header(media_ticks, marker);
+        self.count(RtpPacket::new(header, payload))
+    }
+
+    /// Build the next packet in the stream as one datagram: same header,
+    /// sequence and counts as [`RtpSender::next_packet`], with the payload
+    /// gathered from `parts` straight into the buffer that goes on the wire
+    /// (see [`RtpPacket::assemble`]; `scratch` is reused working space).
+    pub fn next_datagram(
+        &mut self,
+        media_ticks: u32,
+        marker: bool,
+        parts: &[&[u8]],
+        scratch: &mut Vec<u8>,
+    ) -> RtpPacket {
+        let header = self.next_header(media_ticks, marker);
+        self.count(RtpPacket::assemble(header, parts, scratch))
     }
 
     /// (packets, payload octets) sent so far — feeds RTCP sender reports.

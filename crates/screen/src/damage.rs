@@ -101,20 +101,31 @@ impl DamageTracker {
 
     /// Take the pending damage, coalesced per the strategy.
     pub fn take(&mut self) -> Vec<Rect> {
+        let mut out = Vec::new();
+        self.take_into(&mut out);
+        out
+    }
+
+    /// [`DamageTracker::take`] into a buffer the caller keeps: `out`'s
+    /// previous contents are discarded and its allocation changes hands
+    /// with the tracker's, so a tracker drained every frame into the same
+    /// buffer stops allocating once both have grown to size.
+    pub fn take_into(&mut self, out: &mut Vec<Rect>) {
         self.oldest_pending_us = None;
-        let rects = std::mem::take(&mut self.rects);
+        out.clear();
+        std::mem::swap(&mut self.rects, out);
         match self.strategy {
-            MergeStrategy::PerRect => rects,
+            MergeStrategy::PerRect => {}
             MergeStrategy::BoundingBox => {
-                if rects.is_empty() {
-                    vec![]
-                } else {
-                    vec![rects
+                if !out.is_empty() {
+                    let bounds = out
                         .iter()
-                        .fold(Rect::new(0, 0, 0, 0), |acc, r| acc.union(r))]
+                        .fold(Rect::new(0, 0, 0, 0), |acc, r| acc.union(r));
+                    out.clear();
+                    out.push(bounds);
                 }
             }
-            MergeStrategy::Greedy { slack_percent } => greedy_merge(rects, slack_percent),
+            MergeStrategy::Greedy { slack_percent } => greedy_merge(out, slack_percent),
         }
     }
 
@@ -152,8 +163,8 @@ impl Default for DamageTracker {
     }
 }
 
-/// Greedy pairwise merging until fixpoint.
-fn greedy_merge(mut rects: Vec<Rect>, slack_percent: u32) -> Vec<Rect> {
+/// Greedy pairwise merging until fixpoint, in place.
+fn greedy_merge(rects: &mut Vec<Rect>, slack_percent: u32) {
     let slack = slack_percent.max(100) as u64;
     loop {
         let mut merged_any = false;
@@ -179,7 +190,7 @@ fn greedy_merge(mut rects: Vec<Rect>, slack_percent: u32) -> Vec<Rect> {
             i += 1;
         }
         if !merged_any {
-            return rects;
+            return;
         }
     }
 }
@@ -187,6 +198,40 @@ fn greedy_merge(mut rects: Vec<Rect>, slack_percent: u32) -> Vec<Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn take_into_is_take_without_the_allocation() {
+        for strategy in [
+            MergeStrategy::PerRect,
+            MergeStrategy::BoundingBox,
+            MergeStrategy::Greedy { slack_percent: 130 },
+        ] {
+            let mut by_value = DamageTracker::new(strategy);
+            let mut into = DamageTracker::new(strategy);
+            let mut buf = vec![Rect::new(9, 9, 9, 9)]; // stale contents are discarded
+            for round in 0..4u32 {
+                for i in 0..=round {
+                    let r = Rect::new(i * 40, round * 7, 10 + i, 10);
+                    by_value.add_at(r, 5);
+                    into.add_at(r, 5);
+                }
+                into.take_into(&mut buf);
+                assert_eq!(buf, by_value.take(), "{strategy:?} round {round}");
+                assert!(into.is_empty());
+                assert_eq!(into.oldest_pending_us(), None);
+            }
+            // Nothing pending: an empty take, whatever the buffer held.
+            into.take_into(&mut buf);
+            assert!(buf.is_empty());
+        }
+        // The buffers trade allocations, so a tracker drained into the same
+        // buffer every frame stops allocating.
+        let mut t = DamageTracker::new(MergeStrategy::PerRect);
+        let mut buf = Vec::with_capacity(16);
+        t.add(Rect::new(0, 0, 1, 1));
+        t.take_into(&mut buf);
+        assert!(t.rects.capacity() >= 16);
+    }
 
     #[test]
     fn contained_rects_deduplicated() {

@@ -25,12 +25,13 @@ use adshare_rtp::rtcp::{decode_compound, ReportBlock, RtcpPacket};
 use adshare_rtp::session::RtpSender;
 use adshare_screen::desktop::{Desktop, ScrollHint};
 use adshare_screen::wm::WindowId;
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{AhConfig, PointerPolicy};
 use crate::egress::{Tap, Wire};
-use drain::Pending;
+use drain::{CodecMetricsByPt, Pending};
 use leg::Leg;
 
 /// Identifies an attached participant at the AH.
@@ -107,6 +108,7 @@ struct Cx<'a> {
     registry: &'a CodecRegistry,
     counters: &'a AhCounters,
     encode: &'a mut EncodePipeline,
+    codec_metrics: &'a mut CodecMetricsByPt,
     obs: Option<&'a Obs>,
     tap: &'a mut Tap,
 }
@@ -144,6 +146,8 @@ pub struct AppHost {
     /// content-addressed encode cache (shared by every participant and
     /// transport), and the worker pool for parallel cache-miss encoding.
     encode: EncodePipeline,
+    /// `codec.{name}.*` handles, resolved once per payload type.
+    codec_metrics: CodecMetricsByPt,
     /// Observability bundle when attached; counters flow regardless, the
     /// bundle adds registry export and frame tracing.
     obs: Option<Obs>,
@@ -188,6 +192,7 @@ impl AppHost {
             desktop,
             chair: FloorChair::new(1, 0, cfg.floor_grant_us),
             encode,
+            codec_metrics: CodecMetricsByPt::default(),
             cfg,
             registry: CodecRegistry::default(),
             rng: StdRng::seed_from_u64(seed),
@@ -315,6 +320,7 @@ impl AppHost {
             registry: &self.registry,
             counters: &self.counters,
             encode: &mut self.encode,
+            codec_metrics: &mut self.codec_metrics,
             obs: self.obs.as_ref(),
             tap: &mut self.tap,
         };
@@ -615,15 +621,24 @@ impl AppHost {
         }
     }
 
-    /// Datagrams arriving at a UDP participant by `now_us`.
-    pub fn poll_udp(&mut self, handle: ParticipantHandle, now_us: u64) -> Vec<Vec<u8>> {
+    /// Datagrams arriving at a UDP participant by `now_us`, each the very
+    /// buffer its packet was serialised into (the link queued a handle).
+    pub fn poll_udp_bytes(&mut self, handle: ParticipantHandle, now_us: u64) -> Vec<Bytes> {
         let Some((slot, receiver)) = self.route(handle) else {
             return Vec::new();
         };
         match &mut self.legs[slot] {
-            Some(leg) if !leg.wire.is_stream() => leg.wire.poll(receiver, now_us),
-            _ => Vec::new(),
+            Some(leg) => leg.wire.poll(receiver, now_us),
+            None => Vec::new(),
         }
+    }
+
+    /// [`AppHost::poll_udp_bytes`] with every datagram copied out into a
+    /// `Vec` of its own — the older spelling, for callers that want to own
+    /// plain vectors.
+    pub fn poll_udp(&mut self, handle: ParticipantHandle, now_us: u64) -> Vec<Vec<u8>> {
+        let datagrams = self.poll_udp_bytes(handle, now_us);
+        datagrams.iter().map(Bytes::to_vec).collect()
     }
 
     /// Stream bytes arriving at a TCP participant by `now_us`.
@@ -632,8 +647,8 @@ impl AppHost {
             return Vec::new();
         };
         match &mut self.legs[slot] {
-            Some(leg) if leg.wire.is_stream() => leg.wire.poll(0, now_us).pop().unwrap_or_default(),
-            _ => Vec::new(),
+            Some(leg) => leg.wire.poll_stream(now_us),
+            None => Vec::new(),
         }
     }
 

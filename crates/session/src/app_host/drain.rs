@@ -7,10 +7,10 @@
 use std::collections::HashMap;
 
 use adshare_codec::codec::{AnyCodec, EncodeOptions};
-use adshare_codec::{Codec, CodecKind, Image, Rect};
-use adshare_encode::TileJob;
-use adshare_obs::{EventKind, FrameTrace, ACTOR_AH};
-use adshare_rate::{FreshQueue, QualityTier, RateController};
+use adshare_codec::{Codec, CodecKind, CodecRegistry, Image, Rect};
+use adshare_encode::{tiles, RegionKey, RegionTiles, TileJob};
+use adshare_obs::{Counter, EventKind, FrameTrace, Histogram, Registry, ACTOR_AH};
+use adshare_rate::{FreshQueue, QualityTier, Queued, RateController};
 use adshare_remoting::message::{
     MousePointerInfo, MoveRectangle, RegionUpdate, RemotingMessage, WindowManagerInfo,
     WindowRecord as WireWindowRecord,
@@ -32,6 +32,56 @@ pub(super) struct Pending {
     pub(super) damage: HashMap<WindowId, DamageTracker>,
     pub(super) pointer_moved: bool,
     pub(super) pointer_icon: bool,
+    /// Working space of [`AppHost::drain_pending`], kept between flushes so
+    /// that a steady stream of damage is drained without allocating: the
+    /// damaged windows in send order, and the rects taken from one tracker
+    /// (whose allocation goes back to that tracker, see
+    /// [`DamageTracker::take_into`]).
+    windows: Vec<WindowId>,
+    rects: Vec<Rect>,
+}
+
+/// Per-codec encode cost (cache misses only), exported as `codec.{name}.*`.
+#[derive(Debug)]
+struct CodecMetrics {
+    cpu_us_total: Counter,
+    encodes: Counter,
+    bytes: Counter,
+    encode_us: Histogram,
+}
+
+/// The `codec.{name}.*` handles of every payload type that has encoded a
+/// tile so far, resolved in the registry once per payload type instead of
+/// by formatted name on every region.
+#[derive(Debug, Default)]
+pub(super) struct CodecMetricsByPt(Vec<(u8, CodecMetrics)>);
+
+impl CodecMetricsByPt {
+    /// The handles for `pt`, taken from `obs` on first use. They are the
+    /// registry's own (get-or-insert), so several AHs exporting into one
+    /// registry keep adding to the same metrics.
+    fn get(&mut self, obs: &Registry, codecs: &CodecRegistry, pt: u8) -> &CodecMetrics {
+        let at = match self.0.iter().position(|(p, _)| *p == pt) {
+            Some(at) => at,
+            None => {
+                let name = codecs
+                    .get(pt)
+                    .map(|c| c.kind().encoding_name())
+                    .unwrap_or("unknown");
+                self.0.push((
+                    pt,
+                    CodecMetrics {
+                        cpu_us_total: obs.counter(&format!("codec.{name}.cpu_us_total")),
+                        encodes: obs.counter(&format!("codec.{name}.encodes")),
+                        bytes: obs.counter(&format!("codec.{name}.bytes")),
+                        encode_us: obs.histogram(&format!("codec.{name}.encode_us")),
+                    },
+                ));
+                self.0.len() - 1
+            }
+        };
+        &self.0[at].1
+    }
 }
 
 impl Pending {
@@ -235,45 +285,48 @@ impl AppHost {
     /// Encode one damaged region of a window through the tile pipeline.
     /// The region is split along the pipeline's fixed grid; tiles already
     /// in the content-addressed cache are served without encoding, the
-    /// rest encode on the worker pool. Returns `(payload_type, tile_rect,
-    /// payload, encode_us)` per tile in deterministic row-major order
-    /// (`encode_us` is 0 on a cache hit). At a lossy `tier` every tile is
-    /// sent as coarse DCT regardless of the configured codec (the decoder
-    /// needs no side channel; the payload type says DCT), and the tier is
-    /// part of the cache key so a lossy encode never poisons a lossless
-    /// lookup.
+    /// rest encode on the worker pool. Returns the tiles in deterministic
+    /// row-major order (`None` when nothing of the region is shared). At a
+    /// lossy `tier` every tile is sent as coarse DCT regardless of the
+    /// configured codec (the decoder needs no side channel; the payload
+    /// type says DCT), and the tier is part of the cache key so a lossy
+    /// encode never poisons a lossless lookup.
+    ///
+    /// `AppHost::step` captures once and paints nothing while its legs
+    /// flush, so within a step the result is a function of `(win, rect,
+    /// tier)` alone: the pipeline encodes it for the first leg that asks
+    /// and hands every later leg the same tiles by handle
+    /// ([`adshare_encode::EncodePipeline::encode_region`]) — counted, here
+    /// and there, as the cache hits they replace.
     fn encode_region_tiles(
         cx: &mut Cx<'_>,
         now_us: u64,
         win: WindowId,
         rect: Rect,
         tier: QualityTier,
-    ) -> Vec<(u8, Rect, Bytes, u64)> {
+    ) -> Option<RegionTiles> {
         let (desktop, cfg, registry, counters, obs) =
             (cx.desktop, cx.cfg, cx.registry, cx.counters, cx.obs);
-        let pipeline = &mut *cx.encode;
-        let Some(rec) = desktop.wm().get(win).filter(|r| r.shared).copied() else {
-            return Vec::new();
-        };
-        let Some(content) = desktop.window_content(win) else {
-            return Vec::new();
-        };
-        let Some(rect) = rect.intersect(&content.bounds()) else {
-            return Vec::new();
-        };
-        let mut jobs = Vec::new();
-        for tile in pipeline.tile(rect) {
-            let Ok(mut crop) = content.crop(tile) else {
-                continue;
-            };
-            if cfg.pointer == PointerPolicy::InStream {
-                Self::composite_pointer(desktop, rec.rect, tile, &mut crop);
+        let rec = desktop.wm().get(win).filter(|r| r.shared).copied()?;
+        let content = desktop.window_content(win)?;
+        let rect = rect.intersect(&content.bounds())?;
+        let grid = cx.encode.config().tile;
+        let jobs = || {
+            let mut jobs = Vec::new();
+            for tile in tiles(rect, grid) {
+                let Ok(mut crop) = content.crop(tile) else {
+                    continue;
+                };
+                if cfg.pointer == PointerPolicy::InStream {
+                    Self::composite_pointer(desktop, rec.rect, tile, &mut crop);
+                }
+                jobs.push(TileJob {
+                    rect: tile,
+                    image: crop,
+                });
             }
-            jobs.push(TileJob {
-                rect: tile,
-                image: crop,
-            });
-        }
+            jobs
+        };
         // A congestion-driven lossy tier overrides codec choice entirely;
         // otherwise §4.2: pick the codec "according to their
         // characteristics" when adaptive mode is on, else the configured
@@ -308,59 +361,33 @@ impl AppHost {
                 (pt, registry.get(pt).expect("registered").encode(img))
             }
         };
-        let tiles = pipeline.encode_batch(tier.as_gauge() as u8, jobs, encode);
-        let total = tiles.len() as u64;
+        let key = RegionKey {
+            surface: win.0 as u64,
+            rect,
+            tier: tier.as_gauge() as u8,
+        };
+        let region = cx.encode.encode_region(key, jobs, encode);
+        let total = region.len() as u64;
         let mut hits = 0u64;
-        // Per-codec encode CPU split: (cpu_us, encodes, bytes) per payload
-        // type actually used this batch, folded into `codec.<name>.*` after
-        // the loop so registry lookups happen once per codec, not per tile.
-        let mut per_codec: Vec<(u8, u64, u64, u64, Vec<u64>)> = Vec::new();
-        let out: Vec<(u8, Rect, Bytes, u64)> = tiles
-            .into_iter()
-            .map(|t| {
-                if t.cache_hit {
-                    hits += 1;
-                } else {
-                    counters.encodes.inc();
-                    counters.encoded_bytes.add(t.payload.len() as u64);
-                    counters.encode_us.record(t.encode_us);
-                    if obs.is_some() {
-                        let slot = match per_codec.iter_mut().find(|e| e.0 == t.payload_type) {
-                            Some(s) => s,
-                            None => {
-                                per_codec.push((t.payload_type, 0, 0, 0, Vec::new()));
-                                per_codec.last_mut().expect("just pushed")
-                            }
-                        };
-                        slot.1 += t.encode_us;
-                        slot.2 += 1;
-                        slot.3 += t.payload.len() as u64;
-                        slot.4.push(t.encode_us);
-                    }
-                }
-                (t.payload_type, t.rect, t.payload, t.encode_us)
-            })
-            .collect();
-        if let Some(obs) = obs {
-            for (pt, cpu_us, encodes, bytes, samples) in per_codec {
-                let name = registry
-                    .get(pt)
-                    .map(|c| c.kind().encoding_name())
-                    .unwrap_or("unknown");
-                obs.registry
-                    .counter(&format!("codec.{name}.cpu_us_total"))
-                    .add(cpu_us);
-                obs.registry
-                    .counter(&format!("codec.{name}.encodes"))
-                    .add(encodes);
-                obs.registry
-                    .counter(&format!("codec.{name}.bytes"))
-                    .add(bytes);
-                let hist = obs.registry.histogram(&format!("codec.{name}.encode_us"));
-                for us in samples {
-                    hist.record(us);
-                }
+        for t in region.iter() {
+            if t.cache_hit {
+                hits += 1;
+                continue;
             }
+            counters.encodes.inc();
+            counters.encoded_bytes.add(t.payload.len() as u64);
+            counters.encode_us.record(t.encode_us);
+            if let Some(obs) = obs {
+                let codec = cx
+                    .codec_metrics
+                    .get(&obs.registry, registry, t.payload_type);
+                codec.cpu_us_total.add(t.encode_us);
+                codec.encodes.inc();
+                codec.bytes.add(t.payload.len() as u64);
+                codec.encode_us.record(t.encode_us);
+            }
+        }
+        if let Some(obs) = obs {
             if hits > 0 {
                 obs.event(now_us, ACTOR_AH, EventKind::CacheHit, hits, total);
             }
@@ -368,7 +395,7 @@ impl AppHost {
                 obs.event(now_us, ACTOR_AH, EventKind::CacheMiss, total - hits, total);
             }
         }
-        out
+        Some(region)
     }
 
     /// Build the ordered message list for a pending state, consuming it.
@@ -380,6 +407,8 @@ impl AppHost {
     /// Each RegionUpdate is paired with a partially-filled [`FrameTrace`]
     /// (damage age, encode cost, payload size); the flush path completes it
     /// with fragmentation and send timing before registering it.
+    ///
+    /// The messages are appended to `out`, a buffer the leg keeps.
     pub(super) fn drain_pending(
         cx: &mut Cx<'_>,
         pending: &mut Pending,
@@ -387,9 +416,9 @@ impl AppHost {
         now_us: u64,
         tier: QualityTier,
         mut degraded: Option<&mut HashMap<WindowId, DamageTracker>>,
-    ) -> Vec<Drained> {
+        out: &mut Vec<Drained>,
+    ) {
         let (desktop, cfg, registry, counters) = (cx.desktop, cx.cfg, cx.registry, cx.counters);
-        let mut out: Vec<Drained> = Vec::new();
         if pending.wmi {
             pending.wmi = false;
             out.push(Drained::control(Self::build_wmi_static(desktop)));
@@ -465,9 +494,12 @@ impl AppHost {
         let mut spent: u64 = 0;
         // In window order: `HashMap` order differs from one map to the next,
         // and the order of the updates is part of the wire digest.
-        let mut windows: Vec<WindowId> = pending.damage.keys().copied().collect();
+        let mut windows = std::mem::take(&mut pending.windows);
+        let mut rects = std::mem::take(&mut pending.rects);
+        windows.clear();
+        windows.extend(pending.damage.keys().copied());
         windows.sort_unstable();
-        for win in windows {
+        for &win in &windows {
             // Window gone or no longer shared? Drop its damage.
             if !desktop.wm().get(win).map(|r| r.shared).unwrap_or(false) {
                 pending.damage.remove(&win);
@@ -475,9 +507,9 @@ impl AppHost {
             }
             let tracker = pending.damage.get_mut(&win).expect("keyed");
             let damage_at_us = tracker.oldest_pending_us().unwrap_or(now_us);
-            let rects = tracker.take();
+            tracker.take_into(&mut rects);
             let mut unspent = Vec::new();
-            for rect in rects {
+            for &rect in &rects {
                 if budget_bytes.is_some_and(|b| spent >= b) {
                     unspent.push(rect);
                     continue;
@@ -485,9 +517,12 @@ impl AppHost {
                 // One pipeline batch per damage rect: a full-window refresh
                 // becomes dozens of tiles encoding in parallel, and each
                 // tile is a stable content-addressed cache unit.
-                for (pt, tile, payload, encode_us) in
-                    Self::encode_region_tiles(cx, now_us, win, rect, tier)
-                {
+                let Some(region) = Self::encode_region_tiles(cx, now_us, win, rect, tier) else {
+                    continue;
+                };
+                for t in region.iter() {
+                    let (pt, tile, payload, encode_us) =
+                        (t.payload_type, t.rect, t.payload, t.encode_us);
                     spent += payload.len() as u64;
                     if tier.is_lossy() {
                         // A lossy encode leaves the participant with
@@ -530,13 +565,15 @@ impl AppHost {
                 tracker.add_at(rect, damage_at_us);
             }
         }
-        out
+        pending.windows = windows;
+        pending.rects = rects;
     }
 
     /// Adaptive-mode drain (UDP unicast and multicast): encode at `tier`
     /// under the coalesce/headroom gate and route everything through the
-    /// supersede-on-coverage send queue. Returns the messages the pacer
-    /// releases this flush, in FIFO order.
+    /// supersede-on-coverage send queue (`drained` is working space the leg
+    /// keeps). Returns the messages the pacer releases this flush, in FIFO
+    /// order.
     pub(super) fn drain_adaptive(
         cx: &mut Cx<'_>,
         pending: &mut Pending,
@@ -544,7 +581,8 @@ impl AppHost {
         budget: Option<u64>,
         now_us: u64,
         tier: QualityTier,
-    ) -> Vec<(RemotingMessage, Option<FrameTrace>)> {
+        drained: &mut Vec<Drained>,
+    ) -> Vec<Queued<(RemotingMessage, Option<FrameTrace>)>> {
         // Encode gate: stop producing fresh encodes while the queue already
         // holds a pacer-window's worth (supersede keeps it fresh), or while
         // inside the tier's damage-coalescing interval. Control messages
@@ -556,18 +594,19 @@ impl AppHost {
         } else {
             budget.map(|b| b.saturating_add(QUEUE_HEADROOM_BYTES - queued))
         };
-        let drained = Self::drain_pending(
+        Self::drain_pending(
             cx,
             pending,
             encode_budget,
             now_us,
             tier,
             Some(&mut rs.degraded),
+            drained,
         );
         if drained.iter().any(|d| d.region.is_some()) {
             rs.last_encode_us = now_us;
         }
-        for d in drained {
+        for d in drained.drain(..) {
             match d.region {
                 Some((win, rect)) => {
                     // §7 generalised to UDP: fresher damage covering a
@@ -608,7 +647,7 @@ impl AppHost {
             rs.repairing = false;
         }
         rs.rate.note_queue(rs.queue.len(), rs.queue.bytes());
-        released.into_iter().map(|q| q.payload).collect()
+        released
     }
 
     pub(super) fn build_wmi_static(desktop: &Desktop) -> RemotingMessage {

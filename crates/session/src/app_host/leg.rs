@@ -17,15 +17,17 @@ use adshare_obs::{
     RATE_CAUSE_NACK_BURST,
 };
 use adshare_rate::RateController;
-use adshare_remoting::fragment::fragment;
 use adshare_remoting::message::RemotingMessage;
+use adshare_remoting::packetizer::packetize_with;
 use adshare_rtp::history::RetransmitHistory;
+use adshare_rtp::packet::RtpPacket;
 use adshare_rtp::rtcp::{
     encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
 };
 use adshare_rtp::session::RtpSender;
+use bytes::Bytes;
 
-use super::drain::{Pending, RateState};
+use super::drain::{Drained, Pending, RateState};
 use super::{AppHost, Cx};
 use crate::config::AhConfig;
 use crate::egress::Wire;
@@ -69,6 +71,15 @@ pub(super) struct Leg {
     /// Recently retransmitted seqs → time (shared legs only), collapsing
     /// the storm of identical NACKs a shared loss produces.
     recent_retx: HashMap<u16, u64>,
+    /// Working space kept between flushes, so a steady flow costs one
+    /// allocation per packet — its datagram — and none for bookkeeping: the
+    /// messages one flush drained, the packets of the message being sent,
+    /// the bytes a datagram is assembled from, and the sequences one
+    /// receiver report asks to have repaired.
+    drained: Vec<Drained>,
+    packets: Vec<RtpPacket>,
+    scratch: Vec<u8>,
+    tail_seqs: Vec<u16>,
 }
 
 /// Refresh a path's rate estimate and report AIMD growth as a
@@ -113,6 +124,10 @@ impl Leg {
             actor,
             prefix,
             recent_retx: HashMap::new(),
+            drained: Vec::new(),
+            packets: Vec::new(),
+            scratch: Vec::new(),
+            tail_seqs: Vec::new(),
         }
     }
 
@@ -233,12 +248,33 @@ impl Leg {
                 return;
             }
         }
-        let msgs: Vec<(RemotingMessage, Option<FrameTrace>)> = if adaptive && stream.is_none() {
-            AppHost::drain_adaptive(cx, &mut self.pending, &mut self.rs, budget, now_us, tier)
+        let mut drained = std::mem::take(&mut self.drained);
+        let mut sent = 0u64;
+        if adaptive && stream.is_none() {
+            let released = AppHost::drain_adaptive(
+                cx,
+                &mut self.pending,
+                &mut self.rs,
+                budget,
+                now_us,
+                tier,
+                &mut drained,
+            );
+            for queued in released {
+                let (msg, trace) = queued.payload;
+                sent += self.send_message(cx, &msg, trace, now_us);
+            }
         } else {
             let degraded = Some(&mut self.rs.degraded);
-            let drained =
-                AppHost::drain_pending(cx, &mut self.pending, budget, now_us, tier, degraded);
+            AppHost::drain_pending(
+                cx,
+                &mut self.pending,
+                budget,
+                now_us,
+                tier,
+                degraded,
+                &mut drained,
+            );
             // A stream drains unbudgeted, so its whole repair just went
             // out; a paced leg is done once nothing owed is left pending.
             if self.rs.repairing
@@ -247,12 +283,11 @@ impl Leg {
             {
                 self.rs.repairing = false;
             }
-            drained.into_iter().map(|d| (d.msg, d.trace)).collect()
-        };
-        let mut sent = 0u64;
-        for (msg, trace) in msgs {
-            sent += self.send_message(cx, &msg, trace, now_us);
+            for d in drained.drain(..) {
+                sent += self.send_message(cx, &d.msg, d.trace, now_us);
+            }
         }
+        self.drained = drained;
         if stream.is_none() {
             self.rs.rate.consume(sent);
         }
@@ -260,6 +295,11 @@ impl Leg {
 
     /// Fragment one message onto this leg's RTP stream and send it; returns
     /// the bytes put on the transport.
+    ///
+    /// Each packet is serialised once, into the one buffer
+    /// ([`packetize_with`]) that the wire then folds, taps and queues and
+    /// the history keeps: one allocation per RTP packet, whatever the
+    /// transport and however many hold the handle.
     fn send_message(
         &mut self,
         cx: &mut Cx<'_>,
@@ -269,25 +309,33 @@ impl Leg {
     ) -> u64 {
         let ticks = us_to_ticks(now_us) as u32;
         let frag_start = std::time::Instant::now();
-        let Ok(frags) = fragment(msg, self.mtu) else {
+        let mut packets = std::mem::take(&mut self.packets);
+        let fits = packetize_with(
+            &mut self.sender,
+            msg,
+            self.mtu,
+            ticks,
+            &mut self.scratch,
+            |pkt| packets.push(pkt),
+        );
+        if fits.is_err() {
+            self.packets = packets;
             return 0;
-        };
+        }
         let fragment_us = frag_start.elapsed().as_micros() as u64;
         cx.counters.fragment_us.record(fragment_us);
-        let nfrags = frags.len() as u32;
+        let nfrags = packets.len() as u32;
         let mut marker_seq = None;
         let mut msg_bytes = 0u64;
-        for f in frags {
-            let marker = f.marker;
-            let pkt = self.sender.next_packet(ticks, marker, f.payload);
-            if marker {
+        for pkt in packets.drain(..) {
+            if pkt.header.marker {
                 marker_seq = Some(pkt.header.sequence);
             }
             cx.counters.rtp_packets.inc();
-            let encoded = pkt.encode();
+            let datagram = pkt.datagram(&mut self.scratch);
             let on_wire = self
                 .wire
-                .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &encoded)
+                .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &datagram)
                 as u64;
             msg_bytes += on_wire;
             cx.counters.bytes_sent.add(on_wire);
@@ -295,6 +343,7 @@ impl Leg {
                 history.record(pkt);
             }
         }
+        self.packets = packets;
         cx.event(
             now_us,
             self.actor,
@@ -329,7 +378,9 @@ impl Leg {
                 cx.event(now_us, self.actor, EventKind::RetxExpired, seq as u64, 0);
                 continue;
             };
-            let encoded = pkt.encode();
+            // The history kept the buffer the packet first went out as;
+            // the repair is another handle on it.
+            let encoded = pkt.datagram(&mut self.scratch);
             self.wire
                 .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &encoded);
             if shared {
@@ -376,10 +427,10 @@ impl Leg {
             reports: vec![],
         };
         // RFC 3550 §6.1: every RTCP compound includes an SDES CNAME.
-        let bytes = encode_compound(&[
+        let bytes = Bytes::from(encode_compound(&[
             RtcpPacket::SenderReport(sr),
             RtcpPacket::Sdes(SourceDescription::cname(ssrc, "ah@adshare")),
-        ]);
+        ]));
         cx.counters.sr_sent.inc();
         self.wire
             .send(cx.tap, StreamKind::Rtcp, ACTOR_AH, now_us, &bytes);
@@ -431,9 +482,12 @@ impl Leg {
             // Up to date, or the report is ahead of our bookkeeping
             // (sequence wrap mid-flight); nothing to repair.
         } else if gap <= TAIL_REPAIR_MAX {
-            let seqs: Vec<u16> = (1..=gap).map(|i| reported.wrapping_add(i)).collect();
+            let mut seqs = std::mem::take(&mut self.tail_seqs);
+            seqs.clear();
+            seqs.extend((1..=gap).map(|i| reported.wrapping_add(i)));
             cx.counters.tail_repairs.inc();
             self.retransmit(cx, &seqs, now_us);
+            self.tail_seqs = seqs;
         } else {
             self.full_refresh(cx, now_us);
         }

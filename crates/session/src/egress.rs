@@ -8,6 +8,12 @@
 //! capture refolds to the digest of the leg it was taken from, and a frame
 //! a full TCP send buffer refuses appears in neither.
 //!
+//! A datagram arrives here as the sender's one [`Bytes`] buffer. The digest
+//! and the framer read it by reference; a datagram link (UDP channel, every
+//! member of a multicast group, the raw queue) queues a clone of the handle,
+//! and the same handle is what [`Wire::poll`] gives the receiver. Only an
+//! armed capture and the TCP framing buffer copy the bytes.
+//!
 //! The digest and the capture sink live in a [`Tap`] the caller passes in,
 //! because the two senders scope them differently: the AH folds every leg
 //! into one order-sensitive session digest, a relay keeps one per leg.
@@ -22,6 +28,7 @@ use adshare_netsim::tcp::{TcpConfig, TcpLink};
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::Registry;
 use adshare_rtp::framing::{frame_into, MAX_FRAME_LEN};
+use bytes::Bytes;
 
 /// Running egress digest plus the capture sink recording the same bytes.
 #[derive(Debug)]
@@ -85,7 +92,7 @@ enum Link {
     },
     Multicast(MulticastGroup),
     /// Datagrams pile up for the caller to ship over real sockets.
-    Raw(VecDeque<Vec<u8>>),
+    Raw(VecDeque<Bytes>),
 }
 
 /// One downstream transport and the only code that writes to it.
@@ -171,16 +178,16 @@ impl Wire {
         kind: StreamKind,
         actor: u16,
         now_us: u64,
-        datagram: &[u8],
+        datagram: &Bytes,
     ) -> usize {
         if self.is_stream() && datagram.len() > MAX_FRAME_LEN {
             return 0;
         }
         tap.note(kind, self.cap_transport(), actor, now_us, datagram);
         match &mut self.link {
-            Link::Udp(channel) => channel.send(now_us, datagram),
-            Link::Multicast(group) => group.send(now_us, datagram),
-            Link::Raw(queue) => queue.push_back(datagram.to_vec()),
+            Link::Udp(channel) => channel.send_bytes(now_us, datagram),
+            Link::Multicast(group) => group.send_bytes(now_us, datagram),
+            Link::Raw(queue) => queue.push_back(datagram.clone()),
             Link::Tcp { link, outq } => {
                 self.framed.clear();
                 let _ = frame_into(&mut self.framed, datagram);
@@ -208,7 +215,7 @@ impl Wire {
         kind: StreamKind,
         actor: u16,
         now_us: u64,
-        datagram: &[u8],
+        datagram: &Bytes,
     ) -> bool {
         if let Link::Tcp { link, .. } = &mut self.link {
             if datagram.len() > MAX_FRAME_LEN || !link.can_accept(now_us, datagram.len() + 2) {
@@ -237,22 +244,25 @@ impl Wire {
         matches!(&self.link, Link::Tcp { outq, .. } if !outq.is_empty())
     }
 
-    /// What has arrived at the receiver by `now_us`: datagrams (UDP; one
-    /// multicast `member`; everything queued on a raw wire) or the next
-    /// in-order stream chunk as a single element (TCP).
-    pub fn poll(&mut self, member: usize, now_us: u64) -> Vec<Vec<u8>> {
+    /// The datagrams that have arrived at the receiver by `now_us` (UDP;
+    /// one multicast `member`; everything queued on a raw wire), each the
+    /// buffer its sender queued. Empty on a stream — see
+    /// [`Wire::poll_stream`].
+    pub fn poll(&mut self, member: usize, now_us: u64) -> Vec<Bytes> {
         match &mut self.link {
             Link::Udp(channel) => channel.poll(now_us),
             Link::Multicast(group) => group.poll(member, now_us),
             Link::Raw(queue) => queue.drain(..).collect(),
-            Link::Tcp { link, .. } => {
-                let chunk = link.recv(now_us);
-                if chunk.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![chunk]
-                }
-            }
+            Link::Tcp { .. } => Vec::new(),
+        }
+    }
+
+    /// The next in-order chunk of a stream's bytes to have arrived by
+    /// `now_us` (empty when nothing has, and on a datagram wire).
+    pub fn poll_stream(&mut self, now_us: u64) -> Vec<u8> {
+        match &mut self.link {
+            Link::Tcp { link, .. } => link.recv(now_us),
+            _ => Vec::new(),
         }
     }
 
@@ -347,7 +357,7 @@ mod tests {
         let mut wire = tight_tcp();
         let mut expect = Vec::new();
         for i in 0..10u8 {
-            let datagram = [i; 40];
+            let datagram = Bytes::copy_from_slice(&[i; 40]);
             assert_eq!(wire.send(&mut tap, StreamKind::Rtp, 7, 0, &datagram), 42);
             expect.extend_from_slice(&[0, 40]);
             expect.extend_from_slice(&datagram);
@@ -358,7 +368,7 @@ mod tests {
         while got.len() < expect.len() && now < 10_000_000 {
             now += 1_000;
             wire.stream_backlog(now);
-            got.extend(wire.poll(0, now).concat());
+            got.extend(wire.poll_stream(now));
         }
         assert_eq!(got, expect);
         assert_eq!(tap.capture().unwrap().wire_digest(), tap.digest());
@@ -370,15 +380,38 @@ mod tests {
         let mut wire = tight_tcp();
         // The serializer takes the first frame at once; the second fills
         // the 64-byte buffer; the third does not fit.
-        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &[1; 40]));
-        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &[2; 40]));
+        let frame = |n: u8| Bytes::copy_from_slice(&[n; 40]);
+        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &frame(1)));
+        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &frame(2)));
         let accepted = tap.digest();
-        assert!(!wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &[3; 40]));
+        assert!(!wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &frame(3)));
         assert_eq!(tap.digest(), accepted, "a refused frame is not folded");
         assert!(!wire.has_unsent(), "all-or-nothing never spills");
         let cap = parse_capture(&tap.capture().unwrap().to_bytes()).unwrap();
         assert_eq!(cap.records.len(), 2, "a refused frame is not taped");
         assert_eq!(tap.capture().unwrap().wire_digest(), tap.digest());
+    }
+
+    #[test]
+    fn datagram_wires_deliver_the_senders_buffer() {
+        let mut tap = Tap::default();
+        let datagram = Bytes::copy_from_slice(&[7; 40]);
+        let mut group = Wire::multicast();
+        group.join(LinkConfig::default(), 1);
+        group.join(LinkConfig::default(), 2);
+        for (mut wire, receivers) in [
+            (Wire::udp(LinkConfig::default(), 1), 1),
+            (group, 2),
+            (Wire::raw(), 1),
+        ] {
+            assert_eq!(wire.send(&mut tap, StreamKind::Rtp, 7, 0, &datagram), 40);
+            for member in 0..receivers {
+                let got = wire.poll(member, 1_000_000);
+                assert_eq!(got.len(), 1);
+                assert!(std::ptr::eq(got[0].as_ptr(), datagram.as_ptr()));
+            }
+            assert!(wire.poll_stream(1_000_000).is_empty());
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use adshare_rtp::reorder::ReorderBuffer;
 use adshare_rtp::rtcp::{encode_compound, GenericNack, PictureLossIndication, RtcpPacket};
 use adshare_rtp::session::{RtpReceiver, RtpSender};
 use adshare_screen::Desktop;
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -334,13 +335,15 @@ impl Participant {
     }
 
     /// Ingest one UDP datagram carrying a remoting RTP packet (or, per
-    /// RFC 5761 rtcp-mux, an RTCP sender report).
-    pub fn handle_datagram(&mut self, datagram: &[u8], now_ticks: u64) {
-        if Self::is_rtcp(datagram) {
-            self.handle_downstream_rtcp(datagram);
+    /// RFC 5761 rtcp-mux, an RTCP sender report). The payload is sliced out
+    /// of `datagram`, not copied: reorder buffer, reassembler and decoder
+    /// all read the buffer the link delivered.
+    pub fn handle_datagram_bytes(&mut self, datagram: Bytes, now_ticks: u64) {
+        if Self::is_rtcp(&datagram) {
+            self.handle_downstream_rtcp(&datagram);
             return;
         }
-        let Ok(pkt) = RtpPacket::decode(datagram) else {
+        let Ok(pkt) = RtpPacket::decode_bytes(datagram) else {
             return;
         };
         self.last_ticks = now_ticks;
@@ -370,6 +373,12 @@ impl Participant {
                 self.pending_nacks.push((now_ticks + delay, missing));
             }
         }
+    }
+
+    /// [`Participant::handle_datagram_bytes`] for a borrowed datagram (real
+    /// sockets, replayed captures, tests): the same ingest after one copy.
+    pub fn handle_datagram(&mut self, datagram: &[u8], now_ticks: u64) {
+        self.handle_datagram_bytes(Bytes::copy_from_slice(datagram), now_ticks);
     }
 
     /// NACK retry cadence: a repair that has not arrived this long after

@@ -402,7 +402,7 @@ impl SimSession {
                     } else {
                         CapTransport::Udp
                     };
-                    for dg in self.ah.poll_udp(sp.handle, now) {
+                    for dg in self.ah.poll_udp_bytes(sp.handle, now) {
                         if let Some(cap) = &capture {
                             cap.record(
                                 CapDirection::Rx,
@@ -413,7 +413,7 @@ impl SimSession {
                                 &dg,
                             );
                         }
-                        sp.participant.handle_datagram(&dg, ticks);
+                        sp.participant.handle_datagram_bytes(dg, ticks);
                     }
                 }
                 TransportKind::Tcp => {

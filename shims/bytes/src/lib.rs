@@ -4,6 +4,15 @@
 //! an `Arc<[u8]>`. Clones share the allocation, matching the upstream crate's
 //! key property (O(1) clone of packet payloads). Mutation and the `Buf`/
 //! `BufMut` traits are intentionally absent — nothing here needs them.
+//!
+//! One difference from upstream matters on hot paths: **`From<Vec<u8>>`
+//! copies here.** Upstream takes the vector's allocation over; an
+//! `Arc<[u8]>` keeps its reference counts in front of the bytes, so the shim
+//! allocates again and `memcpy`s. Every constructor costs exactly one
+//! allocation and one copy of the data; to build a buffer from several
+//! pieces, assemble them in a reused scratch `Vec` and freeze the result
+//! with [`Bytes::copy_from_slice`] rather than allocating a `Vec` per buffer
+//! and converting it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,6 +111,8 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies `v` into a new shared allocation and frees `v` — unlike
+    /// upstream, which reuses the vector's buffer (see the crate docs).
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {

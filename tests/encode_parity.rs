@@ -136,3 +136,231 @@ fn windows_damaged_in_one_flush_are_sent_in_one_order() {
         assert_eq!(digest(), first, "run {run} folded a different wire digest");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The step-scoped region index (DESIGN §5.1 "Buffer ownership"): a region is
+// cropped, hashed, looked up and encoded for the first leg that asks in a
+// step and handed to the others by handle. These tests pin what that must
+// never change.
+// ---------------------------------------------------------------------------
+
+/// The `typing_udp` shape of the benchmark: a 1024×768 desktop sharing one
+/// white 640×480 window, RLE, `viewers` default UDP links.
+fn typing_session(viewers: usize, seed: u64) -> (SimSession, adshare::screen::WindowId) {
+    let mut d = Desktop::new(1024, 768);
+    let win = d.create_window(1, Rect::new(64, 48, 640, 480), [255, 255, 255, 255]);
+    let cfg = AhConfig {
+        codec: CodecKind::Rle,
+        ..AhConfig::default()
+    };
+    let mut s = SimSession::new(d, cfg, seed);
+    for v in 0..viewers {
+        let link = LinkConfig::default();
+        s.add_udp_participant(Layout::Original, link, link, None, seed + 1 + v as u64);
+    }
+    (s, win)
+}
+
+fn all_converged(s: &SimSession) -> bool {
+    (0..s.participant_count()).all(|p| s.converged(p))
+}
+
+/// Eight viewers of one typist: the wire digest, the AH's message, packet
+/// and encode counts and the pipeline's lookup/hit/miss counters are the
+/// ones the commit *before* the region index produced (recorded there with
+/// this very test body). Seven of every eight lookups are now answered by
+/// the index; each is still counted as the cache hit it replaces.
+#[test]
+fn eight_viewers_read_the_same_digest_and_cache_counters_as_before_the_index() {
+    let (mut s, win) = typing_session(8, 11);
+    let mut typing = Typing::new(win, 3);
+    let mut rng = StdRng::seed_from_u64(12);
+    for _ in 0..400 {
+        typing.tick(s.ah.desktop_mut(), &mut rng);
+        s.step(16_000);
+    }
+    assert!(s.run_until(16_000, 5_000_000, all_converged).is_some());
+    let st = s.ah.stats();
+    let snap = s.obs().registry.snapshot();
+    let encode = |name: &str| snap.counter(&format!("ah.encode.{name}")).unwrap();
+    let got = [
+        ("wire_digest", s.wire_digest()),
+        ("region_msgs", st.region_msgs),
+        ("rtp_packets", st.rtp_packets),
+        ("tx_bytes", st.bytes_sent),
+        ("retransmissions", st.retransmits),
+        ("encodes", st.encodes),
+        ("encoded_bytes", st.encoded_bytes),
+        ("encode.tiles", encode("tiles")),
+        ("encode.cache.hits", encode("cache.hits")),
+        ("encode.cache.misses", encode("cache.misses")),
+        ("encode.cache.dedup_hits", encode("cache.dedup_hits")),
+        ("encode.cache.bytes_saved", encode("cache.bytes_saved")),
+    ];
+    let recorded_before_the_index = [
+        ("wire_digest", 0x8dee_83f5_9793_3936),
+        ("region_msgs", 4272),
+        ("rtp_packets", 4328),
+        ("tx_bytes", 3_006_792),
+        ("retransmissions", 112),
+        ("encodes", 282),
+        ("encoded_bytes", 168_439),
+        ("encode.tiles", 4272),
+        ("encode.cache.hits", 3973),
+        ("encode.cache.misses", 282),
+        ("encode.cache.dedup_hits", 17),
+        ("encode.cache.bytes_saved", 2_639_465),
+    ];
+    assert_eq!(got, recorded_before_the_index);
+}
+
+/// The index does not survive a step: the same rect repainted with other
+/// pixels on consecutive steps is re-encoded every time, and every viewer
+/// ends pixel-identical to the AH.
+#[test]
+fn the_same_rect_repainted_next_step_is_encoded_again() {
+    let (mut s, win) = typing_session(3, 31);
+    assert!(s.run_until(16_000, 5_000_000, all_converged).is_some());
+    let before = s.ah.stats().encodes;
+    let rect = Rect::new(40, 40, 96, 64);
+    for step in 0..20u8 {
+        let c = step.wrapping_mul(13);
+        s.ah.desktop_mut().fill(win, rect, [c, 255 - c, step, 255]);
+        s.step(16_000);
+    }
+    assert!(s.run_until(16_000, 5_000_000, all_converged).is_some());
+    assert!(
+        s.ah.stats().encodes - before >= 20,
+        "twenty different paints of one rect are twenty encodes"
+    );
+}
+
+/// Legs that see different damage in the same step share nothing they
+/// should not: a leg whose 6 Mb/s budget defers rects, a leg pinned to a
+/// lossy tier by a relay's `ADTR` request (and later released), a viewer
+/// that joins mid-session and gets a full refresh the others do not, all
+/// under an in-stream pointer that moves — everyone converges
+/// pixel-identical.
+#[test]
+fn diverging_legs_converge_pixel_identical() {
+    use adshare::layers::TierRequest;
+    let mut d = Desktop::new(1024, 768);
+    let win = d.create_window(1, Rect::new(64, 48, 512, 384), [255, 255, 255, 255]);
+    let cfg = AhConfig {
+        pointer: PointerPolicy::InStream,
+        ..AhConfig::default()
+    };
+    let mut s = SimSession::new(d, cfg, 41);
+    let link = LinkConfig::default();
+    s.add_udp_participant(Layout::Original, link, link, None, 42);
+    s.add_udp_participant(Layout::Original, link, link, Some(6_000_000), 43);
+    let pinned = s.add_udp_participant(Layout::Original, link, link, None, 44);
+    let mut video = Video::new(win, Rect::new(32, 32, 256, 192));
+    let mut typing = Typing::new(win, 3);
+    let mut rng = StdRng::seed_from_u64(45);
+    let pin = |s: &mut SimSession, tier: QualityTier| {
+        let request = TierRequest {
+            ssrc: 0x5245_0000,
+            tier,
+        };
+        let handle = s.handle(pinned);
+        s.ah.handle_rtcp(handle, &request.encode(), 0);
+    };
+    for tick in 0..120u32 {
+        video.tick(s.ah.desktop_mut(), &mut rng);
+        typing.tick(s.ah.desktop_mut(), &mut rng);
+        s.ah.desktop_mut()
+            .pointer_mut()
+            .move_to(80 + tick * 3, 70 + tick * 2);
+        match tick {
+            20 => pin(&mut s, QualityTier::Balanced),
+            40 => {
+                s.add_udp_participant(Layout::Original, link, link, None, 46);
+            }
+            80 => pin(&mut s, QualityTier::Lossless),
+            _ => {}
+        }
+        s.step(16_000);
+    }
+    assert!(
+        s.ah.stats().full_refreshes >= 4,
+        "every viewer, the late one included, was served its own refresh"
+    );
+    // Park the pointer off the window: in-stream pointer pixels are part of
+    // what viewers hold but not of the AH's window content.
+    s.ah.desktop_mut().pointer_mut().move_to(900, 700);
+    let done = s.run_until(16_000, 20_000_000, all_converged);
+    assert!(
+        done.is_some(),
+        "not converged: {:?}",
+        (0..s.participant_count())
+            .map(|p| s.divergence(p))
+            .collect::<Vec<_>>()
+    );
+    let snap = s.obs().registry.snapshot();
+    assert!(
+        snap.counter("codec.dct.encodes").unwrap_or(0) > 0,
+        "the pinned leg must have been served the lossy tier"
+    );
+    assert!(
+        snap.counter("ah.rtp_packets").unwrap() > snap.counter("ah.encode.tiles").unwrap(),
+        "fragmented updates on every leg"
+    );
+}
+
+/// The index belongs to one AH's pipeline even when the cache behind it is
+/// the host's shared one: a private tenant with two viewers counts exactly
+/// the lookups, hits and misses it counts when it is alone on the host, no
+/// matter that its neighbour paints byte-identical content in step with it.
+#[test]
+fn private_tenants_keep_their_region_indexes_apart() {
+    let counters = |tenants: usize| {
+        let mut host = MultiHost::new(HostConfig {
+            capture_interval_us: 16_000,
+            pool_workers: 2,
+            ..HostConfig::default()
+        });
+        for i in 0..tenants {
+            let mut d = Desktop::new(640, 480);
+            let win = d.create_window(1, Rect::new(20, 20, 256, 192), [250, 250, 250, 255]);
+            let idx = host.add_session(d, AhConfig::default(), 51, CacheSharing::Private);
+            assert_eq!(idx, i);
+            let link = LinkConfig::default();
+            for v in 0..2 {
+                host.session_mut(idx).add_udp_participant(
+                    Layout::Original,
+                    link,
+                    link,
+                    None,
+                    52 + v,
+                );
+            }
+            let mut tick = 0u32;
+            host.set_workload(idx, move |sess, _| {
+                tick += 1;
+                let c = (tick % 200) as u8;
+                let at = Rect::new(tick % 5 * 24, 16, 64, 48);
+                sess.ah.desktop_mut().fill(win, at, [c, 40, 255 - c, 255]);
+                tick < 60
+            });
+        }
+        host.run_until(2_000_000);
+        (0..tenants)
+            .map(|i| {
+                let sess = host.session(i);
+                assert!(all_converged(sess), "tenant {i} of {tenants}");
+                let snap = sess.obs().registry.snapshot();
+                ["tiles", "cache.hits", "cache.misses"]
+                    .map(|name| snap.counter(&format!("ah.encode.{name}")).unwrap())
+            })
+            .collect::<Vec<_>>()
+    };
+    let alone = counters(1);
+    let [tiles, hits, misses] = alone[0];
+    assert!(
+        misses > 0 && hits >= tiles / 2,
+        "two legs: every tile asked for twice"
+    );
+    let together = counters(2);
+    assert_eq!(together, vec![alone[0], alone[0]]);
+}

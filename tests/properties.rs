@@ -5,9 +5,11 @@ use adshare::codec::CodecKind;
 use adshare::prelude::*;
 use adshare::remoting::fragment::{fragment, FragmentPacket, Reassembler};
 use adshare::remoting::header::CommonHeader;
-use adshare::remoting::message::{RegionUpdate, RemotingMessage};
+use adshare::remoting::message::{
+    MousePointerInfo, MoveRectangle, RegionUpdate, RemotingMessage, WindowManagerInfo, WindowRecord,
+};
 use adshare::remoting::packetizer::{
-    depacketize_hip, HipPacketizer, RemotingDepacketizer, RemotingPacketizer,
+    depacketize_hip, packetize_with, HipPacketizer, RemotingDepacketizer, RemotingPacketizer,
 };
 use adshare::remoting::registry::MSG_REGION_UPDATE;
 use adshare::rtp::framing::{frame_into, Deframer};
@@ -80,6 +82,106 @@ fn arb_hip() -> impl Strategy<Value = HipMessage> {
                 _ => HipMessage::KeyTyped { window_id, text },
             }
         })
+}
+
+/// One message of any kind the AH sends: a RegionUpdate or a
+/// MousePointerInfo (with and without icon) carrying `body`, a
+/// WindowManagerInfo of `body.len() % 90` windows, or a MoveRectangle.
+fn remoting_message(kind: u8, window: u16, left: u32, top: u32, body: Vec<u8>) -> RemotingMessage {
+    let window_id = WireWindowId(window);
+    match kind {
+        0 => RemotingMessage::RegionUpdate(RegionUpdate {
+            window_id,
+            payload_type: 101,
+            left,
+            top,
+            payload: Bytes::from(body),
+        }),
+        1 => RemotingMessage::MousePointerInfo(MousePointerInfo {
+            window_id,
+            payload_type: 96,
+            left,
+            top,
+            image: (!body.is_empty()).then(|| Bytes::from(body)),
+        }),
+        2 => RemotingMessage::MousePointerInfo(MousePointerInfo {
+            window_id,
+            payload_type: 96,
+            left,
+            top,
+            image: None,
+        }),
+        3 => RemotingMessage::WindowManagerInfo(WindowManagerInfo {
+            windows: (0..body.len() % 90)
+                .map(|i| WindowRecord {
+                    window_id: WireWindowId(window.wrapping_add(i as u16)),
+                    group_id: i as u8,
+                    left,
+                    top,
+                    width: i as u32 + 1,
+                    height: 7,
+                })
+                .collect(),
+        }),
+        _ => RemotingMessage::MoveRectangle(MoveRectangle {
+            window_id,
+            src_left: left,
+            src_top: top,
+            width: 100,
+            height: 86,
+            dst_left: top,
+            dst_top: left,
+        }),
+    }
+}
+
+/// `RtpPacket::decode` and `RtpPacket::decode_bytes` are one parser behind
+/// two spellings: on every truncation and every single-byte mutation of a
+/// packet with CSRCs, a header extension and padding they agree on the
+/// fields or on the error, never panic, and the owning one never slices
+/// past its datagram.
+#[test]
+fn owned_and_borrowed_rtp_parsers_agree_on_hostile_input() {
+    use adshare::rtp::header::{HeaderExtension, RtpHeader};
+    let mut header = RtpHeader::new(99, 0xfffe, 0x1234_5678, 0x4148_0001);
+    header.marker = true;
+    header.csrc = vec![1, 0xdead_beef, 3];
+    header.extension = Some(HeaderExtension {
+        profile: 0xbede,
+        data: vec![9, 8, 7, 6, 5],
+    });
+    let mut valid = RtpPacket::new(header, vec![0x55u8; 23]).encode();
+    valid[0] |= 0x20; // P bit
+    valid.extend_from_slice(&[0, 0, 0, 4]); // four octets of padding
+    let agree = |buf: &[u8]| {
+        let borrowed = RtpPacket::decode(buf);
+        let datagram = Bytes::copy_from_slice(buf);
+        let owned = RtpPacket::decode_bytes(datagram.clone());
+        assert_eq!(owned, borrowed, "parsers disagree on {buf:02x?}");
+        if let Ok(pkt) = owned {
+            let all = datagram.as_ptr_range();
+            let payload = pkt.payload.as_ptr_range();
+            assert!(
+                all.start <= payload.start && payload.end <= all.end,
+                "payload is not a slice of the datagram"
+            );
+        }
+    };
+    let reference = RtpPacket::decode(&valid).expect("the unmutated packet parses");
+    assert_eq!(reference.header.csrc.len(), 3);
+    assert_eq!(reference.payload.len(), 23);
+    agree(&valid);
+    for len in 0..valid.len() {
+        agree(&valid[..len]);
+    }
+    let mut mutated = valid.clone();
+    for at in 0..valid.len() {
+        for value in 0..=255u8 {
+            mutated[at] = value;
+            agree(&mutated);
+        }
+        mutated[at] = valid[at];
+    }
 }
 
 proptest! {
@@ -355,5 +457,62 @@ proptest! {
         }
         let expected: Vec<u16> = (0..len as u16).map(|i| start.wrapping_add(i)).collect();
         prop_assert_eq!(delivered, expected);
+    }
+
+    /// The AH's serialiser against its reference: for any message kind,
+    /// payload length, MTU (any datagram budget, or the stream budget) and
+    /// sender state, `packetize_with` emits exactly the datagrams of
+    /// `fragment()` → `next_packet()` → `encode()` — same bytes, order and
+    /// marker bits, same sender state afterwards — or fails with the same
+    /// error having touched nothing. Those datagrams, parsed by the owning
+    /// parser, reassemble to the message; an unfragmented one without a
+    /// single allocation or copy.
+    #[test]
+    fn one_buffer_serialiser_matches_fragment_then_encode(
+        (kind, window, left, top) in (0u8..5, any::<u16>(), any::<u32>(), any::<u32>()),
+        body in proptest::collection::vec(any::<u8>(), 0..20_001),
+        (stream, datagram_mtu) in (0u8..8, 0usize..1401),
+        (sender_seed, ssrc, ticks) in (any::<u64>(), any::<u32>(), any::<u32>()),
+    ) {
+        // `Leg`'s STREAM_MTU: what a TCP leg fragments at.
+        let mtu = if stream == 0 { 60_000 } else { datagram_mtu };
+        let body_len = body.len();
+        let msg = remoting_message(kind, window, left, top, body);
+        let mut reference = RtpSender::new(ssrc, 99, &mut StdRng::seed_from_u64(sender_seed));
+        let mut sender = RtpSender::new(ssrc, 99, &mut StdRng::seed_from_u64(sender_seed));
+        let first_seq = sender.peek_seq();
+        let mut scratch = Vec::new();
+        let mut packets = Vec::new();
+        let result = packetize_with(&mut sender, &msg, mtu, ticks, &mut scratch, |p| packets.push(p));
+        let expected = match fragment(&msg, mtu) {
+            Ok(fragments) => fragments,
+            Err(e) => {
+                prop_assert_eq!(result, Err(e));
+                prop_assert!(packets.is_empty());
+                prop_assert_eq!(sender.peek_seq(), first_seq);
+                prop_assert_eq!(sender.sent_counts(), (0, 0));
+                return Ok(());
+            }
+        };
+        prop_assert_eq!(result, Ok(()));
+        prop_assert_eq!(packets.len(), expected.len());
+        let mut depacketizer = RemotingDepacketizer::new();
+        let mut reassembled = None;
+        for (pkt, f) in packets.iter().zip(expected) {
+            let oracle = reference.next_packet(ticks, f.marker, f.payload);
+            prop_assert_eq!(pkt, &oracle);
+            let datagram = pkt.datagram(&mut scratch);
+            prop_assert_eq!(&datagram[..], &oracle.encode()[..]);
+            let parsed = RtpPacket::decode_bytes(datagram).unwrap();
+            prop_assert_eq!(&parsed, &oracle);
+            if let Some(m) = depacketizer.feed(&parsed).unwrap() {
+                reassembled = Some(m);
+            }
+        }
+        prop_assert_eq!(sender.peek_seq(), reference.peek_seq());
+        prop_assert_eq!(sender.sent_counts(), reference.sent_counts());
+        prop_assert_eq!(reassembled.as_ref(), Some(&msg));
+        let joined = if packets.len() > 1 { (1, body_len as u64) } else { (0, 0) };
+        prop_assert_eq!(depacketizer.copy_stats(), joined);
     }
 }
