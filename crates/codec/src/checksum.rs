@@ -113,6 +113,37 @@ pub fn adler32(data: &[u8]) -> u32 {
 /// Multiplier for [`fast_hash64`]: the 64-bit golden-ratio constant.
 const FH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The 64-bit state [`fast_hash64`] starts from (before the length is
+/// folded in).
+const FH_INIT: u64 = 0x517c_c1b7_2722_0a95;
+
+/// One multiply-rotate round: mix the next eight input bytes into `h`.
+#[inline]
+fn fh_round(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FH_K).rotate_left(27)
+}
+
+/// Run `data` through the rounds one word after the other, starting from
+/// `h`, and finish with a splitmix64-style avalanche.
+fn fh_finish(mut h: u64, data: &[u8]) -> u64 {
+    let mut chunks = data.chunks_exact(8);
+    for c in chunks.by_ref() {
+        h = fh_round(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    }
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        let mut buf = [0u8; 8];
+        buf[..rem.len()].copy_from_slice(rem);
+        h = fh_round(h, u64::from_le_bytes(buf));
+    }
+    // splitmix64 finalizer.
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
 /// Fast non-cryptographic 64-bit hash over `data`.
 ///
 /// Consumes eight bytes per multiply-rotate round (an order of magnitude
@@ -123,26 +154,38 @@ const FH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 /// caches and dedup tables; NOT for adversarial inputs or wire integrity
 /// (use [`crc32`] there).
 pub fn fast_hash64(data: &[u8]) -> u64 {
-    let mut h = 0x517c_c1b7_2722_0a95u64 ^ (data.len() as u64).wrapping_mul(FH_K);
-    let mut chunks = data.chunks_exact(8);
-    for c in chunks.by_ref() {
-        let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = (h ^ v).wrapping_mul(FH_K).rotate_left(27);
+    fh_finish(FH_INIT ^ (data.len() as u64).wrapping_mul(FH_K), data)
+}
+
+/// A 64-bit hash of `data` under a caller-chosen `seed`, for tables keyed
+/// by bytes a peer supplies.
+///
+/// Same rounds and finish as [`fast_hash64`] (whose values it does not
+/// reproduce), run as four independent lanes over 32-byte blocks: the
+/// lanes' multiplies overlap instead of waiting for each other, so it is
+/// about three times as fast on a kilobyte and up. Every lane starts from
+/// the seed and every round mixes the running state with the next word, so
+/// *which* inputs collide depends on the seed: a sender who does not know
+/// it cannot prepare a colliding pair ahead of time. That is a hurdle, not
+/// a cryptographic guarantee.
+pub fn keyed_hash64(seed: u64, data: &[u8]) -> u64 {
+    let mut lanes = [0, 1, 2, 3].map(|lane| seed ^ FH_INIT.rotate_left(16 * lane));
+    let mut blocks = data.chunks_exact(32);
+    for block in blocks.by_ref() {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fh_round(
+                *lane,
+                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+            );
+        }
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(buf))
-            .wrapping_mul(FH_K)
-            .rotate_left(27);
-    }
-    // splitmix64 finalizer.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    h ^ (h >> 33)
+    let folded = lanes[1..]
+        .iter()
+        .fold(lanes[0], |h, &lane| fh_round(h, lane));
+    fh_finish(
+        folded ^ (data.len() as u64).wrapping_mul(FH_K),
+        blocks.remainder(),
+    )
 }
 
 #[cfg(test)]
@@ -187,6 +230,55 @@ mod tests {
         padded.extend_from_slice(&[0u8; 8]);
         assert_ne!(fast_hash64(&data[..100]), fast_hash64(&padded));
         assert_ne!(fast_hash64(&[]), fast_hash64(&[0]));
+    }
+
+    #[test]
+    fn fast_hash64_values_are_pinned() {
+        // Cache keys and warm files carry these: the function may get
+        // faster, never different.
+        assert_eq!(fast_hash64(b""), 0x37e8_d294_6949_7cd2);
+        assert_eq!(fast_hash64(b"adshare"), 0xfaef_8366_b69c_ecf1);
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(fast_hash64(&data), 0xc277_2787_8668_7d3a);
+    }
+
+    #[test]
+    fn keyed_hash_covers_every_byte_and_the_length() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 31 + 7) as u8).collect();
+        let whole = keyed_hash64(9, &data);
+        assert_eq!(whole, keyed_hash64(9, &data));
+        assert_ne!(whole, keyed_hash64(10, &data));
+        for len in 0..data.len() {
+            assert_ne!(keyed_hash64(9, &data[..len]), whole, "prefix {len}");
+        }
+        for at in 0..data.len() {
+            let mut flipped = data.clone();
+            flipped[at] ^= 1;
+            assert_ne!(keyed_hash64(9, &flipped), whole, "byte {at}");
+        }
+        let mut padded = data.clone();
+        padded.push(0);
+        assert_ne!(keyed_hash64(9, &padded), whole);
+    }
+
+    #[test]
+    fn keyed_hash_moves_collisions_with_the_seed() {
+        // Two 64-byte inputs built to collide under seed 0: they differ in
+        // the first word of each block, and the second block's difference
+        // cancels what the first left in lane 0.
+        let lane0 = FH_INIT;
+        let (a1, b1, a2) = (1u64, 2u64, 3u64);
+        let b2 = a2 ^ fh_round(lane0, a1) ^ fh_round(lane0, b1);
+        let pack = |x: u64, y: u64| {
+            let mut bytes = vec![0x5au8; 64];
+            bytes[..8].copy_from_slice(&x.to_le_bytes());
+            bytes[32..40].copy_from_slice(&y.to_le_bytes());
+            bytes
+        };
+        let (a, b) = (pack(a1, a2), pack(b1, b2));
+        assert_ne!(a, b);
+        assert_eq!(keyed_hash64(0, &a), keyed_hash64(0, &b));
+        assert_ne!(keyed_hash64(0xfeed, &a), keyed_hash64(0xfeed, &b));
     }
 
     #[test]

@@ -247,12 +247,21 @@ impl Image {
     /// Blit `src` so its upper-left corner lands at (`left`, `top`),
     /// clipping to this image's bounds.
     pub fn blit(&mut self, src: &Image, left: u32, top: u32) {
-        let dst_rect = Rect::new(left, top, src.width, src.height);
+        self.blit_from(src, src.bounds(), left, top);
+    }
+
+    /// Blit the part of `src` inside `src_rect` so that part's upper-left
+    /// corner lands at (`left`, `top`), clipping to both images' bounds.
+    pub fn blit_from(&mut self, src: &Image, src_rect: Rect, left: u32, top: u32) {
+        let Some(from) = src_rect.intersect(&src.bounds()) else {
+            return;
+        };
+        let dst_rect = Rect::new(left, top, from.width, from.height);
         let Some(clipped) = dst_rect.intersect(&self.bounds()) else {
             return;
         };
-        let src_x0 = clipped.left - left;
-        let src_y0 = clipped.top - top;
+        let src_x0 = from.left + (clipped.left - left);
+        let src_y0 = from.top + (clipped.top - top);
         let row_bytes = clipped.width as usize * BYTES_PER_PIXEL;
         for dy in 0..clipped.height {
             let sy = (src_y0 + dy) as usize;
@@ -262,6 +271,57 @@ impl Image {
             self.data[dst_start..dst_start + row_bytes]
                 .copy_from_slice(&src.data[src_start..src_start + row_bytes]);
         }
+    }
+
+    /// Where each row of the `other`-sized region whose upper-left corner
+    /// is (`left`, `top`) lies in `data`; `None` unless that region lies
+    /// wholly inside this image.
+    fn region_rows(
+        &self,
+        other: &Image,
+        left: u32,
+        top: u32,
+    ) -> Option<impl Iterator<Item = std::ops::Range<usize>>> {
+        let region = Rect::new(left, top, other.width, other.height);
+        if !self.bounds().contains_rect(&region) {
+            return None;
+        }
+        let row_bytes = other.width as usize * BYTES_PER_PIXEL;
+        let stride = self.width as usize * BYTES_PER_PIXEL;
+        let first = top as usize * stride + left as usize * BYTES_PER_PIXEL;
+        Some((0..other.height as usize).map(move |row| {
+            let start = first + row * stride;
+            start..start + row_bytes
+        }))
+    }
+
+    /// Whether the region of this image whose upper-left corner is (`left`,
+    /// `top`) holds exactly `other`'s pixels. False when that region does
+    /// not lie wholly inside this image.
+    pub fn region_equals(&self, other: &Image, left: u32, top: u32) -> bool {
+        let Some(rows) = self.region_rows(other, left, top) else {
+            return false;
+        };
+        let row_bytes = other.width as usize * BYTES_PER_PIXEL;
+        rows.zip(other.data.chunks_exact(row_bytes))
+            .all(|(ours, theirs)| self.data[ours] == *theirs)
+    }
+
+    /// Exchange `other`'s pixels with the equally sized region of this image
+    /// whose upper-left corner is (`left`, `top`), row by row and in place:
+    /// afterwards the region shows what `other` held and `other` holds what
+    /// the region showed. The region must lie wholly inside this image;
+    /// otherwise nothing is exchanged.
+    pub fn swap_rect(&mut self, other: &mut Image, left: u32, top: u32) -> Result<()> {
+        let rows = self.region_rows(other, left, top).ok_or(Error::Invalid {
+            what: "swap_rect",
+            detail: "region outside image",
+        })?;
+        let row_bytes = other.width as usize * BYTES_PER_PIXEL;
+        for (ours, theirs) in rows.zip(other.data.chunks_exact_mut(row_bytes)) {
+            self.data[ours].swap_with_slice(theirs);
+        }
+        Ok(())
     }
 
     /// Move a rectangle within the image to a new position — the operation
@@ -509,6 +569,56 @@ mod tests {
         assert_eq!(img.pixel(1, 1), Some([0, 0, 0, 255]));
         // Fully outside: no-op, no panic.
         img.blit(&patch, 100, 100);
+    }
+
+    #[test]
+    fn blit_from_takes_a_part_of_the_source() {
+        let mut src = Image::new(4, 4).unwrap();
+        for y in 0..4 {
+            for x in 0..4 {
+                src.set_pixel(x, y, [x as u8, y as u8, 0, 255]);
+            }
+        }
+        let mut dst = Image::filled(3, 3, [9, 9, 9, 255]).unwrap();
+        // The lower-right 3×3 of the source lands at (1, 1); 2×2 fits.
+        dst.blit_from(&src, Rect::new(1, 1, 3, 3), 1, 1);
+        assert_eq!(dst.pixel(1, 1), Some([1, 1, 0, 255]));
+        assert_eq!(dst.pixel(2, 2), Some([2, 2, 0, 255]));
+        assert_eq!(dst.pixel(0, 0), Some([9, 9, 9, 255]));
+        // A source rectangle reaching past the source is clipped to it.
+        dst.blit_from(&src, Rect::new(3, 3, 5, 5), 0, 0);
+        assert_eq!(dst.pixel(0, 0), Some([3, 3, 0, 255]));
+        assert_eq!(dst.pixel(1, 0), Some([9, 9, 9, 255]));
+        dst.blit_from(&src, Rect::new(4, 4, 1, 1), 0, 0);
+    }
+
+    #[test]
+    fn swap_rect_exchanges_in_place_and_region_equals_tells() {
+        let mut screen = Image::new(6, 5).unwrap();
+        for y in 0..5 {
+            for x in 0..6 {
+                screen.set_pixel(x, y, [x as u8, y as u8, 1, 255]);
+            }
+        }
+        let before = screen.clone();
+        let mut tile = Image::filled(3, 2, [200, 100, 50, 255]).unwrap();
+        assert!(!screen.region_equals(&tile, 2, 1));
+        screen.swap_rect(&mut tile, 2, 1).unwrap();
+        assert!(!screen.region_equals(&tile, 2, 1));
+        assert!(before.region_equals(&tile, 2, 1));
+        assert!(!before.region_equals(&tile, 4, 1), "not wholly inside");
+        assert_eq!(screen.pixel(2, 1), Some([200, 100, 50, 255]));
+        assert_eq!(screen.pixel(4, 2), Some([200, 100, 50, 255]));
+        assert_eq!(screen.pixel(5, 2), before.pixel(5, 2));
+        assert_eq!(screen.pixel(2, 3), before.pixel(2, 3));
+        assert_eq!(tile, before.crop(Rect::new(2, 1, 3, 2)).unwrap());
+        screen.swap_rect(&mut tile, 2, 1).unwrap();
+        assert_eq!(screen, before);
+        // Not wholly inside: refused, both sides untouched.
+        assert!(screen.swap_rect(&mut tile, 4, 1).is_err());
+        assert!(screen.swap_rect(&mut tile, 0, u32::MAX).is_err());
+        assert_eq!(screen, before);
+        assert_eq!(tile, Image::filled(3, 2, [200, 100, 50, 255]).unwrap());
     }
 
     #[test]

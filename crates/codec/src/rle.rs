@@ -54,8 +54,16 @@ pub fn decode(data: &[u8]) -> Result<Image> {
             height: h,
         });
     }
-    let mut rgba = Vec::with_capacity(w as usize * h as usize * 4);
     let total = w as usize * h as usize;
+    // A record is five bytes and paints at most 255 pixels: a header that
+    // promises more than the records can deliver is refused before anything
+    // is allocated for it.
+    if (data.len() - 12) / 5 * 255 < total {
+        return Err(Error::Truncated("RLE record"));
+    }
+    // Sized once and filled in place: a run is one pass over its slice, not
+    // a capacity check per pixel.
+    let mut rgba = vec![0u8; total * 4];
     let mut off = 12usize;
     let mut pixels = 0usize;
     while pixels < total {
@@ -76,8 +84,8 @@ pub fn decode(data: &[u8]) -> Result<Image> {
             });
         }
         let px = &data[off + 1..off + 5];
-        for _ in 0..run {
-            rgba.extend_from_slice(px);
+        for out in rgba[pixels * 4..(pixels + run) * 4].chunks_exact_mut(4) {
+            out.copy_from_slice(px);
         }
         pixels += run;
         off += 5;
@@ -95,6 +103,21 @@ pub fn decode(data: &[u8]) -> Result<Image> {
 mod tests {
     use super::*;
     use crate::image::Rect;
+
+    #[test]
+    fn header_larger_than_its_records_is_refused_up_front() {
+        // 16384×16384 pixels promised, one record supplied.
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&MAX_DIMENSION.to_be_bytes());
+        data.extend_from_slice(&MAX_DIMENSION.to_be_bytes());
+        data.extend_from_slice(&[255, 1, 2, 3, 255]);
+        assert!(matches!(decode(&data), Err(Error::Truncated("RLE record"))));
+        // Exactly enough records for the header still decodes.
+        let img = Image::filled(255, 2, [9, 8, 7, 255]).unwrap();
+        let encoded = encode(&img);
+        assert_eq!(encoded.len(), 12 + 2 * 5);
+        assert_eq!(decode(&encoded).unwrap(), img);
+    }
 
     #[test]
     fn round_trip_flat() {

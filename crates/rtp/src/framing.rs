@@ -5,6 +5,10 @@
 //! stream." (draft §4.4). The frame is simply a 16-bit big-endian length
 //! prefix followed by that many packet bytes.
 
+use std::ops::Range;
+
+use bytes::Bytes;
+
 use crate::{Error, Result};
 
 /// Maximum payload a single RFC 4571 frame can carry (16-bit length).
@@ -39,7 +43,8 @@ pub fn frame_into(out: &mut Vec<u8>, packet: &[u8]) -> Result<()> {
 }
 
 /// Incremental deframer: feed arbitrary byte chunks from a TCP stream, pop
-/// complete packets as they become available.
+/// complete packets as they become available — or take them as they are
+/// found, with [`Deframer::feed`].
 #[derive(Debug)]
 pub struct Deframer {
     buf: Vec<u8>,
@@ -76,13 +81,8 @@ impl Deframer {
         self.buf.extend_from_slice(chunk);
     }
 
-    /// Pop the next complete frame, if any.
-    ///
-    /// Returns `Ok(Some(packet))` for a complete frame, `Ok(None)` if more
-    /// bytes are needed, or an error if the declared frame length exceeds the
-    /// configured maximum (the connection should then be torn down — the
-    /// stream cannot be resynchronised).
-    pub fn pop(&mut self) -> Result<Option<Vec<u8>>> {
+    /// Where the next complete frame's packet lies in `buf`, consuming it.
+    fn next_frame(&mut self) -> Result<Option<Range<usize>>> {
         let avail = &self.buf[self.pos..];
         if avail.len() < 2 {
             return Ok(None);
@@ -97,9 +97,72 @@ impl Deframer {
         if avail.len() < 2 + len {
             return Ok(None);
         }
-        let packet = avail[2..2 + len].to_vec();
-        self.pos += 2 + len;
-        Ok(Some(packet))
+        let start = self.pos + 2;
+        self.pos = start + len;
+        Ok(Some(start..start + len))
+    }
+
+    /// Pop the next complete frame, if any.
+    ///
+    /// Returns `Ok(Some(packet))` for a complete frame, `Ok(None)` if more
+    /// bytes are needed, or an error if the declared frame length exceeds the
+    /// configured maximum (the connection should then be torn down — the
+    /// stream cannot be resynchronised).
+    pub fn pop(&mut self) -> Result<Option<Vec<u8>>> {
+        Ok(self.next_frame()?.map(|at| self.buf[at].to_vec()))
+    }
+
+    /// [`Deframer::pop`] into one shared buffer — the frame's only copy —
+    /// which the caller can parse in place and slice by handle.
+    pub fn pop_bytes(&mut self) -> Result<Option<Bytes>> {
+        Ok(self
+            .next_frame()?
+            .map(|at| Bytes::copy_from_slice(&self.buf[at])))
+    }
+
+    /// Feed `chunk` and hand every packet it completes to `on_packet`, in
+    /// stream order. The same packets as [`Deframer::push`] followed by
+    /// [`Deframer::pop_bytes`] until `None`, without staging the chunk: a
+    /// frame that lies whole in `chunk` is copied out of it once, into its
+    /// packet, and only a frame cut off by the end of the chunk waits in the
+    /// buffer — which therefore never holds more than one frame, where
+    /// `push` keeps room for the largest chunk it ever saw.
+    ///
+    /// An oversized frame is the error it is for `pop`, now and on every
+    /// later call, and what follows it is dropped rather than buffered.
+    pub fn feed(&mut self, mut chunk: &[u8], mut on_packet: impl FnMut(Bytes)) -> Result<()> {
+        // What an earlier chunk left behind comes first: top it up with
+        // exactly the bytes its frame still lacks.
+        loop {
+            while let Some(packet) = self.pop_bytes()? {
+                on_packet(packet);
+            }
+            let held = &self.buf[self.pos..];
+            let want = match held {
+                [] => break,
+                [hi, lo, ..] => 2 + u16::from_be_bytes([*hi, *lo]) as usize,
+                [_] => 2,
+            };
+            let take = (want - held.len()).min(chunk.len());
+            if take == 0 {
+                return Ok(());
+            }
+            self.buf.extend_from_slice(&chunk[..take]);
+            chunk = &chunk[take..];
+        }
+        self.buf.clear();
+        self.pos = 0;
+        while let [hi, lo, rest @ ..] = chunk {
+            let len = u16::from_be_bytes([*hi, *lo]) as usize;
+            if len > self.max_frame || rest.len() < len {
+                break;
+            }
+            on_packet(Bytes::copy_from_slice(&rest[..len]));
+            chunk = &rest[len..];
+        }
+        self.buf.extend_from_slice(chunk);
+        // Incomplete (`None`) or oversized (the error).
+        self.pop_bytes().map(|_| ())
     }
 
     /// Bytes buffered but not yet consumed.
@@ -155,6 +218,105 @@ mod tests {
         }
         assert_eq!(got, packets);
         assert_eq!(d.pending(), 0);
+    }
+
+    #[test]
+    fn pop_bytes_yields_the_same_frames_as_pop() {
+        let mut wire = Vec::new();
+        let packets: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; i * 301]).collect();
+        for p in &packets {
+            frame_into(&mut wire, p).unwrap();
+        }
+        let (mut owned, mut shared) = (Deframer::default(), Deframer::default());
+        for chunk in wire.chunks(97) {
+            owned.push(chunk);
+            shared.push(chunk);
+            loop {
+                let (a, b) = (owned.pop().unwrap(), shared.pop_bytes().unwrap());
+                assert_eq!(a.as_deref(), b.as_deref());
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+        assert_eq!((owned.pending(), shared.pending()), (0, 0));
+        let mut small = Deframer::new(64);
+        small.push(&1000u16.to_be_bytes());
+        assert!(matches!(
+            small.pop_bytes(),
+            Err(Error::FrameTooLarge {
+                declared: 1000,
+                max: 64
+            })
+        ));
+    }
+
+    #[test]
+    fn feed_yields_what_push_and_pop_do_and_buffers_one_frame_at_most() {
+        let mut wire = Vec::new();
+        let sizes = [0usize, 1, 700, 3, 0, 1400, 65_535, 2, 900];
+        let packets: Vec<Vec<u8>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| vec![i as u8 + 1; n])
+            .collect();
+        for p in &packets {
+            frame_into(&mut wire, p).unwrap();
+        }
+        // Every chunk size from a byte at a time to the whole stream at
+        // once, so that a chunk ends inside a length prefix, inside a body,
+        // on a frame boundary, and spans many frames.
+        for step in [1, 2, 3, 5, 699, 703, 1403, 4096, 70_000, wire.len()] {
+            let mut fed = Deframer::default();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            for chunk in wire.chunks(step) {
+                fed.feed(chunk, |packet| got.push(packet.to_vec())).unwrap();
+                assert!(fed.pending() < 2 + MAX_FRAME_LEN, "chunks of {step}");
+            }
+            assert_eq!(got, packets, "chunks of {step}");
+            assert_eq!(fed.pending(), 0);
+        }
+        // Whole frames never touch the buffer.
+        let mut fed = Deframer::default();
+        fed.feed(&wire, |_| {}).unwrap();
+        assert_eq!(fed.buf.capacity(), 0);
+        // Frames already pushed the old way come out first.
+        let mut mixed = Deframer::default();
+        mixed.push(&wire[..1000]);
+        let mut got = Vec::new();
+        mixed
+            .feed(&wire[1000..], |packet| got.push(packet.to_vec()))
+            .unwrap();
+        assert_eq!(got, packets);
+    }
+
+    #[test]
+    fn feed_reports_an_oversized_frame_every_time_and_stops_buffering() {
+        let mut wire = frame(b"fine").unwrap();
+        wire.extend_from_slice(&1000u16.to_be_bytes());
+        wire.extend_from_slice(&[7; 50]);
+        for step in [1, 3, 7, wire.len()] {
+            let mut d = Deframer::new(64);
+            let mut got = Vec::new();
+            let mut failed = 0;
+            for chunk in wire.chunks(step) {
+                match d.feed(chunk, |packet| got.push(packet.to_vec())) {
+                    Ok(()) => assert_eq!(failed, 0, "an error is final"),
+                    Err(Error::FrameTooLarge {
+                        declared: 1000,
+                        max: 64,
+                    }) => failed += 1,
+                    Err(other) => panic!("{other:?}"),
+                }
+            }
+            assert_eq!(got, vec![b"fine".to_vec()], "chunks of {step}");
+            assert!(failed >= 1, "chunks of {step}");
+            let held = d.pending();
+            for _ in 0..100 {
+                assert!(d.feed(&[9; 1000], |_| panic!("nothing follows")).is_err());
+            }
+            assert_eq!(d.pending(), held, "what follows is dropped");
+        }
     }
 
     #[test]

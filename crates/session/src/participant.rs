@@ -22,16 +22,12 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::Layout;
 
-/// One shared window as the participant tracks it.
-#[derive(Debug, Clone)]
-struct PWindow {
-    /// Geometry at the AH, from the latest WindowManagerInfo.
-    ah_rect: Rect,
-    /// Group id from the WMI.
-    group: u8,
-    /// Local content buffer (window-sized).
-    content: Image,
-}
+mod tiles;
+mod window;
+
+use tiles::TileStore;
+pub use tiles::PARKED_CEILING_BYTES;
+use window::{Drawn, PWindow};
 
 /// Participant statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,6 +48,17 @@ pub struct ParticipantStats {
     pub nacks_sent: u64,
     /// Sequence numbers requested via NACK.
     pub seqs_nacked: u64,
+    /// RegionUpdates applied by putting parked pixels back, not decoding.
+    pub tiles_reused: u64,
+    /// RegionUpdates applied by noticing the window already showed them.
+    pub tiles_already_shown: u64,
+    /// Times the pixels a decoded update replaced were parked.
+    pub tiles_parked: u64,
+    /// Bytes of parked pixels held right now (at most
+    /// [`PARKED_CEILING_BYTES`]).
+    pub parked_bytes: u64,
+    /// Parked tiles evicted to stay under the ceiling.
+    pub parked_evictions: u64,
 }
 
 /// The participant (Figure 1's client side).
@@ -70,6 +77,8 @@ pub struct Participant {
     deframer: Deframer,
     receiver: RtpReceiver,
     registry: CodecRegistry,
+    /// Pixels the windows stopped showing, by the name of their payload.
+    tiles: TileStore,
     hip: HipPacketizer,
     floor: FloorClient,
     /// Pointer position + icon (explicit model).
@@ -158,6 +167,8 @@ impl Participant {
             receiver: RtpReceiver::new(),
             registry: CodecRegistry::default(),
             hip: HipPacketizer::new(RtpSender::new(ssrc ^ 0xffff, 100, &mut rng), 1400),
+            // Drawn after the HIP sender's values, which stay what they were.
+            tiles: TileStore::new(rng.gen()),
             floor: FloorClient::new(1, user_id, 0),
             pointer: None,
             nack_enabled,
@@ -218,7 +229,11 @@ impl Participant {
 
     /// Statistics so far.
     pub fn stats(&self) -> ParticipantStats {
-        self.stats
+        ParticipantStats {
+            parked_bytes: self.tiles.bytes() as u64,
+            parked_evictions: self.tiles.evictions(),
+            ..self.stats
+        }
     }
 
     /// Whether initial state (a WindowManagerInfo) has arrived.
@@ -437,34 +452,42 @@ impl Participant {
     }
 
     /// Ingest TCP stream bytes (RFC 4571 framed remoting RTP, with RTCP
-    /// sender reports multiplexed per RFC 5761).
+    /// sender reports multiplexed per RFC 5761). A packet that lies whole in
+    /// `bytes` is copied once, into the buffer it is then parsed in and
+    /// sliced from; only a packet cut off by the end of `bytes` is staged.
     pub fn handle_stream(&mut self, bytes: &[u8], now_ticks: u64) {
-        self.deframer.push(bytes);
-        while let Ok(Some(frame)) = self.deframer.pop() {
-            if Self::is_rtcp(&frame) {
-                self.handle_downstream_rtcp(&frame);
-                continue;
-            }
-            let Ok(pkt) = RtpPacket::decode(&frame) else {
-                continue;
-            };
-            self.last_ticks = now_ticks;
-            self.media_ssrc = pkt.header.ssrc;
-            self.metrics.rx_packets.inc();
-            self.rec(
-                EventKind::RtpRx,
-                pkt.header.sequence as u64,
-                pkt.payload.len() as u64,
-            );
-            self.receiver.on_packet(&pkt, now_ticks);
-            self.current_pkt_ts = pkt.header.timestamp;
-            let (ssrc, seq) = (pkt.header.ssrc, pkt.header.sequence);
-            // TCP is ordered and reliable: bypass the reorder buffer.
-            if let Ok(Some(msg)) = self.depacketizer.feed(&pkt) {
-                self.apply_reassembled(msg, ssrc, seq, now_ticks);
-            }
-        }
+        let mut deframer = std::mem::take(&mut self.deframer);
+        // An oversized frame wedges the stream, as it always has: nothing
+        // after it is delivered.
+        let _ = deframer.feed(bytes, |frame| self.handle_stream_packet(frame, now_ticks));
+        self.deframer = deframer;
         self.note_fragment_drops();
+    }
+
+    /// One deframed packet of the TCP stream.
+    fn handle_stream_packet(&mut self, frame: Bytes, now_ticks: u64) {
+        if Self::is_rtcp(&frame) {
+            self.handle_downstream_rtcp(&frame);
+            return;
+        }
+        let Ok(pkt) = RtpPacket::decode_bytes(frame) else {
+            return;
+        };
+        self.last_ticks = now_ticks;
+        self.media_ssrc = pkt.header.ssrc;
+        self.metrics.rx_packets.inc();
+        self.rec(
+            EventKind::RtpRx,
+            pkt.header.sequence as u64,
+            pkt.payload.len() as u64,
+        );
+        self.receiver.on_packet(&pkt, now_ticks);
+        self.current_pkt_ts = pkt.header.timestamp;
+        let (ssrc, seq) = (pkt.header.ssrc, pkt.header.sequence);
+        // TCP is ordered and reliable: bypass the reorder buffer.
+        if let Ok(Some(msg)) = self.depacketizer.feed(&pkt) {
+            self.apply_reassembled(msg, ssrc, seq, now_ticks);
+        }
     }
 
     /// Record capture→display latency for the update that just completed,
@@ -644,33 +667,12 @@ impl Participant {
                 for w in &wmi.windows {
                     let rect = Rect::new(w.left, w.top, w.width.max(1), w.height.max(1));
                     match self.windows.get_mut(&w.window_id.0) {
-                        Some(existing) => {
-                            // "The participant MUST keep the existing window
-                            // image after a resize and relocation."
-                            existing.ah_rect = rect;
-                            existing.group = w.group_id;
-                            if existing.content.width() != rect.width
-                                || existing.content.height() != rect.height
-                            {
-                                let mut grown =
-                                    Image::filled(rect.width, rect.height, [0, 0, 0, 255])
-                                        .expect("window dims bounded");
-                                grown.blit(&existing.content, 0, 0);
-                                existing.content = grown;
-                            }
-                        }
+                        Some(existing) => existing.set_geometry(rect, w.group_id),
                         None => {
                             // "The participant MUST create a window for each
                             // new WindowID."
-                            self.windows.insert(
-                                w.window_id.0,
-                                PWindow {
-                                    ah_rect: rect,
-                                    group: w.group_id,
-                                    content: Image::filled(rect.width, rect.height, [0, 0, 0, 255])
-                                        .expect("window dims bounded"),
-                                },
-                            );
+                            self.windows
+                                .insert(w.window_id.0, PWindow::new(rect, w.group_id));
                         }
                     }
                 }
@@ -684,13 +686,18 @@ impl Participant {
                     self.stats.decode_errors += 1;
                     return;
                 };
-                match codec.decode(&ru.payload) {
-                    Ok(img) => {
-                        // Absolute → window-local coordinates.
-                        let lx = ru.left.saturating_sub(win.ah_rect.left);
-                        let ly = ru.top.saturating_sub(win.ah_rect.top);
-                        win.content.blit(&img, lx, ly);
+                let key = self.tiles.key(ru.payload_type, &ru.payload);
+                let drawn = win.region_update(&mut self.tiles, key, (ru.left, ru.top), || {
+                    codec.decode(&ru.payload)
+                });
+                match drawn {
+                    Ok(how) => {
                         self.stats.regions_applied += 1;
+                        match how {
+                            Drawn::AlreadyShown => self.stats.tiles_already_shown += 1,
+                            Drawn::Reused => self.stats.tiles_reused += 1,
+                            Drawn::Decoded { parked } => self.stats.tiles_parked += parked as u64,
+                        }
                     }
                     Err(_) => self.stats.decode_errors += 1,
                 }
@@ -699,15 +706,12 @@ impl Participant {
                 let Some(win) = self.windows.get_mut(&mv.window_id.0) else {
                     return;
                 };
-                let src = Rect::new(
-                    mv.src_left.saturating_sub(win.ah_rect.left),
-                    mv.src_top.saturating_sub(win.ah_rect.top),
+                win.move_rectangle(
+                    (mv.src_left, mv.src_top),
+                    (mv.dst_left, mv.dst_top),
                     mv.width,
                     mv.height,
                 );
-                let dst_left = mv.dst_left.saturating_sub(win.ah_rect.left);
-                let dst_top = mv.dst_top.saturating_sub(win.ah_rect.top);
-                win.content.move_rect(src, dst_left, dst_top);
                 self.stats.moves_applied += 1;
             }
             RemotingMessage::MousePointerInfo(mp) => {
@@ -844,7 +848,7 @@ impl Participant {
 
     /// A window's content buffer.
     pub fn window_content(&self, id: u16) -> Option<&Image> {
-        self.windows.get(&id).map(|w| &w.content)
+        self.windows.get(&id).map(PWindow::content)
     }
 
     /// Window ids in z-order (bottom first).
@@ -867,7 +871,7 @@ impl Participant {
             let (Some(w), Some(&(x, y))) = (self.windows.get(id), self.local_pos.get(id)) else {
                 continue;
             };
-            frame.blit(&w.content, x, y);
+            frame.blit(w.content(), x, y);
         }
         if let Some(((px, py), Some(icon))) = &self.pointer {
             // Translate pointer from AH coordinates into local coordinates
@@ -1081,6 +1085,163 @@ mod tests {
         assert_eq!(content.pixel(10, 10), Some([255, 0, 0, 255]));
         assert_eq!(content.pixel(9, 10), Some([0, 0, 0, 255]));
         assert_eq!(p.stats().regions_applied, 1);
+    }
+
+    /// A PNG `RegionUpdate` for window 1 whose pixel (x, y) is (x, y, tag).
+    fn gradient_update(tag: u8, w: u32, h: u32, left: u32, top: u32) -> RemotingMessage {
+        use adshare_codec::codec::{AnyCodec, Codec};
+        let mut img = Image::new(w, h).unwrap();
+        for y in 0..h {
+            for x in 0..w {
+                img.set_pixel(x, y, [x as u8, y as u8, tag, 255]);
+            }
+        }
+        RemotingMessage::RegionUpdate(adshare_remoting::message::RegionUpdate {
+            window_id: WireWindowId(1),
+            payload_type: adshare_codec::codec::default_pt::PNG,
+            left,
+            top,
+            payload: Bytes::from(AnyCodec::new(adshare_codec::CodecKind::Png).encode(&img)),
+        })
+    }
+
+    #[test]
+    fn region_update_starting_outside_the_window_is_clipped_not_shifted() {
+        let mut p = Participant::new(1, Layout::Original, true, 1);
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 20, 20))]));
+        // Starts 4 left of and 3 above the window: the first 4 columns and
+        // 3 rows fall outside, the rest lands where it belongs.
+        p.apply(gradient_update(7, 10, 10, 96, 97));
+        let content = p.window_content(1).unwrap();
+        assert_eq!(content.pixel(0, 0), Some([4, 3, 7, 255]));
+        assert_eq!(content.pixel(5, 6), Some([9, 9, 7, 255]));
+        assert_eq!(content.pixel(6, 0), Some([0, 0, 0, 255]), "6 columns fit");
+        assert_eq!(content.pixel(0, 7), Some([0, 0, 0, 255]), "7 rows fit");
+        assert_eq!(p.stats().regions_applied, 1);
+        // Wholly left of / above / beyond the window: nothing is drawn.
+        let before = content.clone();
+        for (left, top) in [(80, 100), (100, 80), (120, 100), (100, 120), (0, 0)] {
+            p.apply(gradient_update(8, 10, 10, left, top));
+        }
+        assert_eq!(p.window_content(1), Some(&before));
+        assert_eq!(p.stats().regions_applied, 6);
+        assert_eq!(p.stats().decode_errors, 0);
+    }
+
+    #[test]
+    fn move_rectangle_reaching_outside_the_window_moves_only_what_is_inside() {
+        let mut p = Participant::new(1, Layout::Original, true, 1);
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 20, 20))]));
+        p.apply(gradient_update(1, 20, 20, 100, 100));
+        let painted = p.window_content(1).unwrap().clone();
+        let mv = |src: (u32, u32), dst: (u32, u32), width, height| {
+            RemotingMessage::MoveRectangle(adshare_remoting::message::MoveRectangle {
+                window_id: WireWindowId(1),
+                src_left: src.0,
+                src_top: src.1,
+                width,
+                height,
+                dst_left: dst.0,
+                dst_top: dst.1,
+            })
+        };
+        // Source starts 5 left of the window: block columns 0..5 have no
+        // source, so destination columns 0..5 keep their pixels and block
+        // column 5 (window x = 0) lands at destination x = 2 + 5.
+        p.apply(mv((95, 100), (102, 110), 10, 4));
+        let content = p.window_content(1).unwrap();
+        assert_eq!(content.pixel(6, 110 - 100), painted.pixel(6, 10));
+        assert_eq!(content.pixel(7, 10), Some([0, 0, 1, 255]));
+        assert_eq!(content.pixel(11, 13), Some([4, 3, 1, 255]));
+        assert_eq!(content.pixel(12, 10), painted.pixel(12, 10));
+        // Destination starts 3 above the window: block rows 0..3 are
+        // cropped, row 3 lands on the window's first row.
+        p.apply(gradient_update(1, 20, 20, 100, 100));
+        p.apply(mv((104, 108), (110, 97), 5, 6));
+        let content = p.window_content(1).unwrap();
+        assert_eq!(content.pixel(10, 0), Some([4, 11, 1, 255]));
+        assert_eq!(content.pixel(14, 2), Some([8, 13, 1, 255]));
+        assert_eq!(content.pixel(10, 3), painted.pixel(10, 3));
+        // Entirely outside on either end, or empty: nothing moves. A block
+        // larger than the window is cropped to what fits. All are counted.
+        let before = content.clone();
+        p.apply(mv((0, 0), (100, 100), 10, 10));
+        p.apply(mv((100, 100), (300, 300), 10, 10));
+        p.apply(mv((100, 100), (105, 105), 0, 0));
+        p.apply(mv((100, 100), (105, 105), u32::MAX, u32::MAX));
+        let content = p.window_content(1).unwrap();
+        assert_eq!(content.pixel(5, 5), before.pixel(0, 0));
+        assert_eq!(content.pixel(19, 19), before.pixel(14, 14));
+        assert_eq!(p.stats().moves_applied, 6);
+    }
+
+    #[test]
+    fn ping_pong_is_decoded_twice_then_swapped() {
+        let mut p = Participant::new(1, Layout::Original, true, 1);
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 40, 30))]));
+        let oracle = |tag: u8| {
+            let mut q = Participant::new(2, Layout::Original, true, 2);
+            q.apply(wmi(&[(1, 0, Rect::new(100, 100, 40, 30))]));
+            q.apply(gradient_update(tag, 16, 12, 110, 105));
+            q.window_content(1).unwrap().clone()
+        };
+        let (shows_a, shows_b) = (oracle(1), oracle(2));
+        for round in 0..6 {
+            p.apply(gradient_update(1, 16, 12, 110, 105));
+            assert_eq!(p.window_content(1), Some(&shows_a), "round {round}");
+            p.apply(gradient_update(2, 16, 12, 110, 105));
+            assert_eq!(p.window_content(1), Some(&shows_b), "round {round}");
+        }
+        let stats = p.stats();
+        assert_eq!(stats.regions_applied, 12);
+        assert_eq!(stats.tiles_parked, 1, "A's pixels, under B's second sight");
+        assert_eq!(stats.tiles_reused, 8, "every sight from the third on");
+        assert_eq!(stats.parked_bytes, 16 * 12 * 4, "one phase, the hidden one");
+        // The same phase twice in a row: nothing to do.
+        p.apply(gradient_update(2, 16, 12, 110, 105));
+        assert_eq!(p.stats().tiles_already_shown, 1);
+        // Drawing over part of the tile forgets what it showed: the next B
+        // is decoded again rather than believed to be there.
+        p.apply(gradient_update(3, 4, 4, 112, 107));
+        p.apply(gradient_update(2, 16, 12, 110, 105));
+        assert_eq!(p.window_content(1), Some(&shows_b));
+        assert_eq!(p.stats().tiles_already_shown, 1);
+        assert_eq!(p.stats().tiles_reused, 8);
+    }
+
+    #[test]
+    fn resize_forgets_what_the_window_showed() {
+        let mut p = Participant::new(1, Layout::Original, true, 1);
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 40, 30))]));
+        // Second sight at this place: the window now records what it shows.
+        for tag in [1, 2, 1] {
+            p.apply(gradient_update(tag, 16, 12, 116, 100));
+        }
+        p.apply(gradient_update(1, 16, 12, 116, 100));
+        assert_eq!(p.stats().tiles_already_shown, 1);
+        // Shrink through the tile, grow back: its right half is black now,
+        // and the same update must draw it again rather than be believed
+        // to be there.
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 24, 30))]));
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 40, 30))]));
+        assert_eq!(
+            p.window_content(1).unwrap().pixel(24, 0),
+            Some([0, 0, 0, 255])
+        );
+        p.apply(gradient_update(1, 16, 12, 116, 100));
+        assert_eq!(
+            p.window_content(1).unwrap().pixel(24, 0),
+            Some([8, 0, 1, 255])
+        );
+        assert_eq!(p.stats().tiles_already_shown, 1);
+        // Closing and reopening under the same id starts from black too.
+        p.apply(wmi(&[]));
+        p.apply(wmi(&[(1, 0, Rect::new(100, 100, 40, 30))]));
+        p.apply(gradient_update(1, 16, 12, 116, 100));
+        assert_eq!(
+            p.window_content(1).unwrap().pixel(16, 0),
+            Some([0, 0, 1, 255])
+        );
     }
 
     #[test]

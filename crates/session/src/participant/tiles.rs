@@ -1,0 +1,315 @@
+//! Parked tiles: the pixels a window stopped showing, kept by the name of
+//! the payload that drew them, so a payload that comes back is put on the
+//! screen again without being decoded again (DESIGN §9.1 "Viewer side").
+//!
+//! Three bounded tables, none of which holds pixels the screen shows:
+//! the [`TileStore`]'s parked images (a byte ceiling, oldest out first),
+//! its doorkeeper of recent sights (a fixed array), and each window's
+//! [`OnScreen`] list of which name is visible at which rectangle.
+
+use adshare_codec::checksum::keyed_hash64;
+use adshare_codec::{Image, Rect};
+
+/// Most bytes of parked pixels one participant keeps.
+pub const PARKED_CEILING_BYTES: usize = 512 << 10;
+
+/// Most parked images one participant keeps, however small: a lookup walks
+/// them all.
+const PARKED_MAX: usize = 64;
+
+/// Doorkeeper slots (one `u64` each), indexed by the sight's top bits.
+const DOORKEEPER_SLOTS: usize = 256;
+
+/// Most rectangles one window remembers the name of.
+const SHOWN_MAX: usize = 32;
+
+/// The name of a tile: what its payload was, not where it was drawn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct TileKey {
+    /// Seeded hash of the payload bytes.
+    hash: u64,
+    len: u32,
+    payload_type: u8,
+}
+
+/// Pixels the screen no longer shows, under the name of their payload.
+#[derive(Debug)]
+struct Parked {
+    key: TileKey,
+    pixels: Image,
+}
+
+/// One participant's parked tiles and its memory of what was seen once.
+#[derive(Debug)]
+pub(super) struct TileStore {
+    /// Mixed into every name, so that which payloads collide is particular
+    /// to this participant (`fast_hash64` is not collision-resistant
+    /// against input chosen by the sender).
+    seed: u64,
+    /// Oldest first. Putting an entry back on screen removes it, so age
+    /// since parking is also time since last use.
+    parked: Vec<Parked>,
+    bytes: usize,
+    evictions: u64,
+    /// The last (name, place) sight per slot, mixed into one word; 0 = none
+    /// yet.
+    doorkeeper: [u64; DOORKEEPER_SLOTS],
+}
+
+impl TileStore {
+    pub(super) fn new(seed: u64) -> Self {
+        TileStore {
+            seed,
+            parked: Vec::new(),
+            bytes: 0,
+            evictions: 0,
+            doorkeeper: [0; DOORKEEPER_SLOTS],
+        }
+    }
+
+    /// The name of `payload` carried as `payload_type`.
+    pub(super) fn key(&self, payload_type: u8, payload: &[u8]) -> TileKey {
+        TileKey {
+            hash: keyed_hash64(self.seed, payload),
+            // A remoting message is far below 4 GiB; a longer payload only
+            // shares its length field with shorter ones.
+            len: payload.len() as u32,
+            payload_type,
+        }
+    }
+
+    /// Note one sight of `key` drawn with its corner at (`left`, `top`);
+    /// whether the doorkeeper already held that. The place counts because
+    /// content that comes back comes back where it was, while a background
+    /// tile seen once at each of many places has not come back at all. A
+    /// slot keeps only the latest sight that mapped to it, so one can be
+    /// forgotten between two — the tile is then admitted one sight later.
+    pub(super) fn seen_before(&mut self, key: TileKey, left: u32, top: u32) -> bool {
+        let place = ((left as u64) << 32 | top as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mark = (key.hash ^ place) | 1;
+        let slot = &mut self.doorkeeper[(mark >> 56) as usize % DOORKEEPER_SLOTS];
+        std::mem::replace(slot, mark) == mark
+    }
+
+    /// Width and height of the pixels parked under `key`.
+    pub(super) fn parked_size(&self, key: TileKey) -> Option<(u32, u32)> {
+        self.parked
+            .iter()
+            .find(|p| p.key == key)
+            .map(|p| (p.pixels.width(), p.pixels.height()))
+    }
+
+    /// Take the pixels parked under `key` out of the store.
+    pub(super) fn take(&mut self, key: TileKey) -> Option<Image> {
+        let at = self.parked.iter().position(|p| p.key == key)?;
+        let pixels = self.parked.remove(at).pixels;
+        self.bytes -= pixels.data().len();
+        Some(pixels)
+    }
+
+    /// Park `pixels` under `key`, evicting the oldest entries to stay under
+    /// the ceilings; whether they were kept. Pixels larger than the
+    /// ceiling, or a name already parked, are dropped instead.
+    pub(super) fn park(&mut self, key: TileKey, pixels: Image) -> bool {
+        let size = pixels.data().len();
+        if size > PARKED_CEILING_BYTES || self.parked.iter().any(|p| p.key == key) {
+            return false;
+        }
+        if self.parked.capacity() == 0 {
+            self.parked.reserve_exact(PARKED_MAX);
+        }
+        while self.bytes + size > PARKED_CEILING_BYTES || self.parked.len() >= PARKED_MAX {
+            self.bytes -= self.parked.remove(0).pixels.data().len();
+            self.evictions += 1;
+        }
+        self.bytes += size;
+        self.parked.push(Parked { key, pixels });
+        true
+    }
+
+    /// Bytes of parked pixels right now.
+    pub(super) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Entries evicted to stay under the ceilings, so far.
+    pub(super) fn evictions(&self) -> u64 {
+        self.evictions
+    }
+}
+
+/// "Rectangle `rect` of the window shows the tile named `key`." Recorded
+/// from a tile's second sight at a place on, so what never repeats never
+/// costs a record or pushes one out.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Shown {
+    pub(super) rect: Rect,
+    pub(super) key: TileKey,
+    /// Whether the tile has come back here after something else was shown
+    /// (rather than only been sent again while still showing): its pixels
+    /// are worth parking when something else is drawn over them.
+    pub(super) returned: bool,
+}
+
+/// What one window is known to show, least recently drawn or confirmed
+/// first. Rectangles never overlap: a write drops what it touches before a
+/// new record is made.
+#[derive(Debug, Clone)]
+pub(super) struct OnScreen {
+    shown: Vec<Shown>,
+}
+
+impl OnScreen {
+    /// An empty table, at its full and final size: made with the window,
+    /// so that it lies beside the window's other long-lived memory rather
+    /// than in the middle of the heap the decoder's buffers cycle through.
+    pub(super) fn new() -> Self {
+        OnScreen {
+            shown: Vec::with_capacity(SHOWN_MAX),
+        }
+    }
+
+    /// Forget every record a write to `area` could have changed.
+    pub(super) fn invalidate(&mut self, area: &Rect) {
+        self.shown.retain(|s| !s.rect.intersects(area));
+    }
+
+    /// The record for exactly `rect`, if any.
+    pub(super) fn at(&self, rect: &Rect) -> Option<Shown> {
+        self.shown.iter().find(|s| s.rect == *rect).copied()
+    }
+
+    /// Whether a rectangle whose corner is (`left`, `top`) shows `key`. The
+    /// same payload again while it is showing is a resend, not the content
+    /// coming back, so this does not mark the record `returned`.
+    pub(super) fn confirm(&mut self, key: TileKey, left: u32, top: u32) -> bool {
+        let Some(at) = self
+            .shown
+            .iter()
+            .position(|s| s.key == key && (s.rect.left, s.rect.top) == (left, top))
+        else {
+            return false;
+        };
+        let seen = self.shown.remove(at);
+        self.shown.push(seen);
+        true
+    }
+
+    /// Record what was just drawn over the whole of `shown.rect` (already
+    /// invalidated), forgetting the stalest record if the table is full.
+    pub(super) fn record(&mut self, shown: Shown) {
+        debug_assert!(self.shown.iter().all(|s| !s.rect.intersects(&shown.rect)));
+        if self.shown.len() >= SHOWN_MAX {
+            self.shown.remove(0);
+        }
+        self.shown.push(shown);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tile(w: u32, h: u32, v: u8) -> Image {
+        Image::filled(w, h, [v, v, v, 255]).unwrap()
+    }
+
+    #[test]
+    fn names_depend_on_type_length_bytes_and_seed() {
+        let store = TileStore::new(7);
+        let k = store.key(96, b"payload");
+        assert_eq!(k, store.key(96, b"payload"));
+        assert_ne!(k, store.key(97, b"payload"));
+        assert_ne!(k, store.key(96, b"payloae"));
+        assert_ne!(k, store.key(96, b"payload\0"));
+        assert_ne!(k.hash, TileStore::new(8).key(96, b"payload").hash);
+    }
+
+    #[test]
+    fn doorkeeper_answers_second_sight_and_stays_fixed() {
+        let mut store = TileStore::new(1);
+        let k = store.key(96, b"again");
+        assert!(!store.seen_before(k, 10, 20));
+        assert!(store.seen_before(k, 10, 20));
+        assert!(!store.seen_before(k, 20, 10), "another place");
+        for i in 0..100_000u32 {
+            let other = store.key(96, &i.to_le_bytes());
+            store.seen_before(other, i, 0);
+        }
+        assert_eq!(store.doorkeeper.len(), DOORKEEPER_SLOTS);
+        assert_eq!(store.bytes(), 0, "seeing is not parking");
+    }
+
+    #[test]
+    fn park_take_round_trip_and_duplicate_names_are_dropped() {
+        let mut store = TileStore::new(1);
+        let k = store.key(96, b"a");
+        assert!(store.park(k, tile(4, 2, 9)));
+        assert!(!store.park(k, tile(4, 2, 1)));
+        assert_eq!(store.bytes(), 32);
+        assert_eq!(store.parked_size(k), Some((4, 2)));
+        assert_eq!(store.take(k), Some(tile(4, 2, 9)));
+        assert_eq!((store.bytes(), store.take(k)), (0, None));
+    }
+
+    #[test]
+    fn ceilings_hold_oldest_goes_first_and_oversize_is_refused() {
+        let mut store = TileStore::new(1);
+        // 128 KiB each: the fifth pushes the first out.
+        let keys: Vec<TileKey> = (0..5u8).map(|i| store.key(96, &[i])).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            store.park(k, tile(256, 128, i as u8));
+            assert!(store.bytes() <= PARKED_CEILING_BYTES);
+        }
+        assert_eq!(store.evictions(), 1);
+        assert_eq!(store.parked_size(keys[0]), None);
+        assert_eq!(store.take(keys[1]), Some(tile(256, 128, 1)));
+        // Larger than the ceiling on its own: never admitted, nothing evicted.
+        let before = (store.bytes(), store.evictions());
+        assert!(!store.park(store.key(96, b"big"), tile(512, 257, 0)));
+        assert_eq!((store.bytes(), store.evictions()), before);
+        // Many tiny tiles: the entry count is bounded too.
+        for i in 0..1_000u32 {
+            store.park(store.key(96, &i.to_be_bytes()), tile(1, 1, 0));
+            assert!(store.parked.len() <= PARKED_MAX);
+            assert!(store.bytes() <= PARKED_CEILING_BYTES);
+        }
+    }
+
+    #[test]
+    fn on_screen_table_is_bounded_and_invalidated_by_overlap() {
+        let store = TileStore::new(1);
+        let mut screen = OnScreen::new();
+        for i in 0..1_000u32 {
+            screen.record(Shown {
+                rect: Rect::new(i * 2, 0, 1, 1),
+                key: store.key(96, &i.to_le_bytes()),
+                returned: false,
+            });
+            assert!(screen.shown.len() <= SHOWN_MAX);
+            assert_eq!(screen.shown.capacity(), SHOWN_MAX);
+        }
+        let last = store.key(96, &999u32.to_le_bytes());
+        assert!(screen.at(&Rect::new(0, 0, 1, 1)).is_none(), "stalest left");
+        assert_eq!(screen.at(&Rect::new(1998, 0, 1, 1)).unwrap().key, last);
+        assert!(!screen.confirm(last, 1996, 0), "another corner");
+        assert!(screen.confirm(last, 1998, 0));
+        assert!(!screen.at(&Rect::new(1998, 0, 1, 1)).unwrap().returned);
+        // Confirmed means recently used: 31 more records push out the
+        // others first.
+        for i in 0..31 {
+            screen.record(Shown {
+                rect: Rect::new(i * 2, 10, 1, 1),
+                key: last,
+                returned: true,
+            });
+        }
+        assert!(screen.at(&Rect::new(1998, 0, 1, 1)).is_some());
+        assert!(screen.at(&Rect::new(1996, 0, 1, 1)).is_none());
+        // A write next to it leaves it, one touching it drops it.
+        screen.invalidate(&Rect::new(1999, 0, 5, 5));
+        assert!(screen.at(&Rect::new(1998, 0, 1, 1)).is_some());
+        screen.invalidate(&Rect::new(1990, 0, 9, 1));
+        assert!(screen.at(&Rect::new(1998, 0, 1, 1)).is_none());
+    }
+}

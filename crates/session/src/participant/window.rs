@@ -1,0 +1,227 @@
+//! One shared window as the participant tracks it: geometry, pixels, and
+//! which tile is known to be visible where.
+
+use adshare_codec::{Image, Rect};
+
+use super::tiles::{OnScreen, Shown, TileKey, TileStore};
+
+/// How a `RegionUpdate` reached the screen.
+pub(super) enum Drawn {
+    /// The window already showed this payload at this place.
+    AlreadyShown,
+    /// Parked pixels were exchanged with what the screen showed.
+    Reused,
+    /// The payload was decoded; `parked` when the pixels it replaced were
+    /// kept.
+    Decoded { parked: bool },
+}
+
+/// One shared window as the participant tracks it.
+#[derive(Debug, Clone)]
+pub(super) struct PWindow {
+    /// Geometry at the AH, from the latest WindowManagerInfo.
+    pub(super) ah_rect: Rect,
+    /// Group id from the WMI.
+    pub(super) group: u8,
+    /// Local content buffer (window-sized). Written only by
+    /// [`PWindow::write`].
+    content: Image,
+    /// Which tile `content` is known to show where.
+    screen: OnScreen,
+}
+
+impl PWindow {
+    /// A new, black window with the AH geometry `ah_rect`.
+    pub(super) fn new(ah_rect: Rect, group: u8) -> Self {
+        PWindow {
+            ah_rect,
+            group,
+            content: Self::blank(ah_rect),
+            screen: OnScreen::new(),
+        }
+    }
+
+    fn blank(ah_rect: Rect) -> Image {
+        Image::filled(ah_rect.width, ah_rect.height, [0, 0, 0, 255]).expect("window dims bounded")
+    }
+
+    /// The window's pixels.
+    pub(super) fn content(&self) -> &Image {
+        &self.content
+    }
+
+    /// The one way pixels in `content` change: whatever `change` does
+    /// inside `area` (window-local), no record of what `area` showed
+    /// before outlives it.
+    fn write(&mut self, area: Rect, change: impl FnOnce(&mut Image)) {
+        self.screen.invalidate(&area);
+        change(&mut self.content);
+    }
+
+    /// Take the geometry of a new WindowManagerInfo. "The participant MUST
+    /// keep the existing window image after a resize and relocation."
+    pub(super) fn set_geometry(&mut self, ah_rect: Rect, group: u8) {
+        self.ah_rect = ah_rect;
+        self.group = group;
+        let old = self.content.bounds();
+        if (old.width, old.height) != (ah_rect.width, ah_rect.height) {
+            self.write(old, |content| {
+                let mut resized = Self::blank(ah_rect);
+                resized.blit(content, 0, 0);
+                *content = resized;
+            });
+        }
+    }
+
+    /// Absolute AH coordinates → window-local ones, which are negative for
+    /// a point left of or above the window.
+    fn local(&self, left: u32, top: u32) -> (i64, i64) {
+        (
+            left as i64 - self.ah_rect.left as i64,
+            top as i64 - self.ah_rect.top as i64,
+        )
+    }
+
+    /// The `width`×`height` block whose corner is at window-local `corner`
+    /// as a rectangle, when all of it lies inside the window.
+    fn inside(&self, corner: (u32, u32), width: u32, height: u32) -> Option<Rect> {
+        let rect = Rect::new(corner.0, corner.1, width, height);
+        (!rect.is_empty() && self.content.bounds().contains_rect(&rect)).then_some(rect)
+    }
+
+    /// Apply a `RegionUpdate` whose payload is named `key` and whose
+    /// upper-left corner is at absolute (`left`, `top`). `decode` runs only
+    /// when neither the screen nor `tiles` already has the pixels; its error
+    /// is returned with nothing changed.
+    pub(super) fn region_update(
+        &mut self,
+        tiles: &mut TileStore,
+        key: TileKey,
+        (left, top): (u32, u32),
+        decode: impl FnOnce() -> adshare_codec::Result<Image>,
+    ) -> adshare_codec::Result<Drawn> {
+        let at = self.local(left, top);
+        // A corner left of or above the window rules out everything but
+        // decoding and drawing what is left of the tile.
+        let corner = u32::try_from(at.0).ok().zip(u32::try_from(at.1).ok());
+        if corner.is_some_and(|(x, y)| self.screen.confirm(key, x, y)) {
+            return Ok(Drawn::AlreadyShown);
+        }
+        let parked_here = corner
+            .zip(tiles.parked_size(key))
+            .and_then(|(corner, (width, height))| self.inside(corner, width, height));
+        if let Some(rect) = parked_here {
+            let mut pixels = tiles.take(key).expect("size just read");
+            let displaced = self.screen.at(&rect);
+            self.exchange(rect, &mut pixels);
+            self.screen.record(Shown {
+                rect,
+                key,
+                returned: true,
+            });
+            // The buffer now holds what was on screen: keep it under that
+            // name if it has one, else let it go.
+            if let Some(old) = displaced {
+                tiles.park(old.key, pixels);
+            }
+            return Ok(Drawn::Reused);
+        }
+        let mut pixels = decode()?;
+        let whole = corner.and_then(|c| self.inside(c, pixels.width(), pixels.height()));
+        let Some(rect) = whole else {
+            self.draw_clipped(&pixels, at);
+            return Ok(Drawn::Decoded { parked: false });
+        };
+        // A tile is given a name on the screen only from its second sight
+        // here on (most content never returns, and is drawn and forgotten),
+        // and is worth keeping only if that sight found something else on
+        // the screen: sent again while still showing, it has not come back.
+        let seen = tiles.seen_before(key, rect.left, rect.top);
+        let returned = seen && !self.content.region_equals(&pixels, rect.left, rect.top);
+        // What `rect` shows is kept if it is known to come back: swapped
+        // out into the decoder's own buffer, so parking allocates nothing.
+        let parked = match self.screen.at(&rect) {
+            Some(old) if old.returned => {
+                self.exchange(rect, &mut pixels);
+                tiles.park(old.key, pixels)
+            }
+            _ => {
+                self.write(rect, |content| content.blit(&pixels, rect.left, rect.top));
+                false
+            }
+        };
+        if seen {
+            self.screen.record(Shown {
+                rect,
+                key,
+                returned,
+            });
+        }
+        Ok(Drawn::Decoded { parked })
+    }
+
+    /// Swap `pixels` with what `rect`, wholly inside the window, shows.
+    fn exchange(&mut self, rect: Rect, pixels: &mut Image) {
+        self.write(rect, |content| {
+            content
+                .swap_rect(pixels, rect.left, rect.top)
+                .expect("rect is inside the window")
+        });
+    }
+
+    /// Draw the part of `pixels`, placed at window-local `at`, that falls
+    /// inside the window: columns and rows outside it are cropped, never
+    /// shifted in.
+    fn draw_clipped(&mut self, pixels: &Image, at: (i64, i64)) {
+        let Some((from, to)) = clip(at, pixels.bounds(), self.content.bounds()) else {
+            return;
+        };
+        self.write(to, |content| {
+            content.blit_from(pixels, from, to.left, to.top)
+        });
+    }
+
+    /// Apply a `MoveRectangle` given in absolute coordinates: every pixel
+    /// whose source and destination both lie inside the window moves, the
+    /// rest of the block is cropped.
+    pub(super) fn move_rectangle(
+        &mut self,
+        src: (u32, u32),
+        dst: (u32, u32),
+        width: u32,
+        height: u32,
+    ) {
+        let (src, dst) = (self.local(src.0, src.1), self.local(dst.0, dst.1));
+        let block = Rect::new(0, 0, width, height);
+        let bounds = self.content.bounds();
+        // The part of the block whose source is inside, then the part of
+        // that whose destination is inside too.
+        let Some((readable, _)) = clip(src, block, bounds) else {
+            return;
+        };
+        let Some((moved, to)) = clip(dst, readable, bounds) else {
+            return;
+        };
+        let from = Rect::new(
+            (src.0 + moved.left as i64) as u32,
+            (src.1 + moved.top as i64) as u32,
+            moved.width,
+            moved.height,
+        );
+        self.write(to, |content| content.move_rect(from, to.left, to.top));
+    }
+}
+
+/// Place `block` (a rectangle in its own coordinates) so that its origin
+/// lands at the signed position `at` inside `bounds`: the part of `block`
+/// that stays visible, and where in `bounds` it lands.
+fn clip(at: (i64, i64), block: Rect, bounds: Rect) -> Option<(Rect, Rect)> {
+    let span = |at: i64, start: u32, len: u32, limit: u32| {
+        let lo = (at + start as i64).max(0);
+        let hi = (at + start as i64 + len as i64).min(limit as i64);
+        (lo < hi).then(|| ((lo - at) as u32, lo as u32, (hi - lo) as u32))
+    };
+    let (bx, x, w) = span(at.0, block.left, block.width, bounds.width)?;
+    let (by, y, h) = span(at.1, block.top, block.height, bounds.height)?;
+    Some((Rect::new(bx, by, w, h), Rect::new(x, y, w, h)))
+}

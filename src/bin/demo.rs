@@ -620,6 +620,23 @@ fn run_sim(
         s.converged(p),
     );
 
+    // Work spared by content addressing, at either end: tiles the AH did
+    // not encode again, updates the viewer did not decode again.
+    let ratio = |part: u64, whole: u64| part as f64 / whole.max(1) as f64;
+    let hits = snap.counter("ah.encode.cache.hits").unwrap_or(0);
+    let misses = snap.counter("ah.encode.cache.misses").unwrap_or(0);
+    let viewer = s.participant(p).stats();
+    let spared = viewer.tiles_reused + viewer.tiles_already_shown;
+    println!(
+        "AH encode cache hit ratio: {:.2} ({hits} of {})   viewer tile reuse ratio: {:.2} \
+         ({spared} of {} updates; {} KiB parked)",
+        ratio(hits, hits + misses),
+        hits + misses,
+        ratio(spared, viewer.regions_applied),
+        viewer.regions_applied,
+        viewer.parked_bytes >> 10,
+    );
+
     // The congestion controller's view of the path (adshare-rate).
     use adshare::obs::MetricSnapshot;
     let gauge = |name: &str| match snap.get(name) {

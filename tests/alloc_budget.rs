@@ -2,7 +2,10 @@
 //! "Buffer ownership"), held in tier-1: one heap allocation per RTP packet
 //! per leg on the send side — the datagram, which the link queue, the
 //! retransmit history and the receiver all share — and a pinned ceiling on
-//! what a whole `typing_udp`-shaped frame allocates end to end.
+//! what a whole `typing_udp`-shaped frame allocates end to end. The viewer's
+//! parked-tile store (DESIGN §9.1 "Viewer side") is held to the same account:
+//! an update it has to decode costs exactly the decode, one it can put back
+//! from the store or finds on screen costs nothing.
 //!
 //! This file holds a single test on purpose: it installs a counting
 //! `#[global_allocator]`, and nothing else may run in the process while it
@@ -12,9 +15,12 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
+use adshare::codec::codec::{default_pt, AnyCodec};
 use adshare::prelude::*;
+use adshare::remoting::message::{RegionUpdate, WindowManagerInfo, WindowRecord};
 use adshare::rtp::rtcp::{PictureLossIndication, RtcpPacket};
 use adshare::screen::WindowId;
+use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -235,4 +241,98 @@ fn datagram_path_stays_inside_its_allocation_budget() {
     assert!(s
         .run_until(TICK_US, 5_000_000, |s| (0..8).all(|v| s.converged(v)))
         .is_some());
+    // Keystrokes never repeat, so none of them is admitted to a store.
+    for v in 0..8 {
+        let stats = s.participant(v).stats();
+        assert_eq!(
+            (stats.parked_bytes, stats.tiles_parked, stats.tiles_reused),
+            (0, 0, 0),
+            "viewer {v}"
+        );
+    }
+
+    // 3. The viewer's store. A 64×48 tile flips between two pictures at one
+    // place while distinct tiles land at ever new places beside it.
+    let picture = |tag: u32| {
+        let mut img = Image::new(64, 48).unwrap();
+        for y in 0..48 {
+            for x in 0..64 {
+                let v = (x * 5 + y * 11) ^ tag.wrapping_mul(2_654_435_761);
+                img.set_pixel(x, y, [v as u8, (v >> 8) as u8, tag as u8, 255]);
+            }
+        }
+        Bytes::from(AnyCodec::new(CodecKind::Png).encode(&img))
+    };
+    let update = |payload: &Bytes, left: u32, top: u32| {
+        RemotingMessage::RegionUpdate(RegionUpdate {
+            window_id: WireWindowId(1),
+            payload_type: default_pt::PNG,
+            left,
+            top,
+            payload: payload.clone(),
+        })
+    };
+    let mut viewer = Participant::new(1, Layout::Original, true, 5);
+    viewer.apply(RemotingMessage::WindowManagerInfo(WindowManagerInfo {
+        windows: vec![WindowRecord {
+            window_id: WireWindowId(1),
+            group_id: 0,
+            left: 0,
+            top: 0,
+            width: 640,
+            height: 480,
+        }],
+    }));
+    let (ping, pong) = (picture(1), picture(2));
+    // What decoding one such tile costs on its own.
+    let codec = AnyCodec::new(CodecKind::Png);
+    let a0 = allocs();
+    drop(codec.decode(&ping).unwrap());
+    let decode_cost = allocs() - a0;
+    assert!(decode_cost >= 2, "inflate buffer and pixels: {decode_cost}");
+    let applied = |viewer: &mut Participant, msg: RemotingMessage| {
+        let a0 = allocs();
+        viewer.apply(msg);
+        allocs() - a0
+    };
+    // A tile that never returns costs the decode and nothing else.
+    for n in 0..40 {
+        let once = update(&picture(500 + n), 64 * (n % 10), 48 * (n / 10));
+        assert_eq!(applied(&mut viewer, once), decode_cost, "one-off {n}");
+    }
+    // One that does return is recorded in the window's table of what it
+    // shows where, and the pixels it replaces may be parked: the first
+    // record and the first park bring those two tables into being.
+    let (a, b) = (picture(3), picture(4));
+    for tile in [&a, &b, &a, &b] {
+        applied(&mut viewer, update(tile, 0, 400));
+    }
+    assert_eq!(viewer.stats().tiles_parked, 1);
+    // After that a returning tile costs the decode too, however many
+    // places have been recorded (40 here, the table holds 32) ...
+    for n in 0..40 {
+        let (left, top) = (64 * (n % 10), 48 * (n / 10));
+        let (a, b) = (picture(100 + n), picture(200 + n));
+        for (sight, tile) in [&a, &b, &a].into_iter().enumerate() {
+            let cost = applied(&mut viewer, update(tile, left, top));
+            assert_eq!(cost, decode_cost, "place {n} sight {sight}");
+        }
+    }
+    // ... including the miss that parks what it replaces (the fourth
+    // here), which does so in the decoder's own buffer. From the third
+    // sight on a ping-pong is an exchange in place.
+    for (sight, payload) in [&ping, &pong, &ping, &pong].into_iter().enumerate() {
+        let cost = applied(&mut viewer, update(payload, 320, 240));
+        assert_eq!(cost, decode_cost, "sight {sight}");
+    }
+    assert_eq!(viewer.stats().tiles_parked, 2);
+    for round in 0..50 {
+        for payload in [&ping, &pong, &pong] {
+            let cost = applied(&mut viewer, update(payload, 320, 240));
+            assert_eq!(cost, 0, "round {round}");
+        }
+    }
+    let stats = viewer.stats();
+    assert_eq!((stats.tiles_reused, stats.tiles_already_shown), (100, 50));
+    assert_eq!(stats.parked_bytes, 2 * 64 * 48 * 4);
 }
