@@ -4,9 +4,10 @@
 //! AH's uplink becomes the bottleneck and every downstream loss event rides
 //! all the way back to the source. A relay node breaks that coupling:
 //!
-//! * **Upstream** it subscribes exactly like one more remoting receiver —
-//!   to the AH or to another relay, so relays cascade into a tree. The AH
-//!   sees one leg regardless of how many participants sit below.
+//! * **Upstream** it *is* one more remoting receiver — the same
+//!   [`Ingress`] and [`Mirror`] a participant runs (DESIGN §5.2) — to the AH
+//!   or to another relay, so relays cascade into a tree. The AH sees one
+//!   leg regardless of how many participants sit below.
 //! * **Downstream** it fans the reassembled remoting stream out to N legs
 //!   (UDP, RFC 4571-framed TCP, or raw byte queues for embedding), each
 //!   with its own pacer and freshest-frame supersede queue.
@@ -16,9 +17,9 @@
 //!   from different legs into a single cache lookup, and only genuine cache
 //!   misses escalate upstream (deduplicated within the same window).
 //! * **PLIs** coalesce: at most one upstream PLI per refresh interval, and
-//!   once the relay's own shadow state is synced a leg's PLI is served
+//!   once the relay's own window mirror is synced a leg's PLI is served
 //!   entirely locally as a catch-up burst — WindowManagerInfo plus a full
-//!   `RegionUpdate` per window synthesized from the shadow copy — so late
+//!   `RegionUpdate` per window synthesized from the mirror — so late
 //!   joiners never cost the AH a full refresh.
 //!
 //! Each leg gets its own contiguous RTP sequence space (rewritten from the
@@ -39,31 +40,28 @@ use adshare_capture::{
     CaptureHandle, Direction as CapDirection, StreamKind as CapStreamKind,
     Transport as CapTransport,
 };
-use adshare_codec::codec::{default_pt, AnyCodec, CodecKind, CodecRegistry};
-use adshare_codec::image::{Image, Rect};
+use adshare_codec::codec::{default_pt, AnyCodec, CodecKind};
+use adshare_codec::image::Rect;
 use adshare_codec::Codec;
 use adshare_encode::EncodeConfig;
 use adshare_layers::{
     LayersConfig, LegTierStats, TierEncoder, TierRequest, TierSelector, TierStats,
 };
 use adshare_netsim::tcp::{TcpConfig, TcpLink};
+use adshare_netsim::time::us_to_ticks;
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::{EventKind, Obs, ACTOR_LEG_BASE, ACTOR_RELAY};
 use adshare_rate::{FreshQueue, QualityTier, RateController};
 use adshare_remoting::fragment::{fragment, FragmentPacket};
-use adshare_remoting::packetizer::RemotingDepacketizer;
 use adshare_remoting::{
     MousePointerInfo, RegionUpdate, RemotingMessage, WindowId, WindowManagerInfo, WindowRecord,
 };
 use adshare_rtp::history::RetransmitHistory;
-use adshare_rtp::reorder::ReorderBuffer;
-use adshare_rtp::rtcp::{
-    decode_compound, encode_compound, GenericNack, PictureLossIndication, ReceiverReport,
-    RtcpPacket, SourceDescription,
-};
-use adshare_rtp::session::RtpReceiver;
+use adshare_rtp::rtcp::{decode_compound, GenericNack, RtcpPacket};
 use adshare_rtp::{RtpHeader, RtpPacket};
 use adshare_session::egress::{Tap, Wire};
+use adshare_session::ingress::{is_rtcp, Ingress};
+use adshare_session::mirror::{Applied, Mirror};
 use bytes::Bytes;
 
 /// Schema marker for [`RelayNode::stats_json`].
@@ -73,33 +71,33 @@ pub const RELAY_STATS_SCHEMA: &str = "adshare-relay-stats/v1";
 /// NACK translation (matches the default retransmit-cache depth).
 const SEQ_MAP_LIMIT: usize = 4096;
 
-/// Relay tuning knobs.
+/// Retransmit-cache byte budget.
+const CACHE_MAX_BYTES: usize = 8 << 20;
+/// Suppression window: a sequence retransmitted (or escalated) within this
+/// many µs is served from the recent-retransmit copy / silently dropped
+/// instead of costing another cache lookup or upstream NACK.
+const SUPPRESSION_WINDOW_US: u64 = 100_000;
+/// Minimum spacing between upstream PLIs (and between catch-up bursts to
+/// the same leg).
+const PLI_MIN_INTERVAL_US: u64 = 500_000;
+/// Max RTP payload size for locally synthesized packets.
+const MTU: usize = 1400;
+
+/// What a relay is configured with.
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
-    /// Retransmit-cache packet-count budget.
+    /// Retransmit-cache packet-count budget. A field only as
+    /// `cache_miss_escalates_upstream_once`'s lever onto the miss path.
     pub cache_max_packets: usize,
-    /// Retransmit-cache byte budget.
-    pub cache_max_bytes: usize,
-    /// Suppression window: a sequence retransmitted (or escalated) within
-    /// this many µs is served from the recent-retransmit copy / silently
-    /// dropped instead of costing another cache lookup or upstream NACK.
-    pub suppression_window_us: u64,
-    /// Minimum spacing between upstream PLIs (and between catch-up bursts
-    /// to the same leg).
-    pub pli_min_interval_us: u64,
-    /// Max RTP payload size for synthesized catch-up packets.
-    pub mtu: usize,
-    /// Serve late-joiner PLIs from the shadow state instead of escalating.
+    /// Serve late-joiner PLIs from the mirror instead of escalating. A
+    /// field only as `second_pli_within_interval_is_coalesced_upstream`'s
+    /// lever onto the upstream-PLI path.
     pub catchup_enabled: bool,
-    /// Relay-side gap timeout: after this many [`RelayNode::step`] calls
-    /// with the reorder buffer stuck on the same hole, skip it and request
-    /// an upstream refresh.
-    pub gap_timeout_steps: u32,
     /// Layered-quality configuration. `None` (the default) disables tier
     /// selection entirely: every leg forwards verbatim, byte-identical to
     /// the pre-layers relay. `Some` arms a per-leg AIMD tier controller
-    /// that re-encodes from the shadow state when a subtree cannot afford
-    /// the upstream tier.
+    /// that re-encodes from the mirror when a subtree cannot afford the
+    /// upstream tier.
     pub layers: Option<LayersConfig>,
 }
 
@@ -107,12 +105,7 @@ impl Default for RelayConfig {
     fn default() -> Self {
         RelayConfig {
             cache_max_packets: 4096,
-            cache_max_bytes: 8 << 20,
-            suppression_window_us: 100_000,
-            pli_min_interval_us: 500_000,
-            mtu: 1400,
             catchup_enabled: true,
-            gap_timeout_steps: 40,
             layers: None,
         }
     }
@@ -153,7 +146,7 @@ pub struct RelayStats {
     /// PLIs actually sent upstream (join, resync, escalation).
     pub plis_upstream: u64,
     /// Leg PLIs answered without an upstream PLI (coalesced or served from
-    /// the shadow state).
+    /// the mirror).
     pub plis_coalesced: u64,
     /// Catch-up bursts synthesized for late joiners.
     pub catchups_served: u64,
@@ -361,14 +354,6 @@ impl Leg {
     }
 }
 
-/// A window in the relay's shadow of the shared desktop, mirrored from the
-/// upstream remoting stream with exactly the participant's apply semantics.
-struct ShadowWindow {
-    ah_rect: Rect,
-    group: u8,
-    content: Image,
-}
-
 /// What one completed remoting unit means for the per-leg queues.
 #[derive(Clone, Copy)]
 enum UnitClass {
@@ -381,31 +366,28 @@ enum UnitClass {
 /// The relay node: one upstream subscription, N downstream legs.
 pub struct RelayNode {
     cfg: RelayConfig,
-    /// The relay's own RTCP identity.
-    ssrc: u32,
     id: u16,
-    // Upstream receive path.
-    receiver: RtpReceiver,
-    reorder: ReorderBuffer,
-    depacketizer: RemotingDepacketizer,
+    /// The upstream subscription: one ordinary remoting receiver, signing
+    /// its feedback `0x5245_0000 | id` / `relay-{id}@adshare`.
+    rx: Ingress,
     cache: RetransmitHistory,
+    /// Packets of the message under reassembly, in order.
     unit_pkts: Vec<RtpPacket>,
     /// RTP identity of the upstream stream as of its latest packet.
     media: MediaId,
-    // Shadow desktop state.
-    codecs: CodecRegistry,
-    windows: HashMap<u16, ShadowWindow>,
-    z_order: Vec<u16>,
+    /// The shared windows as the upstream stream describes them; catch-up
+    /// bursts and tier re-encodes are read out of it.
+    mirror: Mirror,
+    /// The last pointer message, its icon resolved, for catch-up replay.
     pointer: Option<MousePointerInfo>,
-    synced: bool,
-    /// Bumped on every barrier unit; scopes supersede keys so a queue
-    /// never drops a region update across a WMI/Move boundary.
+    /// Bumped on every WindowManagerInfo and MoveRectangle; scopes
+    /// supersede keys so a queue never drops a region update across one.
     epoch: u64,
     unit_counter: u64,
     // Downstream.
     legs: Vec<Leg>,
     // Layered quality.
-    /// Shadow-state re-encoder, present when `cfg.layers` is set. Tiles
+    /// Mirror re-encoder, present when `cfg.layers` is set. Tiles
     /// are cached per `(content_hash, dims, tier)` so a static region
     /// costs one encode per tier regardless of leg count.
     tier_encoder: Option<TierEncoder>,
@@ -414,39 +396,27 @@ pub struct RelayNode {
     /// Pending upstream downgrade and when it was first wanted (dwell).
     upstream_desired_since: Option<(QualityTier, u64)>,
     tier_requests_sent: u64,
-    // Upstream feedback.
-    rtcp_out: Vec<RtcpPacket>,
-    last_pli_ticks: u64,
-    last_rr_ticks: u64,
+    /// When the last PLI went upstream, for coalescing.
     last_upstream_pli_us: Option<u64>,
     sent_join_pli: bool,
     // Suppression state.
     recent_retx: HashMap<u16, (u64, RtpPacket)>,
     recent_escalated: HashMap<u16, u64>,
-    // Gap timeout.
-    stuck_steps: u32,
-    last_held: usize,
     // Observability.
     obs: Option<Obs>,
+    /// Everything but the two upstream feedback counts, which
+    /// [`RelayNode::stats`] reads off `rx`.
     stats: RelayStats,
     /// Consent-gated wire capture: upstream ingress is recorded as `Rx`
     /// (actor [`ACTOR_RELAY`]), leg egress as `Tx` (per-leg actor).
     capture: Option<CaptureHandle>,
 }
 
-fn is_rtcp(datagram: &[u8]) -> bool {
-    datagram.len() >= 2 && (200..=206).contains(&datagram[1])
-}
-
-fn ticks_of(now_us: u64) -> u64 {
-    now_us * 9 / 100
-}
-
 impl RelayNode {
     /// A fresh relay. `id` distinguishes cascaded relays in CNAMEs, SSRCs
     /// and metric prefixes.
     pub fn new(cfg: RelayConfig, id: u16) -> Self {
-        let cache = RetransmitHistory::new(cfg.cache_max_packets, cfg.cache_max_bytes);
+        let cache = RetransmitHistory::new(cfg.cache_max_packets, CACHE_MAX_BYTES);
         let tier_encoder = cfg.layers.as_ref().map(|_| {
             TierEncoder::new(
                 EncodeConfig {
@@ -457,21 +427,24 @@ impl RelayNode {
                 default_pt::DCT,
             )
         });
+        let seed = u64::from(id);
         RelayNode {
             cfg,
-            ssrc: 0x5245_0000 | u32::from(id),
             id,
-            receiver: RtpReceiver::new(),
-            reorder: ReorderBuffer::new(256),
-            depacketizer: RemotingDepacketizer::new(),
+            rx: Ingress::new(
+                0x5245_0000 | u32::from(id),
+                format!("relay-{id}@adshare"),
+                true,
+                seed,
+            ),
             cache,
             unit_pkts: Vec::new(),
             media: MediaId::default(),
-            codecs: CodecRegistry::default(),
-            windows: HashMap::new(),
-            z_order: Vec::new(),
+            // A relay has no secret to key tile names with; its id keeps
+            // runs repeatable, and a sender that forges a collision spoils
+            // only what its own subtree is served.
+            mirror: Mirror::new(seed),
             pointer: None,
-            synced: false,
             epoch: 0,
             unit_counter: 0,
             legs: Vec::new(),
@@ -479,15 +452,10 @@ impl RelayNode {
             upstream_tier: QualityTier::Lossless,
             upstream_desired_since: None,
             tier_requests_sent: 0,
-            rtcp_out: Vec::new(),
-            last_pli_ticks: 0,
-            last_rr_ticks: 0,
             last_upstream_pli_us: None,
             sent_join_pli: false,
             recent_retx: HashMap::new(),
             recent_escalated: HashMap::new(),
-            stuck_steps: 0,
-            last_held: 0,
             obs: None,
             stats: RelayStats::default(),
             capture: None,
@@ -511,6 +479,7 @@ impl RelayNode {
         obs.registry
             .gauge(&format!("relay.{}.legs", self.id))
             .set(self.active_leg_count() as i64);
+        self.rx.attach_obs(obs.clone(), ACTOR_RELAY);
         self.obs = Some(obs);
         for leg_idx in 0..self.legs.len() {
             self.register_leg_tier_metrics(leg_idx);
@@ -529,12 +498,12 @@ impl RelayNode {
 
     /// The relay's RTCP SSRC.
     pub fn ssrc(&self) -> u32 {
-        self.ssrc
+        self.rx.ssrc()
     }
 
-    /// Whether the shadow state has seen a WindowManagerInfo.
+    /// Whether the mirror has seen a WindowManagerInfo.
     pub fn synced(&self) -> bool {
-        self.synced
+        self.mirror.synced()
     }
 
     /// Number of downstream legs.
@@ -544,7 +513,12 @@ impl RelayNode {
 
     /// Aggregate counters.
     pub fn stats(&self) -> RelayStats {
-        self.stats
+        let feedback = self.rx.stats();
+        RelayStats {
+            upstream_gap_nacks: feedback.nacks_sent,
+            plis_upstream: feedback.plis_sent,
+            ..self.stats
+        }
     }
 
     /// Retransmit-cache (hits, misses).
@@ -559,19 +533,8 @@ impl RelayNode {
     }
 
     fn push_upstream_pli(&mut self, now_us: u64) {
-        self.rtcp_out.push(RtcpPacket::Pli(PictureLossIndication {
-            sender_ssrc: self.ssrc,
-            media_ssrc: self.media.ssrc,
-        }));
+        self.rx.request_refresh(us_to_ticks(now_us));
         self.last_upstream_pli_us = Some(now_us);
-        self.stats.plis_upstream += 1;
-        self.rec(
-            now_us,
-            ACTOR_RELAY,
-            EventKind::PliSent,
-            self.stats.plis_upstream,
-            0,
-        );
     }
 
     /// Add a downstream leg over a simulated UDP link. Returns the leg id.
@@ -598,7 +561,7 @@ impl RelayNode {
             // affordable rate and picks a tier); the fixed `rate` below
             // stays the flush budget while the tier is lossless, keeping
             // the verbatim path byte-identical to a relay without layers.
-            rate: RateController::new_adaptive(l.rate, rate_bps, self.cfg.mtu),
+            rate: RateController::new_adaptive(l.rate, rate_bps, MTU),
             selector: TierSelector::new(l.selector),
             verbatim_msgs: 0,
             synth_msgs: 0,
@@ -613,7 +576,7 @@ impl RelayNode {
             tap,
             actor: Self::leg_actor(self.legs.len()),
             queue: FreshQueue::new(),
-            rate: RateController::new_fixed(rate_bps, self.cfg.mtu),
+            rate: RateController::new_fixed(rate_bps, MTU),
             next_seq: None,
             seq_map: HashMap::new(),
             minted: HashMap::new(),
@@ -764,123 +727,42 @@ impl RelayNode {
             ts: pkt.header.timestamp,
             ssrc: pkt.header.ssrc,
         };
-        self.receiver.on_packet(&pkt, ticks_of(now_us));
-        self.reorder.ingest(pkt);
-        self.drain_ready(now_us);
-        let missing = self.reorder.take_missing();
-        if !missing.is_empty() {
-            self.stats.upstream_gap_nacks += 1;
-            self.rec(
-                now_us,
-                ACTOR_RELAY,
-                EventKind::NackSent,
-                missing.len() as u64,
-                u64::from(missing[0]),
-            );
-            self.rtcp_out.push(RtcpPacket::Nack(GenericNack::from_seqs(
-                self.ssrc,
-                self.media.ssrc,
-                &missing,
-            )));
-        }
+        self.rx.ingest(pkt, us_to_ticks(now_us));
+        self.fan_out_ready(now_us);
     }
 
-    fn drain_ready(&mut self, now_us: u64) {
-        while let Some(pkt) = self.reorder.pop_ready() {
+    /// Cache, collect and queue everything the upstream receiver can
+    /// release in order.
+    fn fan_out_ready(&mut self, now_us: u64) {
+        while let Some((pkt, fed)) = self.rx.pop() {
             // Record at pop time: pop order is sequence-monotonic, which
             // the history's binary search requires (arrival order is not).
             self.cache.record(pkt.clone());
-            self.unit_pkts.push(pkt.clone());
-            match self.depacketizer.feed(&pkt) {
+            self.unit_pkts.push(pkt);
+            match fed {
                 Ok(Some(msg)) => {
                     let pkts = std::mem::take(&mut self.unit_pkts);
                     self.complete_unit(msg, pkts, now_us);
                 }
                 Ok(None) => {}
-                Err(_) => {
-                    self.depacketizer.reset();
-                    self.unit_pkts.clear();
-                }
+                Err(_) => self.unit_pkts.clear(),
             }
         }
     }
 
-    /// Mirror one remoting message into the shadow state and classify it
-    /// for the supersede queues.
-    fn apply_shadow(&mut self, msg: &RemotingMessage) -> UnitClass {
+    /// Mirror one remoting message and classify it for the supersede
+    /// queues: a region the mirror drew is supersedable, everything else —
+    /// an update it could not decode or place included — is a barrier.
+    fn mirror_and_classify(&mut self, msg: &RemotingMessage) -> UnitClass {
+        if let Applied::Region { window, rect, .. } = self.mirror.apply(msg) {
+            return UnitClass::Region { window, rect };
+        }
         match msg {
-            RemotingMessage::WindowManagerInfo(wmi) => {
-                self.synced = true;
-                let ids: Vec<u16> = wmi.windows.iter().map(|w| w.window_id.0).collect();
-                self.windows.retain(|id, _| ids.contains(id));
-                self.z_order = ids;
-                for w in &wmi.windows {
-                    let rect = Rect::new(w.left, w.top, w.width.max(1), w.height.max(1));
-                    match self.windows.get_mut(&w.window_id.0) {
-                        Some(existing) => {
-                            existing.ah_rect = rect;
-                            existing.group = w.group_id;
-                            if existing.content.width() != rect.width
-                                || existing.content.height() != rect.height
-                            {
-                                let mut grown =
-                                    Image::filled(rect.width, rect.height, [0, 0, 0, 255])
-                                        .expect("window dims bounded");
-                                grown.blit(&existing.content, 0, 0);
-                                existing.content = grown;
-                            }
-                        }
-                        None => {
-                            self.windows.insert(
-                                w.window_id.0,
-                                ShadowWindow {
-                                    ah_rect: rect,
-                                    group: w.group_id,
-                                    content: Image::filled(rect.width, rect.height, [0, 0, 0, 255])
-                                        .expect("window dims bounded"),
-                                },
-                            );
-                        }
-                    }
-                }
-                self.epoch += 1;
-                UnitClass::Barrier
-            }
-            RemotingMessage::RegionUpdate(ru) => {
-                let decoded = self
-                    .codecs
-                    .get(ru.payload_type)
-                    .and_then(|c| c.decode(&ru.payload).ok());
-                let (Some(img), Some(win)) = (decoded, self.windows.get_mut(&ru.window_id.0))
-                else {
-                    // Unknown window or undecodable payload: forward it, but
-                    // give it barrier semantics so it is never superseded.
-                    return UnitClass::Barrier;
-                };
-                let lx = ru.left.saturating_sub(win.ah_rect.left);
-                let ly = ru.top.saturating_sub(win.ah_rect.top);
-                win.content.blit(&img, lx, ly);
-                UnitClass::Region {
-                    window: ru.window_id.0,
-                    rect: Rect::new(ru.left, ru.top, img.width(), img.height()),
-                }
-            }
-            RemotingMessage::MoveRectangle(mv) => {
-                if let Some(win) = self.windows.get_mut(&mv.window_id.0) {
-                    let src = Rect::new(
-                        mv.src_left.saturating_sub(win.ah_rect.left),
-                        mv.src_top.saturating_sub(win.ah_rect.top),
-                        mv.width,
-                        mv.height,
-                    );
-                    let dst_left = mv.dst_left.saturating_sub(win.ah_rect.left);
-                    let dst_top = mv.dst_top.saturating_sub(win.ah_rect.top);
-                    win.content.move_rect(src, dst_left, dst_top);
-                }
-                // A move reads content written by earlier region updates, so
-                // nothing queued before it may be superseded away after it.
-                self.epoch += 1;
-                UnitClass::Barrier
+            // A move reads content written by earlier region updates, and a
+            // WMI may resize under them: nothing queued before either may
+            // be superseded away after it.
+            RemotingMessage::WindowManagerInfo(_) | RemotingMessage::MoveRectangle(_) => {
+                self.epoch += 1
             }
             RemotingMessage::MousePointerInfo(mp) => {
                 // Keep the last pointer message (resolving "keep previous
@@ -894,13 +776,14 @@ impl RelayNode {
                     _ => mp.clone(),
                 };
                 self.pointer = Some(replay);
-                UnitClass::Barrier
             }
+            RemotingMessage::RegionUpdate(_) => {}
         }
+        UnitClass::Barrier
     }
 
     fn complete_unit(&mut self, msg: RemotingMessage, pkts: Vec<RtpPacket>, now_us: u64) {
-        let class = self.apply_shadow(&msg);
+        let class = self.mirror_and_classify(&msg);
         let bytes: u64 = pkts.iter().map(|p| p.wire_len() as u64).sum();
         let unit = Rc::new(Unit::Media(pkts));
         self.unit_counter += 1;
@@ -962,7 +845,7 @@ impl RelayNode {
         }
     }
 
-    /// Build the lossier rendition of one region from the shadow window:
+    /// Build the lossier rendition of one region from the mirrored window:
     /// tile-cached re-encode, one `RegionUpdate` per tile, fragmented to
     /// the relay MTU. Returns `None` when the window vanished or nothing
     /// intersects it (the caller then forwards verbatim).
@@ -973,24 +856,22 @@ impl RelayNode {
         tier: QualityTier,
     ) -> Option<(Rc<Unit>, u64)> {
         let enc = self.tier_encoder.as_mut()?;
-        let win = self.windows.get(&window)?;
-        let local = Rect::new(
-            rect.left.saturating_sub(win.ah_rect.left),
-            rect.top.saturating_sub(win.ah_rect.top),
-            rect.width,
-            rect.height,
-        );
+        let win = self.mirror.window(window)?;
+        let origin = win.ah_rect();
+        let local = rect
+            .intersect(&origin)?
+            .translated(-i64::from(origin.left), -i64::from(origin.top));
         let mut frags: Vec<FragmentPacket> = Vec::new();
         let mut bytes = 0u64;
-        for (pt, trect, payload) in enc.encode_region(&win.content, local, tier) {
+        for (pt, trect, payload) in enc.encode_region(win.content(), local, tier) {
             let msg = RemotingMessage::RegionUpdate(RegionUpdate {
                 window_id: WindowId(window),
                 payload_type: pt,
-                left: win.ah_rect.left + trect.left,
-                top: win.ah_rect.top + trect.top,
+                left: origin.left + trect.left,
+                top: origin.top + trect.top,
                 payload,
             });
-            let Ok(f) = fragment(&msg, self.cfg.mtu) else {
+            let Ok(f) = fragment(&msg, MTU) else {
                 continue;
             };
             for frag in f {
@@ -1004,27 +885,16 @@ impl RelayNode {
         Some((Rc::new(Unit::Synth(frags)), bytes))
     }
 
-    /// Periodic work: relay-side gap timeout, leg flushes, upstream RTCP
-    /// cadence, suppression-window pruning.
+    /// Periodic work: the upstream receiver's give-up rule, leg flushes,
+    /// its RTCP cadence, suppression-window pruning.
     pub fn step(&mut self, now_us: u64) {
-        let held = self.reorder.held_len();
-        if held > 0 && held == self.last_held {
-            self.stuck_steps += 1;
-            if self.stuck_steps >= self.cfg.gap_timeout_steps {
-                if self.reorder.skip_gap() {
-                    // The unit spanning the hole is unrecoverable; resync
-                    // the depacketizer and ask upstream for a refresh.
-                    self.depacketizer.reset();
-                    self.unit_pkts.clear();
-                    self.drain_ready(now_us);
-                    self.maybe_upstream_pli(now_us, usize::MAX);
-                }
-                self.stuck_steps = 0;
-            }
-        } else {
-            self.stuck_steps = 0;
+        if self.rx.watch_gap() {
+            // The unit spanning the hole is unrecoverable; forward what
+            // lies behind it and ask upstream for a refresh.
+            self.unit_pkts.clear();
+            self.fan_out_ready(now_us);
+            self.maybe_upstream_pli(now_us, usize::MAX);
         }
-        self.last_held = self.reorder.held_len();
 
         if let Some(enc) = self.tier_encoder.as_mut() {
             enc.begin_frame();
@@ -1034,13 +904,19 @@ impl RelayNode {
             self.flush_leg(leg, now_us);
         }
         self.tick_upstream_tier(now_us);
-        self.tick_feedback(now_us);
+        // A participant's cadence: re-PLI every second while unsynced (here:
+        // once subscribed), re-NACK stale holes, RR+SDES every ~2 s.
+        let waiting = self.sent_join_pli && !self.mirror.synced();
+        let plis = self.rx.stats().plis_sent;
+        self.rx.tick(us_to_ticks(now_us), !waiting);
+        if self.rx.stats().plis_sent != plis {
+            self.last_upstream_pli_us = Some(now_us);
+        }
 
-        let window = self.cfg.suppression_window_us;
         self.recent_retx
-            .retain(|_, (at, _)| now_us.saturating_sub(*at) <= window);
+            .retain(|_, (at, _)| now_us.saturating_sub(*at) <= SUPPRESSION_WINDOW_US);
         self.recent_escalated
-            .retain(|_, at| now_us.saturating_sub(*at) <= window);
+            .retain(|_, at| now_us.saturating_sub(*at) <= SUPPRESSION_WINDOW_US);
     }
 
     /// Advance one leg's tier controller: refresh the AIMD estimate (TCP
@@ -1076,7 +952,7 @@ impl RelayNode {
             to.as_gauge() as u64,
             from.as_gauge() as u64,
         );
-        if to == QualityTier::Lossless && self.synced && self.cfg.catchup_enabled {
+        if to == QualityTier::Lossless && self.mirror.synced() && self.cfg.catchup_enabled {
             self.serve_catchup(leg_idx, now_us);
         }
     }
@@ -1089,7 +965,7 @@ impl RelayNode {
         let Some(layers) = self.cfg.layers.as_ref() else {
             return;
         };
-        if !layers.subscribe_upstream || !self.synced {
+        if !layers.subscribe_upstream || !self.mirror.synced() {
             return;
         }
         let desired = self
@@ -1123,13 +999,8 @@ impl RelayNode {
         self.upstream_tier = tier;
         self.upstream_desired_since = None;
         self.tier_requests_sent += 1;
-        self.rtcp_out.push(
-            TierRequest {
-                ssrc: self.ssrc,
-                tier,
-            }
-            .to_rtcp(),
-        );
+        let ssrc = self.rx.ssrc();
+        self.rx.queue_rtcp(TierRequest { ssrc, tier }.to_rtcp());
         self.rec(
             now_us,
             ACTOR_RELAY,
@@ -1313,8 +1184,8 @@ impl RelayNode {
                 escalate.len() as u64,
                 u64::from(escalate[0]),
             );
-            self.rtcp_out.push(RtcpPacket::Nack(GenericNack::from_seqs(
-                self.ssrc,
+            self.rx.queue_rtcp(RtcpPacket::Nack(GenericNack::from_seqs(
+                self.rx.ssrc(),
                 self.media.ssrc,
                 &escalate,
             )));
@@ -1339,7 +1210,7 @@ impl RelayNode {
         // Suppression window: another leg just NACKed this sequence —
         // serve the retained copy without a second cache lookup.
         if let Some((at, pkt)) = self.recent_retx.get(&up_seq) {
-            if now_us.saturating_sub(*at) <= self.cfg.suppression_window_us {
+            if now_us.saturating_sub(*at) <= SUPPRESSION_WINDOW_US {
                 leg.send_as(pkt, leg_seq, now_us);
                 self.stats.nacks_suppressed_seqs += 1;
                 return Repair::Absorbed;
@@ -1378,10 +1249,10 @@ impl RelayNode {
             self.stats.plis_received,
             0,
         );
-        if self.synced && self.cfg.catchup_enabled {
-            let due = self.legs[leg_idx].last_catchup_us.map_or(true, |at| {
-                now_us.saturating_sub(at) >= self.cfg.pli_min_interval_us
-            });
+        if self.mirror.synced() && self.cfg.catchup_enabled {
+            let due = self.legs[leg_idx]
+                .last_catchup_us
+                .map_or(true, |at| now_us.saturating_sub(at) >= PLI_MIN_INTERVAL_US);
             if due {
                 self.serve_catchup(leg_idx, now_us);
             }
@@ -1401,9 +1272,9 @@ impl RelayNode {
     /// Send an upstream PLI unless one went out within the refresh
     /// interval; record whether it was coalesced.
     fn maybe_upstream_pli(&mut self, now_us: u64, leg_idx: usize) {
-        let due = self.last_upstream_pli_us.map_or(true, |at| {
-            now_us.saturating_sub(at) >= self.cfg.pli_min_interval_us
-        });
+        let due = self
+            .last_upstream_pli_us
+            .map_or(true, |at| now_us.saturating_sub(at) >= PLI_MIN_INTERVAL_US);
         if due {
             self.push_upstream_pli(now_us);
             self.rec(
@@ -1425,38 +1296,33 @@ impl RelayNode {
         }
     }
 
-    /// Synthesize a full catch-up burst for one leg from the shadow state:
+    /// Synthesize a full catch-up burst for one leg from the mirror:
     /// WindowManagerInfo, one full-window RegionUpdate per window in
     /// z-order, and the last pointer message. The upstream is not involved.
     fn serve_catchup(&mut self, leg_idx: usize, now_us: u64) {
-        let mut msgs: Vec<RemotingMessage> = Vec::with_capacity(self.z_order.len() + 2);
+        let mut msgs: Vec<RemotingMessage> = Vec::with_capacity(self.mirror.z_order().len() + 2);
         msgs.push(RemotingMessage::WindowManagerInfo(WindowManagerInfo {
             windows: self
-                .z_order
-                .iter()
-                .filter_map(|id| {
-                    self.windows.get(id).map(|w| WindowRecord {
-                        window_id: WindowId(*id),
-                        group_id: w.group,
-                        left: w.ah_rect.left,
-                        top: w.ah_rect.top,
-                        width: w.ah_rect.width,
-                        height: w.ah_rect.height,
-                    })
+                .mirror
+                .stacked()
+                .map(|(id, w)| WindowRecord {
+                    window_id: WindowId(id),
+                    group_id: w.group(),
+                    left: w.ah_rect().left,
+                    top: w.ah_rect().top,
+                    width: w.ah_rect().width,
+                    height: w.ah_rect().height,
                 })
                 .collect(),
         }));
         let png = AnyCodec::new(CodecKind::Png);
-        for id in &self.z_order {
-            let Some(w) = self.windows.get(id) else {
-                continue;
-            };
+        for (id, w) in self.mirror.stacked() {
             msgs.push(RemotingMessage::RegionUpdate(RegionUpdate {
-                window_id: WindowId(*id),
+                window_id: WindowId(id),
                 payload_type: default_pt::PNG,
-                left: w.ah_rect.left,
-                top: w.ah_rect.top,
-                payload: png.encode(&w.content).into(),
+                left: w.ah_rect().left,
+                top: w.ah_rect().top,
+                payload: png.encode(w.content()).into(),
             }));
         }
         if let Some(mp) = &self.pointer {
@@ -1473,7 +1339,7 @@ impl RelayNode {
         let mut burst_pkts = 0u64;
         let mut burst_bytes = 0u64;
         for msg in &msgs {
-            let Ok(frags) = fragment(msg, self.cfg.mtu) else {
+            let Ok(frags) = fragment(msg, MTU) else {
                 continue;
             };
             // The burst IS the refresh: bypass the pacer.
@@ -1494,44 +1360,9 @@ impl RelayNode {
         );
     }
 
-    /// Upstream feedback cadence, mirroring a participant's: re-PLI every
-    /// second while unsynced, RR+SDES every ~2 s once media flows.
-    fn tick_feedback(&mut self, now_us: u64) {
-        let ticks = ticks_of(now_us);
-        const RESYNC_INTERVAL_TICKS: u64 = 90_000;
-        if !self.synced
-            && self.sent_join_pli
-            && ticks.saturating_sub(self.last_pli_ticks) >= RESYNC_INTERVAL_TICKS
-        {
-            self.push_upstream_pli(now_us);
-            self.last_pli_ticks = ticks;
-        }
-        const RR_INTERVAL_TICKS: u64 = 90_000 * 2;
-        if self.receiver.received() > 0
-            && ticks.saturating_sub(self.last_rr_ticks) >= RR_INTERVAL_TICKS
-        {
-            let block = self.receiver.report_block(self.media.ssrc);
-            self.rtcp_out
-                .push(RtcpPacket::ReceiverReport(ReceiverReport {
-                    ssrc: self.ssrc,
-                    reports: vec![block],
-                }));
-            self.rtcp_out
-                .push(RtcpPacket::Sdes(SourceDescription::cname(
-                    self.ssrc,
-                    &format!("relay-{}@adshare", self.id),
-                )));
-            self.last_rr_ticks = ticks;
-        }
-    }
-
     /// Take outbound upstream RTCP compound bytes.
     pub fn take_upstream_rtcp(&mut self) -> Option<Vec<u8>> {
-        if self.rtcp_out.is_empty() {
-            return None;
-        }
-        let packets = std::mem::take(&mut self.rtcp_out);
-        Some(encode_compound(&packets))
+        self.rx.take_rtcp()
     }
 
     /// Layered-quality snapshot (`adshare-relay-tier-stats/v1`); legs is
@@ -1563,12 +1394,12 @@ impl RelayNode {
 
     /// Relay stats as a `adshare-relay-stats/v1` JSON document.
     pub fn stats_json(&self) -> String {
-        let s = &self.stats;
+        let s = &self.stats();
         let (hits, misses) = self.cache.stats();
         adshare_obs::json::object(|o| {
             o.str("schema", RELAY_STATS_SCHEMA)
                 .u64("legs", self.legs.len() as u64)
-                .bool("synced", self.synced)
+                .bool("synced", self.mirror.synced())
                 .object("forwarded", |o| {
                     o.u64("msgs", s.forwarded_msgs)
                         .u64("packets", s.forwarded_packets)
@@ -1605,7 +1436,9 @@ impl RelayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adshare_remoting::packetizer::RemotingPacketizer;
+    use adshare_codec::image::Image;
+    use adshare_remoting::packetizer::{RemotingDepacketizer, RemotingPacketizer};
+    use adshare_rtp::rtcp::{encode_compound, PictureLossIndication, ReceiverReport};
     use adshare_rtp::session::RtpSender;
     use adshare_session::{Layout, Participant};
     use bytes::Bytes;

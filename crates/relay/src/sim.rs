@@ -12,7 +12,6 @@ use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::Obs;
 use adshare_screen::desktop::Desktop;
 use adshare_sdp::{build_ah_offer, build_relay_offer, OfferParams, SessionDescription};
-use adshare_session::participant::GapWatch;
 use adshare_session::sim::{arm_capture, dump_capture_on_critical};
 use adshare_session::{AhConfig, AppHost, Layout, Participant, ParticipantHandle};
 
@@ -44,7 +43,6 @@ struct SimLeg {
     relay: usize,
     leg: usize,
     upstream: UdpChannel,
-    gap: GapWatch,
     /// `false` once the viewer has left. The slot stays so participant
     /// indices remain stable under churn, mirroring relay leg indices.
     active: bool,
@@ -253,7 +251,6 @@ impl RelaySim {
             relay,
             leg,
             upstream,
-            gap: GapWatch::default(),
             active: true,
             tcp,
         });
@@ -382,7 +379,7 @@ impl RelaySim {
                     sp.participant.handle_datagram_bytes(dg, ticks);
                 }
             }
-            sp.gap.step(&mut sp.participant);
+            sp.participant.watch_gap(ticks);
             sp.participant.tick(ticks);
             if let Some(bytes) = sp.participant.take_rtcp() {
                 sp.upstream.send(now, &bytes);

@@ -12,7 +12,12 @@
 //! * [`app_host`] — the AH pipeline and per-participant transmit state.
 //! * [`egress`] — the wire boundary every sender (AH legs, relay legs)
 //!   writes through: digest fold, capture tap, TCP framing, transport.
-//! * [`participant`] — the viewer pipeline and layout policies.
+//! * [`ingress`] — the receive half every receiver (participants, a
+//!   relay's upstream side) runs: reorder, reassembly, NACK/PLI/RR.
+//! * [`mirror`] — the shared windows as the stream describes them; the one
+//!   place remoting messages are applied to pixels.
+//! * [`participant`] — the viewer on top of those two: layout, rendering,
+//!   latency, HIP.
 //! * [`sim`] — a deterministic orchestrator binding AHs and participants
 //!   over `adshare-netsim` links; every experiment drives this.
 //! * [`driver`] — the [`SessionDriver`] contract a multi-tenant host's
@@ -32,6 +37,8 @@ pub mod baseline;
 pub mod config;
 pub mod driver;
 pub mod egress;
+pub mod ingress;
+pub mod mirror;
 pub mod participant;
 pub mod replay;
 pub mod scenario;

@@ -1,0 +1,172 @@
+//! The window mirror (DESIGN §5.2): what the remoting stream says the
+//! shared windows look like — window map, z-order, pixels, the codecs that
+//! decode them and the parked-tile store (§9.1). [`Mirror::apply`] is the
+//! one place a message changes any of it, and it says what it did: a viewer
+//! derives its counters and layout from that, a relay its queueing class,
+//! and a relay's catch-up bursts read the pixels a viewer would show.
+
+use std::collections::HashMap;
+
+use adshare_codec::{Codec, CodecRegistry, Rect};
+use adshare_remoting::message::RemotingMessage;
+
+mod tiles;
+mod window;
+
+use tiles::TileStore;
+pub use tiles::PARKED_CEILING_BYTES;
+pub use window::{Drawn, PWindow};
+
+/// What [`Mirror::apply`] did with one message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Applied {
+    /// A WindowManagerInfo: windows opened, closed, resized or restacked.
+    Windows,
+    /// A RegionUpdate reached a window's pixels.
+    Region {
+        /// The window drawn into.
+        window: u16,
+        /// Where the whole tile lies, in absolute AH coordinates.
+        rect: Rect,
+        /// Which way its pixels got there.
+        how: Drawn,
+    },
+    /// A MoveRectangle moved pixels inside its window.
+    Moved,
+    /// A MousePointerInfo: the mirror keeps no pointer, the caller may.
+    Pointer,
+    /// A RegionUpdate or MoveRectangle for a window no WMI listed.
+    UnknownWindow,
+    /// A RegionUpdate whose payload type or payload does not decode.
+    Undecodable,
+}
+
+/// One receiver's copy of the shared windows.
+#[derive(Debug)]
+pub struct Mirror {
+    windows: HashMap<u16, PWindow>,
+    /// z-order, bottom first, from the latest WMI.
+    z_order: Vec<u16>,
+    registry: CodecRegistry,
+    /// Pixels the windows stopped showing, by the name of their payload.
+    tiles: TileStore,
+    /// Whether a WMI ever arrived.
+    synced: bool,
+}
+
+impl Mirror {
+    /// An empty mirror whose parked-tile names are keyed with `seed`.
+    pub fn new(seed: u64) -> Self {
+        Mirror {
+            windows: HashMap::new(),
+            z_order: Vec::new(),
+            registry: CodecRegistry::default(),
+            tiles: TileStore::new(seed),
+            synced: false,
+        }
+    }
+
+    /// Apply one remoting message.
+    pub fn apply(&mut self, msg: &RemotingMessage) -> Applied {
+        match msg {
+            RemotingMessage::WindowManagerInfo(wmi) => {
+                self.synced = true;
+                let ids: Vec<u16> = wmi.windows.iter().map(|w| w.window_id.0).collect();
+                // "MUST close this window after receiving a
+                // WindowManagerInfo message which does not contain this
+                // WindowID."
+                self.windows.retain(|id, _| ids.contains(id));
+                self.z_order = ids;
+                for w in &wmi.windows {
+                    let rect = Rect::new(w.left, w.top, w.width.max(1), w.height.max(1));
+                    match self.windows.get_mut(&w.window_id.0) {
+                        Some(existing) => existing.set_geometry(rect, w.group_id),
+                        None => {
+                            // "The participant MUST create a window for each
+                            // new WindowID."
+                            self.windows
+                                .insert(w.window_id.0, PWindow::new(rect, w.group_id));
+                        }
+                    }
+                }
+                Applied::Windows
+            }
+            RemotingMessage::RegionUpdate(ru) => {
+                let Some(win) = self.windows.get_mut(&ru.window_id.0) else {
+                    return Applied::UnknownWindow;
+                };
+                let Some(codec) = self.registry.get(ru.payload_type) else {
+                    return Applied::Undecodable;
+                };
+                let key = self.tiles.key(ru.payload_type, &ru.payload);
+                let drawn = win.region_update(&mut self.tiles, key, (ru.left, ru.top), || {
+                    codec.decode(&ru.payload)
+                });
+                match drawn {
+                    Ok((how, (width, height))) => Applied::Region {
+                        window: ru.window_id.0,
+                        rect: Rect::new(ru.left, ru.top, width, height),
+                        how,
+                    },
+                    Err(_) => Applied::Undecodable,
+                }
+            }
+            RemotingMessage::MoveRectangle(mv) => {
+                let Some(win) = self.windows.get_mut(&mv.window_id.0) else {
+                    return Applied::UnknownWindow;
+                };
+                win.move_rectangle(
+                    (mv.src_left, mv.src_top),
+                    (mv.dst_left, mv.dst_top),
+                    mv.width,
+                    mv.height,
+                );
+                Applied::Moved
+            }
+            RemotingMessage::MousePointerInfo(_) => Applied::Pointer,
+        }
+    }
+
+    /// Whether initial state (a WindowManagerInfo) has arrived.
+    pub fn synced(&self) -> bool {
+        self.synced
+    }
+
+    /// One window, if the latest WMI lists it.
+    pub fn window(&self, id: u16) -> Option<&PWindow> {
+        self.windows.get(&id)
+    }
+
+    /// Window ids in z-order (bottom first).
+    pub fn z_order(&self) -> &[u16] {
+        &self.z_order
+    }
+
+    /// Every window with its id, bottom first.
+    pub fn stacked(&self) -> impl Iterator<Item = (u16, &PWindow)> {
+        let known = |&id: &u16| Some((id, self.windows.get(&id)?));
+        self.z_order.iter().filter_map(known)
+    }
+
+    /// Raise a window to the top of this mirror's stacking order until the
+    /// next WMI re-asserts the AH's; whether the window exists.
+    pub fn raise(&mut self, id: u16) -> bool {
+        let Some(pos) = self.z_order.iter().position(|&w| w == id) else {
+            return false;
+        };
+        let moved = self.z_order.remove(pos);
+        self.z_order.push(moved);
+        true
+    }
+
+    /// The codecs this mirror decodes with, by RTP payload type.
+    pub fn codecs(&self) -> &CodecRegistry {
+        &self.registry
+    }
+
+    /// Bytes of parked pixels right now (at most [`PARKED_CEILING_BYTES`])
+    /// and parked tiles evicted so far to stay under that.
+    pub fn parked(&self) -> (usize, u64) {
+        (self.tiles.bytes(), self.tiles.evictions())
+    }
+}

@@ -10,10 +10,10 @@
 use adshare_codec::checksum::keyed_hash64;
 use adshare_codec::{Image, Rect};
 
-/// Most bytes of parked pixels one participant keeps.
+/// Most bytes of parked pixels one mirror keeps.
 pub const PARKED_CEILING_BYTES: usize = 512 << 10;
 
-/// Most parked images one participant keeps, however small: a lookup walks
+/// Most parked images one mirror keeps, however small: a lookup walks
 /// them all.
 const PARKED_MAX: usize = 64;
 
@@ -39,11 +39,11 @@ struct Parked {
     pixels: Image,
 }
 
-/// One participant's parked tiles and its memory of what was seen once.
+/// One mirror's parked tiles and its memory of what was seen once.
 #[derive(Debug)]
 pub(super) struct TileStore {
     /// Mixed into every name, so that which payloads collide is particular
-    /// to this participant (`fast_hash64` is not collision-resistant
+    /// to this mirror (`fast_hash64` is not collision-resistant
     /// against input chosen by the sender).
     seed: u64,
     /// Oldest first. Putting an entry back on screen removes it, so age
@@ -179,20 +179,17 @@ impl OnScreen {
         self.shown.iter().find(|s| s.rect == *rect).copied()
     }
 
-    /// Whether a rectangle whose corner is (`left`, `top`) shows `key`. The
-    /// same payload again while it is showing is a resend, not the content
-    /// coming back, so this does not mark the record `returned`.
-    pub(super) fn confirm(&mut self, key: TileKey, left: u32, top: u32) -> bool {
-        let Some(at) = self
+    /// The rectangle whose corner is (`left`, `top`), if it shows `key`.
+    /// The same payload again while it is showing is a resend, not the
+    /// content coming back, so this does not mark the record `returned`.
+    pub(super) fn confirm(&mut self, key: TileKey, left: u32, top: u32) -> Option<Rect> {
+        let at = self
             .shown
             .iter()
-            .position(|s| s.key == key && (s.rect.left, s.rect.top) == (left, top))
-        else {
-            return false;
-        };
+            .position(|s| s.key == key && (s.rect.left, s.rect.top) == (left, top))?;
         let seen = self.shown.remove(at);
         self.shown.push(seen);
-        true
+        Some(seen.rect)
     }
 
     /// Record what was just drawn over the whole of `shown.rect` (already
@@ -292,8 +289,8 @@ mod tests {
         let last = store.key(96, &999u32.to_le_bytes());
         assert!(screen.at(&Rect::new(0, 0, 1, 1)).is_none(), "stalest left");
         assert_eq!(screen.at(&Rect::new(1998, 0, 1, 1)).unwrap().key, last);
-        assert!(!screen.confirm(last, 1996, 0), "another corner");
-        assert!(screen.confirm(last, 1998, 0));
+        assert!(screen.confirm(last, 1996, 0).is_none(), "another corner");
+        assert!(screen.confirm(last, 1998, 0).is_some());
         assert!(!screen.at(&Rect::new(1998, 0, 1, 1)).unwrap().returned);
         // Confirmed means recently used: 31 more records push out the
         // others first.

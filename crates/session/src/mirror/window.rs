@@ -1,28 +1,31 @@
-//! One shared window as the participant tracks it: geometry, pixels, and
-//! which tile is known to be visible where.
+//! One shared window as a receiver tracks it: geometry, pixels, and which
+//! tile is known to be visible where.
 
 use adshare_codec::{Image, Rect};
 
 use super::tiles::{OnScreen, Shown, TileKey, TileStore};
 
 /// How a `RegionUpdate` reached the screen.
-pub(super) enum Drawn {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drawn {
     /// The window already showed this payload at this place.
     AlreadyShown,
     /// Parked pixels were exchanged with what the screen showed.
     Reused,
-    /// The payload was decoded; `parked` when the pixels it replaced were
-    /// kept.
-    Decoded { parked: bool },
+    /// The payload was decoded.
+    Decoded {
+        /// Whether the replaced pixels went to the parked-tile store.
+        parked: bool,
+    },
 }
 
-/// One shared window as the participant tracks it.
+/// One shared window as a receiver tracks it.
 #[derive(Debug, Clone)]
-pub(super) struct PWindow {
+pub struct PWindow {
     /// Geometry at the AH, from the latest WindowManagerInfo.
-    pub(super) ah_rect: Rect,
+    pub(crate) ah_rect: Rect,
     /// Group id from the WMI.
-    pub(super) group: u8,
+    pub(crate) group: u8,
     /// Local content buffer (window-sized). Written only by
     /// [`PWindow::write`].
     content: Image,
@@ -45,8 +48,18 @@ impl PWindow {
         Image::filled(ah_rect.width, ah_rect.height, [0, 0, 0, 255]).expect("window dims bounded")
     }
 
+    /// Geometry at the AH, from the latest WindowManagerInfo.
+    pub fn ah_rect(&self) -> Rect {
+        self.ah_rect
+    }
+
+    /// Group id from the latest WindowManagerInfo.
+    pub fn group(&self) -> u8 {
+        self.group
+    }
+
     /// The window's pixels.
-    pub(super) fn content(&self) -> &Image {
+    pub fn content(&self) -> &Image {
         &self.content
     }
 
@@ -90,22 +103,23 @@ impl PWindow {
     }
 
     /// Apply a `RegionUpdate` whose payload is named `key` and whose
-    /// upper-left corner is at absolute (`left`, `top`). `decode` runs only
-    /// when neither the screen nor `tiles` already has the pixels; its error
-    /// is returned with nothing changed.
+    /// upper-left corner is at absolute (`left`, `top`): how it was drawn,
+    /// and the tile's width and height. `decode` runs only when neither the
+    /// screen nor `tiles` already has the pixels; its error is returned
+    /// with nothing changed.
     pub(super) fn region_update(
         &mut self,
         tiles: &mut TileStore,
         key: TileKey,
         (left, top): (u32, u32),
         decode: impl FnOnce() -> adshare_codec::Result<Image>,
-    ) -> adshare_codec::Result<Drawn> {
+    ) -> adshare_codec::Result<(Drawn, (u32, u32))> {
         let at = self.local(left, top);
         // A corner left of or above the window rules out everything but
         // decoding and drawing what is left of the tile.
         let corner = u32::try_from(at.0).ok().zip(u32::try_from(at.1).ok());
-        if corner.is_some_and(|(x, y)| self.screen.confirm(key, x, y)) {
-            return Ok(Drawn::AlreadyShown);
+        if let Some(shown) = corner.and_then(|(x, y)| self.screen.confirm(key, x, y)) {
+            return Ok((Drawn::AlreadyShown, (shown.width, shown.height)));
         }
         let parked_here = corner
             .zip(tiles.parked_size(key))
@@ -124,13 +138,14 @@ impl PWindow {
             if let Some(old) = displaced {
                 tiles.park(old.key, pixels);
             }
-            return Ok(Drawn::Reused);
+            return Ok((Drawn::Reused, (rect.width, rect.height)));
         }
         let mut pixels = decode()?;
+        let size = (pixels.width(), pixels.height());
         let whole = corner.and_then(|c| self.inside(c, pixels.width(), pixels.height()));
         let Some(rect) = whole else {
             self.draw_clipped(&pixels, at);
-            return Ok(Drawn::Decoded { parked: false });
+            return Ok((Drawn::Decoded { parked: false }, size));
         };
         // A tile is given a name on the screen only from its second sight
         // here on (most content never returns, and is drawn and forgotten),
@@ -157,7 +172,7 @@ impl PWindow {
                 returned,
             });
         }
-        Ok(Drawn::Decoded { parked })
+        Ok((Drawn::Decoded { parked }, size))
     }
 
     /// Swap `pixels` with what `rect`, wholly inside the window, shows.

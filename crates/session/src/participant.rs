@@ -1,33 +1,29 @@
-//! The participant: reorder → reassemble → decode → render, plus HIP
-//! transmission and loss recovery.
+//! The participant: the shared receive half and window mirror, plus what
+//! only a viewer has — decode latency, local layout and rendering, HIP
+//! transmission and floor control.
 
 use std::collections::HashMap;
 
 use adshare_bfcp::FloorClient;
-use adshare_codec::{Codec, CodecRegistry, Image, Rect};
+use adshare_codec::{Codec, Image, Rect};
 use adshare_obs::{EventKind, Obs};
 use adshare_remoting::hip::HipMessage;
-use adshare_remoting::message::RemotingMessage;
-use adshare_remoting::packetizer::{HipPacketizer, RemotingDepacketizer};
+use adshare_remoting::message::{MousePointerInfo, RemotingMessage};
+use adshare_remoting::packetizer::HipPacketizer;
 use adshare_remoting::WindowId as WireWindowId;
 use adshare_rtp::framing::Deframer;
 use adshare_rtp::packet::RtpPacket;
-use adshare_rtp::reorder::ReorderBuffer;
-use adshare_rtp::rtcp::{encode_compound, GenericNack, PictureLossIndication, RtcpPacket};
-use adshare_rtp::session::{RtpReceiver, RtpSender};
+use adshare_rtp::rtcp::RtcpPacket;
+use adshare_rtp::session::RtpSender;
 use adshare_screen::Desktop;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::Layout;
-
-mod tiles;
-mod window;
-
-use tiles::TileStore;
-pub use tiles::PARKED_CEILING_BYTES;
-use window::{Drawn, PWindow};
+use crate::ingress::{is_rtcp, Ingress};
+pub use crate::mirror::PARKED_CEILING_BYTES;
+use crate::mirror::{Applied, Drawn, Mirror, PWindow};
 
 /// Participant statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,45 +61,18 @@ pub struct ParticipantStats {
 #[derive(Debug)]
 pub struct Participant {
     user_id: u16,
-    ssrc: u32,
     layout: Layout,
-    windows: HashMap<u16, PWindow>,
-    /// z-order, bottom first, from the latest WMI.
-    z_order: Vec<u16>,
+    /// Reorder, reassembly and the feedback owed to the sender.
+    rx: Ingress,
+    /// The shared windows as the stream describes them.
+    mirror: Mirror,
     /// Local positions assigned by the layout policy.
     local_pos: HashMap<u16, (u32, u32)>,
-    reorder: ReorderBuffer,
-    depacketizer: RemotingDepacketizer,
     deframer: Deframer,
-    receiver: RtpReceiver,
-    registry: CodecRegistry,
-    /// Pixels the windows stopped showing, by the name of their payload.
-    tiles: TileStore,
     hip: HipPacketizer,
     floor: FloorClient,
     /// Pointer position + icon (explicit model).
     pointer: Option<((u32, u32), Option<Image>)>,
-    /// Whether retransmissions were negotiated (send NACKs).
-    nack_enabled: bool,
-    /// 90 kHz time of the last PLI, for the resync retry timer.
-    last_pli_ticks: u64,
-    /// NACK-storm avoidance (§5.3.2: multicast participants "MAY take
-    /// necessary precautions to prevent NACK storms such as waiting random
-    /// amount of time"): maximum random backoff in ticks (0 = immediate).
-    nack_backoff_ticks: u64,
-    /// Deterministic jitter source for the backoff.
-    backoff_rng: StdRng,
-    /// NACKs waiting out their backoff: (fire-at ticks, seqs still missing).
-    pending_nacks: Vec<(u64, Vec<u16>)>,
-    /// NACKs suppressed because the repair arrived first.
-    nacks_suppressed: u64,
-    /// Retry state per NACKed-but-undelivered sequence: (last NACK ticks,
-    /// attempts). A lost retransmission would otherwise wedge delivery —
-    /// `take_missing` reports each gap once, and the coarse gap timeout
-    /// only fires when the stream goes quiet.
-    nack_retry: HashMap<u16, (u64, u8)>,
-    /// Last RR emission time (ticks); 0 = never.
-    last_rr_ticks: u64,
     /// Latest sender-report mapping from the AH: (sender clock µs, RTP ts).
     /// RFC 3550's wallclock↔timestamp anchor; lets the viewer compute true
     /// capture→display latency.
@@ -112,12 +81,9 @@ pub struct Participant {
     latencies_us: Vec<u64>,
     /// Timestamp of the RTP packet currently being reassembled/applied.
     current_pkt_ts: u32,
-    /// Outbound RTCP queued for the next tick.
-    rtcp_out: Vec<RtcpPacket>,
-    /// Whether we have ever received a WMI (sync achieved).
-    synced: bool,
+    /// What [`Participant::apply`] did; the feedback and parked-tile
+    /// counters are read from `rx` and `mirror`.
     stats: ParticipantStats,
-    media_ssrc: u32,
     /// Exported under `participant.{index}.*` once an [`Obs`] is attached.
     metrics: Metrics,
     /// Observability bundle when attached; completes frame traces the AH
@@ -125,9 +91,6 @@ pub struct Participant {
     obs: Option<Obs>,
     /// Flight-recorder actor id (the participant index from `attach_obs`).
     obs_actor: u16,
-    /// Last tick observed, so events from callers without a clock
-    /// (e.g. `request_refresh`) still carry a plausible timestamp.
-    last_ticks: u64,
     /// Reassembly copy counters already reported to the recorder.
     last_copy_stats: (u64, u64),
     /// Dropped-partial count already reported to the recorder.
@@ -156,40 +119,27 @@ impl Participant {
         let ssrc = 0x50000000 | user_id as u32;
         Participant {
             user_id,
-            ssrc,
             layout,
-            windows: HashMap::new(),
-            z_order: Vec::new(),
-            local_pos: HashMap::new(),
-            reorder: ReorderBuffer::new(256),
-            depacketizer: RemotingDepacketizer::new(),
-            deframer: Deframer::default(),
-            receiver: RtpReceiver::new(),
-            registry: CodecRegistry::default(),
+            rx: Ingress::new(
+                ssrc,
+                format!("participant-{user_id}@adshare"),
+                nack_enabled,
+                seed,
+            ),
             hip: HipPacketizer::new(RtpSender::new(ssrc ^ 0xffff, 100, &mut rng), 1400),
             // Drawn after the HIP sender's values, which stay what they were.
-            tiles: TileStore::new(rng.gen()),
+            mirror: Mirror::new(rng.gen()),
+            local_pos: HashMap::new(),
+            deframer: Deframer::default(),
             floor: FloorClient::new(1, user_id, 0),
             pointer: None,
-            nack_enabled,
-            last_pli_ticks: 0,
-            nack_backoff_ticks: 0,
-            backoff_rng: StdRng::seed_from_u64(seed ^ 0x6e61636b),
-            pending_nacks: Vec::new(),
-            nacks_suppressed: 0,
-            nack_retry: HashMap::new(),
-            last_rr_ticks: 0,
             sr_anchor: None,
             latencies_us: Vec::new(),
             current_pkt_ts: 0,
-            rtcp_out: Vec::new(),
-            synced: false,
             stats: ParticipantStats::default(),
-            media_ssrc: 0,
             metrics: Metrics::default(),
             obs: None,
             obs_actor: 0,
-            last_ticks: 0,
             last_copy_stats: (0, 0),
             last_dropped: 0,
         }
@@ -203,21 +153,22 @@ impl Participant {
         self.metrics
             .register(&obs.registry, &format!("participant.{index}"));
         self.obs_actor = index as u16;
+        self.rx.attach_obs(obs.clone(), self.obs_actor);
         self.obs = Some(obs.clone());
     }
 
-    /// Record a flight-recorder event stamped with the last observed tick.
-    fn rec(&self, kind: EventKind, a: u64, b: u64) {
+    /// Record a flight-recorder event at `now_ticks`.
+    fn rec(&self, now_ticks: u64, kind: EventKind, a: u64, b: u64) {
         if let Some(obs) = &self.obs {
-            obs.event(self.last_ticks * 100 / 9, self.obs_actor, kind, a, b);
+            obs.event(now_ticks * 100 / 9, self.obs_actor, kind, a, b);
         }
     }
 
     /// Report newly abandoned partial reassemblies to the recorder.
-    fn note_fragment_drops(&mut self) {
-        let d = self.depacketizer.dropped_partials();
+    fn note_fragment_drops(&mut self, now_ticks: u64) {
+        let d = self.rx.depacketizer().dropped_partials();
         if d > self.last_dropped {
-            self.rec(EventKind::FragmentDrop, d - self.last_dropped, 0);
+            self.rec(now_ticks, EventKind::FragmentDrop, d - self.last_dropped, 0);
             self.last_dropped = d;
         }
     }
@@ -229,16 +180,21 @@ impl Participant {
 
     /// Statistics so far.
     pub fn stats(&self) -> ParticipantStats {
+        let feedback = self.rx.stats();
+        let (parked_bytes, parked_evictions) = self.mirror.parked();
         ParticipantStats {
-            parked_bytes: self.tiles.bytes() as u64,
-            parked_evictions: self.tiles.evictions(),
+            plis_sent: feedback.plis_sent,
+            nacks_sent: feedback.nacks_sent,
+            seqs_nacked: feedback.seqs_nacked,
+            parked_bytes: parked_bytes as u64,
+            parked_evictions,
             ..self.stats
         }
     }
 
     /// Whether initial state (a WindowManagerInfo) has arrived.
     pub fn synced(&self) -> bool {
-        self.synced
+        self.mirror.synced()
     }
 
     /// The BFCP floor client.
@@ -253,88 +209,28 @@ impl Participant {
 
     /// Queue a PLI (join, or unrecoverable loss) for the next RTCP flush.
     pub fn request_refresh(&mut self) {
-        self.rtcp_out.push(RtcpPacket::Pli(PictureLossIndication {
-            sender_ssrc: self.ssrc,
-            media_ssrc: self.media_ssrc,
-        }));
-        self.stats.plis_sent += 1;
-        self.rec(EventKind::PliSent, self.stats.plis_sent, 0);
+        self.rx.request_refresh(self.rx.last_ticks());
     }
 
-    /// Periodic housekeeping. A joiner whose initial WindowManagerInfo was
-    /// lost (or arrived hopelessly out of order) would otherwise wait
-    /// forever; §5.3.1 lets it simply ask again, so an unsynced participant
-    /// re-sends its PLI every second. Also fires backed-off NACKs whose
-    /// timer expired and emits the periodic RTCP receiver report.
+    /// Periodic housekeeping ([`Ingress::tick`]): resync PLI while no
+    /// WindowManagerInfo has arrived, due and stale NACKs, receiver report.
     pub fn tick(&mut self, now_ticks: u64) {
-        self.last_ticks = now_ticks;
-        const RESYNC_INTERVAL_TICKS: u64 = 90_000; // 1 s at 90 kHz
-        if !self.synced && now_ticks.saturating_sub(self.last_pli_ticks) >= RESYNC_INTERVAL_TICKS {
-            self.request_refresh();
-            self.last_pli_ticks = now_ticks;
-        }
-        // Fire due NACKs.
-        if !self.pending_nacks.is_empty() {
-            let due: Vec<Vec<u16>> = {
-                let mut due = Vec::new();
-                self.pending_nacks.retain(|(at, seqs)| {
-                    if *at <= now_ticks {
-                        due.push(seqs.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                due
-            };
-            for seqs in due {
-                self.emit_nack(&seqs);
-            }
-        }
-        self.retry_stale_nacks(now_ticks);
-        // Periodic receiver report (RFC 3550 §6.4.2) once media flows.
-        const RR_INTERVAL_TICKS: u64 = 90_000 * 2; // ~2 s
-        if self.receiver.received() > 0
-            && now_ticks.saturating_sub(self.last_rr_ticks) >= RR_INTERVAL_TICKS
-        {
-            let block = self.receiver.report_block(self.media_ssrc);
-            let mirror = &self.metrics;
-            mirror.rtcp_cum_lost.set(block.cumulative_lost as i64);
-            mirror.rtcp_highest_seq.set(block.highest_seq as i64);
-            self.rtcp_out.push(RtcpPacket::ReceiverReport(
-                adshare_rtp::rtcp::ReceiverReport {
-                    ssrc: self.ssrc,
-                    reports: vec![block],
-                },
-            ));
-            // RFC 3550 §6.1: compounds carry an SDES CNAME.
-            self.rtcp_out.push(RtcpPacket::Sdes(
-                adshare_rtp::rtcp::SourceDescription::cname(
-                    self.ssrc,
-                    &format!("participant-{}@adshare", self.user_id),
-                ),
-            ));
-            self.last_rr_ticks = now_ticks;
+        if let Some(block) = self.rx.tick(now_ticks, self.mirror.synced()) {
+            let gauges = &self.metrics;
+            gauges.rtcp_cum_lost.set(block.cumulative_lost as i64);
+            gauges.rtcp_highest_seq.set(block.highest_seq as i64);
         }
     }
 
-    /// Configure NACK-storm backoff (§5.3.2): NACKs wait a uniform random
-    /// 0..=`max_ticks` delay and are suppressed if the repair (triggered by
-    /// another group member's NACK) arrives first. Zero disables the delay.
+    /// Configure NACK-storm backoff (§5.3.2), see
+    /// [`Ingress::set_nack_backoff`].
     pub fn set_nack_backoff(&mut self, max_ticks: u64) {
-        self.nack_backoff_ticks = max_ticks;
+        self.rx.set_nack_backoff(max_ticks);
     }
 
     /// NACKs suppressed by the backoff (repair arrived before the timer).
     pub fn nacks_suppressed(&self) -> u64 {
-        self.nacks_suppressed
-    }
-
-    /// RFC 5761 demultiplexing: RTCP packet types 200–206 occupy the byte
-    /// where RTP carries marker+PT; the dynamic PTs this protocol uses
-    /// (96–127) can never collide.
-    fn is_rtcp(datagram: &[u8]) -> bool {
-        datagram.len() >= 2 && (200..=206).contains(&datagram[1])
+        self.rx.nacks_suppressed()
     }
 
     /// Process an RTCP packet from the AH (sender reports).
@@ -349,44 +245,28 @@ impl Participant {
         }
     }
 
+    /// RFC 5761 demultiplexing of one datagram or deframed stream packet: a
+    /// sender report is taken here, a media packet is counted and returned.
+    fn demux(&mut self, bytes: Bytes, now_ticks: u64) -> Option<RtpPacket> {
+        if is_rtcp(&bytes) {
+            self.handle_downstream_rtcp(&bytes);
+            return None;
+        }
+        let pkt = RtpPacket::decode_bytes(bytes).ok()?;
+        self.metrics.rx_packets.inc();
+        let (seq, len) = (pkt.header.sequence, pkt.payload.len());
+        self.rec(now_ticks, EventKind::RtpRx, seq as u64, len as u64);
+        Some(pkt)
+    }
+
     /// Ingest one UDP datagram carrying a remoting RTP packet (or, per
     /// RFC 5761 rtcp-mux, an RTCP sender report). The payload is sliced out
     /// of `datagram`, not copied: reorder buffer, reassembler and decoder
     /// all read the buffer the link delivered.
     pub fn handle_datagram_bytes(&mut self, datagram: Bytes, now_ticks: u64) {
-        if Self::is_rtcp(&datagram) {
-            self.handle_downstream_rtcp(&datagram);
-            return;
-        }
-        let Ok(pkt) = RtpPacket::decode_bytes(datagram) else {
-            return;
-        };
-        self.last_ticks = now_ticks;
-        self.media_ssrc = pkt.header.ssrc;
-        let seq = pkt.header.sequence;
-        self.metrics.rx_packets.inc();
-        self.rec(EventKind::RtpRx, seq as u64, pkt.payload.len() as u64);
-        self.receiver.on_packet(&pkt, now_ticks);
-        self.reorder.ingest(pkt);
-        self.drain_ready(now_ticks);
-        // An arrival repairs any pending backoff NACK that covers it.
-        if self.nack_backoff_ticks > 0 {
-            for (_, seqs) in &mut self.pending_nacks {
-                let before = seqs.len();
-                seqs.retain(|&s| s != seq);
-                self.nacks_suppressed += (before - seqs.len()) as u64;
-            }
-            self.pending_nacks.retain(|(_, seqs)| !seqs.is_empty());
-        }
-        // Gaps → NACK (immediately, or after a random backoff).
-        let missing = self.reorder.take_missing();
-        if !missing.is_empty() && self.nack_enabled {
-            if self.nack_backoff_ticks == 0 {
-                self.emit_nack(&missing);
-            } else {
-                let delay = self.backoff_rng.gen_range(0..=self.nack_backoff_ticks);
-                self.pending_nacks.push((now_ticks + delay, missing));
-            }
+        if let Some(pkt) = self.demux(datagram, now_ticks) {
+            self.rx.ingest(pkt, now_ticks);
+            self.deliver_ready(now_ticks);
         }
     }
 
@@ -394,61 +274,6 @@ impl Participant {
     /// sockets, replayed captures, tests): the same ingest after one copy.
     pub fn handle_datagram(&mut self, datagram: &[u8], now_ticks: u64) {
         self.handle_datagram_bytes(Bytes::copy_from_slice(datagram), now_ticks);
-    }
-
-    /// NACK retry cadence: a repair that has not arrived this long after
-    /// the request is presumed lost and re-requested (≈250 ms at 90 kHz —
-    /// comfortably above any simulated RTT, far below the gap timeout).
-    const NACK_RETRY_TICKS: u64 = 22_500;
-    /// Retry budget per sequence; past it the gap is left to the overflow /
-    /// gap-timeout recovery path so an unservable NACK can't loop forever.
-    const NACK_RETRY_LIMIT: u8 = 4;
-
-    /// Re-NACK gaps whose repair never arrived. `take_missing` reports
-    /// each gap exactly once, so without this a single lost retransmission
-    /// stalls in-order delivery until the stream goes quiet enough for the
-    /// session-layer gap timeout — seconds of staleness under a steady
-    /// workload (the churn scenario caught exactly that).
-    fn retry_stale_nacks(&mut self, now_ticks: u64) {
-        if !self.nack_enabled || self.nack_retry.is_empty() {
-            return;
-        }
-        let blocking = self.reorder.missing_now(64);
-        // Delivered (or skipped-past) sequences no longer need retry state.
-        self.nack_retry.retain(|seq, _| blocking.contains(seq));
-        let mut again: Vec<u16> = Vec::new();
-        for seq in blocking {
-            if let Some((last, attempts)) = self.nack_retry.get_mut(&seq) {
-                if *attempts < Self::NACK_RETRY_LIMIT
-                    && now_ticks.saturating_sub(*last) >= Self::NACK_RETRY_TICKS
-                {
-                    *last = now_ticks;
-                    *attempts += 1;
-                    again.push(seq);
-                }
-            }
-        }
-        if !again.is_empty() {
-            self.emit_nack(&again);
-        }
-    }
-
-    fn emit_nack(&mut self, missing: &[u16]) {
-        self.stats.nacks_sent += 1;
-        self.stats.seqs_nacked += missing.len() as u64;
-        for &seq in missing {
-            self.nack_retry.entry(seq).or_insert((self.last_ticks, 0));
-        }
-        self.rec(
-            EventKind::NackSent,
-            missing.len() as u64,
-            missing.first().copied().unwrap_or(0) as u64,
-        );
-        self.rtcp_out.push(RtcpPacket::Nack(GenericNack::from_seqs(
-            self.ssrc,
-            self.media_ssrc,
-            missing,
-        )));
     }
 
     /// Ingest TCP stream bytes (RFC 4571 framed remoting RTP, with RTCP
@@ -459,35 +284,18 @@ impl Participant {
         let mut deframer = std::mem::take(&mut self.deframer);
         // An oversized frame wedges the stream, as it always has: nothing
         // after it is delivered.
-        let _ = deframer.feed(bytes, |frame| self.handle_stream_packet(frame, now_ticks));
+        let _ = deframer.feed(bytes, |frame| {
+            let Some(pkt) = self.demux(frame, now_ticks) else {
+                return;
+            };
+            self.current_pkt_ts = pkt.header.timestamp;
+            // TCP is ordered and reliable: no reorder buffer.
+            if let Ok(Some(msg)) = self.rx.ingest_ordered(&pkt, now_ticks) {
+                self.apply_reassembled(msg, pkt.header.ssrc, pkt.header.sequence, now_ticks);
+            }
+        });
         self.deframer = deframer;
-        self.note_fragment_drops();
-    }
-
-    /// One deframed packet of the TCP stream.
-    fn handle_stream_packet(&mut self, frame: Bytes, now_ticks: u64) {
-        if Self::is_rtcp(&frame) {
-            self.handle_downstream_rtcp(&frame);
-            return;
-        }
-        let Ok(pkt) = RtpPacket::decode_bytes(frame) else {
-            return;
-        };
-        self.last_ticks = now_ticks;
-        self.media_ssrc = pkt.header.ssrc;
-        self.metrics.rx_packets.inc();
-        self.rec(
-            EventKind::RtpRx,
-            pkt.header.sequence as u64,
-            pkt.payload.len() as u64,
-        );
-        self.receiver.on_packet(&pkt, now_ticks);
-        self.current_pkt_ts = pkt.header.timestamp;
-        let (ssrc, seq) = (pkt.header.ssrc, pkt.header.sequence);
-        // TCP is ordered and reliable: bypass the reorder buffer.
-        if let Ok(Some(msg)) = self.depacketizer.feed(&pkt) {
-            self.apply_reassembled(msg, ssrc, seq, now_ticks);
-        }
+        self.note_fragment_drops(now_ticks);
     }
 
     /// Record capture→display latency for the update that just completed,
@@ -522,17 +330,33 @@ impl Participant {
     /// Give up on a reorder gap (retransmission timed out): skip it,
     /// drop any partial message, and ask for a full refresh.
     pub fn recover_from_gap(&mut self) {
-        if self.reorder.skip_gap() {
-            self.depacketizer.reset();
-            self.note_fragment_drops();
-            self.drain_ready(self.last_rr_ticks);
-            self.request_refresh();
+        if self.rx.give_up_gap() {
+            self.after_gap(self.rx.last_ticks());
         }
+    }
+
+    /// Account one simulation step of the give-up rule
+    /// ([`Ingress::watch_gap`]); whether a hole was given up on, so a
+    /// capturing caller can tape the marker a replay needs.
+    pub fn watch_gap(&mut self, now_ticks: u64) -> bool {
+        let gave_up = self.rx.watch_gap();
+        if gave_up {
+            self.after_gap(now_ticks);
+        }
+        gave_up
+    }
+
+    /// The messages behind a skipped hole are delivered as of now — they
+    /// are the stalest of the session — and the screen is refreshed.
+    fn after_gap(&mut self, now_ticks: u64) {
+        self.note_fragment_drops(now_ticks);
+        self.deliver_ready(now_ticks);
+        self.request_refresh();
     }
 
     /// Number of packets parked in the reorder buffer (for timeout logic).
     pub fn reorder_held(&self) -> usize {
-        self.reorder.held_len()
+        self.rx.held()
     }
 
     /// Whether this view of every shared window matches `desktop` pixel for
@@ -573,19 +397,15 @@ impl Participant {
     /// Announce departure (RFC 3550 §6.6): queue a BYE for the next RTCP
     /// flush. The session layer sends it when the participant leaves.
     pub fn leave(&mut self) {
-        self.rtcp_out.push(RtcpPacket::Bye(adshare_rtp::rtcp::Bye {
-            sources: vec![self.ssrc],
+        self.rx.queue_rtcp(RtcpPacket::Bye(adshare_rtp::rtcp::Bye {
+            sources: vec![self.rx.ssrc()],
             reason: Some("leaving session".to_owned()),
         }));
     }
 
     /// Take outbound RTCP compound bytes (empty when nothing to send).
     pub fn take_rtcp(&mut self) -> Option<Vec<u8>> {
-        if self.rtcp_out.is_empty() {
-            return None;
-        }
-        let packets = std::mem::take(&mut self.rtcp_out);
-        Some(encode_compound(&packets))
+        self.rx.take_rtcp()
     }
 
     /// Build HIP RTP datagrams for a user event at `now_ticks`.
@@ -596,17 +416,16 @@ impl Participant {
         }
     }
 
-    fn drain_ready(&mut self, now_ticks: u64) {
-        while let Some(pkt) = self.reorder.pop_ready() {
+    /// Apply every message the reorder buffer can release in order.
+    fn deliver_ready(&mut self, now_ticks: u64) {
+        while let Some((pkt, fed)) = self.rx.pop() {
             self.current_pkt_ts = pkt.header.timestamp;
-            let (ssrc, seq) = (pkt.header.ssrc, pkt.header.sequence);
-            match self.depacketizer.feed(&pkt) {
-                Ok(Some(msg)) => self.apply_reassembled(msg, ssrc, seq, now_ticks),
-                Ok(None) => {}
-                Err(_) => {
-                    self.depacketizer.reset();
-                    self.note_fragment_drops();
+            match fed {
+                Ok(Some(msg)) => {
+                    self.apply_reassembled(msg, pkt.header.ssrc, pkt.header.sequence, now_ticks)
                 }
+                Ok(None) => {}
+                Err(_) => self.note_fragment_drops(now_ticks),
             }
         }
     }
@@ -616,10 +435,11 @@ impl Participant {
     /// by the final fragment's `(ssrc, seq)`.
     fn apply_reassembled(&mut self, msg: RemotingMessage, ssrc: u32, seq: u16, now_ticks: u64) {
         self.record_latency(now_ticks);
-        self.rec(EventKind::Reassembled, seq as u64, 0);
-        let (allocs, copied) = self.depacketizer.copy_stats();
+        self.rec(now_ticks, EventKind::Reassembled, seq as u64, 0);
+        let (allocs, copied) = self.rx.depacketizer().copy_stats();
         if (allocs, copied) != self.last_copy_stats {
             self.rec(
+                now_ticks,
                 EventKind::ReassemblyCopy,
                 allocs - self.last_copy_stats.0,
                 copied - self.last_copy_stats.1,
@@ -643,6 +463,7 @@ impl Participant {
                 // and excluding wall-clock encode/decode keeps verdicts
                 // deterministic under a seeded simulation.
                 self.rec(
+                    now_ticks,
                     EventKind::FrameDelivered,
                     stages.damage_us + stages.transport_us,
                     seq as u64,
@@ -653,96 +474,62 @@ impl Participant {
 
     /// Apply one remoting message to local state.
     pub fn apply(&mut self, msg: RemotingMessage) {
-        match msg {
-            RemotingMessage::WindowManagerInfo(wmi) => {
+        match self.mirror.apply(&msg) {
+            Applied::Windows => {
                 self.stats.wmi_applied += 1;
-                self.synced = true;
-                let ids: Vec<u16> = wmi.windows.iter().map(|w| w.window_id.0).collect();
-                // "MUST close this window after receiving a
-                // WindowManagerInfo message which does not contain this
-                // WindowID."
-                self.windows.retain(|id, _| ids.contains(id));
-                self.local_pos.retain(|id, _| ids.contains(id));
-                self.z_order = ids;
-                for w in &wmi.windows {
-                    let rect = Rect::new(w.left, w.top, w.width.max(1), w.height.max(1));
-                    match self.windows.get_mut(&w.window_id.0) {
-                        Some(existing) => existing.set_geometry(rect, w.group_id),
-                        None => {
-                            // "The participant MUST create a window for each
-                            // new WindowID."
-                            self.windows
-                                .insert(w.window_id.0, PWindow::new(rect, w.group_id));
-                        }
-                    }
-                }
+                let mirror = &self.mirror;
+                self.local_pos.retain(|id, _| mirror.window(*id).is_some());
                 self.assign_layout();
             }
-            RemotingMessage::RegionUpdate(ru) => {
-                let Some(win) = self.windows.get_mut(&ru.window_id.0) else {
-                    return;
-                };
-                let Some(codec) = self.registry.get(ru.payload_type) else {
-                    self.stats.decode_errors += 1;
-                    return;
-                };
-                let key = self.tiles.key(ru.payload_type, &ru.payload);
-                let drawn = win.region_update(&mut self.tiles, key, (ru.left, ru.top), || {
-                    codec.decode(&ru.payload)
-                });
-                match drawn {
-                    Ok(how) => {
-                        self.stats.regions_applied += 1;
-                        match how {
-                            Drawn::AlreadyShown => self.stats.tiles_already_shown += 1,
-                            Drawn::Reused => self.stats.tiles_reused += 1,
-                            Drawn::Decoded { parked } => self.stats.tiles_parked += parked as u64,
-                        }
-                    }
-                    Err(_) => self.stats.decode_errors += 1,
+            Applied::Region { how, .. } => {
+                self.stats.regions_applied += 1;
+                match how {
+                    Drawn::AlreadyShown => self.stats.tiles_already_shown += 1,
+                    Drawn::Reused => self.stats.tiles_reused += 1,
+                    Drawn::Decoded { parked } => self.stats.tiles_parked += parked as u64,
                 }
             }
-            RemotingMessage::MoveRectangle(mv) => {
-                let Some(win) = self.windows.get_mut(&mv.window_id.0) else {
-                    return;
-                };
-                win.move_rectangle(
-                    (mv.src_left, mv.src_top),
-                    (mv.dst_left, mv.dst_top),
-                    mv.width,
-                    mv.height,
-                );
-                self.stats.moves_applied += 1;
-            }
-            RemotingMessage::MousePointerInfo(mp) => {
-                let icon = match &mp.image {
-                    Some(bytes) => {
-                        match self.registry.get(mp.payload_type).map(|c| c.decode(bytes)) {
-                            Some(Ok(img)) => Some(img),
-                            _ => {
-                                self.stats.decode_errors += 1;
-                                None
-                            }
-                        }
-                    }
-                    None => self.pointer.take().and_then(|(_, icon)| icon),
-                };
-                self.pointer = Some(((mp.left, mp.top), icon));
-                self.stats.pointers_applied += 1;
+            Applied::Moved => self.stats.moves_applied += 1,
+            Applied::Undecodable => self.stats.decode_errors += 1,
+            Applied::UnknownWindow => {}
+            Applied::Pointer => {
+                if let RemotingMessage::MousePointerInfo(mp) = &msg {
+                    self.move_pointer(mp);
+                }
             }
         }
+    }
+
+    /// Take a pointer position, and its icon when one comes with it ("the
+    /// participant MUST move the existing pointer image" otherwise).
+    fn move_pointer(&mut self, mp: &MousePointerInfo) {
+        let icon = match &mp.image {
+            Some(bytes) => {
+                let codec = self.mirror.codecs().get(mp.payload_type);
+                match codec.map(|c| c.decode(bytes)) {
+                    Some(Ok(img)) => Some(img),
+                    _ => {
+                        self.stats.decode_errors += 1;
+                        None
+                    }
+                }
+            }
+            None => self.pointer.take().and_then(|(_, icon)| icon),
+        };
+        self.pointer = Some(((mp.left, mp.top), icon));
+        self.stats.pointers_applied += 1;
     }
 
     /// Assign local window positions per the layout policy (Figures 3–5).
     fn assign_layout(&mut self) {
         match self.layout {
             Layout::Original => {
-                for (&id, w) in &self.windows {
+                for (id, w) in self.mirror.stacked() {
                     self.local_pos.insert(id, (w.ah_rect.left, w.ah_rect.top));
                 }
             }
             Layout::Shifted { dx, dy } => {
-                for (&id, w) in &self.windows {
+                for (id, w) in self.mirror.stacked() {
                     let x = (w.ah_rect.left as i64 - dx).max(0) as u32;
                     let y = (w.ah_rect.top as i64 - dy).max(0) as u32;
                     self.local_pos.insert(id, (x, y));
@@ -754,10 +541,7 @@ impl Participant {
                 let mut x = 0u32;
                 let mut y = 0u32;
                 let mut shelf = 0u32;
-                for id in &self.z_order {
-                    let Some(w) = self.windows.get(id) else {
-                        continue;
-                    };
+                for (id, w) in self.mirror.stacked() {
                     let ww = w.ah_rect.width.min(width);
                     let wh = w.ah_rect.height.min(height);
                     if x + ww > width {
@@ -765,7 +549,7 @@ impl Participant {
                         y = (y + shelf).min(height.saturating_sub(1));
                         shelf = 0;
                     }
-                    self.local_pos.insert(*id, (x, y));
+                    self.local_pos.insert(id, (x, y));
                     x = (x + ww).min(width);
                     shelf = shelf.max(wh);
                 }
@@ -776,10 +560,7 @@ impl Participant {
                 // related windows (toolbars, dialogs) stay arranged (§4.1:
                 // grouping MAY be used while relocating windows).
                 let mut groups: Vec<(u8, Rect, Vec<u16>)> = Vec::new();
-                for id in &self.z_order {
-                    let Some(w) = self.windows.get(id) else {
-                        continue;
-                    };
+                for (id, w) in self.mirror.stacked() {
                     // GroupID 0 = "no grouping": each such window is its own
                     // unit (§5.2.1).
                     let slot = if w.group != 0 {
@@ -790,9 +571,9 @@ impl Participant {
                     match slot {
                         Some((_, bbox, ids)) => {
                             *bbox = bbox.union(&w.ah_rect);
-                            ids.push(*id);
+                            ids.push(id);
                         }
-                        None => groups.push((w.group, w.ah_rect, vec![*id])),
+                        None => groups.push((w.group, w.ah_rect, vec![id])),
                     }
                 }
                 let mut x = 0u32;
@@ -807,7 +588,7 @@ impl Participant {
                         shelf = 0;
                     }
                     for id in ids {
-                        let Some(w) = self.windows.get(&id) else {
+                        let Some(w) = self.mirror.window(id) else {
                             continue;
                         };
                         let ox = w.ah_rect.left - bbox.left;
@@ -828,12 +609,7 @@ impl Participant {
     /// without changing the z-order in the AH"). The next WindowManagerInfo
     /// resets to AH order (the draft keeps the AH authoritative).
     pub fn raise_local(&mut self, id: u16) -> bool {
-        let Some(pos) = self.z_order.iter().position(|&w| w == id) else {
-            return false;
-        };
-        let moved = self.z_order.remove(pos);
-        self.z_order.push(moved);
-        true
+        self.mirror.raise(id)
     }
 
     /// The local position of a window.
@@ -843,17 +619,17 @@ impl Participant {
 
     /// The AH geometry of a window (from the latest WMI).
     pub fn window_ah_rect(&self, id: u16) -> Option<Rect> {
-        self.windows.get(&id).map(|w| w.ah_rect)
+        self.mirror.window(id).map(PWindow::ah_rect)
     }
 
     /// A window's content buffer.
     pub fn window_content(&self, id: u16) -> Option<&Image> {
-        self.windows.get(&id).map(PWindow::content)
+        self.mirror.window(id).map(PWindow::content)
     }
 
     /// Window ids in z-order (bottom first).
     pub fn z_order(&self) -> &[u16] {
-        &self.z_order
+        self.mirror.z_order()
     }
 
     /// Current pointer position and icon, if the AH uses the explicit
@@ -867,8 +643,8 @@ impl Participant {
     pub fn render(&self, width: u32, height: u32) -> Image {
         let mut frame =
             Image::filled(width, height, [0, 40, 80, 255]).expect("render dims bounded");
-        for id in &self.z_order {
-            let (Some(w), Some(&(x, y))) = (self.windows.get(id), self.local_pos.get(id)) else {
+        for id in self.mirror.z_order() {
+            let (Some(w), Some(&(x, y))) = (self.mirror.window(*id), self.local_pos.get(id)) else {
                 continue;
             };
             frame.blit(w.content(), x, y);
@@ -907,8 +683,9 @@ impl Participant {
     /// Translate an absolute AH point into local coordinates via the
     /// topmost window containing it.
     pub fn translate_point(&self, x: u32, y: u32) -> Option<(u32, u32)> {
-        for id in self.z_order.iter().rev() {
-            let (Some(w), Some(&(lx, ly))) = (self.windows.get(id), self.local_pos.get(id)) else {
+        for id in self.mirror.z_order().iter().rev() {
+            let (Some(w), Some(&(lx, ly))) = (self.mirror.window(*id), self.local_pos.get(id))
+            else {
                 continue;
             };
             if w.ah_rect.contains(x, y) {
@@ -921,8 +698,9 @@ impl Participant {
     /// Translate a local point back into absolute AH coordinates (for HIP
     /// events from a participant using a non-original layout).
     pub fn untranslate_point(&self, lx: u32, ly: u32) -> Option<(WireWindowId, u32, u32)> {
-        for id in self.z_order.iter().rev() {
-            let (Some(w), Some(&(wx, wy))) = (self.windows.get(id), self.local_pos.get(id)) else {
+        for id in self.mirror.z_order().iter().rev() {
+            let (Some(w), Some(&(wx, wy))) = (self.mirror.window(*id), self.local_pos.get(id))
+            else {
                 continue;
             };
             let local_rect = Rect::new(wx, wy, w.ah_rect.width, w.ah_rect.height);
@@ -935,38 +713,6 @@ impl Participant {
             }
         }
         None
-    }
-}
-
-/// How many consecutive stuck steps before a viewer gives up on a reorder
-/// gap and falls back to PLI.
-const GAP_TIMEOUT_TICKS: u32 = 40;
-
-/// The simulations' gap timeout: a packet lost and never retransmitted
-/// would park a viewer's reorder buffer forever, so after
-/// `GAP_TIMEOUT_TICKS` steps stuck on the same hole the viewer skips it
-/// and asks for a refresh.
-#[derive(Debug, Default)]
-pub struct GapWatch {
-    stuck_ticks: u32,
-    last_held: usize,
-}
-
-impl GapWatch {
-    /// Account one simulation step of `participant`. Returns whether it
-    /// gave up on a hole this step ([`Participant::recover_from_gap`] has
-    /// run), so a capturing caller can tape the marker a replay needs.
-    pub fn step(&mut self, participant: &mut Participant) -> bool {
-        let held = participant.reorder_held();
-        let stuck = held > 0 && held == self.last_held;
-        self.stuck_ticks = if stuck { self.stuck_ticks + 1 } else { 0 };
-        let timed_out = self.stuck_ticks >= GAP_TIMEOUT_TICKS;
-        if timed_out {
-            participant.recover_from_gap();
-            self.stuck_ticks = 0;
-        }
-        self.last_held = participant.reorder_held();
-        timed_out
     }
 }
 
@@ -1446,6 +1192,46 @@ mod tests {
         let px = frame.pixel(90, 80).unwrap();
         assert_eq!(px[3], 255);
         assert_ne!(px, [0, 40, 80, 255], "scaled window content visible");
+    }
+
+    #[test]
+    fn update_released_by_a_gap_skip_is_as_late_as_it_is() {
+        use adshare_remoting::packetizer::RemotingPacketizer;
+        use adshare_rtp::rtcp::{encode_compound, SenderReport};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut sender = RemotingPacketizer::new(RtpSender::new(0xAAAA, 99, &mut rng), 1200);
+        // Three one-packet messages captured at sender time 0; the second
+        // is lost and never repaired.
+        let msgs = [
+            wmi(&[(1, 0, Rect::new(100, 100, 20, 20))]),
+            gradient_update(1, 4, 4, 100, 100),
+            gradient_update(2, 4, 4, 104, 100),
+        ];
+        let pkts: Vec<RtpPacket> = msgs
+            .iter()
+            .flat_map(|m| sender.packetize(m, 0).unwrap())
+            .collect();
+        assert_eq!(pkts.len(), 3);
+        let mut p = Participant::new(1, Layout::Original, true, 1);
+        let anchor = RtcpPacket::SenderReport(SenderReport {
+            ssrc: 0xAAAA,
+            ntp: 0,
+            rtp_ts: pkts[0].header.timestamp,
+            packet_count: 0,
+            octet_count: 0,
+            reports: vec![],
+        });
+        p.handle_datagram(&encode_compound(&[anchor]), 0);
+        p.handle_datagram(&pkts[0].encode(), 900);
+        p.handle_datagram(&pkts[2].encode(), 900);
+        assert_eq!(p.reorder_held(), 1);
+        // A second later (no receiver report has gone out yet) the hole is
+        // given up on: the update behind it is a second old, not fresh.
+        p.tick(90_000);
+        p.recover_from_gap();
+        assert_eq!(p.stats().regions_applied, 1);
+        let (_, _, worst) = p.latency_summary_us().unwrap();
+        assert!(worst >= 1_000_000, "released update stamped {worst} µs");
     }
 
     #[test]

@@ -15,18 +15,8 @@ use adshare_screen::desktop::Desktop;
 
 use crate::app_host::{AppHost, ParticipantHandle};
 use crate::config::{AhConfig, Layout, TransportKind};
-use crate::participant::{GapWatch, Participant};
-
-/// Mirror of the participant's RTCP classifier: a compound RTCP packet
-/// carries a packet type in `200..=206` in its second byte, anything else
-/// on the downstream path is RTP.
-fn rx_kind(datagram: &[u8]) -> CapStreamKind {
-    if datagram.len() >= 2 && (200..=206).contains(&datagram[1]) {
-        CapStreamKind::Rtcp
-    } else {
-        CapStreamKind::Rtp
-    }
-}
+use crate::ingress::is_rtcp;
+use crate::participant::Participant;
 
 /// Arm a consent-gated capture on `ah`'s egress at `now_us`, shared by
 /// [`SimSession`] and the relay simulation. `now_us` comes from the
@@ -79,12 +69,10 @@ struct SimParticipant {
     handle: ParticipantHandle,
     participant: Participant,
     kind: TransportKind,
-    /// Upstream path for RTCP feedback and HIP events.
+    /// Upstream path for RTCP feedback and HIP events: RTCP datagrams are
+    /// prefixed 'R', HIP datagrams 'H', BFCP 'B' (the real system uses
+    /// distinct ports; the tag models exactly that demultiplexing).
     upstream: UdpChannel,
-    /// Pending upstream classification: RTCP datagrams are prefixed 'R',
-    /// HIP datagrams 'H', BFCP 'B' (the real system uses distinct ports;
-    /// the tag models exactly that demultiplexing).
-    gap: GapWatch,
     /// False once the viewer has left (churn); the slot stays so other
     /// participants keep their indices.
     active: bool,
@@ -265,7 +253,6 @@ impl SimSession {
             participant,
             kind: TransportKind::Udp,
             upstream,
-            gap: GapWatch::default(),
             active: true,
         });
         idx
@@ -291,7 +278,6 @@ impl SimSession {
             participant,
             kind: TransportKind::Tcp,
             upstream,
-            gap: GapWatch::default(),
             active: true,
         });
         idx
@@ -345,7 +331,6 @@ impl SimSession {
             participant,
             kind: TransportKind::Multicast,
             upstream,
-            gap: GapWatch::default(),
             active: true,
         });
         idx
@@ -406,7 +391,11 @@ impl SimSession {
                         if let Some(cap) = &capture {
                             cap.record(
                                 CapDirection::Rx,
-                                rx_kind(&dg),
+                                if is_rtcp(&dg) {
+                                    CapStreamKind::Rtcp
+                                } else {
+                                    CapStreamKind::Rtp
+                                },
                                 transport,
                                 idx as u16,
                                 now,
@@ -433,7 +422,7 @@ impl SimSession {
                     }
                 }
             }
-            if sp.gap.step(&mut sp.participant) {
+            if sp.participant.watch_gap(ticks) {
                 if let Some(cap) = &capture {
                     // Control marker: replay must skip the same hole.
                     cap.record_gap_recover(idx as u16, now);

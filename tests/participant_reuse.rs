@@ -498,7 +498,7 @@ fn a_thousand_disjoint_pixels_stay_within_the_tables() {
     }
     // Then the other payload over each place, latest place first. A window
     // remembers what it shows at its 32 most recent places only (pinned in
-    // `participant::tiles`'s unit tests and by the allocation count in
+    // `mirror::tiles`'s unit tests and by the allocation count in
     // `tests/alloc_budget.rs`): only a remembered pixel can be parked, and
     // only a parked one can be put back, so at most 32 of each.
     for n in (0..1_000u32).rev() {
@@ -510,4 +510,127 @@ fn a_thousand_disjoint_pixels_stay_within_the_tables() {
     assert!(stats.tiles_parked + stats.tiles_reused <= 2 * 32);
     assert!(stats.parked_bytes <= 2 * 4, "two payloads, a pixel each");
     assert_eq!(stats.decode_errors, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Through a relay: the late joiner
+// ---------------------------------------------------------------------------
+
+/// A relay fed one upstream RTP stream, message by message. Its catch-up
+/// bursts are synthesised from the same mirror a viewer applies the stream
+/// to (DESIGN §5.2), so a viewer that joins late must see what a viewer
+/// that applied every message sees.
+struct Relayed {
+    relay: RelayNode,
+    upstream: adshare::remoting::packetizer::RemotingPacketizer,
+    now_us: u64,
+}
+
+impl Relayed {
+    fn new() -> Self {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let sender = adshare::rtp::session::RtpSender::new(0xAAAA, 99, &mut rng);
+        Relayed {
+            relay: RelayNode::new(RelayConfig::default(), 0),
+            upstream: adshare::remoting::packetizer::RemotingPacketizer::new(sender, 1200),
+            now_us: 0,
+        }
+    }
+
+    fn feed(&mut self, msg: &RemotingMessage) {
+        self.now_us += 1_000;
+        for pkt in self.upstream.packetize(msg, 0).unwrap() {
+            self.relay.ingest_upstream(&pkt.encode(), self.now_us);
+        }
+    }
+
+    /// A viewer that joins now: its PLI is answered from the relay's mirror.
+    fn late_joiner(&mut self) -> Participant {
+        use adshare::rtp::rtcp::{encode_compound, PictureLossIndication, RtcpPacket};
+        let leg = self.relay.add_leg_raw(None);
+        let pli = encode_compound(&[RtcpPacket::Pli(PictureLossIndication {
+            sender_ssrc: 1,
+            media_ssrc: 2,
+        })]);
+        self.relay.handle_leg_rtcp(leg, &pli, self.now_us);
+        let mut joiner = Participant::new(9, Layout::Original, true, 9);
+        for datagram in self.relay.poll_leg(leg, self.now_us) {
+            joiner.handle_datagram(&datagram, 0);
+        }
+        self.relay.close_leg(leg);
+        joiner
+    }
+}
+
+fn same_windows(joiner: &Participant, direct: &Participant, step: &str) -> Result<(), String> {
+    if joiner.z_order() != direct.z_order() {
+        return Err(format!("window list differs after {step}"));
+    }
+    for &id in direct.z_order() {
+        if joiner.window_ah_rect(id) != direct.window_ah_rect(id) {
+            return Err(format!("window {id} sits elsewhere after {step}"));
+        }
+        let (ours, theirs) = (joiner.window_content(id), direct.window_content(id));
+        if ours != theirs {
+            let differing = ours
+                .zip(theirs)
+                .filter(|(a, b)| a.bounds() == b.bounds())
+                .map(|(a, b)| {
+                    a.data()
+                        .chunks(4)
+                        .zip(b.data().chunks(4))
+                        .filter(|(p, q)| p != q)
+                        .count()
+                });
+            return Err(format!(
+                "window {id} differs in {differing:?} pixels after {step}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The smallest instance: one update that starts left of its window.
+#[test]
+fn an_update_starting_left_of_its_window_reaches_a_late_joiner_clipped() {
+    let mut direct = Participant::new(1, Layout::Original, true, 1);
+    let mut relayed = Relayed::new();
+    // Payload 4 of the pool is 32×24; corner 8 is 4 px left of the window.
+    for msg in [wmi(&[(1, 0)]), region(1, 4, 8)] {
+        relayed.feed(&msg);
+        direct.apply(msg);
+    }
+    same_windows(&relayed.late_joiner(), &direct, "the update").unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After every prefix that ends in a WindowManagerInfo, a viewer served
+    /// the relay's catch-up burst shows what the direct viewer shows.
+    #[test]
+    fn a_late_joiner_behind_a_relay_sees_what_a_direct_viewer_sees(
+        steps in collection::vec((0u8..18, 0u8..8, 0usize..64, 0usize..64, any::<u8>()), 1..120),
+    ) {
+        let mut direct = Participant::new(1, Layout::Original, true, 1);
+        let mut relayed = Relayed::new();
+        let mut open = vec![(1u16, 0u8), (2, 0)];
+        let mut feed = vec![wmi(&open)];
+        for (n, &step) in steps.iter().enumerate() {
+            let step = (step.0, (step.1 == 0) as u8, step.2, step.3, step.4);
+            feed.extend(expand(step, &mut open));
+            let ends_in_wmi = matches!(feed.last(), Some(RemotingMessage::WindowManagerInfo(_)));
+            for msg in feed.drain(..) {
+                relayed.feed(&msg);
+                direct.apply(msg);
+            }
+            if ends_in_wmi {
+                let joiner = relayed.late_joiner();
+                if let Err(why) = same_windows(&joiner, &direct, &format!("step {n} {step:?}")) {
+                    prop_assert!(false, "{}", why);
+                }
+            }
+        }
+    }
 }
