@@ -20,7 +20,8 @@ pub struct EncodeConfig {
     /// Tile grid for damage splitting.
     pub tile: TileConfig,
     /// Worker threads for cache-miss encoding; 0 = one per available core
-    /// (capped at 8), 1 = serial.
+    /// (capped at 8), 1 = serial. A batch uses at most one per full tile
+    /// (`tile.width × tile.height`) of missed pixels.
     pub workers: usize,
     /// Encoded-payload byte budget for the cross-frame cache.
     pub cache_budget_bytes: usize,
@@ -488,9 +489,17 @@ impl EncodePipeline {
             let (pt, payload) = encode(&job.image);
             (pt, Bytes::from(payload), t0.elapsed().as_micros() as u64)
         };
+        // One worker per full grid cell of missed pixels: a few small
+        // typing tiles cost less inline than a spawn.
+        let tile_px = self.cfg.tile.width as u64 * self.cfg.tile.height as u64;
+        let miss_px: u64 = misses
+            .iter()
+            .map(|job| job.image.width() as u64 * job.image.height() as u64)
+            .sum();
+        let workers = self.workers.min((miss_px / tile_px.max(1)) as usize).max(1);
         let (encoded, stats) = match &self.pool {
-            Some(pool) => pool.map(self.workers, &misses, encode_one),
-            None => scoped_map(self.workers, &misses, encode_one),
+            Some(pool) => pool.map(workers, &misses, encode_one),
+            None => scoped_map(workers, &misses, encode_one),
         };
 
         if !misses.is_empty() {
@@ -797,6 +806,44 @@ mod tests {
         let out = p.encode_batch(0, vec![job()], counting_encoder(&calls));
         assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert!(out[0].cache_hit, "shared cache survives begin_step");
+    }
+
+    #[test]
+    fn a_batch_fans_out_only_when_each_worker_gets_a_tile() {
+        let mk_jobs = |side: u32, n: u8| {
+            (0..n)
+                .map(|i| TileJob {
+                    rect: Rect::new(i as u32 * side, 0, side, side),
+                    image: flat(side, side, i),
+                })
+                .collect::<Vec<_>>()
+        };
+        let enc = |img: &Image| (101u8, img.data().to_vec());
+        let mut serial = EncodePipeline::new(EncodeConfig {
+            workers: 1,
+            ..EncodeConfig::default()
+        });
+        let mut two = EncodePipeline::new(EncodeConfig {
+            workers: 2,
+            ..EncodeConfig::default()
+        });
+        let registry = Registry::new();
+        two.register_metrics(&registry, "enc");
+        let workers = || registry.snapshot().gauge("enc.pool_workers");
+        // Two 16×16 misses are 512 px, short of one 128×128 tile: inline.
+        let small = two.encode_batch(0, mk_jobs(16, 2), enc);
+        assert_eq!(workers(), Some(1));
+        // Four full tiles of misses: both workers.
+        let large = two.encode_batch(0, mk_jobs(128, 4), enc);
+        assert_eq!(workers(), Some(2));
+        for (side, n, got) in [(16, 2, small), (128, 4, large)] {
+            let want = serial.encode_batch(0, mk_jobs(side, n), enc);
+            assert_eq!(want.len(), got.len());
+            for (a, b) in want.iter().zip(&got) {
+                assert_eq!((a.rect, a.payload_type), (b.rect, b.payload_type));
+                assert_eq!(a.payload, b.payload);
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! count or scheduling: the property the byte-parity tests rely on.
 //!
 //! `std::thread::scope` keeps lifetimes simple (jobs borrow the caller's
-//! stack) and means the pool holds no threads between batches — encoding
-//! bursts are short and frequent, and an idle persistent pool would be
-//! pure bookkeeping.
+//! stack) and means the pool holds no threads between batches. A spawn
+//! pays only for a batch with real work in it — spawning for every batch
+//! of a few typed glyphs made the encode wall time exceed its CPU time —
+//! so the encode pipeline asks for one worker per full tile's worth of
+//! missed pixels, and small batches run inline on the caller.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -48,18 +48,19 @@ adshare_obs::metric_set! {
     }
 }
 
-/// A unidirectional reliable byte stream.
+/// A unidirectional reliable byte stream over one byte queue (DESIGN §5.1).
 #[derive(Debug)]
 pub struct TcpLink {
     cfg: TcpConfig,
-    /// Bytes waiting in the sender's socket buffer.
-    send_buf: std::collections::VecDeque<u8>,
-    /// Bytes on the wire: (arrival time, chunk).
-    in_flight: std::collections::VecDeque<(u64, Vec<u8>)>,
+    /// Accepted, undelivered bytes: the segments on the wire first, then
+    /// the sender's socket buffer. `send` copies in, `recv` copies out.
+    bytes: std::collections::VecDeque<u8>,
+    /// Segments on the wire, oldest first: (arrival time, length).
+    in_flight: std::collections::VecDeque<(u64, usize)>,
+    /// Bytes at the front of `bytes` that are on the wire.
+    on_wire: usize,
     /// When the serializer frees up.
     tx_free_at: u64,
-    /// Received, not yet read.
-    rx_buf: std::collections::VecDeque<u8>,
     counters: TcpCounters,
     last_pump_us: u64,
 }
@@ -69,10 +70,10 @@ impl TcpLink {
     pub fn new(cfg: TcpConfig) -> Self {
         TcpLink {
             cfg,
-            send_buf: std::collections::VecDeque::new(),
+            bytes: std::collections::VecDeque::new(),
             in_flight: std::collections::VecDeque::new(),
+            on_wire: 0,
             tx_free_at: 0,
-            rx_buf: std::collections::VecDeque::new(),
             counters: TcpCounters::default(),
             last_pump_us: 0,
         }
@@ -88,14 +89,13 @@ impl TcpLink {
     /// superseded by fresher data).
     pub fn send(&mut self, now_us: u64, data: &[u8]) -> usize {
         self.pump(now_us);
-        if self.send_buf.is_empty() {
-            // Serializer was idle: it cannot have started before this data
-            // arrived.
+        if self.queued() == 0 {
+            // An idle serializer cannot have started before this data arrived.
             self.tx_free_at = self.tx_free_at.max(now_us);
         }
-        let space = self.cfg.send_buf.saturating_sub(self.send_buf.len());
+        let space = self.cfg.send_buf.saturating_sub(self.queued());
         let take = space.min(data.len());
-        self.send_buf.extend(&data[..take]);
+        self.bytes.extend(&data[..take]);
         self.counters.bytes_accepted.add(take as u64);
         self.counters.bytes_refused.add((data.len() - take) as u64);
         self.pump(now_us);
@@ -105,38 +105,38 @@ impl TcpLink {
     /// Bytes currently queued in the send buffer — the §7 backlog signal.
     pub fn backlog(&mut self, now_us: u64) -> usize {
         self.pump(now_us);
-        self.send_buf.len()
+        self.queued()
     }
 
     /// Whether `n` bytes would be accepted right now without refusal.
     pub fn can_accept(&mut self, now_us: u64, n: usize) -> bool {
         self.pump(now_us);
-        self.cfg.send_buf - self.send_buf.len() >= n
+        self.cfg.send_buf - self.queued() >= n
     }
 
     /// Read everything that has arrived by `now_us`.
     pub fn recv(&mut self, now_us: u64) -> Vec<u8> {
         self.pump(now_us);
-        while let Some((arrives, _)) = self.in_flight.front() {
-            if *arrives > now_us {
-                break;
-            }
-            let (_, chunk) = self.in_flight.pop_front().expect("peeked");
-            self.counters.bytes_delivered.add(chunk.len() as u64);
-            self.rx_buf.extend(chunk);
+        let mut n = 0;
+        while let Some(&(_, len)) = self.in_flight.front().filter(|(t, _)| *t <= now_us) {
+            self.in_flight.pop_front();
+            n += len;
         }
-        self.rx_buf.drain(..).collect()
+        self.on_wire -= n;
+        self.counters.bytes_delivered.add(n as u64);
+        let (front, back) = self.bytes.as_slices();
+        let mut out = Vec::with_capacity(n);
+        out.extend_from_slice(&front[..n.min(front.len())]);
+        out.extend_from_slice(&back[..n.saturating_sub(front.len())]);
+        self.bytes.drain(..n);
+        out
     }
 
     /// Earliest pending event (serializer free or next arrival), for
     /// event-driven stepping.
     pub fn next_event_us(&self) -> Option<u64> {
         let arrival = self.in_flight.front().map(|(t, _)| *t);
-        let tx = if self.send_buf.is_empty() {
-            None
-        } else {
-            Some(self.tx_free_at)
-        };
+        let tx = (self.queued() > 0).then_some(self.tx_free_at);
         match (arrival, tx) {
             (Some(a), Some(t)) => Some(a.min(t)),
             (a, t) => a.or(t),
@@ -154,27 +154,239 @@ impl TcpLink {
         self.counters.register(registry, prefix);
     }
 
-    /// Drain the send buffer onto the wire as the serializer frees up.
-    ///
-    /// Invariant: whenever `send_buf` is non-empty, the serializer has been
-    /// continuously busy since the data arrived (send() bumps `tx_free_at`
-    /// to the arrival time when the buffer was empty), so each segment
-    /// starts exactly at `tx_free_at`. Segments whose start time is still
-    /// in the future stay in the buffer — that occupancy is the backlog.
+    /// Send-buffer occupancy: accepted bytes not yet on the wire.
+    fn queued(&self) -> usize {
+        self.bytes.len() - self.on_wire
+    }
+
+    /// Move the send buffer onto the wire as the serializer frees up. Each
+    /// segment starts exactly at `tx_free_at`: `send` bumps it to the arrival
+    /// time when the buffer was empty, and the serializer stays busy until it
+    /// empties again. What cannot start yet is the backlog. No byte moves.
     fn pump(&mut self, now_us: u64) {
         debug_assert!(now_us >= self.last_pump_us, "time must be monotonic");
         self.last_pump_us = self.last_pump_us.max(now_us);
-        while !self.send_buf.is_empty() && self.tx_free_at <= now_us {
-            let begin = self.tx_free_at;
-            let seg_len = self.send_buf.len().min(1460);
+        while self.queued() > 0 && self.tx_free_at <= now_us {
+            let seg_len = self.queued().min(1460);
             let ser_us = (seg_len as u64 * 8).saturating_mul(1_000_000) / self.cfg.rate_bps.max(1);
-            let finish = begin + ser_us;
-            let chunk: Vec<u8> = self.send_buf.drain(..seg_len).collect();
+            self.tx_free_at += ser_us;
             self.in_flight
-                .push_back((finish + self.cfg.delay_us, chunk));
-            self.tx_free_at = finish;
+                .push_back((self.tx_free_at + self.cfg.delay_us, seg_len));
+            self.on_wire += seg_len;
         }
-        self.counters.backlog.set(self.send_buf.len() as i64);
+        self.counters.backlog.set(self.queued() as i64);
+    }
+}
+
+#[cfg(test)]
+mod model {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time link [`TcpLink`] replaced, kept as its model: every
+    /// segment is collected into its own `Vec`, and `recv` moves the arrived
+    /// chunks through a receive buffer.
+    #[derive(Debug)]
+    struct ReferenceLink {
+        cfg: TcpConfig,
+        send_buf: VecDeque<u8>,
+        in_flight: VecDeque<(u64, Vec<u8>)>,
+        tx_free_at: u64,
+        rx_buf: VecDeque<u8>,
+        counters: TcpCounters,
+    }
+
+    impl ReferenceLink {
+        fn new(cfg: TcpConfig) -> Self {
+            ReferenceLink {
+                cfg,
+                send_buf: VecDeque::new(),
+                in_flight: VecDeque::new(),
+                tx_free_at: 0,
+                rx_buf: VecDeque::new(),
+                counters: TcpCounters::default(),
+            }
+        }
+
+        fn send(&mut self, now_us: u64, data: &[u8]) -> usize {
+            self.pump(now_us);
+            if self.send_buf.is_empty() {
+                self.tx_free_at = self.tx_free_at.max(now_us);
+            }
+            let space = self.cfg.send_buf.saturating_sub(self.send_buf.len());
+            let take = space.min(data.len());
+            self.send_buf.extend(&data[..take]);
+            self.counters.bytes_accepted.add(take as u64);
+            self.counters.bytes_refused.add((data.len() - take) as u64);
+            self.pump(now_us);
+            take
+        }
+
+        fn backlog(&mut self, now_us: u64) -> usize {
+            self.pump(now_us);
+            self.send_buf.len()
+        }
+
+        fn can_accept(&mut self, now_us: u64, n: usize) -> bool {
+            self.pump(now_us);
+            self.cfg.send_buf - self.send_buf.len() >= n
+        }
+
+        fn recv(&mut self, now_us: u64) -> Vec<u8> {
+            self.pump(now_us);
+            while let Some((arrives, _)) = self.in_flight.front() {
+                if *arrives > now_us {
+                    break;
+                }
+                let (_, chunk) = self.in_flight.pop_front().expect("peeked");
+                self.counters.bytes_delivered.add(chunk.len() as u64);
+                self.rx_buf.extend(chunk);
+            }
+            self.rx_buf.drain(..).collect()
+        }
+
+        fn next_event_us(&self) -> Option<u64> {
+            let arrival = self.in_flight.front().map(|(t, _)| *t);
+            let tx = if self.send_buf.is_empty() {
+                None
+            } else {
+                Some(self.tx_free_at)
+            };
+            match (arrival, tx) {
+                (Some(a), Some(t)) => Some(a.min(t)),
+                (a, t) => a.or(t),
+            }
+        }
+
+        fn pump(&mut self, now_us: u64) {
+            while !self.send_buf.is_empty() && self.tx_free_at <= now_us {
+                let begin = self.tx_free_at;
+                let seg_len = self.send_buf.len().min(1460);
+                let ser_us =
+                    (seg_len as u64 * 8).saturating_mul(1_000_000) / self.cfg.rate_bps.max(1);
+                let finish = begin + ser_us;
+                let chunk: Vec<u8> = self.send_buf.drain(..seg_len).collect();
+                self.in_flight
+                    .push_back((finish + self.cfg.delay_us, chunk));
+                self.tx_free_at = finish;
+            }
+            self.counters.backlog.set(self.send_buf.len() as i64);
+        }
+    }
+
+    /// One call, made on both links.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Send(usize),
+        Backlog,
+        CanAccept(usize),
+        Recv,
+        NextEvent,
+    }
+
+    fn op() -> impl Strategy<Value = (Op, u64)> {
+        // (which call, its length, how far the clock moves first)
+        (0u8..6, 0usize..24_000, 0u8..4, 0u64..50_000).prop_map(|(kind, len, scale, dt)| {
+            let op = match kind {
+                0 => Op::Send(len),
+                1 => Op::Send(len % 16),
+                2 => Op::Backlog,
+                3 => Op::CanAccept(len),
+                4 => Op::Recv,
+                _ => Op::NextEvent,
+            };
+            let dt = match scale {
+                0 => 0,
+                1 => dt % 1_000,
+                2 => dt,
+                _ => dt * 1_000,
+            };
+            (op, dt)
+        })
+    }
+
+    fn config() -> impl Strategy<Value = TcpConfig> {
+        (
+            0u8..5,
+            1u64..2_000_000_000,
+            0u64..60_000,
+            0u8..3,
+            0usize..20_000,
+        )
+            .prop_map(|(rate_kind, rate, delay_us, buf_kind, buf)| TcpConfig {
+                rate_bps: match rate_kind {
+                    0 => rate % 100,
+                    1 => rate % 100_000,
+                    2 => 20_000_000_000,
+                    _ => rate,
+                },
+                delay_us,
+                send_buf: match buf_kind {
+                    0 => buf % 4,
+                    1 => buf % 2_000,
+                    _ => buf,
+                },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every call returns what the byte-at-a-time reference returns,
+        /// and the counters and the backlog gauge agree after each one.
+        #[test]
+        fn queue_link_matches_reference(
+            cfg in config(),
+            ops in proptest::collection::vec(op(), 0..160),
+        ) {
+            let mut link = TcpLink::new(cfg);
+            let mut reference = ReferenceLink::new(cfg);
+            let mut now = 0u64;
+            let mut sent = 0u8;
+            for (i, (op, dt)) in ops.into_iter().enumerate() {
+                now += dt;
+                match op {
+                    Op::Send(len) => {
+                        // Numbered bytes, so a misordered copy shows.
+                        let data: Vec<u8> = (0..len).map(|k| sent.wrapping_add(k as u8)).collect();
+                        let a = link.send(now, &data);
+                        prop_assert_eq!(a, reference.send(now, &data), "op {}", i);
+                        sent = sent.wrapping_add(a as u8);
+                    }
+                    Op::Backlog => {
+                        prop_assert_eq!(link.backlog(now), reference.backlog(now), "op {}", i)
+                    }
+                    Op::CanAccept(n) => prop_assert_eq!(
+                        link.can_accept(now, n),
+                        reference.can_accept(now, n),
+                        "op {}",
+                        i
+                    ),
+                    Op::Recv => prop_assert_eq!(link.recv(now), reference.recv(now), "op {}", i),
+                    Op::NextEvent => prop_assert_eq!(
+                        link.next_event_us(),
+                        reference.next_event_us(),
+                        "op {}",
+                        i
+                    ),
+                }
+                let (s, r) = (link.stats(), reference.counters.stats());
+                prop_assert_eq!(
+                    (s.bytes_accepted, s.bytes_refused, s.bytes_delivered),
+                    (r.bytes_accepted, r.bytes_refused, r.bytes_delivered),
+                    "op {}",
+                    i
+                );
+                prop_assert_eq!(
+                    link.counters.backlog.get(),
+                    reference.counters.backlog.get(),
+                    "op {}",
+                    i
+                );
+            }
+        }
     }
 }
 

@@ -5,7 +5,9 @@
 //! what a whole `typing_udp`-shaped frame allocates end to end. The viewer's
 //! parked-tile store (DESIGN §9.1 "Viewer side") is held to the same account:
 //! an update it has to decode costs exactly the decode, one it can put back
-//! from the store or finds on screen costs nothing.
+//! from the store or finds on screen costs nothing. The simulated TCP stream
+//! (DESIGN §5.1 "The stream link") costs one allocation per `recv` that
+//! returns bytes, however many segments those bytes crossed the link in.
 //!
 //! This file holds a single test on purpose: it installs a counting
 //! `#[global_allocator]`, and nothing else may run in the process while it
@@ -16,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
 use adshare::codec::codec::{default_pt, AnyCodec};
+use adshare::netsim::tcp::TcpLink;
 use adshare::prelude::*;
 use adshare::remoting::message::{RegionUpdate, WindowManagerInfo, WindowRecord};
 use adshare::rtp::rtcp::{PictureLossIndication, RtcpPacket};
@@ -335,4 +338,52 @@ fn datagram_path_stays_inside_its_allocation_budget() {
     let stats = viewer.stats();
     assert_eq!((stats.tiles_reused, stats.tiles_already_shown), (100, 50));
     assert_eq!(stats.parked_bytes, 2 * 64 * 48 * 4);
+
+    // 4. The stream link. A 1 Gb/s link with the benchmark's fast-leg
+    // buffer carries ≈ 75 KB of frames per tick (≈ 52 segments); the
+    // receiver reads at the tick and half a tick later. Once the queues have
+    // grown to their working size, a read that returns bytes costs the `Vec`
+    // it returns and nothing per segment; an empty read and sending cost
+    // nothing.
+    let mut link = TcpLink::new(TcpConfig {
+        rate_bps: 1_000_000_000,
+        delay_us: 5_000,
+        send_buf: 8 << 20,
+    });
+    let frames =
+        |tick: u64| (0..5u64).map(move |f| 12_000 + ((tick * 7 + f * 3_001) % 6_000) as usize);
+    let payload = vec![0x5a; 18_000];
+    let mut now = 0;
+    let mut run = |ticks: u64, link: &mut TcpLink| {
+        let (mut allocations, mut reads, mut bytes) = (0, 0, 0);
+        for tick in 0..ticks {
+            now += TICK_US;
+            let a0 = allocs();
+            for len in frames(tick) {
+                assert_eq!(
+                    link.send(now, &payload[..len]),
+                    len,
+                    "the buffer never fills"
+                );
+            }
+            for at in [now, now + TICK_US / 2] {
+                let read = link.recv(at);
+                reads += u64::from(!read.is_empty());
+                bytes += read.len();
+            }
+            allocations += allocs() - a0;
+        }
+        (allocations, reads, bytes)
+    };
+    run(WARM_UP_TICKS as u64, &mut link);
+    let (allocations, reads, bytes) = run(MEASURED_TICKS as u64, &mut link);
+    let segments = bytes.div_ceil(1460) as u64;
+    println!(
+        "stream: {allocations} allocations for {reads} reads, {bytes} B, ≥ {segments} segments"
+    );
+    assert!(bytes >= 60_000 * MEASURED_TICKS as usize, "{bytes} B");
+    assert!(
+        allocations <= reads,
+        "{allocations} allocations for {reads} reads that returned bytes ({segments} segments)"
+    );
 }
