@@ -62,6 +62,7 @@ use adshare_rtp::{RtpHeader, RtpPacket};
 use adshare_session::egress::{Tap, Wire};
 use adshare_session::ingress::{is_rtcp, Ingress};
 use adshare_session::mirror::{Applied, Mirror};
+use adshare_session::world::{Delivery, Relay};
 use bytes::Bytes;
 
 /// Schema marker for [`RelayNode::stats_json`].
@@ -1430,6 +1431,50 @@ impl RelayNode {
                         .u64("bytes", s.catchup_bytes);
                 });
         })
+    }
+}
+
+/// The seam the simulated world steps a relay through (DESIGN §5.3).
+impl Relay for RelayNode {
+    fn attach_capture(&mut self, capture: CaptureHandle) {
+        RelayNode::attach_capture(self, capture);
+    }
+
+    fn serve(&mut self, from_parent: Delivery, now_us: u64) {
+        // A relay subscribes over UDP: its parent delivers datagrams.
+        if let Delivery::Datagrams(datagrams) = from_parent {
+            for dg in datagrams {
+                self.ingest_upstream_bytes(dg, now_us);
+            }
+        }
+        self.step(now_us);
+    }
+
+    fn take_rtcp_into(&mut self, out: &mut Vec<u8>) -> bool {
+        self.rx.take_rtcp_into(out)
+    }
+
+    fn deliver(&mut self, leg: usize, now_us: u64) -> Delivery {
+        if self.legs[leg].wire.is_stream() {
+            Delivery::Stream(self.poll_leg_stream(leg, now_us))
+        } else {
+            Delivery::Datagrams(self.poll_leg_bytes(leg, now_us))
+        }
+    }
+
+    fn handle_leg_rtcp(&mut self, leg: usize, bytes: &[u8], now_us: u64) {
+        RelayNode::handle_leg_rtcp(self, leg, bytes, now_us);
+    }
+
+    fn close_leg(&mut self, leg: usize) {
+        RelayNode::close_leg(self, leg);
+    }
+
+    fn next_event_us(&self) -> Option<u64> {
+        self.legs
+            .iter()
+            .filter_map(|l| l.wire.next_event_us())
+            .min()
     }
 }
 

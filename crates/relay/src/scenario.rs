@@ -1,13 +1,12 @@
 //! Relay-topology adversarial scenario: the late-join flash crowd.
 //!
 //! The direct-topology schedules live in `adshare_session::scenario`; this
-//! module reuses its [`Expectation`]/[`ScenarioOutcome`] oracle types to
-//! score the one schedule that needs a relay tier — a storm of late
-//! joiners all arriving inside a single refresh interval, which must be
-//! absorbed by the relay's shadow-state catch-up ([`crate::RelayNode`])
-//! rather than escalating a PLI-per-joiner to the AH. Optionally half the
-//! crowd churns back out mid-run, exercising [`crate::RelayNode::close_leg`]
-//! under load.
+//! module runs its loop ([`drive`]) and oracle on the one schedule that
+//! needs a relay tier — a storm of late joiners all arriving inside a
+//! single refresh interval, which must be absorbed by the relay's
+//! shadow-state catch-up ([`crate::RelayNode`]) rather than escalating a
+//! PLI-per-joiner to the AH. Optionally half the crowd churns back out
+//! mid-run, exercising [`crate::RelayNode::close_leg`] under load.
 //!
 //! The pass/fail oracle is the same health engine: no report may exceed
 //! the expectation ceiling (no false CRITICAL) and windows with a floor
@@ -20,14 +19,11 @@ use std::path::PathBuf;
 
 use adshare_codec::image::Rect;
 use adshare_netsim::udp::LinkConfig;
-use adshare_obs::{DumpSink, HealthConfig, HealthReport, HealthStatus};
+use adshare_obs::{HealthConfig, HealthStatus};
 use adshare_screen::desktop::Desktop;
-use adshare_screen::workload::{Typing, Workload};
 use adshare_sdp::OfferParams;
-use adshare_session::scenario::{evaluate_expectations, Expectation, ScenarioOutcome};
+use adshare_session::scenario::{drive, Action, Expectation, Scenario, ScenarioOutcome};
 use adshare_session::{AhConfig, Layout};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::sim::{RelaySim, Upstream};
 use crate::RelayConfig;
@@ -97,9 +93,10 @@ fn joiner_seed(master: u64, ordinal: usize) -> u64 {
     master ^ (ordinal as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xF1A5
 }
 
-/// Drive a [`RelaySim`] through the flash crowd and score it with the
-/// shared oracle. Returns the outcome plus the final sim so callers can
-/// assert relay counters (`catchups_served`, `plis_upstream`) on top.
+/// Drive a [`RelaySim`] through the flash crowd with the scenario loop
+/// and oracle of `adshare_session::scenario`. Returns the outcome plus the
+/// final sim so callers can assert relay counters (`catchups_served`,
+/// `plis_upstream`) on top.
 pub fn run_flash_crowd(fc: &FlashCrowd) -> (ScenarioOutcome, RelaySim) {
     let mut desktop = Desktop::new(640, 480);
     let win = desktop.create_window(1, Rect::new(30, 30, 260, 180), [250, 250, 250, 255]);
@@ -109,15 +106,6 @@ pub fn run_flash_crowd(fc: &FlashCrowd) -> (ScenarioOutcome, RelaySim) {
         &OfferParams::default(),
         fc.seed,
     );
-    {
-        let mut engine = sim.obs().health.lock().unwrap();
-        if let Some(cfg) = &fc.health {
-            engine.set_config(cfg.clone());
-        }
-        if let Some(dir) = &fc.dump_dir {
-            engine.set_sink(DumpSink::Dir(dir.clone()));
-        }
-    }
     let clean = LinkConfig {
         loss: 0.0,
         delay_us: 10_000,
@@ -131,83 +119,47 @@ pub fn run_flash_crowd(fc: &FlashCrowd) -> (ScenarioOutcome, RelaySim) {
         fc.seed ^ 0x2E1A,
     );
 
-    let mut workload = Typing::new(win, 2);
-    let mut rng = StdRng::seed_from_u64(fc.seed ^ 0x5EED);
-
-    // Join instants, spread uniformly across the window.
-    let mut join_at: Vec<u64> = (0..fc.joiners)
-        .map(|i| fc.join_start_us + (fc.join_window_us * i as u64) / (fc.joiners.max(1) as u64))
-        .collect();
-    join_at.reverse(); // pop() yields them in chronological order
-
-    let mut log: Vec<String> = Vec::new();
-    let mut reports: Vec<HealthReport> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-    let mut last_check_us = 0u64;
-    let mut left = false;
-
-    while sim.clock.now_us() < fc.duration_us {
-        let now = sim.clock.now_us();
-        while join_at.last().is_some_and(|&at| at <= now) {
-            join_at.pop();
-            let ordinal = sim.participant_count();
-            let idx = sim.add_participant(
-                relay,
-                Layout::Original,
-                clean,
-                clean,
-                joiner_seed(fc.seed, ordinal),
-            );
-            log.push(format!("{now} join {idx}"));
+    let mut scn = Scenario::new("flash_crowd", fc.seed, fc.duration_us);
+    scn.workload_until_us = fc.workload_until_us;
+    scn.tick_us = fc.tick_us;
+    scn.check_interval_us = fc.check_interval_us;
+    scn.health = fc.health.clone();
+    scn.expectations = fc.expectations.clone();
+    scn.dump_dir = fc.dump_dir.clone();
+    let join = Action::Join {
+        count: 1,
+        down: clean,
+        up: clean,
+        rate_bps: None,
+    };
+    for i in 0..fc.joiners as u64 {
+        // Join instants, spread uniformly across the window.
+        let at = fc.join_start_us + fc.join_window_us * i / fc.joiners.max(1) as u64;
+        scn = scn.at(at, join.clone());
+    }
+    if let Some(at) = fc.leave_half_at_us {
+        for participant in 0..fc.joiners / 2 {
+            scn = scn.at(at, Action::Leave { participant });
         }
-        if let Some(at) = fc.leave_half_at_us {
-            if !left && now >= at {
-                left = true;
-                for idx in 0..fc.joiners / 2 {
-                    sim.remove_participant(idx);
-                    log.push(format!("{now} leave {idx}"));
-                }
+    }
+    drive(&scn, sim, win, |sim, action, now, log| match *action {
+        Action::Join {
+            count,
+            down,
+            up,
+            rate_bps,
+        } => {
+            for _ in 0..count {
+                let seed = joiner_seed(fc.seed, sim.participant_count());
+                let idx =
+                    sim.add_participant_rate(relay, Layout::Original, down, up, seed, rate_bps);
+                log.push(format!("{now} join {idx}"));
             }
         }
-        if now < fc.workload_until_us {
-            workload.tick(sim.ah.desktop_mut(), &mut rng);
+        Action::Leave { participant } => {
+            sim.remove_participant(participant);
+            log.push(format!("{now} leave {participant}"));
         }
-        sim.step(fc.tick_us);
-        if sim.clock.now_us().saturating_sub(last_check_us) >= fc.check_interval_us {
-            let r = sim.obs().health_check(sim.clock.now_us());
-            log.push(format!("{} health {}", r.at_us, r.overall.as_str()));
-            reports.push(r);
-            last_check_us = sim.clock.now_us();
-        }
-    }
-    let r = sim.obs().health_check(sim.clock.now_us());
-    log.push(format!("{} health {}", r.at_us, r.overall.as_str()));
-    reports.push(r);
-
-    violations.extend(evaluate_expectations(&fc.expectations, &reports));
-    let worst = reports
-        .iter()
-        .map(|r| r.overall)
-        .max()
-        .unwrap_or(HealthStatus::Ok);
-    let active: Vec<usize> = (0..sim.participant_count())
-        .filter(|&i| sim.is_active(i))
-        .collect();
-    let converged = active.iter().all(|&i| sim.converged(i));
-
-    let outcome = ScenarioOutcome {
-        name: "flash_crowd".to_string(),
-        seed: fc.seed,
-        passed: violations.is_empty(),
-        violations,
-        reports,
-        log,
-        worst,
-        converged,
-        active_participants: active.len(),
-    };
-    if let Some(dir) = &fc.dump_dir {
-        let _ = outcome.write_artifacts(dir);
-    }
-    (outcome, sim)
+        _ => {}
+    })
 }

@@ -1,19 +1,19 @@
 //! Deterministic relay-topology orchestrator: one [`AppHost`], a tree of
 //! [`RelayNode`]s (AH→relay→…→relay) and N participants hanging off relay
-//! legs, all stepped on one virtual clock. The relay-tier experiments and
-//! e2e tests drive this the way [`adshare_session::SimSession`] drives the
-//! direct topology.
+//! legs — the [`World`] of `adshare-session` with relays in it, stepped,
+//! tapped and captured exactly as a direct session is. What only a relay
+//! tree decides lives here: the SDP re-offer chain, attaching relays and
+//! legs, and the per-relay accessors.
 
-use adshare_capture::{CaptureError, CaptureHandle, CaptureMode};
+use std::ops::{Deref, DerefMut};
+
 use adshare_layers::TierStats;
 use adshare_netsim::tcp::TcpConfig;
-use adshare_netsim::time::{us_to_ticks, VirtualClock};
-use adshare_netsim::udp::{LinkConfig, UdpChannel};
-use adshare_obs::Obs;
+use adshare_netsim::udp::LinkConfig;
 use adshare_screen::desktop::Desktop;
 use adshare_sdp::{build_ah_offer, build_relay_offer, OfferParams, SessionDescription};
-use adshare_session::sim::{arm_capture, dump_capture_on_critical};
-use adshare_session::{AhConfig, AppHost, Layout, Participant, ParticipantHandle};
+use adshare_session::world::{Parent, World};
+use adshare_session::{AhConfig, AppHost, Layout, TransportKind};
 
 use crate::{RelayConfig, RelayNode};
 
@@ -26,111 +26,39 @@ pub enum Upstream {
     Relay(usize),
 }
 
-struct RelayStage {
-    node: RelayNode,
-    /// AH-side handle when subscribed to the AH.
-    handle: Option<ParticipantHandle>,
-    /// `(relay index, leg index)` when subscribed to another relay.
-    parent: Option<(usize, usize)>,
-    /// Upstream RTCP path.
-    upstream: UdpChannel,
-    /// The SDP this relay re-offers downstream.
-    offer: SessionDescription,
-}
-
-struct SimLeg {
-    participant: Participant,
-    relay: usize,
-    leg: usize,
-    upstream: UdpChannel,
-    /// `false` once the viewer has left. The slot stays so participant
-    /// indices remain stable under churn, mirroring relay leg indices.
-    active: bool,
-    /// RFC 4571-framed TCP leg: relay output is a byte stream, not
-    /// datagrams, so the viewer deframes via `handle_stream`.
-    tcp: bool,
-}
-
-/// A complete simulated relay-tier session.
+/// A complete simulated relay-tier session. Everything a world does —
+/// stepping, capture, convergence — it does through [`Deref`] to its
+/// [`World`].
 pub struct RelaySim {
-    /// The application host.
-    pub ah: AppHost,
-    /// The virtual clock.
-    pub clock: VirtualClock,
-    relays: Vec<RelayStage>,
-    participants: Vec<SimLeg>,
-    obs: Obs,
+    world: World<RelayNode>,
     ah_offer: SessionDescription,
-    capture: Option<CaptureHandle>,
+    /// The SDP each relay re-offers downstream, by relay index.
+    offers: Vec<SessionDescription>,
+}
+
+impl Deref for RelaySim {
+    type Target = World<RelayNode>;
+
+    fn deref(&self) -> &World<RelayNode> {
+        &self.world
+    }
+}
+
+impl DerefMut for RelaySim {
+    fn deref_mut(&mut self) -> &mut World<RelayNode> {
+        &mut self.world
+    }
 }
 
 impl RelaySim {
     /// Create a session around a desktop. `offer` seeds the SDP chain the
     /// relays re-offer downstream.
     pub fn new(desktop: Desktop, cfg: AhConfig, offer: &OfferParams, seed: u64) -> Self {
-        let obs = Obs::new();
-        let mut ah = AppHost::new(desktop, cfg, seed);
-        ah.attach_obs(obs.clone());
         RelaySim {
-            ah,
-            clock: VirtualClock::new(),
-            relays: Vec::new(),
-            participants: Vec::new(),
-            obs,
+            world: World::with_host(AppHost::new(desktop, cfg, seed)),
             ah_offer: build_ah_offer(offer),
-            capture: None,
+            offers: Vec::new(),
         }
-    }
-
-    /// The session-wide observability bundle.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Arm a consent-gated capture spanning the AH egress *and* every
-    /// relay hop: one handle records the whole tree so a replay can
-    /// reconstruct any subtree's wire view. `start_us` is stamped from the
-    /// sim clock so capture records and flight-recorder events share one
-    /// virtual-time origin. Fails with [`CaptureError::ConsentRequired`]
-    /// unless `consent` is set.
-    pub fn arm_capture(
-        &mut self,
-        consent: bool,
-        mode: CaptureMode,
-        session_id: u64,
-    ) -> Result<CaptureHandle, CaptureError> {
-        let now = self.clock.now_us();
-        let cap = arm_capture(&mut self.ah, &self.obs, now, consent, mode, session_id)?;
-        for stage in &mut self.relays {
-            stage.node.attach_capture(cap.clone());
-        }
-        self.capture = Some(cap.clone());
-        Ok(cap)
-    }
-
-    /// The armed capture handle, if any.
-    pub fn capture(&self) -> Option<&CaptureHandle> {
-        self.capture.as_ref()
-    }
-
-    /// Auto-arm a bounded ring capture and hook it into the health engine
-    /// the way [`adshare_session::SimSession::enable_auto_capture`] does:
-    /// when a CRITICAL black-box dump fires — a relay leg starving, an
-    /// estimator pinned at its floor — the ring (with the flight-recorder
-    /// snapshot embedded) is written next to the dump and referenced in
-    /// the black-box JSON as `capture_path`, so a relay incident is
-    /// replayable without anyone having planned for it. `consent` is still
-    /// required — auto-arming does not bypass the gate.
-    pub fn enable_auto_capture(
-        &mut self,
-        consent: bool,
-        window_us: u64,
-        dir: std::path::PathBuf,
-        session_id: u64,
-    ) -> Result<(), CaptureError> {
-        let cap = self.arm_capture(consent, CaptureMode::Ring { window_us }, session_id)?;
-        dump_capture_on_critical(&self.obs, cap, dir);
-        Ok(())
     }
 
     /// Add a relay subscribed at `upstream` (a cascaded relay must name a
@@ -143,44 +71,34 @@ impl RelaySim {
         up: LinkConfig,
         seed: u64,
     ) -> usize {
-        let idx = self.relays.len();
+        let idx = self.relay_parents().count();
         let mut node = RelayNode::new(cfg, idx as u16);
-        node.attach_obs(self.obs.clone());
-        if let Some(cap) = &self.capture {
-            node.attach_capture(cap.clone());
-        }
-        let now = self.clock.now_us();
-        let (handle, parent, parent_offer) = match upstream {
+        node.attach_obs(self.obs().clone());
+        let (parent, parent_offer) = match upstream {
             Upstream::Ah => {
                 // The AH sees the relay as one more unicast UDP receiver.
-                let user_id = 0x5200 + idx as u16;
-                let handle = self.ah.attach_udp(user_id, down, seed, None);
-                (Some(handle), None, self.ah_offer.clone())
+                let handle = self.ah.attach_udp(0x5200 + idx as u16, down, seed, None);
+                (Parent::Ah(handle), &self.ah_offer)
             }
             Upstream::Relay(parent) => {
                 assert!(parent < idx, "cascade parents must be added first");
-                let leg = self.relays[parent].node.add_leg_udp(down, seed, None);
+                let leg = self.relay_mut(parent).add_leg_udp(down, seed, None);
                 self.register_leg_metrics(parent, leg);
-                (None, Some((parent, leg)), self.relays[parent].offer.clone())
+                (Parent::Leg(parent, leg), &self.offers[parent])
             }
         };
-        node.subscribe(now);
-        let upstream_ch = UdpChannel::new(up, seed ^ 0x7E57);
-        upstream_ch.register_metrics(&self.obs.registry, &format!("relay.{idx}.upstream"));
-        let offer = build_relay_offer(&parent_offer, &format!("10.82.0.{}", idx + 1));
-        self.relays.push(RelayStage {
-            node,
-            handle,
-            parent,
-            upstream: upstream_ch,
-            offer,
-        });
-        idx
+        let offer = build_relay_offer(parent_offer, &format!("10.82.0.{}", idx + 1));
+        self.offers.push(offer);
+        node.subscribe(self.clock.now_us());
+        self.world.add_relay_node(node, parent, up, seed)
     }
 
     fn register_leg_metrics(&self, relay: usize, leg: usize) {
-        if let Some(link) = self.relays.get(relay).and_then(|r| r.node.leg_link(leg)) {
-            link.register_metrics(&self.obs.registry, &format!("relay.{relay}.leg.{leg}.down"));
+        if let Some(link) = self.relay(relay).leg_link(leg) {
+            link.register_metrics(
+                &self.obs().registry,
+                &format!("relay.{relay}.leg.{leg}.down"),
+            );
         }
     }
 
@@ -208,9 +126,15 @@ impl RelaySim {
         seed: u64,
         rate_bps: Option<u64>,
     ) -> usize {
-        let leg = self.relays[relay].node.add_leg_udp(down, seed, rate_bps);
+        let leg = self.relay_mut(relay).add_leg_udp(down, seed, rate_bps);
         self.register_leg_metrics(relay, leg);
-        self.push_participant(relay, leg, layout, up, seed, false)
+        self.add_viewer(
+            Parent::Leg(relay, leg),
+            TransportKind::Udp,
+            layout,
+            up,
+            seed,
+        )
     }
 
     /// Add a participant on an RFC 4571-framed TCP leg. The relay frames
@@ -226,168 +150,45 @@ impl RelaySim {
         seed: u64,
         rate_bps: Option<u64>,
     ) -> usize {
-        let leg = self.relays[relay].node.add_leg_tcp(tcp, rate_bps);
-        self.push_participant(relay, leg, layout, up, seed, true)
-    }
-
-    fn push_participant(
-        &mut self,
-        relay: usize,
-        leg: usize,
-        layout: Layout,
-        up: LinkConfig,
-        seed: u64,
-        tcp: bool,
-    ) -> usize {
-        let idx = self.participants.len();
-        let user_id = idx as u16 + 1;
-        let mut participant = Participant::new(user_id, layout, true, seed ^ 0x9e37);
-        participant.attach_obs(&self.obs, idx);
-        participant.request_refresh();
-        let upstream = UdpChannel::new(up, seed ^ 0x1234);
-        upstream.register_metrics(&self.obs.registry, &format!("participant.{idx}.upstream"));
-        self.participants.push(SimLeg {
-            participant,
-            relay,
-            leg,
-            upstream,
-            active: true,
-            tcp,
-        });
-        idx
-    }
-
-    /// Remove a participant: its relay leg is closed (no further fan-out,
-    /// feedback ignored) and the viewer stops being stepped. The index
-    /// stays valid so scenario schedules can keep naming later joiners.
-    pub fn remove_participant(&mut self, idx: usize) {
-        let Some(sp) = self.participants.get_mut(idx) else {
-            return;
-        };
-        if !sp.active {
-            return;
-        }
-        sp.active = false;
-        self.relays[sp.relay].node.close_leg(sp.leg);
-    }
-
-    /// Whether a participant is still in the session.
-    pub fn is_active(&self, idx: usize) -> bool {
-        self.participants.get(idx).is_some_and(|sp| sp.active)
-    }
-
-    /// Number of participants.
-    pub fn participant_count(&self) -> usize {
-        self.participants.len()
-    }
-
-    /// Access a participant.
-    pub fn participant(&self, idx: usize) -> &Participant {
-        &self.participants[idx].participant
-    }
-
-    /// Access a relay node.
-    pub fn relay(&self, idx: usize) -> &RelayNode {
-        &self.relays[idx].node
-    }
-
-    /// Access a relay node mutably (tests use this to inject leg loss).
-    pub fn relay_mut(&mut self, idx: usize) -> &mut RelayNode {
-        &mut self.relays[idx].node
+        let leg = self.relay_mut(relay).add_leg_tcp(tcp, rate_bps);
+        self.add_viewer(
+            Parent::Leg(relay, leg),
+            TransportKind::Tcp,
+            layout,
+            up,
+            seed,
+        )
     }
 
     /// The `(relay, leg)` a participant hangs off.
     pub fn participant_leg(&self, idx: usize) -> (usize, usize) {
-        (self.participants[idx].relay, self.participants[idx].leg)
+        match self.parent(idx) {
+            Parent::Leg(relay, leg) => (relay, leg),
+            Parent::Ah(_) => unreachable!("relay-tree viewers hang off relay legs"),
+        }
     }
 
     /// The SDP a relay re-offers downstream (`adshare-relay-hops` counts
     /// its distance from the AH).
     pub fn relay_offer(&self, idx: usize) -> &SessionDescription {
-        &self.relays[idx].offer
+        &self.offers[idx]
     }
 
     /// Per-leg tier snapshot of a relay at the current sim time.
     pub fn tier_stats(&mut self, relay: usize) -> TierStats {
         let now = self.clock.now_us();
-        self.relays[relay].node.tier_stats(now)
+        self.relay_mut(relay).tier_stats(now)
     }
 
     /// Wire bytes the AH has sent to relay subscribers — the AH's total
     /// egress in a pure relay topology, regardless of participant count.
     pub fn ah_egress_bytes(&self) -> u64 {
-        self.relays
-            .iter()
-            .filter_map(|r| r.handle)
-            .map(|h| self.ah.participant_bytes_sent(h))
+        self.relay_parents()
+            .filter_map(|parent| match parent {
+                Parent::Ah(handle) => Some(self.ah.participant_bytes_sent(handle)),
+                Parent::Leg(..) => None,
+            })
             .sum()
-    }
-
-    /// Advance the world by `dt_us`: AH captures and flushes, relays ingest
-    /// and fan out (parents before children, so a cascade adds no extra
-    /// step latency), participants apply and feed back.
-    pub fn step(&mut self, dt_us: u64) {
-        self.clock.advance_us(dt_us);
-        let now = self.clock.now_us();
-        let ticks = us_to_ticks(now);
-
-        self.ah.step(now);
-
-        for i in 0..self.relays.len() {
-            // Ingest from the parent hop.
-            let datagrams = match self.relays[i].parent {
-                None => {
-                    let handle = self.relays[i].handle.expect("AH-attached relay");
-                    self.ah.poll_udp_bytes(handle, now)
-                }
-                Some((parent, leg)) => self.relays[parent].node.poll_leg_bytes(leg, now),
-            };
-            for dg in datagrams {
-                self.relays[i].node.ingest_upstream_bytes(dg, now);
-            }
-            self.relays[i].node.step(now);
-            // Upstream RTCP (NACK escalations, coalesced PLIs, reports).
-            if let Some(bytes) = self.relays[i].node.take_upstream_rtcp() {
-                self.relays[i].upstream.send(now, &bytes);
-            }
-            let delivered = self.relays[i].upstream.poll(now);
-            for bytes in delivered {
-                match self.relays[i].parent {
-                    None => {
-                        let handle = self.relays[i].handle.expect("AH-attached relay");
-                        self.ah.handle_rtcp(handle, &bytes, now);
-                    }
-                    Some((parent, leg)) => {
-                        self.relays[parent].node.handle_leg_rtcp(leg, &bytes, now);
-                    }
-                }
-            }
-        }
-
-        for sp in &mut self.participants {
-            if !sp.active {
-                continue;
-            }
-            let stage = &mut self.relays[sp.relay];
-            if sp.tcp {
-                let chunk = stage.node.poll_leg_stream(sp.leg, now);
-                if !chunk.is_empty() {
-                    sp.participant.handle_stream(&chunk, ticks);
-                }
-            } else {
-                for dg in stage.node.poll_leg_bytes(sp.leg, now) {
-                    sp.participant.handle_datagram_bytes(dg, ticks);
-                }
-            }
-            sp.participant.watch_gap(ticks);
-            sp.participant.tick(ticks);
-            if let Some(bytes) = sp.participant.take_rtcp() {
-                sp.upstream.send(now, &bytes);
-            }
-            for bytes in sp.upstream.poll(now) {
-                stage.node.handle_leg_rtcp(sp.leg, &bytes, now);
-            }
-        }
     }
 
     /// Step repeatedly until `pred` holds or `max_steps` elapse; returns
@@ -398,26 +199,10 @@ impl RelaySim {
         max_steps: usize,
         mut pred: impl FnMut(&RelaySim) -> bool,
     ) -> bool {
-        for _ in 0..max_steps {
+        (0..max_steps).any(|_| {
             self.step(dt_us);
-            if pred(self) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether a participant's view matches the AH pixel for pixel.
-    pub fn converged(&self, idx: usize) -> bool {
-        let viewer = &self.participants[idx].participant;
-        viewer.converged_with(self.ah.desktop())
-    }
-
-    /// Mean per-pixel absolute error between a participant's windows and
-    /// the AH's (0.0 = identical).
-    pub fn divergence(&self, idx: usize) -> f64 {
-        let viewer = &self.participants[idx].participant;
-        viewer.divergence_from(self.ah.desktop())
+            pred(self)
+        })
     }
 }
 

@@ -12,8 +12,7 @@ use adshare_remoting::packetizer::RemotingDepacketizer;
 use adshare_rtp::packet::RtpPacket;
 use adshare_rtp::reorder::ReorderBuffer;
 use adshare_rtp::rtcp::{
-    encode_compound, GenericNack, PictureLossIndication, ReceiverReport, ReportBlock, RtcpPacket,
-    SourceDescription,
+    GenericNack, PictureLossIndication, ReceiverReport, ReportBlock, RtcpPacket, SourceDescription,
 };
 use adshare_rtp::session::RtpReceiver;
 use rand::rngs::StdRng;
@@ -376,10 +375,18 @@ impl Ingress {
 
     /// Take outbound RTCP compound bytes (`None` when nothing to send).
     pub fn take_rtcp(&mut self) -> Option<Vec<u8>> {
-        if self.rtcp_out.is_empty() {
-            return None;
+        let mut out = Vec::new();
+        self.take_rtcp_into(&mut out).then_some(out)
+    }
+
+    /// [`Ingress::take_rtcp`], appended to `out` (a caller's reused buffer,
+    /// already holding whatever leads the datagram). Whether there was any.
+    pub fn take_rtcp_into(&mut self, out: &mut Vec<u8>) -> bool {
+        for p in &self.rtcp_out {
+            out.extend_from_slice(&p.encode());
         }
-        let packets = std::mem::take(&mut self.rtcp_out);
-        Some(encode_compound(&packets))
+        let owed = !self.rtcp_out.is_empty();
+        self.rtcp_out.clear();
+        owed
     }
 }

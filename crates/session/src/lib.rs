@@ -18,8 +18,10 @@
 //!   place remoting messages are applied to pixels.
 //! * [`participant`] — the viewer on top of those two: layout, rendering,
 //!   latency, HIP.
-//! * [`sim`] — a deterministic orchestrator binding AHs and participants
-//!   over `adshare-netsim` links; every experiment drives this.
+//! * [`world`] — the one simulated world: an AH, relays and viewers as
+//!   nodes with parents and uplinks over `adshare-netsim` links, one step.
+//! * [`sim`] — [`SimSession`], the world with direct viewers only; every
+//!   experiment drives this.
 //! * [`driver`] — the [`SessionDriver`] contract a multi-tenant host's
 //!   readiness event loop steps sessions through.
 //! * [`baseline`] — a VNC-style client-pull baseline for comparison.
@@ -43,6 +45,7 @@ pub mod participant;
 pub mod replay;
 pub mod scenario;
 pub mod sim;
+pub mod world;
 
 pub use app_host::{AppHost, ParticipantHandle};
 pub use config::{AhConfig, Layout, PointerPolicy, TransportKind};

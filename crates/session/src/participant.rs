@@ -408,6 +408,12 @@ impl Participant {
         self.rx.take_rtcp()
     }
 
+    /// [`Participant::take_rtcp`], appended to the caller's buffer `out`;
+    /// whether there was any.
+    pub fn take_rtcp_into(&mut self, out: &mut Vec<u8>) -> bool {
+        self.rx.take_rtcp_into(out)
+    }
+
     /// Build HIP RTP datagrams for a user event at `now_ticks`.
     pub fn send_hip(&mut self, msg: &HipMessage, now_ticks: u64) -> Vec<Vec<u8>> {
         match self.hip.packetize(msg, now_ticks as u32) {

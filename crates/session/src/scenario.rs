@@ -22,10 +22,12 @@
 //! outcome document (and the engine its CRITICAL black boxes) into
 //! [`Scenario::dump_dir`] for CI to upload.
 //!
-//! The relay-topology flash-crowd runner in `adshare-relay` reuses these
-//! types; the four concrete schedules live in [`presets`] and
+//! The loop itself ([`drive`]) runs over any [`World`]: the relay-topology
+//! flash crowd in `adshare-relay` supplies only its joins and leaves. The
+//! four concrete schedules live in [`presets`] and
 //! `adshare_relay::scenario`.
 
+use std::ops::DerefMut;
 use std::path::PathBuf;
 
 use adshare_bfcp::HidStatus;
@@ -35,11 +37,13 @@ use adshare_netsim::udp::{LinkConfig, LinkStep};
 use adshare_obs::{json, DumpSink, HealthConfig, HealthReport, HealthStatus, Obs};
 use adshare_screen::desktop::Desktop;
 use adshare_screen::workload::{Typing, Video, Workload};
+use adshare_screen::WindowId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{AhConfig, Layout};
 use crate::sim::SimSession;
+use crate::world::{Relay, World};
 
 /// Schema marker of the JSON outcome document ([`ScenarioOutcome::to_json`]).
 pub const SCENARIO_SCHEMA: &str = "adshare-scenario/v1";
@@ -314,8 +318,8 @@ impl ScenarioOutcome {
 }
 
 /// Score `reports` against `expectations`: returns one violation string
-/// per false alarm and per missed degradation. Shared by the direct-
-/// topology runner here and the relay runner in `adshare-relay`.
+/// per false alarm and per missed degradation ([`drive`] scores every
+/// run with it).
 pub fn evaluate_expectations(
     expectations: &[Expectation],
     reports: &[HealthReport],
@@ -360,7 +364,7 @@ pub fn evaluate_expectations(
 }
 
 /// Score `reports` against [`TierExpectation`] windows using each
-/// report's `tier` rule value. Shared with the relay runner.
+/// report's `tier` rule value.
 pub fn evaluate_tier_expectations(
     expectations: &[TierExpectation],
     reports: &[HealthReport],
@@ -439,6 +443,25 @@ pub fn run_scenario(scn: &Scenario) -> (ScenarioOutcome, SimSession) {
     let mut desktop = Desktop::new(640, 480);
     let win = desktop.create_window(1, Rect::new(30, 30, 300, 220), [250, 250, 250, 255]);
     let mut s = SimSession::new(desktop, scn.ah.clone(), scn.seed);
+    let mut joined = 0usize;
+    let (outcome, _) = drive(scn, &mut s, win, |s, action, now, log| {
+        apply_action(s, action, scn, &mut joined, now, log)
+    });
+    (outcome, s)
+}
+
+/// The one scenario loop, over any world — a `&mut SimSession` or a
+/// relay tree: arm health and capture as `scn` asks, then every tick
+/// apply the due events through `apply` (the builder's meaning of an
+/// [`Action`], logging what it did), tick the workload into `win`, step,
+/// check floor agreement and the health cadence; finally score the
+/// reports and write the artifacts. Returns the outcome and `s`.
+pub fn drive<R: Relay, S: DerefMut<Target = World<R>>>(
+    scn: &Scenario,
+    mut s: S,
+    win: WindowId,
+    mut apply: impl FnMut(&mut S, &Action, u64, &mut Vec<String>),
+) -> (ScenarioOutcome, S) {
     {
         let mut engine = s.obs().health.lock().unwrap();
         if let Some(cfg) = &scn.health {
@@ -472,7 +495,6 @@ pub fn run_scenario(scn: &Scenario) -> (ScenarioOutcome, SimSession) {
     let mut events = scn.events.clone();
     events.sort_by_key(|e| e.at_us);
     let mut next_event = 0usize;
-    let mut joined = 0usize;
 
     let mut log: Vec<String> = Vec::new();
     let mut reports: Vec<HealthReport> = Vec::new();
@@ -482,8 +504,7 @@ pub fn run_scenario(scn: &Scenario) -> (ScenarioOutcome, SimSession) {
     while s.clock.now_us() < scn.duration_us {
         let now = s.clock.now_us();
         while next_event < events.len() && events[next_event].at_us <= now {
-            let ev = events[next_event].clone();
-            apply_action(&mut s, &ev.action, scn, &mut joined, now, &mut log);
+            apply(&mut s, &events[next_event].action, now, &mut log);
             next_event += 1;
         }
         if now < scn.workload_until_us {
