@@ -33,7 +33,7 @@
 pub mod scenario;
 pub mod sim;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use adshare_capture::{
@@ -52,14 +52,14 @@ use adshare_netsim::time::us_to_ticks;
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::{EventKind, Obs, ACTOR_LEG_BASE, ACTOR_RELAY};
 use adshare_rate::{FreshQueue, QualityTier, RateController};
-use adshare_remoting::fragment::{fragment, FragmentPacket};
+use adshare_remoting::fragment::for_each_fragment;
 use adshare_remoting::{
     MousePointerInfo, RegionUpdate, RemotingMessage, WindowId, WindowManagerInfo, WindowRecord,
 };
 use adshare_rtp::history::RetransmitHistory;
 use adshare_rtp::rtcp::{decode_compound, GenericNack, RtcpPacket};
-use adshare_rtp::{RtpHeader, RtpPacket};
-use adshare_session::egress::{Tap, Wire};
+use adshare_rtp::RtpPacket;
+use adshare_session::egress::{Burst, Downstream, StreamId, Tap, Verdict, Wire, REPEAT_WINDOW_US};
 use adshare_session::ingress::{is_rtcp, Ingress};
 use adshare_session::mirror::{Applied, Mirror};
 use adshare_session::world::{Delivery, Relay};
@@ -68,16 +68,12 @@ use bytes::Bytes;
 /// Schema marker for [`RelayNode::stats_json`].
 pub const RELAY_STATS_SCHEMA: &str = "adshare-relay-stats/v1";
 
-/// How many leg-sequence→upstream-sequence mappings each leg retains for
-/// NACK translation (matches the default retransmit-cache depth).
-const SEQ_MAP_LIMIT: usize = 4096;
+/// How many sequences each leg remembers for NACK translation (matches the
+/// default retransmit-cache depth).
+const LEG_RECORD: usize = 4096;
 
 /// Retransmit-cache byte budget.
 const CACHE_MAX_BYTES: usize = 8 << 20;
-/// Suppression window: a sequence retransmitted (or escalated) within this
-/// many µs is served from the recent-retransmit copy / silently dropped
-/// instead of costing another cache lookup or upstream NACK.
-const SUPPRESSION_WINDOW_US: u64 = 100_000;
 /// Minimum spacing between upstream PLIs (and between catch-up bursts to
 /// the same leg).
 const PLI_MIN_INTERVAL_US: u64 = 500_000;
@@ -149,6 +145,8 @@ pub struct RelayStats {
     /// Leg PLIs answered without an upstream PLI (coalesced or served from
     /// the mirror).
     pub plis_coalesced: u64,
+    /// NACKed sequences the leg never sent, ignored.
+    pub nacks_unsent_seqs: u64,
     /// Catch-up bursts synthesized for late joiners.
     pub catchups_served: u64,
     /// Wire bytes in those bursts.
@@ -174,75 +172,35 @@ enum Unit {
     /// downstream sees the same interleaving as direct delivery.
     Rtcp(Bytes),
     /// A locally re-encoded rendition of one region update for legs whose
-    /// active tier is lossier than the upstream stream. Fragments only —
-    /// RTP headers are minted per leg at flush time so each leg keeps its
-    /// own contiguous sequence space.
-    Synth(Vec<FragmentPacket>),
-}
-
-/// The upstream stream's RTP identity, stamped on locally minted packets.
-#[derive(Clone, Copy, Default)]
-struct MediaId {
-    pt: u8,
-    ts: u32,
-    ssrc: u32,
-}
-
-/// What became of one NACKed leg sequence.
-enum Repair {
-    /// Resent from a local copy (own packet, suppression window, cache).
-    Absorbed,
-    /// Not in the shared cache: this upstream sequence must be escalated.
-    Miss(u16),
-    /// The leg no longer remembers the sequence; only a catch-up helps.
-    Pruned,
-}
-
-/// What one unit put on a leg.
-#[derive(Default)]
-struct Burst {
-    packets: u64,
-    bytes: u64,
-    /// Last leg sequence used.
-    last_seq: u16,
-    /// Last upstream sequence forwarded (the leg sequence when minted).
-    last_up: u16,
+    /// active tier is lossier than the upstream stream, one message per
+    /// tile. Each leg packetizes it at flush time into its own sequence
+    /// space.
+    Synth(Vec<RemotingMessage>),
 }
 
 struct Leg {
-    /// Downstream transport: simulated UDP, an RFC 4571-framed TCP stream
-    /// (the tier controller reads its send-buffer backlog as the §7
-    /// congestion signal, so TCP legs degrade tiers instead of stalling),
-    /// or a raw queue the caller ships itself (the demo binary).
-    wire: Wire,
+    /// The leg's stream over its transport — simulated UDP, an RFC
+    /// 4571-framed TCP stream (the tier controller reads its send-buffer
+    /// backlog as the §7 congestion signal, so TCP legs degrade tiers
+    /// instead of stalling, and sends are all-or-nothing), or a raw queue
+    /// the caller ships itself (the demo binary). It remembers what each of
+    /// the last [`LEG_RECORD`] sequences carried: a forwarded packet's
+    /// upstream sequence (repaired from the shared cache, escalated on a
+    /// miss), or a packet minted here (catch-up burst, tier re-encode).
+    out: Downstream,
     /// Running FNV-1a digest of every datagram sent on this leg plus the
     /// capture sink, both updated inside the wire's send. E20's parity
     /// gate compares a lossless leg's digest against the no-layers
     /// baseline.
     tap: Tap,
-    /// This leg's actor in events and capture records.
-    actor: u16,
     queue: FreshQueue<Rc<Unit>>,
     rate: RateController,
-    /// Next downstream sequence number; `None` until the first forwarded
-    /// packet pins it to that packet's upstream sequence (identity rewrite).
-    next_seq: Option<u16>,
-    /// What the last [`SEQ_MAP_LIMIT`] leg sequences (oldest first in
-    /// `seq_log`) carried, for answering leg NACKs: a forwarded packet's
-    /// upstream sequence (repaired from the shared cache, escalated on a
-    /// miss), or the locally minted packet itself (catch-up burst, tier
-    /// re-encode — it has no upstream sequence to escalate to).
-    seq_map: HashMap<u16, u16>,
-    minted: HashMap<u16, RtpPacket>,
-    seq_log: VecDeque<u16>,
     last_catchup_us: Option<u64>,
     /// A departed viewer (churn): the leg stops participating in fan-out
     /// and feedback but keeps its slot so other legs' indices stay stable.
     closed: bool,
     /// Layered-quality state; `None` when the relay runs without layers.
     tier: Option<LegTier>,
-    /// Working space for serialising a packet under this leg's sequence.
-    scratch: Vec<u8>,
 }
 
 /// Per-leg layered-quality state: an adaptive AIMD estimator fed by the
@@ -257,102 +215,6 @@ struct LegTier {
     verbatim_msgs: u64,
     synth_msgs: u64,
     synth_bytes: u64,
-}
-
-impl Leg {
-    fn alloc_seq(&mut self, upstream_seq: u16) -> u16 {
-        let seq = self.next_seq.unwrap_or(upstream_seq);
-        self.next_seq = Some(seq.wrapping_add(1));
-        seq
-    }
-
-    /// Ship one datagram, all-or-nothing: a TCP leg whose send buffer
-    /// cannot take the whole frame drops it (digest and capture untouched)
-    /// — the backlog signal has already told the tier controller to slow
-    /// down.
-    fn send(&mut self, kind: CapStreamKind, bytes: &Bytes, now_us: u64) {
-        self.wire
-            .send_whole(&mut self.tap, kind, self.actor, now_us, bytes);
-    }
-
-    /// `leg_seq` carried upstream sequence `upstream_seq`. The 16-bit leg
-    /// sequence space wraps: a reused number must not stay shadowed by a
-    /// packet minted under it long ago (a NACK would replay stale pixels).
-    fn map_seq(&mut self, leg_seq: u16, upstream_seq: u16) {
-        self.minted.remove(&leg_seq);
-        self.seq_map.insert(leg_seq, upstream_seq);
-        self.log_seq(leg_seq);
-    }
-
-    /// `leg_seq` carried the locally minted `pkt`.
-    fn keep_minted(&mut self, leg_seq: u16, pkt: RtpPacket) {
-        self.seq_map.remove(&leg_seq);
-        self.minted.insert(leg_seq, pkt);
-        self.log_seq(leg_seq);
-    }
-
-    /// Bound what the leg remembers to its last [`SEQ_MAP_LIMIT`] sequences.
-    fn log_seq(&mut self, leg_seq: u16) {
-        self.seq_log.push_back(leg_seq);
-        while self.seq_log.len() > SEQ_MAP_LIMIT {
-            if let Some(old) = self.seq_log.pop_front() {
-                self.seq_map.remove(&old);
-                self.minted.remove(&old);
-            }
-        }
-    }
-
-    /// (Re)send an upstream `pkt` under `leg_seq`: serialised once, into
-    /// the buffer the link then holds.
-    fn send_as(&mut self, pkt: &RtpPacket, leg_seq: u16, now_us: u64) -> usize {
-        let mut out = pkt.clone();
-        out.header.sequence = leg_seq;
-        let encoded = out.datagram(&mut self.scratch);
-        self.send(CapStreamKind::Rtp, &encoded, now_us);
-        encoded.len()
-    }
-
-    /// Forward upstream packets under this leg's sequence space.
-    fn forward(&mut self, pkts: &[RtpPacket], now_us: u64) -> Burst {
-        let mut burst = Burst::default();
-        for pkt in pkts {
-            let leg_seq = self.alloc_seq(pkt.header.sequence);
-            self.map_seq(leg_seq, pkt.header.sequence);
-            burst.bytes += self.send_as(pkt, leg_seq, now_us) as u64;
-            burst.packets += 1;
-            burst.last_seq = leg_seq;
-            burst.last_up = pkt.header.sequence;
-        }
-        burst
-    }
-
-    /// Mint RTP headers for locally synthesised fragments (`(marker,
-    /// payload)` each) so the leg's sequence space stays contiguous across
-    /// forwarded and synthesised units; the packets are kept so NACKs for
-    /// them repair locally.
-    fn mint<'a>(
-        &mut self,
-        frags: impl Iterator<Item = (bool, &'a [u8])>,
-        media: MediaId,
-        now_us: u64,
-    ) -> Burst {
-        let mut burst = Burst::default();
-        for (marker, payload) in frags {
-            let seq = self.alloc_seq(0);
-            let mut header = RtpHeader::new(media.pt, seq, media.ts, media.ssrc);
-            header.marker = marker;
-            // One buffer: the link queues it and the kept packet owns it.
-            let pkt = RtpPacket::assemble(header, &[payload], &mut self.scratch);
-            let encoded = pkt.datagram(&mut self.scratch);
-            burst.bytes += encoded.len() as u64;
-            self.keep_minted(seq, pkt);
-            self.send(CapStreamKind::Rtp, &encoded, now_us);
-            burst.packets += 1;
-            burst.last_seq = seq;
-            burst.last_up = seq;
-        }
-        burst
-    }
 }
 
 /// What one completed remoting unit means for the per-leg queues.
@@ -375,7 +237,7 @@ pub struct RelayNode {
     /// Packets of the message under reassembly, in order.
     unit_pkts: Vec<RtpPacket>,
     /// RTP identity of the upstream stream as of its latest packet.
-    media: MediaId,
+    media: StreamId,
     /// The shared windows as the upstream stream describes them; catch-up
     /// bursts and tier re-encodes are read out of it.
     mirror: Mirror,
@@ -440,7 +302,7 @@ impl RelayNode {
             ),
             cache,
             unit_pkts: Vec::new(),
-            media: MediaId::default(),
+            media: StreamId::default(),
             // A relay has no secret to key tile names with; its id keeps
             // runs repeatable, and a sender that forges a collision spoils
             // only what its own subtree is served.
@@ -572,20 +434,15 @@ impl RelayNode {
         if let Some(capture) = &self.capture {
             tap.attach_capture(capture.clone());
         }
+        let actor = Self::leg_actor(self.legs.len());
         self.legs.push(Leg {
-            wire,
+            out: Downstream::new(wire, actor, None, Some((LEG_RECORD, usize::MAX)), true),
             tap,
-            actor: Self::leg_actor(self.legs.len()),
             queue: FreshQueue::new(),
             rate: RateController::new_fixed(rate_bps, MTU),
-            next_seq: None,
-            seq_map: HashMap::new(),
-            minted: HashMap::new(),
-            seq_log: VecDeque::new(),
             last_catchup_us: None,
             closed: false,
             tier,
-            scratch: Vec::new(),
         });
         self.update_leg_gauge();
         let leg_idx = self.legs.len() - 1;
@@ -627,9 +484,7 @@ impl RelayNode {
         }
         l.closed = true;
         l.queue = FreshQueue::new();
-        l.seq_map.clear();
-        l.minted.clear();
-        l.seq_log.clear();
+        l.out.close();
         self.update_leg_gauge();
     }
 
@@ -646,17 +501,17 @@ impl RelayNode {
     /// The UDP channel behind a leg, when it has one (tests use this to
     /// inject deterministic loss and read link stats).
     pub fn leg_link_mut(&mut self, leg: usize) -> Option<&mut UdpChannel> {
-        self.legs.get_mut(leg)?.wire.udp_link_mut()
+        self.legs.get_mut(leg)?.out.wire.udp_link_mut()
     }
 
     /// Immutable view of a leg's UDP channel.
     pub fn leg_link(&self, leg: usize) -> Option<&UdpChannel> {
-        self.legs.get(leg)?.wire.udp_link()
+        self.legs.get(leg)?.out.wire.udp_link()
     }
 
     /// The TCP link behind a leg, when it has one.
     pub fn leg_tcp_mut(&mut self, leg: usize) -> Option<&mut TcpLink> {
-        self.legs.get_mut(leg)?.wire.tcp_link_mut()
+        self.legs.get_mut(leg)?.out.wire.tcp_link_mut()
     }
 
     /// Running FNV-1a digest of every datagram shipped on a leg. A
@@ -723,7 +578,7 @@ impl RelayNode {
         let Ok(pkt) = RtpPacket::decode_bytes(datagram) else {
             return;
         };
-        self.media = MediaId {
+        self.media = StreamId {
             pt: pkt.header.payload_type,
             ts: pkt.header.timestamp,
             ssrc: pkt.header.ssrc,
@@ -862,7 +717,7 @@ impl RelayNode {
         let local = rect
             .intersect(&origin)?
             .translated(-i64::from(origin.left), -i64::from(origin.top));
-        let mut frags: Vec<FragmentPacket> = Vec::new();
+        let mut msgs = Vec::new();
         let mut bytes = 0u64;
         for (pt, trect, payload) in enc.encode_region(win.content(), local, tier) {
             let msg = RemotingMessage::RegionUpdate(RegionUpdate {
@@ -872,18 +727,17 @@ impl RelayNode {
                 top: origin.top + trect.top,
                 payload,
             });
-            let Ok(f) = fragment(&msg, MTU) else {
-                continue;
-            };
-            for frag in f {
-                bytes += frag.payload.len() as u64 + 12;
-                frags.push(frag);
+            let fits = for_each_fragment(&msg, MTU, |_, head, chunk| {
+                bytes += (head.len() + chunk.len()) as u64 + 12;
+            });
+            if fits.is_ok() {
+                msgs.push(msg);
             }
         }
-        if frags.is_empty() {
+        if msgs.is_empty() {
             return None;
         }
-        Some((Rc::new(Unit::Synth(frags)), bytes))
+        Some((Rc::new(Unit::Synth(msgs)), bytes))
     }
 
     /// Periodic work: the upstream receiver's give-up rule, leg flushes,
@@ -915,9 +769,9 @@ impl RelayNode {
         }
 
         self.recent_retx
-            .retain(|_, (at, _)| now_us.saturating_sub(*at) <= SUPPRESSION_WINDOW_US);
+            .retain(|_, (at, _)| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
         self.recent_escalated
-            .retain(|_, at| now_us.saturating_sub(*at) <= SUPPRESSION_WINDOW_US);
+            .retain(|_, at| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
     }
 
     /// Advance one leg's tier controller: refresh the AIMD estimate (TCP
@@ -937,7 +791,7 @@ impl RelayNode {
         let Some(t) = leg.tier.as_mut() else {
             return;
         };
-        if let Some((backlog, capacity)) = leg.wire.stream_backlog(now_us) {
+        if let Some((backlog, capacity)) = leg.out.wire.stream_backlog(now_us) {
             t.rate.on_backlog(backlog, capacity, now_us);
         }
         t.rate.flush_budget(now_us);
@@ -1031,16 +885,30 @@ impl RelayNode {
             t.rate.note_queue(leg.queue.len(), leg.queue.bytes());
         }
         for q in units {
-            let (burst, synth) = match &*q.payload {
+            let mut burst = Burst::default();
+            let (last_up, synth) = match &*q.payload {
                 Unit::Rtcp(bytes) => {
                     leg.rate.consume(bytes.len() as u64);
-                    leg.send(CapStreamKind::Rtcp, bytes, now_us);
+                    leg.out
+                        .send(&mut leg.tap, CapStreamKind::Rtcp, now_us, bytes);
                     continue;
                 }
-                Unit::Media(pkts) => (leg.forward(pkts, now_us), false),
-                Unit::Synth(frags) => {
-                    let frags = frags.iter().map(|f| (f.marker, &f.payload[..]));
-                    (leg.mint(frags, media, now_us), true)
+                Unit::Media(pkts) => {
+                    leg.out.forward(&mut leg.tap, now_us, pkts, &mut burst);
+                    (pkts.last().map_or(0, |p| p.header.sequence), false)
+                }
+                Unit::Synth(msgs) => {
+                    for msg in msgs {
+                        let _ = (leg.out).send_message(
+                            &mut leg.tap,
+                            now_us,
+                            msg,
+                            MTU,
+                            media,
+                            &mut burst,
+                        );
+                    }
+                    (burst.last_seq, true)
                 }
             };
             leg.rate.consume(burst.bytes);
@@ -1058,10 +926,10 @@ impl RelayNode {
             self.stats.forwarded_bytes += burst.bytes;
             if let Some(obs) = &self.obs {
                 let pkts_and_bytes = (burst.packets << 32) | (burst.bytes & 0xFFFF_FFFF);
-                let forwarded = u64::from(burst.last_up);
+                let forwarded = u64::from(last_up);
                 obs.event(
                     now_us,
-                    leg.actor,
+                    leg.out.actor(),
                     EventKind::RelayForward,
                     forwarded,
                     pkts_and_bytes,
@@ -1069,7 +937,13 @@ impl RelayNode {
                 // Also record a generic RtpTx so existing health rules
                 // (loss denominator) see relay egress.
                 let leg_seq = u64::from(burst.last_seq);
-                obs.event(now_us, leg.actor, EventKind::RtpTx, leg_seq, pkts_and_bytes);
+                obs.event(
+                    now_us,
+                    leg.out.actor(),
+                    EventKind::RtpTx,
+                    leg_seq,
+                    pkts_and_bytes,
+                );
             }
         }
     }
@@ -1078,20 +952,20 @@ impl RelayNode {
     /// link-delayed; raw: everything forwarded), each the buffer the leg
     /// sent. Empty on a TCP leg — see [`RelayNode::poll_leg_stream`].
     pub fn poll_leg_bytes(&mut self, leg: usize, now_us: u64) -> Vec<Bytes> {
-        self.legs[leg].wire.poll(0, now_us)
+        self.legs[leg].out.wire.poll(0, now_us)
     }
 
     /// The next in-order chunk of a TCP leg's RFC 4571-framed stream (empty
     /// when nothing arrived, and on a datagram leg).
     pub fn poll_leg_stream(&mut self, leg: usize, now_us: u64) -> Vec<u8> {
-        self.legs[leg].wire.poll_stream(now_us)
+        self.legs[leg].out.wire.poll_stream(now_us)
     }
 
     /// Either of the above as plain vectors, for a caller that does not
     /// care which kind of leg it polls: the datagrams copied out one by
     /// one, or the stream chunk as a single element.
     pub fn poll_leg(&mut self, leg: usize, now_us: u64) -> Vec<Vec<u8>> {
-        if self.legs[leg].wire.is_stream() {
+        if self.legs[leg].out.wire.is_stream() {
             let chunk = self.poll_leg_stream(leg, now_us);
             return if chunk.is_empty() {
                 Vec::new()
@@ -1139,9 +1013,10 @@ impl RelayNode {
         if let Some(t) = self.legs[leg_idx].tier.as_mut() {
             t.rate.on_nack(lost.len(), now_us);
         }
+        let actor = Self::leg_actor(leg_idx);
         self.rec(
             now_us,
-            Self::leg_actor(leg_idx),
+            actor,
             EventKind::NackReceived,
             lost.len() as u64,
             lost.first().copied().map_or(0, u64::from),
@@ -1151,21 +1026,64 @@ impl RelayNode {
         let mut escalate: Vec<u16> = Vec::new();
         let mut needs_catchup = false;
         for &leg_seq in lost {
-            match self.repair(leg_idx, leg_seq, now_us) {
-                Repair::Absorbed => {
+            let leg = &mut self.legs[leg_idx];
+            let up_seq = match leg.out.answer(&mut leg.tap, leg_seq, now_us) {
+                // Minted here (catch-up, tier re-encode): the leg resent it.
+                Verdict::Resend(_) => {
                     absorbed += 1;
                     first_absorbed.get_or_insert(leg_seq);
+                    continue;
                 }
-                Repair::Miss(up_seq) => escalate.push(up_seq),
-                // Mapping pruned: too old to repair packet-by-packet.
-                Repair::Pruned => needs_catchup = true,
+                Verdict::Upstream(up_seq) => up_seq,
+                // Too old to repair packet-by-packet.
+                Verdict::Forgotten => {
+                    needs_catchup = true;
+                    continue;
+                }
+                // Never sent on this leg: nothing to repair. (A leg is
+                // never a group wire, so nothing is `Repeated`.)
+                Verdict::NeverSent | Verdict::Repeated => {
+                    self.stats.nacks_unsent_seqs += 1;
+                    continue;
+                }
+            };
+            // Suppression window: another leg just NACKed this sequence —
+            // serve the retained copy without a second cache lookup.
+            let copy = (self.recent_retx.get(&up_seq))
+                .filter(|(at, _)| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
+            if let Some((_, pkt)) = copy {
+                leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
+                self.stats.nacks_suppressed_seqs += 1;
+            } else if let Some(pkt) = self.cache.lookup(up_seq) {
+                let len = pkt.wire_len() as u64;
+                self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
+                leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
+                self.rec(
+                    now_us,
+                    actor,
+                    EventKind::RelayCacheHit,
+                    u64::from(up_seq),
+                    len,
+                );
+            } else {
+                self.rec(
+                    now_us,
+                    actor,
+                    EventKind::RelayCacheMiss,
+                    u64::from(up_seq),
+                    0,
+                );
+                escalate.push(up_seq);
+                continue;
             }
+            absorbed += 1;
+            first_absorbed.get_or_insert(leg_seq);
         }
         if absorbed > 0 {
             self.stats.nacks_absorbed_seqs += absorbed;
             self.rec(
                 now_us,
-                Self::leg_actor(leg_idx),
+                actor,
                 EventKind::RelayNackAbsorbed,
                 absorbed,
                 first_absorbed.map_or(0, u64::from),
@@ -1180,7 +1098,7 @@ impl RelayNode {
             self.stats.seqs_escalated += escalate.len() as u64;
             self.rec(
                 now_us,
-                Self::leg_actor(leg_idx),
+                actor,
                 EventKind::RelayNackEscalated,
                 escalate.len() as u64,
                 u64::from(escalate[0]),
@@ -1192,53 +1110,8 @@ impl RelayNode {
             )));
         }
         if needs_catchup {
-            self.handle_leg_pli(leg_idx, now_us);
+            self.catch_up(leg_idx, now_us);
         }
-    }
-
-    /// Answer one NACKed leg sequence locally if at all possible.
-    fn repair(&mut self, leg_idx: usize, leg_seq: u16, now_us: u64) -> Repair {
-        let leg = &mut self.legs[leg_idx];
-        // Locally minted packets live outside the shared cache.
-        if let Some(pkt) = leg.minted.get(&leg_seq) {
-            let encoded = pkt.datagram(&mut leg.scratch);
-            leg.send(CapStreamKind::Rtp, &encoded, now_us);
-            return Repair::Absorbed;
-        }
-        let Some(&up_seq) = leg.seq_map.get(&leg_seq) else {
-            return Repair::Pruned;
-        };
-        // Suppression window: another leg just NACKed this sequence —
-        // serve the retained copy without a second cache lookup.
-        if let Some((at, pkt)) = self.recent_retx.get(&up_seq) {
-            if now_us.saturating_sub(*at) <= SUPPRESSION_WINDOW_US {
-                leg.send_as(pkt, leg_seq, now_us);
-                self.stats.nacks_suppressed_seqs += 1;
-                return Repair::Absorbed;
-            }
-        }
-        let actor = leg.actor;
-        let Some(pkt) = self.cache.lookup(up_seq) else {
-            self.rec(
-                now_us,
-                actor,
-                EventKind::RelayCacheMiss,
-                u64::from(up_seq),
-                0,
-            );
-            return Repair::Miss(up_seq);
-        };
-        let len = pkt.wire_len() as u64;
-        self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
-        leg.send_as(pkt, leg_seq, now_us);
-        self.rec(
-            now_us,
-            actor,
-            EventKind::RelayCacheHit,
-            u64::from(up_seq),
-            len,
-        );
-        Repair::Absorbed
     }
 
     fn handle_leg_pli(&mut self, leg_idx: usize, now_us: u64) {
@@ -1250,6 +1123,13 @@ impl RelayNode {
             self.stats.plis_received,
             0,
         );
+        self.catch_up(leg_idx, now_us);
+    }
+
+    /// Bring a leg that lost its state back: a catch-up burst from the
+    /// mirror (at most one per PLI interval) once synced, else a coalesced
+    /// upstream PLI.
+    fn catch_up(&mut self, leg_idx: usize, now_us: u64) {
         if self.mirror.synced() && self.cfg.catchup_enabled {
             let due = self.legs[leg_idx]
                 .last_catchup_us
@@ -1336,28 +1216,21 @@ impl RelayNode {
         // delivering it after the burst would double-apply moves.
         leg.queue = FreshQueue::new();
         // A fresh burst obsoletes any previous one.
-        leg.minted.clear();
-        let mut burst_pkts = 0u64;
-        let mut burst_bytes = 0u64;
+        leg.out.forget_kept();
+        // The burst IS the refresh: bypass the pacer.
+        let mut burst = Burst::default();
         for msg in &msgs {
-            let Ok(frags) = fragment(msg, MTU) else {
-                continue;
-            };
-            // The burst IS the refresh: bypass the pacer.
-            let frags = frags.iter().map(|f| (f.marker, &f.payload[..]));
-            let burst = leg.mint(frags, media, now_us);
-            burst_pkts += burst.packets;
-            burst_bytes += burst.bytes;
+            let _ = (leg.out).send_message(&mut leg.tap, now_us, msg, MTU, media, &mut burst);
         }
         leg.last_catchup_us = Some(now_us);
         self.stats.catchups_served += 1;
-        self.stats.catchup_bytes += burst_bytes;
+        self.stats.catchup_bytes += burst.bytes;
         self.rec(
             now_us,
             Self::leg_actor(leg_idx),
             EventKind::RelayCatchupServed,
-            burst_pkts,
-            burst_bytes,
+            burst.packets,
+            burst.bytes,
         );
     }
 
@@ -1455,7 +1328,7 @@ impl Relay for RelayNode {
     }
 
     fn deliver(&mut self, leg: usize, now_us: u64) -> Delivery {
-        if self.legs[leg].wire.is_stream() {
+        if self.legs[leg].out.wire.is_stream() {
             Delivery::Stream(self.poll_leg_stream(leg, now_us))
         } else {
             Delivery::Datagrams(self.poll_leg_bytes(leg, now_us))
@@ -1473,7 +1346,7 @@ impl Relay for RelayNode {
     fn next_event_us(&self) -> Option<u64> {
         self.legs
             .iter()
-            .filter_map(|l| l.wire.next_event_us())
+            .filter_map(|l| l.out.wire.next_event_us())
             .min()
     }
 }
@@ -1485,6 +1358,7 @@ mod tests {
     use adshare_remoting::packetizer::{RemotingDepacketizer, RemotingPacketizer};
     use adshare_rtp::rtcp::{encode_compound, PictureLossIndication, ReceiverReport};
     use adshare_rtp::session::RtpSender;
+    use adshare_rtp::RtpHeader;
     use adshare_session::{Layout, Participant};
     use bytes::Bytes;
     use rand::rngs::StdRng;
@@ -1755,16 +1629,19 @@ mod tests {
         })]);
         relay.handle_leg_rtcp(leg, &pli, 1_000);
         assert_eq!(relay.stats().catchups_served, 1);
-        relay.poll_leg(leg, 1_000);
-        let reused = *relay.legs[leg]
-            .minted
-            .keys()
-            .min()
-            .expect("burst retained for repair");
+        let reused = relay.poll_leg(leg, 1_000)[0][2..4].to_vec();
+        let reused = u16::from_be_bytes([reused[0], reused[1]]);
 
-        // Simulate the wrap: the live stream's next packet lands on a seq
-        // the catch-up burst occupied.
-        relay.legs[leg].next_seq = Some(reused);
+        // Wrap the leg's sequence space: forward filler until the live
+        // stream's next packet lands on a seq the catch-up burst occupied.
+        let filler = RtpPacket::new(RtpHeader::new(99, 0, 0, 1), vec![0u8; 4]);
+        let l = &mut relay.legs[leg];
+        while l.out.last_sent() != Some(reused.wrapping_sub(1)) {
+            let filler = std::slice::from_ref(&filler);
+            l.out
+                .forward(&mut l.tap, 1_500, filler, &mut Burst::default());
+            l.out.wire.poll(0, 1_500);
+        }
         let png = AnyCodec::new(CodecKind::Png);
         let fresh_img = Image::filled(64, 48, [200, 10, 10, 255]).unwrap();
         feed_msgs(
@@ -1794,6 +1671,44 @@ mod tests {
             repaired[0], fresh_wire,
             "NACK must be answered with the live packet, not the stale catch-up"
         );
+    }
+
+    #[test]
+    fn nack_for_unsent_seq_buys_nothing_and_a_forgotten_one_is_no_pli() {
+        let mut relay = RelayNode::new(RelayConfig::default(), 0);
+        relay.subscribe(0);
+        let mut pktzr = packetizer();
+        feed_msgs(&mut relay, &mut pktzr, &window_msgs([10, 20, 30, 255]));
+        relay.step(0);
+        let leg = relay.add_leg_raw(None);
+        let pli = encode_compound(&[RtcpPacket::Pli(PictureLossIndication {
+            sender_ssrc: 1,
+            media_ssrc: 2,
+        })]);
+        let nack =
+            |seq: u16| encode_compound(&[RtcpPacket::Nack(GenericNack::from_seqs(1, 2, &[seq]))]);
+        relay.handle_leg_rtcp(leg, &pli, 1_000);
+        let first = RtpPacket::decode(&relay.poll_leg(leg, 1_000)[0]).unwrap();
+        assert_eq!(relay.stats().catchups_served, 1);
+
+        // Sequences this leg never sent, each past the PLI interval.
+        for i in 0..4u16 {
+            let now = 600_000 * (u64::from(i) + 1);
+            relay.handle_leg_rtcp(leg, &nack(0x7000 + i), now);
+            assert!(relay.poll_leg(leg, now).is_empty(), "nothing to repair");
+        }
+        let s = relay.stats();
+        assert_eq!((s.catchups_served, s.plis_received), (1, 1));
+        assert_eq!(s.nacks_unsent_seqs, 4);
+
+        // A second burst obsoletes the first: a NACK for the first is
+        // repaired by a catch-up, which is not a PLI the leg sent.
+        relay.handle_leg_rtcp(leg, &pli, 3_000_000);
+        relay.poll_leg(leg, 3_000_000);
+        relay.handle_leg_rtcp(leg, &nack(first.header.sequence), 3_600_000);
+        assert!(!relay.poll_leg(leg, 3_600_000).is_empty());
+        let s = relay.stats();
+        assert_eq!((s.catchups_served, s.plis_received), (3, 2));
     }
 
     #[test]

@@ -390,6 +390,15 @@ impl AppHost {
         self.add_member(user_id, leg, 0)
     }
 
+    /// Attach a participant over a raw queue: its datagrams pile up for the
+    /// caller to ship over a real socket ([`AppHost::poll_udp_bytes`]).
+    /// Like a UDP participant it sends a PLI to receive initial state.
+    pub fn attach_raw(&mut self, user_id: u16) -> ParticipantHandle {
+        let ssrc = 0x41480000 | user_id as u32;
+        let leg = self.add_leg(Wire::raw(), ssrc, None);
+        self.add_member(user_id, leg, 0)
+    }
+
     /// Attach a TCP participant. Initial state is sent immediately (§4.4:
     /// "right after the TCP connection establishment").
     pub fn attach_tcp(&mut self, user_id: u16, link: TcpConfig) -> ParticipantHandle {
@@ -447,7 +456,11 @@ impl AppHost {
         // dropping the burn is a separate change with a new fixture.
         let _ = RtpSender::new(0, 0, &mut self.rng);
         let leg = self.legs[slot].as_mut().expect("sessions are never freed");
-        let receiver = leg.wire.join(link, seed).expect("session legs are groups");
+        let receiver = leg
+            .out
+            .wire
+            .join(link, seed)
+            .expect("session legs are groups");
         if let Some(obs) = &self.obs {
             // Re-registration is idempotent for existing members and picks
             // up the newly joined one.
@@ -478,7 +491,10 @@ impl AppHost {
         let Some((slot, _)) = self.route(handle) else {
             return;
         };
-        if let Some(channel) = self.legs[slot].as_mut().and_then(|l| l.wire.udp_link_mut()) {
+        if let Some(channel) = self.legs[slot]
+            .as_mut()
+            .and_then(|l| l.out.wire.udp_link_mut())
+        {
             channel.set_schedule(steps);
         }
     }
@@ -492,7 +508,7 @@ impl AppHost {
 
     /// The AH egress byte count for one participant's transport.
     pub fn participant_bytes_sent(&self, handle: ParticipantHandle) -> u64 {
-        self.leg(handle).map_or(0, |l| l.wire.bytes_sent())
+        self.leg(handle).map_or(0, |l| l.out.wire.bytes_sent())
     }
 
     /// Capture desktop changes and flush to all participants.
@@ -584,7 +600,7 @@ impl AppHost {
             pending.pointer_icon |= ptr_icon;
         };
         for leg in self.legs.iter_mut().flatten() {
-            if leg.wire.has_receivers() {
+            if leg.out.wire.has_receivers() {
                 merge(&mut leg.pending);
             }
         }
@@ -628,7 +644,7 @@ impl AppHost {
             return Vec::new();
         };
         match &mut self.legs[slot] {
-            Some(leg) => leg.wire.poll(receiver, now_us),
+            Some(leg) => leg.out.wire.poll(receiver, now_us),
             None => Vec::new(),
         }
     }
@@ -647,7 +663,7 @@ impl AppHost {
             return Vec::new();
         };
         match &mut self.legs[slot] {
-            Some(leg) => leg.wire.poll_stream(now_us),
+            Some(leg) => leg.out.wire.poll_stream(now_us),
             None => Vec::new(),
         }
     }
@@ -810,7 +826,7 @@ impl AppHost {
         self.legs
             .iter()
             .flatten()
-            .filter_map(|l| l.wire.next_event_us())
+            .filter_map(|l| l.out.wire.next_event_us())
             .min()
     }
 

@@ -1,5 +1,6 @@
-//! The AH's one egress leg: sequence remoting messages into RTP, pace them
-//! (§4.3), keep them for Generic NACK (§5.3), report them (RTCP SR) — over
+//! The AH's one egress leg: the AH's policy around one [`Downstream`] —
+//! pace remoting messages (§4.3), answer Generic NACKs and receiver-report
+//! tail loss from what the stream kept (§5.3), report them (RTCP SR) — over
 //! whichever [`Wire`] the path uses. A unicast participant owns its leg;
 //! the members of a multicast session share theirs.
 //!
@@ -7,8 +8,6 @@
 //! comes from: a datagram path asks its token bucket, a stream reads its
 //! send-buffer backlog (which is also its congestion signal and, per §7,
 //! its reason to hold stale state back).
-
-use std::collections::HashMap;
 
 use adshare_capture::StreamKind;
 use adshare_netsim::time::us_to_ticks;
@@ -18,9 +17,6 @@ use adshare_obs::{
 };
 use adshare_rate::RateController;
 use adshare_remoting::message::RemotingMessage;
-use adshare_remoting::packetizer::packetize_with;
-use adshare_rtp::history::RetransmitHistory;
-use adshare_rtp::packet::RtpPacket;
 use adshare_rtp::rtcp::{
     encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
 };
@@ -30,11 +26,7 @@ use bytes::Bytes;
 use super::drain::{Drained, Pending, RateState};
 use super::{AppHost, Cx};
 use crate::config::AhConfig;
-use crate::egress::Wire;
-
-/// A repair already multicast within this window reaches every member;
-/// answering the same NACK again only amplifies the storm.
-const RETX_DEDUP_WINDOW_US: u64 = 100_000;
+use crate::egress::{Burst, Downstream, StreamId, Verdict, Wire};
 
 /// Largest RR tail deficit worth repairing packet-by-packet; beyond this
 /// (or past the history window) a refresh is cheaper.
@@ -49,9 +41,12 @@ const STREAM_MTU: usize = 60_000;
 
 #[derive(Debug)]
 pub(super) struct Leg {
-    pub(super) wire: Wire,
+    /// The stream on the path's wire: sequence space, repair record, NACK
+    /// lookup, packetizer. Its actor is the participant's handle index, or
+    /// [`ACTOR_AH`] for a group.
+    pub(super) out: Downstream,
+    /// SSRC, payload type and timestamp offset; the stream numbers.
     sender: RtpSender,
-    history: Option<RetransmitHistory>,
     pub(super) pending: Pending,
     /// Pacing, congestion control and adaptive quality for this path. On a
     /// shared leg every member's RTCP feeds this one controller, so the
@@ -63,23 +58,12 @@ pub(super) struct Leg {
     last_flush_us: u64,
     /// RTP payload budget per packet.
     mtu: usize,
-    /// Actor of this leg's media in events and captures: the participant's
-    /// handle index, or [`ACTOR_AH`] for a group.
-    actor: u16,
     /// Registry prefix (`ah.participant.{i}` / `ah.mcast.{s}`).
     prefix: String,
-    /// Recently retransmitted seqs → time (shared legs only), collapsing
-    /// the storm of identical NACKs a shared loss produces.
-    recent_retx: HashMap<u16, u64>,
-    /// Working space kept between flushes, so a steady flow costs one
-    /// allocation per packet — its datagram — and none for bookkeeping: the
-    /// messages one flush drained, the packets of the message being sent,
-    /// the bytes a datagram is assembled from, and the sequences one
-    /// receiver report asks to have repaired.
+    /// The messages one flush drained, kept between flushes so a steady
+    /// flow costs one allocation per packet — its datagram — and none for
+    /// bookkeeping.
     drained: Vec<Drained>,
-    packets: Vec<RtpPacket>,
-    scratch: Vec<u8>,
-    tail_seqs: Vec<u16>,
 }
 
 /// Refresh a path's rate estimate and report AIMD growth as a
@@ -106,28 +90,21 @@ impl Leg {
         prefix: String,
     ) -> Self {
         // A stream is reliable: nothing to retransmit.
-        let history = (cfg.retransmissions && !wire.is_stream())
-            .then(|| RetransmitHistory::new(cfg.history.0, cfg.history.1));
+        let keep = (cfg.retransmissions && !wire.is_stream()).then_some(cfg.history);
         Leg {
             mtu: if wire.is_stream() {
                 STREAM_MTU
             } else {
                 cfg.mtu
             },
-            wire,
+            out: Downstream::new(wire, actor, Some(sender.peek_seq()), keep, false),
             sender,
-            history,
             pending: Pending::default(),
             rs: RateState::new(rate),
             last_sr_us: 0,
             last_flush_us: 0,
-            actor,
             prefix,
-            recent_retx: HashMap::new(),
             drained: Vec::new(),
-            packets: Vec::new(),
-            scratch: Vec::new(),
-            tail_seqs: Vec::new(),
         }
     }
 
@@ -135,28 +112,27 @@ impl Leg {
     /// (idempotent; re-run after a group gains a member).
     pub(super) fn register_metrics(&self, registry: &Registry) {
         let prefix = &self.prefix;
-        self.wire.register_metrics(registry, prefix);
+        self.out.wire.register_metrics(registry, prefix);
         self.rs
             .rate
             .register_metrics(registry, &format!("{prefix}.rate"));
-        if let Some(h) = &self.history {
-            h.register_metrics(registry, &format!("{prefix}.retx_history"));
-        }
+        self.out
+            .register_metrics(registry, &format!("{prefix}.retx_history"));
     }
 
     /// A multicast session's leg: several receivers' feedback lands on it,
     /// so repairs are deduplicated, an idle group stops sending reports,
     /// and the bucket accrues only while the group flushes.
     pub(super) fn shared(&self) -> bool {
-        self.wire.is_group()
+        self.out.wire.is_group()
     }
 
     /// Whether the leg still holds unflushed work — pending damage, a
     /// non-empty pacer queue, owed lossless repairs, or stream bytes queued
     /// behind a full send buffer.
     pub(super) fn has_pending(&self) -> bool {
-        self.wire.has_receivers()
-            && (!self.pending.is_empty() || self.rs.busy() || self.wire.has_unsent())
+        self.out.wire.has_receivers()
+            && (!self.pending.is_empty() || self.rs.busy() || self.out.wire.has_unsent())
     }
 
     /// Feed the path's estimator one congestion signal; a multiplicative
@@ -181,7 +157,7 @@ impl Leg {
     /// backlog `None` on a datagram path; `None` when the path is idle.
     fn budget(&mut self, cx: &Cx<'_>, now_us: u64) -> Option<(Option<u64>, Option<usize>)> {
         let adaptive = self.rs.rate.is_adaptive();
-        if let Some((backlog, capacity)) = self.wire.stream_backlog(now_us) {
+        if let Some((backlog, capacity)) = self.out.wire.stream_backlog(now_us) {
             if adaptive {
                 // §7's select() signal doubles as TCP's congestion signal:
                 // the controller adapts quality from the send-buffer
@@ -215,7 +191,7 @@ impl Leg {
 
     /// Drain what the path affords this step and send it.
     pub(super) fn flush(&mut self, cx: &mut Cx<'_>, now_us: u64) {
-        if !self.wire.has_receivers() {
+        if !self.out.wire.has_receivers() {
             return;
         }
         let Some((budget, stream)) = self.budget(cx, now_us) else {
@@ -240,7 +216,7 @@ impl Leg {
                 // freshest version once the buffer drains.
                 cx.event(
                     now_us,
-                    self.actor,
+                    self.out.actor(),
                     EventKind::BacklogSkip,
                     backlog as u64,
                     0,
@@ -293,13 +269,8 @@ impl Leg {
         }
     }
 
-    /// Fragment one message onto this leg's RTP stream and send it; returns
+    /// Packetize one message onto this leg's stream and send it; returns
     /// the bytes put on the transport.
-    ///
-    /// Each packet is serialised once, into the one buffer
-    /// ([`packetize_with`]) that the wire then folds, taps and queues and
-    /// the history keeps: one allocation per RTP packet, whatever the
-    /// transport and however many hold the handle.
     fn send_message(
         &mut self,
         cx: &mut Cx<'_>,
@@ -308,93 +279,61 @@ impl Leg {
         now_us: u64,
     ) -> u64 {
         let ticks = us_to_ticks(now_us) as u32;
+        let id = StreamId {
+            pt: self.sender.payload_type(),
+            ts: self.sender.timestamp_for(ticks),
+            ssrc: self.sender.ssrc(),
+        };
         let frag_start = std::time::Instant::now();
-        let mut packets = std::mem::take(&mut self.packets);
-        let fits = packetize_with(
-            &mut self.sender,
-            msg,
-            self.mtu,
-            ticks,
-            &mut self.scratch,
-            |pkt| packets.push(pkt),
-        );
-        if fits.is_err() {
-            self.packets = packets;
+        let mut burst = Burst::default();
+        if (self.out)
+            .send_message(cx.tap, now_us, msg, self.mtu, id, &mut burst)
+            .is_err()
+        {
             return 0;
         }
         let fragment_us = frag_start.elapsed().as_micros() as u64;
         cx.counters.fragment_us.record(fragment_us);
-        let nfrags = packets.len() as u32;
-        let mut marker_seq = None;
-        let mut msg_bytes = 0u64;
-        for pkt in packets.drain(..) {
-            if pkt.header.marker {
-                marker_seq = Some(pkt.header.sequence);
-            }
-            cx.counters.rtp_packets.inc();
-            let datagram = pkt.datagram(&mut self.scratch);
-            let on_wire = self
-                .wire
-                .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &datagram)
-                as u64;
-            msg_bytes += on_wire;
-            cx.counters.bytes_sent.add(on_wire);
-            if let Some(history) = &mut self.history {
-                history.record(pkt);
-            }
-        }
-        self.packets = packets;
+        cx.counters.rtp_packets.add(burst.packets);
+        cx.counters.bytes_sent.add(burst.bytes);
+        let nfrags = burst.packets as u32;
         cx.event(
             now_us,
-            self.actor,
+            self.out.actor(),
             EventKind::RtpTx,
-            marker_seq.unwrap_or(0) as u64,
-            ((nfrags as u64) << 32) | (msg_bytes & 0xFFFF_FFFF),
+            burst.marker_seq.unwrap_or(0) as u64,
+            ((nfrags as u64) << 32) | (burst.bytes & 0xFFFF_FFFF),
         );
-        if let (Some(obs), Some(mut trace), Some(seq)) = (cx.obs, seed, marker_seq) {
+        if let (Some(obs), Some(mut trace), Some(seq)) = (cx.obs, seed, burst.marker_seq) {
             trace.sent_at_us = now_us;
             trace.fragment_wall_us = fragment_us;
             trace.fragments = nfrags;
             obs.traces.register(self.sender.ssrc(), seq, trace);
         }
-        msg_bytes
+        burst.bytes
     }
 
-    /// Answer a NACK (or an RR tail deficit) from the retransmit history.
-    fn retransmit(&mut self, cx: &mut Cx<'_>, seqs: &[u16], now_us: u64) {
-        self.recent_retx
-            .retain(|_, &mut at| now_us.saturating_sub(at) < RETX_DEDUP_WINDOW_US);
-        let shared = self.shared();
-        let Some(history) = &mut self.history else {
+    /// Have the stream answer NACKed (or tail-lost) sequences, and account
+    /// for each answer.
+    fn repair(&mut self, cx: &mut Cx<'_>, seqs: impl Iterator<Item = u16>, now_us: u64) {
+        if !self.out.keeps() {
             return;
-        };
-        for &seq in seqs {
-            if self.recent_retx.contains_key(&seq) {
-                cx.counters.retransmits_suppressed.inc();
-                cx.event(now_us, self.actor, EventKind::RetxSuppressed, seq as u64, 0);
-                continue;
+        }
+        let actor = self.out.actor();
+        for seq in seqs {
+            match self.out.answer(cx.tap, seq, now_us) {
+                Verdict::Resend(datagram) => {
+                    let len = datagram.len() as u64;
+                    cx.counters.retransmits.inc();
+                    cx.counters.bytes_sent.add(len);
+                    cx.event(now_us, actor, EventKind::RetxServed, seq as u64, len);
+                }
+                Verdict::Repeated => {
+                    cx.counters.retransmits_suppressed.inc();
+                    cx.event(now_us, actor, EventKind::RetxSuppressed, seq as u64, 0);
+                }
+                _ => cx.event(now_us, actor, EventKind::RetxExpired, seq as u64, 0),
             }
-            let Some(pkt) = history.lookup(seq) else {
-                cx.event(now_us, self.actor, EventKind::RetxExpired, seq as u64, 0);
-                continue;
-            };
-            // The history kept the buffer the packet first went out as;
-            // the repair is another handle on it.
-            let encoded = pkt.datagram(&mut self.scratch);
-            self.wire
-                .send(cx.tap, StreamKind::Rtp, self.actor, now_us, &encoded);
-            if shared {
-                self.recent_retx.insert(seq, now_us);
-            }
-            cx.counters.retransmits.inc();
-            cx.counters.bytes_sent.add(encoded.len() as u64);
-            cx.event(
-                now_us,
-                self.actor,
-                EventKind::RetxServed,
-                seq as u64,
-                encoded.len() as u64,
-            );
         }
     }
 
@@ -404,13 +343,13 @@ impl Leg {
     pub(super) fn emit_sender_report(&mut self, cx: &mut Cx<'_>, now_us: u64) {
         let group_idle =
             self.shared() && now_us.saturating_sub(self.last_flush_us) > SR_INTERVAL_US * 10;
-        if !self.wire.has_receivers() || group_idle {
+        if !self.out.wire.has_receivers() || group_idle {
             return;
         }
         if now_us.saturating_sub(self.last_sr_us) < SR_INTERVAL_US {
             return;
         }
-        let (packets, octets) = self.sender.sent_counts();
+        let (packets, octets) = self.out.sent_counts();
         if packets == 0 {
             return;
         }
@@ -432,7 +371,8 @@ impl Leg {
             RtcpPacket::Sdes(SourceDescription::cname(ssrc, "ah@adshare")),
         ]));
         cx.counters.sr_sent.inc();
-        self.wire
+        self.out
+            .wire
             .send(cx.tap, StreamKind::Rtcp, ACTOR_AH, now_us, &bytes);
     }
 
@@ -454,7 +394,7 @@ impl Leg {
         self.feed_rate(cx, now_us, RATE_CAUSE_NACK_BURST, |rate| {
             rate.on_nack(lost.len(), now_us)
         });
-        self.retransmit(cx, lost, now_us);
+        self.repair(cx, lost.iter().copied(), now_us);
     }
 
     /// A reception report: the loss fraction feeds the estimator, and the
@@ -466,28 +406,24 @@ impl Leg {
     pub(super) fn on_receiver_report(&mut self, cx: &mut Cx<'_>, block: &ReportBlock, now_us: u64) {
         // A stream is reliable and in-order: a lagging RR just means queued
         // bytes (the estimator watches the send-buffer backlog instead).
-        if self.wire.is_stream() {
+        if self.out.wire.is_stream() {
             return;
         }
         self.feed_rate(cx, now_us, RATE_CAUSE_LOSS_REPORT, |rate| {
             rate.on_report(block.fraction_lost, now_us)
         });
-        if self.sender.sent_counts().0 == 0 {
+        let Some(last_sent) = self.out.last_sent() else {
             return;
-        }
+        };
         let reported = block.highest_seq as u16;
-        let last_sent = self.sender.peek_seq().wrapping_sub(1);
         let gap = last_sent.wrapping_sub(reported);
         if gap == 0 || gap >= 0x8000 {
             // Up to date, or the report is ahead of our bookkeeping
             // (sequence wrap mid-flight); nothing to repair.
         } else if gap <= TAIL_REPAIR_MAX {
-            let mut seqs = std::mem::take(&mut self.tail_seqs);
-            seqs.clear();
-            seqs.extend((1..=gap).map(|i| reported.wrapping_add(i)));
             cx.counters.tail_repairs.inc();
-            self.retransmit(cx, &seqs, now_us);
-            self.tail_seqs = seqs;
+            let seqs = (1..=gap).map(|i| reported.wrapping_add(i));
+            self.repair(cx, seqs, now_us);
         } else {
             self.full_refresh(cx, now_us);
         }

@@ -1,4 +1,6 @@
-//! The wire boundary: the one place a datagram leaves a sender.
+//! The wire boundary and the downstream half: the one place a datagram
+//! leaves a sender, and the one place an RTP sequence is issued, remembered
+//! and looked up for repair ([`Downstream`]).
 //!
 //! Everything the AH and the relay put on a transport goes through
 //! [`Wire::send`] (or its all-or-nothing sibling [`Wire::send_whole`]),
@@ -18,7 +20,7 @@
 //! because the two senders scope them differently: the AH folds every leg
 //! into one order-sensitive session digest, a relay keeps one per leg.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use adshare_capture::{
     fnv1a_fold, CaptureHandle, Direction, StreamKind, Transport as CapTransport, FNV_OFFSET,
@@ -27,7 +29,10 @@ use adshare_netsim::multicast::MulticastGroup;
 use adshare_netsim::tcp::{TcpConfig, TcpLink};
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::Registry;
+use adshare_remoting::fragment::for_each_fragment;
+use adshare_remoting::message::RemotingMessage;
 use adshare_rtp::framing::{frame_into, MAX_FRAME_LEN};
+use adshare_rtp::{RtpHeader, RtpPacket};
 use bytes::Bytes;
 
 /// Running egress digest plus the capture sink recording the same bytes.
@@ -83,12 +88,14 @@ impl Tap {
 #[allow(clippy::large_enum_variant)] // one link per leg; not worth boxing
 enum Link {
     Udp(UdpChannel),
-    /// RFC 4571-framed reliable stream. `outq` holds framed bytes the send
-    /// buffer refused, for senders that keep the stream ordered
-    /// ([`Wire::send`]); it stays empty under [`Wire::send_whole`].
+    /// RFC 4571-framed reliable stream. `outq[head..]` holds framed bytes
+    /// the send buffer refused, for senders that keep the stream ordered
+    /// ([`Wire::send`]); it stays empty under [`Wire::send_whole`]. Pushing
+    /// advances `head` instead of shifting the rest to the front.
     Tcp {
         link: TcpLink,
         outq: Vec<u8>,
+        head: usize,
     },
     Multicast(MulticastGroup),
     /// Datagrams pile up for the caller to ship over real sockets.
@@ -121,6 +128,7 @@ impl Wire {
         Self::new(Link::Tcp {
             link: TcpLink::new(link),
             outq: Vec::new(),
+            head: 0,
         })
     }
 
@@ -188,7 +196,7 @@ impl Wire {
             Link::Udp(channel) => channel.send_bytes(now_us, datagram),
             Link::Multicast(group) => group.send_bytes(now_us, datagram),
             Link::Raw(queue) => queue.push_back(datagram.clone()),
-            Link::Tcp { link, outq } => {
+            Link::Tcp { link, outq, .. } => {
                 self.framed.clear();
                 let _ = frame_into(&mut self.framed, datagram);
                 // Stream bytes must stay ordered: once anything is queued,
@@ -229,14 +237,25 @@ impl Wire {
     /// For a stream: push the spill queue, then report `(backlog bytes,
     /// send-buffer capacity)` — the §7 signal. `None` on datagram wires.
     pub fn stream_backlog(&mut self, now_us: u64) -> Option<(usize, usize)> {
-        let Link::Tcp { link, outq } = &mut self.link else {
+        let Link::Tcp { link, outq, head } = &mut self.link else {
             return None;
         };
         if !outq.is_empty() {
-            let n = link.send(now_us, outq);
-            outq.drain(..n);
+            *head += link.send(now_us, &outq[*head..]);
+            if *head == outq.len() {
+                outq.clear();
+                *head = 0;
+            } else if *head > outq.len() / 2 {
+                // Reclaim the sent front once it outweighs what is left, so
+                // each byte moves at most once on average.
+                outq.drain(..*head);
+                *head = 0;
+            }
         }
-        Some((link.backlog(now_us) + outq.len(), link.config().send_buf))
+        Some((
+            link.backlog(now_us) + outq.len() - *head,
+            link.config().send_buf,
+        ))
     }
 
     /// Whether framed bytes still wait behind a full send buffer.
@@ -322,6 +341,321 @@ impl Wire {
             _ => None,
         }
     }
+}
+
+/// A repair repeated within this window answers a loss already answered:
+/// a group leg sends nothing more, and a relay serves another leg from the
+/// copy it fetched and escalates a miss upstream once.
+pub const REPEAT_WINDOW_US: u64 = 100_000;
+
+/// The payload type, timestamp and SSRC a [`Downstream`] stamps on the
+/// packets it numbers.
+#[derive(Debug, Clone, Copy, Default)]
+#[allow(missing_docs)]
+pub struct StreamId {
+    pub pt: u8,
+    pub ts: u32,
+    pub ssrc: u32,
+}
+
+/// What a sequence carried.
+enum Carried {
+    /// A packet numbered here, resent as it was.
+    Kept(Bytes),
+    /// A forwarded packet's upstream sequence.
+    Upstream(u16),
+}
+
+/// What a NACK for one sequence gets ([`Downstream::answer`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// The datagram the sequence carried, resent.
+    Resend(Bytes),
+    /// A forwarded packet: fetch this upstream sequence and
+    /// [`Downstream::resend_as`] it.
+    Upstream(u16),
+    /// Resent within [`REPEAT_WINDOW_US`] already (group wires only).
+    Repeated,
+    /// Sent, but no longer remembered: only a refresh repairs it.
+    Forgotten,
+    /// At or ahead of the next sequence, or behind the first: never sent.
+    NeverSent,
+}
+
+/// What a run of sends put on a [`Downstream`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Burst {
+    /// RTP packets.
+    pub packets: u64,
+    /// Bytes offered to the transport ([`Downstream::send`]).
+    pub bytes: u64,
+    /// The last sequence used.
+    pub last_seq: u16,
+    /// The last sequence that carried the marker bit.
+    pub marker_seq: Option<u16>,
+}
+
+adshare_obs::metric_set! {
+    /// How full the record is, against its caps.
+    struct Occupancy {
+        /// Packets kept.
+        packets: gauge "packets",
+        /// Bytes kept (wire size).
+        bytes: gauge "bytes",
+    }
+}
+
+/// The send half of one RTP stream on one [`Wire`] (DESIGN §5.1): the
+/// sequence space, a bounded record of what each recent sequence carried,
+/// the NACK lookup over it and the packetizer for whole messages. Every
+/// sequence is issued here in turn and recorded under its issue number,
+/// so a NACKed sequence maps to the newest issue of it — one reused after
+/// a wrap finds its newest use or nothing.
+#[derive(Debug)]
+pub struct Downstream {
+    /// The transport.
+    pub wire: Wire,
+    actor: u16,
+    /// All-or-nothing sends ([`Wire::send_whole`]) instead of ordered ones.
+    whole: bool,
+    /// `None` until the first send pins it (a relay leg keeps its first
+    /// forwarded packet's upstream number).
+    next_seq: Option<u16>,
+    /// (packets, payload octets) issued — what a sender report counts.
+    sent: (u64, u64),
+    /// The record, oldest first, each entry under the low 32 bits of its
+    /// issue number: kept datagrams, and forwarded packets' upstream
+    /// sequences (a `u16` each, so forwarding copies no packet).
+    kept: VecDeque<(u32, Bytes)>,
+    forwarded: VecDeque<(u32, u16)>,
+    /// `(packets, bytes)` caps on the record; `None` keeps nothing.
+    keep: Option<(usize, usize)>,
+    kept_bytes: usize,
+    /// Sequences resent within the repeat window, on a group wire.
+    repaired: HashMap<u16, u64>,
+    scratch: Vec<u8>,
+    occupancy: Occupancy,
+}
+
+impl Downstream {
+    /// A stream on `wire` sending as `actor`, numbering from `first_seq`,
+    /// remembering up to `keep = (packets, bytes)` and sending
+    /// all-or-nothing when `whole`.
+    pub fn new(
+        wire: Wire,
+        actor: u16,
+        first_seq: Option<u16>,
+        keep: Option<(usize, usize)>,
+        whole: bool,
+    ) -> Self {
+        Downstream {
+            wire,
+            actor,
+            whole,
+            next_seq: first_seq,
+            sent: (0, 0),
+            kept: VecDeque::new(),
+            forwarded: VecDeque::new(),
+            keep: keep.map(|(packets, bytes)| (packets.max(1), bytes.max(1))),
+            kept_bytes: 0,
+            repaired: HashMap::new(),
+            scratch: Vec::new(),
+            occupancy: Occupancy::default(),
+        }
+    }
+
+    /// Actor of this stream's sends.
+    pub fn actor(&self) -> u16 {
+        self.actor
+    }
+
+    /// Whether the record keeps anything to answer NACKs from.
+    pub fn keeps(&self) -> bool {
+        self.keep.is_some()
+    }
+
+    /// The last sequence issued, if any.
+    pub fn last_sent(&self) -> Option<u16> {
+        Some(self.next_seq.filter(|_| self.sent.0 > 0)?.wrapping_sub(1))
+    }
+
+    /// (packets, payload octets) issued so far.
+    pub fn sent_counts(&self) -> (u64, u64) {
+        self.sent
+    }
+
+    /// Adopt the record's `{prefix}.packets` / `.bytes` gauges and its
+    /// caps as `.max_packets` / `.max_bytes` (nothing if it keeps nothing).
+    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
+        if let Some((packets, bytes)) = self.keep {
+            self.occupancy.register(registry, prefix);
+            let cap =
+                |name: &str, n: usize| registry.gauge(&format!("{prefix}.{name}")).set(n as i64);
+            cap("max_packets", packets);
+            cap("max_bytes", bytes);
+        }
+    }
+
+    /// Send one datagram under this stream's TCP policy; returns the bytes
+    /// offered: framed on an ordered stream, refused or not on an
+    /// all-or-nothing one.
+    pub fn send(&mut self, tap: &mut Tap, kind: StreamKind, now_us: u64, datagram: &Bytes) -> u64 {
+        if self.whole {
+            self.wire
+                .send_whole(tap, kind, self.actor, now_us, datagram);
+            return datagram.len() as u64;
+        }
+        self.wire.send(tap, kind, self.actor, now_us, datagram) as u64
+    }
+
+    /// Issue the next sequence (`first` unless pinned) to a packet of
+    /// `payload` octets.
+    fn issue(&mut self, first: u16, payload: usize) -> u16 {
+        let seq = self.next_seq.unwrap_or(first);
+        self.next_seq = Some(seq.wrapping_add(1));
+        self.sent = (self.sent.0 + 1, self.sent.1 + payload as u64);
+        seq
+    }
+
+    /// Record what the sequence just issued carried, dropping what was
+    /// issued more than the packet cap ago and kept datagrams oldest-first
+    /// past the byte cap (one larger than the cap on its own is not kept).
+    fn remember(&mut self, carried: Carried) {
+        let Some((max_packets, max_bytes)) = self.keep else {
+            return;
+        };
+        let issued = self.sent.0 as u32;
+        let stale = |at: u32| issued.wrapping_sub(at) as usize > max_packets;
+        while self.kept.front().is_some_and(|(at, _)| stale(*at)) {
+            self.evict_kept();
+        }
+        while self.forwarded.front().is_some_and(|(at, _)| stale(*at)) {
+            self.forwarded.pop_front();
+        }
+        let at = issued.wrapping_sub(1);
+        match carried {
+            Carried::Kept(datagram) => {
+                let len = datagram.len();
+                while !self.kept.is_empty() && self.kept_bytes + len > max_bytes {
+                    self.evict_kept();
+                }
+                self.kept_bytes += len;
+                self.kept.push_back((at, datagram));
+                if self.kept_bytes > max_bytes {
+                    self.evict_kept();
+                }
+            }
+            Carried::Upstream(up) => self.forwarded.push_back((at, up)),
+        }
+        let packets = self.kept.len() + self.forwarded.len();
+        self.occupancy.packets.set(packets as i64);
+        self.occupancy.bytes.set(self.kept_bytes as i64);
+    }
+
+    fn evict_kept(&mut self) {
+        if let Some((_, datagram)) = self.kept.pop_front() {
+            self.kept_bytes -= datagram.len();
+        }
+    }
+
+    /// Packetize one message under `id` (§5.1.1) and send and keep each
+    /// packet — serialised once, into the one buffer the wire folds, taps
+    /// and queues and the record keeps — adding them to `burst`. A message
+    /// that does not fit `mtu` sends nothing: every error comes before the
+    /// first fragment.
+    pub fn send_message(
+        &mut self,
+        tap: &mut Tap,
+        now_us: u64,
+        msg: &RemotingMessage,
+        mtu: usize,
+        id: StreamId,
+        burst: &mut Burst,
+    ) -> adshare_remoting::Result<()> {
+        for_each_fragment(msg, mtu, |marker, head, chunk| {
+            let seq = self.issue(0, head.len() + chunk.len());
+            let mut header = RtpHeader::new(id.pt, seq, id.ts, id.ssrc);
+            header.marker = marker;
+            let pkt = RtpPacket::assemble(header, &[head, chunk], &mut self.scratch);
+            let datagram = pkt.datagram(&mut self.scratch);
+            self.remember(Carried::Kept(datagram.clone()));
+            burst.packets += 1;
+            burst.bytes += self.send(tap, StreamKind::Rtp, now_us, &datagram);
+            burst.last_seq = seq;
+            burst.marker_seq = if marker { Some(seq) } else { burst.marker_seq };
+        })
+    }
+
+    /// Forward upstream packets under this stream's sequence space,
+    /// remembering only each one's upstream sequence.
+    pub fn forward(&mut self, tap: &mut Tap, now_us: u64, pkts: &[RtpPacket], burst: &mut Burst) {
+        for pkt in pkts {
+            let up = pkt.header.sequence;
+            let seq = self.issue(up, pkt.payload.len());
+            self.remember(Carried::Upstream(up));
+            burst.packets += 1;
+            burst.bytes += self.resend_as(tap, now_us, pkt, seq);
+            burst.last_seq = seq;
+        }
+    }
+
+    /// (Re)send an upstream `pkt` as this stream's `seq`, on a clone: a
+    /// packet whose number does not change goes out as the buffer it
+    /// arrived in. Returns the bytes offered.
+    pub fn resend_as(&mut self, tap: &mut Tap, now_us: u64, pkt: &RtpPacket, seq: u16) -> u64 {
+        let mut out = pkt.clone();
+        out.header.sequence = seq;
+        let datagram = out.datagram(&mut self.scratch);
+        self.send(tap, StreamKind::Rtp, now_us, &datagram)
+    }
+
+    /// Answer a NACK for `seq` at `now_us`: a kept packet is resent here
+    /// (the verdict hands back the datagram that went out); every other
+    /// verdict is the caller's to act on.
+    pub fn answer(&mut self, tap: &mut Tap, seq: u16, now_us: u64) -> Verdict {
+        let fresh = |at: &u64| now_us.saturating_sub(*at) < REPEAT_WINDOW_US;
+        if self.repaired.get(&seq).is_some_and(fresh) {
+            return Verdict::Repeated;
+        }
+        let back = self.next_seq.map_or(0, |next| next.wrapping_sub(seq));
+        if back == 0 || back >= 0x8000 || u64::from(back) > self.sent.0 {
+            return Verdict::NeverSent;
+        }
+        let at = (self.sent.0 - u64::from(back)) as u32;
+        if let Some(datagram) = find(&self.kept, at).cloned() {
+            self.send(tap, StreamKind::Rtp, now_us, &datagram);
+            if self.wire.is_group() {
+                self.repaired.retain(|_, at| fresh(at));
+                self.repaired.insert(seq, now_us);
+            }
+            return Verdict::Resend(datagram);
+        }
+        find(&self.forwarded, at).map_or(Verdict::Forgotten, |up| Verdict::Upstream(*up))
+    }
+
+    /// Let go of every kept packet (a relay's catch-up burst obsoletes the
+    /// ones it minted before): their sequences become forgotten.
+    pub fn forget_kept(&mut self) {
+        self.kept.clear();
+        self.kept_bytes = 0;
+    }
+
+    /// Forget everything sent (the receiver left).
+    pub fn close(&mut self) {
+        self.forget_kept();
+        self.forwarded.clear();
+    }
+}
+
+/// The entry recorded under issue number `at` (the record is in issue
+/// order, and spans less than half the 32-bit issue space).
+fn find<T>(record: &VecDeque<(u32, T)>, at: u32) -> Option<&T> {
+    let first = record.front()?.0;
+    let key = |entry: &(u32, T)| entry.0.wrapping_sub(first);
+    let i = record
+        .binary_search_by_key(&at.wrapping_sub(first), key)
+        .ok()?;
+    Some(&record[i].1)
 }
 
 #[cfg(test)]

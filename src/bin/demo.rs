@@ -40,18 +40,11 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use adshare::codec::codec::{default_pt, AnyCodec, Codec};
-use adshare::codec::CodecKind;
 use adshare::netsim::real::RealUdp;
-use adshare::obs::{DumpSink, EventKind, HealthReport, HealthStatus};
+use adshare::obs::{DumpSink, HealthReport, HealthStatus};
 use adshare::prelude::*;
-use adshare::remoting::message::{RegionUpdate, RemotingMessage, WindowManagerInfo, WindowRecord};
-use adshare::remoting::packetizer::RemotingPacketizer;
-use adshare::rtp::history::RetransmitHistory;
-use adshare::rtp::rtcp::{decode_compound, RtcpPacket};
-use adshare::rtp::session::RtpSender;
 use adshare::screen::workload::{Scrolling, Typing, Video, Workload};
-use bytes::Bytes;
+use adshare::session::ParticipantHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -109,217 +102,6 @@ fn main() {
     }
 }
 
-/// Per-viewer state at the AH.
-struct ViewerState {
-    packetizer: RemotingPacketizer,
-    history: RetransmitHistory,
-    synced: bool,
-    /// Health-event actor id (join order).
-    idx: u16,
-}
-
-struct AhState {
-    desktop: Desktop,
-    win: adshare::screen::wm::WindowId,
-    png: AnyCodec,
-    viewers: HashMap<SocketAddr, ViewerState>,
-    rng: StdRng,
-    next_ssrc: u32,
-    start: Instant,
-    /// Live observability: the event stream the health rules evaluate.
-    obs: adshare::obs::Obs,
-}
-
-impl AhState {
-    fn new() -> Self {
-        let mut desktop = Desktop::new(640, 480);
-        let win = desktop.create_window(1, Rect::new(50, 40, 400, 300), [250, 250, 250, 255]);
-        let _ = desktop.take_damage();
-        let _ = desktop.take_wm_dirty();
-        AhState {
-            desktop,
-            win,
-            png: AnyCodec::new(CodecKind::Png),
-            viewers: HashMap::new(),
-            rng: StdRng::seed_from_u64(0xAD54A3E),
-            next_ssrc: 0xA4000001,
-            start: Instant::now(),
-            obs: adshare::obs::Obs::new(),
-        }
-    }
-
-    fn ticks(&self) -> u32 {
-        ((self.start.elapsed().as_micros() as u64) * 9 / 100) as u32
-    }
-
-    fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    fn full_state(&self) -> Vec<RemotingMessage> {
-        let mut msgs = vec![RemotingMessage::WindowManagerInfo(WindowManagerInfo {
-            windows: self
-                .desktop
-                .wm()
-                .shared_records()
-                .map(|r| WindowRecord {
-                    window_id: WireWindowId(r.id.0),
-                    group_id: r.group,
-                    left: r.rect.left,
-                    top: r.rect.top,
-                    width: r.rect.width,
-                    height: r.rect.height,
-                })
-                .collect(),
-        })];
-        for rec in self.desktop.wm().shared_records() {
-            let content = self.desktop.window_content(rec.id).expect("content");
-            msgs.push(RemotingMessage::RegionUpdate(RegionUpdate {
-                window_id: WireWindowId(rec.id.0),
-                payload_type: default_pt::PNG,
-                left: rec.rect.left,
-                top: rec.rect.top,
-                payload: Bytes::from(self.png.encode(content)),
-            }));
-        }
-        msgs
-    }
-
-    /// Handle inbound RTCP from `from`, registering new viewers on PLI.
-    fn on_rtcp(&mut self, sock: &RealUdp, from: SocketAddr, bytes: &[u8]) {
-        let Ok(packets) = decode_compound(bytes) else {
-            return;
-        };
-        let now_us = self.now_us();
-        for pkt in packets {
-            match pkt {
-                RtcpPacket::Pli(_) => {
-                    if !self.viewers.contains_key(&from) {
-                        let ssrc = self.next_ssrc;
-                        self.next_ssrc += 1;
-                        let idx = self.viewers.len() as u16;
-                        self.viewers.insert(
-                            from,
-                            ViewerState {
-                                packetizer: RemotingPacketizer::new(
-                                    RtpSender::new(ssrc, 99, &mut self.rng),
-                                    1200,
-                                ),
-                                history: RetransmitHistory::new(4096, 8 << 20),
-                                synced: false,
-                                idx,
-                            },
-                        );
-                        println!("viewer joined from {from}");
-                    }
-                    let msgs = self.full_state();
-                    let ticks = self.ticks();
-                    let viewer = self.viewers.get_mut(&from).expect("inserted");
-                    self.obs
-                        .event(now_us, viewer.idx, EventKind::PliReceived, 0, 0);
-                    for msg in &msgs {
-                        let (mut pkts, mut bytes) = (0u64, 0u64);
-                        for pkt in viewer.packetizer.packetize(msg, ticks).expect("packetize") {
-                            let wire = pkt.encode();
-                            viewer.history.record(pkt);
-                            pkts += 1;
-                            bytes += wire.len() as u64;
-                            let _ = send_to(sock, from, &wire);
-                        }
-                        self.obs.event(
-                            now_us,
-                            viewer.idx,
-                            EventKind::RtpTx,
-                            0,
-                            (pkts << 32) | bytes,
-                        );
-                    }
-                    viewer.synced = true;
-                }
-                RtcpPacket::Nack(nack) => {
-                    if let Some(viewer) = self.viewers.get_mut(&from) {
-                        let lost = nack.lost_seqs();
-                        self.obs.event(
-                            now_us,
-                            viewer.idx,
-                            EventKind::NackReceived,
-                            lost.len() as u64,
-                            0,
-                        );
-                        for seq in lost {
-                            if let Some(pkt) = viewer.history.lookup(seq) {
-                                let _ = send_to(sock, from, &pkt.encode());
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Broadcast this tick's damage to all synced viewers.
-    fn broadcast_updates(&mut self, sock: &RealUdp) {
-        let damage = self.desktop.take_damage();
-        let _ = self.desktop.take_scroll_hints(); // demo re-encodes scrolls
-        let _ = self.desktop.take_wm_dirty();
-        if damage.is_empty() {
-            return;
-        }
-        let mut updates = Vec::new();
-        for d in &damage {
-            let Some(rec) = self.desktop.wm().get(d.window) else {
-                continue;
-            };
-            let Ok(crop) = self
-                .desktop
-                .window_content(d.window)
-                .expect("content")
-                .crop(d.rect)
-            else {
-                continue;
-            };
-            updates.push(RemotingMessage::RegionUpdate(RegionUpdate {
-                window_id: WireWindowId(d.window.0),
-                payload_type: default_pt::PNG,
-                left: rec.rect.left + d.rect.left,
-                top: rec.rect.top + d.rect.top,
-                payload: Bytes::from(self.png.encode(&crop)),
-            }));
-        }
-        let ticks = self.ticks();
-        let now_us = self.now_us();
-        for (addr, viewer) in self.viewers.iter_mut() {
-            if !viewer.synced {
-                continue;
-            }
-            for msg in &updates {
-                let (mut pkts, mut bytes) = (0u64, 0u64);
-                for pkt in viewer.packetizer.packetize(msg, ticks).expect("packetize") {
-                    let wire = pkt.encode();
-                    viewer.history.record(pkt);
-                    pkts += 1;
-                    bytes += wire.len() as u64;
-                    let _ = send_to(sock, *addr, &wire);
-                }
-                self.obs.event(
-                    now_us,
-                    viewer.idx,
-                    EventKind::RtpTx,
-                    0,
-                    (pkts << 32) | bytes,
-                );
-            }
-        }
-    }
-}
-
-fn send_to(sock: &RealUdp, to: SocketAddr, bytes: &[u8]) -> std::io::Result<usize> {
-    // RealUdp sends to its configured peer; the AH serves many peers, so we
-    // use the raw socket API via a scoped clone of the peer setting.
-    sock.send_to(bytes, to)
-}
-
 fn make_workload(name: &str, win: adshare::screen::wm::WindowId) -> Box<dyn Workload> {
     match name {
         "scroll" => Box::new(Scrolling::new(win, 1)),
@@ -347,40 +129,59 @@ fn health_line(report: &HealthReport) -> String {
     }
 }
 
+/// Run an AH on `port`: every address that sends it a datagram becomes a
+/// participant over a raw leg (it PLIs for initial state, NACKs what it
+/// lost), and each step ships what the AH sent that leg to its address.
 fn run_ah(port: u16, workload: &str, seconds: u64) {
     let sock = RealUdp::bind_port(port).expect("bind");
     println!(
         "AH listening on {} — sharing a 400x300 window with the '{workload}' workload",
         sock.local_addr().expect("addr")
     );
-    let mut state = AhState::new();
-    let mut wl = make_workload(workload, state.win);
+    let mut desktop = Desktop::new(640, 480);
+    let win = desktop.create_window(1, Rect::new(50, 40, 400, 300), [250, 250, 250, 255]);
+    let mut ah = AppHost::new(desktop, AhConfig::default(), 0xAD54A3E);
+    let obs = adshare::obs::Obs::new();
+    ah.attach_obs(obs.clone());
+    let mut wl = make_workload(workload, win);
     let mut wl_rng = StdRng::seed_from_u64(7);
-    let deadline = Instant::now() + Duration::from_secs(seconds);
+    let start = Instant::now();
+    let deadline = start + Duration::from_secs(seconds);
+    let mut viewers: HashMap<SocketAddr, ParticipantHandle> = HashMap::new();
     let mut last_tick = Instant::now();
     let mut last_health = Instant::now();
     while Instant::now() < deadline {
+        let now = start.elapsed().as_micros() as u64;
         for (from, dg) in sock.recv_all_from().expect("recv") {
-            state.on_rtcp(&sock, from, &dg);
+            let user_id = viewers.len() as u16 + 1;
+            let viewer = *viewers.entry(from).or_insert_with(|| {
+                println!("viewer joined from {from}");
+                ah.attach_raw(user_id)
+            });
+            ah.handle_rtcp(viewer, &dg, now);
         }
         if last_tick.elapsed() >= Duration::from_millis(33) {
             last_tick = Instant::now();
-            wl.tick(&mut state.desktop, &mut wl_rng);
-            state.broadcast_updates(&sock);
+            wl.tick(ah.desktop_mut(), &mut wl_rng);
+        }
+        ah.step(now);
+        for (addr, &viewer) in &viewers {
+            for dg in ah.poll_udp_bytes(viewer, now) {
+                let _ = sock.send_to(&dg, *addr);
+            }
         }
         // Live health: evaluate the rolling event window every 2 s and
         // surface anything that has degraded.
-        if last_health.elapsed() >= Duration::from_secs(2) && !state.viewers.is_empty() {
+        if last_health.elapsed() >= Duration::from_secs(2) && !viewers.is_empty() {
             last_health = Instant::now();
-            let report = state.obs.health_check(state.now_us());
-            println!("{}", health_line(&report));
+            println!("{}", health_line(&obs.health_check(now)));
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    let report = state.obs.health_check(state.now_us());
+    let report = obs.health_check(start.elapsed().as_micros() as u64);
     println!(
         "AH done: served {} viewer(s), final {}",
-        state.viewers.len(),
+        viewers.len(),
         health_line(&report)
     );
 }
