@@ -12,15 +12,15 @@
 //!          actor u16 LE | reserved u16
 //!          ts_us u64 LE
 //!          payload (len - 16 - 8 bytes)
-//!          checksum u64 LE       (chunked FNV-1a over dir..payload:
+//!          checksum u64 LE       (word_fold over dir..payload:
 //!                                 length-seeded, 8-byte LE words,
 //!                                 zero-padded tail)
 //! ```
 //!
 //! Every record carries its own checksum, so a truncated or bit-flipped
 //! file fails loudly at the damaged record instead of replaying garbage.
-//! The FNV constants are identical to the session crate's wire-digest
-//! fold, so re-folding a capture's AH-egress records reproduces
+//! The same fold ([`word_fold`]) is the senders' wire digest, so
+//! re-folding a capture's AH-egress records reproduces
 //! `SimSession::wire_digest` bit-exactly — the property replay asserts.
 
 /// Magic prefix of every capture file; doubles as the format version.
@@ -31,7 +31,11 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Fold `bytes` into a running FNV-1a digest.
+/// Fold `bytes` into a running FNV-1a digest, one byte per multiply.
+///
+/// The published FNV-1a; kept for the cache-warm file checksum and the
+/// digests nothing sends through (surfaces, events). Egress uses
+/// [`word_fold`].
 pub fn fnv1a_fold(mut digest: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         digest ^= u64::from(b);
@@ -40,13 +44,18 @@ pub fn fnv1a_fold(mut digest: u64, bytes: &[u8]) -> u64 {
     digest
 }
 
-/// The per-record checksum: FNV-1a folded over 8-byte little-endian
-/// words (zero-padded tail), seeded with the input length. One multiply
-/// per word instead of one per byte — recording sits on the session hot
-/// path, and the byte-serial fold's multiply latency chain dominates the
-/// capture overhead budget on megabyte-per-second streams.
-pub fn record_checksum(bytes: &[u8]) -> u64 {
-    let mut digest = (FNV_OFFSET ^ bytes.len() as u64).wrapping_mul(FNV_PRIME);
+/// Fold `bytes` into a running digest one 8-byte little-endian word per
+/// multiply: the length first, then each word, the tail zero-padded.
+///
+/// This is the wire digest every sender keeps over every datagram it
+/// sends, and the per-record checksum ([`record_checksum`]). One multiply
+/// per word instead of one per byte cuts the multiply latency chain that
+/// bounds the fold to an eighth, which matters because it runs on every
+/// byte the AH and every relay leg send. Because the length is folded in,
+/// splitting the same bytes into datagrams differently changes the
+/// digest.
+pub fn word_fold(digest: u64, bytes: &[u8]) -> u64 {
+    let mut digest = (digest ^ bytes.len() as u64).wrapping_mul(FNV_PRIME);
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         digest ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
@@ -60,6 +69,11 @@ pub fn record_checksum(bytes: &[u8]) -> u64 {
         digest = digest.wrapping_mul(FNV_PRIME);
     }
     digest
+}
+
+/// The per-record checksum: [`word_fold`] from the FNV offset basis.
+pub fn record_checksum(bytes: &[u8]) -> u64 {
+    word_fold(FNV_OFFSET, bytes)
 }
 
 /// Errors arming, encoding, or decoding a capture.
@@ -493,5 +507,113 @@ mod tests {
     fn fnv_fold_matches_reference() {
         // FNV-1a of "a" from the published test vectors.
         assert_eq!(fnv1a_fold(FNV_OFFSET, b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    #[test]
+    fn record_checksums_are_pinned() {
+        // Values of the capture/v1 record checksum before it was expressed
+        // through `word_fold`: existing files must keep verifying.
+        assert_eq!(record_checksum(b""), 0xaf63_bd4c_8601_b7df);
+        assert_eq!(record_checksum(b"a"), 0x082f_4307_b4e8_c4d7);
+        assert_eq!(record_checksum(CAPTURE_MAGIC), 0x59e0_931d_647a_3e08);
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        assert_eq!(record_checksum(&data), 0xc2fb_ad4f_8053_dd44);
+    }
+
+    #[test]
+    fn word_fold_tells_datagram_boundaries_apart() {
+        // The byte-serial fold sees one byte stream; the word fold seeds
+        // each datagram with its length.
+        let split = |parts: &[&[u8]], fold: fn(u64, &[u8]) -> u64| {
+            parts.iter().fold(FNV_OFFSET, |d, p| fold(d, p))
+        };
+        let (a, b): (&[&[u8]], &[&[u8]]) = (&[b"ab", b"c"], &[b"a", b"bc"]);
+        assert_eq!(split(a, fnv1a_fold), split(b, fnv1a_fold));
+        assert_ne!(split(a, word_fold), split(b, word_fold));
+    }
+}
+
+#[cfg(test)]
+mod fold_properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The capture/v1 record checksum exactly as it was written before
+    /// `word_fold` existed: the oracle for "record checksums unchanged".
+    fn v1_record_checksum(bytes: &[u8]) -> u64 {
+        let mut digest = (FNV_OFFSET ^ bytes.len() as u64).wrapping_mul(FNV_PRIME);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            digest ^= u64::from_le_bytes(c.try_into().unwrap());
+            digest = digest.wrapping_mul(FNV_PRIME);
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            digest ^= u64::from_le_bytes(tail);
+            digest = digest.wrapping_mul(FNV_PRIME);
+        }
+        digest
+    }
+
+    fn chained(datagrams: &[Vec<u8>]) -> u64 {
+        datagrams.iter().fold(FNV_OFFSET, |d, g| word_fold(d, g))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Capture/v1 record checksums are unchanged.
+        #[test]
+        fn record_checksum_is_word_fold_from_offset(
+            bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            prop_assert_eq!(record_checksum(&bytes), word_fold(FNV_OFFSET, &bytes));
+            prop_assert_eq!(record_checksum(&bytes), v1_record_checksum(&bytes));
+        }
+
+        /// Any one changed byte of any datagram changes the chained digest
+        /// (each step is a bijection of the running state).
+        #[test]
+        fn one_flipped_byte_changes_the_chain(
+            datagrams in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 1..64), 1..8),
+            pick in any::<u64>(),
+            flip in 1u8..=255,
+        ) {
+            let whole = chained(&datagrams);
+            let mut bad = datagrams.clone();
+            let g = (pick % bad.len() as u64) as usize;
+            let at = ((pick >> 32) % bad[g].len() as u64) as usize;
+            bad[g][at] ^= flip;
+            prop_assert_ne!(chained(&bad), whole);
+        }
+
+        /// The same bytes split into datagrams differently fold differently.
+        #[test]
+        fn resplitting_the_same_bytes_changes_the_chain(
+            bytes in proptest::collection::vec(any::<u8>(), 2..200),
+            cuts_a in proptest::collection::vec(any::<u16>(), 0..6),
+            cuts_b in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let split = |cuts: &[u16]| {
+                let mut at: Vec<usize> =
+                    cuts.iter().map(|&c| 1 + c as usize % (bytes.len() - 1)).collect();
+                at.sort_unstable();
+                at.dedup();
+                let mut parts = Vec::new();
+                let mut from = 0;
+                for &to in at.iter().chain(std::iter::once(&bytes.len())) {
+                    parts.push(bytes[from..to].to_vec());
+                    from = to;
+                }
+                parts
+            };
+            let (a, b) = (split(&cuts_a), split(&cuts_b));
+            if a != b {
+                prop_assert_ne!(chained(&a), chained(&b));
+            }
+        }
     }
 }

@@ -40,8 +40,8 @@ pub mod sink;
 
 pub use cachewarm::{decode_entries, encode_entries, WarmEntry, CACHEWARM_MAGIC};
 pub use format::{
-    fnv1a_fold, CaptureError, CaptureHeader, CaptureRecord, Direction, StreamKind, Transport,
-    CAPTURE_MAGIC, FNV_OFFSET,
+    fnv1a_fold, word_fold, CaptureError, CaptureHeader, CaptureRecord, Direction, StreamKind,
+    Transport, CAPTURE_MAGIC, FNV_OFFSET,
 };
 pub use manifest::{manifest_json, parse_manifest, ManifestSummary, CAPTURE_MANIFEST_SCHEMA};
 pub use reader::{flight_events, parse_capture, read_capture, wire_digest_of, Capture};

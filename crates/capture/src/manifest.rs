@@ -55,8 +55,8 @@ pub struct ManifestSummary {
     pub truncated_bytes: u64,
     /// Virtual-time span of the retained records.
     pub duration_us: u64,
-    /// FNV fold over retained Tx RTP/RTCP payloads — what
-    /// `SimSession::wire_digest` must equal after a replay.
+    /// [`word_fold`](crate::format::word_fold) over retained Tx RTP/RTCP
+    /// payloads — what `SimSession::wire_digest` must equal after a replay.
     pub wire_digest: u64,
     /// Per-participant decoded-surface digests `(actor, digest)`.
     pub surface_digests: Vec<(u16, u64)>,

@@ -8,8 +8,8 @@
 use adshare_obs::{Event, EventKind};
 
 use crate::format::{
-    decode_header, decode_record, fnv1a_fold, CaptureError, CaptureHeader, CaptureRecord,
-    Direction, StreamKind, FNV_OFFSET,
+    decode_header, decode_record, word_fold, CaptureError, CaptureHeader, CaptureRecord, Direction,
+    StreamKind, FNV_OFFSET,
 };
 
 /// A fully parsed capture file.
@@ -42,7 +42,7 @@ pub fn wire_digest_of(records: &[CaptureRecord]) -> u64 {
     let mut digest = FNV_OFFSET;
     for r in records {
         if r.dir == Direction::Tx && matches!(r.kind, StreamKind::Rtp | StreamKind::Rtcp) {
-            digest = fnv1a_fold(digest, &r.payload);
+            digest = word_fold(digest, &r.payload);
         }
     }
     digest

@@ -17,7 +17,7 @@
 use adshare_obs::{Event, EventKind, Obs};
 
 use crate::format::{
-    encode_header, encode_record_parts, fnv1a_fold, CaptureError, CaptureHeader, Direction,
+    encode_header, encode_record_parts, word_fold, CaptureError, CaptureHeader, Direction,
     StreamKind, Transport, FNV_OFFSET,
 };
 
@@ -137,7 +137,7 @@ impl StreamOut {
         slot.records += 1;
         slot.bytes += payload.len() as u64;
         if dir == Direction::Tx && matches!(kind, StreamKind::Rtp | StreamKind::Rtcp) {
-            self.digest = fnv1a_fold(self.digest, payload);
+            self.digest = word_fold(self.digest, payload);
         }
     }
 }
@@ -466,7 +466,7 @@ impl CaptureHandle {
         stats
     }
 
-    /// FNV-fold the retained egress (Tx) RTP/RTCP payloads in record
+    /// Word-fold the retained egress (Tx) RTP/RTCP payloads in record
     /// order — bit-identical to the session's `wire_digest` when nothing
     /// was truncated, and the self-consistency anchor of a ring capture
     /// otherwise.
@@ -481,7 +481,7 @@ impl CaptureHandle {
                 // Fold the payload slice out of the encoded form: it sits
                 // between the 4+16-byte framing and the 8-byte checksum.
                 let payload = &r.encoded[20..r.encoded.len() - 8];
-                digest = fnv1a_fold(digest, payload);
+                digest = word_fold(digest, payload);
             }
         }
         digest
@@ -689,7 +689,7 @@ mod tests {
         c.record(Direction::Rx, StreamKind::Rtp, Transport::Udp, 0, 2, b"zz");
         c.record(Direction::Up, StreamKind::Hip, Transport::Udp, 0, 3, b"qq");
         c.record(Direction::Tx, StreamKind::Rtcp, Transport::Udp, 0, 4, b"bb");
-        let expected = fnv1a_fold(fnv1a_fold(FNV_OFFSET, b"aa"), b"bb");
+        let expected = word_fold(word_fold(FNV_OFFSET, b"aa"), b"bb");
         assert_eq!(c.wire_digest(), expected);
     }
 

@@ -2,25 +2,40 @@
 //! fast non-cryptographic 64-bit content hash (used by the tile-encode
 //! cache to content-address identical pixel runs across frames).
 
-/// CRC-32 lookup table for polynomial 0xEDB88320, built at first use.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (n, slot) in table.iter_mut().enumerate() {
-            let mut c = n as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 tables for polynomial 0xEDB88320, built at compile time.
+/// `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][n]` is the
+/// CRC register after byte `n` followed by `k` zero bytes, so eight table
+/// lookups advance the register by a whole 8-byte word.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32 (PNG variant: init all-ones, final XOR all-ones).
@@ -41,12 +56,29 @@ impl Crc32 {
         Crc32 { state: 0xffff_ffff }
     }
 
-    /// Feed bytes.
+    /// Feed bytes: eight at a time through the slicing tables, the tail
+    /// one at a time.
     pub fn update(&mut self, data: &[u8]) {
-        let table = crc_table();
-        for &b in data {
-            self.state = table[((self.state ^ b as u32) & 0xff) as usize] ^ (self.state >> 8);
+        let t = &CRC_TABLES;
+        let byte = |x: u32, shift: u32| ((x >> shift) & 0xff) as usize;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][byte(lo, 0)]
+                ^ t[6][byte(lo, 8)]
+                ^ t[5][byte(lo, 16)]
+                ^ t[4][byte(lo, 24)]
+                ^ t[3][byte(hi, 0)]
+                ^ t[2][byte(hi, 8)]
+                ^ t[1][byte(hi, 16)]
+                ^ t[0][byte(hi, 24)];
         }
+        for &b in words.remainder() {
+            crc = t[0][byte(crc ^ u32::from(b), 0)] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Finish and return the checksum.
@@ -146,8 +178,7 @@ fn fh_finish(mut h: u64, data: &[u8]) -> u64 {
 
 /// Fast non-cryptographic 64-bit hash over `data`.
 ///
-/// Consumes eight bytes per multiply-rotate round (an order of magnitude
-/// faster than the byte-at-a-time CRC-32 above) and finishes with a
+/// Consumes eight bytes per multiply-rotate round and finishes with a
 /// splitmix64-style avalanche so single-bit input changes diffuse across
 /// the whole output. Length is folded into the seed, so a prefix and its
 /// zero-padded extension hash differently. Suitable for content-addressed
@@ -191,6 +222,55 @@ pub fn keyed_hash64(seed: u64, data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time CRC-32 loop `Crc32::update` replaced: the oracle
+    /// for the slicing-by-8 one.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut state = 0xffff_ffffu32;
+        for &b in data {
+            state = CRC_TABLES[0][((state ^ b as u32) & 0xff) as usize] ^ (state >> 8);
+        }
+        state ^ 0xffff_ffff
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slicing-by-8 equals the byte loop at every length up to 4 KiB,
+        /// every start offset within a word and any streaming split.
+        #[test]
+        fn slicing_by_8_matches_the_byte_loop(
+            buf in proptest::collection::vec(any::<u8>(), 0..=4096 + 8),
+            start in 0usize..8,
+            cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let data = &buf[start.min(buf.len())..];
+            let data = &data[..data.len().min(4096)];
+            let want = crc32_bytewise(data);
+            prop_assert_eq!(crc32(data), want);
+            let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+            at.sort_unstable();
+            let mut c = Crc32::new();
+            let mut from = 0;
+            for &to in at.iter().chain(std::iter::once(&data.len())) {
+                c.update(&data[from..to]);
+                from = to;
+            }
+            prop_assert_eq!(c.finish(), want);
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_byte_loop_on_short_inputs() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 151 + 29) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+    }
 
     #[test]
     fn crc32_golden_vectors() {

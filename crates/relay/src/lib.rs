@@ -188,7 +188,7 @@ struct Leg {
     /// upstream sequence (repaired from the shared cache, escalated on a
     /// miss), or a packet minted here (catch-up burst, tier re-encode).
     out: Downstream,
-    /// Running FNV-1a digest of every datagram sent on this leg plus the
+    /// Running wire digest of every datagram sent on this leg plus the
     /// capture sink, both updated inside the wire's send. E20's parity
     /// gate compares a lossless leg's digest against the no-layers
     /// baseline.
@@ -514,8 +514,8 @@ impl RelayNode {
         self.legs.get_mut(leg)?.out.wire.tcp_link_mut()
     }
 
-    /// Running FNV-1a digest of every datagram shipped on a leg. A
-    /// lossless leg's digest matches a no-layers relay's bit-exactly.
+    /// Running wire digest (`Tap::digest`) of every datagram shipped on a
+    /// leg. A lossless leg's digest matches a no-layers relay's bit-exactly.
     pub fn leg_wire_digest(&self, leg: usize) -> u64 {
         self.legs
             .get(leg)

@@ -23,7 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use adshare_capture::{
-    fnv1a_fold, CaptureHandle, Direction, StreamKind, Transport as CapTransport, FNV_OFFSET,
+    word_fold, CaptureHandle, Direction, StreamKind, Transport as CapTransport, FNV_OFFSET,
 };
 use adshare_netsim::multicast::MulticastGroup;
 use adshare_netsim::tcp::{TcpConfig, TcpLink};
@@ -52,9 +52,11 @@ impl Default for Tap {
 }
 
 impl Tap {
-    /// Order-sensitive FNV-1a over every datagram sent through this tap
-    /// (pre-framing) — equal digests mean byte-identical wire output in
-    /// identical order.
+    /// Order-sensitive digest of every datagram sent through this tap
+    /// (pre-framing): [`word_fold`] over each in turn, so it covers every
+    /// byte and every datagram boundary. Equal digests mean byte-identical
+    /// wire output in identical order; an armed capture's Tx records refold
+    /// to it with `adshare_capture::wire_digest_of`.
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -77,7 +79,7 @@ impl Tap {
         now_us: u64,
         datagram: &[u8],
     ) {
-        self.digest = fnv1a_fold(self.digest, datagram);
+        self.digest = word_fold(self.digest, datagram);
         if let Some(cap) = &self.capture {
             cap.record(Direction::Tx, kind, transport, actor, now_us, datagram);
         }

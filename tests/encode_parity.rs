@@ -2,6 +2,7 @@
 //! changes what goes on the wire, and the cross-frame cache changes how
 //! much work it costs to produce it.
 
+use adshare::capture::{fnv1a_fold, wire_digest_of, Direction, StreamKind, FNV_OFFSET};
 use adshare::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,9 +171,16 @@ fn all_converged(s: &SimSession) -> bool {
 /// ones the commit *before* the region index produced (recorded there with
 /// this very test body). Seven of every eight lookups are now answered by
 /// the index; each is still counted as the cache hit it replaces.
+///
+/// The digest was recorded when senders folded their wire byte by byte, so
+/// it is read off a full capture refolded with `fnv1a_fold`; the same
+/// capture must refold to the live (`word_fold`) digest.
 #[test]
 fn eight_viewers_read_the_same_digest_and_cache_counters_as_before_the_index() {
     let (mut s, win) = typing_session(8, 11);
+    let cap = s
+        .arm_capture(true, CaptureMode::Full, 11)
+        .expect("consented");
     let mut typing = Typing::new(win, 3);
     let mut rng = StdRng::seed_from_u64(12);
     for _ in 0..400 {
@@ -183,8 +191,17 @@ fn eight_viewers_read_the_same_digest_and_cache_counters_as_before_the_index() {
     let st = s.ah.stats();
     let snap = s.obs().registry.snapshot();
     let encode = |name: &str| snap.counter(&format!("ah.encode.{name}")).unwrap();
+    let mut records = parse_capture(&cap.to_bytes())
+        .expect("capture parses")
+        .records;
+    records.retain(|r| r.dir == Direction::Tx);
+    assert_eq!(wire_digest_of(&records), s.wire_digest());
+    let bytewise = records
+        .iter()
+        .filter(|r| matches!(r.kind, StreamKind::Rtp | StreamKind::Rtcp))
+        .fold(FNV_OFFSET, |d, r| fnv1a_fold(d, &r.payload));
     let got = [
-        ("wire_digest", s.wire_digest()),
+        ("wire_digest", bytewise),
         ("region_msgs", st.region_msgs),
         ("rtp_packets", st.rtp_packets),
         ("tx_bytes", st.bytes_sent),

@@ -7,15 +7,27 @@
 //! *same* build, so they cannot see a reordering of `step`'s folds or a
 //! shifted RNG draw; this fixture pins the bytes across commits.
 //!
-//! The fixture was generated on the commit *before* the egress merge
-//! (four hand-rolled send loops, `PState`/`McastState`, relay `Leg::send`)
-//! and must keep passing without regeneration: that is the proof the one
-//! `Wire`/`Leg` path is byte-identical. Regenerate with `UPDATE_GOLDEN=1
-//! cargo test --test wire_golden` only after an intentional wire change,
-//! and justify the diff in the PR.
+//! Every scenario runs with a full capture armed, and the digests are
+//! taken from it as well as from the senders:
+//!
+//! * `wire=` (the AH) and `legs=` (each relay leg) are the byte-serial
+//!   FNV-1a of the captured Tx RTP/RTCP records, the digest the senders
+//!   kept before they switched to `word_fold`. These values were generated
+//!   on the commit *before* the egress merge (four hand-rolled send loops,
+//!   `PState`/`McastState`, relay `Leg::send`) and have never been
+//!   regenerated: they are the proof that the one `Wire`/`Leg` path and
+//!   every later change to the egress kept the bytes identical.
+//! * `fold=` is the senders' live digest (`AppHost::wire_digest`,
+//!   `RelayNode::leg_wire_digest`), which the test also requires the
+//!   capture to refold to with `wire_digest_of`.
+//!
+//! Arming the capture moves none of the other columns: the counters and
+//! `events=` values, too, were produced by unarmed runs. Regenerate with
+//! `UPDATE_GOLDEN=1 cargo test --test wire_golden` only after an
+//! intentional wire change, and justify the diff in the PR.
 
-use adshare::capture::{fnv1a_fold, FNV_OFFSET};
-use adshare::obs::{EventKind, Obs};
+use adshare::capture::{fnv1a_fold, wire_digest_of, Direction, StreamKind, FNV_OFFSET};
+use adshare::obs::{EventKind, Obs, ACTOR_LEG_BASE};
 use adshare::prelude::*;
 use adshare::screen::pointer::ibeam_cursor;
 use adshare::screen::wm::WindowId;
@@ -153,12 +165,53 @@ fn count(obs: &Obs, kind: EventKind) -> usize {
         .count()
 }
 
-fn ah_line(out: &mut String, name: &str, ah: &AppHost, obs: &Obs, converged: &[bool]) {
+/// A full capture for one relay of the tree: legs of different relays
+/// share actor numbers, so each relay tapes into its own.
+fn relay_capture(session_id: u64) -> CaptureHandle {
+    CaptureHandle::arm(CaptureConfig {
+        consent: true,
+        mode: CaptureMode::Full,
+        session_id,
+        start_us: 0,
+    })
+    .expect("consented")
+}
+
+/// Refold the Tx RTP/RTCP records of `cap` whose actor passes `keep`:
+/// (byte-serial FNV-1a, the live `word_fold` digest).
+fn refold(cap: &CaptureHandle, keep: impl Fn(u16) -> bool) -> (u64, u64) {
+    let mut records = parse_capture(&cap.to_bytes())
+        .expect("capture parses")
+        .records;
+    records.retain(|r| {
+        r.dir == Direction::Tx
+            && matches!(r.kind, StreamKind::Rtp | StreamKind::Rtcp)
+            && keep(r.actor)
+    });
+    let bytewise = records
+        .iter()
+        .fold(FNV_OFFSET, |d, r| fnv1a_fold(d, &r.payload));
+    (bytewise, wire_digest_of(&records))
+}
+
+fn ah_line(
+    out: &mut String,
+    name: &str,
+    ah: &AppHost,
+    cap: &CaptureHandle,
+    obs: &Obs,
+    converged: &[bool],
+) {
     let s = ah.stats();
     let (events, ev_digest) = event_digest(obs);
-    out.push_str(&format!(
-        "{name}\tah\twire={:016x}\trtp={}\tbytes={}\tretx={}\tsuppressed={}\ttail={}\tsr={}\trefresh={}\tmsgs={}/{}/{}/{}\tevents={events}:{ev_digest:016x}\tconverged={}\n",
+    let (bytewise, refolded) = refold(cap, |_| true);
+    assert_eq!(
+        refolded,
         ah.wire_digest(),
+        "{name}: the capture must refold to the AH's live digest"
+    );
+    out.push_str(&format!(
+        "{name}\tah\twire={bytewise:016x}\trtp={}\tbytes={}\tretx={}\tsuppressed={}\ttail={}\tsr={}\trefresh={}\tmsgs={}/{}/{}/{}\tevents={events}:{ev_digest:016x}\tconverged={}\tfold={:016x}\n",
         s.rtp_packets,
         s.bytes_sent,
         s.retransmits,
@@ -174,6 +227,7 @@ fn ah_line(out: &mut String, name: &str, ah: &AppHost, obs: &Obs, converged: &[b
             .iter()
             .map(|&c| if c { '1' } else { '0' })
             .collect::<String>(),
+        ah.wire_digest(),
     ));
     assert!(s.move_msgs > 0, "{name}: MoveRectangle must appear");
     assert!(s.pointer_msgs > 1, "{name}: pointer messages must appear");
@@ -228,9 +282,12 @@ fn udp_fixed(out: &mut String) {
         Some(2_000_000),
         103,
     );
+    let cap = s
+        .arm_capture(true, CaptureMode::Full, 101)
+        .expect("consented");
     run_session(&mut s, &mut office, |_, _| {});
     let converged = [s.converged(a), s.converged(b)];
-    ah_line(out, "udp_fixed", &s.ah, s.obs(), &converged);
+    ah_line(out, "udp_fixed", &s.ah, &cap, s.obs(), &converged);
     assert!(
         s.ah.stats().retransmits > 0,
         "2 % loss must cost a NACK repair"
@@ -258,6 +315,9 @@ fn udp_adaptive_cliff(out: &mut String) {
         Some(4_000_000),
         202,
     );
+    let cap = s
+        .arm_capture(true, CaptureMode::Full, 201)
+        .expect("consented");
     run_session(&mut s, &mut office, |s, t| {
         if t == 0 {
             let at = s.clock.now_us() + 1_000_000;
@@ -271,7 +331,7 @@ fn udp_adaptive_cliff(out: &mut String) {
         }
     });
     let converged = [s.converged(p)];
-    ah_line(out, "udp_adaptive_cliff", &s.ah, s.obs(), &converged);
+    ah_line(out, "udp_adaptive_cliff", &s.ah, &cap, s.obs(), &converged);
     assert!(
         s.ah.rate_decreases(s.handle(p)) > 0,
         "the cliff must be felt"
@@ -302,9 +362,12 @@ fn tcp_slow(out: &mut String) {
         LinkConfig::default(),
         302,
     );
+    let cap = s
+        .arm_capture(true, CaptureMode::Full, 301)
+        .expect("consented");
     run_session(&mut s, &mut office, |_, _| {});
     let converged = [s.converged(p)];
-    ah_line(out, "tcp_slow", &s.ah, s.obs(), &converged);
+    ah_line(out, "tcp_slow", &s.ah, &cap, s.obs(), &converged);
     assert!(
         count(s.obs(), EventKind::BacklogSkip) > 0,
         "the slow link must engage the §7 hold"
@@ -348,6 +411,9 @@ fn multicast_plus_late_udp(out: &mut String) {
         Some(4_000_000),
         404,
     );
+    let cap = s
+        .arm_capture(true, CaptureMode::Full, 401)
+        .expect("consented");
     run_session(&mut s, &mut office, |_, _| {});
     let converged = [
         s.converged(m0),
@@ -355,7 +421,14 @@ fn multicast_plus_late_udp(out: &mut String) {
         s.converged(m2),
         s.converged(u),
     ];
-    ah_line(out, "multicast_plus_late_udp", &s.ah, s.obs(), &converged);
+    ah_line(
+        out,
+        "multicast_plus_late_udp",
+        &s.ah,
+        &cap,
+        s.obs(),
+        &converged,
+    );
     let stats = s.ah.stats();
     assert!(stats.retransmits > 0, "members must NACK");
     assert!(
@@ -411,6 +484,14 @@ fn relay_tree(out: &mut String) {
         clean,
         507,
     );
+    let cap = sim
+        .arm_capture(true, CaptureMode::Full, 501)
+        .expect("consented");
+    let relay_caps = [r0, r1].map(|relay| {
+        let c = relay_capture(510 + relay as u64);
+        sim.relay_mut(relay).attach_capture(c.clone());
+        c
+    });
     let mut late = None;
     for t in 0..TICKS {
         if t == 45 {
@@ -427,8 +508,8 @@ fn relay_tree(out: &mut String) {
     let late = late.expect("joined");
     let viewers = [fast, capped, tcp, far, late];
     let converged: Vec<bool> = viewers.iter().map(|&p| sim.converged(p)).collect();
-    ah_line(out, "relay_tree", &sim.ah, sim.obs(), &converged);
-    for relay in [r0, r1] {
+    ah_line(out, "relay_tree", &sim.ah, &cap, sim.obs(), &converged);
+    for (relay, relay_cap) in [r0, r1].into_iter().zip(&relay_caps) {
         let node = sim.relay(relay);
         let st = node.stats();
         out.push_str(&format!(
@@ -443,10 +524,24 @@ fn relay_tree(out: &mut String) {
             st.catchups_served,
             st.catchup_bytes,
         ));
-        let digests: Vec<String> = (0..node.leg_count())
-            .map(|leg| format!("{:016x}", node.leg_wire_digest(leg)))
-            .collect();
-        out.push_str(&digests.join(","));
+        let (bytewise, live): (Vec<String>, Vec<String>) = (0..node.leg_count())
+            .map(|leg| {
+                let actor = ACTOR_LEG_BASE | leg as u16;
+                let (bytewise, refolded) = refold(relay_cap, |a| a == actor);
+                assert_eq!(
+                    refolded,
+                    node.leg_wire_digest(leg),
+                    "relay{relay} leg {leg}: the capture must refold to the leg's live digest"
+                );
+                (
+                    format!("{bytewise:016x}"),
+                    format!("{:016x}", node.leg_wire_digest(leg)),
+                )
+            })
+            .unzip();
+        out.push_str(&bytewise.join(","));
+        out.push_str("\tfold=");
+        out.push_str(&live.join(","));
         out.push('\n');
     }
     let (_, capped_leg) = sim.participant_leg(capped);
