@@ -72,13 +72,17 @@ fn main() {
         ("greedy-130", MergeStrategy::Greedy { slack_percent: 130 }),
         ("bounding-box", MergeStrategy::BoundingBox),
     ];
+    // (updates, encoded bytes) per scene, in `strategies` order.
+    let mut results = Vec::new();
     for (title, scattered) in [
         ("typing (scattered small damage)", true),
         ("two videos (dense distant damage)", false),
     ] {
         let mut rows = Vec::new();
+        let mut scene = Vec::new();
         for (name, strat) in strategies {
             let (updates, bytes, _) = run(strat, scattered);
+            scene.push((updates, bytes));
             rows.push(vec![
                 name.to_string(),
                 format!("{updates}"),
@@ -91,9 +95,26 @@ fn main() {
             &["strategy", "updates", "encoded KiB", "KiB/update"],
             &rows,
         );
+        results.push(scene);
     }
+    let (typing, videos) = (&results[0], &results[1]);
+    let (per_rect, greedy, bbox) = (0, 2, 3);
     println!("\nchecks:");
-    println!("  per-rect minimises encoded bytes but maximises update count; bounding-box");
-    println!("  inverts that (re-encoding untouched pixels between distant regions);");
-    println!("  greedy merging sits between, and is the default.");
+    println!(
+        "  typing: greedy-130 sends fewer updates than per-rect ({} < {}); per-rect \
+         encodes the fewest bytes ({} KiB).",
+        typing[greedy].0,
+        typing[per_rect].0,
+        typing[per_rect].1 / 1024
+    );
+    println!(
+        "  two videos: bounding-box re-encodes the untouched gap ({} KiB against {} KiB \
+         greedy) and, split on the tile grid, also sends more updates ({} against {}).",
+        videos[bbox].1 / 1024,
+        videos[greedy].1 / 1024,
+        videos[bbox].0,
+        videos[greedy].0
+    );
+    assert!(typing[greedy].0 < typing[per_rect].0);
+    assert!(videos[greedy].1 < videos[bbox].1);
 }

@@ -30,7 +30,6 @@ use adshare_screen::wm::WindowId;
 use adshare_screen::Desktop;
 use adshare_session::{AhConfig, Layout, SimSession};
 
-const INTERVAL_US: u64 = 16_000;
 const RUN_US: u64 = 500_000;
 const CLASSES: usize = 4;
 const WORK_TICKS: u32 = 24;
@@ -72,10 +71,7 @@ struct Outcome {
 }
 
 fn run_host(n: usize, seed: u64) -> Outcome {
-    let mut host = MultiHost::new(HostConfig {
-        capture_interval_us: INTERVAL_US,
-        ..HostConfig::default()
-    });
+    let mut host = MultiHost::new(HostConfig::default());
     for i in 0..n {
         let (d, win) = desktop();
         let idx = host.add_session(

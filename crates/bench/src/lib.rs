@@ -115,8 +115,9 @@ impl Content {
 
 /// The experiment roster: every `exp_*` binary with the EXPERIMENTS.md
 /// section it produces, in section order. `exp_all` runs exactly this list;
-/// a test holds it equal to the `exp_*` bins the crate builds. (E11 is the
-/// criterion bench `micro`, not a binary.)
+/// a test holds it equal to the `exp_*` bins the crate builds. (E11, the
+/// wire-format micro-costs, is no binary: the benchmark's per-layer
+/// metrics measure those operations.)
 pub const EXPERIMENTS: [(u32, &str); 22] = [
     (1, "exp_codec_content"),
     (2, "exp_fragmentation"),

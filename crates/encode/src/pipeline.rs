@@ -17,17 +17,23 @@ use crate::tiling::{tiles, TileConfig};
 /// Pipeline parameters (carried in the AH config).
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeConfig {
-    /// Tile grid for damage splitting.
+    /// Tile grid for damage splitting. Set by `tests/encode_parity.rs`
+    /// and `exp_encode_cache`.
     pub tile: TileConfig,
     /// Worker threads for cache-miss encoding; 0 = one per available core
-    /// (capped at 8), 1 = serial. A batch uses at most one per full tile
-    /// (`tile.width × tile.height`) of missed pixels.
+    /// (capped at 8, [`resolve_workers`]), 1 = serial. A batch uses at
+    /// most one per full tile (`tile.width × tile.height`) of missed
+    /// pixels. Set by `tests/encode_parity.rs`, `tests/alloc_budget.rs`,
+    /// the relay's and `TierEncoder`'s serial pipelines and the benchmark's
+    /// leaf replay.
     pub workers: usize,
-    /// Encoded-payload byte budget for the cross-frame cache.
+    /// Encoded-payload byte budget for the cross-frame cache. Narrowed by
+    /// this crate's `tests/parity.rs` to force evictions.
     pub cache_budget_bytes: usize,
     /// Keep cache entries across frames (the point of this crate). `false`
     /// reproduces the legacy per-`step()` cache for ablations: entries
-    /// only live until [`EncodePipeline::begin_step`] runs.
+    /// only live until [`EncodePipeline::begin_step`] runs. The oracle in
+    /// `tests/encode_parity.rs` and the baseline of `exp_encode_cache`.
     pub cross_frame_cache: bool,
 }
 
@@ -236,8 +242,9 @@ pub struct EncodePipeline {
     metrics: Metrics,
 }
 
-/// Resolve `workers == 0` to the machine's parallelism, capped at 8.
-fn resolve_workers(cfg_workers: usize) -> usize {
+/// The worker count a configured budget stands for: 0 = one per available
+/// core, capped at 8; any other value as given.
+pub fn resolve_workers(cfg_workers: usize) -> usize {
     if cfg_workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())

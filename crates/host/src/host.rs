@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use adshare_capture::{decode_entries, encode_entries, CaptureError, WarmEntry};
-use adshare_encode::{EncodePipeline, SharedEncodeCache, WorkerPool};
+use adshare_encode::{resolve_workers, EncodePipeline, SharedEncodeCache, WorkerPool};
 use adshare_obs::{Counter, Registry};
 use adshare_screen::desktop::Desktop;
 use adshare_session::{AhConfig, SessionDriver, SimSession};
@@ -32,30 +32,23 @@ use crate::stats::HostStats;
 /// clears it, so the two key populations can never collide.
 const PRIVATE_BIT: u64 = 1 << 63;
 
-/// Host-level tunables.
-#[derive(Debug, Clone)]
-pub struct HostConfig {
-    /// Capture cadence for every hosted session (µs between desktop
-    /// capture ticks while a session is active).
-    pub capture_interval_us: u64,
-    /// Byte budget of the process-wide shared encode cache.
-    pub cache_budget_bytes: usize,
-    /// Shard count for the shared cache (rounded up to a power of two).
-    pub cache_shards: usize,
-    /// Global encode worker budget; 0 = one per available core, capped
-    /// at 8 (same resolution rule as `EncodeConfig::workers`).
-    pub pool_workers: usize,
-}
+/// Capture cadence for every hosted session (µs between desktop capture
+/// ticks while a session is active).
+pub const CAPTURE_INTERVAL_US: u64 = 16_000;
 
-impl Default for HostConfig {
-    fn default() -> Self {
-        HostConfig {
-            capture_interval_us: 16_000,
-            cache_budget_bytes: 64 << 20,
-            cache_shards: 16,
-            pool_workers: 0,
-        }
-    }
+/// Byte budget of the process-wide shared encode cache.
+const CACHE_BUDGET_BYTES: usize = 64 << 20;
+
+/// Shard count of the shared encode cache.
+const CACHE_SHARDS: usize = 16;
+
+/// Host-level tunables.
+#[derive(Debug, Clone, Default)]
+pub struct HostConfig {
+    /// Global encode worker budget; 0 = one per available core, capped at
+    /// 8 ([`resolve_workers`], as for `EncodeConfig::workers`). Set by
+    /// `tests/host_scale.rs` and `tests/encode_parity.rs`.
+    pub pool_workers: usize,
 }
 
 /// Whether a session participates in the cross-session encode cache.
@@ -185,7 +178,6 @@ struct Slot {
 /// shared encode cache, one bounded worker pool, and one readiness-driven
 /// event loop.
 pub struct MultiHost {
-    cfg: HostConfig,
     cache: Arc<SharedEncodeCache>,
     pool: WorkerPool,
     registry: Registry,
@@ -201,24 +193,13 @@ impl MultiHost {
     /// Create an empty host: the shared cache and worker pool exist from
     /// the start, sessions attach to them as they are added.
     pub fn new(cfg: HostConfig) -> Self {
-        let workers = if cfg.pool_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            cfg.pool_workers
-        };
-        let cache = Arc::new(SharedEncodeCache::new(
-            cfg.cache_budget_bytes,
-            cfg.cache_shards,
-        ));
+        let cache = Arc::new(SharedEncodeCache::new(CACHE_BUDGET_BYTES, CACHE_SHARDS));
         let registry = Registry::new();
         let services = registry.counter("host.services");
         let wall_us = registry.counter("host.wall_us");
         MultiHost {
             cache,
-            pool: WorkerPool::new(workers),
+            pool: WorkerPool::new(resolve_workers(cfg.pool_workers)),
             registry,
             slots: Vec::new(),
             queue: BinaryHeap::new(),
@@ -226,13 +207,7 @@ impl MultiHost {
             now_us: 0,
             services,
             wall_us,
-            cfg,
         }
-    }
-
-    /// Host-level tunables this host was built with.
-    pub fn config(&self) -> &HostConfig {
-        &self.cfg
     }
 
     /// The process-wide shared encode cache.
@@ -288,13 +263,13 @@ impl MultiHost {
         let cpu_us = self.registry.counter(&format!("host.session.{idx}.cpu_us"));
         self.slots.push(Slot {
             sess,
-            cadence: Cadence::starting_at(self.now_us, self.cfg.capture_interval_us),
+            cadence: Cadence::starting_at(self.now_us, CAPTURE_INTERVAL_US),
             workload: None,
             armed_due: None,
             steps,
             cpu_us,
         });
-        self.arm(idx, self.now_us + self.cfg.capture_interval_us);
+        self.arm(idx, self.now_us + CAPTURE_INTERVAL_US);
         idx
     }
 
@@ -542,10 +517,7 @@ mod tests {
 
     #[test]
     fn workload_drives_convergence_and_parks_when_done() {
-        let mut host = MultiHost::new(HostConfig {
-            pool_workers: 2,
-            ..HostConfig::default()
-        });
+        let mut host = MultiHost::new(HostConfig { pool_workers: 2 });
         let (d, win) = desktop_with_window();
         let idx = host.add_session(d, AhConfig::default(), 11, CacheSharing::Shared);
         host.session_mut(idx).add_udp_participant(

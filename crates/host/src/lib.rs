@@ -38,5 +38,8 @@
 pub mod host;
 pub mod stats;
 
-pub use host::{run_standalone, shared_namespace, CacheSharing, HostConfig, MultiHost, Workload};
+pub use host::{
+    run_standalone, shared_namespace, CacheSharing, HostConfig, MultiHost, Workload,
+    CAPTURE_INTERVAL_US,
+};
 pub use stats::{HostStats, HOST_STATS_SCHEMA};

@@ -43,41 +43,39 @@ pub mod tier;
 
 pub use adshare_rate::{QualityTier, RateConfig};
 pub use encoder::TierEncoder;
-pub use selector::{TierSelector, TierSelectorConfig, TierSwitch};
+pub use selector::{TierSelector, TierSwitch, MIN_DWELL_US};
 pub use signal::TierRequest;
 pub use stats::{LegTierStats, TierStats, TIER_STATS_SCHEMA};
 pub use tier::{tier_from_gauge, TierSet, SDP_ATTR};
 
 /// Per-relay configuration for layered quality, carried in
 /// `RelayConfig.layers`. `None` there keeps the relay byte-transparent
-/// (today's verbatim fan-out).
+/// (today's verbatim fan-out). Every leg may take any of the three tiers
+/// ([`TierSet::all`]); the upgrade dwell is [`MIN_DWELL_US`].
 #[derive(Debug, Clone)]
 pub struct LayersConfig {
-    /// Published tier set (what a subtree may subscribe to).
-    pub tiers: TierSet,
     /// Per-leg AIMD band feeding the tier decision. The defaults differ
     /// from the AH's pacing band: the floor sits above the health engine's
     /// floor-pinned threshold (a deliberate tier downgrade must not read
     /// as a starved sender), and the initial estimate starts lossless so a
-    /// healthy leg never dips below verbatim forwarding.
+    /// healthy leg never dips below verbatim forwarding. Set by the relay's
+    /// `low_rate_layers` unit tests and `tests/layers.rs`'s
+    /// `tier_round_trip`.
     pub rate: RateConfig,
-    /// Frame-boundary switch latch (dwell, hysteresis on top of the
-    /// estimator's own).
-    pub selector: TierSelectorConfig,
     /// Subscribe upstream to the least-lossy tier any open leg needs, so
     /// the AH can stop encoding tiers nobody is watching. Off, the relay
-    /// always receives lossless and re-encodes locally.
+    /// always receives lossless and re-encodes locally. Set by the relay's
+    /// upstream-subscription unit test and `exp_layers`.
     pub subscribe_upstream: bool,
 }
 
 impl Default for LayersConfig {
     fn default() -> Self {
         LayersConfig {
-            tiers: TierSet::all(),
             rate: RateConfig {
                 // Never collides with the health engine's floor-pinned
-                // rule (128 kb/s default): Economy is a deliberate tier,
-                // not a starved sender.
+                // rule (`adshare_obs::ESTIMATOR_FLOOR_BPS`, 128 kb/s):
+                // Economy is a deliberate tier, not a starved sender.
                 floor_bps: 400_000,
                 // Start lossless: a leg is verbatim until its own loss
                 // feedback says otherwise, which keeps the fast subtree
@@ -86,7 +84,6 @@ impl Default for LayersConfig {
                 ceiling_bps: 64_000_000,
                 ..RateConfig::default()
             },
-            selector: TierSelectorConfig::default(),
             subscribe_upstream: false,
         }
     }
@@ -99,8 +96,10 @@ mod tests {
     #[test]
     fn default_config_is_lossless_first() {
         let cfg = LayersConfig::default();
-        assert!(cfg.tiers.contains(QualityTier::Lossless));
         assert!(cfg.rate.initial_bps >= cfg.rate.lossless_above_bps);
-        assert!(cfg.rate.floor_bps > 128_000, "must clear floor-pinned rule");
+        assert!(
+            cfg.rate.floor_bps > adshare_obs::ESTIMATOR_FLOOR_BPS,
+            "must clear floor-pinned rule"
+        );
     }
 }

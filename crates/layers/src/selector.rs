@@ -11,21 +11,10 @@
 
 use adshare_rate::QualityTier;
 
-/// Tunables for the switch latch.
-#[derive(Debug, Clone, Copy)]
-pub struct TierSelectorConfig {
-    /// Minimum time in the current tier before an **upgrade** (toward
-    /// lossless) is honoured. Downgrades are immediate.
-    pub min_dwell_us: u64,
-}
-
-impl Default for TierSelectorConfig {
-    fn default() -> Self {
-        TierSelectorConfig {
-            min_dwell_us: 500_000,
-        }
-    }
-}
+/// Minimum time (µs) in the current tier before an **upgrade** (toward
+/// lossless) is honoured. Downgrades are immediate. A relay's upstream
+/// subscription dwells as long before it asks for a lossier tier.
+pub const MIN_DWELL_US: u64 = 500_000;
 
 /// One committed tier change, reported so the owner can emit events and
 /// trigger the lossless repair pass on upgrades.
@@ -53,25 +42,25 @@ impl TierSwitch {
 /// `(want, now_us)` sequence passed to [`TierSelector::observe`].
 #[derive(Debug, Clone)]
 pub struct TierSelector {
-    cfg: TierSelectorConfig,
     active: QualityTier,
     last_switch_us: u64,
     switches: u64,
     downgrades: u64,
 }
 
-impl TierSelector {
-    /// New selector, active at lossless.
-    pub fn new(cfg: TierSelectorConfig) -> Self {
+/// A new selector is active at lossless.
+impl Default for TierSelector {
+    fn default() -> Self {
         TierSelector {
-            cfg,
             active: QualityTier::Lossless,
             last_switch_us: 0,
             switches: 0,
             downgrades: 0,
         }
     }
+}
 
+impl TierSelector {
     /// The tier currently on the wire.
     pub fn active(&self) -> QualityTier {
         self.active
@@ -84,7 +73,7 @@ impl TierSelector {
             return None;
         }
         let upgrade = want < self.active;
-        if upgrade && now_us.saturating_sub(self.last_switch_us) < self.cfg.min_dwell_us {
+        if upgrade && now_us.saturating_sub(self.last_switch_us) < MIN_DWELL_US {
             return None;
         }
         let sw = TierSwitch {
@@ -118,19 +107,21 @@ mod tests {
 
     #[test]
     fn downgrade_is_immediate_upgrade_dwells() {
-        let mut s = TierSelector::new(TierSelectorConfig {
-            min_dwell_us: 1_000_000,
-        });
+        let mut s = TierSelector::default();
         let sw = s.observe(QualityTier::Balanced, 10).expect("downgrade");
         assert_eq!(sw.from, QualityTier::Lossless);
         assert_eq!(sw.to, QualityTier::Balanced);
         assert!(!sw.is_upgrade());
 
         // Upgrade denied until dwell expires.
-        assert_eq!(s.observe(QualityTier::Lossless, 500_000), None);
+        assert_eq!(
+            s.observe(QualityTier::Lossless, 10 + MIN_DWELL_US / 2),
+            None
+        );
+        assert_eq!(s.observe(QualityTier::Lossless, 9 + MIN_DWELL_US), None);
         assert_eq!(s.active(), QualityTier::Balanced);
         let sw = s
-            .observe(QualityTier::Lossless, 1_000_011)
+            .observe(QualityTier::Lossless, 10 + MIN_DWELL_US)
             .expect("upgrade after dwell");
         assert!(sw.is_upgrade());
         assert_eq!(s.active(), QualityTier::Lossless);
@@ -140,9 +131,7 @@ mod tests {
 
     #[test]
     fn deeper_downgrade_never_waits() {
-        let mut s = TierSelector::new(TierSelectorConfig {
-            min_dwell_us: 1_000_000,
-        });
+        let mut s = TierSelector::default();
         assert!(s.observe(QualityTier::Balanced, 5).is_some());
         // Still inside the dwell window, but lossier: applies at once.
         assert!(s.observe(QualityTier::Economy, 6).is_some());
@@ -152,7 +141,7 @@ mod tests {
 
     #[test]
     fn stable_want_is_silent() {
-        let mut s = TierSelector::new(TierSelectorConfig::default());
+        let mut s = TierSelector::default();
         for t in 0..100u64 {
             assert_eq!(s.observe(QualityTier::Lossless, t * 1000), None);
         }

@@ -67,18 +67,6 @@ impl TierSet {
         self.tiers.contains(&tier)
     }
 
-    /// Clamp a requested tier to the nearest published tier that is **no
-    /// lossier** than the request (a subscriber may receive better quality
-    /// than it asked for, never worse).
-    pub fn clamp(&self, tier: QualityTier) -> QualityTier {
-        self.tiers
-            .iter()
-            .copied()
-            .filter(|t| *t <= tier)
-            .max()
-            .unwrap_or(QualityTier::Lossless)
-    }
-
     /// SDP attribute value, e.g. `"0,1,2"`.
     pub fn to_attr(&self) -> String {
         let parts: Vec<String> = self
@@ -127,16 +115,6 @@ mod tests {
         assert_eq!(set.to_attr(), "0,2");
         assert_eq!(TierSet::from_attr(""), TierSet::lossless_only());
         assert_eq!(TierSet::from_attr("garbage"), TierSet::lossless_only());
-    }
-
-    #[test]
-    fn clamp_never_lossier() {
-        let set = TierSet::new(&[QualityTier::Balanced]);
-        assert_eq!(set.clamp(QualityTier::Economy), QualityTier::Balanced);
-        assert_eq!(set.clamp(QualityTier::Balanced), QualityTier::Balanced);
-        assert_eq!(set.clamp(QualityTier::Lossless), QualityTier::Lossless);
-        let lossless = TierSet::lossless_only();
-        assert_eq!(lossless.clamp(QualityTier::Economy), QualityTier::Lossless);
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! Each [`HealthEngine::check`] call evaluates seven built-in rules (loss
 //! fraction, NACK rate, frame-staleness p99, TCP backlog-skip ratio,
 //! encode-cache hit rate, estimator floor-pinned time, worst active
-//! quality tier) against the last
-//! [`HealthConfig::window_us`] of recorder events plus the current registry
-//! snapshot, producing a typed [`HealthReport`] with an OK / DEGRADED /
-//! CRITICAL verdict per rule. A transition *into* CRITICAL dumps the black
-//! box — ring contents, registry snapshot, and the triggering report — to
-//! the configured [`DumpSink`], so the sequence of events that led to the
-//! incident survives it.
+//! quality tier) against the last 2 s (`WINDOW_US`) of recorder events
+//! plus the current registry snapshot, producing a typed [`HealthReport`]
+//! with an OK / DEGRADED / CRITICAL verdict per rule. A transition *into*
+//! CRITICAL dumps the black box — ring contents, registry snapshot, and the
+//! triggering report — to the configured [`DumpSink`], so the sequence of
+//! events that led to the incident survives it.
 //!
 //! Adding a rule: compute a value and thresholds in `check`, call
 //! `rule(...)`, and document the thresholds in DESIGN.md §10.
@@ -122,54 +121,63 @@ pub enum DumpSink {
     Dir(std::path::PathBuf),
 }
 
-/// Thresholds and window for the built-in rules. Per rule: the first field
-/// trips DEGRADED, the second CRITICAL.
+/// Rolling evaluation window over the event stream (µs).
+const WINDOW_US: u64 = 2_000_000;
+
+/// The bandwidth estimator's default floor, bits/second: the lowest rate
+/// `adshare-rate`'s `RateConfig::default` may report, and the level at or
+/// below which the floor-pinned rule counts a `*.rate.rate_bps` gauge as
+/// pinned.
+pub const ESTIMATOR_FLOOR_BPS: u64 = 128_000;
+
+/// TCP freshest-frame skips / (skips + sends) in window: DEGRADED,
+/// CRITICAL.
+const BACKLOG_SKIP: (f64, f64) = (0.10, 0.50);
+
+/// Encode-cache hit rate *floor* (DEGRADED below; no CRITICAL tier — a
+/// cold cache is slow, not an incident).
+const CACHE_HIT_FLOOR: f64 = 0.05;
+
+/// Minimum tiles in window before the cache rule engages.
+const CACHE_MIN_TILES: u64 = 64;
+
+/// Time (µs) the estimator may sit at its floor rate before DEGRADED /
+/// CRITICAL.
+const FLOOR_PINNED_US: (u64, u64) = (1_000_000, 5_000_000);
+
+/// Quality-tier gauge value (`*.tier`, 0 = lossless … 2 = economy) at or
+/// above which the tier rule reports DEGRADED. A deliberate layered
+/// downgrade is visible but never CRITICAL — the whole point of simulcast
+/// tiers is that degrading beats starving, so the rule keeps a downgraded
+/// subtree out of the black-box path while still failing a scenario that
+/// *expects* lossless.
+const TIER_DEGRADED: i64 = 1;
+
+/// Thresholds of the rules that tests and scenarios tighten or loosen.
+/// Per rule: the first value trips DEGRADED, the second CRITICAL. The
+/// window and the other rules' thresholds are constants of this module.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Rolling evaluation window over the event stream.
-    pub window_us: u64,
-    /// Loss fraction (NACKed sequences / packets sent in window).
+    /// Loss fraction (NACKed sequences / packets sent in window). Set by
+    /// `tests/health_e2e.rs`, `tests/capture_replay.rs`,
+    /// `tests/documents.rs`, the `bandwidth_cliff` scenario, `RelaySim`'s
+    /// dump test and `exp_health`.
     pub loss: (f64, f64),
-    /// NACK messages received per second.
+    /// NACK messages received per second. Set by `tests/documents.rs` and
+    /// the `bandwidth_cliff` scenario.
     pub nack_rate: (f64, f64),
     /// Frame-staleness p99 (µs): damage observed → delivered, over the
-    /// `FrameDelivered` events in the rolling window.
+    /// `FrameDelivered` events in the rolling window. Set by the
+    /// `bandwidth_cliff` scenario.
     pub staleness_p99_us: (u64, u64),
-    /// TCP freshest-frame skips / (skips + sends) in window.
-    pub backlog_skip: (f64, f64),
-    /// Encode-cache hit rate *floor* (DEGRADED below; no CRITICAL tier —
-    /// a cold cache is slow, not an incident).
-    pub cache_hit_floor: f64,
-    /// Minimum tiles in window before the cache rule engages.
-    pub cache_min_tiles: u64,
-    /// Time (µs) the estimator may sit at its floor rate before DEGRADED /
-    /// CRITICAL.
-    pub floor_pinned_us: (u64, u64),
-    /// The estimator floor (`RateConfig::floor_bps`) the pin check
-    /// compares `*.rate.rate_bps` gauges against.
-    pub floor_bps: i64,
-    /// Quality-tier gauge value (`*.tier`, 0 = lossless … 2 = economy) at
-    /// or above which the tier rule reports DEGRADED. A deliberate layered
-    /// downgrade is visible but never CRITICAL — the whole point of
-    /// simulcast tiers is that degrading beats starving, so the rule keeps
-    /// a downgraded subtree out of the black-box path while still failing
-    /// a scenario that *expects* lossless.
-    pub tier_degraded: i64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            window_us: 2_000_000,
             loss: (0.02, 0.15),
             nack_rate: (2.0, 20.0),
             staleness_p99_us: (400_000, 2_000_000),
-            backlog_skip: (0.10, 0.50),
-            cache_hit_floor: 0.05,
-            cache_min_tiles: 64,
-            floor_pinned_us: (1_000_000, 5_000_000),
-            floor_bps: 128_000,
-            tier_degraded: 1,
         }
     }
 }
@@ -291,9 +299,9 @@ impl HealthEngine {
         recorder: &FlightRecorder,
     ) -> HealthReport {
         let snapshot = registry.snapshot();
-        let since = now_us.saturating_sub(self.cfg.window_us);
+        let since = now_us.saturating_sub(WINDOW_US);
         let window: Vec<Event> = recorder.snapshot_since(since);
-        let window_s = (self.cfg.window_us.max(1)) as f64 / 1e6;
+        let window_s = WINDOW_US as f64 / 1e6;
 
         let mut tx_packets = 0u64;
         let mut tx_msgs = 0u64;
@@ -394,8 +402,8 @@ impl HealthEngine {
         rules.push(rule(
             "backlog_skip",
             skip_ratio,
-            self.cfg.backlog_skip.0,
-            self.cfg.backlog_skip.1,
+            BACKLOG_SKIP.0,
+            BACKLOG_SKIP.1,
             format!("{skips} skips vs {tx_msgs} sends in window"),
         ));
 
@@ -406,15 +414,15 @@ impl HealthEngine {
         } else {
             cache_hits as f64 / cache_tiles as f64
         };
-        let cache_deficit = if cache_tiles < self.cfg.cache_min_tiles {
+        let cache_deficit = if cache_tiles < CACHE_MIN_TILES {
             0.0
         } else {
-            (self.cfg.cache_hit_floor - hit_rate).max(0.0)
+            (CACHE_HIT_FLOOR - hit_rate).max(0.0)
         };
         let mut cache_rule = rule(
             "cache_hit",
             hit_rate,
-            self.cfg.cache_hit_floor,
+            CACHE_HIT_FLOOR,
             f64::INFINITY,
             format!("{cache_hits}/{cache_tiles} tiles from cache in window"),
         );
@@ -427,7 +435,7 @@ impl HealthEngine {
 
         let pinned_now = snapshot.metrics.iter().any(|(name, m)| {
             name.ends_with(".rate.rate_bps")
-                && matches!(m, MetricSnapshot::Gauge(v) if *v > 0 && *v <= self.cfg.floor_bps)
+                && matches!(m, MetricSnapshot::Gauge(v) if *v > 0 && *v <= ESTIMATOR_FLOOR_BPS as i64)
         });
         self.pinned_since = if pinned_now {
             Some(self.pinned_since.unwrap_or(now_us))
@@ -438,9 +446,9 @@ impl HealthEngine {
         rules.push(rule(
             "floor_pinned",
             pinned_us as f64,
-            self.cfg.floor_pinned_us.0 as f64,
-            self.cfg.floor_pinned_us.1 as f64,
-            format!("µs at floor ({} bit/s)", self.cfg.floor_bps),
+            FLOOR_PINNED_US.0 as f64,
+            FLOOR_PINNED_US.1 as f64,
+            format!("µs at floor ({ESTIMATOR_FLOOR_BPS} bit/s)"),
         ));
 
         // Worst active quality tier across every layered sender (`*.tier`
@@ -461,11 +469,11 @@ impl HealthEngine {
         let mut tier_rule = rule(
             "tier",
             worst_tier as f64,
-            self.cfg.tier_degraded as f64,
+            TIER_DEGRADED as f64,
             f64::INFINITY,
             "worst active quality tier (0 = lossless)".to_string(),
         );
-        tier_rule.status = if worst_tier >= self.cfg.tier_degraded {
+        tier_rule.status = if worst_tier >= TIER_DEGRADED {
             HealthStatus::Degraded
         } else {
             HealthStatus::Ok

@@ -48,7 +48,7 @@ pub use events::{
 };
 pub use health::{
     DumpSink, HealthConfig, HealthEngine, HealthReport, HealthStatus, RuleReport, BLACKBOX_SCHEMA,
-    HEALTH_SCHEMA,
+    ESTIMATOR_FLOOR_BPS, HEALTH_SCHEMA,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricSnapshot, Registry, Snapshot, SNAPSHOT_SCHEMA};

@@ -51,15 +51,15 @@ adshare_obs::metric_set! {
     }
 }
 
-/// Burst window for fixed-rate buckets (matches the legacy 250 ms
-/// allowance cap in the session layer).
-const FIXED_BURST_WINDOW_US: u64 = 250_000;
+/// Token-bucket burst window of every controller, fixed or adaptive: the
+/// pacer may burst up to `rate × 250 ms` bytes (the legacy allowance cap
+/// of the session layer).
+const BURST_WINDOW_US: u64 = 250_000;
 
 impl RateController {
     fn build(
         estimator: Option<BandwidthEstimator>,
         cap_bps: Option<u64>,
-        burst_window_us: u64,
         mtu: usize,
         cfg: &RateConfig,
     ) -> Self {
@@ -75,7 +75,7 @@ impl RateController {
         RateController {
             estimator,
             cap_bps,
-            bucket: TokenBucket::new(initial, burst_window_us, 2 * mtu as u64),
+            bucket: TokenBucket::new(initial, BURST_WINDOW_US, 2 * mtu as u64),
             quality: QualityController::new(cfg),
             metrics: Metrics::default(),
         }
@@ -84,25 +84,13 @@ impl RateController {
     /// Legacy fixed-rate mode: pace at `rate_bps` (`None` = unpaced),
     /// never adapt quality, never throttle refreshes.
     pub fn new_fixed(rate_bps: Option<u64>, mtu: usize) -> Self {
-        RateController::build(
-            None,
-            rate_bps,
-            FIXED_BURST_WINDOW_US,
-            mtu,
-            &RateConfig::default(),
-        )
+        RateController::build(None, rate_bps, mtu, &RateConfig::default())
     }
 
     /// Adaptive mode: AIMD estimation clamped to `cfg`'s band and capped
     /// at the static link rate `cap_bps` when one is configured.
     pub fn new_adaptive(cfg: RateConfig, cap_bps: Option<u64>, mtu: usize) -> Self {
-        RateController::build(
-            Some(BandwidthEstimator::new(cfg)),
-            cap_bps,
-            cfg.burst_window_us,
-            mtu,
-            &cfg,
-        )
+        RateController::build(Some(BandwidthEstimator::new(cfg)), cap_bps, mtu, &cfg)
     }
 
     /// Whether the controller runs the adaptive loop.
@@ -175,8 +163,8 @@ impl RateController {
         }
     }
 
-    /// Damage-coalescing interval for the current tier (fixed mode keeps
-    /// the configured base — zero unless the session set one).
+    /// Damage-coalescing interval for the current tier (zero in fixed
+    /// mode).
     pub fn coalesce_us(&self) -> u64 {
         if self.is_adaptive() {
             self.quality.coalesce_us()

@@ -1,61 +1,50 @@
 //! Loss-based AIMD bandwidth estimation from receiver feedback.
 
-/// Tunables for the estimator, pacer, and quality controller.
+/// Additive increase applied per second of loss-free feedback, bits/second.
+const INCREASE_BPS_PER_S: f64 = 250_000.0;
+/// Multiplicative decrease applied on a loss signal.
+const DECREASE_FACTOR: f64 = 0.7;
+/// RR loss fraction (0.0..=1.0) above which a report counts as loss.
+const LOSS_THRESHOLD: f64 = 0.02;
+/// After a decrease or NACK burst, additive increase is frozen this long
+/// (µs) so repairs drain before the rate probes upward again.
+const HOLDOFF_US: u64 = 500_000;
+/// Minimum spacing between multiplicative decreases (µs): feedback bursts
+/// describing one congestion event decrease the rate once.
+const DECREASE_INTERVAL_US: u64 = 300_000;
+/// A NACK reporting at least this many lost packets is itself a
+/// congestion signal (decrease), not just a hold-off.
+const NACK_BURST: usize = 8;
+
+/// The rate band of one estimator and the quality controller's lossless
+/// threshold. The AIMD step sizes and timers are constants of this crate.
 #[derive(Debug, Clone, Copy)]
 pub struct RateConfig {
-    /// Lowest rate the estimator may report, bits/second.
+    /// Lowest rate the estimator may report, bits/second. Set by
+    /// `LayersConfig::default` (400 kb/s) and the rate proptest
+    /// `estimate_always_within_band`.
     pub floor_bps: u64,
-    /// Highest rate the estimator may report, bits/second.
+    /// Highest rate the estimator may report, bits/second. Set by
+    /// `LayersConfig::default`, the `bandwidth_cliff` scenario and the
+    /// rate proptest.
     pub ceiling_bps: u64,
     /// Starting estimate, bits/second (clamped into `[floor, ceiling]`).
+    /// Set by `LayersConfig::default`, `bandwidth_cliff`,
+    /// `tests/rate_adapt.rs`, `tests/wire_golden.rs` and the rate proptest.
     pub initial_bps: u64,
-    /// Additive increase applied per second of loss-free feedback.
-    pub increase_bps_per_s: u64,
-    /// Multiplicative decrease applied on a loss signal (0 < f < 1).
-    pub decrease_factor: f64,
-    /// RR loss fraction (0.0..=1.0) above which a report counts as loss.
-    pub loss_threshold: f64,
-    /// After a decrease or NACK burst, additive increase is frozen this
-    /// long (µs) so repairs drain before the rate probes upward again.
-    pub holdoff_us: u64,
-    /// Minimum spacing between multiplicative decreases (µs); feedback
-    /// bursts describing one congestion event decrease the rate once.
-    pub decrease_interval_us: u64,
-    /// A NACK reporting at least this many lost packets is itself a
-    /// congestion signal (decrease), not just a hold-off.
-    pub nack_burst: usize,
-    /// Token-bucket burst window (µs): the pacer may burst up to
-    /// `rate × window` bytes.
-    pub burst_window_us: u64,
     /// At or above this estimate the quality controller stays lossless.
+    /// Set by `bandwidth_cliff`, `tests/rate_adapt.rs`,
+    /// `tests/wire_golden.rs` and `exp_rate_adapt`.
     pub lossless_above_bps: u64,
-    /// Below this estimate the quality controller drops to the economy
-    /// tier (coarsest quality, longest coalescing).
-    pub economy_below_bps: u64,
-    /// Minimum spacing between PLI-served full refreshes (µs).
-    pub refresh_min_interval_us: u64,
-    /// Damage-coalescing interval at the lossless tier (µs); lower tiers
-    /// stretch it.
-    pub coalesce_base_us: u64,
 }
 
 impl Default for RateConfig {
     fn default() -> Self {
         RateConfig {
-            floor_bps: 128_000,
+            floor_bps: adshare_obs::ESTIMATOR_FLOOR_BPS,
             ceiling_bps: 50_000_000,
             initial_bps: 2_000_000,
-            increase_bps_per_s: 250_000,
-            decrease_factor: 0.7,
-            loss_threshold: 0.02,
-            holdoff_us: 500_000,
-            decrease_interval_us: 300_000,
-            nack_burst: 8,
-            burst_window_us: 250_000,
             lossless_above_bps: 1_500_000,
-            economy_below_bps: 500_000,
-            refresh_min_interval_us: 500_000,
-            coalesce_base_us: 0,
         }
     }
 }
@@ -111,22 +100,20 @@ impl BandwidthEstimator {
         let from = self.last_growth_us.max(self.holdoff_until_us);
         if now_us > from {
             let dt_s = (now_us - from) as f64 / 1_000_000.0;
-            self.rate = self
-                .cfg
-                .clamp(self.rate + self.cfg.increase_bps_per_s as f64 * dt_s);
+            self.rate = self.cfg.clamp(self.rate + INCREASE_BPS_PER_S * dt_s);
         }
         self.last_growth_us = self.last_growth_us.max(now_us);
     }
 
     fn decrease(&mut self, now_us: u64) {
-        if now_us.saturating_sub(self.last_decrease_us) < self.cfg.decrease_interval_us
+        if now_us.saturating_sub(self.last_decrease_us) < DECREASE_INTERVAL_US
             && self.last_decrease_us != 0
         {
             return;
         }
-        self.rate = self.cfg.clamp(self.rate * self.cfg.decrease_factor);
+        self.rate = self.cfg.clamp(self.rate * DECREASE_FACTOR);
         self.last_decrease_us = now_us.max(1);
-        self.holdoff_until_us = self.holdoff_until_us.max(now_us + self.cfg.holdoff_us);
+        self.holdoff_until_us = self.holdoff_until_us.max(now_us + HOLDOFF_US);
         self.decreases += 1;
     }
 
@@ -134,20 +121,20 @@ impl BandwidthEstimator {
     /// lost/256).
     pub fn on_report(&mut self, fraction_lost: u8, now_us: u64) {
         self.advance(now_us);
-        if fraction_lost as f64 / 256.0 > self.cfg.loss_threshold {
+        if fraction_lost as f64 / 256.0 > LOSS_THRESHOLD {
             self.decrease(now_us);
         }
     }
 
     /// Feed one Generic NACK covering `lost` sequence numbers. Small NACKs
     /// only freeze growth (random loss is repaired, not a congestion
-    /// signal); a burst at or above `cfg.nack_burst` decreases the rate.
+    /// signal); a burst of `NACK_BURST` (8) or more decreases the rate.
     pub fn on_nack(&mut self, lost: usize, now_us: u64) {
         self.advance(now_us);
-        if lost >= self.cfg.nack_burst {
+        if lost >= NACK_BURST {
             self.decrease(now_us);
         } else {
-            self.holdoff_until_us = self.holdoff_until_us.max(now_us + self.cfg.holdoff_us);
+            self.holdoff_until_us = self.holdoff_until_us.max(now_us + HOLDOFF_US);
         }
     }
 
@@ -161,7 +148,7 @@ impl BandwidthEstimator {
         if backlog_bytes * 2 > capacity_bytes.max(1) {
             self.decrease(now_us);
         } else {
-            self.holdoff_until_us = self.holdoff_until_us.max(now_us + self.cfg.holdoff_us);
+            self.holdoff_until_us = self.holdoff_until_us.max(now_us + HOLDOFF_US);
         }
     }
 

@@ -46,9 +46,6 @@ impl QualityTier {
 #[derive(Debug, Clone)]
 pub struct QualityController {
     lossless_above_bps: u64,
-    economy_below_bps: u64,
-    refresh_min_interval_us: u64,
-    coalesce_base_us: u64,
     tier: QualityTier,
     last_refresh_us: Option<u64>,
     refreshes_throttled: u64,
@@ -58,14 +55,23 @@ pub struct QualityController {
 /// this factor in the other direction to leave it.
 const HYSTERESIS: f64 = 1.15;
 
+/// Below this estimate the controller drops to the economy tier (coarsest
+/// quality, longest coalescing), bits/second.
+const ECONOMY_BELOW_BPS: u64 = 500_000;
+
+/// Minimum spacing between PLI-served full refreshes (µs).
+const REFRESH_MIN_INTERVAL_US: u64 = 500_000;
+
+/// Damage-coalescing interval (µs) per tier, indexed by
+/// [`QualityTier::as_gauge`]: none at lossless, stretched to 2 and 4 µs
+/// under pressure, which holds back a second encode at the same instant.
+const COALESCE_US: [u64; 3] = [0, 2, 4];
+
 impl QualityController {
     /// A controller using the thresholds from `cfg`, starting lossless.
     pub fn new(cfg: &RateConfig) -> Self {
         QualityController {
             lossless_above_bps: cfg.lossless_above_bps,
-            economy_below_bps: cfg.economy_below_bps,
-            refresh_min_interval_us: cfg.refresh_min_interval_us,
-            coalesce_base_us: cfg.coalesce_base_us,
             tier: QualityTier::Lossless,
             last_refresh_us: None,
             refreshes_throttled: 0,
@@ -79,7 +85,7 @@ impl QualityController {
         let down = |threshold: u64| rate < threshold as f64;
         self.tier = match self.tier {
             QualityTier::Lossless => {
-                if down(self.economy_below_bps) {
+                if down(ECONOMY_BELOW_BPS) {
                     QualityTier::Economy
                 } else if down(self.lossless_above_bps) {
                     QualityTier::Balanced
@@ -90,7 +96,7 @@ impl QualityController {
             QualityTier::Balanced => {
                 if up(self.lossless_above_bps) {
                     QualityTier::Lossless
-                } else if down(self.economy_below_bps) {
+                } else if down(ECONOMY_BELOW_BPS) {
                     QualityTier::Economy
                 } else {
                     QualityTier::Balanced
@@ -99,7 +105,7 @@ impl QualityController {
             QualityTier::Economy => {
                 if up(self.lossless_above_bps) {
                     QualityTier::Lossless
-                } else if up(self.economy_below_bps) {
+                } else if up(ECONOMY_BELOW_BPS) {
                     QualityTier::Balanced
                 } else {
                     QualityTier::Economy
@@ -114,24 +120,19 @@ impl QualityController {
         self.tier
     }
 
-    /// Damage-coalescing interval for the current tier: the configured
-    /// base at lossless, stretched 2× / 4× under pressure so fewer,
-    /// larger updates go out when bandwidth is short.
+    /// Damage-coalescing interval for the current tier, longer the lower
+    /// the tier so fewer, larger updates go out when bandwidth is short.
     pub fn coalesce_us(&self) -> u64 {
-        match self.tier {
-            QualityTier::Lossless => self.coalesce_base_us,
-            QualityTier::Balanced => self.coalesce_base_us.max(1) * 2,
-            QualityTier::Economy => self.coalesce_base_us.max(1) * 4,
-        }
+        COALESCE_US[self.tier.as_gauge() as usize]
     }
 
     /// Whether a PLI-triggered full refresh may run now. The first request
     /// is always served (late joiners need state); later ones are spaced
-    /// at least `refresh_min_interval_us` apart — a denied requester will
-    /// re-ask via its resync timer.
+    /// at least `REFRESH_MIN_INTERVAL_US` (500 ms) apart — a denied
+    /// requester will re-ask via its resync timer.
     pub fn allow_refresh(&mut self, now_us: u64) -> bool {
         match self.last_refresh_us {
-            Some(last) if now_us.saturating_sub(last) < self.refresh_min_interval_us => {
+            Some(last) if now_us.saturating_sub(last) < REFRESH_MIN_INTERVAL_US => {
                 self.refreshes_throttled += 1;
                 false
             }
@@ -177,17 +178,14 @@ mod tests {
 
     #[test]
     fn coalescing_stretches_under_pressure() {
-        let cfg = RateConfig {
-            coalesce_base_us: 10_000,
-            ..RateConfig::default()
-        };
-        let mut q = QualityController::new(&cfg);
+        let mut q = qc();
         q.tier_for(2_000_000);
-        assert_eq!(q.coalesce_us(), 10_000);
+        assert_eq!(q.coalesce_us(), COALESCE_US[0]);
         q.tier_for(1_000_000);
-        assert_eq!(q.coalesce_us(), 20_000);
+        assert_eq!(q.coalesce_us(), COALESCE_US[1]);
         q.tier_for(100_000);
-        assert_eq!(q.coalesce_us(), 40_000);
+        assert_eq!(q.coalesce_us(), COALESCE_US[2]);
+        assert!(COALESCE_US[0] < COALESCE_US[1] && COALESCE_US[1] < COALESCE_US[2]);
     }
 
     #[test]
@@ -195,9 +193,9 @@ mod tests {
         let mut q = qc();
         assert!(q.allow_refresh(0), "first refresh always allowed");
         assert!(!q.allow_refresh(100_000));
-        assert!(!q.allow_refresh(499_999));
+        assert!(!q.allow_refresh(REFRESH_MIN_INTERVAL_US - 1));
         assert_eq!(q.refreshes_throttled(), 2);
-        assert!(q.allow_refresh(500_000));
+        assert!(q.allow_refresh(REFRESH_MIN_INTERVAL_US));
     }
 
     #[test]

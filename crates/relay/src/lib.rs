@@ -45,7 +45,7 @@ use adshare_codec::image::Rect;
 use adshare_codec::Codec;
 use adshare_encode::EncodeConfig;
 use adshare_layers::{
-    LayersConfig, LegTierStats, TierEncoder, TierRequest, TierSelector, TierStats,
+    LayersConfig, LegTierStats, TierEncoder, TierRequest, TierSelector, TierStats, MIN_DWELL_US,
 };
 use adshare_netsim::tcp::{TcpConfig, TcpLink};
 use adshare_netsim::time::us_to_ticks;
@@ -94,7 +94,8 @@ pub struct RelayConfig {
     /// selection entirely: every leg forwards verbatim, byte-identical to
     /// the pre-layers relay. `Some` arms a per-leg AIMD tier controller
     /// that re-encodes from the mirror when a subtree cannot afford the
-    /// upstream tier.
+    /// upstream tier. Set by `tests/layers.rs`, `tests/wire_golden.rs`,
+    /// `exp_layers` and the `relay_tree_tiers` workload.
     pub layers: Option<LayersConfig>,
 }
 
@@ -425,7 +426,7 @@ impl RelayNode {
             // stays the flush budget while the tier is lossless, keeping
             // the verbatim path byte-identical to a relay without layers.
             rate: RateController::new_adaptive(l.rate, rate_bps, MTU),
-            selector: TierSelector::new(l.selector),
+            selector: TierSelector::default(),
             verbatim_msgs: 0,
             synth_msgs: 0,
             synth_bytes: 0,
@@ -775,15 +776,15 @@ impl RelayNode {
     }
 
     /// Advance one leg's tier controller: refresh the AIMD estimate (TCP
-    /// legs also fold in send-buffer backlog), clamp the wanted tier to the
-    /// published set, and commit dwell-gated switches. An upgrade back to
-    /// lossless triggers a catch-up burst — the lossless-repair step that
-    /// converges the leg to pixel-identical state after a lossy spell.
+    /// legs also fold in send-buffer backlog) and commit dwell-gated
+    /// switches to the tier it affords (every tier is published). An
+    /// upgrade back to lossless triggers a catch-up burst — the
+    /// lossless-repair step that converges the leg to pixel-identical state
+    /// after a lossy spell.
     fn tick_leg_tier(&mut self, leg_idx: usize, now_us: u64) {
-        let Some(layers) = self.cfg.layers.as_ref() else {
+        if self.cfg.layers.is_none() {
             return;
-        };
-        let tiers = layers.tiers.clone();
+        }
         let leg = &mut self.legs[leg_idx];
         if leg.closed {
             return;
@@ -795,8 +796,7 @@ impl RelayNode {
             t.rate.on_backlog(backlog, capacity, now_us);
         }
         t.rate.flush_budget(now_us);
-        let want = tiers.clamp(t.rate.tier());
-        let Some(sw) = t.selector.observe(want, now_us) else {
+        let Some(sw) = t.selector.observe(t.rate.tier(), now_us) else {
             return;
         };
         let (from, to) = (sw.from, sw.to);
@@ -830,7 +830,6 @@ impl RelayNode {
             .filter_map(|l| l.tier.as_ref().map(|t| t.selector.active()))
             .min()
             .unwrap_or(QualityTier::Lossless);
-        let desired = layers.tiers.clamp(desired);
         if desired == self.upstream_tier {
             self.upstream_desired_since = None;
             return;
@@ -839,10 +838,9 @@ impl RelayNode {
             self.send_tier_request(desired, now_us);
             return;
         }
-        let dwell = layers.selector.min_dwell_us;
         match self.upstream_desired_since {
             Some((d, since)) if d == desired => {
-                if now_us.saturating_sub(since) >= dwell {
+                if now_us.saturating_sub(since) >= MIN_DWELL_US {
                     self.send_tier_request(desired, now_us);
                 }
             }

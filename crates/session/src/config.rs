@@ -25,48 +25,68 @@ pub enum PointerPolicy {
     Explicit,
 }
 
-/// AH-side configuration.
+/// AH-side configuration. Each field names the tests and workloads that
+/// set it to something other than its default.
 #[derive(Debug, Clone)]
 pub struct AhConfig {
-    /// Content codec for RegionUpdates.
+    /// Content codec for RegionUpdates. RLE on the `typing_udp` and
+    /// `relay_tree_tiers` workloads and in `tests/encode_parity.rs`, DCT in
+    /// `tests/end_to_end.rs`, the negotiated codec in
+    /// `SimSession::from_negotiation`.
     pub codec: CodecKind,
     /// §4.2 "according to their characteristics": classify each region and
     /// encode photographic content with the lossy DCT codec, synthetic
-    /// content with `codec`. Off by default (pure lossless).
+    /// content with `codec`. Off by default (pure lossless). On in the
+    /// `video_dct_udp` workload, `tests/extensions.rs` and `exp_adaptive`.
     pub adaptive_codec: bool,
-    /// RTP payload budget per UDP packet (bytes).
+    /// RTP payload budget per UDP packet (bytes). Nothing sets it; it is a
+    /// field because the benchmark's leaf replay reads it off the AH's
+    /// config (`e2ebench/src/run.rs`).
     pub mtu: usize,
-    /// Dynamic PT of the remoting stream itself.
+    /// Dynamic PT of the remoting stream itself. Set from the SDP answer
+    /// by `SimSession::from_negotiation` and `tests/sdp_negotiation.rs`.
     pub remoting_pt: u8,
-    /// Pointer model.
+    /// Pointer model. In-stream in `tests/end_to_end.rs` and
+    /// `tests/encode_parity.rs`.
     pub pointer: PointerPolicy,
     /// Whether the AH answers Generic NACKs with retransmissions
-    /// (§4.5.1 MAY).
+    /// (§4.5.1 MAY). Off in `tests/loss_recovery.rs`,
+    /// `tests/extensions.rs` and `exp_loss_recovery`, and whenever the SDP
+    /// answer declines it.
     pub retransmissions: bool,
     /// §7 policy: monitor the TCP send buffer and transmit only the
     /// freshest state when there is no backlog. Disabled = naive sender
-    /// that queues everything (the ablation in experiment E4).
+    /// that queues everything: the oracle in `tests/backlog_policy.rs` and
+    /// the ablation in experiment E4.
     pub tcp_freshness_policy: bool,
     /// Translate scrolls into MoveRectangle messages (§5.2.3). Disabled =
-    /// re-encode scrolled pixels (ablation in E3).
+    /// re-encode scrolled pixels: the oracle in `tests/ablations.rs` and
+    /// the ablation in E3 and E16.
     pub use_move_rectangle: bool,
-    /// Damage coalescing strategy (ablation in E9).
+    /// Damage coalescing strategy: per rect and bounding box are the
+    /// oracles in `tests/ablations.rs` and the ablation in E9; the
+    /// benchmark's leaf replay reads the default.
     pub damage_strategy: MergeStrategy,
-    /// Retransmission cache bounds: (packets, bytes).
+    /// Retransmission cache bounds: (packets, bytes). Narrowed in
+    /// `tests/alloc_budget.rs`.
     pub history: (usize, usize),
-    /// Floor grant duration in µs; `None` = hold until release.
+    /// Floor grant duration in µs; `None` = hold until release. Set by the
+    /// `floor_storm` scenario.
     pub floor_grant_us: Option<u64>,
     /// Closed-loop congestion control (`adshare-rate`): estimate each
     /// participant's available bandwidth from RTCP feedback, pace
     /// RegionUpdates through a freshest-frame queue, and adapt codec
     /// quality to the estimate. `None` (the default) keeps the legacy
-    /// fixed-rate pacing.
+    /// fixed-rate pacing. Set by `tests/rate_adapt.rs`,
+    /// `tests/wire_golden.rs`, `tests/metric_names.rs`, the
+    /// `bandwidth_cliff` scenario and `adshare-demo`.
     pub adaptive_rate: Option<adshare_rate::RateConfig>,
     /// Tile-encode pipeline (`adshare-encode`): damage tiling grain, worker
     /// pool size, and the cross-frame content-addressed cache budget. The
     /// default enables the persistent cache with auto-sized workers; set
     /// `workers: 1` + `cross_frame_cache: false` to reproduce the legacy
-    /// serial per-step path.
+    /// serial per-step path. Set by `tests/encode_parity.rs`,
+    /// `tests/alloc_budget.rs` and `exp_encode_cache`.
     pub encode: adshare_encode::EncodeConfig,
 }
 

@@ -731,7 +731,6 @@ pub mod presets {
             loss: (0.02, 0.5),
             nack_rate: (2.0, 60.0),
             staleness_p99_us: (400_000, 3_000_000),
-            ..HealthConfig::default()
         });
         scn = scn
             .at(

@@ -594,7 +594,7 @@ fn run_host_demo(sessions: usize, seconds: u64, stats_out: Option<String>) {
          {seconds} simulated second(s)"
     );
     let mut host = MultiHost::new(HostConfig::default());
-    let interval = host.config().capture_interval_us;
+    let interval = adshare::host::CAPTURE_INTERVAL_US;
     let t_end = seconds * 1_000_000;
     for i in 0..sessions {
         let mut desktop = Desktop::new(640, 480);

@@ -263,10 +263,7 @@ fn relay_rows(rows: &mut Vec<Row>) {
 
 /// Host stats from three hosted sessions sharing the encode cache.
 fn host_rows(rows: &mut Vec<Row>) {
-    let mut host = MultiHost::new(HostConfig {
-        capture_interval_us: 16_000,
-        ..HostConfig::default()
-    });
+    let mut host = MultiHost::new(HostConfig::default());
     for i in 0..3u64 {
         let mut d = Desktop::new(320, 240);
         let win = d.create_window(1, Rect::new(16, 16, 192, 128), [24, 48, 72, 255]);

@@ -332,11 +332,7 @@ fn diverging_legs_converge_pixel_identical() {
 #[test]
 fn private_tenants_keep_their_region_indexes_apart() {
     let counters = |tenants: usize| {
-        let mut host = MultiHost::new(HostConfig {
-            capture_interval_us: 16_000,
-            pool_workers: 2,
-            ..HostConfig::default()
-        });
+        let mut host = MultiHost::new(HostConfig { pool_workers: 2 });
         for i in 0..tenants {
             let mut d = Desktop::new(640, 480);
             let win = d.create_window(1, Rect::new(20, 20, 256, 192), [250, 250, 250, 255]);

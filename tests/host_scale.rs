@@ -13,7 +13,7 @@ use adshare_host::HostConfig;
 use adshare_screen::wm::WindowId;
 use proptest::prelude::*;
 
-const INTERVAL_US: u64 = 16_000;
+const INTERVAL_US: u64 = adshare_host::CAPTURE_INTERVAL_US;
 const T_END_US: u64 = 700_000;
 
 fn desktop() -> (Desktop, WindowId) {
@@ -50,11 +50,7 @@ fn workload(class: usize, win: WindowId) -> impl FnMut(&mut SimSession, u64) -> 
 
 /// Wire digests of `n` sessions run hosted at the given pool size.
 fn hosted_digests(n: usize, pool_workers: usize, sharing: CacheSharing) -> Vec<u64> {
-    let mut host = MultiHost::new(HostConfig {
-        capture_interval_us: INTERVAL_US,
-        pool_workers,
-        ..HostConfig::default()
-    });
+    let mut host = MultiHost::new(HostConfig { pool_workers });
     for i in 0..n {
         let (d, win) = desktop();
         let idx = host.add_session(d, AhConfig::default(), i as u64, sharing);
@@ -120,11 +116,7 @@ fn hosted_sessions_are_wire_identical_to_standalone() {
 #[test]
 fn private_tenants_never_share_tiles() {
     let run = |sharing: CacheSharing| {
-        let mut host = MultiHost::new(HostConfig {
-            capture_interval_us: INTERVAL_US,
-            pool_workers: 2,
-            ..HostConfig::default()
-        });
+        let mut host = MultiHost::new(HostConfig { pool_workers: 2 });
         for i in 0..4 {
             let (d, win) = desktop();
             let idx = host.add_session(d, AhConfig::default(), i, sharing);
@@ -166,11 +158,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let t_end = 400_000u64; // 25 capture intervals
-        let mut host = MultiHost::new(HostConfig {
-            capture_interval_us: INTERVAL_US,
-            pool_workers: 2,
-            ..HostConfig::default()
-        });
+        let mut host = MultiHost::new(HostConfig { pool_workers: 2 });
         for i in 0..8usize {
             let (d, win) = desktop();
             let idx = host.add_session(d, AhConfig::default(), seed ^ i as u64, CacheSharing::Shared);
