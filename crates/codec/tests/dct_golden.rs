@@ -10,8 +10,14 @@
 //! byte- and pixel-identical. Regenerate with `UPDATE_GOLDEN=1 cargo test
 //! -p adshare-codec --test dct_golden` only after an intentional format
 //! change, and justify the diff in the PR.
+//!
+//! Each row also pins the inflated coefficient body. A change to the
+//! DEFLATE stage alone (the match policy `dct::encode` compresses with)
+//! moves only the `bytes` and encode-digest columns: an unchanged body
+//! column is the proof that every coefficient, and so every decoded pixel,
+//! is what it was.
 
-use adshare_codec::{dct, Image};
+use adshare_codec::{dct, deflate, Image};
 
 /// Order-sensitive FNV-1a, the digest the session layer's parity tests use.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -92,21 +98,25 @@ fn dct_output_matches_golden_digests() {
         ("gradient_61x45", gradient(61, 45)),
     ];
     let mut produced = String::from(
-        "# <corpus>\t<quality>\t<bytes>\t<fnv1a of dct::encode>\t<fnv1a of decoded RGBA> — regenerate with UPDATE_GOLDEN=1\n",
+        "# <corpus>\t<quality>\t<bytes>\t<fnv1a of dct::encode>\t<fnv1a of inflated coefficient body>\t<fnv1a of decoded RGBA> — regenerate with UPDATE_GOLDEN=1\n",
     );
     for (name, img) in &corpora {
         for quality in [30u8, 75, 95] {
             let encoded = dct::encode(img, quality);
             let decoded = dct::decode(&encoded).expect("decode");
+            // The container's 13-byte header (magic, width, height,
+            // quality) is followed by the raw DEFLATE stream.
+            let body = deflate::inflate(&encoded[13..], 1 << 24).expect("inflate body");
             assert_eq!(
                 (decoded.width(), decoded.height()),
                 (img.width(), img.height()),
                 "{name}/q{quality} dimensions"
             );
             produced.push_str(&format!(
-                "{name}\t{quality}\t{}\t{:016x}\t{:016x}\n",
+                "{name}\t{quality}\t{}\t{:016x}\t{:016x}\t{:016x}\n",
                 encoded.len(),
                 fnv1a(&encoded),
+                fnv1a(&body),
                 fnv1a(decoded.data()),
             ));
         }
