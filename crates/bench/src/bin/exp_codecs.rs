@@ -16,10 +16,16 @@
 //! Emits `BENCH_codecs.json` (schema `adshare-bench-codecs/v3`, validated
 //! in CI by `obs_schema_check`) with the machine it was measured on.
 //!
+//! `dct.bytes` is the size of that frame's q75 payload. It is a pure
+//! function of the code, so it is gated exactly: a change to the DCT
+//! entropy stage or to the DEFLATE policy that serves it may not make it
+//! grow.
+//!
 //! `--baseline FILE` is the gate: it compares the run against an earlier
 //! document (CI: the checked-in `BENCH_codecs.json`) and exits non-zero
-//! when any throughput has fallen more than 30 % below it. A figure the
-//! baseline does not carry is reported as new, not as a failure.
+//! when any throughput has fallen more than 30 % below it, or when
+//! `dct.bytes` is larger than it. A figure the baseline does not carry is
+//! reported as new, not as a failure.
 
 use adshare_bench::{machine_json, print_table, round_to, timed, write_bench_json, Content};
 use adshare_codec::deflate::{deflate, inflate, Level};
@@ -152,15 +158,51 @@ fn throughputs(doc: &Json) -> Vec<(String, f64)> {
     out
 }
 
+/// The q75 photo frame's DCT payload size, if the document records it.
+fn dct_bytes(doc: &Json) -> Option<f64> {
+    match doc.get("dct")?.get("bytes")? {
+        Json::Num(n) => Some(*n),
+        _ => None,
+    }
+}
+
 /// Compare this run's document with the baseline file; lists every figure
 /// that fell out of tolerance.
 fn regressions(ours: &str, baseline_path: &str) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let base = throughputs(&parse(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))?);
-    let ours = throughputs(&parse(ours).map_err(|e| format!("own document: {e}"))?);
+    let base = parse(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))?;
+    let ours = parse(ours).map_err(|e| format!("own document: {e}"))?;
     let mut rows = Vec::new();
     let mut bad = Vec::new();
+    // The payload size is exact: any growth fails, the tolerance is for
+    // timings only.
+    if let Some(now) = dct_bytes(&ours) {
+        let name = "dct bytes (exact)";
+        match dct_bytes(&base) {
+            None => rows.push(vec![
+                name.into(),
+                "-".into(),
+                format!("{now}"),
+                "-".into(),
+                "new".into(),
+            ]),
+            Some(was) => {
+                let ok = now <= was;
+                rows.push(vec![
+                    name.into(),
+                    format!("{was}"),
+                    format!("{now}"),
+                    format!("{:+.1}%", (now / was - 1.0) * 100.0),
+                    if ok { "ok" } else { "GREW" }.to_string(),
+                ]);
+                if !ok {
+                    bad.push(format!("{name}: {was} -> {now}"));
+                }
+            }
+        }
+    }
+    let (base, ours) = (throughputs(&base), throughputs(&ours));
     for (name, now) in &ours {
         let Some((_, was)) = base.iter().find(|(n, _)| n == name) else {
             let row = [name.as_str(), "-", &format!("{now:.2}"), "-", "new"];
@@ -181,7 +223,9 @@ fn regressions(ours: &str, baseline_path: &str) -> Result<Vec<String>, String> {
         }
     }
     print_table(
-        &format!("E22d: against baseline {baseline_path} (fails below -30 %)"),
+        &format!(
+            "E22d: against baseline {baseline_path} (fails below -30 %, or on more DCT bytes)"
+        ),
         &["figure", "baseline", "now", "change", "verdict"],
         &rows,
     );
@@ -240,7 +284,7 @@ fn main() {
             vec![
                 "dct encode".into(),
                 format!("{encode_us:.0}"),
-                format!("{dct_encode_mbs:.1} MB/s"),
+                format!("{dct_encode_mbs:.1} MB/s, {} B", encoded.len()),
             ],
             vec![
                 "dct decode".into(),
@@ -341,7 +385,8 @@ fn main() {
         o.str("schema", "adshare-bench-codecs/v3")
             .object("machine", machine_json)
             .object("dct", |o| {
-                o.f64("block_us", round_to(block_us, 4))
+                o.u64("bytes", encoded.len() as u64)
+                    .f64("block_us", round_to(block_us, 4))
                     .f64("encode_mb_per_s", round_to(dct_encode_mbs, 1))
                     .f64("decode_mb_per_s", round_to(dct_decode_mbs, 1));
             })
@@ -375,7 +420,7 @@ fn main() {
         match regressions(&json, &path) {
             Ok(bad) if bad.is_empty() => println!("\nno figure more than 30 % below {path}"),
             Ok(bad) => {
-                eprintln!("\nthroughput fell more than 30 % below {path}:");
+                eprintln!("\nregressed against {path}:");
                 for line in bad {
                     eprintln!("  {line}");
                 }

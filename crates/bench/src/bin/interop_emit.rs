@@ -1,10 +1,11 @@
 //! Emit adshare-compressed zlib streams for `scripts/check_interop.sh`:
 //! real zlib (CPython) must decompress every line.
 
-use adshare_codec::deflate::Level;
+use adshare_bench::Content;
+use adshare_codec::deflate::{self, Level};
 use adshare_codec::png::{encode as png_encode, PngColor, PngOptions};
-use adshare_codec::zlib;
 use adshare_codec::Image;
+use adshare_codec::{dct, zlib};
 
 fn hex(data: &[u8]) -> String {
     data.iter().map(|b| format!("{b:02x}")).collect()
@@ -39,6 +40,21 @@ fn main() {
             let comp = zlib::compress(&data, level);
             println!("{name}-{lname}\t{}\t{}", hex(&data), hex(&comp));
         }
+    }
+    // The streams `dct::encode` ships: the coefficient body under
+    // `Level::Fast` (long matches only, 258-byte runs, distances across the
+    // whole window), for the q75 photo frame `video_dct_udp` sends and
+    // E1's gradient.
+    for content in [Content::Photo, Content::Gradient] {
+        let payload = dct::encode(&content.frame(320, 240, 7), 75);
+        // The container's 13-byte header precedes the DEFLATE stream.
+        let body = deflate::inflate(&payload[13..], 1 << 24).expect("own DCT payload");
+        let comp = zlib::compress(&body, Level::Fast);
+        // zlib's 2-byte header and 4-byte Adler-32 around the very stream
+        // the payload carries.
+        assert_eq!(&comp[2..comp.len() - 4], &payload[13..], "DCT stream");
+        let name = format!("dct_body_{}_q75-fast", content.name());
+        println!("{name}\t{}\t{}", hex(&body), hex(&comp));
     }
     // Also emit a PNG for structural validation by the reference zlib +
     // an independent unfilter implementation (scripts/check_interop.sh).

@@ -4,9 +4,12 @@
 //! Architecture mirrors JPEG: RGB → YCbCr colour transform, 8×8 forward DCT,
 //! quality-scaled quantisation with separate luma/chroma tables, zigzag
 //! ordering, then a compact entropy stage (run-length of zeros + signed
-//! varints, finished with DEFLATE). It reproduces JPEG's rate/distortion
-//! behaviour on photographic vs synthetic content without importing a full
-//! JPEG entropy coder.
+//! varints, finished with DEFLATE at [`Level::Fast`], the long-match
+//! policy: in a stream of zero runs and small varints a match shorter than
+//! 8 bytes costs more bits than the literals it replaces, so only longer
+//! ones are kept). It reproduces JPEG's rate/distortion behaviour on
+//! photographic vs synthetic content without importing a full JPEG
+//! entropy coder.
 //!
 //! The transform is the integer Loeffler–Ligtenberg–Moshovitz factorisation
 //! (`jfdctint`/`jidctint`): 12 multiplies per 1-D transform in 13-bit fixed

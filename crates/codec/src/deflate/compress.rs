@@ -15,7 +15,11 @@ use crate::deflate::tables::{
 pub enum Level {
     /// No compression: stored blocks only (fastest, for incompressible data).
     Store,
-    /// LZ77 with short hash chains.
+    /// Long matches only: 8-byte hash chains, at most 16 candidates, and a
+    /// match is kept only if it is at least 8 bytes long. Built for the DCT
+    /// coefficient body, where a short match costs more bits than the
+    /// varint literals it replaces; text and filtered scanlines compress
+    /// better at [`Default`](Level::Default).
     Fast,
     /// LZ77 with deeper chains (default).
     Default,
@@ -23,35 +27,45 @@ pub enum Level {
     Best,
 }
 
-impl Level {
-    fn max_chain(self) -> usize {
-        match self {
-            Level::Store => 0,
-            Level::Fast => 16,
-            Level::Default => 128,
-            Level::Best => 1024,
-        }
-    }
-
-    /// Stop chain-walking once a match at least this long is in hand: the
+/// How the LZ77 stage searches at one level.
+#[derive(Debug, Clone, Copy)]
+struct Policy {
+    /// Hash 8 bytes into the chains and keep only matches of at least
+    /// [`LONG_MIN_MATCH`]. Otherwise the chains hash 4 bytes and a
+    /// single-entry 3-byte head beside them finds matches of [`MIN_MATCH`].
+    long: bool,
+    /// Candidates walked per position.
+    max_chain: usize,
+    /// Stop walking once a match at least this long is in hand: the
     /// marginal win from a longer match rarely pays for a deep walk at the
     /// faster levels.
-    fn nice_len(self) -> usize {
-        match self {
-            Level::Store => 0,
-            Level::Fast => 64,
-            Level::Default => 128,
-            Level::Best => MAX_MATCH,
-        }
-    }
+    nice_len: usize,
+    /// Try the next position before taking a match (`Best`).
+    lazy: bool,
+}
 
-    fn lazy(self) -> bool {
-        matches!(self, Level::Best)
+impl Level {
+    fn policy(self) -> Policy {
+        let (long, max_chain, nice_len, lazy) = match self {
+            Level::Store => (false, 0, 0, false),
+            Level::Fast => (true, 16, MAX_MATCH, false),
+            Level::Default => (false, 128, 128, false),
+            Level::Best => (false, 1024, MAX_MATCH, true),
+        };
+        Policy {
+            long,
+            max_chain,
+            nice_len,
+            lazy,
+        }
     }
 }
 
 const WINDOW_SIZE: usize = 32 * 1024;
 const MIN_MATCH: usize = 3;
+/// Shortest match the long-match policy ([`Level::Fast`]) keeps: one hashed
+/// `u64`.
+const LONG_MIN_MATCH: usize = 8;
 const MAX_MATCH: usize = 258;
 /// Emit a block at most this many tokens long so Huffman tables adapt.
 const MAX_BLOCK_TOKENS: usize = 64 * 1024;
@@ -150,6 +164,15 @@ fn hash4(data: &[u8], i: usize, shift: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> shift) as usize
 }
 
+/// 8-byte hash feeding the long-match chains: one `u64` load, so every
+/// candidate it turns up shares the whole minimum match with `i` unless
+/// two words collide.
+#[inline(always)]
+fn hash8(data: &[u8], i: usize, shift: u32) -> usize {
+    let v = u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
+    (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
 /// Length of the common prefix of `data[cand..]` and `data[i..]`, capped at
 /// `limit`, compared 8 bytes at a time. Caller guarantees
 /// `i + limit <= data.len()` and `cand < i`. Byte-equality semantics are
@@ -173,89 +196,118 @@ fn match_len(data: &[u8], cand: usize, i: usize, limit: usize) -> usize {
     l
 }
 
-/// Hash-chain match finder: a single-entry 3-byte head plus 4-byte hash
-/// chains (libdeflate's arrangement). Positions are stored `+1` in `u32`
-/// slots so `0` means empty.
-struct MatchFinder<'a> {
+/// Hash-chain match finder. Under the short policy (`LONG = false`): a
+/// single-entry 3-byte head plus 4-byte hash chains (libdeflate's
+/// arrangement). Under the long one: 8-byte hash chains alone. The policy
+/// is a type parameter so each level's walk compiles without the other's
+/// branches. Positions are stored `+1` in `u32` slots so `0` means empty.
+struct MatchFinder<'a, const LONG: bool> {
     data: &'a [u8],
+    /// Empty under the long policy.
     head3: Vec<u32>,
-    head4: Vec<u32>,
+    head: Vec<u32>,
     prev: Vec<u32>,
     shift3: u32,
-    shift4: u32,
+    shift: u32,
     max_chain: usize,
     nice_len: usize,
 }
 
-impl<'a> MatchFinder<'a> {
-    fn new(data: &'a [u8], level: Level) -> Self {
+impl<'a, const LONG: bool> MatchFinder<'a, LONG> {
+    /// Shortest match this finder keeps.
+    const MIN_LEN: usize = if LONG { LONG_MIN_MATCH } else { MIN_MATCH };
+
+    fn new(data: &'a [u8], policy: Policy) -> Self {
         assert!(
             data.len() < u32::MAX as usize,
             "deflate input exceeds u32 position space"
         );
-        let (bits3, bits4) = table_bits(data.len());
+        let (bits3, bits) = table_bits(data.len());
+        let (head3, shift) = if LONG {
+            (Vec::new(), 64 - bits)
+        } else {
+            (vec![0; 1 << bits3], 32 - bits)
+        };
         MatchFinder {
             data,
-            head3: vec![0; 1 << bits3],
-            head4: vec![0; 1 << bits4],
+            head3,
+            head: vec![0; 1 << bits],
             prev: vec![0; data.len()],
             shift3: 32 - bits3,
-            shift4: 32 - bits4,
-            max_chain: level.max_chain(),
-            nice_len: level.nice_len(),
+            shift,
+            max_chain: policy.max_chain,
+            nice_len: policy.nice_len,
         }
     }
 
-    /// The one place the `i + MIN_MATCH` bound lives: positions too close
+    /// The one place the `i + MIN_LEN` bound lives: positions too close
     /// to the end can neither be hashed nor start a match.
     #[inline(always)]
     fn hashable(&self, i: usize) -> bool {
-        i + MIN_MATCH <= self.data.len()
+        i + Self::MIN_LEN <= self.data.len()
     }
 
     /// Enter position `i` into the hash tables.
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, i: usize) {
         if !self.hashable(i) {
             return;
         }
-        self.head3[hash3(self.data, i, self.shift3)] = (i + 1) as u32;
-        if i + 4 <= self.data.len() {
-            let h = hash4(self.data, i, self.shift4);
-            self.prev[i] = self.head4[h];
-            self.head4[h] = (i + 1) as u32;
+        if LONG {
+            self.link(i, hash8(self.data, i, self.shift));
+        } else {
+            self.head3[hash3(self.data, i, self.shift3)] = (i + 1) as u32;
+            if i + 4 <= self.data.len() {
+                self.link(i, hash4(self.data, i, self.shift));
+            }
         }
     }
 
-    /// Best `(len, dist)` match for position `i`, if any of length >=
-    /// MIN_MATCH exists within the window.
+    /// Push position `i` onto the front of chain `h`.
+    #[inline(always)]
+    fn link(&mut self, i: usize, h: usize) {
+        self.prev[i] = self.head[h];
+        self.head[h] = (i + 1) as u32;
+    }
+
+    /// Best `(len, dist)` match for position `i`, if any of at least
+    /// `MIN_LEN` exists within the window.
     fn find(&self, i: usize) -> Option<(usize, usize)> {
         if !self.hashable(i) {
             return None;
         }
         let data = self.data;
         let limit = MAX_MATCH.min(data.len() - i);
-        let mut best_len = MIN_MATCH - 1;
+        let mut best_len = Self::MIN_LEN - 1;
         let mut best_dist = 0usize;
 
-        // Most recent position sharing the 3-byte prefix: the only source
-        // of length-3 matches (the chains below need 4 bytes of context).
-        let c3 = self.head3[hash3(data, i, self.shift3)];
-        if c3 != 0 {
-            let cand = (c3 - 1) as usize;
-            let dist = i - cand;
-            if dist <= WINDOW_SIZE {
-                let l = match_len(data, cand, i, limit);
-                if l >= MIN_MATCH {
-                    best_len = l;
-                    best_dist = dist;
+        let head = if LONG {
+            hash8(data, i, self.shift)
+        } else {
+            // Most recent position sharing the 3-byte prefix: the only
+            // source of length-3 matches (the chains need 4 bytes of
+            // context).
+            let c3 = self.head3[hash3(data, i, self.shift3)];
+            if c3 != 0 {
+                let cand = (c3 - 1) as usize;
+                let dist = i - cand;
+                if dist <= WINDOW_SIZE {
+                    let l = match_len(data, cand, i, limit);
+                    if l >= MIN_MATCH {
+                        best_len = l;
+                        best_dist = dist;
+                    }
                 }
             }
-        }
+            if i + 4 > data.len() {
+                return (best_len >= MIN_MATCH).then_some((best_len, best_dist));
+            }
+            hash4(data, i, self.shift)
+        };
 
-        // Walk the 4-byte chain for longer matches.
-        if i + 4 <= data.len() && best_len < limit && best_len < self.nice_len {
-            let mut cand = self.head4[hash4(data, i, self.shift4)];
+        // Walk the chain for longer matches.
+        if best_len < limit && best_len < self.nice_len {
+            let mut cand = self.head[head];
             let mut chain = 0usize;
             while cand != 0 && chain < self.max_chain {
                 let c = (cand - 1) as usize;
@@ -280,18 +332,27 @@ impl<'a> MatchFinder<'a> {
             }
         }
 
-        if best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
-        } else {
-            None
-        }
+        (best_len >= Self::MIN_LEN).then_some((best_len, best_dist))
     }
 }
 
 /// Greedy (or lazy, at `Level::Best`) hash-chain LZ77.
 fn lz77(data: &[u8], level: Level) -> Vec<Token> {
-    let mut f = MatchFinder::new(data, level);
-    let mut tokens = Vec::with_capacity(data.len() / 2);
+    let policy = level.policy();
+    if policy.long {
+        lz77_with::<true>(data, policy)
+    } else {
+        lz77_with::<false>(data, policy)
+    }
+}
+
+fn lz77_with<const LONG: bool>(data: &[u8], policy: Policy) -> Vec<Token> {
+    let mut f = MatchFinder::<LONG>::new(data, policy);
+    // The long policy leaves most bytes as literals (a DCT body comes out
+    // at 0.6–0.7 tokens per byte), so it takes the bound, one token per
+    // byte, rather than grow from half of it.
+    let cap = if LONG { data.len() } else { data.len() / 2 };
+    let mut tokens = Vec::with_capacity(cap);
 
     let mut i = 0;
     while i < data.len() {
@@ -299,7 +360,7 @@ fn lz77(data: &[u8], level: Level) -> Vec<Token> {
             Some((mut len, mut dist)) => {
                 // Lazy evaluation: if the next position has a strictly longer
                 // match, emit a literal instead and take that one.
-                if level.lazy() && i + 1 < data.len() {
+                if policy.lazy && i + 1 < data.len() {
                     f.insert(i);
                     if let Some((len2, dist2)) = f.find(i + 1) {
                         if len2 > len {
@@ -625,18 +686,28 @@ mod tests {
     const LIMIT: usize = 16 << 20;
 
     /// Naive mirror of the production matcher: identical candidate policy
-    /// (single 3-byte head, 4-byte chains, same chain/nice-length budgets,
-    /// same traversal order and tie-breaks) with byte-at-a-time match
+    /// (single 3-byte head and 4-byte chains, or 8-byte chains alone under
+    /// the long policy; same chain/nice-length budgets, same traversal
+    /// order, tie-breaks and minimum length) with byte-at-a-time match
     /// extension and `usize` tables. Any divergence in the optimised
     /// word-compare walk shows up as a token-stream mismatch.
     fn lz77_reference(data: &[u8], level: Level) -> Vec<Token> {
-        let (bits3, bits4) = table_bits(data.len());
-        let (shift3, shift4) = (32 - bits3, 32 - bits4);
+        let policy = level.policy();
+        let min_match = if policy.long { 8 } else { 3 };
+        let (bits3, bits) = table_bits(data.len());
+        let shift3 = 32 - bits3;
+        let shift = if policy.long { 64 - bits } else { 32 - bits };
         let mut head3 = vec![usize::MAX; 1 << bits3];
-        let mut head4 = vec![usize::MAX; 1 << bits4];
+        let mut head = vec![usize::MAX; 1 << bits];
         let mut prev = vec![usize::MAX; data.len()];
-        let max_chain = level.max_chain();
-        let nice_len = level.nice_len();
+        // The chain a position hashes into, if it has enough bytes left.
+        let chain_of = |i: usize| -> Option<usize> {
+            if policy.long {
+                (i + 8 <= data.len()).then(|| hash8(data, i, shift))
+            } else {
+                (i + 4 <= data.len()).then(|| hash4(data, i, shift))
+            }
+        };
 
         let naive_len = |cand: usize, i: usize, limit: usize| -> usize {
             let mut l = 0;
@@ -646,70 +717,75 @@ mod tests {
             l
         };
 
-        let find = |head3: &[usize], head4: &[usize], prev: &[usize], i: usize| {
-            if i + MIN_MATCH > data.len() {
+        let find = |head3: &[usize], head: &[usize], prev: &[usize], i: usize| {
+            if i + min_match > data.len() {
                 return None;
             }
             let limit = MAX_MATCH.min(data.len() - i);
-            let mut best_len = MIN_MATCH - 1;
+            let mut best_len = min_match - 1;
             let mut best_dist = 0usize;
-            let c3 = head3[hash3(data, i, shift3)];
-            if c3 != usize::MAX && i - c3 <= WINDOW_SIZE {
-                let l = naive_len(c3, i, limit);
-                if l >= MIN_MATCH {
-                    best_len = l;
-                    best_dist = i - c3;
+            if !policy.long {
+                let c3 = head3[hash3(data, i, shift3)];
+                if c3 != usize::MAX && i - c3 <= WINDOW_SIZE {
+                    let l = naive_len(c3, i, limit);
+                    if l >= min_match {
+                        best_len = l;
+                        best_dist = i - c3;
+                    }
                 }
             }
-            if i + 4 <= data.len() && best_len < limit && best_len < nice_len {
-                let mut cand = head4[hash4(data, i, shift4)];
-                let mut chain = 0usize;
-                while cand != usize::MAX && chain < max_chain {
-                    let dist = i - cand;
-                    if dist > WINDOW_SIZE {
-                        break;
-                    }
-                    if data[cand + best_len] == data[i + best_len] {
-                        let l = naive_len(cand, i, limit);
-                        if l > best_len {
-                            best_len = l;
-                            best_dist = dist;
-                            if l >= limit || l >= nice_len {
-                                break;
+            if let Some(h) = chain_of(i) {
+                if best_len < limit && best_len < policy.nice_len {
+                    let mut cand = head[h];
+                    let mut chain = 0usize;
+                    while cand != usize::MAX && chain < policy.max_chain {
+                        let dist = i - cand;
+                        if dist > WINDOW_SIZE {
+                            break;
+                        }
+                        if data[cand + best_len] == data[i + best_len] {
+                            let l = naive_len(cand, i, limit);
+                            if l > best_len {
+                                best_len = l;
+                                best_dist = dist;
+                                if l >= limit || l >= policy.nice_len {
+                                    break;
+                                }
                             }
                         }
+                        cand = prev[cand];
+                        chain += 1;
                     }
-                    cand = prev[cand];
-                    chain += 1;
                 }
             }
-            if best_len >= MIN_MATCH {
+            if best_len >= min_match {
                 Some((best_len, best_dist))
             } else {
                 None
             }
         };
 
-        let insert = |head3: &mut [usize], head4: &mut [usize], prev: &mut [usize], i: usize| {
-            if i + MIN_MATCH > data.len() {
+        let insert = |head3: &mut [usize], head: &mut [usize], prev: &mut [usize], i: usize| {
+            if i + min_match > data.len() {
                 return;
             }
-            head3[hash3(data, i, shift3)] = i;
-            if i + 4 <= data.len() {
-                let h = hash4(data, i, shift4);
-                prev[i] = head4[h];
-                head4[h] = i;
+            if !policy.long {
+                head3[hash3(data, i, shift3)] = i;
+            }
+            if let Some(h) = chain_of(i) {
+                prev[i] = head[h];
+                head[h] = i;
             }
         };
 
         let mut tokens = Vec::new();
         let mut i = 0;
         while i < data.len() {
-            match find(&head3, &head4, &prev, i) {
+            match find(&head3, &head, &prev, i) {
                 Some((mut len, mut dist)) => {
-                    if level.lazy() && i + 1 < data.len() {
-                        insert(&mut head3, &mut head4, &mut prev, i);
-                        if let Some((len2, dist2)) = find(&head3, &head4, &prev, i + 1) {
+                    if policy.lazy && i + 1 < data.len() {
+                        insert(&mut head3, &mut head, &mut prev, i);
+                        if let Some((len2, dist2)) = find(&head3, &head, &prev, i + 1) {
                             if len2 > len {
                                 tokens.push(Token::Literal(data[i]));
                                 i += 1;
@@ -724,7 +800,7 @@ mod tests {
                         let end = i + len;
                         let mut j = i + 1;
                         while j < end && j < data.len() {
-                            insert(&mut head3, &mut head4, &mut prev, j);
+                            insert(&mut head3, &mut head, &mut prev, j);
                             j += 1;
                         }
                         i = end;
@@ -736,7 +812,7 @@ mod tests {
                         let end = i + len;
                         let mut j = i;
                         while j < end && j < data.len() {
-                            insert(&mut head3, &mut head4, &mut prev, j);
+                            insert(&mut head3, &mut head, &mut prev, j);
                             j += 1;
                         }
                         i = end;
@@ -744,12 +820,36 @@ mod tests {
                 }
                 None => {
                     tokens.push(Token::Literal(data[i]));
-                    insert(&mut head3, &mut head4, &mut prev, i);
+                    insert(&mut head3, &mut head, &mut prev, i);
                     i += 1;
                 }
             }
         }
         tokens
+    }
+
+    /// A DCT-coefficient-like stream: runs of `0x00` (zero coefficients)
+    /// and `0xff` (negative sign bytes) between small signed values, so
+    /// long matches and near-misses of every length occur.
+    fn varint_like() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((0u8..4, 1usize..40, -6i8..=6), 0..160).prop_map(|parts| {
+            let mut out = Vec::new();
+            for (kind, run, v) in parts {
+                match kind {
+                    0 => out.resize(out.len() + run, 0x00),
+                    1 => out.resize(out.len() + run, 0xff),
+                    2 => out.push(v as u8),
+                    _ => {
+                        // Replay an earlier stretch, perturbed at its end.
+                        let from = out.len().saturating_sub(run * 3);
+                        let copy = out[from..].iter().take(run).copied().collect::<Vec<_>>();
+                        out.extend_from_slice(&copy);
+                        out.push(v as u8);
+                    }
+                }
+            }
+            out
+        })
     }
 
     /// The per-token cost walk the histogram formula replaced.
@@ -805,13 +905,33 @@ mod tests {
     proptest! {
         // The optimised matcher must emit exactly the reference's tokens
         // at every level — this pins the word-compare extension and chain
-        // walk to the naive policy byte for byte.
+        // walk to the naive policy byte for byte. The coefficient-like
+        // stream is where the long policy finds matches: a random
+        // 8-symbol stream rarely repeats 8 bytes.
         #[test]
         fn optimised_matcher_equals_reference(
             data in proptest::collection::vec(0u8..8, 0..2048),
+            coefficients in varint_like(),
             level in (0usize..3).prop_map(|i| [Level::Fast, Level::Default, Level::Best][i]),
         ) {
             prop_assert_eq!(lz77(&data, level), lz77_reference(&data, level));
+            prop_assert_eq!(
+                lz77(&coefficients, level),
+                lz77_reference(&coefficients, level)
+            );
+        }
+
+        // The long policy keeps no match shorter than 8 bytes, and its
+        // streams round-trip.
+        #[test]
+        fn fast_keeps_only_long_matches(data in varint_like()) {
+            for t in lz77(&data, Level::Fast) {
+                if let Token::Match { len, .. } = t {
+                    prop_assert!(len as usize >= LONG_MIN_MATCH, "match of {}", len);
+                }
+            }
+            let compressed = deflate(&data, Level::Fast);
+            prop_assert_eq!(inflate(&compressed, LIMIT).unwrap(), data);
         }
 
         // The block cost worked out from the histogram is the cost of

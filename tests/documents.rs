@@ -429,6 +429,7 @@ fn every_emitter_conforms_to_its_schema_and_every_constraint_bites() {
     let bench = std::fs::read_to_string(bench).expect("checked-in BENCH_codecs.json");
     rows.push(row("adshare-bench-codecs/v3", bench, |doc| {
         assert!(u64_at(doc, &["machine", "logical_cores"]).is_some());
+        assert!(u64_at(doc, &["dct", "bytes"]).is_some());
     }));
     assert_eq!(rows.len(), 10);
     let schema_files: Vec<Json> =
