@@ -57,7 +57,7 @@ use adshare_remoting::{
     MousePointerInfo, RegionUpdate, RemotingMessage, WindowId, WindowManagerInfo, WindowRecord,
 };
 use adshare_rtp::history::RetransmitHistory;
-use adshare_rtp::rtcp::{decode_compound, GenericNack, RtcpPacket};
+use adshare_rtp::rtcp::{decode_compound, leading_sr_ntp, GenericNack, RtcpPacket};
 use adshare_rtp::RtpPacket;
 use adshare_session::egress::{Burst, Downstream, StreamId, Tap, Verdict, Wire, REPEAT_WINDOW_US};
 use adshare_session::ingress::{is_rtcp, Ingress};
@@ -564,6 +564,10 @@ impl RelayNode {
             );
         }
         if is_rtcp(&datagram) {
+            // The relay's own receiver reports echo the sender report.
+            if let Some(ntp) = leading_sr_ntp(&datagram) {
+                self.rx.on_sender_report(ntp, us_to_ticks(now_us));
+            }
             // Sender reports anchor downstream playout clocks; forward the
             // compound byte-for-byte, in stream order through the queues.
             let bytes = datagram.len() as u64;

@@ -20,7 +20,7 @@ pub mod sdes;
 
 pub use bye::Bye;
 pub use feedback::{GenericNack, NackEntry, PictureLossIndication};
-pub use report::{ReceiverReport, ReportBlock, SenderReport};
+pub use report::{compact_ntp, ReceiverReport, ReportBlock, SenderReport, DLSR_UNITS_PER_S};
 pub use sdes::{SdesChunk, SdesItem, SourceDescription};
 
 use crate::{Error, Result};
@@ -122,6 +122,19 @@ pub fn decode_compound(buf: &[u8]) -> Result<Vec<RtcpPacket>> {
     Ok(out)
 }
 
+/// The NTP timestamp of the sender report leading `compound` (RFC 3550
+/// §6.1: a compound starts with an SR or RR), read in place; `None` when
+/// it leads with anything else or is malformed there.
+pub fn leading_sr_ntp(compound: &[u8]) -> Option<u64> {
+    let (pt, _, body, _) = split_packet(compound).ok()?;
+    if pt != PT_SR || body.len() < 24 {
+        return None;
+    }
+    let hi = read_u32(body, 4, "SR ntp").ok()?;
+    let lo = read_u32(body, 8, "SR ntp").ok()?;
+    Some((u64::from(hi) << 32) | u64::from(lo))
+}
+
 /// Serialize several RTCP packets into one compound datagram.
 pub fn encode_compound(packets: &[RtcpPacket]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -200,6 +213,24 @@ pub(crate) fn read_u32(buf: &[u8], off: usize, what: &'static str) -> Result<u32
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn leading_sr_ntp_reads_only_a_leading_sender_report() {
+        let sr = RtcpPacket::SenderReport(SenderReport {
+            ssrc: 7,
+            ntp: 0x0123_4567_89ab_cdef,
+            rtp_ts: 1,
+            packet_count: 2,
+            octet_count: 3,
+            reports: vec![],
+        });
+        let sdes = RtcpPacket::Sdes(SourceDescription::cname(7, "ah"));
+        let compound = encode_compound(&[sr.clone(), sdes.clone()]);
+        assert_eq!(leading_sr_ntp(&compound), Some(0x0123_4567_89ab_cdef));
+        assert_eq!(leading_sr_ntp(&encode_compound(&[sdes, sr])), None);
+        assert_eq!(leading_sr_ntp(&compound[..20]), None, "truncated");
+        assert_eq!(leading_sr_ntp(&[]), None);
+    }
 
     #[test]
     fn compound_round_trip() {

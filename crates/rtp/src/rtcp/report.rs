@@ -16,10 +16,22 @@ pub struct ReportBlock {
     pub highest_seq: u32,
     /// Interarrival jitter in timestamp units.
     pub jitter: u32,
-    /// Last SR timestamp (middle 32 bits of NTP).
+    /// Last SR timestamp (middle 32 bits of NTP, [`compact_ntp`]); 0
+    /// until an SR has arrived.
     pub last_sr: u32,
-    /// Delay since last SR, in 1/65536 seconds.
+    /// Delay since last SR, in 1/65536 seconds ([`DLSR_UNITS_PER_S`]); 0
+    /// until an SR has arrived.
     pub delay_since_last_sr: u32,
+}
+
+/// Units of a report block's delay since last SR per second (RFC 3550
+/// §6.4.1).
+pub const DLSR_UNITS_PER_S: u64 = 65_536;
+
+/// The middle 32 bits of a 64-bit NTP timestamp: what a report block's
+/// `last_sr` echoes of the SR it refers to (RFC 3550 §6.4.1).
+pub fn compact_ntp(ntp: u64) -> u32 {
+    (ntp >> 16) as u32
 }
 
 impl ReportBlock {

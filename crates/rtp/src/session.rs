@@ -4,13 +4,15 @@
 //! timestamp MUST be random (unpredictable)"; RFC 3550 says the same of the
 //! initial sequence number. [`RtpSender`] implements both, plus monotone
 //! sequence/timestamp assignment. [`RtpReceiver`] accumulates the statistics
-//! that feed RTCP receiver reports.
+//! that feed RTCP receiver reports, and remembers the last sender report so
+//! each report block can echo it (RFC 3550 §6.4.1: LSR and DLSR, from which
+//! the sender computes the round-trip time).
 
 use rand::Rng;
 
 use crate::header::RtpHeader;
 use crate::packet::RtpPacket;
-use crate::rtcp::ReportBlock;
+use crate::rtcp::{compact_ntp, ReportBlock, DLSR_UNITS_PER_S};
 use crate::seq::{ExtendedSeq, JitterEstimator};
 
 /// Sender-side state for one outgoing RTP stream.
@@ -125,6 +127,9 @@ pub struct RtpReceiver {
     /// Receive count at the previous report (for fraction_lost).
     prev_expected: u64,
     prev_received: u64,
+    /// The last sender report: its compact NTP timestamp and local arrival
+    /// time (90 kHz ticks).
+    last_sr: Option<(u32, u64)>,
 }
 
 impl RtpReceiver {
@@ -163,14 +168,22 @@ impl RtpReceiver {
         self.expected().saturating_sub(self.received)
     }
 
+    /// Record a sender report carrying NTP timestamp `ntp`, arrived at
+    /// `arrival_ticks` (local 90 kHz time): later report blocks echo it.
+    pub fn on_sender_report(&mut self, ntp: u64, arrival_ticks: u64) {
+        self.last_sr = Some((compact_ntp(ntp), arrival_ticks));
+    }
+
     /// Current jitter estimate in timestamp ticks.
     pub fn jitter(&self) -> u32 {
         self.jitter.jitter()
     }
 
-    /// Produce an RTCP report block for this stream and roll the interval
-    /// counters (fraction_lost covers the window since the previous call).
-    pub fn report_block(&mut self, media_ssrc: u32) -> ReportBlock {
+    /// Produce an RTCP report block for this stream at `now_ticks` (local
+    /// 90 kHz time) and roll the interval counters (fraction_lost covers
+    /// the window since the previous call). LSR and DLSR name the last
+    /// sender report and how long ago it arrived; both are 0 before one has.
+    pub fn report_block(&mut self, media_ssrc: u32, now_ticks: u64) -> ReportBlock {
         let expected = self.expected();
         let exp_int = expected.saturating_sub(self.prev_expected);
         let rcv_int = self.received.saturating_sub(self.prev_received);
@@ -182,14 +195,19 @@ impl RtpReceiver {
             .min(255) as u8;
         self.prev_expected = expected;
         self.prev_received = self.received;
+        let (last_sr, delay_since_last_sr) = self.last_sr.map_or((0, 0), |(lsr, at)| {
+            let held = u128::from(now_ticks.saturating_sub(at));
+            let units = held * u128::from(DLSR_UNITS_PER_S) / u128::from(crate::CLOCK_RATE);
+            (lsr, u32::try_from(units).unwrap_or(u32::MAX))
+        });
         ReportBlock {
             ssrc: media_ssrc,
             fraction_lost: fraction,
             cumulative_lost: self.cumulative_lost().min(0x00ff_ffff_u64) as u32,
             highest_seq: (self.ext.highest() & 0xffff_ffff) as u32,
             jitter: self.jitter(),
-            last_sr: 0,
-            delay_since_last_sr: 0,
+            last_sr,
+            delay_since_last_sr,
         }
     }
 }
@@ -240,10 +258,10 @@ mod tests {
         assert_eq!(r.expected(), 8);
         assert_eq!(r.received(), 6);
         assert_eq!(r.cumulative_lost(), 2);
-        let rb = r.report_block(7);
+        let rb = r.report_block(7, 0);
         assert!(rb.fraction_lost > 0);
         // Second report over an empty interval reports zero fraction.
-        let rb2 = r.report_block(7);
+        let rb2 = r.report_block(7, 0);
         assert_eq!(rb2.fraction_lost, 0);
     }
 
@@ -257,6 +275,23 @@ mod tests {
             r.on_packet(&pkt, (i * 3000) as u64);
         }
         assert_eq!(r.cumulative_lost(), 0);
-        assert_eq!(r.report_block(7).fraction_lost, 0);
+        assert_eq!(r.report_block(7, 0).fraction_lost, 0);
+    }
+
+    #[test]
+    fn report_echoes_the_last_sender_report() {
+        let mut r = RtpReceiver::new();
+        let before = r.report_block(7, 90_000);
+        assert_eq!((before.last_sr, before.delay_since_last_sr), (0, 0));
+        let ntp = 0x0123_4567_89ab_cdef;
+        r.on_sender_report(ntp, 90_000);
+        // Held 1.5 s (135 000 ticks at 90 kHz) = 98 304 / 65 536 s.
+        let rb = r.report_block(7, 225_000);
+        assert_eq!(rb.last_sr, 0x4567_89ab);
+        assert_eq!(rb.delay_since_last_sr, 98_304);
+        // A newer SR replaces the old one.
+        r.on_sender_report(ntp + (1 << 16), 300_000);
+        let rb = r.report_block(7, 300_000);
+        assert_eq!((rb.last_sr, rb.delay_since_last_sr), (0x4567_89ac, 0));
     }
 }

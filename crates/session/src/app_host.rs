@@ -449,12 +449,6 @@ impl AppHost {
         seed: u64,
     ) -> Option<ParticipantHandle> {
         let slot = *self.mcast.get(session)?;
-        // A member has no sender of its own, but it used to carry an unused
-        // one that drew a random seq and timestamp offset from the AH's
-        // RNG. Burn the same draws so every sender created afterwards keeps
-        // its initial values (tests/fixtures/wire_golden.txt pins them);
-        // dropping the burn is a separate change with a new fixture.
-        let _ = RtpSender::new(0, 0, &mut self.rng);
         let leg = self.legs[slot].as_mut().expect("sessions are never freed");
         let receiver = leg
             .out

@@ -4,6 +4,13 @@
 //! whichever [`Wire`] the path uses. A unicast participant owns its leg;
 //! the members of a multicast session share theirs.
 //!
+//! The leg keeps one clock with each receiver: a receiver report echoes the
+//! last sender report it got (LSR) and how long it held it (DLSR), so the
+//! SR's send time plus DLSR is when the receiver wrote the report, on the
+//! AH's clock and less one downlink delay. That instant bounds what the
+//! report can know about (tail repair) and, against the report's arrival,
+//! measures the round trip (`rtt_us`).
+//!
 //! The only transport-specific part of a flush is where the byte budget
 //! comes from: a datagram path asks its token bucket, a stream reads its
 //! send-buffer backlog (which is also its congestion signal and, per §7,
@@ -18,7 +25,8 @@ use adshare_obs::{
 use adshare_rate::RateController;
 use adshare_remoting::message::RemotingMessage;
 use adshare_rtp::rtcp::{
-    encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
+    compact_ntp, encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
+    DLSR_UNITS_PER_S,
 };
 use adshare_rtp::session::RtpSender;
 use bytes::Bytes;
@@ -33,6 +41,20 @@ use crate::egress::{Burst, Downstream, StreamId, Verdict, Wire};
 const TAIL_REPAIR_MAX: u16 = 64;
 
 const SR_INTERVAL_US: u64 = 1_000_000;
+
+/// Sender reports a leg remembers for matching receivers' LSR: a report
+/// echoes the SR it last got, at most one SR interval plus a round trip
+/// before it arrives.
+const SR_MEMORY: usize = 4;
+
+adshare_obs::metric_set! {
+    /// The leg's clock with its receivers.
+    struct Clock {
+        /// Round-trip time the latest receiver report with an LSR measured
+        /// (arrival − SR send time − DLSR), µs.
+        rtt_us: gauge "rtt_us",
+    }
+}
 
 /// RTP payload budget per packet on a stream: TCP frames can carry large
 /// payloads, so minimise per-packet overhead but stay under the RFC 4571
@@ -52,8 +74,10 @@ pub(super) struct Leg {
     /// shared leg every member's RTCP feeds this one controller, so the
     /// session reacts to its worst path.
     pub(super) rs: RateState,
-    /// When the last RTCP sender report was emitted (µs).
-    last_sr_us: u64,
+    /// The latest RTCP sender reports as `(compact NTP, send µs)`, newest
+    /// first (`(0, 0)` where none was sent).
+    srs: [(u32, u64); SR_MEMORY],
+    clock: Clock,
     /// When the leg last got past its idle check (µs).
     last_flush_us: u64,
     /// RTP payload budget per packet.
@@ -101,7 +125,8 @@ impl Leg {
             sender,
             pending: Pending::default(),
             rs: RateState::new(rate),
-            last_sr_us: 0,
+            srs: [(0, 0); SR_MEMORY],
+            clock: Clock::default(),
             last_flush_us: 0,
             prefix,
             drained: Vec::new(),
@@ -118,6 +143,7 @@ impl Leg {
             .register_metrics(registry, &format!("{prefix}.rate"));
         self.out
             .register_metrics(registry, &format!("{prefix}.retx_history"));
+        self.clock.register(registry, prefix);
     }
 
     /// A multicast session's leg: several receivers' feedback lands on it,
@@ -346,14 +372,15 @@ impl Leg {
         if !self.out.wire.has_receivers() || group_idle {
             return;
         }
-        if now_us.saturating_sub(self.last_sr_us) < SR_INTERVAL_US {
+        if now_us.saturating_sub(self.srs[0].1) < SR_INTERVAL_US {
             return;
         }
         let (packets, octets) = self.out.sent_counts();
         if packets == 0 {
             return;
         }
-        self.last_sr_us = now_us;
+        self.srs.rotate_right(1);
+        self.srs[0] = (compact_ntp(now_us), now_us);
         let ssrc = self.sender.ssrc();
         let sr = SenderReport {
             ssrc,
@@ -397,13 +424,35 @@ impl Leg {
         self.repair(cx, lost.iter().copied(), now_us);
     }
 
-    /// A reception report: the loss fraction feeds the estimator, and the
-    /// extended-highest-sequence repairs *tail loss*. NACKs only fire when
-    /// a later packet reveals a gap, so packets lost at the end of a burst
-    /// (nothing behind them) would otherwise desynchronize a participant
-    /// forever. A short deficit is answered from retransmit history, a
-    /// hopeless one with a full refresh.
+    /// When the receiver behind `block` wrote it, on this leg's clock and
+    /// less one downlink delay: the send time of the SR it echoes plus the
+    /// delay it held that SR. `None` when it echoes none (LSR 0) or one this
+    /// leg no longer remembers.
+    fn written_at(&self, block: &ReportBlock) -> Option<u64> {
+        // An empty slot reads LSR 0, which echoes nothing.
+        if block.last_sr == 0 {
+            return None;
+        }
+        let (_, sent_us) = self.srs.iter().find(|&&(lsr, _)| lsr == block.last_sr)?;
+        let held_us = u64::from(block.delay_since_last_sr) * 1_000_000 / DLSR_UNITS_PER_S;
+        Some(sent_us + held_us)
+    }
+
+    /// A reception report: it measures the round trip, the loss fraction
+    /// feeds the estimator, and the extended-highest-sequence repairs *tail
+    /// loss*. NACKs only fire when a later packet reveals a gap, so packets
+    /// lost at the end of a burst (nothing behind them) would otherwise
+    /// desynchronize a participant forever. Only what was sent by the time
+    /// the receiver wrote the report ([`Leg::written_at`]) can be missing
+    /// from it; anything later may still be in flight. A short deficit is
+    /// answered from retransmit history, a hopeless one with a full
+    /// refresh. A report that echoes no known SR repairs nothing: NACKs,
+    /// the resync PLI and the next report cover it.
     pub(super) fn on_receiver_report(&mut self, cx: &mut Cx<'_>, block: &ReportBlock, now_us: u64) {
+        let written = self.written_at(block);
+        if let Some(at) = written {
+            self.clock.rtt_us.set(now_us.saturating_sub(at) as i64);
+        }
         // A stream is reliable and in-order: a lagging RR just means queued
         // bytes (the estimator watches the send-buffer backlog instead).
         if self.out.wire.is_stream() {
@@ -412,11 +461,11 @@ impl Leg {
         self.feed_rate(cx, now_us, RATE_CAUSE_LOSS_REPORT, |rate| {
             rate.on_report(block.fraction_lost, now_us)
         });
-        let Some(last_sent) = self.out.last_sent() else {
+        let Some(seen) = written.and_then(|at| self.out.last_sent_before(at)) else {
             return;
         };
         let reported = block.highest_seq as u16;
-        let gap = last_sent.wrapping_sub(reported);
+        let gap = seen.wrapping_sub(reported);
         if gap == 0 || gap >= 0x8000 {
             // Up to date, or the report is ahead of our bookkeeping
             // (sequence wrap mid-flight); nothing to repair.

@@ -350,6 +350,13 @@ impl Wire {
 /// copy it fetched and escalates a miss upstream once.
 pub const REPEAT_WINDOW_US: u64 = 100_000;
 
+/// How many sends ([`Downstream::send_message`] / [`Downstream::forward`]
+/// calls) the send-time ring remembers. A receiver report is about one
+/// round trip old when it arrives; a ring that no longer reaches back that
+/// far answers `None`, which only defers tail repair to the NACKs the
+/// later sends provoke.
+pub const SEND_TIMES: usize = 64;
+
 /// The payload type, timestamp and SSRC a [`Downstream`] stamps on the
 /// packets it numbers.
 #[derive(Debug, Clone, Copy, Default)]
@@ -408,11 +415,11 @@ adshare_obs::metric_set! {
 }
 
 /// The send half of one RTP stream on one [`Wire`] (DESIGN §5.1): the
-/// sequence space, a bounded record of what each recent sequence carried,
-/// the NACK lookup over it and the packetizer for whole messages. Every
-/// sequence is issued here in turn and recorded under its issue number,
-/// so a NACKed sequence maps to the newest issue of it — one reused after
-/// a wrap finds its newest use or nothing.
+/// sequence space, a bounded record of what each recent sequence carried
+/// and when, the NACK lookup over it and the packetizer for whole
+/// messages. Every sequence is issued here in turn and recorded under its
+/// issue number, so a NACKed sequence maps to the newest issue of it — one
+/// reused after a wrap finds its newest use or nothing.
 #[derive(Debug)]
 pub struct Downstream {
     /// The transport.
@@ -435,6 +442,9 @@ pub struct Downstream {
     kept_bytes: usize,
     /// Sequences resent within the repeat window, on a group wire.
     repaired: HashMap<u16, u64>,
+    /// `(µs, last sequence)` of the latest [`SEND_TIMES`] sends, oldest
+    /// first; allocated once, here, and never grown.
+    send_times: VecDeque<(u64, u16)>,
     scratch: Vec<u8>,
     occupancy: Occupancy,
 }
@@ -461,6 +471,7 @@ impl Downstream {
             keep: keep.map(|(packets, bytes)| (packets.max(1), bytes.max(1))),
             kept_bytes: 0,
             repaired: HashMap::new(),
+            send_times: VecDeque::with_capacity(SEND_TIMES),
             scratch: Vec::new(),
             occupancy: Occupancy::default(),
         }
@@ -479,6 +490,22 @@ impl Downstream {
     /// The last sequence issued, if any.
     pub fn last_sent(&self) -> Option<u16> {
         Some(self.next_seq.filter(|_| self.sent.0 > 0)?.wrapping_sub(1))
+    }
+
+    /// The last sequence issued by a send at or before `t_us`: `None` when
+    /// nothing was, or when the ring no longer reaches back to `t_us`.
+    pub fn last_sent_before(&self, t_us: u64) -> Option<u16> {
+        let after = self.send_times.partition_point(|&(at, _)| at <= t_us);
+        Some(self.send_times.get(after.checked_sub(1)?)?.1)
+    }
+
+    /// Note that the send at `now_us` that just ended issued sequences.
+    fn note_send_time(&mut self, now_us: u64) {
+        let Some(last) = self.last_sent() else { return };
+        if self.send_times.len() == SEND_TIMES {
+            self.send_times.pop_front();
+        }
+        self.send_times.push_back((now_us, last));
     }
 
     /// (packets, payload octets) issued so far.
@@ -574,7 +601,7 @@ impl Downstream {
         id: StreamId,
         burst: &mut Burst,
     ) -> adshare_remoting::Result<()> {
-        for_each_fragment(msg, mtu, |marker, head, chunk| {
+        let sent = for_each_fragment(msg, mtu, |marker, head, chunk| {
             let seq = self.issue(0, head.len() + chunk.len());
             let mut header = RtpHeader::new(id.pt, seq, id.ts, id.ssrc);
             header.marker = marker;
@@ -585,7 +612,11 @@ impl Downstream {
             burst.bytes += self.send(tap, StreamKind::Rtp, now_us, &datagram);
             burst.last_seq = seq;
             burst.marker_seq = if marker { Some(seq) } else { burst.marker_seq };
-        })
+        });
+        if sent.is_ok() {
+            self.note_send_time(now_us);
+        }
+        sent
     }
 
     /// Forward upstream packets under this stream's sequence space,
@@ -598,6 +629,9 @@ impl Downstream {
             burst.packets += 1;
             burst.bytes += self.resend_as(tap, now_us, pkt, seq);
             burst.last_seq = seq;
+        }
+        if !pkts.is_empty() {
+            self.note_send_time(now_us);
         }
     }
 

@@ -1,6 +1,7 @@
 //! The remoting receive half (DESIGN §5.2): reorder → reassemble, and the
 //! feedback a receiver owes its sender — Generic NACK with retry, the
-//! give-up rule for a hole nobody repairs, PLI resync, RR + SDES. A
+//! give-up rule for a hole nobody repairs, PLI resync, RR + SDES (each
+//! report block echoing the last sender report, RFC 3550 §6.4.1). A
 //! [`crate::Participant`] and a relay's upstream side are each one
 //! [`Ingress`]; what a delivered message is *for* is the caller's business.
 
@@ -230,6 +231,14 @@ impl Ingress {
         self.depacketizer.feed(pkt)
     }
 
+    /// Take a sender report that arrived at `now_ticks`: every receiver
+    /// report from now on carries its compact NTP timestamp as LSR and the
+    /// time since `now_ticks` as DLSR, so the sender can tell what this
+    /// receiver could have seen when it wrote the report.
+    pub fn on_sender_report(&mut self, ntp: u64, now_ticks: u64) {
+        self.receiver.on_sender_report(ntp, now_ticks);
+    }
+
     fn observe(&mut self, pkt: &RtpPacket, now_ticks: u64) {
         self.last_ticks = now_ticks;
         self.media_ssrc = pkt.header.ssrc;
@@ -268,7 +277,7 @@ impl Ingress {
         {
             return None;
         }
-        let block = self.receiver.report_block(self.media_ssrc);
+        let block = self.receiver.report_block(self.media_ssrc, now_ticks);
         self.rtcp_out
             .push(RtcpPacket::ReceiverReport(ReceiverReport {
                 ssrc: self.ssrc,

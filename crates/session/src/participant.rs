@@ -233,14 +233,16 @@ impl Participant {
         self.rx.nacks_suppressed()
     }
 
-    /// Process an RTCP packet from the AH (sender reports).
-    fn handle_downstream_rtcp(&mut self, datagram: &[u8]) {
+    /// Process an RTCP packet from the AH: a sender report anchors the
+    /// playout clock and is echoed in the next receiver report.
+    fn handle_downstream_rtcp(&mut self, datagram: &[u8], now_ticks: u64) {
         let Ok(packets) = adshare_rtp::rtcp::decode_compound(datagram) else {
             return;
         };
         for pkt in packets {
             if let RtcpPacket::SenderReport(sr) = pkt {
                 self.sr_anchor = Some((sr.ntp, sr.rtp_ts));
+                self.rx.on_sender_report(sr.ntp, now_ticks);
             }
         }
     }
@@ -249,7 +251,7 @@ impl Participant {
     /// sender report is taken here, a media packet is counted and returned.
     fn demux(&mut self, bytes: Bytes, now_ticks: u64) -> Option<RtpPacket> {
         if is_rtcp(&bytes) {
-            self.handle_downstream_rtcp(&bytes);
+            self.handle_downstream_rtcp(&bytes, now_ticks);
             return None;
         }
         let pkt = RtpPacket::decode_bytes(bytes).ok()?;

@@ -3,8 +3,10 @@
 //! messages, a relay's minted ones) and of upstream-referenced ones (a
 //! relay's forwards), past a 16-bit sequence wrap, mixed with NACKs for
 //! arbitrary sequences and with `forget_kept` / `close`, checked against a
-//! reference that never forgets anything. Its packetizer: checked against
-//! `fragment()` → `RtpPacket::new` → `encode()`.
+//! reference that never forgets anything — and so is its send-time ring
+//! (`last_sent_before`), which must give the reference's answer while it
+//! still holds that send and `None` once it has let it go. Its packetizer:
+//! checked against `fragment()` → `RtpPacket::new` → `encode()`.
 
 use std::collections::HashMap;
 
@@ -14,7 +16,7 @@ use adshare::remoting::message::{
 };
 use adshare::remoting::WindowId;
 use adshare::rtp::{RtpHeader, RtpPacket};
-use adshare::session::egress::{Burst, Downstream, StreamId, Tap, Verdict, Wire};
+use adshare::session::egress::{Burst, Downstream, StreamId, Tap, Verdict, Wire, SEND_TIMES};
 use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,12 +39,26 @@ struct Reference {
     forgot_kept_before: usize,
     /// Everything issued before this index was let go.
     closed_before: usize,
+    /// `(µs, last sequence)` of every send call.
+    calls: Vec<(u64, u16)>,
 }
 
 impl Reference {
-    fn push(&mut self, seq: u16, what: Sent) {
+    fn push(&mut self, now_us: u64, seq: u16, what: Sent) {
         self.newest.insert(seq, self.sent.len());
         self.sent.push((seq, what));
+        self.calls.push((now_us, seq));
+    }
+
+    /// What a ring of the last [`SEND_TIMES`] calls answers for `t_us`: the
+    /// last sequence sent at or before it, while the ring still holds that
+    /// call.
+    fn last_sent_before(&self, t_us: u64) -> Option<u16> {
+        let i = self
+            .calls
+            .partition_point(|&(at, _)| at <= t_us)
+            .checked_sub(1)?;
+        (self.calls.len() - i <= SEND_TIMES).then_some(self.calls[i].1)
     }
 
     /// The answer a record of the last `bound` sequences must give, or
@@ -86,8 +102,10 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
         ts: 1,
         ssrc: 2,
     };
-    // NACKs answered within the bound, and beyond it.
+    // NACKs answered within the bound, and beyond it; send times found in
+    // the ring, and let go.
     let mut probed = [0u64; 2];
+    let mut timed = [0u64; 2];
     for step in 0..90_000u64 {
         match rng.gen_range(0..1_000) {
             0..=399 => {
@@ -97,7 +115,7 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
                 let sent = out.wire.poll(0, step);
                 assert_eq!(sent.len(), 1);
                 let seq = u16::from_be_bytes([sent[0][2], sent[0][3]]);
-                reference.push(seq, Sent::Kept(sent[0].to_vec()));
+                reference.push(step, seq, Sent::Kept(sent[0].to_vec()));
             }
             400..=799 => {
                 let up: u16 = rng.gen();
@@ -111,7 +129,7 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
                 let sent = out.wire.poll(0, step);
                 let seq = RtpPacket::decode(&sent[0]).expect("rtp").header.sequence;
                 assert_eq!(Some(seq), out.last_sent());
-                reference.push(seq, Sent::Upstream(up));
+                reference.push(step, seq, Sent::Upstream(up));
             }
             800..=997 => {
                 // Half near the tail (inside and just past the bound),
@@ -120,6 +138,19 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
                     (Some(last), true) => last.wrapping_sub(rng.gen_range(0..bound as u16 * 2)),
                     _ => rng.gen(),
                 };
+                // Times near the present (inside and past the ring), and
+                // anywhere before it.
+                let t = match rng.gen::<bool>() {
+                    true => step.saturating_sub(rng.gen_range(0..2 * SEND_TIMES as u64)),
+                    false => rng.gen_range(0..=step),
+                };
+                let want = reference.last_sent_before(t);
+                assert_eq!(
+                    out.last_sent_before(t),
+                    want,
+                    "seed {seed} step {step} t {t}"
+                );
+                timed[usize::from(want.is_none())] += 1;
                 let got = out.answer(&mut tap, seq, step);
                 // A resend is on the wire as the verdict says; nothing else is.
                 let resent = out.wire.poll(0, step);
@@ -158,6 +189,10 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
     assert!(
         probed[0] > 1_000 && probed[1] > 100,
         "both sides of the bound were probed"
+    );
+    assert!(
+        timed[0] > 1_000 && timed[1] > 1_000,
+        "send times inside and past the ring were probed"
     );
 }
 

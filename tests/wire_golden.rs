@@ -263,8 +263,9 @@ fn lossy(rate_bps: u64) -> LinkConfig {
     }
 }
 
-/// (1) Two UDP viewers, fixed rate, 2 % loss: NACK repair, RR tail repair,
-/// sender reports.
+/// (1) Two UDP viewers, fixed rate, 2 % loss: NACK repair and sender
+/// reports. No tail repair: every loss here has a later packet behind it
+/// that reveals the gap by the time a receiver report could see it.
 fn udp_fixed(out: &mut String) {
     let (d, mut office) = Office::new(false, 101);
     let mut s = SimSession::new(d, AhConfig::default(), 101);
@@ -296,7 +297,8 @@ fn udp_fixed(out: &mut String) {
 }
 
 /// (2) One UDP viewer, adaptive rate, the link drops to a quarter one
-/// second in: supersede, a lossy tier, then the lossless repair.
+/// second in: supersede, a lossy tier, then the lossless repair, and the
+/// one receiver-report tail repair of the fixture.
 fn udp_adaptive_cliff(out: &mut String) {
     let (d, mut office) = Office::new(true, 201);
     let cfg = AhConfig {
