@@ -37,9 +37,11 @@
 
 use std::num::Wrapping;
 
-use crate::deflate::{self, Level};
+use crate::deflate::compress::deflate_into;
+use crate::deflate::inflate::inflate_into;
+use crate::deflate::Level;
 use crate::image::{check_dims, Image, BYTES_PER_PIXEL};
-use crate::{Error, Result};
+use crate::{working_set, Error, Result};
 
 /// Magic bytes identifying this codec's container.
 const MAGIC: [u8; 4] = *b"ADCT";
@@ -644,6 +646,19 @@ fn gather_block(img: &Image, bx: usize, by: usize, planes: &mut [[i32; 64]; 3]) 
 
 /// Encode an image with the given quality (1..=100; higher = better).
 pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
+    working_set::assemble(|ws, out| {
+        encode_body(img, quality, &mut ws.plain);
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&img.width().to_be_bytes());
+        out.extend_from_slice(&img.height().to_be_bytes());
+        out.push(quality.clamp(1, 100));
+        deflate_into(&mut ws.lz, &ws.plain, Level::Fast, out);
+    })
+}
+
+/// Write `img`'s coefficient body, the input of the DEFLATE stage, into
+/// `body`.
+fn encode_body(img: &Image, quality: u8, body: &mut Vec<u8>) {
     let w = img.width();
     let h = img.height();
     let luma_q = Quantiser::new(&scaled_table(&LUMA_Q, quality));
@@ -653,7 +668,8 @@ pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
     let bh = h.div_ceil(8) as usize;
     // Photo and video content quantises to 9–12 bytes a block at the
     // qualities in use; sharp text takes two or three times that and grows.
-    let mut body = Vec::with_capacity(bw * bh * 3 * 16);
+    body.clear();
+    body.reserve(bw * bh * 3 * 16);
     let mut prev_dc = [0i32; 3];
 
     let mut planes = [[0i32; 64]; 3];
@@ -664,19 +680,10 @@ pub fn encode(img: &Image, quality: u8) -> Vec<u8> {
                 fdct(plane);
                 let q = if p == 0 { &luma_q } else { &chroma_q };
                 let coeffs = std::array::from_fn(|i| q.apply(plane[i], i));
-                encode_block(&mut body, &coeffs, &mut prev_dc[p]);
+                encode_block(body, &coeffs, &mut prev_dc[p]);
             }
         }
     }
-
-    let compressed = deflate::deflate(&body, Level::Fast);
-    let mut out = Vec::with_capacity(compressed.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&w.to_be_bytes());
-    out.extend_from_slice(&h.to_be_bytes());
-    out.push(quality.clamp(1, 100));
-    out.extend_from_slice(&compressed);
-    out
 }
 
 /// Decode an image produced by [`encode`].
@@ -694,12 +701,21 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     let h = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
     let quality = data[12];
     check_dims(w, h)?;
-    let luma_q = scaled_table(&LUMA_Q, quality);
-    let chroma_q = scaled_table(&CHROMA_Q, quality);
     let (w, h) = (w as usize, h as usize);
     let bw = w.div_ceil(8);
     let bh = h.div_ceil(8);
-    let body = deflate::inflate(&data[13..], bw * bh * 3 * 200 + 1024)?;
+    working_set::with(|ws| {
+        inflate_into(&data[13..], bw * bh * 3 * 200 + 1024, None, &mut ws.plain)?;
+        decode_body(&ws.plain, w, h, quality)
+    })
+}
+
+/// The `w`×`h` image whose coefficient body at `quality` is `body`.
+fn decode_body(body: &[u8], w: usize, h: usize, quality: u8) -> Result<Image> {
+    let luma_q = scaled_table(&LUMA_Q, quality);
+    let chroma_q = scaled_table(&CHROMA_Q, quality);
+    let bw = w.div_ceil(8);
+    let bh = h.div_ceil(8);
 
     // Every pixel is written exactly once below, row slice by row slice.
     let mut pixels = vec![0u8; w * h * BYTES_PER_PIXEL];
@@ -710,7 +726,7 @@ pub fn decode(data: &[u8]) -> Result<Image> {
         for bx in 0..bw {
             for (p, plane) in planes.iter_mut().enumerate() {
                 let q = if p == 0 { &luma_q } else { &chroma_q };
-                let ac_sum = read_block(&body, &mut off, &mut prev_dc[p], q, plane)?;
+                let ac_sum = read_block(body, &mut off, &mut prev_dc[p], q, plane)?;
                 idct_with_ac_sum(plane, ac_sum);
             }
             let (x0, y0) = (bx * 8, by * 8);
@@ -733,6 +749,7 @@ pub fn decode(data: &[u8]) -> Result<Image> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deflate;
     use proptest::prelude::*;
 
     // --- Oracles (the module docs say which test uses which). --------------

@@ -132,6 +132,16 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that appends to `out`, after the bytes it already holds;
+    /// [`finish`](Self::finish) hands it back.
+    pub(crate) fn append_to(out: Vec<u8>) -> Self {
+        BitWriter {
+            out,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
     /// Make room for `bytes` more output bytes.
     pub fn reserve(&mut self, bytes: usize) {
         self.out.reserve(bytes);

@@ -7,6 +7,7 @@ use crate::deflate::tables::{
     distance_index, length_index, CLEN_ORDER, DIST_BASE, DIST_EXTRA, FIXED_DIST_LENS,
     FIXED_LITLEN_LENS, LEN_BASE, LEN_EXTRA,
 };
+use crate::working_set;
 
 /// Compression effort: how hard the LZ77 stage searches. Every level but
 /// [`Store`](Level::Store) then emits each block as whichever of stored,
@@ -70,52 +71,83 @@ const MAX_MATCH: usize = 258;
 /// Emit a block at most this many tokens long so Huffman tables adapt.
 const MAX_BLOCK_TOKENS: usize = 64 * 1024;
 
-/// One LZ77 token.
+/// One LZ77 token, four bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Token {
+pub(crate) enum Token {
     Literal(u8),
-    Match { len: u16, dist: u16 },
+    /// A match of `MIN_MATCH + extra` bytes, so that the length fits a
+    /// byte, at distance `dist`.
+    Match {
+        extra: u8,
+        dist: u16,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<Token>() == 4);
+
+impl Token {
+    fn matched(len: usize, dist: usize) -> Token {
+        Token::Match {
+            extra: (len - MIN_MATCH) as u8,
+            dist: dist as u16,
+        }
+    }
+
+    /// Input bytes the token stands for.
+    fn input_len(self) -> usize {
+        match self {
+            Token::Literal(_) => 1,
+            Token::Match { extra, .. } => MIN_MATCH + extra as usize,
+        }
+    }
+}
+
+/// The LZ77 stage's working memory: the match finder's tables and the
+/// token buffer. A thread keeps one in its codec working set
+/// ([`crate::working_set`]) from call to call; every call sizes the tables
+/// from its own input with [`table_bits`] and zeroes the heads, so what an
+/// earlier call left behind never reaches the output.
+#[derive(Debug, Default)]
+pub(crate) struct Lz77Scratch {
+    /// Single-entry 3-byte head (short policy only).
+    pub(crate) head3: Vec<u32>,
+    /// Chain heads.
+    pub(crate) head: Vec<u32>,
+    /// Chain links, one per input position.
+    pub(crate) prev: Vec<u32>,
+    pub(crate) tokens: Vec<Token>,
 }
 
 /// Compress `data` into a raw DEFLATE stream.
 pub fn deflate(data: &[u8], level: Level) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    if data.is_empty() {
-        // A final stored block of length zero.
-        w.write_bits(1, 1);
-        w.write_bits(0, 2);
-        w.align_to_byte();
-        w.write_aligned_bytes(&0u16.to_le_bytes());
-        w.write_aligned_bytes(&0xffffu16.to_le_bytes());
-        return w.finish();
-    }
-    if level == Level::Store {
-        write_stored(&mut w, data);
-        return w.finish();
-    }
+    working_set::assemble(|ws, out| deflate_into(&mut ws.lz, data, level, out))
+}
 
-    let tokens = lz77(data, level);
-    // Split the token stream into blocks and pick per block the cheapest of
-    // stored / fixed / dynamic. `pos` tracks the raw-byte offset so stored
-    // blocks can reference the original data.
-    let mut pos = 0usize;
-    let mut start = 0usize;
-    while start < tokens.len() {
-        let end = (start + MAX_BLOCK_TOKENS).min(tokens.len());
-        let block = &tokens[start..end];
-        let raw_len: usize = block
-            .iter()
-            .map(|t| match t {
-                Token::Literal(_) => 1,
-                Token::Match { len, .. } => *len as usize,
-            })
-            .sum();
-        let last = end == tokens.len();
-        write_best_block(&mut w, block, &data[pos..pos + raw_len], last);
-        pos += raw_len;
-        start = end;
+/// Append the raw DEFLATE stream of `data` to `out`.
+pub(crate) fn deflate_into(lz: &mut Lz77Scratch, data: &[u8], level: Level, out: &mut Vec<u8>) {
+    let mut w = BitWriter::append_to(std::mem::take(out));
+    if level == Level::Store || data.is_empty() {
+        // An empty input is one final stored block of length zero.
+        write_stored(&mut w, data);
+    } else {
+        lz77(lz, data, level);
+        let tokens = &lz.tokens;
+        // Split the token stream into blocks and pick per block the
+        // cheapest of stored / fixed / dynamic. `pos` tracks the raw-byte
+        // offset so stored blocks can reference the original data.
+        let mut pos = 0usize;
+        let mut start = 0usize;
+        while start < tokens.len() {
+            let end = (start + MAX_BLOCK_TOKENS).min(tokens.len());
+            let block = &tokens[start..end];
+            let raw_len: usize = block.iter().map(|t| t.input_len()).sum();
+            let last = end == tokens.len();
+            write_best_block(&mut w, block, &data[pos..pos + raw_len], last);
+            pos += raw_len;
+            start = end;
+        }
     }
-    w.finish()
+    *out = w.finish();
 }
 
 fn write_stored(w: &mut BitWriter, data: &[u8]) {
@@ -204,35 +236,59 @@ fn match_len(data: &[u8], cand: usize, i: usize, limit: usize) -> usize {
 struct MatchFinder<'a, const LONG: bool> {
     data: &'a [u8],
     /// Empty under the long policy.
-    head3: Vec<u32>,
-    head: Vec<u32>,
-    prev: Vec<u32>,
+    head3: &'a mut [u32],
+    head: &'a mut [u32],
+    prev: &'a mut [u32],
     shift3: u32,
     shift: u32,
     max_chain: usize,
     nice_len: usize,
 }
 
+/// `table` as `len` zeroes, in the buffer it already has when that is
+/// large enough.
+fn zeroed(table: &mut Vec<u32>, len: usize) -> &mut [u32] {
+    table.clear();
+    table.reserve_exact(len);
+    table.resize(len, 0);
+    table
+}
+
 impl<'a, const LONG: bool> MatchFinder<'a, LONG> {
     /// Shortest match this finder keeps.
     const MIN_LEN: usize = if LONG { LONG_MIN_MATCH } else { MIN_MATCH };
 
-    fn new(data: &'a [u8], policy: Policy) -> Self {
+    /// A finder over `data` in the tables of `head3`/`head`/`prev`, sized
+    /// by [`table_bits`] as if freshly allocated.
+    fn new(
+        data: &'a [u8],
+        policy: Policy,
+        head3: &'a mut Vec<u32>,
+        head: &'a mut Vec<u32>,
+        prev: &'a mut Vec<u32>,
+    ) -> Self {
         assert!(
             data.len() < u32::MAX as usize,
             "deflate input exceeds u32 position space"
         );
         let (bits3, bits) = table_bits(data.len());
-        let (head3, shift) = if LONG {
-            (Vec::new(), 64 - bits)
+        let (head3_len, shift) = if LONG {
+            (0, 64 - bits)
         } else {
-            (vec![0; 1 << bits3], 32 - bits)
+            (1 << bits3, 32 - bits)
         };
+        // `prev` is not zeroed: a chain reaches only positions `link` has
+        // entered, and `link` writes a position's slot before its head
+        // can name it, so a slot is never read before this call wrote it.
+        if prev.len() < data.len() {
+            prev.reserve_exact(data.len() - prev.len());
+            prev.resize(data.len(), 0);
+        }
         MatchFinder {
             data,
-            head3,
-            head: vec![0; 1 << bits],
-            prev: vec![0; data.len()],
+            head3: zeroed(head3, head3_len),
+            head: zeroed(head, 1 << bits),
+            prev: &mut prev[..data.len()],
             shift3: 32 - bits3,
             shift,
             max_chain: policy.max_chain,
@@ -336,23 +392,25 @@ impl<'a, const LONG: bool> MatchFinder<'a, LONG> {
     }
 }
 
-/// Greedy (or lazy, at `Level::Best`) hash-chain LZ77.
-fn lz77(data: &[u8], level: Level) -> Vec<Token> {
+/// Greedy (or lazy, at `Level::Best`) hash-chain LZ77 into `lz.tokens`.
+pub(crate) fn lz77(lz: &mut Lz77Scratch, data: &[u8], level: Level) {
     let policy = level.policy();
     if policy.long {
-        lz77_with::<true>(data, policy)
+        lz77_with::<true>(lz, data, policy)
     } else {
-        lz77_with::<false>(data, policy)
+        lz77_with::<false>(lz, data, policy)
     }
 }
 
-fn lz77_with<const LONG: bool>(data: &[u8], policy: Policy) -> Vec<Token> {
-    let mut f = MatchFinder::<LONG>::new(data, policy);
+fn lz77_with<const LONG: bool>(lz: &mut Lz77Scratch, data: &[u8], policy: Policy) {
+    let mut f = MatchFinder::<LONG>::new(data, policy, &mut lz.head3, &mut lz.head, &mut lz.prev);
     // The long policy leaves most bytes as literals (a DCT body comes out
     // at 0.6–0.7 tokens per byte), so it takes the bound, one token per
     // byte, rather than grow from half of it.
     let cap = if LONG { data.len() } else { data.len() / 2 };
-    let mut tokens = Vec::with_capacity(cap);
+    let tokens = &mut lz.tokens;
+    tokens.clear();
+    tokens.reserve_exact(cap);
 
     let mut i = 0;
     while i < data.len() {
@@ -370,10 +428,7 @@ fn lz77_with<const LONG: bool>(data: &[u8], policy: Policy) -> Vec<Token> {
                             dist = dist2;
                         }
                     }
-                    tokens.push(Token::Match {
-                        len: len as u16,
-                        dist: dist as u16,
-                    });
+                    tokens.push(Token::matched(len, dist));
                     let end = i + len;
                     // `i` itself was inserted above.
                     let mut j = i + 1;
@@ -383,10 +438,7 @@ fn lz77_with<const LONG: bool>(data: &[u8], policy: Policy) -> Vec<Token> {
                     }
                     i = end;
                 } else {
-                    tokens.push(Token::Match {
-                        len: len as u16,
-                        dist: dist as u16,
-                    });
+                    tokens.push(Token::matched(len, dist));
                     let end = i + len;
                     let mut j = i;
                     while j < end && j < data.len() {
@@ -403,18 +455,17 @@ fn lz77_with<const LONG: bool>(data: &[u8], policy: Policy) -> Vec<Token> {
             }
         }
     }
-    tokens
 }
 
 /// Histogram the token stream into litlen and dist symbol frequencies.
 fn frequencies(tokens: &[Token]) -> ([u32; 286], [u32; 30]) {
     let mut lit = [0u32; 286];
     let mut dist = [0u32; 30];
-    for t in tokens {
-        match *t {
+    for &t in tokens {
+        match t {
             Token::Literal(b) => lit[b as usize] += 1,
-            Token::Match { len, dist: d } => {
-                lit[257 + length_index(len)] += 1;
+            Token::Match { dist: d, .. } => {
+                lit[257 + length_index(t.input_len() as u16)] += 1;
                 dist[distance_index(d)] += 1;
             }
         }
@@ -443,12 +494,13 @@ fn body_cost_bits(
 }
 
 fn write_tokens(w: &mut BitWriter, tokens: &[Token], lit: &EncTable, dist: &EncTable) {
-    for t in tokens {
-        match *t {
+    for &t in tokens {
+        match t {
             Token::Literal(b) => {
                 w.write_bits(lit.codes[b as usize] as u32, lit.lens[b as usize] as u32);
             }
-            Token::Match { len, dist: d } => {
+            Token::Match { dist: d, .. } => {
+                let len = t.input_len() as u16;
                 // Code and extra bits go out as one field each: at most
                 // 15 + 5 bits for the length, 15 + 13 for the distance.
                 let li = length_index(len);
@@ -678,12 +730,19 @@ fn trimmed_len(lens: &[u8], min: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::deflate::inflate::inflate;
     use proptest::prelude::*;
 
     const LIMIT: usize = 16 << 20;
+
+    /// The production matcher's tokens for `data`, from fresh tables.
+    fn tokens_of(data: &[u8], level: Level) -> Vec<Token> {
+        let mut lz = Lz77Scratch::default();
+        lz77(&mut lz, data, level);
+        lz.tokens
+    }
 
     /// Naive mirror of the production matcher: identical candidate policy
     /// (single 3-byte head and 4-byte chains, or 8-byte chains alone under
@@ -691,7 +750,7 @@ mod tests {
     /// order, tie-breaks and minimum length) with byte-at-a-time match
     /// extension and `usize` tables. Any divergence in the optimised
     /// word-compare walk shows up as a token-stream mismatch.
-    fn lz77_reference(data: &[u8], level: Level) -> Vec<Token> {
+    pub(crate) fn lz77_reference(data: &[u8], level: Level) -> Vec<Token> {
         let policy = level.policy();
         let min_match = if policy.long { 8 } else { 3 };
         let (bits3, bits) = table_bits(data.len());
@@ -793,10 +852,7 @@ mod tests {
                                 dist = dist2;
                             }
                         }
-                        tokens.push(Token::Match {
-                            len: len as u16,
-                            dist: dist as u16,
-                        });
+                        tokens.push(Token::matched(len, dist));
                         let end = i + len;
                         let mut j = i + 1;
                         while j < end && j < data.len() {
@@ -805,10 +861,7 @@ mod tests {
                         }
                         i = end;
                     } else {
-                        tokens.push(Token::Match {
-                            len: len as u16,
-                            dist: dist as u16,
-                        });
+                        tokens.push(Token::matched(len, dist));
                         let end = i + len;
                         let mut j = i;
                         while j < end && j < data.len() {
@@ -856,12 +909,12 @@ mod tests {
     fn token_cost_bits(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> usize {
         use crate::deflate::tables::{distance_to_symbol, length_to_symbol};
         let mut bits = 0usize;
-        for t in tokens {
+        for &t in tokens {
             match t {
-                Token::Literal(b) => bits += lit_lens[*b as usize] as usize,
-                Token::Match { len, dist } => {
-                    let (ls, le, _) = length_to_symbol(*len);
-                    let (ds, de, _) = distance_to_symbol(*dist);
+                Token::Literal(b) => bits += lit_lens[b as usize] as usize,
+                Token::Match { dist, .. } => {
+                    let (ls, le, _) = length_to_symbol(t.input_len() as u16);
+                    let (ds, de, _) = distance_to_symbol(dist);
                     bits += lit_lens[ls as usize] as usize
                         + le as usize
                         + dist_lens[ds as usize] as usize
@@ -876,7 +929,7 @@ mod tests {
         if kind < 2 {
             Token::Literal(byte)
         } else {
-            Token::Match { len, dist }
+            Token::matched(len as usize, dist as usize)
         }
     }
 
@@ -914,9 +967,9 @@ mod tests {
             coefficients in varint_like(),
             level in (0usize..3).prop_map(|i| [Level::Fast, Level::Default, Level::Best][i]),
         ) {
-            prop_assert_eq!(lz77(&data, level), lz77_reference(&data, level));
+            prop_assert_eq!(tokens_of(&data, level), lz77_reference(&data, level));
             prop_assert_eq!(
-                lz77(&coefficients, level),
+                tokens_of(&coefficients, level),
                 lz77_reference(&coefficients, level)
             );
         }
@@ -925,9 +978,9 @@ mod tests {
         // streams round-trip.
         #[test]
         fn fast_keeps_only_long_matches(data in varint_like()) {
-            for t in lz77(&data, Level::Fast) {
-                if let Token::Match { len, .. } = t {
-                    prop_assert!(len as usize >= LONG_MIN_MATCH, "match of {}", len);
+            for t in tokens_of(&data, Level::Fast) {
+                if matches!(t, Token::Match { .. }) {
+                    prop_assert!(t.input_len() >= LONG_MIN_MATCH, "match of {}", t.input_len());
                 }
             }
             let compressed = deflate(&data, Level::Fast);

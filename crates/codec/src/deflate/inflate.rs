@@ -74,26 +74,48 @@ const MAX_EXPANSION: usize = 1032;
 /// `max_out` bounds the decompressed size; hostile streams that would expand
 /// beyond it are rejected rather than allocated.
 pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
-    inflate_sized(data, max_out, None)
+    let mut out = Vec::new();
+    inflate_into(data, max_out, None, &mut out)?;
+    Ok(out)
 }
 
-/// [`inflate`] for a caller that may know how large the output is:
-/// `size_hint` bytes (by default a typical multiple of the input) are
-/// reserved up front, as far as `max_out` and the input length allow.
-/// `max_out` is the limit, never a capacity.
-pub(crate) fn inflate_sized(
+/// [`inflate`] into `buf`, which holds exactly the stream's bytes on
+/// success (and anything on failure). `size_hint` bytes (by default a
+/// typical multiple of the input) are reserved up front, as far as
+/// `max_out` and the input length allow; `max_out` is the limit, never a
+/// capacity.
+///
+/// The bytes `buf` already holds are used as room to write in without
+/// clearing them: a literal or stored byte is written before anything
+/// reads it, and a match copies only from below the write position, so
+/// none of them can reach the output.
+pub(crate) fn inflate_into(
     data: &[u8],
     max_out: usize,
     size_hint: Option<usize>,
-) -> Result<Vec<u8>> {
+    buf: &mut Vec<u8>,
+) -> Result<()> {
     let reserve = size_hint
         .unwrap_or(data.len().saturating_mul(TYPICAL_EXPANSION))
         .min(max_out)
         .min(data.len().saturating_mul(MAX_EXPANSION));
+    // The room check is `buf.len()`, so it may not exceed the limit.
+    buf.truncate(max_out);
+    if buf.len() < reserve {
+        buf.resize(reserve, 0);
+    }
     let mut out = Output {
-        buf: vec![0; reserve],
+        buf: std::mem::take(buf),
         max_out,
     };
+    let result = inflate_blocks(data, &mut out);
+    *buf = out.buf;
+    buf.truncate(result?);
+    Ok(())
+}
+
+/// Decode every block of `data` into `out`; returns the stream's length.
+fn inflate_blocks(data: &[u8], out: &mut Output) -> Result<usize> {
     // Bytes of `out` written so far.
     let mut pos = 0;
     let mut r = BitReader::new(data);
@@ -101,14 +123,14 @@ pub(crate) fn inflate_sized(
         let bfinal = r.read_bit()?;
         let btype = r.read_bits(2)?;
         pos = match btype {
-            0 => inflate_stored(&mut r, &mut out, pos)?,
+            0 => inflate_stored(&mut r, out, pos)?,
             1 => {
                 let (lit, dist) = fixed_decoders();
-                inflate_block(&mut r, &mut out, pos, lit, dist)?
+                inflate_block(&mut r, out, pos, lit, dist)?
             }
             2 => {
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &mut out, pos, &lit, &dist)?
+                inflate_block(&mut r, out, pos, &lit, &dist)?
             }
             _ => {
                 return Err(Error::Invalid {
@@ -118,8 +140,7 @@ pub(crate) fn inflate_sized(
             }
         };
         if bfinal == 1 {
-            out.buf.truncate(pos);
-            return Ok(out.buf);
+            return Ok(pos);
         }
     }
 }
@@ -451,10 +472,19 @@ mod tests {
         w.write_aligned_bytes(&100u16.to_le_bytes());
         w.write_aligned_bytes(&(!100u16).to_le_bytes());
         w.write_aligned_bytes(&[0u8; 100]);
+        let stream = w.finish();
         assert!(matches!(
-            inflate(&w.finish(), 50),
+            inflate(&stream, 50),
             Err(Error::OutputTooLarge { limit: 50 })
         ));
+        // A reused buffer already longer than the limit is no more room.
+        let mut reused = vec![7u8; 4096];
+        assert!(matches!(
+            inflate_into(&stream, 50, None, &mut reused),
+            Err(Error::OutputTooLarge { limit: 50 })
+        ));
+        assert_eq!(inflate_into(&stream, 100, None, &mut reused), Ok(()));
+        assert_eq!(reused, [0u8; 100]);
     }
 
     #[test]

@@ -582,8 +582,9 @@ mod tests {
                 let c = deflate(&data, level);
                 for max_out in [40_000, 40_001, 65_000, 1 << 20, 1 << 30] {
                     for hint in [0, 1, 5_000, 39_999, 40_000, 1 << 16, usize::MAX] {
-                        let out =
-                            super::super::inflate::inflate_sized(&c, max_out, Some(hint)).unwrap();
+                        let mut out = Vec::new();
+                        super::super::inflate::inflate_into(&c, max_out, Some(hint), &mut out)
+                            .unwrap();
                         assert_eq!(out, data);
                         assert!(
                             out.capacity() <= max_out + SLACK,

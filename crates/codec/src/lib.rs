@@ -33,6 +33,7 @@ pub mod error;
 pub mod image;
 pub mod png;
 pub mod rle;
+mod working_set;
 pub mod zlib;
 
 pub use classify::{classify, ContentClass};

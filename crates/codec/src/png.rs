@@ -10,9 +10,10 @@
 
 use std::borrow::Cow;
 
-use crate::checksum::Crc32;
+use crate::checksum::{crc32, Crc32};
 use crate::deflate::Level;
 use crate::image::{Image, MAX_DIMENSION};
+use crate::working_set::{self, PngRows};
 use crate::zlib;
 use crate::{Error, Result};
 
@@ -65,74 +66,84 @@ impl Default for PngOptions {
 
 /// Encode `img` as a PNG file.
 pub fn encode(img: &Image, opts: PngOptions) -> Vec<u8> {
-    let bpp = opts.color.bytes_per_pixel();
-    let w = img.width() as usize;
-    let h = img.height() as usize;
+    working_set::assemble(|ws, out| {
+        filter_rows(img, opts.color, &mut ws.rows, &mut ws.plain);
+        out.extend_from_slice(&SIGNATURE);
+        let mut ihdr = [0u8; 13];
+        ihdr[..4].copy_from_slice(&img.width().to_be_bytes());
+        ihdr[4..8].copy_from_slice(&img.height().to_be_bytes());
+        ihdr[8] = 8; // bit depth
+        ihdr[9] = opts.color.color_type();
+        // Compression (deflate), filter method 0 and no interlace: zeros.
+        write_chunk(out, b"IHDR", &ihdr);
+        // IDAT: the zlib stream goes straight in behind the chunk header,
+        // whose length is patched once the stream is written.
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(b"IDAT");
+        zlib::compress_into(&mut ws.lz, &ws.plain, opts.level, out);
+        let len = (out.len() - start - 8) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+        let crc = crc32(&out[start + 4..]);
+        out.extend_from_slice(&crc.to_be_bytes());
+        write_chunk(out, b"IEND", &[]);
+    })
+}
 
-    // Extract rows in the target layout.
-    let mut raw = Vec::with_capacity(w * h * bpp);
-    for y in 0..img.height() {
-        let row = img.row(y);
-        match opts.color {
-            PngColor::Rgba => raw.extend_from_slice(row),
-            PngColor::Rgb => {
-                for px in row.chunks_exact(4) {
-                    raw.extend_from_slice(&px[..3]);
-                }
-            }
-        }
+/// Filter every scanline of `img` in `color`'s layout into `filtered`
+/// (filter byte, then the row), choosing per row the filter with the
+/// smallest sum of absolute differences (the standard heuristic). RGBA
+/// rows are filtered where they lie in the image; RGB rows are converted
+/// one at a time into `rows.cur`.
+fn filter_rows(img: &Image, color: PngColor, rows: &mut PngRows, filtered: &mut Vec<u8>) {
+    let bpp = color.bytes_per_pixel();
+    let stride = img.width() as usize * bpp;
+    let PngRows {
+        cur,
+        prev,
+        candidate,
+        best,
+    } = rows;
+    // Above the first row is a row of zeros.
+    prev.clear();
+    prev.resize(stride, 0);
+    for row in [&mut *cur, &mut *candidate, &mut *best] {
+        row.resize(stride, 0);
     }
-
-    // Filter each scanline, choosing the filter with the smallest sum of
-    // absolute differences (the standard heuristic). Two row buffers swap
-    // roles so no candidate is ever copied.
-    let stride = w * bpp;
-    let mut filtered = Vec::with_capacity((stride + 1) * h);
-    let zero_row = vec![0u8; stride];
-    let mut scratch = vec![0u8; stride];
-    let mut best = vec![0u8; stride];
-    for y in 0..h {
-        let cur = &raw[y * stride..(y + 1) * stride];
-        let prev: &[u8] = if y == 0 {
-            &zero_row
-        } else {
-            &raw[(y - 1) * stride..y * stride]
+    filtered.clear();
+    filtered.reserve_exact((stride + 1) * img.height() as usize);
+    for y in 0..img.height() {
+        let (cur, prev): (&[u8], &[u8]) = match color {
+            PngColor::Rgba if y == 0 => (img.row(y), &prev[..stride]),
+            PngColor::Rgba => (img.row(y), img.row(y - 1)),
+            PngColor::Rgb => {
+                if y > 0 {
+                    std::mem::swap(cur, prev);
+                }
+                for (rgb, px) in cur.chunks_exact_mut(3).zip(img.row(y).chunks_exact(4)) {
+                    rgb.copy_from_slice(&px[..3]);
+                }
+                (&cur[..stride], &prev[..stride])
+            }
         };
+        // The two scratch rows swap roles so no candidate is ever copied.
         let mut best_filter = 0u8;
         let mut best_score = u64::MAX;
         for f in 0..5u8 {
-            apply_filter(f, cur, prev, bpp, &mut scratch);
-            let score: u64 = scratch
+            apply_filter(f, cur, prev, bpp, &mut candidate[..stride]);
+            let score: u64 = candidate[..stride]
                 .iter()
                 .map(|&b| (b as i8).unsigned_abs() as u64)
                 .sum();
             if score < best_score {
                 best_score = score;
                 best_filter = f;
-                std::mem::swap(&mut scratch, &mut best);
+                std::mem::swap(candidate, best);
             }
         }
         filtered.push(best_filter);
-        filtered.extend_from_slice(&best);
+        filtered.extend_from_slice(&best[..stride]);
     }
-
-    let idat = zlib::compress(&filtered, opts.level);
-
-    let mut out = Vec::with_capacity(idat.len() + 64);
-    out.extend_from_slice(&SIGNATURE);
-    // IHDR
-    let mut ihdr = Vec::with_capacity(13);
-    ihdr.extend_from_slice(&img.width().to_be_bytes());
-    ihdr.extend_from_slice(&img.height().to_be_bytes());
-    ihdr.push(8); // bit depth
-    ihdr.push(opts.color.color_type());
-    ihdr.push(0); // compression: deflate
-    ihdr.push(0); // filter method 0
-    ihdr.push(0); // no interlace
-    write_chunk(&mut out, b"IHDR", &ihdr);
-    write_chunk(&mut out, b"IDAT", &idat);
-    write_chunk(&mut out, b"IEND", &[]);
-    out
 }
 
 /// Decode a PNG file into an RGBA [`Image`].
@@ -206,44 +217,66 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     if !seen_iend {
         return Err(Error::Truncated("PNG (no IEND)"));
     }
-    let bpp = color.bytes_per_pixel();
-    let stride = w as usize * bpp;
-    let expected = (stride + 1) * h as usize;
-    let filtered = zlib::decompress_sized(&idat, expected + 1, Some(expected))?;
-    if filtered.len() != expected {
-        return Err(Error::SizeMismatch {
-            expected,
-            actual: filtered.len(),
-        });
-    }
-
-    // Unfilter in place, row by row.
-    let mut raw = vec![0u8; stride * h as usize];
-    for y in 0..h as usize {
-        let filter = filtered[y * (stride + 1)];
-        let src = &filtered[y * (stride + 1) + 1..(y + 1) * (stride + 1)];
-        let (done, cur) = raw.split_at_mut(y * stride);
-        let prev: &[u8] = if y == 0 {
-            &[]
-        } else {
-            &done[(y - 1) * stride..]
-        };
-        let cur = &mut cur[..stride];
-        unfilter(filter, src, prev, bpp, cur)?;
-    }
-
-    // Convert to RGBA.
-    let rgba = match color {
-        PngColor::Rgba => raw,
-        PngColor::Rgb => {
-            let mut out = vec![255u8; w as usize * h as usize * 4];
-            for (dst, src) in out.chunks_exact_mut(4).zip(raw.chunks_exact(3)) {
-                dst[..3].copy_from_slice(src);
-            }
-            out
+    working_set::with(|ws| {
+        let bpp = color.bytes_per_pixel();
+        let stride = w as usize * bpp;
+        let expected = (stride + 1) * h as usize;
+        let filtered = &mut ws.plain;
+        zlib::decompress_into(&idat, expected + 1, Some(expected), filtered)?;
+        if filtered.len() != expected {
+            return Err(Error::SizeMismatch {
+                expected,
+                actual: filtered.len(),
+            });
         }
-    };
-    Image::from_rgba(w, h, rgba)
+        let pixels = unfilter_rows(filtered, color, w as usize, h as usize, &mut ws.rows)?;
+        Image::from_rgba(w, h, pixels)
+    })
+}
+
+/// Reverse the filter of every scanline in `filtered` straight into the
+/// RGBA pixels it returns. RGBA rows are unfiltered in place in the
+/// pixels; RGB rows go through `rows.cur` / `rows.prev` and are widened.
+fn unfilter_rows(
+    filtered: &[u8],
+    color: PngColor,
+    w: usize,
+    h: usize,
+    rows: &mut PngRows,
+) -> Result<Vec<u8>> {
+    let bpp = color.bytes_per_pixel();
+    let stride = w * bpp;
+    let lines = filtered.chunks_exact(stride + 1);
+    match color {
+        PngColor::Rgba => {
+            let mut pixels = vec![0u8; w * h * 4];
+            for (y, line) in lines.enumerate() {
+                let (done, cur) = pixels.split_at_mut(y * stride);
+                let prev: &[u8] = if y == 0 {
+                    &[]
+                } else {
+                    &done[(y - 1) * stride..]
+                };
+                unfilter(line[0], &line[1..], prev, bpp, &mut cur[..stride])?;
+            }
+            Ok(pixels)
+        }
+        PngColor::Rgb => {
+            let mut pixels = vec![255u8; w * h * 4];
+            let (cur, prev) = (&mut rows.cur, &mut rows.prev);
+            cur.resize(stride, 0);
+            prev.resize(stride, 0);
+            for (y, (line, out)) in lines.zip(pixels.chunks_exact_mut(w * 4)).enumerate() {
+                let above: &[u8] = if y == 0 { &[] } else { prev };
+                unfilter(line[0], &line[1..], above, bpp, cur)?;
+                for (px, rgb) in out.chunks_exact_mut(4).zip(cur.chunks_exact(3)) {
+                    px[..3].copy_from_slice(rgb);
+                }
+                std::mem::swap(cur, prev);
+            }
+            Ok(pixels)
+        }
+    }
 }
 
 pub(crate) fn write_chunk(out: &mut Vec<u8>, kind: &[u8; 4], body: &[u8]) {

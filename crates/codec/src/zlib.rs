@@ -1,13 +1,19 @@
 //! zlib container (RFC 1950): 2-byte header, DEFLATE body, Adler-32 trailer.
 
 use crate::checksum::adler32;
-use crate::deflate::{self, Level};
-use crate::{Error, Result};
+use crate::deflate::compress::{deflate_into, Lz77Scratch};
+use crate::deflate::inflate::inflate_into;
+use crate::deflate::Level;
+use crate::{working_set, Error, Result};
 
 /// Compress `data` into a zlib stream.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    let body = deflate::deflate(data, level);
-    let mut out = Vec::with_capacity(body.len() + 6);
+    working_set::assemble(|ws, out| compress_into(&mut ws.lz, data, level, out))
+}
+
+/// Append the zlib stream of `data` to `out`: header, DEFLATE body,
+/// Adler-32.
+pub(crate) fn compress_into(lz: &mut Lz77Scratch, data: &[u8], level: Level, out: &mut Vec<u8>) {
     // CMF: CM=8 (deflate), CINFO=7 (32K window) -> 0x78.
     out.push(0x78);
     // FLG: FLEVEL bits, FDICT=0, FCHECK so that (CMF<<8 | FLG) % 31 == 0.
@@ -22,23 +28,26 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
         flg += (31 - rem) as u8;
     }
     out.push(flg);
-    out.extend_from_slice(&body);
+    deflate_into(lz, data, level, out);
     out.extend_from_slice(&adler32(data).to_be_bytes());
-    out
 }
 
 /// Decompress a zlib stream, bounding output at `max_out` bytes.
 pub fn decompress(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
-    decompress_sized(data, max_out, None)
+    let mut out = Vec::new();
+    decompress_into(data, max_out, None, &mut out)?;
+    Ok(out)
 }
 
-/// [`decompress`] for a caller that may know the output size, which is then
-/// reserved up front (`max_out` stays the limit).
-pub(crate) fn decompress_sized(
+/// [`decompress`] into `out` (see [`inflate_into`]), for a caller that may
+/// know the output size, which is then reserved up front (`max_out` stays
+/// the limit).
+pub(crate) fn decompress_into(
     data: &[u8],
     max_out: usize,
     size_hint: Option<usize>,
-) -> Result<Vec<u8>> {
+    out: &mut Vec<u8>,
+) -> Result<()> {
     if data.len() < 6 {
         return Err(Error::Truncated("zlib stream"));
     }
@@ -60,17 +69,17 @@ pub(crate) fn decompress_sized(
         return Err(Error::Unsupported("zlib preset dictionary"));
     }
     let body = &data[2..data.len() - 4];
-    let out = deflate::inflate::inflate_sized(body, max_out, size_hint)?;
+    inflate_into(body, max_out, size_hint, out)?;
     let stored = u32::from_be_bytes([
         data[data.len() - 4],
         data[data.len() - 3],
         data[data.len() - 2],
         data[data.len() - 1],
     ]);
-    if adler32(&out) != stored {
+    if adler32(out) != stored {
         return Err(Error::ChecksumMismatch("Adler-32"));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -34,8 +34,21 @@ pub struct HeaderExtension {
     pub data: Vec<u8>,
 }
 
+/// The parts of an RTP header this profile never sends and a receiver
+/// rarely sees: contributing sources and a header extension.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HeaderExtras {
+    /// Contributing sources (at most 15 are serialised).
+    pub csrc: Vec<u32>,
+    /// Optional header extension.
+    pub extension: Option<HeaderExtension>,
+}
+
 /// A decoded RTP fixed header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two headers are equal when they serialise alike: an `extras` that holds
+/// no CSRC and no extension equals none at all.
+#[derive(Debug, Clone)]
 pub struct RtpHeader {
     /// Marker bit. The draft uses this on the remoting stream to flag the
     /// last packet of a (possibly multi-packet) `RegionUpdate` (§5.1.1); HIP
@@ -50,11 +63,26 @@ pub struct RtpHeader {
     pub timestamp: u32,
     /// Synchronisation source identifier.
     pub ssrc: u32,
-    /// Contributing sources (at most 15).
-    pub csrc: Vec<u32>,
-    /// Optional header extension.
-    pub extension: Option<HeaderExtension>,
+    /// CSRCs and header extension, boxed so that a header without them
+    /// (every one this crate's senders write) stays small and costs no
+    /// allocation. Read through [`csrc`](Self::csrc) and
+    /// [`extension`](Self::extension), write through
+    /// [`extras_mut`](Self::extras_mut).
+    pub extras: Option<Box<HeaderExtras>>,
 }
+
+impl PartialEq for RtpHeader {
+    fn eq(&self, other: &Self) -> bool {
+        self.marker == other.marker
+            && self.payload_type == other.payload_type
+            && self.sequence == other.sequence
+            && self.timestamp == other.timestamp
+            && self.ssrc == other.ssrc
+            && self.csrc() == other.csrc()
+            && self.extension() == other.extension()
+    }
+}
+impl Eq for RtpHeader {}
 
 impl RtpHeader {
     /// Create a header with no CSRCs and no extension.
@@ -65,15 +93,29 @@ impl RtpHeader {
             sequence,
             timestamp,
             ssrc,
-            csrc: Vec::new(),
-            extension: None,
+            extras: None,
         }
+    }
+
+    /// Contributing sources.
+    pub fn csrc(&self) -> &[u32] {
+        self.extras.as_deref().map_or(&[], |x| &x.csrc)
+    }
+
+    /// The header extension, if any.
+    pub fn extension(&self) -> Option<&HeaderExtension> {
+        self.extras.as_deref()?.extension.as_ref()
+    }
+
+    /// CSRCs and extension for writing (allocated on first use).
+    pub fn extras_mut(&mut self) -> &mut HeaderExtras {
+        self.extras.get_or_insert_with(Default::default)
     }
 
     /// Serialized length in bytes.
     pub fn wire_len(&self) -> usize {
-        let mut len = MIN_HEADER_LEN + 4 * self.csrc.len();
-        if let Some(ext) = &self.extension {
+        let mut len = MIN_HEADER_LEN + 4 * self.csrc().len().min(15);
+        if let Some(ext) = self.extension() {
             len += 4 + pad4(ext.data.len());
         }
         len
@@ -81,18 +123,18 @@ impl RtpHeader {
 
     /// Append the serialized header to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let cc = self.csrc.len().min(15) as u8;
-        let b0 = (RTP_VERSION << 6) | (u8::from(self.extension.is_some()) << 4) | cc;
+        let cc = self.csrc().len().min(15) as u8;
+        let b0 = (RTP_VERSION << 6) | (u8::from(self.extension().is_some()) << 4) | cc;
         let b1 = (u8::from(self.marker) << 7) | (self.payload_type & 0x7f);
         out.push(b0);
         out.push(b1);
         out.extend_from_slice(&self.sequence.to_be_bytes());
         out.extend_from_slice(&self.timestamp.to_be_bytes());
         out.extend_from_slice(&self.ssrc.to_be_bytes());
-        for c in self.csrc.iter().take(15) {
+        for c in self.csrc().iter().take(15) {
             out.extend_from_slice(&c.to_be_bytes());
         }
-        if let Some(ext) = &self.extension {
+        if let Some(ext) = self.extension() {
             let padded = pad4(ext.data.len());
             out.extend_from_slice(&ext.profile.to_be_bytes());
             out.extend_from_slice(&((padded / 4) as u16).to_be_bytes());
@@ -143,16 +185,10 @@ impl RtpHeader {
                 have: buf.len(),
             });
         }
-        let mut csrc = Vec::with_capacity(cc);
-        for i in 0..cc {
-            let p = off + 4 * i;
-            csrc.push(u32::from_be_bytes([
-                buf[p],
-                buf[p + 1],
-                buf[p + 2],
-                buf[p + 3],
-            ]));
-        }
+        let csrc: Vec<u32> = buf[off..need]
+            .chunks_exact(4)
+            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
         off = need;
 
         let extension = if has_extension {
@@ -193,6 +229,8 @@ impl RtpHeader {
             0
         };
 
+        let extras = (!csrc.is_empty() || extension.is_some())
+            .then(|| Box::new(HeaderExtras { csrc, extension }));
         Ok((
             RtpHeader {
                 marker,
@@ -200,8 +238,7 @@ impl RtpHeader {
                 sequence,
                 timestamp,
                 ssrc,
-                csrc,
-                extension,
+                extras,
             },
             off,
             padding,
@@ -245,16 +282,18 @@ mod tests {
     #[test]
     fn round_trip_with_csrc_and_extension() {
         let mut h = sample();
-        h.csrc = vec![1, 2, 3];
-        h.extension = Some(HeaderExtension {
-            profile: 0xbede,
-            data: vec![9, 9, 9],
-        });
+        *h.extras_mut() = HeaderExtras {
+            csrc: vec![1, 2, 3],
+            extension: Some(HeaderExtension {
+                profile: 0xbede,
+                data: vec![9, 9, 9],
+            }),
+        };
         let bytes = h.encode();
         let (back, consumed, _) = RtpHeader::decode(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
-        assert_eq!(back.csrc, vec![1, 2, 3]);
-        let ext = back.extension.unwrap();
+        assert_eq!(back.csrc(), [1, 2, 3]);
+        let ext = back.extension().unwrap();
         assert_eq!(ext.profile, 0xbede);
         // Body is zero-padded to a 4-byte boundary on the wire.
         assert_eq!(ext.data, vec![9, 9, 9, 0]);
@@ -270,11 +309,13 @@ mod tests {
     #[test]
     fn rejects_truncation_everywhere() {
         let mut h = sample();
-        h.csrc = vec![7; 15];
-        h.extension = Some(HeaderExtension {
-            profile: 1,
-            data: vec![0; 8],
-        });
+        *h.extras_mut() = HeaderExtras {
+            csrc: vec![7; 15],
+            extension: Some(HeaderExtension {
+                profile: 1,
+                data: vec![0; 8],
+            }),
+        };
         let bytes = h.encode();
         for cut in 0..bytes.len() {
             assert!(
@@ -312,9 +353,23 @@ mod tests {
     #[test]
     fn csrc_capped_at_15() {
         let mut h = sample();
-        h.csrc = vec![0xabcd; 20];
+        h.extras_mut().csrc = vec![0xabcd; 20];
         let bytes = h.encode();
+        assert_eq!(bytes.len(), h.wire_len());
         let (back, _, _) = RtpHeader::decode(&bytes).unwrap();
-        assert_eq!(back.csrc.len(), 15);
+        assert_eq!(back.csrc().len(), 15);
+    }
+
+    #[test]
+    fn empty_extras_equal_none() {
+        let mut h = sample();
+        h.extras_mut();
+        assert_eq!(h, sample());
+        assert_eq!(h.encode(), sample().encode());
+        let (back, _, _) = RtpHeader::decode(&h.encode()).unwrap();
+        assert!(
+            back.extras.is_none(),
+            "a plain header decodes without extras"
+        );
     }
 }

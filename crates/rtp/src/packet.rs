@@ -28,6 +28,11 @@ pub struct RtpPacket {
     wire: Option<Bytes>,
 }
 
+// The header's CSRC list and extension sit behind one pointer, so a packet
+// that has neither is 88 bytes on a 64-bit target (136 with both inline).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<RtpPacket>() == 88);
+
 /// Two packets are equal when they would serialise to the same bytes;
 /// whether either already owns its datagram does not matter.
 impl PartialEq for RtpPacket {
@@ -196,7 +201,7 @@ mod tests {
         repaid.payload = Bytes::from(vec![9u8; 20]);
         assert_eq!(repaid.datagram(&mut scratch), repaid.encode());
         let mut with_csrc = p.clone();
-        with_csrc.header.csrc.push(5);
+        with_csrc.header.extras_mut().csrc.push(5);
         assert_eq!(with_csrc.datagram(&mut scratch), with_csrc.encode());
     }
 

@@ -2,7 +2,7 @@
 //!
 //! One table: each of the nine library document kinds is produced by its
 //! real emitter after a short `run_scenario` / `RelaySim` / `MultiHost`
-//! run, the tenth (`adshare-bench-codecs/v3`) is the checked-in
+//! run, the tenth (`adshare-bench-codecs/v4`) is the checked-in
 //! `BENCH_codecs.json`. Every row must parse, validate under the schema its
 //! marker names and read back the values its source struct holds; then,
 //! driven by the schema file itself, every `required` key is deleted and
@@ -427,9 +427,14 @@ fn every_emitter_conforms_to_its_schema_and_every_constraint_bites() {
     host_rows(&mut rows);
     let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_codecs.json");
     let bench = std::fs::read_to_string(bench).expect("checked-in BENCH_codecs.json");
-    rows.push(row("adshare-bench-codecs/v3", bench, |doc| {
+    rows.push(row("adshare-bench-codecs/v4", bench, |doc| {
         assert!(u64_at(doc, &["machine", "logical_cores"]).is_some());
         assert!(u64_at(doc, &["dct", "bytes"]).is_some());
+        let calls = doc.get("tile_calls").and_then(Json::as_array).unwrap();
+        assert_eq!(calls.len(), 4);
+        assert!(calls
+            .iter()
+            .all(|c| matches!(c.get("allocs"), Some(Json::Num(_)))));
     }));
     assert_eq!(rows.len(), 10);
     let schema_files: Vec<Json> =

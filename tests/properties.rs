@@ -142,14 +142,16 @@ fn remoting_message(kind: u8, window: u16, left: u32, top: u32, body: Vec<u8>) -
 /// past its datagram.
 #[test]
 fn owned_and_borrowed_rtp_parsers_agree_on_hostile_input() {
-    use adshare::rtp::header::{HeaderExtension, RtpHeader};
+    use adshare::rtp::header::{HeaderExtension, HeaderExtras, RtpHeader};
     let mut header = RtpHeader::new(99, 0xfffe, 0x1234_5678, 0x4148_0001);
     header.marker = true;
-    header.csrc = vec![1, 0xdead_beef, 3];
-    header.extension = Some(HeaderExtension {
-        profile: 0xbede,
-        data: vec![9, 8, 7, 6, 5],
-    });
+    *header.extras_mut() = HeaderExtras {
+        csrc: vec![1, 0xdead_beef, 3],
+        extension: Some(HeaderExtension {
+            profile: 0xbede,
+            data: vec![9, 8, 7, 6, 5],
+        }),
+    };
     let mut valid = RtpPacket::new(header, vec![0x55u8; 23]).encode();
     valid[0] |= 0x20; // P bit
     valid.extend_from_slice(&[0, 0, 0, 4]); // four octets of padding
@@ -168,7 +170,7 @@ fn owned_and_borrowed_rtp_parsers_agree_on_hostile_input() {
         }
     };
     let reference = RtpPacket::decode(&valid).expect("the unmutated packet parses");
-    assert_eq!(reference.header.csrc.len(), 3);
+    assert_eq!(reference.header.csrc().len(), 3);
     assert_eq!(reference.payload.len(), 23);
     agree(&valid);
     for len in 0..valid.len() {
