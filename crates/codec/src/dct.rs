@@ -565,6 +565,10 @@ fn dequantise(v: i32, q: i32) -> i32 {
     (v as i64 * q as i64).clamp(-COEFF_LIMIT, COEFF_LIMIT) as i32
 }
 
+/// The fewest body bytes [`read_block`] accepts for one plane of a block:
+/// a one-byte DC varint and the end-of-block marker.
+const MIN_PLANE_BYTES: usize = 2;
+
 /// Read one block straight into dequantised coefficients: varint, zigzag
 /// position, multiply and clamp in one step per *coded* coefficient, so the
 /// zeros cost nothing beyond clearing `plane`. Returns Σ|AC coefficient|,
@@ -716,6 +720,11 @@ fn decode_body(body: &[u8], w: usize, h: usize, quality: u8) -> Result<Image> {
     let chroma_q = scaled_table(&CHROMA_Q, quality);
     let bw = w.div_ceil(8);
     let bh = h.div_ceil(8);
+    // A body too short for its blocks is refused before the pixels it
+    // claims are allocated.
+    if body.len() / (3 * MIN_PLANE_BYTES) < bw * bh {
+        return Err(Error::Truncated("DCT body"));
+    }
 
     // Every pixel is written exactly once below, row slice by row slice.
     let mut pixels = vec![0u8; w * h * BYTES_PER_PIXEL];

@@ -460,7 +460,9 @@ impl Image {
     }
 }
 
-pub(crate) fn check_dims(width: u32, height: u32) -> Result<()> {
+/// Whether an image of `width`×`height` may exist: the rule every
+/// constructor applies before it allocates.
+pub fn check_dims(width: u32, height: u32) -> Result<()> {
     if width == 0 || height == 0 || width > MAX_DIMENSION || height > MAX_DIMENSION {
         return Err(Error::BadDimensions { width, height });
     }

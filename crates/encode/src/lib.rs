@@ -23,11 +23,12 @@
 //!   identical app tiles across tenants encode once process-wide, with
 //!   [`CacheKey::namespace`](cache::CacheKey) keeping private
 //!   (consent-gated) sessions fully isolated.
-//! * [`pool`] — cache misses encode on a scoped worker pool. Results are
-//!   assembled in submission order and cache insertion happens on the
-//!   caller thread in that same order, so the emitted packets are
-//!   byte-identical to a serial run regardless of worker count — the
-//!   parity the proptests in `tests/parity.rs` pin down.
+//! * [`pool`] — cache misses encode on a pool of threads started once
+//!   (per process, or per multi-tenant host). Results are assembled in
+//!   submission order and cache insertion happens on the caller thread in
+//!   that same order, so the emitted packets are byte-identical to a
+//!   serial run regardless of worker count — the parity the proptests in
+//!   `tests/parity.rs` pin down.
 //!
 //! The pipeline is codec-agnostic: callers pass the encode function (codec
 //! selection, quality knobs) as a closure, so this crate depends only on
@@ -46,6 +47,6 @@ pub use cache::{CacheKey, EncodeCache};
 pub use pipeline::{
     resolve_workers, EncodeConfig, EncodePipeline, EncodedTile, RegionKey, RegionTiles, TileJob,
 };
-pub use pool::{scoped_map, PoolStats, WorkerPool};
+pub use pool::WorkerPool;
 pub use shared::SharedEncodeCache;
 pub use tiling::{tiles, TileConfig};

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use adshare_codec::checksum::fast_hash64;
 use adshare_codec::{Image, Rect};
@@ -10,7 +11,7 @@ use adshare_obs::Registry;
 use bytes::Bytes;
 
 use crate::cache::{CacheKey, EncodeCache};
-use crate::pool::{scoped_map, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::shared::SharedEncodeCache;
 use crate::tiling::{tiles, TileConfig};
 
@@ -20,12 +21,17 @@ pub struct EncodeConfig {
     /// Tile grid for damage splitting. Set by `tests/encode_parity.rs`
     /// and `exp_encode_cache`.
     pub tile: TileConfig,
-    /// Worker threads for cache-miss encoding; 0 = one per available core
-    /// (capped at 8, [`resolve_workers`]), 1 = serial. A batch uses at
-    /// most one per full tile (`tile.width × tile.height`) of missed
-    /// pixels. Set by `tests/encode_parity.rs`, `tests/alloc_budget.rs`,
-    /// the relay's and `TierEncoder`'s serial pipelines and the benchmark's
-    /// leaf replay.
+    /// Most workers, the calling thread included, that one batch of
+    /// [`EncodePipeline::encode_region`] may use for its cache misses;
+    /// 0 = one per available core (capped at 8, [`resolve_workers`]),
+    /// 1 = serial. A batch uses at most one per full tile (`tile.width ×
+    /// tile.height`) of missed pixels, and the rest are threads of the
+    /// pipeline's [`WorkerPool`] that are idle when it asks
+    /// ([`WorkerPool::global`] for [`EncodePipeline::new`], the host's for
+    /// [`EncodePipeline::with_shared`]). [`EncodePipeline::encode_batch`]
+    /// always encodes on the caller. Set by `tests/encode_parity.rs`,
+    /// `tests/alloc_budget.rs`, the relay's and `TierEncoder`'s serial
+    /// pipelines and the benchmark's leaf replay.
     pub workers: usize,
     /// Encoded-payload byte budget for the cross-frame cache. Narrowed by
     /// this crate's `tests/parity.rs` to force evictions.
@@ -226,14 +232,22 @@ impl CacheBackend {
     }
 }
 
+/// A fresh encode: payload type, payload and the µs it took.
+type Fresh = (u8, Bytes, u64);
+
+fn encode_tile(encode: &impl Fn(&Image) -> (u8, Vec<u8>), job: &TileJob) -> Fresh {
+    let t0 = Instant::now();
+    let (pt, payload) = encode(&job.image);
+    (pt, Bytes::from(payload), t0.elapsed().as_micros() as u64)
+}
+
 /// The pipeline: tile grid + persistent cache + worker pool + metrics.
 #[derive(Debug)]
 pub struct EncodePipeline {
     cfg: EncodeConfig,
     workers: usize,
     backend: CacheBackend,
-    /// Bounded process-wide spawn budget; `None` means each batch may use
-    /// the full per-pipeline `workers` count (single-session behaviour).
+    /// The pool cache misses encode on; `None` is [`WorkerPool::global`].
     pool: Option<WorkerPool>,
     /// Regions already encoded this step, in front of the cache: a second
     /// requester of the same `(surface, rect, tier)` gets the first one's
@@ -256,14 +270,18 @@ pub fn resolve_workers(cfg_workers: usize) -> usize {
 }
 
 impl EncodePipeline {
-    /// Build a single-session pipeline from config: a private cache and an
-    /// unshared worker budget. Thin wrapper kept fully backward-compatible
-    /// with the pre-host behaviour.
+    /// Build a single-session pipeline from config: a private cache, and
+    /// cache misses encoded on the process-wide [`WorkerPool::global`].
     pub fn new(cfg: EncodeConfig) -> Self {
+        let backend = CacheBackend::Private(EncodeCache::new(cfg.cache_budget_bytes));
+        Self::build(cfg, backend, None)
+    }
+
+    fn build(cfg: EncodeConfig, backend: CacheBackend, pool: Option<WorkerPool>) -> Self {
         EncodePipeline {
             workers: resolve_workers(cfg.workers),
-            backend: CacheBackend::Private(EncodeCache::new(cfg.cache_budget_bytes)),
-            pool: None,
+            backend,
+            pool,
             step_regions: HashMap::new(),
             metrics: Metrics::default(),
             cfg,
@@ -271,9 +289,9 @@ impl EncodePipeline {
     }
 
     /// Build a multi-tenant pipeline: lookups and insertions go to the
-    /// process-wide `cache` under `namespace`, and cache-miss encoding
-    /// draws spawn permits from the shared `pool` (falling back to inline
-    /// encoding when the budget is exhausted, never blocking).
+    /// process-wide `cache` under `namespace`, and cache misses encode on
+    /// the host's `pool` (inline when none of its threads is idle, never
+    /// blocking).
     ///
     /// `cfg.cache_budget_bytes` is ignored (the shared cache carries its
     /// own budget), and per-step cache mode (`cross_frame_cache = false`)
@@ -285,14 +303,7 @@ impl EncodePipeline {
         cache: Arc<SharedEncodeCache>,
         pool: WorkerPool,
     ) -> Self {
-        EncodePipeline {
-            workers: resolve_workers(cfg.workers),
-            backend: CacheBackend::Shared { cache, namespace },
-            pool: Some(pool),
-            step_regions: HashMap::new(),
-            metrics: Metrics::default(),
-            cfg,
-        }
+        Self::build(cfg, CacheBackend::Shared { cache, namespace }, Some(pool))
     }
 
     /// The configuration this pipeline was built from.
@@ -393,9 +404,10 @@ impl EncodePipeline {
     /// that `jobs` and `encode` are pure functions of `key` — the surface is
     /// not repainted, the pointer does not move — which is what a sender
     /// flushing one capture to many legs can promise. The first request for
-    /// a key runs `jobs` (tile, crop, composite) and sends the result
-    /// through [`EncodePipeline::encode_batch`] at `key.tier`, exactly as
-    /// if it had called that directly; every later request in the step gets
+    /// a key runs `jobs` (tile, crop, composite) and encodes the result at
+    /// `key.tier` as [`EncodePipeline::encode_batch`] would, except that the
+    /// misses encode on the pipeline's [`WorkerPool`] — which is why
+    /// `encode` must own what it uses. Every later request in the step gets
     /// the same list by handle and runs neither closure: no crop, no hash,
     /// no cache lookup.
     ///
@@ -408,7 +420,7 @@ impl EncodePipeline {
     pub fn encode_region<J, F>(&mut self, key: RegionKey, jobs: J, encode: F) -> RegionTiles
     where
         J: FnOnce() -> Vec<TileJob>,
-        F: Fn(&Image) -> (u8, Vec<u8>) + Sync,
+        F: Fn(&Image) -> (u8, Vec<u8>) + Send + Sync + 'static,
     {
         if let Some(tiles) = self.step_regions.get(&key) {
             let n = tiles.len() as u64;
@@ -423,7 +435,13 @@ impl EncodePipeline {
                 repeated: true,
             };
         }
-        let tiles: Arc<[EncodedTile]> = self.encode_batch(key.tier, jobs(), encode).into();
+        let pool = self.pool.clone();
+        let pool = pool.as_ref().unwrap_or_else(|| WorkerPool::global());
+        let tiles: Arc<[EncodedTile]> = self
+            .encode_with(key.tier, jobs(), |want, misses| {
+                pool.map(want, misses, move |job| encode_tile(&encode, job))
+            })
+            .into();
         self.step_regions.insert(key, tiles.clone());
         RegionTiles {
             tiles,
@@ -431,17 +449,33 @@ impl EncodePipeline {
         }
     }
 
-    /// Encode a batch of tiles at quality tier `tier`.
+    /// Encode a batch of tiles at quality tier `tier`, the misses on the
+    /// calling thread.
     ///
     /// `encode` maps pixels to `(payload_type, payload)` and must be a
-    /// pure function of the image (it runs concurrently on the pool for
-    /// cache misses). Results come back in job order, and cache insertion
-    /// happens in that same order on this thread — so for a given cache
-    /// state the output bytes are identical whether `workers` is 1 or 16.
+    /// pure function of the image. Results come back in job order, and
+    /// cache insertion happens in that same order on this thread — so for
+    /// a given cache state the output bytes are identical to
+    /// [`EncodePipeline::encode_region`]'s at any worker count.
     pub fn encode_batch<F>(&mut self, tier: u8, jobs: Vec<TileJob>, encode: F) -> Vec<EncodedTile>
     where
         F: Fn(&Image) -> (u8, Vec<u8>) + Sync,
     {
+        self.encode_with(tier, jobs, |_, misses| {
+            let fresh = misses.iter().map(|job| encode_tile(&encode, job));
+            (fresh.collect(), 1)
+        })
+    }
+
+    /// Classify `jobs`, have `run` encode the misses given how many
+    /// workers they are worth (it says how many it used), and assemble the
+    /// output in job order.
+    fn encode_with(
+        &mut self,
+        tier: u8,
+        jobs: Vec<TileJob>,
+        run: impl FnOnce(usize, Vec<TileJob>) -> (Vec<Fresh>, usize),
+    ) -> Vec<EncodedTile> {
         self.metrics.tiles.add(jobs.len() as u64);
 
         /// Where each submitted job's payload will come from.
@@ -489,36 +523,34 @@ impl EncodePipeline {
             plans.push((rect, plan));
         }
 
-        // Pass 2 (worker pool): encode the misses. Only this pass runs
+        // Pass 2 (`run`): encode the misses. Only this pass may run
         // concurrently, and results come back in miss order either way.
-        let encode_one = |job: &TileJob| {
-            let t0 = std::time::Instant::now();
-            let (pt, payload) = encode(&job.image);
-            (pt, Bytes::from(payload), t0.elapsed().as_micros() as u64)
-        };
         // One worker per full grid cell of missed pixels: a few small
-        // typing tiles cost less inline than a spawn.
+        // typing tiles cost less inline than a hand-off to the pool.
         let tile_px = self.cfg.tile.width as u64 * self.cfg.tile.height as u64;
         let miss_px: u64 = misses
             .iter()
             .map(|job| job.image.width() as u64 * job.image.height() as u64)
             .sum();
         let workers = self.workers.min((miss_px / tile_px.max(1)) as usize).max(1);
-        let (encoded, stats) = match &self.pool {
-            Some(pool) => pool.map(workers, &misses, encode_one),
-            None => scoped_map(workers, &misses, encode_one),
-        };
+        let t0 = Instant::now();
+        let (encoded, workers) = run(workers, misses);
+        let wall_us = t0.elapsed().as_micros() as u64;
 
-        if !misses.is_empty() {
-            self.metrics.cache_misses.add(misses.len() as u64);
-            self.metrics.batch_wall_us.record(stats.wall_us);
-            self.metrics.speedup_x100.record(stats.speedup_x100());
+        if !encoded.is_empty() {
+            let cpu_us: u64 = encoded.iter().map(|&(_, _, us)| us).sum();
+            let busy_pct = (cpu_us * 100).checked_div(wall_us * workers as u64);
+            self.metrics.cache_misses.add(encoded.len() as u64);
+            self.metrics.batch_wall_us.record(wall_us);
+            self.metrics
+                .speedup_x100
+                .record((cpu_us * 100).checked_div(wall_us).unwrap_or(100));
             self.metrics
                 .pool_utilization_pct
-                .record(stats.utilization_pct());
-            self.metrics.pool_workers.set(stats.workers as i64);
-            self.metrics.wall_us_total.add(stats.wall_us);
-            self.metrics.cpu_us_total.add(stats.cpu_us);
+                .record(busy_pct.map_or(100, |p| p.min(100)));
+            self.metrics.pool_workers.set(workers as i64);
+            self.metrics.wall_us_total.add(wall_us);
+            self.metrics.cpu_us_total.add(cpu_us);
         }
 
         // Pass 3 (caller thread, deterministic): insert fresh encodes in
@@ -578,8 +610,9 @@ mod tests {
     /// A deterministic stand-in encoder that counts invocations, so cache
     /// hits (which must skip it) are detectable.
     fn counting_encoder(
-        calls: &std::sync::atomic::AtomicUsize,
-    ) -> impl Fn(&Image) -> (u8, Vec<u8>) + Sync + '_ {
+        calls: &Arc<std::sync::atomic::AtomicUsize>,
+    ) -> impl Fn(&Image) -> (u8, Vec<u8>) + Send + Sync + 'static {
+        let calls = calls.clone();
         move |img: &Image| {
             calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             (101, vec![img.data()[0]; 16])
@@ -588,7 +621,7 @@ mod tests {
 
     #[test]
     fn cross_frame_hits_skip_the_encoder() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut p = EncodePipeline::new(EncodeConfig {
             workers: 1,
             ..EncodeConfig::default()
@@ -608,7 +641,7 @@ mod tests {
 
     #[test]
     fn per_step_mode_clears_on_begin_step() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut p = EncodePipeline::new(EncodeConfig {
             workers: 1,
             cross_frame_cache: false,
@@ -626,7 +659,7 @@ mod tests {
 
     #[test]
     fn intra_batch_dedup_encodes_once() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut p = EncodePipeline::new(EncodeConfig {
             workers: 1,
             ..EncodeConfig::default()
@@ -652,7 +685,7 @@ mod tests {
 
     #[test]
     fn a_region_is_built_and_encoded_once_per_step() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let built = std::cell::Cell::new(0);
         let mut p = EncodePipeline::new(EncodeConfig {
             workers: 1,
@@ -717,7 +750,7 @@ mod tests {
 
     #[test]
     fn tiers_do_not_share_entries() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut p = EncodePipeline::new(EncodeConfig {
             workers: 1,
             ..EncodeConfig::default()
@@ -738,7 +771,7 @@ mod tests {
 
     #[test]
     fn shared_backend_hits_across_pipelines() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let cache = Arc::new(SharedEncodeCache::new(1 << 20, 4));
         let pool = WorkerPool::new(2);
         let cfg = EncodeConfig {
@@ -766,7 +799,7 @@ mod tests {
 
     #[test]
     fn shared_backend_namespaces_are_isolated() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let cache = Arc::new(SharedEncodeCache::new(1 << 20, 4));
         let pool = WorkerPool::new(2);
         let cfg = EncodeConfig {
@@ -792,7 +825,7 @@ mod tests {
 
     #[test]
     fn shared_begin_step_never_clears() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let cache = Arc::new(SharedEncodeCache::new(1 << 20, 2));
         let mut p = EncodePipeline::with_shared(
             EncodeConfig {
@@ -815,6 +848,25 @@ mod tests {
         assert!(out[0].cache_hit, "shared cache survives begin_step");
     }
 
+    /// A private-cache pipeline of `workers` on a pool of its own, so that
+    /// no other test holds its threads.
+    fn pooled(workers: usize) -> EncodePipeline {
+        let cfg = EncodeConfig {
+            workers,
+            ..EncodeConfig::default()
+        };
+        let backend = CacheBackend::Private(EncodeCache::new(cfg.cache_budget_bytes));
+        EncodePipeline::build(cfg, backend, Some(WorkerPool::new(workers)))
+    }
+
+    fn region(surface: u64) -> RegionKey {
+        RegionKey {
+            surface,
+            rect: Rect::new(0, 0, 1, 1),
+            tier: 0,
+        }
+    }
+
     #[test]
     fn a_batch_fans_out_only_when_each_worker_gets_a_tile() {
         let mk_jobs = |side: u32, n: u8| {
@@ -830,23 +882,20 @@ mod tests {
             workers: 1,
             ..EncodeConfig::default()
         });
-        let mut two = EncodePipeline::new(EncodeConfig {
-            workers: 2,
-            ..EncodeConfig::default()
-        });
+        let mut two = pooled(2);
         let registry = Registry::new();
         two.register_metrics(&registry, "enc");
         let workers = || registry.snapshot().gauge("enc.pool_workers");
         // Two 16×16 misses are 512 px, short of one 128×128 tile: inline.
-        let small = two.encode_batch(0, mk_jobs(16, 2), enc);
+        let small = two.encode_region(region(1), || mk_jobs(16, 2), enc);
         assert_eq!(workers(), Some(1));
         // Four full tiles of misses: both workers.
-        let large = two.encode_batch(0, mk_jobs(128, 4), enc);
+        let large = two.encode_region(region(2), || mk_jobs(128, 4), enc);
         assert_eq!(workers(), Some(2));
         for (side, n, got) in [(16, 2, small), (128, 4, large)] {
             let want = serial.encode_batch(0, mk_jobs(side, n), enc);
             assert_eq!(want.len(), got.len());
-            for (a, b) in want.iter().zip(&got) {
+            for (a, b) in want.iter().zip(got.iter()) {
                 assert_eq!((a.rect, a.payload_type), (b.rect, b.payload_type));
                 assert_eq!(a.payload, b.payload);
             }
@@ -868,14 +917,15 @@ mod tests {
             workers: 1,
             ..EncodeConfig::default()
         });
-        let mut parallel = EncodePipeline::new(EncodeConfig {
-            workers: 8,
-            ..EncodeConfig::default()
-        });
+        let mut parallel = pooled(8);
+        parallel.cfg.tile = TileConfig {
+            width: 8,
+            height: 8,
+        };
         let a = serial.encode_batch(0, mk_jobs(), enc);
-        let b = parallel.encode_batch(0, mk_jobs(), enc);
+        let b = parallel.encode_region(region(0), mk_jobs, enc);
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
+        for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.rect, y.rect);
             assert_eq!(x.payload_type, y.payload_type);
             assert_eq!(x.payload, y.payload);

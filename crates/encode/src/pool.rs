@@ -1,298 +1,352 @@
-//! A scoped worker pool with deterministic result ordering.
-//!
-//! Workers pull job indices from a shared atomic counter (work stealing at
-//! index granularity — no per-worker queues to balance) and write results
-//! into per-slot cells. The output vector is assembled by index, so the
-//! caller observes exactly the order it submitted, independent of worker
-//! count or scheduling: the property the byte-parity tests rely on.
-//!
-//! `std::thread::scope` keeps lifetimes simple (jobs borrow the caller's
-//! stack) and means the pool holds no threads between batches. A spawn
-//! pays only for a batch with real work in it — spawning for every batch
-//! of a few typed glyphs made the encode wall time exceed its CPU time —
-//! so the encode pipeline asks for one worker per full tile's worth of
-//! missed pixels, and small batches run inline on the caller.
+//! The encode worker pool: a [`WorkerPool`] of `k` workers is the calling
+//! thread plus `k − 1` threads that sleep on a condvar between batches (an
+//! idle pool costs no CPU) and end with its last handle; a worker outlives
+//! its batch, so its codec working set (DESIGN §14.2) stays warm. A batch's
+//! jobs move into the pool by value, runners claim indices from an atomic
+//! counter and write each result into its own slot, so the output is in
+//! submission order at any worker count: the byte-parity tests rely on it.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{JoinHandle, Result as Caught};
 
-/// What a batch cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolStats {
-    /// Wall-clock µs from first spawn to last join.
-    pub wall_us: u64,
-    /// Summed per-job µs (the serial-equivalent cost).
-    pub cpu_us: u64,
-    /// Workers actually spawned (1 = ran inline on the caller).
-    pub workers: usize,
+static THREADS_STARTED: AtomicU64 = AtomicU64::new(0);
+static LIVE_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Pool threads started in this process so far, by every pool.
+#[doc(hidden)]
+pub fn threads_started() -> u64 {
+    THREADS_STARTED.load(Relaxed)
 }
 
-impl PoolStats {
-    /// Parallel speedup ×100 (`cpu_us / wall_us`); 100 = no speedup.
-    pub fn speedup_x100(&self) -> u64 {
-        (self.cpu_us * 100).checked_div(self.wall_us).unwrap_or(100)
-    }
-
-    /// How busy the spawned workers were, in percent of `workers × wall`.
-    pub fn utilization_pct(&self) -> u64 {
-        let capacity = self.wall_us * self.workers.max(1) as u64;
-        (self.cpu_us * 100)
-            .checked_div(capacity)
-            .map_or(100, |p| p.min(100))
-    }
+/// Pool threads running right now, in every pool of the process.
+#[doc(hidden)]
+pub fn live_threads() -> usize {
+    LIVE_THREADS.load(Relaxed)
 }
 
-/// Apply `f` to every item, on up to `workers` threads, returning results
-/// in item order. `workers <= 1` (or a batch of one) runs inline with no
-/// thread spawns.
-pub fn scoped_map<T, R, F>(workers: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let start = Instant::now();
-    let timed = |item: &T| {
-        let t0 = Instant::now();
-        let out = f(item);
-        (out, t0.elapsed().as_micros() as u64)
-    };
-    if workers <= 1 || items.len() <= 1 {
-        let mut cpu_us = 0;
-        let results = items
-            .iter()
-            .map(|item| {
-                let (out, us) = timed(item);
-                cpu_us += us;
-                out
-            })
-            .collect();
-        let stats = PoolStats {
-            wall_us: start.elapsed().as_micros() as u64,
-            cpu_us,
-            workers: 1,
-        };
-        return (results, stats);
-    }
-
-    let workers = workers.min(items.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(R, u64)>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = timed(item);
-                *slots[i].lock().expect("slot poisoned") = Some(out);
-            });
-        }
-    });
-    let mut cpu_us = 0;
-    let results = slots
-        .into_iter()
-        .map(|slot| {
-            let (out, us) = slot
-                .into_inner()
-                .expect("slot poisoned")
-                .expect("every index visited");
-            cpu_us += us;
-            out
-        })
-        .collect();
-    let stats = PoolStats {
-        wall_us: start.elapsed().as_micros() as u64,
-        cpu_us,
-        workers,
-    };
-    (results, stats)
+// Jobs run under `catch_unwind` and outside every lock, and each update
+// under a lock leaves its data valid, so a poisoned lock is used as it is.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A cloneable handle on a process-wide worker budget.
-///
-/// `scoped_map` bounds one batch; a multi-tenant host needs to bound the
-/// *sum* of all concurrent batches, or a thousand sessions each spawning 8
-/// workers would mean 8000 threads. The pool hands out spawn permits from
-/// a shared atomic budget: a batch takes as many as are free (never
-/// blocking — zero free permits means the batch runs inline on its caller
-/// thread, which costs no extra thread at all), and returns them when the
-/// batch joins. Determinism is unaffected because `scoped_map` output is
-/// worker-count independent.
-#[derive(Debug, Clone)]
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A cloneable handle on one pool of encode threads.
+#[derive(Clone)]
 pub struct WorkerPool {
-    inner: Arc<PoolBudget>,
+    inner: Arc<Threads>,
 }
 
-#[derive(Debug)]
-struct PoolBudget {
-    max: usize,
-    available: AtomicUsize,
-    /// Batches that wanted workers but found the budget empty (ran inline).
-    inline_fallbacks: AtomicU64,
+/// The pool's threads, ended when the last handle drops this.
+struct Threads {
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+#[derive(Default)]
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Pool threads wait here for a grant.
+    wake: Condvar,
+    /// Callers wait here for pool threads to leave their batch.
+    over: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// One entry per pool thread granted to a batch and not yet on it. A
+    /// grant's count of strong references changes only under the lock.
+    grants: VecDeque<Arc<dyn Fn() + Send + Sync>>,
+    /// Pool threads neither on a batch nor granted one.
+    idle: usize,
+    /// Batches that wanted pool threads but found none idle.
+    inline_fallbacks: u64,
+    closed: bool,
+}
+
+struct Batch<T, R, F> {
+    jobs: Vec<T>,
+    f: F,
+    next: AtomicUsize,
+    /// Each job's result, or its panic, by index.
+    out: Mutex<Vec<Option<Caught<R>>>>,
+}
+
+impl<T, R, F: Fn(&T) -> R> Batch<T, R, F> {
+    /// Claim and run jobs until none is left.
+    fn drain(&self) {
+        let mut i = self.next.fetch_add(1, Relaxed);
+        while let Some(job) = self.jobs.get(i) {
+            let result = catch_unwind(AssertUnwindSafe(|| (self.f)(job)));
+            lock(&self.out)[i] = Some(result);
+            i = self.next.fetch_add(1, Relaxed);
+        }
+    }
+}
+
+/// A pool thread: run grants until the pool closes.
+fn work(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
+    while !queue.closed {
+        let Some(grant) = queue.grants.pop_front() else {
+            queue = wait(&shared.wake, queue);
+            continue;
+        };
+        drop(queue);
+        grant();
+        // Idle again before the caller sees its batch over, so that its
+        // next batch finds this thread free.
+        queue = lock(&shared.queue);
+        queue.idle += 1;
+        drop(grant);
+        shared.over.notify_all();
+    }
+    LIVE_THREADS.fetch_sub(1, Relaxed);
 }
 
 impl WorkerPool {
-    /// A pool allowing at most `max_workers` spawned threads process-wide
-    /// (minimum 1).
+    /// A pool of `max_workers`: a batch's caller and `max_workers − 1` threads started now.
     pub fn new(max_workers: usize) -> Self {
-        let max = max_workers.max(1);
-        WorkerPool {
-            inner: Arc::new(PoolBudget {
-                max,
-                available: AtomicUsize::new(max),
-                inline_fallbacks: AtomicU64::new(0),
-            }),
-        }
+        let shared = Arc::new(Shared::default());
+        let handles: Vec<JoinHandle<()>> = (1..max_workers)
+            .filter_map(|_| {
+                let shared = shared.clone();
+                let thread = std::thread::Builder::new().name("adshare-encode".into());
+                let handle = thread.spawn(move || work(&shared)).ok()?;
+                THREADS_STARTED.fetch_add(1, Relaxed);
+                LIVE_THREADS.fetch_add(1, Relaxed);
+                Some(handle)
+            })
+            .collect();
+        lock(&shared.queue).idle = handles.len();
+        let inner = Arc::new(Threads { shared, handles });
+        WorkerPool { inner }
     }
 
-    /// The configured process-wide worker cap.
+    /// The process-wide pool single-session pipelines share, of
+    /// [`crate::resolve_workers`]`(0)` workers, started on first use.
+    pub fn global() -> &'static WorkerPool {
+        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
+        GLOBAL.get_or_init(|| WorkerPool::new(crate::resolve_workers(0)))
+    }
+
+    /// The pool's size: its threads plus the caller.
     pub fn max_workers(&self) -> usize {
-        self.inner.max
+        self.inner.handles.len() + 1
     }
 
-    /// Spawn permits currently free.
-    pub fn available(&self) -> usize {
-        self.inner.available.load(Ordering::Relaxed)
-    }
-
-    /// Batches that found no free permits and ran inline.
+    /// Batches that found no idle pool thread and ran inline.
     pub fn inline_fallbacks(&self) -> u64 {
-        self.inner.inline_fallbacks.load(Ordering::Relaxed)
+        lock(&self.inner.shared.queue).inline_fallbacks
     }
 
-    /// Whether two handles share one budget.
-    pub fn same_as(&self, other: &WorkerPool) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// [`scoped_map`] with the worker count bounded by both `want` and the
-    /// free permits. Never blocks: an empty budget degrades to an inline
-    /// (serial) batch on the caller thread.
-    pub fn map<T, R, F>(&self, want: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
+    /// `f` of every job, in job order, run on the caller and the idle ones of
+    /// `want − 1` pool threads (never blocking), and how many workers the
+    /// batch got. A job's panic is resumed on the caller once it is over.
+    pub fn map<T, R, F>(&self, want: usize, jobs: Vec<T>, f: F) -> (Vec<R>, usize)
     where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&T) -> R + Send + Sync + 'static,
     {
-        let want = want.min(items.len());
-        if want <= 1 {
-            return scoped_map(1, items, f);
+        let workers = want.min(jobs.len()).min(self.max_workers());
+        if workers <= 1 {
+            return (jobs.iter().map(f).collect(), 1);
         }
-        let granted = self.claim(want);
-        if granted == 0 {
-            self.inner.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
+        let out = Mutex::new(jobs.iter().map(|_| None).collect());
+        let next = AtomicUsize::new(0);
+        let batch = Arc::new(Batch { jobs, f, next, out });
+        let job = batch.clone();
+        let grant: Arc<dyn Fn() + Send + Sync> = Arc::new(move || job.drain());
+        let shared = &self.inner.shared;
+        let mut queue = lock(&shared.queue);
+        let granted = queue.idle.min(workers - 1);
+        queue.idle -= granted;
+        queue.inline_fallbacks += u64::from(granted == 0);
+        for _ in 0..granted {
+            queue.grants.push_back(grant.clone());
+            shared.wake.notify_one();
         }
-        let out = scoped_map(granted.max(1), items, f);
-        self.release(granted);
-        out
+        drop(queue);
+        batch.drain();
+        // Take back the grants no thread has picked up (the work is done),
+        // then wait for the threads still on the batch to leave it.
+        let mut queue = lock(&shared.queue);
+        let queued = queue.grants.len();
+        queue.grants.retain(|g| !Arc::ptr_eq(g, &grant));
+        queue.idle += queued - queue.grants.len();
+        while Arc::strong_count(&grant) > 1 {
+            queue = wait(&shared.over, queue);
+        }
+        drop(queue);
+        let results = std::mem::take(&mut *lock(&batch.out)).into_iter();
+        let results = results.map(|r| r.expect("every index ran"));
+        let results = results.map(|r| r.unwrap_or_else(|panic| resume_unwind(panic)));
+        (results.collect(), 1 + granted)
     }
+}
 
-    /// Take up to `want` permits; returns how many were granted (0..=want).
-    fn claim(&self, want: usize) -> usize {
-        let mut granted = 0;
-        let _ = self
-            .inner
-            .available
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |free| {
-                granted = free.min(want);
-                Some(free - granted)
-            });
-        granted
-    }
-
-    fn release(&self, permits: usize) {
-        if permits > 0 {
-            self.inner.available.fetch_add(permits, Ordering::AcqRel);
+impl Drop for Threads {
+    fn drop(&mut self) {
+        lock(&self.shared.queue).closed = true;
+        self.shared.wake.notify_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
+    }
+}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "WorkerPool({} workers)", self.max_workers())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
-    #[test]
-    fn results_keep_submission_order() {
-        let items: Vec<u64> = (0..257).collect();
-        for workers in [1, 2, 4, 16] {
-            let (out, stats) = scoped_map(workers, &items, |&x| x * x);
-            assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-            assert!(stats.workers >= 1);
+    fn on_pool_thread() -> bool {
+        std::thread::current().name() == Some("adshare-encode")
+    }
+
+    /// A job that holds the caller until a pool thread has run one, so a
+    /// batch of them is really shared; `flag` says a pool thread did.
+    fn shared_job(flag: Arc<AtomicBool>) -> impl Fn(&u32) -> u32 + Send + Sync + 'static {
+        move |&x| {
+            if on_pool_thread() {
+                flag.store(true, SeqCst);
+            } else {
+                while !flag.load(SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            x + 1
         }
     }
 
     #[test]
-    fn inline_path_for_single_item() {
-        let (out, stats) = scoped_map(8, &[41], |&x| x + 1);
-        assert_eq!(out, vec![42]);
-        assert_eq!(stats.workers, 1, "one job must not spawn threads");
+    fn results_keep_submission_order() {
+        let jobs: Vec<u64> = (0..257).collect();
+        let want: Vec<u64> = jobs.iter().map(|&x| x * x).collect();
+        for size in [1, 2, 4, 16] {
+            let pool = WorkerPool::new(size);
+            assert_eq!(pool.max_workers(), size);
+            let (out, workers) = pool.map(size, jobs.clone(), |&x| x * x);
+            assert_eq!(out, want, "pool of {size}");
+            assert_eq!(workers, size, "an idle pool grants every thread");
+            assert_eq!(pool.inline_fallbacks(), 0);
+        }
     }
 
     #[test]
-    fn empty_batch() {
-        let (out, _) = scoped_map(4, &Vec::<u8>::new(), |_| 0u8);
-        assert!(out.is_empty());
+    fn small_batches_run_inline() {
+        let pool = WorkerPool::new(8);
+        let out = pool.map(8, vec![41], |&x| x + 1);
+        assert_eq!(out, (vec![42], 1), "one job takes no thread");
+        let out = pool.map(1, vec![1, 2, 3], |&x| x + 1);
+        assert_eq!(out, (vec![2, 3, 4], 1), "want 1 is inline");
+        let out = pool.map(4, Vec::<u8>::new(), |_| 0u8);
+        assert_eq!(out, (vec![], 1));
+        assert_eq!(
+            pool.inline_fallbacks(),
+            0,
+            "inline by choice is no fallback"
+        );
     }
 
     #[test]
-    fn worker_pool_bounds_total_permits() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.claim(8), 4, "grants are capped by the budget");
-        assert_eq!(pool.available(), 0);
-        assert_eq!(pool.claim(2), 0, "empty budget grants nothing");
-        pool.release(4);
-        assert_eq!(pool.available(), 4);
-        assert_eq!(pool.claim(2), 2);
-        pool.release(2);
-    }
-
-    #[test]
-    fn worker_pool_map_matches_scoped_map_output() {
-        let items: Vec<u64> = (0..123).collect();
-        let pool = WorkerPool::new(3);
-        let (out, stats) = pool.map(8, &items, |&x| x * 2 + 1);
-        assert_eq!(out, items.iter().map(|&x| x * 2 + 1).collect::<Vec<_>>());
-        assert!(stats.workers <= 3);
-        assert_eq!(pool.available(), 3, "permits returned after the batch");
-    }
-
-    #[test]
-    fn worker_pool_exhausted_budget_runs_inline() {
+    fn pool_threads_share_every_batch() {
         let pool = WorkerPool::new(2);
-        let held = pool.claim(2);
-        assert_eq!(held, 2);
-        let items: Vec<u32> = (0..16).collect();
-        let (out, stats) = pool.map(4, &items, |&x| x + 1);
-        assert_eq!(out, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
-        assert_eq!(stats.workers, 1, "no free permits: inline");
+        for _ in 0..20 {
+            let helped = Arc::new(AtomicBool::new(false));
+            let (out, workers) = pool.map(2, (0..4).collect(), shared_job(helped.clone()));
+            assert_eq!((out, workers), (vec![1, 2, 3, 4], 2));
+            assert!(helped.load(SeqCst));
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_pool_thread_panics_the_caller_and_the_pool_lives_on() {
+        let pool = WorkerPool::new(2);
+        let panicked = Arc::new(AtomicBool::new(false));
+        let flag = panicked.clone();
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map(2, (0..3u32).collect(), move |&x| {
+                if on_pool_thread() {
+                    flag.store(true, SeqCst);
+                    panic!("tile {x} is cursed");
+                }
+                while !flag.load(SeqCst) {
+                    std::thread::yield_now();
+                }
+                x
+            })
+        }));
+        let payload = run.expect_err("the pool thread's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().expect("panic message");
+        assert!(message.contains("is cursed"), "{message}");
+        assert!(panicked.load(SeqCst));
+        // The same thread takes the next batch.
+        let helped = Arc::new(AtomicBool::new(false));
+        let (out, workers) = pool.map(2, (0..6).collect(), shared_job(helped.clone()));
+        assert_eq!((out, workers), (vec![1, 2, 3, 4, 5, 6], 2));
+        assert!(helped.load(SeqCst));
+    }
+
+    #[test]
+    fn a_busy_pool_runs_the_batch_on_the_caller() {
+        let pool = WorkerPool::new(3);
+        // One batch holds the caller of another thread and both pool threads.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let entered = Arc::new(AtomicUsize::new(0));
+        let (held_gate, held_entered) = (gate.clone(), entered.clone());
+        let holder = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                pool.map(3, vec![0u8; 3], move |_| {
+                    held_entered.fetch_add(1, SeqCst);
+                    let (open, cv) = &*held_gate;
+                    let mut open = lock(open);
+                    while !*open {
+                        open = wait(cv, open);
+                    }
+                })
+            })
+        };
+        while entered.load(SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        let jobs: Vec<u32> = (0..16).collect();
+        let (out, workers) = pool.map(4, jobs.clone(), |&x| x + 1);
+        assert_eq!(out, jobs.iter().map(|&x| x + 1).collect::<Vec<_>>());
+        assert_eq!(workers, 1, "no idle thread: inline");
         assert_eq!(pool.inline_fallbacks(), 1);
-        pool.release(held);
+        *lock(&gate.0) = true;
+        gate.1.notify_all();
+        assert_eq!(holder.join().unwrap().1, 3);
+        assert_eq!(pool.map(3, vec![1, 2, 3], |&x| x).1, 3, "freed");
     }
 
     #[test]
-    fn worker_pool_clones_share_one_budget() {
-        let a = WorkerPool::new(5);
-        let b = a.clone();
-        assert!(a.same_as(&b));
-        assert_eq!(b.claim(3), 3);
-        assert_eq!(a.available(), 2, "clone drained the shared budget");
-        b.release(3);
-        assert!(!a.same_as(&WorkerPool::new(5)));
-    }
-
-    #[test]
-    fn parallel_actually_uses_multiple_workers() {
-        let items: Vec<u32> = (0..64).collect();
-        let (_, stats) = scoped_map(4, &items, |&x| {
-            // Enough work to be measurable.
-            let mut acc = x;
-            for i in 0..10_000u32 {
-                acc = acc.wrapping_mul(1664525).wrapping_add(i);
-            }
-            acc
-        });
-        assert_eq!(stats.workers, 4);
-        assert!(stats.cpu_us > 0);
+    fn dropping_the_last_handle_ends_the_threads() {
+        for size in [1, 2, 5] {
+            let pool = WorkerPool::new(size);
+            let shared = pool.inner.shared.clone();
+            assert_eq!(Arc::strong_count(&shared), size + 1, "each thread holds it");
+            let clone = pool.clone();
+            drop(pool);
+            let (out, _) = clone.map(size, vec![1u8; 9], |&x| x);
+            assert_eq!(out.len(), 9, "a clone keeps the threads");
+            drop(clone);
+            assert_eq!(Arc::strong_count(&shared), 1, "every thread ended");
+        }
     }
 }

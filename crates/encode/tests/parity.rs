@@ -11,7 +11,9 @@
 
 use adshare_codec::codec::AnyCodec;
 use adshare_codec::{Codec, CodecKind, Image, Rect};
-use adshare_encode::{CacheKey, EncodeCache, EncodeConfig, EncodePipeline, TileJob};
+use adshare_encode::{
+    CacheKey, EncodeCache, EncodeConfig, EncodePipeline, RegionKey, TileConfig, TileJob,
+};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -57,21 +59,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cold-cache and warmed-cache output is byte-identical across worker
-    /// counts, including which tiles are classified as hits.
+    /// counts, including which tiles are classified as hits. The parallel
+    /// side encodes on the process-wide pool, with a 16×16 grid so that
+    /// its batches are worth more than one worker.
     #[test]
     fn parallel_is_byte_identical_to_serial(
         images in proptest::collection::vec(arb_tile(6), 1..24),
         workers in 2usize..9,
     ) {
         let mut serial = pipeline(1);
-        let mut par = pipeline(workers);
+        let mut par = EncodePipeline::new(EncodeConfig {
+            workers,
+            tile: TileConfig { width: 16, height: 16 },
+            ..EncodeConfig::default()
+        });
+        let key = RegionKey { surface: 1, rect: Rect::new(0, 0, 1, 1), tier: 0 };
         for round in 0..2 {
             serial.begin_step();
             par.begin_step();
             let a = serial.encode_batch(0, jobs_from(&images), png_encode);
-            let b = par.encode_batch(0, jobs_from(&images), png_encode);
+            let b = par.encode_region(key, || jobs_from(&images), png_encode);
             prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
+            for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(x.rect, y.rect, "round {}", round);
                 prop_assert_eq!(x.payload_type, y.payload_type);
                 prop_assert_eq!(&x.payload, &y.payload, "payload bytes diverged");

@@ -45,9 +45,11 @@ const CACHE_SHARDS: usize = 16;
 /// Host-level tunables.
 #[derive(Debug, Clone, Default)]
 pub struct HostConfig {
-    /// Global encode worker budget; 0 = one per available core, capped at
-    /// 8 ([`resolve_workers`], as for `EncodeConfig::workers`). Set by
-    /// `tests/host_scale.rs` and `tests/encode_parity.rs`.
+    /// Size of the host's encode worker pool, the stepping thread
+    /// included (so `pool_workers − 1` threads); 0 = one per available
+    /// core, capped at 8 ([`resolve_workers`], as for
+    /// `EncodeConfig::workers`). Set by `tests/host_scale.rs`,
+    /// `tests/encode_parity.rs` and `tests/encode_workers.rs`.
     pub pool_workers: usize,
 }
 
@@ -215,7 +217,7 @@ impl MultiHost {
         &self.cache
     }
 
-    /// The global bounded worker pool.
+    /// The host's encode worker pool, shared by all its sessions.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }

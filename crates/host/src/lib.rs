@@ -14,10 +14,10 @@
 //!   thousands of same-app sessions produce encode **once per process**.
 //!   Tenant namespaces in the cache key keep private (consent-gated)
 //!   sessions fully isolated — same shards, zero key overlap.
-//! * **One bounded worker pool** ([`adshare_encode::WorkerPool`]): encode
-//!   batches draw spawn permits from a global budget instead of spawning
-//!   per-session workers; an exhausted budget degrades a batch to inline
-//!   encoding on its caller thread, never blocking.
+//! * **One bounded worker pool** ([`adshare_encode::WorkerPool`]): every
+//!   session's encode batches run on the host's threads, started with the
+//!   host and ended with it, instead of on workers of their own; a batch
+//!   that finds no thread idle runs inline on its caller, never blocking.
 //! * **One readiness-driven event loop** ([`MultiHost`]): sessions are
 //!   scheduled on a due-time heap (the generalization of netsim's
 //!   `wait_readable`) and stepped only when they have pending I/O, damage,

@@ -43,9 +43,9 @@ pub struct HostStats {
     pub cache_shards: u64,
     /// Hit rate as a rounded integer percentage.
     pub cache_hit_rate_pct: u64,
-    /// Worker-pool spawn-permit budget.
+    /// Workers in the host's encode pool, the stepping thread included.
     pub pool_max_workers: u64,
-    /// Batches that found the budget empty and encoded inline.
+    /// Batches that found no pool thread idle and encoded inline.
     pub pool_inline_fallbacks: u64,
     /// Encode CPU (µs) spent in each codec across all hosted sessions,
     /// indexed by [`CODEC_NAMES`]. Aggregated from the per-session

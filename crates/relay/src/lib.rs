@@ -152,6 +152,9 @@ pub struct RelayStats {
     pub catchups_served: u64,
     /// Wire bytes in those bursts.
     pub catchup_bytes: u64,
+    /// Upstream WindowManagerInfo records refused for a size no window can
+    /// have.
+    pub windows_refused: u64,
 }
 
 impl RelayStats {
@@ -381,6 +384,7 @@ impl RelayNode {
         RelayStats {
             upstream_gap_nacks: feedback.nacks_sent,
             plis_upstream: feedback.plis_sent,
+            windows_refused: self.mirror.windows_refused(),
             ..self.stats
         }
     }

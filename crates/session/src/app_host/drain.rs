@@ -330,36 +330,39 @@ impl AppHost {
         // A congestion-driven lossy tier overrides codec choice entirely;
         // otherwise §4.2: pick the codec "according to their
         // characteristics" when adaptive mode is on, else the configured
-        // codec. The closure is a pure function of the pixels, so it is
-        // safe to run on the pool and its output safe to cache by content.
-        let encode = |img: &Image| -> (u8, Vec<u8>) {
-            if let Some(quality) = tier.dct_quality() {
-                let pt = registry.pt_for(CodecKind::Dct).expect("DCT registered");
-                let codec = AnyCodec::with_options(
-                    CodecKind::Dct,
-                    EncodeOptions {
-                        quality,
-                        ..EncodeOptions::default()
-                    },
-                );
-                (pt, codec.encode(img))
-            } else {
-                let pt = if cfg.adaptive_codec {
-                    match adshare_codec::classify(img).class {
-                        adshare_codec::ContentClass::Photographic => {
-                            registry.pt_for(CodecKind::Dct).expect("DCT registered")
-                        }
-                        adshare_codec::ContentClass::Synthetic => registry
-                            .pt_for(cfg.codec)
-                            .expect("configured codec registered"),
-                    }
-                } else {
-                    registry
-                        .pt_for(cfg.codec)
-                        .expect("configured codec registered")
-                };
-                (pt, registry.get(pt).expect("registered").encode(img))
+        // codec. The closure is a pure function of the pixels that owns
+        // what it uses, so it is safe to run on the pool and its output
+        // safe to cache by content.
+        let codec = |kind| {
+            registry
+                .pt_for(kind)
+                .and_then(|pt| Some((pt, *registry.get(pt)?)))
+        };
+        let (dct, configured) = (codec(CodecKind::Dct), codec(cfg.codec));
+        let lossy = tier.dct_quality().map(|quality| {
+            let options = EncodeOptions {
+                quality,
+                ..EncodeOptions::default()
+            };
+            AnyCodec::with_options(CodecKind::Dct, options)
+        });
+        let adaptive = cfg.adaptive_codec;
+        let encode = move |img: &Image| -> (u8, Vec<u8>) {
+            let dct = || dct.expect("DCT registered");
+            if let Some(lossy) = lossy {
+                return (dct().0, lossy.encode(img));
             }
+            let photographic = adaptive
+                && matches!(
+                    adshare_codec::classify(img).class,
+                    adshare_codec::ContentClass::Photographic
+                );
+            let (pt, codec) = if photographic {
+                dct()
+            } else {
+                configured.expect("configured codec registered")
+            };
+            (pt, codec.encode(img))
         };
         let key = RegionKey {
             surface: win.0 as u64,

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use adshare_codec::image::check_dims;
 use adshare_codec::{Codec, CodecRegistry, Rect};
 use adshare_remoting::message::RemotingMessage;
 
@@ -52,6 +53,8 @@ pub struct Mirror {
     tiles: TileStore,
     /// Whether a WMI ever arrived.
     synced: bool,
+    /// WMI records refused because no image can have their size.
+    windows_refused: u64,
 }
 
 impl Mirror {
@@ -63,6 +66,7 @@ impl Mirror {
             registry: CodecRegistry::default(),
             tiles: TileStore::new(seed),
             synced: false,
+            windows_refused: 0,
         }
     }
 
@@ -78,7 +82,13 @@ impl Mirror {
                 self.windows.retain(|id, _| ids.contains(id));
                 self.z_order = ids;
                 for w in &wmi.windows {
-                    let rect = Rect::new(w.left, w.top, w.width.max(1), w.height.max(1));
+                    // A size no window image can have is refused: the
+                    // window keeps what it had, or is not opened.
+                    if check_dims(w.width, w.height).is_err() {
+                        self.windows_refused += 1;
+                        continue;
+                    }
+                    let rect = Rect::new(w.left, w.top, w.width, w.height);
                     match self.windows.get_mut(&w.window_id.0) {
                         Some(existing) => existing.set_geometry(rect, w.group_id),
                         None => {
@@ -89,6 +99,9 @@ impl Mirror {
                         }
                     }
                 }
+                // A refused record opened nothing to stack.
+                let windows = &self.windows;
+                self.z_order.retain(|id| windows.contains_key(id));
                 Applied::Windows
             }
             RemotingMessage::RegionUpdate(ru) => {
@@ -130,6 +143,12 @@ impl Mirror {
     /// Whether initial state (a WindowManagerInfo) has arrived.
     pub fn synced(&self) -> bool {
         self.synced
+    }
+
+    /// WindowManagerInfo records refused so far because no image can have
+    /// the size they state (zero, or past [`check_dims`]'s bounds).
+    pub fn windows_refused(&self) -> u64 {
+        self.windows_refused
     }
 
     /// One window, if the latest WMI lists it.

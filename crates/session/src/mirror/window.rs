@@ -45,7 +45,8 @@ impl PWindow {
     }
 
     fn blank(ah_rect: Rect) -> Image {
-        Image::filled(ah_rect.width, ah_rect.height, [0, 0, 0, 255]).expect("window dims bounded")
+        Image::filled(ah_rect.width, ah_rect.height, [0, 0, 0, 255])
+            .expect("`Mirror::apply` refuses sizes no image can have")
     }
 
     /// Geometry at the AH, from the latest WindowManagerInfo.

@@ -55,6 +55,8 @@ pub struct ParticipantStats {
     pub parked_bytes: u64,
     /// Parked tiles evicted to stay under the ceiling.
     pub parked_evictions: u64,
+    /// WindowManagerInfo records refused for a size no window can have.
+    pub windows_refused: u64,
 }
 
 /// The participant (Figure 1's client side).
@@ -188,6 +190,7 @@ impl Participant {
             seqs_nacked: feedback.seqs_nacked,
             parked_bytes: parked_bytes as u64,
             parked_evictions,
+            windows_refused: self.mirror.windows_refused(),
             ..self.stats
         }
     }

@@ -644,7 +644,7 @@ fn run_host_demo(sessions: usize, seconds: u64, stats_out: Option<String>) {
         st.cache_evictions,
     );
     println!(
-        "worker pool: {} permits, {} inline fallbacks; host cpu {} ms over {} ms wall",
+        "worker pool: {} workers, {} inline fallbacks; host cpu {} ms over {} ms wall",
         st.pool_max_workers,
         st.pool_inline_fallbacks,
         st.cpu_us / 1000,

@@ -9,7 +9,9 @@
 //! (DESIGN §5.1 "The stream link") costs one allocation per `recv` that
 //! returns bytes, however many segments those bytes crossed the link in.
 //! And a warm PNG or DCT encode or decode of a tile costs the one buffer it
-//! returns (DESIGN §14.2 "Working memory").
+//! returns (DESIGN §14.2 "Working memory"), while a DCT payload whose header
+//! claims more pixels than its body can describe is refused for a few times
+//! its own size, not for the pixels it claims.
 //!
 //! This file holds a single test on purpose: it installs a counting
 //! `#[global_allocator]`, and nothing else may run in the process while it
@@ -36,15 +38,22 @@ thread_local! {
     /// Allocator calls made by this thread (`alloc`, `alloc_zeroed`, and
     /// `realloc` — a grow is a trip to the allocator too).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a grow counts its new size).
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread that is being torn down has no counter left.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.with(Cell::get)
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -53,19 +62,19 @@ fn allocs() -> u64 {
 // re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -89,6 +98,11 @@ const MEASURED_TICKS: u32 = 600;
 /// Raise it only with a reason; an extra buffer per packet anywhere on the
 /// path costs 10 or more.
 const FRAME_CEILING: f64 = 52.0;
+
+/// Bytes a refused payload may cost per byte it holds: the inflate buffer
+/// reserves up to four times the input (`TYPICAL_EXPANSION` in
+/// `codec::deflate::inflate`), and the rest is headroom.
+const CLAIM_COST_PER_BYTE: u64 = 16;
 
 /// The benchmark's `typing_udp` desktop: 1024×768, one white 640×480 window.
 fn desktop() -> (Desktop, WindowId) {
@@ -417,4 +431,27 @@ fn datagram_path_stays_inside_its_allocation_budget() {
             "{kind:?}: (encode, decode)"
         );
     }
+
+    // 6. A declared size is a claim. The 13-byte header of a DCT payload
+    // states its dimensions; here it claims 8192×8192 (256 MiB of pixels)
+    // over the coefficient body of a 16×16 tile. The body cannot hold the
+    // 6 bytes per 8×8 block that even a flat block takes, so the payload is
+    // refused before the pixels are allocated, for a few times the bytes
+    // that arrived.
+    let dct = AnyCodec::new(CodecKind::Dct);
+    let mut claim = dct.encode(&photo_frame(16, 16, 3));
+    claim[4..12].copy_from_slice(&[0, 0, 0x20, 0, 0, 0, 0x20, 0]);
+    let b0 = alloc_bytes();
+    let refused = dct.decode(&claim);
+    let cost = alloc_bytes() - b0;
+    println!(
+        "DCT claiming 8192×8192 in {} B: {cost} B allocated",
+        claim.len()
+    );
+    assert!(refused.is_err(), "a body of 4 blocks is not 1 048 576");
+    assert!(
+        cost <= CLAIM_COST_PER_BYTE * claim.len() as u64,
+        "{cost} B allocated to refuse a {} B payload",
+        claim.len()
+    );
 }

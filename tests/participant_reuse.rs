@@ -516,6 +516,52 @@ fn a_thousand_disjoint_pixels_stay_within_the_tables() {
 // Through a relay: the late joiner
 // ---------------------------------------------------------------------------
 
+/// A WindowManagerInfo listing each `(id, width, height)` at (10, 10).
+fn wmi_sized(windows: &[(u16, u32, u32)]) -> RemotingMessage {
+    let record = |&(id, width, height)| WindowRecord {
+        window_id: WireWindowId(id),
+        group_id: 0,
+        left: 10,
+        top: 10,
+        width,
+        height,
+    };
+    RemotingMessage::WindowManagerInfo(WindowManagerInfo {
+        windows: windows.iter().map(record).collect(),
+    })
+}
+
+#[test]
+fn a_window_record_no_image_can_hold_is_refused_at_viewer_and_relay() {
+    // Window 2 opens at 32×16, then one record claims it is 100 000 px
+    // wide, which no image may be; window 3 opens with no height at all.
+    // Each record is refused and counted, the window keeps what it had (or
+    // is never opened), and the rest of the message still applies.
+    let mut direct = Participant::new(1, Layout::Original, true, 1);
+    let mut relayed = Relayed::new();
+    let steps = [
+        wmi_sized(&[(1, 64, 64), (2, 32, 16)]),
+        raw_update(7, 16, 16, 10, 10),
+        wmi_sized(&[(1, 64, 64), (2, 100_000, 16)]),
+        wmi_sized(&[(1, 64, 64), (2, 32, 16), (3, 48, 0)]),
+    ];
+    for msg in &steps {
+        direct.apply(msg.clone());
+        relayed.feed(msg);
+    }
+    assert_eq!(direct.stats().windows_refused, 2);
+    assert_eq!(relayed.relay.stats().windows_refused, 2);
+    assert_eq!(direct.window_ah_rect(2), Some(Rect::new(10, 10, 32, 16)));
+    assert_eq!(direct.window_ah_rect(3), None);
+    assert_eq!(direct.window_ah_rect(1), Some(Rect::new(10, 10, 64, 64)));
+    assert_eq!(direct.stats().regions_applied, 1);
+    // The relay's mirror holds what the viewer's does.
+    let joiner = relayed.late_joiner();
+    if let Err(e) = same_windows(&joiner, &direct, "the refused records") {
+        panic!("{e}");
+    }
+}
+
 /// A relay fed one upstream RTP stream, message by message. Its catch-up
 /// bursts are synthesised from the same mirror a viewer applies the stream
 /// to (DESIGN §5.2), so a viewer that joins late must see what a viewer
