@@ -8,7 +8,7 @@
 
 use crate::dct;
 use crate::deflate::Level;
-use crate::image::Image;
+use crate::image::{Image, BYTES_PER_PIXEL};
 use crate::png::{self, PngOptions};
 use crate::rle;
 use crate::{Error, Result};
@@ -120,18 +120,22 @@ impl Codec for AnyCodec {
     fn encode(&self, img: &Image) -> Vec<u8> {
         match self.kind {
             CodecKind::Raw => {
-                let mut out = Vec::with_capacity(img.data().len() + 12);
+                let pixels = img.width() as usize * img.height() as usize * BYTES_PER_PIXEL;
+                let mut out = Vec::with_capacity(pixels + 12);
                 out.extend_from_slice(b"ARAW");
                 out.extend_from_slice(&img.width().to_be_bytes());
                 out.extend_from_slice(&img.height().to_be_bytes());
-                out.extend_from_slice(img.data());
+                for y in 0..img.height() {
+                    out.extend_from_slice(img.row(y));
+                }
                 out
             }
             CodecKind::Png => {
                 // RGB is smaller, but only lossless when the image is fully
                 // opaque (the common case for screen content); otherwise
                 // keep the alpha channel.
-                let opaque = img.data().iter().skip(3).step_by(4).all(|&a| a == 255);
+                let opaque = (0..img.height())
+                    .all(|y| img.row(y).iter().skip(3).step_by(4).all(|&a| a == 255));
                 let color = if opaque {
                     png::PngColor::Rgb
                 } else {

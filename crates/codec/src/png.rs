@@ -12,7 +12,7 @@ use std::borrow::Cow;
 
 use crate::checksum::{crc32, Crc32};
 use crate::deflate::Level;
-use crate::image::{Image, MAX_DIMENSION};
+use crate::image::{check_dims, Image};
 use crate::working_set::{self, PngRows};
 use crate::zlib;
 use crate::{Error, Result};
@@ -173,12 +173,9 @@ pub fn decode(data: &[u8]) -> Result<Image> {
                 }
                 let w = u32::from_be_bytes([body[0], body[1], body[2], body[3]]);
                 let h = u32::from_be_bytes([body[4], body[5], body[6], body[7]]);
-                if w == 0 || h == 0 || w > MAX_DIMENSION || h > MAX_DIMENSION {
-                    return Err(Error::BadDimensions {
-                        width: w,
-                        height: h,
-                    });
-                }
+                // The size an image may have, checked before a byte is
+                // inflated: the header is a claim the IDAT has not backed.
+                check_dims(w, h)?;
                 if body[8] != 8 {
                     return Err(Error::Unsupported("PNG bit depth != 8"));
                 }

@@ -153,7 +153,7 @@ pub struct RelayStats {
     /// Wire bytes in those bursts.
     pub catchup_bytes: u64,
     /// Upstream WindowManagerInfo records refused for a size no window can
-    /// have.
+    /// have, alone or together with the rest of their message.
     pub windows_refused: u64,
 }
 

@@ -22,7 +22,9 @@ use adshare_netsim::udp::LinkConfig;
 use adshare_obs::{HealthConfig, HealthStatus};
 use adshare_screen::desktop::Desktop;
 use adshare_sdp::OfferParams;
-use adshare_session::scenario::{drive, Action, Expectation, Scenario, ScenarioOutcome};
+use adshare_session::scenario::{
+    drive, Action, Expectation, Scenario, ScenarioCapture, ScenarioOutcome,
+};
 use adshare_session::{AhConfig, Layout};
 
 use crate::sim::{RelaySim, Upstream};
@@ -59,6 +61,9 @@ pub struct FlashCrowd {
     pub expectations: Vec<Expectation>,
     /// Failure artifact directory (outcome JSON, CRITICAL black boxes).
     pub dump_dir: Option<PathBuf>,
+    /// Consent-gated wire capture of the run (`None` = off), as in a
+    /// direct-topology [`Scenario`].
+    pub capture: Option<ScenarioCapture>,
 }
 
 impl FlashCrowd {
@@ -85,6 +90,7 @@ impl FlashCrowd {
                 min: None,
             }],
             dump_dir: None,
+            capture: None,
         }
     }
 }
@@ -126,6 +132,7 @@ pub fn run_flash_crowd(fc: &FlashCrowd) -> (ScenarioOutcome, RelaySim) {
     scn.health = fc.health.clone();
     scn.expectations = fc.expectations.clone();
     scn.dump_dir = fc.dump_dir.clone();
+    scn.capture = fc.capture;
     let join = Action::Join {
         count: 1,
         down: clean,

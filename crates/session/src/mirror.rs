@@ -18,11 +18,19 @@ use tiles::TileStore;
 pub use tiles::PARKED_CEILING_BYTES;
 pub use window::{Drawn, PWindow};
 
+/// Bytes of pixels all the windows of one WindowManagerInfo may need
+/// together (RGBA, so four per pixel): as much as the largest single image
+/// [`check_dims`] admits. A message past it is refused whole.
+pub const WINDOW_BYTES_CEILING: u64 = 256 * 1024 * 1024;
+
 /// What [`Mirror::apply`] did with one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Applied {
     /// A WindowManagerInfo: windows opened, closed, resized or restacked.
     Windows,
+    /// A WindowManagerInfo refused whole, its windows together being too
+    /// large ([`WINDOW_BYTES_CEILING`]): nothing changed.
+    Refused,
     /// A RegionUpdate reached a window's pixels.
     Region {
         /// The window drawn into.
@@ -74,6 +82,19 @@ impl Mirror {
     pub fn apply(&mut self, msg: &RemotingMessage) -> Applied {
         match msg {
             RemotingMessage::WindowManagerInfo(wmi) => {
+                // Windows a receiver cannot hold all at once are not
+                // created, and none is closed in their stead: the message
+                // is refused whole and the windows stay as they were.
+                let bytes: u64 = wmi
+                    .windows
+                    .iter()
+                    .filter(|w| check_dims(w.width, w.height).is_ok())
+                    .map(|w| u64::from(w.width) * u64::from(w.height) * 4)
+                    .sum();
+                if bytes > WINDOW_BYTES_CEILING {
+                    self.windows_refused += wmi.windows.len() as u64;
+                    return Applied::Refused;
+                }
                 self.synced = true;
                 let ids: Vec<u16> = wmi.windows.iter().map(|w| w.window_id.0).collect();
                 // "MUST close this window after receiving a
@@ -145,8 +166,10 @@ impl Mirror {
         self.synced
     }
 
-    /// WindowManagerInfo records refused so far because no image can have
-    /// the size they state (zero, or past [`check_dims`]'s bounds).
+    /// WindowManagerInfo records refused so far: each record stating a
+    /// size no image can have (zero, or past [`check_dims`]'s bounds), and
+    /// every record of a message whose windows together need more than
+    /// [`WINDOW_BYTES_CEILING`].
     pub fn windows_refused(&self) -> u64 {
         self.windows_refused
     }

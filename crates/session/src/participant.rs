@@ -22,8 +22,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::Layout;
 use crate::ingress::{is_rtcp, Ingress};
-pub use crate::mirror::PARKED_CEILING_BYTES;
 use crate::mirror::{Applied, Drawn, Mirror, PWindow};
+pub use crate::mirror::{PARKED_CEILING_BYTES, WINDOW_BYTES_CEILING};
 
 /// Participant statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,7 +55,9 @@ pub struct ParticipantStats {
     pub parked_bytes: u64,
     /// Parked tiles evicted to stay under the ceiling.
     pub parked_evictions: u64,
-    /// WindowManagerInfo records refused for a size no window can have.
+    /// WindowManagerInfo records refused for a size no window can have,
+    /// alone or together with the rest of their message
+    /// ([`WINDOW_BYTES_CEILING`]).
     pub windows_refused: u64,
 }
 
@@ -502,7 +504,7 @@ impl Participant {
             }
             Applied::Moved => self.stats.moves_applied += 1,
             Applied::Undecodable => self.stats.decode_errors += 1,
-            Applied::UnknownWindow => {}
+            Applied::UnknownWindow | Applied::Refused => {}
             Applied::Pointer => {
                 if let RemotingMessage::MousePointerInfo(mp) = &msg {
                     self.move_pointer(mp);

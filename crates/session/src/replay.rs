@@ -42,7 +42,9 @@ pub fn participant_surface_digest(p: &Participant) -> u64 {
         if let Some(img) = p.window_content(id) {
             digest = fnv1a_fold(digest, &img.width().to_le_bytes());
             digest = fnv1a_fold(digest, &img.height().to_le_bytes());
-            digest = fnv1a_fold(digest, img.data());
+            for y in 0..img.height() {
+                digest = fnv1a_fold(digest, img.row(y));
+            }
         }
     }
     digest

@@ -10,8 +10,10 @@
 //! returns bytes, however many segments those bytes crossed the link in.
 //! And a warm PNG or DCT encode or decode of a tile costs the one buffer it
 //! returns (DESIGN §14.2 "Working memory"), while a DCT payload whose header
-//! claims more pixels than its body can describe is refused for a few times
-//! its own size, not for the pixels it claims.
+//! claims more pixels than its body can describe, a PNG whose header claims
+//! more than an image may hold, and a WindowManagerInfo whose windows
+//! together are too large (DESIGN §5.2) are each refused for a few times
+//! their own size, not for the pixels they claim.
 //!
 //! This file holds a single test on purpose: it installs a counting
 //! `#[global_allocator]`, and nothing else may run in the process while it
@@ -21,13 +23,19 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
+use adshare::codec::checksum::crc32;
 use adshare::codec::codec::{default_pt, AnyCodec};
+use adshare::codec::deflate::Level;
+use adshare::codec::zlib;
 use adshare::netsim::tcp::TcpLink;
 use adshare::prelude::*;
 use adshare::remoting::message::{RegionUpdate, WindowManagerInfo, WindowRecord};
+use adshare::remoting::packetizer::RemotingPacketizer;
 use adshare::rtp::rtcp::{PictureLossIndication, RtcpPacket};
+use adshare::rtp::session::RtpSender;
 use adshare::screen::workload::photo_frame;
 use adshare::screen::WindowId;
+use adshare::session::participant::WINDOW_BYTES_CEILING;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -454,4 +462,115 @@ fn datagram_path_stays_inside_its_allocation_budget() {
         "{cost} B allocated to refuse a {} B payload",
         claim.len()
     );
+
+    // 7. So is a window's size, and so is the sum of them. Window 1 is open
+    // at 64×64; then one WindowManagerInfo lists it and four more, each
+    // 4096×4096: 64 MiB apiece, which one image may take, but 320 MiB
+    // together, past what one message may open (`WINDOW_BYTES_CEILING`).
+    // A viewer and a relay's upstream side refuse the message whole, count
+    // its five records, keep window 1 as it was and allocate for it at most
+    // a few times the bytes that arrived, not the pixels it claims.
+    let side = 4096;
+    assert!(5 * u64::from(side) * u64::from(side) * 4 > WINDOW_BYTES_CEILING);
+    let record = |id: u16, side: u32| WindowRecord {
+        window_id: WireWindowId(id),
+        group_id: 0,
+        left: 0,
+        top: 0,
+        width: side,
+        height: side,
+    };
+    let small = RemotingMessage::WindowManagerInfo(WindowManagerInfo {
+        windows: vec![record(1, 64)],
+    });
+    let huge = RemotingMessage::WindowManagerInfo(WindowManagerInfo {
+        windows: (1..=5).map(|id| record(id, side)).collect(),
+    });
+    let mut viewer = Participant::new(1, Layout::Original, true, 5);
+    viewer.apply(small.clone());
+    let before = viewer.window_content(1).cloned();
+    let mut upstream = Upstream::new();
+    upstream.feed(&small);
+    let msg = huge.clone();
+    let b0 = alloc_bytes();
+    viewer.apply(msg);
+    let viewer_cost = alloc_bytes() - b0;
+    let b0 = alloc_bytes();
+    let arrived = upstream.feed(&huge);
+    let relay_cost = alloc_bytes() - b0;
+    println!(
+        "WMI claiming 5 × 4096×4096 in {arrived} B: viewer {viewer_cost} B, relay {relay_cost} B allocated"
+    );
+    for (who, cost) in [("viewer", viewer_cost), ("relay", relay_cost)] {
+        assert!(
+            cost <= CLAIM_COST_PER_BYTE * arrived,
+            "{who}: {cost} B allocated to refuse a {arrived} B message"
+        );
+    }
+    assert_eq!(viewer.stats().windows_refused, 5);
+    assert_eq!(upstream.relay.stats().windows_refused, 5);
+    assert_eq!(viewer.z_order(), [1]);
+    assert_eq!(viewer.window_content(1).cloned(), before, "kept as it was");
+
+    // 8. A PNG header is a claim as well: 16384×16384 RGBA is 1 GiB of
+    // pixels, past what an image may take, over an IDAT of a few KiB of
+    // compressed zeros that would inflate to megabytes. The header is
+    // refused before a byte is inflated.
+    let mut png = b"\x89PNG\r\n\x1a\n".to_vec();
+    let mut ihdr = [0u8; 13];
+    ihdr[0..4].copy_from_slice(&16_384u32.to_be_bytes());
+    ihdr[4..8].copy_from_slice(&16_384u32.to_be_bytes());
+    ihdr[8..10].copy_from_slice(&[8, 6]);
+    let zeros = zlib::compress(&vec![0; 4 << 20], Level::Default);
+    for (kind, body) in [(b"IHDR", &ihdr[..]), (b"IDAT", &zeros), (b"IEND", &[])] {
+        png.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        png.extend_from_slice(kind);
+        png.extend_from_slice(body);
+        png.extend_from_slice(&crc32(&[&kind[..], body].concat()).to_be_bytes());
+    }
+    let codec = AnyCodec::new(CodecKind::Png);
+    let b0 = alloc_bytes();
+    let refused = codec.decode(&png);
+    let cost = alloc_bytes() - b0;
+    println!(
+        "PNG claiming 16384×16384 in {} B: {cost} B allocated",
+        png.len()
+    );
+    assert!(refused.is_err(), "no image may hold 1 GiB");
+    assert!(
+        cost <= CLAIM_COST_PER_BYTE * png.len() as u64,
+        "{cost} B allocated to refuse a {} B payload",
+        png.len()
+    );
+}
+
+/// A relay fed one upstream RTP stream, message by message.
+struct Upstream {
+    relay: RelayNode,
+    packetizer: RemotingPacketizer,
+    now_us: u64,
+}
+
+impl Upstream {
+    fn new() -> Self {
+        let mut rng = StdRng::seed_from_u64(5);
+        let sender = RtpSender::new(0xAAAA, 99, &mut rng);
+        Upstream {
+            relay: RelayNode::new(RelayConfig::default(), 0),
+            packetizer: RemotingPacketizer::new(sender, 1200),
+            now_us: 0,
+        }
+    }
+
+    /// Ingest `msg`; the bytes that arrived for it.
+    fn feed(&mut self, msg: &RemotingMessage) -> u64 {
+        self.now_us += 1_000;
+        let mut arrived = 0;
+        for pkt in self.packetizer.packetize(msg, 0).unwrap() {
+            let datagram = pkt.encode();
+            arrived += datagram.len() as u64;
+            self.relay.ingest_upstream(&datagram, self.now_us);
+        }
+        arrived
+    }
 }

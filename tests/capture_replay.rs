@@ -98,6 +98,66 @@ fn scenario_suite_run_replays_bit_exact_from_disk() {
     assert!(trace.contains("capture.rx"), "packet lanes missing");
 }
 
+/// A relay-topology schedule records like a direct one: a reduced flash
+/// crowd (twelve joiners behind one relay, half of them leaving again)
+/// asks for a full capture through `FlashCrowd::capture`, and the capture
+/// replays bit-exact — the wire digest and every surviving joiner's
+/// surface.
+#[test]
+fn flash_crowd_capture_replays_bit_exact() {
+    let dir = artifact_dir("capture_replay_flash_crowd");
+    let mut fc = FlashCrowd::new(0xF1A5_CA97);
+    fc.joiners = 12;
+    fc.join_start_us = 1_000_000;
+    fc.leave_half_at_us = Some(2_500_000);
+    fc.workload_until_us = 3_500_000;
+    fc.duration_us = 4_500_000;
+    fc.capture = Some(ScenarioCapture {
+        consent: true,
+        mode: CaptureMode::Full,
+    });
+    let (outcome, mut sim) = run_flash_crowd(&fc);
+    assert!(
+        outcome.passed,
+        "oracle violations: {:?}",
+        outcome.violations
+    );
+
+    sim.finalize_capture().expect("capture armed");
+    let manifest = sim.capture_manifest().expect("capture armed");
+    assert_eq!(
+        manifest.surface_digests.len(),
+        6,
+        "one per surviving joiner"
+    );
+    let (cap_path, man_path) = (dir.join("flash_crowd.bin"), dir.join("flash_crowd.json"));
+    sim.capture()
+        .expect("capture armed")
+        .write_to(&cap_path)
+        .expect("write capture");
+    std::fs::write(&man_path, manifest_json(&manifest)).expect("write manifest");
+
+    let capture = read_capture(&cap_path).expect("capture parses");
+    let manifest = parse_manifest(&std::fs::read_to_string(&man_path).unwrap()).unwrap();
+    let report = replay(&capture, Some(&manifest));
+    assert!(
+        report.bit_exact(),
+        "replay diverged: wire 0x{:016x} vs recorded {:?}, surfaces {:?}",
+        report.wire_digest,
+        report.recorded_wire_digest,
+        report.surfaces
+    );
+    for &(actor, _) in &manifest.surface_digests {
+        assert!(
+            report
+                .surfaces
+                .iter()
+                .any(|sc| sc.actor == actor && sc.recorded.is_some()),
+            "manifest actor {actor} missing from replay"
+        );
+    }
+}
+
 /// Arming is consent-gated at every level: the sink refuses, and so does
 /// the session wrapper.
 #[test]

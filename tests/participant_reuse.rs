@@ -319,12 +319,50 @@ fn expand(step: Step, open: &mut Vec<(u16, u8)>) -> Vec<RemotingMessage> {
         },
         // A full refresh: the window list, the whole of window 1, then
         // every grid tile again.
-        _ => {
+        16 | 17 => {
             let mut burst = vec![wmi(open), region(1, 5, 0)];
             burst.extend((0..4).map(|at| region(1, a + at, at)));
             burst
         }
+        // Scroll a window where it sits now.
+        _ => {
+            let variant = open.iter().find(|&&(w, _)| w == id).map_or(0, |&(_, v)| v);
+            vec![scroll(id, geometry(id, variant), a, c)]
+        }
     }
+}
+
+/// A `MoveRectangle` of whole rows in window `id`, which sits at `at`: the
+/// whole window or a band of it moved up or down by k, with k below, at
+/// one less than and past the moved block's height; a block hanging over
+/// both sides (clipped to the whole width); and, for contrast, one column
+/// short of the whole width.
+fn scroll(id: u16, at: Rect, a: usize, c: u8) -> RemotingMessage {
+    let (w, h) = (at.width, at.height);
+    let k = 1 + (a % 12) as u32;
+    // (left overhang, width, source top, height, destination top), the
+    // tops relative to the window's.
+    let (hang, width, src, height, dst) = match c % 8 {
+        0 => (0, w, k, h - k, 0),
+        1 => (0, w, 0, h - k, k),
+        2 => (0, w, 2, 8, 9),
+        3 => (0, w, 0, 8, 8 + k),
+        // The whole window down, its foot clipped to the window.
+        4 => (0, w, 0, h, k),
+        // A terminal: the band above six status rows scrolls by three.
+        5 => (0, w, 3, h - 9, 0),
+        6 => (4, w + 8, k, h - k, 0),
+        _ => (0, w - 1, k, h - k, 0),
+    };
+    RemotingMessage::MoveRectangle(MoveRectangle {
+        window_id: WireWindowId(id),
+        src_left: at.left - hang,
+        src_top: at.top + src,
+        width,
+        height,
+        dst_left: at.left - hang,
+        dst_top: at.top + dst,
+    })
 }
 
 proptest! {
@@ -334,7 +372,7 @@ proptest! {
     /// and has counted what the reference counted.
     #[test]
     fn parked_tiles_never_change_what_a_viewer_sees(
-        steps in collection::vec((0u8..18, 0u8..8, 0usize..64, 0usize..64, any::<u8>()), 1..120),
+        steps in collection::vec((0u8..21, 0u8..8, 0usize..64, 0usize..64, any::<u8>()), 1..120),
         seed in any::<u64>(),
     ) {
         let mut participant = Participant::new(1, Layout::Original, true, seed);
@@ -562,6 +600,45 @@ fn a_window_record_no_image_can_hold_is_refused_at_viewer_and_relay() {
     }
 }
 
+#[test]
+fn a_message_whose_windows_together_are_too_large_is_refused_whole() {
+    // Five 4096×4096 windows: each may exist, but together they need
+    // 320 MiB, past `WINDOW_BYTES_CEILING`. The message is refused whole:
+    // window 1 is neither resized nor closed, window 9 is not closed, none
+    // is opened, and the next message that fits applies as usual.
+    let mut direct = Participant::new(1, Layout::Original, true, 1);
+    let mut relayed = Relayed::new();
+    let huge: Vec<(u16, u32, u32)> = (1..=5).map(|id| (id, 4096, 4096)).collect();
+    let steps = [
+        wmi_sized(&[(1, 64, 64), (9, 16, 16)]),
+        raw_update(7, 16, 16, 10, 10),
+        wmi_sized(&huge),
+        wmi_sized(&[(1, 64, 48)]),
+    ];
+    for (n, msg) in steps.iter().enumerate() {
+        direct.apply(msg.clone());
+        relayed.feed(msg);
+        if n == 2 {
+            assert_eq!(direct.z_order(), [1, 9]);
+            assert_eq!(direct.window_ah_rect(1), Some(Rect::new(10, 10, 64, 64)));
+            let joiner = relayed.late_joiner();
+            if let Err(e) = same_windows(&joiner, &direct, "the refused message") {
+                panic!("{e}");
+            }
+        }
+    }
+    assert_eq!(direct.stats().windows_refused, 5);
+    assert_eq!(relayed.relay.stats().windows_refused, 5);
+    assert_eq!(
+        direct.stats().wmi_applied,
+        2,
+        "the refused one is not applied"
+    );
+    assert_eq!(direct.z_order(), [1]);
+    assert_eq!(direct.window_ah_rect(1), Some(Rect::new(10, 10, 64, 48)));
+    assert_eq!(direct.stats().regions_applied, 1);
+}
+
 /// A relay fed one upstream RTP stream, message by message. Its catch-up
 /// bursts are synthesised from the same mirror a viewer applies the stream
 /// to (DESIGN §5.2), so a viewer that joins late must see what a viewer
@@ -623,11 +700,12 @@ fn same_windows(joiner: &Participant, direct: &Participant, step: &str) -> Resul
                 .zip(theirs)
                 .filter(|(a, b)| a.bounds() == b.bounds())
                 .map(|(a, b)| {
-                    a.data()
-                        .chunks(4)
-                        .zip(b.data().chunks(4))
-                        .filter(|(p, q)| p != q)
-                        .count()
+                    (0..a.height())
+                        .map(|y| {
+                            let (p, q) = (a.row(y).chunks(4), b.row(y).chunks(4));
+                            p.zip(q).filter(|(p, q)| p != q).count()
+                        })
+                        .sum::<usize>()
                 });
             return Err(format!(
                 "window {id} differs in {differing:?} pixels after {step}"
@@ -657,7 +735,7 @@ proptest! {
     /// the relay's catch-up burst shows what the direct viewer shows.
     #[test]
     fn a_late_joiner_behind_a_relay_sees_what_a_direct_viewer_sees(
-        steps in collection::vec((0u8..18, 0u8..8, 0usize..64, 0usize..64, any::<u8>()), 1..120),
+        steps in collection::vec((0u8..21, 0u8..8, 0usize..64, 0usize..64, any::<u8>()), 1..120),
     ) {
         let mut direct = Participant::new(1, Layout::Original, true, 1);
         let mut relayed = Relayed::new();
