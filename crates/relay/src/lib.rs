@@ -11,7 +11,7 @@
 //! * **Downstream** it fans the reassembled remoting stream out to N legs
 //!   (UDP, RFC 4571-framed TCP, or raw byte queues for embedding), each
 //!   with its own pacer and freshest-frame supersede queue.
-//! * **Generic NACKs** (§6 of the draft) terminate at the relay: a shared
+//! * **Generic NACKs** (§6) and RR tails terminate at the relay: a shared
 //!   byte-budgeted [`RetransmitHistory`] keyed by upstream sequence answers
 //!   them locally, a per-sequence suppression window collapses NACK storms
 //!   from different legs into a single cache lookup, and only genuine cache
@@ -47,7 +47,7 @@ use adshare_encode::EncodeConfig;
 use adshare_layers::{
     LayersConfig, LegTierStats, TierEncoder, TierRequest, TierSelector, TierStats, MIN_DWELL_US,
 };
-use adshare_netsim::tcp::{TcpConfig, TcpLink};
+use adshare_netsim::tcp::TcpConfig;
 use adshare_netsim::time::us_to_ticks;
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::{EventKind, Obs, ACTOR_LEG_BASE, ACTOR_RELAY};
@@ -59,7 +59,9 @@ use adshare_remoting::{
 use adshare_rtp::history::RetransmitHistory;
 use adshare_rtp::rtcp::{decode_compound, leading_sr_ntp, GenericNack, RtcpPacket};
 use adshare_rtp::RtpPacket;
-use adshare_session::egress::{Burst, Downstream, StreamId, Tap, Verdict, Wire, REPEAT_WINDOW_US};
+use adshare_session::egress::{
+    Burst, Congestion, Downstream, Feedback, StreamId, Tail, Tap, Verdict, Wire, REPEAT_WINDOW_US,
+};
 use adshare_session::ingress::{is_rtcp, Ingress};
 use adshare_session::mirror::{Applied, Mirror};
 use adshare_session::world::{Delivery, Relay};
@@ -148,6 +150,8 @@ pub struct RelayStats {
     pub plis_coalesced: u64,
     /// NACKed sequences the leg never sent, ignored.
     pub nacks_unsent_seqs: u64,
+    /// Receiver reports whose tail the leg resent.
+    pub tail_repairs: u64,
     /// Catch-up bursts synthesized for late joiners.
     pub catchups_served: u64,
     /// Wire bytes in those bursts.
@@ -173,8 +177,10 @@ enum Unit {
     Media(Vec<RtpPacket>),
     /// An upstream RTCP compound (sender reports) forwarded byte-for-byte —
     /// every leg sends the buffer it arrived in — queued in-line so
-    /// downstream sees the same interleaving as direct delivery.
-    Rtcp(Bytes),
+    /// downstream sees the same interleaving as direct delivery. The NTP
+    /// field of its leading SR, parsed once at ingest, is what each leg's
+    /// [`Feedback`] times when it sends the compound.
+    Rtcp(Bytes, Option<u64>),
     /// A locally re-encoded rendition of one region update for legs whose
     /// active tier is lossier than the upstream stream, one message per
     /// tile. Each leg packetizes it at flush time into its own sequence
@@ -197,6 +203,9 @@ struct Leg {
     /// gate compares a lossless leg's digest against the no-layers
     /// baseline.
     tap: Tap,
+    /// The upstream SRs this leg forwarded, its round trip, and the one
+    /// place its RTCP becomes a signal for the tier controller.
+    feedback: Feedback,
     queue: FreshQueue<Rc<Unit>>,
     rate: RateController,
     last_catchup_us: Option<u64>,
@@ -343,13 +352,11 @@ impl RelayNode {
     pub fn attach_obs(&mut self, obs: Obs) {
         self.cache
             .register_metrics(&obs.registry, &format!("relay.{}.retx_cache", self.id));
-        obs.registry
-            .gauge(&format!("relay.{}.legs", self.id))
-            .set(self.active_leg_count() as i64);
         self.rx.attach_obs(obs.clone(), ACTOR_RELAY);
         self.obs = Some(obs);
+        self.update_leg_gauge();
         for leg_idx in 0..self.legs.len() {
-            self.register_leg_tier_metrics(leg_idx);
+            self.register_leg_metrics(leg_idx);
         }
     }
 
@@ -443,6 +450,7 @@ impl RelayNode {
         self.legs.push(Leg {
             out: Downstream::new(wire, actor, None, Some((LEG_RECORD, usize::MAX)), true),
             tap,
+            feedback: Feedback::new(actor),
             queue: FreshQueue::new(),
             rate: RateController::new_fixed(rate_bps, MTU),
             last_catchup_us: None,
@@ -451,21 +459,22 @@ impl RelayNode {
         });
         self.update_leg_gauge();
         let leg_idx = self.legs.len() - 1;
-        if self.obs.is_some() {
-            self.register_leg_tier_metrics(leg_idx);
-        }
+        self.register_leg_metrics(leg_idx);
         leg_idx
     }
 
-    /// Export the leg's tier-controller gauges as `relay.{id}.leg.{n}.*`;
-    /// the `.tier` gauge feeds the health engine's tier rule.
-    fn register_leg_tier_metrics(&mut self, leg_idx: usize) {
+    /// Export the leg's `relay.{id}.leg.{n}.rtt_us` gauge and its
+    /// tier-controller gauges; the `.tier` gauge feeds the health engine's
+    /// tier rule.
+    fn register_leg_metrics(&mut self, leg_idx: usize) {
         let Some(obs) = &self.obs else {
             return;
         };
-        if let Some(t) = self.legs[leg_idx].tier.as_mut() {
-            t.rate
-                .register_metrics(&obs.registry, &format!("relay.{}.leg.{}", self.id, leg_idx));
+        let prefix = format!("relay.{}.leg.{}", self.id, leg_idx);
+        let leg = &self.legs[leg_idx];
+        leg.feedback.register_metrics(&obs.registry, &prefix);
+        if let Some(t) = &leg.tier {
+            t.rate.register_metrics(&obs.registry, &prefix);
         }
     }
 
@@ -481,12 +490,9 @@ impl RelayNode {
     /// seq maps, and stop including it in fan-out and feedback. The slot
     /// stays so other legs keep their indices; closing twice is a no-op.
     pub fn close_leg(&mut self, leg: usize) {
-        let Some(l) = self.legs.get_mut(leg) else {
+        let Some(l) = self.legs.get_mut(leg).filter(|l| !l.closed) else {
             return;
         };
-        if l.closed {
-            return;
-        }
         l.closed = true;
         l.queue = FreshQueue::new();
         l.out.close();
@@ -514,11 +520,6 @@ impl RelayNode {
         self.legs.get(leg)?.out.wire.udp_link()
     }
 
-    /// The TCP link behind a leg, when it has one.
-    pub fn leg_tcp_mut(&mut self, leg: usize) -> Option<&mut TcpLink> {
-        self.legs.get_mut(leg)?.out.wire.tcp_link_mut()
-    }
-
     /// Running wire digest (`Tap::digest`) of every datagram shipped on a
     /// leg. A lossless leg's digest matches a no-layers relay's bit-exactly.
     pub fn leg_wire_digest(&self, leg: usize) -> u64 {
@@ -529,11 +530,7 @@ impl RelayNode {
 
     /// The leg's active quality tier (`None` when layers are disabled).
     pub fn leg_tier(&self, leg: usize) -> Option<QualityTier> {
-        self.legs
-            .get(leg)?
-            .tier
-            .as_ref()
-            .map(|t| t.selector.active())
+        Some(self.legs.get(leg)?.tier.as_ref()?.selector.active())
     }
 
     /// Tier currently requested from upstream.
@@ -552,30 +549,26 @@ impl RelayNode {
     /// packet is a slice of it, a forwarded RTCP compound is it — and never
     /// copies it.
     pub fn ingest_upstream_bytes(&mut self, datagram: Bytes, now_us: u64) {
+        let rtcp = is_rtcp(&datagram);
         if let Some(cap) = &self.capture {
-            let kind = if is_rtcp(&datagram) {
+            let kind = if rtcp {
                 CapStreamKind::Rtcp
             } else {
                 CapStreamKind::Rtp
             };
-            cap.record(
-                CapDirection::Rx,
-                kind,
-                CapTransport::Udp,
-                ACTOR_RELAY,
-                now_us,
-                &datagram,
-            );
+            let (rx, udp) = (CapDirection::Rx, CapTransport::Udp);
+            cap.record(rx, kind, udp, ACTOR_RELAY, now_us, &datagram);
         }
-        if is_rtcp(&datagram) {
+        if rtcp {
             // The relay's own receiver reports echo the sender report.
-            if let Some(ntp) = leading_sr_ntp(&datagram) {
+            let ntp = leading_sr_ntp(&datagram);
+            if let Some(ntp) = ntp {
                 self.rx.on_sender_report(ntp, us_to_ticks(now_us));
             }
             // Sender reports anchor downstream playout clocks; forward the
             // compound byte-for-byte, in stream order through the queues.
             let bytes = datagram.len() as u64;
-            let unit = Rc::new(Unit::Rtcp(datagram));
+            let unit = Rc::new(Unit::Rtcp(datagram, ntp));
             self.unit_counter += 1;
             let key = (1u64 << 63) | self.unit_counter;
             for leg in self.legs.iter_mut().filter(|l| !l.closed) {
@@ -625,9 +618,11 @@ impl RelayNode {
         match msg {
             // A move reads content written by earlier region updates, and a
             // WMI may resize under them: nothing queued before either may
-            // be superseded away after it.
+            // be superseded away after it. A WMI also sets how long a
+            // message for the windows may be.
             RemotingMessage::WindowManagerInfo(_) | RemotingMessage::MoveRectangle(_) => {
-                self.epoch += 1
+                self.epoch += 1;
+                self.rx.set_message_cap(self.mirror.message_cap());
             }
             RemotingMessage::MousePointerInfo(mp) => {
                 // Keep the last pointer message (resolving "keep previous
@@ -675,7 +670,7 @@ impl RelayNode {
         }
         let upstream_tier = self.upstream_tier;
         for leg in self.legs.iter_mut().filter(|l| !l.closed) {
-            match class {
+            let (key, rect) = match class {
                 UnitClass::Region { window, rect } => {
                     // Epoch-scoped key: supersede only reaches back to the
                     // last barrier, never across a WMI/Move.
@@ -685,28 +680,19 @@ impl RelayNode {
                         self.stats.superseded_msgs += dropped as u64;
                         leg.rate.note_superseded(dropped);
                     }
-                    let chosen = leg
-                        .tier
-                        .as_ref()
-                        .map(|t| t.selector.active())
-                        .filter(|t| t.is_lossy() && *t > upstream_tier)
-                        .and_then(|t| synth.iter().find(|(st, _, _)| *st == t))
-                        .map(|(_, u, b)| (u.clone(), *b));
-                    match chosen {
-                        Some((u, b)) => leg.queue.push(key, rect, now_us, b, u),
-                        None => leg.queue.push(key, rect, now_us, bytes, unit.clone()),
-                    }
+                    (key, rect)
                 }
-                UnitClass::Barrier => {
-                    leg.queue.push(
-                        barrier_key,
-                        Rect::new(0, 0, 0, 0),
-                        now_us,
-                        bytes,
-                        unit.clone(),
-                    );
-                }
-            }
+                UnitClass::Barrier => (barrier_key, Rect::new(0, 0, 0, 0)),
+            };
+            // Only a region has renditions to choose from.
+            let (u, b) = leg
+                .tier
+                .as_ref()
+                .map(|t| t.selector.active())
+                .filter(|t| t.is_lossy() && *t > upstream_tier)
+                .and_then(|t| synth.iter().find(|(st, _, _)| *st == t))
+                .map_or_else(|| (unit.clone(), bytes), |(_, u, b)| (u.clone(), *b));
+            leg.queue.push(key, rect, now_us, b, u);
         }
     }
 
@@ -790,32 +776,22 @@ impl RelayNode {
     /// lossless-repair step that converges the leg to pixel-identical state
     /// after a lossy spell.
     fn tick_leg_tier(&mut self, leg_idx: usize, now_us: u64) {
-        if self.cfg.layers.is_none() {
-            return;
-        }
         let leg = &mut self.legs[leg_idx];
-        if leg.closed {
-            return;
-        }
-        let Some(t) = leg.tier.as_mut() else {
+        let Some(t) = leg.tier.as_mut().filter(|_| !leg.closed) else {
             return;
         };
         if let Some((backlog, capacity)) = leg.out.wire.stream_backlog(now_us) {
-            t.rate.on_backlog(backlog, capacity, now_us);
+            let signal = Congestion::Backlog(backlog, capacity);
+            (leg.feedback).congestion(&mut t.rate, self.obs.as_ref(), signal, now_us);
         }
         t.rate.flush_budget(now_us);
         let Some(sw) = t.selector.observe(t.rate.tier(), now_us) else {
             return;
         };
-        let (from, to) = (sw.from, sw.to);
-        self.rec(
-            now_us,
-            Self::leg_actor(leg_idx),
-            EventKind::TierSwitch,
-            to.as_gauge() as u64,
-            from.as_gauge() as u64,
-        );
-        if to == QualityTier::Lossless && self.mirror.synced() && self.cfg.catchup_enabled {
+        let (from, to) = (sw.from.as_gauge() as u64, sw.to.as_gauge() as u64);
+        let actor = Self::leg_actor(leg_idx);
+        self.rec(now_us, actor, EventKind::TierSwitch, to, from);
+        if sw.to == QualityTier::Lossless && self.mirror.synced() && self.cfg.catchup_enabled {
             self.serve_catchup(leg_idx, now_us);
         }
     }
@@ -862,13 +838,8 @@ impl RelayNode {
         self.tier_requests_sent += 1;
         let ssrc = self.rx.ssrc();
         self.rx.queue_rtcp(TierRequest { ssrc, tier }.to_rtcp());
-        self.rec(
-            now_us,
-            ACTOR_RELAY,
-            EventKind::TierRequest,
-            tier.as_gauge() as u64,
-            1,
-        );
+        let gauge = tier.as_gauge() as u64;
+        self.rec(now_us, ACTOR_RELAY, EventKind::TierRequest, gauge, 1);
     }
 
     fn flush_leg(&mut self, leg_idx: usize, now_us: u64) {
@@ -893,10 +864,13 @@ impl RelayNode {
         for q in units {
             let mut burst = Burst::default();
             let (last_up, synth) = match &*q.payload {
-                Unit::Rtcp(bytes) => {
+                Unit::Rtcp(bytes, ntp) => {
                     leg.rate.consume(bytes.len() as u64);
                     leg.out
                         .send(&mut leg.tap, CapStreamKind::Rtcp, now_us, bytes);
+                    if let Some(ntp) = *ntp {
+                        leg.feedback.note_sr(ntp, now_us);
+                    }
                     continue;
                 }
                 Unit::Media(pkts) => {
@@ -931,59 +905,30 @@ impl RelayNode {
             self.stats.forwarded_packets += burst.packets;
             self.stats.forwarded_bytes += burst.bytes;
             if let Some(obs) = &self.obs {
-                let pkts_and_bytes = (burst.packets << 32) | (burst.bytes & 0xFFFF_FFFF);
-                let forwarded = u64::from(last_up);
-                obs.event(
-                    now_us,
-                    leg.out.actor(),
-                    EventKind::RelayForward,
-                    forwarded,
-                    pkts_and_bytes,
-                );
+                let actor = leg.out.actor();
+                let sent = (burst.packets << 32) | (burst.bytes & 0xFFFF_FFFF);
+                let (up, seq) = (u64::from(last_up), u64::from(burst.last_seq));
+                obs.event(now_us, actor, EventKind::RelayForward, up, sent);
                 // Also record a generic RtpTx so existing health rules
                 // (loss denominator) see relay egress.
-                let leg_seq = u64::from(burst.last_seq);
-                obs.event(
-                    now_us,
-                    leg.out.actor(),
-                    EventKind::RtpTx,
-                    leg_seq,
-                    pkts_and_bytes,
-                );
+                obs.event(now_us, actor, EventKind::RtpTx, seq, sent);
             }
         }
     }
 
-    /// Drain the datagrams delivered to one datagram leg (UDP:
-    /// link-delayed; raw: everything forwarded), each the buffer the leg
-    /// sent. Empty on a TCP leg — see [`RelayNode::poll_leg_stream`].
-    pub fn poll_leg_bytes(&mut self, leg: usize, now_us: u64) -> Vec<Bytes> {
-        self.legs[leg].out.wire.poll(0, now_us)
-    }
-
-    /// The next in-order chunk of a TCP leg's RFC 4571-framed stream (empty
-    /// when nothing arrived, and on a datagram leg).
-    pub fn poll_leg_stream(&mut self, leg: usize, now_us: u64) -> Vec<u8> {
-        self.legs[leg].out.wire.poll_stream(now_us)
-    }
-
-    /// Either of the above as plain vectors, for a caller that does not
-    /// care which kind of leg it polls: the datagrams copied out one by
-    /// one, or the stream chunk as a single element.
+    /// What reached a leg's viewer by `now_us` ([`Relay::deliver`]) as
+    /// plain vectors: the datagrams copied out one by one, or a non-empty
+    /// stream chunk as a single element.
     pub fn poll_leg(&mut self, leg: usize, now_us: u64) -> Vec<Vec<u8>> {
-        if self.legs[leg].out.wire.is_stream() {
-            let chunk = self.poll_leg_stream(leg, now_us);
-            return if chunk.is_empty() {
-                Vec::new()
-            } else {
-                vec![chunk]
-            };
+        match Relay::deliver(self, leg, now_us) {
+            Delivery::Datagrams(datagrams) => datagrams.iter().map(Bytes::to_vec).collect(),
+            Delivery::Stream(chunk) if chunk.is_empty() => Vec::new(),
+            Delivery::Stream(chunk) => vec![chunk],
         }
-        let datagrams = self.poll_leg_bytes(leg, now_us);
-        datagrams.iter().map(Bytes::to_vec).collect()
     }
 
-    /// Feed RTCP from a downstream leg (NACK/PLI; reports are informational).
+    /// Feed RTCP from a downstream leg: NACK, PLI, or a receiver report,
+    /// whose tail verdict is repaired like a NACK or refreshed like a PLI.
     pub fn handle_leg_rtcp(&mut self, leg: usize, bytes: &[u8], now_us: u64) {
         if self.legs.get(leg).map_or(true, |l| l.closed) {
             // Straggler feedback from a departed viewer must not trigger
@@ -1001,11 +946,17 @@ impl RelayNode {
                 }
                 RtcpPacket::Pli(_) => self.handle_leg_pli(leg, now_us),
                 RtcpPacket::ReceiverReport(rr) => {
-                    // The leg's loss reports drive its tier estimator, the
-                    // same §7 signal the AH's own controller consumes.
-                    if let Some(t) = self.legs[leg].tier.as_mut() {
-                        if let Some(block) = rr.reports.first() {
-                            t.rate.on_report(block.fraction_lost, now_us);
+                    let Some(block) = rr.reports.first() else {
+                        continue;
+                    };
+                    let l = &mut self.legs[leg];
+                    let rate = l.tier.as_mut().map(|t| &mut t.rate);
+                    match (l.feedback).on_report(&l.out, rate, self.obs.as_ref(), block, now_us) {
+                        Tail::Intact => {}
+                        Tail::Refresh => self.catch_up(leg, now_us),
+                        tail => {
+                            self.stats.tail_repairs += 1;
+                            self.repair(leg, tail.seqs(), now_us);
                         }
                     }
                 }
@@ -1016,31 +967,56 @@ impl RelayNode {
 
     fn handle_leg_nack(&mut self, leg_idx: usize, lost: &[u16], now_us: u64) {
         self.stats.nacks_received += 1;
-        if let Some(t) = self.legs[leg_idx].tier.as_mut() {
-            t.rate.on_nack(lost.len(), now_us);
-        }
-        let actor = Self::leg_actor(leg_idx);
         self.rec(
             now_us,
-            actor,
+            Self::leg_actor(leg_idx),
             EventKind::NackReceived,
             lost.len() as u64,
             lost.first().copied().map_or(0, u64::from),
         );
+        let leg = &mut self.legs[leg_idx];
+        if let Some(t) = leg.tier.as_mut() {
+            let signal = Congestion::Nack(lost.len());
+            (leg.feedback).congestion(&mut t.rate, self.obs.as_ref(), signal, now_us);
+        }
+        self.repair(leg_idx, lost.iter().copied(), now_us);
+    }
+
+    /// Answer each lost sequence of a leg (NACKed, or a report's tail)
+    /// from the leg's record, the suppression copy or the shared cache;
+    /// escalate the misses upstream once, and catch the leg up when the
+    /// record has forgotten one.
+    fn repair(&mut self, leg_idx: usize, lost: impl Iterator<Item = u16>, now_us: u64) {
+        let actor = Self::leg_actor(leg_idx);
         let mut absorbed = 0u64;
         let mut first_absorbed = None;
         let mut escalate: Vec<u16> = Vec::new();
         let mut needs_catchup = false;
-        for &leg_seq in lost {
+        for leg_seq in lost {
             let leg = &mut self.legs[leg_idx];
-            let up_seq = match leg.out.answer(&mut leg.tap, leg_seq, now_us) {
+            match leg.out.answer(&mut leg.tap, leg_seq, now_us) {
                 // Minted here (catch-up, tier re-encode): the leg resent it.
-                Verdict::Resend(_) => {
-                    absorbed += 1;
-                    first_absorbed.get_or_insert(leg_seq);
-                    continue;
+                Verdict::Resend(_) => {}
+                // Suppression window: another leg just NACKed this sequence
+                // — serve the retained copy without a second cache lookup.
+                Verdict::Upstream(up_seq) => {
+                    let up = u64::from(up_seq);
+                    let copy = (self.recent_retx.get(&up_seq))
+                        .filter(|(at, _)| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
+                    if let Some((_, pkt)) = copy {
+                        leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
+                        self.stats.nacks_suppressed_seqs += 1;
+                    } else if let Some(pkt) = self.cache.lookup(up_seq) {
+                        let len = pkt.wire_len() as u64;
+                        self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
+                        leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
+                        self.rec(now_us, actor, EventKind::RelayCacheHit, up, len);
+                    } else {
+                        self.rec(now_us, actor, EventKind::RelayCacheMiss, up, 0);
+                        escalate.push(up_seq);
+                        continue;
+                    }
                 }
-                Verdict::Upstream(up_seq) => up_seq,
                 // Too old to repair packet-by-packet.
                 Verdict::Forgotten => {
                     needs_catchup = true;
@@ -1052,68 +1028,24 @@ impl RelayNode {
                     self.stats.nacks_unsent_seqs += 1;
                     continue;
                 }
-            };
-            // Suppression window: another leg just NACKed this sequence —
-            // serve the retained copy without a second cache lookup.
-            let copy = (self.recent_retx.get(&up_seq))
-                .filter(|(at, _)| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
-            if let Some((_, pkt)) = copy {
-                leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
-                self.stats.nacks_suppressed_seqs += 1;
-            } else if let Some(pkt) = self.cache.lookup(up_seq) {
-                let len = pkt.wire_len() as u64;
-                self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
-                leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
-                self.rec(
-                    now_us,
-                    actor,
-                    EventKind::RelayCacheHit,
-                    u64::from(up_seq),
-                    len,
-                );
-            } else {
-                self.rec(
-                    now_us,
-                    actor,
-                    EventKind::RelayCacheMiss,
-                    u64::from(up_seq),
-                    0,
-                );
-                escalate.push(up_seq);
-                continue;
             }
             absorbed += 1;
             first_absorbed.get_or_insert(leg_seq);
         }
         if absorbed > 0 {
             self.stats.nacks_absorbed_seqs += absorbed;
-            self.rec(
-                now_us,
-                actor,
-                EventKind::RelayNackAbsorbed,
-                absorbed,
-                first_absorbed.map_or(0, u64::from),
-            );
+            let first = first_absorbed.map_or(0, u64::from);
+            self.rec(now_us, actor, EventKind::RelayNackAbsorbed, absorbed, first);
         }
         escalate.retain(|s| !self.recent_escalated.contains_key(s));
         if !escalate.is_empty() {
-            for &s in &escalate {
-                self.recent_escalated.insert(s, now_us);
-            }
+            (self.recent_escalated).extend(escalate.iter().map(|&s| (s, now_us)));
+            let (n, first) = (escalate.len() as u64, u64::from(escalate[0]));
             self.stats.nacks_escalated += 1;
-            self.stats.seqs_escalated += escalate.len() as u64;
-            self.rec(
-                now_us,
-                actor,
-                EventKind::RelayNackEscalated,
-                escalate.len() as u64,
-                u64::from(escalate[0]),
-            );
-            self.rx.queue_rtcp(RtcpPacket::Nack(GenericNack::from_seqs(
-                self.rx.ssrc(),
-                self.media.ssrc,
-                &escalate,
-            )));
+            self.stats.seqs_escalated += n;
+            self.rec(now_us, actor, EventKind::RelayNackEscalated, n, first);
+            let nack = GenericNack::from_seqs(self.rx.ssrc(), self.media.ssrc, &escalate);
+            self.rx.queue_rtcp(RtcpPacket::Nack(nack));
         }
         if needs_catchup {
             self.catch_up(leg_idx, now_us);
@@ -1122,13 +1054,8 @@ impl RelayNode {
 
     fn handle_leg_pli(&mut self, leg_idx: usize, now_us: u64) {
         self.stats.plis_received += 1;
-        self.rec(
-            now_us,
-            Self::leg_actor(leg_idx),
-            EventKind::PliReceived,
-            self.stats.plis_received,
-            0,
-        );
+        let (actor, n) = (Self::leg_actor(leg_idx), self.stats.plis_received);
+        self.rec(now_us, actor, EventKind::PliReceived, n, 0);
         self.catch_up(leg_idx, now_us);
     }
 
@@ -1143,14 +1070,7 @@ impl RelayNode {
             if due {
                 self.serve_catchup(leg_idx, now_us);
             }
-            self.stats.plis_coalesced += 1;
-            self.rec(
-                now_us,
-                ACTOR_RELAY,
-                EventKind::RelayPliCoalesced,
-                0,
-                leg_idx as u64,
-            );
+            self.note_pli(now_us, leg_idx, false);
         } else {
             self.maybe_upstream_pli(now_us, leg_idx);
         }
@@ -1164,23 +1084,16 @@ impl RelayNode {
             .map_or(true, |at| now_us.saturating_sub(at) >= PLI_MIN_INTERVAL_US);
         if due {
             self.push_upstream_pli(now_us);
-            self.rec(
-                now_us,
-                ACTOR_RELAY,
-                EventKind::RelayPliCoalesced,
-                1,
-                leg_idx as u64,
-            );
-        } else {
-            self.stats.plis_coalesced += 1;
-            self.rec(
-                now_us,
-                ACTOR_RELAY,
-                EventKind::RelayPliCoalesced,
-                0,
-                leg_idx as u64,
-            );
         }
+        self.note_pli(now_us, leg_idx, due);
+    }
+
+    /// Record how a leg's refresh request was met: by an upstream PLI, or
+    /// coalesced (counted) into a catch-up burst or a recent upstream PLI.
+    fn note_pli(&mut self, now_us: u64, leg_idx: usize, upstream: bool) {
+        self.stats.plis_coalesced += u64::from(!upstream);
+        let (kind, leg) = (EventKind::RelayPliCoalesced, leg_idx as u64);
+        self.rec(now_us, ACTOR_RELAY, kind, upstream as u64, leg);
     }
 
     /// Synthesize a full catch-up burst for one leg from the mirror:
@@ -1334,10 +1247,11 @@ impl Relay for RelayNode {
     }
 
     fn deliver(&mut self, leg: usize, now_us: u64) -> Delivery {
-        if self.legs[leg].out.wire.is_stream() {
-            Delivery::Stream(self.poll_leg_stream(leg, now_us))
+        let wire = &mut self.legs[leg].out.wire;
+        if wire.is_stream() {
+            Delivery::Stream(wire.poll_stream(now_us))
         } else {
-            Delivery::Datagrams(self.poll_leg_bytes(leg, now_us))
+            Delivery::Datagrams(wire.poll(0, now_us))
         }
     }
 

@@ -235,6 +235,8 @@ struct Partial {
 #[derive(Debug, Default)]
 pub struct Reassembler {
     partial: Option<Partial>,
+    /// Longest body a fragment train may grow to ([`Reassembler::set_cap`]).
+    cap: Option<usize>,
     dropped_partials: u64,
     unknown_skipped: u64,
     allocations: u64,
@@ -319,6 +321,10 @@ impl Reassembler {
             }
             let chunk = payload.slice(rest_off..);
             partial.len += chunk.len();
+            if self.cap.is_some_and(|cap| partial.len > cap) {
+                self.dropped_partials += 1;
+                return Err(Error::FragmentState("train longer than its cap"));
+            }
             partial.parts.push(chunk);
             if marker {
                 let Partial {
@@ -359,6 +365,13 @@ impl Reassembler {
             body.extend_from_slice(p);
         }
         Bytes::from(body)
+    }
+
+    /// Drop any fragment train whose body grows past `bytes`, counted in
+    /// [`Reassembler::dropped_partials`]: a sender that never sets the
+    /// marker bit must not grow the receiver's memory without bound.
+    pub fn set_cap(&mut self, bytes: usize) {
+        self.cap = Some(bytes);
     }
 
     /// Abandon any in-progress reassembly (e.g. after an unfillable gap).
@@ -603,6 +616,28 @@ mod tests {
             r.feed(packets[1].marker, &packets[1].payload),
             Err(Error::FragmentState("continuation without start"))
         );
+    }
+
+    #[test]
+    fn a_train_past_its_cap_is_dropped_and_a_message_at_it_completes() {
+        let msg = region_update(5000);
+        let packets = fragment(&msg, 1400).unwrap();
+        let body = 5000;
+        for (cap, whole) in [(body, true), (body - 1, false)] {
+            let mut r = Reassembler::new();
+            r.set_cap(cap);
+            let fed: Vec<_> = (packets.iter())
+                .map(|p| r.feed(p.marker, &p.payload))
+                .collect();
+            let last = fed.last().unwrap();
+            if whole {
+                assert_eq!(last, &Ok(Some(msg.clone())));
+            } else {
+                assert!(fed.iter().any(Result::is_err), "cap {cap}");
+                assert_eq!(r.dropped_partials(), 1);
+            }
+            assert!(!r.in_progress());
+        }
     }
 
     #[test]

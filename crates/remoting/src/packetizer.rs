@@ -155,6 +155,11 @@ impl RemotingDepacketizer {
             .feed_bytes(pkt.header.marker, pkt.payload.clone())
     }
 
+    /// Drop any fragment train longer than `bytes` ([`Reassembler::set_cap`]).
+    pub fn set_cap(&mut self, bytes: usize) {
+        self.reassembler.set_cap(bytes)
+    }
+
     /// Abandon any partial reassembly (after unrecoverable loss).
     pub fn reset(&mut self) {
         self.reassembler.reset()

@@ -4,12 +4,8 @@
 //! whichever [`Wire`] the path uses. A unicast participant owns its leg;
 //! the members of a multicast session share theirs.
 //!
-//! The leg keeps one clock with each receiver: a receiver report echoes the
-//! last sender report it got (LSR) and how long it held it (DLSR), so the
-//! SR's send time plus DLSR is when the receiver wrote the report, on the
-//! AH's clock and less one downlink delay. That instant bounds what the
-//! report can know about (tail repair) and, against the report's arrival,
-//! measures the round trip (`rtt_us`).
+//! What the receivers report back is read by the leg's [`Feedback`] half,
+//! the one every relay leg holds too; the leg applies its verdicts.
 //!
 //! The only transport-specific part of a flush is where the byte budget
 //! comes from: a datagram path asks its token bucket, a stream reads its
@@ -18,15 +14,11 @@
 
 use adshare_capture::StreamKind;
 use adshare_netsim::time::us_to_ticks;
-use adshare_obs::{
-    EventKind, FrameTrace, Obs, Registry, ACTOR_AH, RATE_CAUSE_BACKLOG, RATE_CAUSE_LOSS_REPORT,
-    RATE_CAUSE_NACK_BURST,
-};
+use adshare_obs::{EventKind, FrameTrace, Obs, Registry, ACTOR_AH};
 use adshare_rate::RateController;
 use adshare_remoting::message::RemotingMessage;
 use adshare_rtp::rtcp::{
-    compact_ntp, encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
-    DLSR_UNITS_PER_S,
+    encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
 };
 use adshare_rtp::session::RtpSender;
 use bytes::Bytes;
@@ -34,27 +26,9 @@ use bytes::Bytes;
 use super::drain::{Drained, Pending, RateState};
 use super::{AppHost, Cx};
 use crate::config::AhConfig;
-use crate::egress::{Burst, Downstream, StreamId, Verdict, Wire};
-
-/// Largest RR tail deficit worth repairing packet-by-packet; beyond this
-/// (or past the history window) a refresh is cheaper.
-const TAIL_REPAIR_MAX: u16 = 64;
+use crate::egress::{Burst, Congestion, Downstream, Feedback, StreamId, Tail, Verdict, Wire};
 
 const SR_INTERVAL_US: u64 = 1_000_000;
-
-/// Sender reports a leg remembers for matching receivers' LSR: a report
-/// echoes the SR it last got, at most one SR interval plus a round trip
-/// before it arrives.
-const SR_MEMORY: usize = 4;
-
-adshare_obs::metric_set! {
-    /// The leg's clock with its receivers.
-    struct Clock {
-        /// Round-trip time the latest receiver report with an LSR measured
-        /// (arrival − SR send time − DLSR), µs.
-        rtt_us: gauge "rtt_us",
-    }
-}
 
 /// RTP payload budget per packet on a stream: TCP frames can carry large
 /// payloads, so minimise per-packet overhead but stay under the RFC 4571
@@ -74,10 +48,8 @@ pub(super) struct Leg {
     /// shared leg every member's RTCP feeds this one controller, so the
     /// session reacts to its worst path.
     pub(super) rs: RateState,
-    /// The latest RTCP sender reports as `(compact NTP, send µs)`, newest
-    /// first (`(0, 0)` where none was sent).
-    srs: [(u32, u64); SR_MEMORY],
-    clock: Clock,
+    /// The SRs this leg sent, its round trip and its rate signal.
+    feedback: Feedback,
     /// When the leg last got past its idle check (µs).
     last_flush_us: u64,
     /// RTP payload budget per packet.
@@ -125,8 +97,7 @@ impl Leg {
             sender,
             pending: Pending::default(),
             rs: RateState::new(rate),
-            srs: [(0, 0); SR_MEMORY],
-            clock: Clock::default(),
+            feedback: Feedback::new(ACTOR_AH),
             last_flush_us: 0,
             prefix,
             drained: Vec::new(),
@@ -143,7 +114,7 @@ impl Leg {
             .register_metrics(registry, &format!("{prefix}.rate"));
         self.out
             .register_metrics(registry, &format!("{prefix}.retx_history"));
-        self.clock.register(registry, prefix);
+        self.feedback.register_metrics(registry, prefix);
     }
 
     /// A multicast session's leg: several receivers' feedback lands on it,
@@ -161,23 +132,6 @@ impl Leg {
             && (!self.pending.is_empty() || self.rs.busy() || self.out.wire.has_unsent())
     }
 
-    /// Feed the path's estimator one congestion signal; a multiplicative
-    /// decrease it causes is reported as a cause-tagged `RateDown`.
-    fn feed_rate(
-        &mut self,
-        cx: &Cx<'_>,
-        now_us: u64,
-        cause: u64,
-        signal: impl FnOnce(&mut RateController),
-    ) {
-        let before = self.rs.rate.decreases();
-        signal(&mut self.rs.rate);
-        if self.rs.rate.decreases() > before {
-            let rate = self.rs.rate.rate_bps(now_us).unwrap_or(0);
-            cx.event(now_us, ACTOR_AH, EventKind::RateDown, rate, cause);
-        }
-    }
-
     /// Start a flush — where the byte budget comes from is its only
     /// transport-specific part. Returns `(budget, stream backlog)`, the
     /// backlog `None` on a datagram path; `None` when the path is idle.
@@ -189,9 +143,8 @@ impl Leg {
                 // the controller adapts quality from the send-buffer
                 // occupancy. A stream is never byte-paced — the buffer
                 // itself does the pacing.
-                self.feed_rate(cx, now_us, RATE_CAUSE_BACKLOG, |rate| {
-                    rate.on_backlog(backlog, capacity, now_us)
-                });
+                let signal = Congestion::Backlog(backlog, capacity);
+                (self.feedback).congestion(&mut self.rs.rate, cx.obs, signal, now_us);
                 let _ = self.rs.rate.flush_budget(now_us); // refresh gauges
                 note_rate_change(cx.obs, &mut self.rs, now_us);
             }
@@ -240,13 +193,8 @@ impl Leg {
             if cx.cfg.tcp_freshness_policy && backlog > 0 {
                 // §7: backlog present — hold pending state, send the
                 // freshest version once the buffer drains.
-                cx.event(
-                    now_us,
-                    self.out.actor(),
-                    EventKind::BacklogSkip,
-                    backlog as u64,
-                    0,
-                );
+                let (actor, backlog) = (self.out.actor(), backlog as u64);
+                cx.event(now_us, actor, EventKind::BacklogSkip, backlog, 0);
                 return;
             }
         }
@@ -323,13 +271,9 @@ impl Leg {
         cx.counters.rtp_packets.add(burst.packets);
         cx.counters.bytes_sent.add(burst.bytes);
         let nfrags = burst.packets as u32;
-        cx.event(
-            now_us,
-            self.out.actor(),
-            EventKind::RtpTx,
-            burst.marker_seq.unwrap_or(0) as u64,
-            ((nfrags as u64) << 32) | (burst.bytes & 0xFFFF_FFFF),
-        );
+        let seq = u64::from(burst.marker_seq.unwrap_or(0));
+        let sent = (u64::from(nfrags) << 32) | (burst.bytes & 0xFFFF_FFFF);
+        cx.event(now_us, self.out.actor(), EventKind::RtpTx, seq, sent);
         if let (Some(obs), Some(mut trace), Some(seq)) = (cx.obs, seed, burst.marker_seq) {
             trace.sent_at_us = now_us;
             trace.fragment_wall_us = fragment_us;
@@ -372,15 +316,14 @@ impl Leg {
         if !self.out.wire.has_receivers() || group_idle {
             return;
         }
-        if now_us.saturating_sub(self.srs[0].1) < SR_INTERVAL_US {
+        if now_us.saturating_sub(self.feedback.last_sr_us()) < SR_INTERVAL_US {
             return;
         }
         let (packets, octets) = self.out.sent_counts();
         if packets == 0 {
             return;
         }
-        self.srs.rotate_right(1);
-        self.srs[0] = (compact_ntp(now_us), now_us);
+        self.feedback.note_sr(now_us, now_us);
         let ssrc = self.sender.ssrc();
         let sr = SenderReport {
             ssrc,
@@ -418,63 +361,26 @@ impl Leg {
     /// A Generic NACK: a congestion signal for the path's estimator (a
     /// burst decreases, a trickle holds off), then the repair itself.
     pub(super) fn on_nack(&mut self, cx: &mut Cx<'_>, lost: &[u16], now_us: u64) {
-        self.feed_rate(cx, now_us, RATE_CAUSE_NACK_BURST, |rate| {
-            rate.on_nack(lost.len(), now_us)
-        });
+        let signal = Congestion::Nack(lost.len());
+        (self.feedback).congestion(&mut self.rs.rate, cx.obs, signal, now_us);
         self.repair(cx, lost.iter().copied(), now_us);
     }
 
-    /// When the receiver behind `block` wrote it, on this leg's clock and
-    /// less one downlink delay: the send time of the SR it echoes plus the
-    /// delay it held that SR. `None` when it echoes none (LSR 0) or one this
-    /// leg no longer remembers.
-    fn written_at(&self, block: &ReportBlock) -> Option<u64> {
-        // An empty slot reads LSR 0, which echoes nothing.
-        if block.last_sr == 0 {
-            return None;
-        }
-        let (_, sent_us) = self.srs.iter().find(|&&(lsr, _)| lsr == block.last_sr)?;
-        let held_us = u64::from(block.delay_since_last_sr) * 1_000_000 / DLSR_UNITS_PER_S;
-        Some(sent_us + held_us)
-    }
-
-    /// A reception report: it measures the round trip, the loss fraction
-    /// feeds the estimator, and the extended-highest-sequence repairs *tail
-    /// loss*. NACKs only fire when a later packet reveals a gap, so packets
-    /// lost at the end of a burst (nothing behind them) would otherwise
-    /// desynchronize a participant forever. Only what was sent by the time
-    /// the receiver wrote the report ([`Leg::written_at`]) can be missing
-    /// from it; anything later may still be in flight. A short deficit is
-    /// answered from retransmit history, a hopeless one with a full
-    /// refresh. A report that echoes no known SR repairs nothing: NACKs,
-    /// the resync PLI and the next report cover it.
+    /// A reception report: the feedback half measures the round trip,
+    /// feeds the loss fraction to the estimator and judges the tail; a
+    /// short deficit is answered from retransmit history, a hopeless one
+    /// with a full refresh.
     pub(super) fn on_receiver_report(&mut self, cx: &mut Cx<'_>, block: &ReportBlock, now_us: u64) {
-        let written = self.written_at(block);
-        if let Some(at) = written {
-            self.clock.rtt_us.set(now_us.saturating_sub(at) as i64);
-        }
-        // A stream is reliable and in-order: a lagging RR just means queued
-        // bytes (the estimator watches the send-buffer backlog instead).
-        if self.out.wire.is_stream() {
-            return;
-        }
-        self.feed_rate(cx, now_us, RATE_CAUSE_LOSS_REPORT, |rate| {
-            rate.on_report(block.fraction_lost, now_us)
-        });
-        let Some(seen) = written.and_then(|at| self.out.last_sent_before(at)) else {
-            return;
-        };
-        let reported = block.highest_seq as u16;
-        let gap = seen.wrapping_sub(reported);
-        if gap == 0 || gap >= 0x8000 {
-            // Up to date, or the report is ahead of our bookkeeping
-            // (sequence wrap mid-flight); nothing to repair.
-        } else if gap <= TAIL_REPAIR_MAX {
-            cx.counters.tail_repairs.inc();
-            let seqs = (1..=gap).map(|i| reported.wrapping_add(i));
-            self.repair(cx, seqs, now_us);
-        } else {
-            self.full_refresh(cx, now_us);
+        let rate = Some(&mut self.rs.rate);
+        match (self.feedback).on_report(&self.out, rate, cx.obs, block, now_us) {
+            Tail::Intact => {}
+            Tail::Refresh => {
+                self.full_refresh(cx, now_us);
+            }
+            tail => {
+                cx.counters.tail_repairs.inc();
+                self.repair(cx, tail.seqs(), now_us);
+            }
         }
     }
 }

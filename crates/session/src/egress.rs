@@ -1,6 +1,6 @@
-//! The wire boundary and the downstream half: the one place a datagram
-//! leaves a sender, and the one place an RTP sequence is issued, remembered
-//! and looked up for repair ([`Downstream`]).
+//! The wire boundary and the downstream half: where a datagram leaves a
+//! sender, where an RTP sequence is issued, remembered and looked up for
+//! repair ([`Downstream`]), and where a leg reads its feedback ([`Feedback`]).
 //!
 //! Everything the AH and the relay put on a transport goes through
 //! [`Wire::send`] (or its all-or-nothing sibling [`Wire::send_whole`]),
@@ -34,6 +34,9 @@ use adshare_remoting::message::RemotingMessage;
 use adshare_rtp::framing::{frame_into, MAX_FRAME_LEN};
 use adshare_rtp::{RtpHeader, RtpPacket};
 use bytes::Bytes;
+
+mod feedback;
+pub use feedback::{Congestion, Feedback, Tail};
 
 /// Running egress digest plus the capture sink recording the same bytes.
 #[derive(Debug)]
@@ -332,14 +335,6 @@ impl Wire {
     pub fn udp_link_mut(&mut self) -> Option<&mut UdpChannel> {
         match &mut self.link {
             Link::Udp(channel) => Some(channel),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the TCP link, when it has one.
-    pub fn tcp_link_mut(&mut self) -> Option<&mut TcpLink> {
-        match &mut self.link {
-            Link::Tcp { link, .. } => Some(link),
             _ => None,
         }
     }

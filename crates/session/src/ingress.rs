@@ -107,12 +107,14 @@ impl Ingress {
     /// `nack_enabled` (the SDP `retransmissions` parameter), and draws its
     /// NACK backoff jitter from `seed`.
     pub fn new(ssrc: u32, cname: String, nack_enabled: bool, seed: u64) -> Self {
+        let mut depacketizer = RemotingDepacketizer::new();
+        depacketizer.set_cap(crate::mirror::message_cap(0));
         Ingress {
             ssrc,
             cname,
             nack_enabled,
             reorder: ReorderBuffer::new(256),
-            depacketizer: RemotingDepacketizer::new(),
+            depacketizer,
             receiver: RtpReceiver::new(),
             media_ssrc: 0,
             nack_backoff_ticks: 0,
@@ -178,6 +180,12 @@ impl Ingress {
     /// NACKs suppressed by the backoff (repair arrived before the timer).
     pub fn nacks_suppressed(&self) -> u64 {
         self.nacks_suppressed
+    }
+
+    /// Drop any fragment train longer than `bytes`: the receiver's
+    /// `Mirror::message_cap`, updated whenever its windows change.
+    pub fn set_message_cap(&mut self, bytes: usize) {
+        self.depacketizer.set_cap(bytes);
     }
 
     /// Take one media packet off a datagram path: count it, park it in the

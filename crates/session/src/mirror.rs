@@ -23,6 +23,19 @@ pub use window::{Drawn, PWindow};
 /// [`check_dims`] admits. A message past it is refused whole.
 pub const WINDOW_BYTES_CEILING: u64 = 256 * 1024 * 1024;
 
+/// Room for a message on top of what the largest window needs, and before
+/// any window is open: codec headers and pointer icons.
+const MESSAGE_SLACK_BYTES: usize = 1 << 20;
+
+/// The longest message a receiver whose largest window has `pixels` pixels
+/// can need: no codec here encodes an image into more than twice its RGBA
+/// bytes (RLE's worst case is 5 bytes per 4-byte pixel, PNG's a filter
+/// byte per row and a few per DEFLATE block), plus 1 MiB of slack.
+/// A fragment train past it is dropped (`Reassembler::set_cap`).
+pub fn message_cap(pixels: usize) -> usize {
+    2 * 4 * pixels + MESSAGE_SLACK_BYTES
+}
+
 /// What [`Mirror::apply`] did with one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Applied {
@@ -159,6 +172,12 @@ impl Mirror {
             }
             RemotingMessage::MousePointerInfo(_) => Applied::Pointer,
         }
+    }
+
+    /// [`message_cap`] of the largest window open here.
+    pub fn message_cap(&self) -> usize {
+        let pixels = |w: &PWindow| w.ah_rect().width as usize * w.ah_rect().height as usize;
+        message_cap(self.windows.values().map(pixels).max().unwrap_or(0))
     }
 
     /// Whether initial state (a WindowManagerInfo) has arrived.

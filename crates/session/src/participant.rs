@@ -490,6 +490,7 @@ impl Participant {
         match self.mirror.apply(&msg) {
             Applied::Windows => {
                 self.stats.wmi_applied += 1;
+                self.rx.set_message_cap(self.mirror.message_cap());
                 let mirror = &self.mirror;
                 self.local_pos.retain(|id, _| mirror.window(*id).is_some());
                 self.assign_layout();

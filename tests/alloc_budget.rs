@@ -33,8 +33,10 @@ use adshare::remoting::message::{RegionUpdate, WindowManagerInfo, WindowRecord};
 use adshare::remoting::packetizer::RemotingPacketizer;
 use adshare::rtp::rtcp::{PictureLossIndication, RtcpPacket};
 use adshare::rtp::session::RtpSender;
+use adshare::rtp::RtpPacket;
 use adshare::screen::workload::photo_frame;
 use adshare::screen::WindowId;
+use adshare::session::mirror::message_cap;
 use adshare::session::participant::WINDOW_BYTES_CEILING;
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -48,12 +50,23 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes those calls asked for (a grow counts its new size).
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: what it was given less what it gave back.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     // `try_with`: a thread that is being torn down has no counter left.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    hold(bytes as i64);
+}
+
+fn hold(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 fn allocs() -> u64 {
@@ -83,11 +96,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(-(layout.size() as i64));
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        hold(-(layout.size() as i64));
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -542,6 +557,121 @@ fn datagram_path_stays_inside_its_allocation_budget() {
         "{cost} B allocated to refuse a {} B payload",
         png.len()
     );
+
+    // 9. A fragment train is a claim as well: a sender that never sets the
+    // marker bit grows the receiver's reassembly by a packet at a time.
+    // Window 1 is open at 64×64 (16 KiB of pixels); then a RegionUpdate for
+    // it runs on past where its last fragment should be, its middle
+    // packets sent again and again, sixteen times the longest message the
+    // window can need (`message_cap`: twice its RGBA bytes and 1 MiB). A
+    // viewer and a relay's upstream side drop the train once it passes
+    // that cap and hold at most k = 9/8 of it (the packets' own headers
+    // and the list of parts): the viewer nothing else, the relay only its
+    // retransmit cache (8 MiB at most) besides. A legal update after the
+    // train still applies.
+    let cap = message_cap(64 * 64) as i64;
+    let bound = cap + cap / 8;
+    let mut train = Train::new(small, 16 * cap as usize);
+    let mut viewer = Participant::new(1, Layout::Original, true, 5);
+    let mut relay = RelayNode::new(RelayConfig::default(), 0);
+    let mut held = [0i64; 2];
+    for (who, held) in held.iter_mut().enumerate() {
+        let base = live();
+        for (i, datagram) in train.datagrams().enumerate() {
+            match who {
+                0 => viewer.handle_datagram(&datagram, i as u64),
+                _ => relay.ingest_upstream(&datagram, i as u64),
+            }
+            *held = (*held).max(live() - base);
+        }
+    }
+    println!(
+        "{} B fragment train past a {cap} B cap: viewer held {} B, relay {} B at most",
+        train.len, held[0], held[1]
+    );
+    assert!(held[0] <= bound, "viewer held {} B of the train", held[0]);
+    assert!(held[1] <= bound + (8 << 20), "relay held {} B", held[1]);
+    let regions = viewer.stats().regions_applied;
+    for datagram in train.after() {
+        viewer.handle_datagram(&datagram, 0);
+    }
+    assert_eq!(viewer.stats().regions_applied, regions + 1, "it applies");
+}
+
+/// A WindowManagerInfo, then a RegionUpdate for its window whose fragments
+/// never end: the first, then the middle ones over and over, renumbered,
+/// until `len` payload bytes have gone out.
+struct Train {
+    packetizer: RemotingPacketizer,
+    head: Vec<RtpPacket>,
+    middle: Vec<RtpPacket>,
+    len: usize,
+}
+
+impl Train {
+    fn new(wmi: RemotingMessage, len: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(9);
+        let sender = RtpSender::new(0xAAAA, 99, &mut rng);
+        let mut packetizer = RemotingPacketizer::new(sender, 1200);
+        let mut head = packetizer.packetize(&wmi, 0).unwrap();
+        let mut tile = packetizer
+            .packetize(&Self::tile(vec![7; 64 << 10]), 0)
+            .unwrap();
+        tile.pop(); // the marker
+        let middle = tile.split_off(1);
+        head.extend(tile);
+        Train {
+            packetizer,
+            head,
+            middle,
+            len,
+        }
+    }
+
+    fn tile(payload: Vec<u8>) -> RemotingMessage {
+        RemotingMessage::RegionUpdate(RegionUpdate {
+            window_id: WireWindowId(1),
+            payload_type: default_pt::RLE,
+            left: 0,
+            top: 0,
+            payload: Bytes::from(payload),
+        })
+    }
+
+    /// The head, then middle packets numbered on until `len` bytes.
+    fn datagrams(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let first = self.head.last().unwrap().header.sequence;
+        let mut sent = 0;
+        let middles = self.middle.iter().cycle().take_while(move |p| {
+            sent += p.payload.len();
+            sent <= self.len
+        });
+        let head = self.head.iter().map(RtpPacket::encode);
+        head.chain(middles.enumerate().map(move |(i, p)| {
+            let mut p = p.clone();
+            p.header.sequence = first.wrapping_add(1 + i as u16);
+            p.encode()
+        }))
+    }
+
+    /// A one-packet update numbered right after the train.
+    fn after(&mut self) -> Vec<Vec<u8>> {
+        let n = self.datagrams().count() - self.head.len();
+        let next = self
+            .head
+            .last()
+            .unwrap()
+            .header
+            .sequence
+            .wrapping_add(1 + n as u16);
+        let pixels = Image::filled(8, 8, [1, 2, 3, 255]).unwrap();
+        let tile = Self::tile(AnyCodec::new(CodecKind::Rle).encode(&pixels));
+        let mut pkts = self.packetizer.packetize(&tile, 0).unwrap();
+        for (i, p) in pkts.iter_mut().enumerate() {
+            p.header.sequence = next.wrapping_add(i as u16);
+        }
+        pkts.iter().map(RtpPacket::encode).collect()
+    }
 }
 
 /// A relay fed one upstream RTP stream, message by message.

@@ -5,8 +5,11 @@
 //! arbitrary sequences and with `forget_kept` / `close`, checked against a
 //! reference that never forgets anything — and so is its send-time ring
 //! (`last_sent_before`), which must give the reference's answer while it
-//! still holds that send and `None` once it has let it go. Its packetizer:
-//! checked against `fragment()` → `RtpPacket::new` → `encode()`.
+//! still holds that send and `None` once it has let it go. The feedback
+//! half beside it (`session::egress::Feedback`) judges a receiver report's
+//! tail as the reference would: from the SRs it remembers, the reference's
+//! send times and the report's highest sequence. Its packetizer: checked
+//! against `fragment()` → `RtpPacket::new` → `encode()`.
 
 use std::collections::HashMap;
 
@@ -15,8 +18,11 @@ use adshare::remoting::message::{
     MousePointerInfo, MoveRectangle, RegionUpdate, RemotingMessage, WindowManagerInfo, WindowRecord,
 };
 use adshare::remoting::WindowId;
+use adshare::rtp::rtcp::{ReportBlock, DLSR_UNITS_PER_S};
 use adshare::rtp::{RtpHeader, RtpPacket};
-use adshare::session::egress::{Burst, Downstream, StreamId, Tap, Verdict, Wire, SEND_TIMES};
+use adshare::session::egress::{
+    Burst, Downstream, Feedback, StreamId, Tail, Tap, Verdict, Wire, SEND_TIMES,
+};
 use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,6 +47,8 @@ struct Reference {
     closed_before: usize,
     /// `(µs, last sequence)` of every send call.
     calls: Vec<(u64, u16)>,
+    /// Every SR the leg sent: `(compact NTP, µs)`.
+    srs: Vec<(u32, u64)>,
 }
 
 impl Reference {
@@ -59,6 +67,29 @@ impl Reference {
             .partition_point(|&(at, _)| at <= t_us)
             .checked_sub(1)?;
         (self.calls.len() - i <= SEND_TIMES).then_some(self.calls[i].1)
+    }
+
+    /// The tail verdict on a report that echoes `lsr` after holding it
+    /// `dlsr` units and saw up to `highest`: only an SR among the last four
+    /// dates it, and only what was sent by then can be missing.
+    fn tail(&self, lsr: u32, dlsr: u32, highest: u16) -> Tail {
+        let recent = &self.srs[self.srs.len().saturating_sub(4)..];
+        let Some(&(_, sent_us)) = recent
+            .iter()
+            .rev()
+            .find(|&&(ntp, _)| ntp == lsr && lsr != 0)
+        else {
+            return Tail::Intact;
+        };
+        let written = sent_us + u64::from(dlsr) * 1_000_000 / DLSR_UNITS_PER_S;
+        let Some(seen) = self.last_sent_before(written) else {
+            return Tail::Intact;
+        };
+        match seen.wrapping_sub(highest) {
+            n @ 1..=64 => Tail::Resend(highest, n),
+            n if n == 0 || n >= 0x8000 => Tail::Intact,
+            _ => Tail::Refresh,
+        }
     }
 
     /// The answer a record of the last `bound` sequences must give, or
@@ -97,6 +128,7 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
     let mut out = Downstream::new(Wire::raw(), 7, first_seq, Some((bound, usize::MAX)), false);
     let mut tap = Tap::default();
     let mut reference = Reference::default();
+    let mut half = Feedback::new(7);
     let id = StreamId {
         pt: 99,
         ts: 1,
@@ -106,7 +138,13 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
     // the ring, and let go.
     let mut probed = [0u64; 2];
     let mut timed = [0u64; 2];
+    let mut tails = [0u64; 3];
     for step in 0..90_000u64 {
+        if rng.gen_ratio(1, 50) {
+            // An SR whose NTP field's middle 32 bits are the step.
+            half.note_sr(step << 16, step);
+            reference.srs.push((step as u32, step));
+        }
         match rng.gen_range(0..1_000) {
             0..=399 => {
                 let msg = message(step, &mut rng);
@@ -151,6 +189,39 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
                     "seed {seed} step {step} t {t}"
                 );
                 timed[usize::from(want.is_none())] += 1;
+                // A report that saw up to just behind the last sequence or
+                // up to the probed one, and echoes a recent SR (or one long
+                // gone, or none) held up to 15 DLSR units (≈ 229 µs: this
+                // clock runs a µs a step, so inside and past the ring).
+                let lsr = match (rng.gen_range(0..8), reference.srs.len()) {
+                    (_, 0) | (0, _) => rng.gen_range(0..2),
+                    (k, n) => reference.srs[n.saturating_sub(k)].0,
+                };
+                let dlsr = rng.gen_range(0..16);
+                let highest = match (out.last_sent(), rng.gen::<bool>()) {
+                    (Some(last), true) => last.wrapping_sub(rng.gen_range(0..130)),
+                    _ => seq,
+                };
+                let block = ReportBlock {
+                    ssrc: 2,
+                    fraction_lost: 0,
+                    cumulative_lost: 0,
+                    highest_seq: u32::from(highest),
+                    jitter: 0,
+                    last_sr: lsr,
+                    delay_since_last_sr: dlsr,
+                };
+                let tail = half.on_report(&out, None, None, &block, step);
+                assert_eq!(
+                    tail,
+                    reference.tail(lsr, dlsr, highest),
+                    "seed {seed} step {step}"
+                );
+                tails[match tail {
+                    Tail::Intact => 0,
+                    Tail::Resend(..) => 1,
+                    Tail::Refresh => 2,
+                }] += 1;
                 let got = out.answer(&mut tap, seq, step);
                 // A resend is on the wire as the verdict says; nothing else is.
                 let resent = out.wire.poll(0, step);
@@ -193,6 +264,10 @@ fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
     assert!(
         timed[0] > 1_000 && timed[1] > 1_000,
         "send times inside and past the ring were probed"
+    );
+    assert!(
+        tails.iter().all(|&n| n > 100),
+        "every tail verdict was reached: {tails:?}"
     );
 }
 
