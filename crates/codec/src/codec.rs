@@ -88,6 +88,9 @@ pub trait Codec {
     fn encode(&self, img: &Image) -> Vec<u8>;
     /// Decode payload bytes back to an image.
     fn decode(&self, data: &[u8]) -> Result<Image>;
+    /// The width and height `data` declares, from its header alone — what
+    /// [`Codec::decode`] would allocate pixels for, known before it does.
+    fn dims(&self, data: &[u8]) -> Result<(u32, u32)>;
 }
 
 /// Unified codec implementation parameterised by kind.
@@ -157,14 +160,7 @@ impl Codec for AnyCodec {
     fn decode(&self, data: &[u8]) -> Result<Image> {
         match self.kind {
             CodecKind::Raw => {
-                if data.len() < 12 || &data[..4] != b"ARAW" {
-                    return Err(Error::Invalid {
-                        what: "raw image",
-                        detail: "bad header",
-                    });
-                }
-                let w = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
-                let h = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
+                let (w, h) = raw_dims(data)?;
                 Image::from_rgba(w, h, data[12..].to_vec())
             }
             CodecKind::Png => png::decode(data),
@@ -172,6 +168,28 @@ impl Codec for AnyCodec {
             CodecKind::Rle => rle::decode(data),
         }
     }
+
+    fn dims(&self, data: &[u8]) -> Result<(u32, u32)> {
+        match self.kind {
+            CodecKind::Raw => raw_dims(data),
+            CodecKind::Png => png::dims(data),
+            CodecKind::Dct => dct::dims(data),
+            CodecKind::Rle => rle::dims(data),
+        }
+    }
+}
+
+/// The size a raw payload's 12-byte header declares.
+fn raw_dims(data: &[u8]) -> Result<(u32, u32)> {
+    if data.len() < 12 || &data[..4] != b"ARAW" {
+        return Err(Error::Invalid {
+            what: "raw image",
+            detail: "bad header",
+        });
+    }
+    let w = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
+    let h = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
+    Ok((w, h))
 }
 
 /// Maps RTP payload-type values (the 7-bit PT in the RegionUpdate parameter
@@ -301,6 +319,38 @@ mod tests {
         }
         assert_eq!(CodecKind::from_encoding_name("jpeg"), Some(CodecKind::Dct));
         assert_eq!(CodecKind::from_encoding_name("h264"), None);
+    }
+
+    #[test]
+    fn dims_read_the_header_of_every_kind_and_refuse_what_decode_refuses() {
+        let img = sample();
+        for kind in CodecKind::ALL {
+            let codec = AnyCodec::new(kind);
+            let enc = codec.encode(&img);
+            assert_eq!(codec.dims(&enc).unwrap(), (40, 30), "{kind:?}");
+            assert!(codec.dims(&enc[..8]).is_err(), "{kind:?} truncated");
+            assert!(codec.dims(b"nonsense header!").is_err(), "{kind:?}");
+        }
+        // A header past what any image may be is refused by the header
+        // alone, whatever follows it.
+        let mut rle = AnyCodec::new(CodecKind::Rle).encode(&img);
+        rle[4..8].copy_from_slice(&100_000u32.to_be_bytes());
+        assert!(AnyCodec::new(CodecKind::Rle).dims(&rle).is_err());
+        let mut dct = AnyCodec::new(CodecKind::Dct).encode(&img);
+        dct[4..12].copy_from_slice(&[0, 0, 0x40, 0, 0, 0, 0x40, 0]);
+        assert!(AnyCodec::new(CodecKind::Dct).dims(&dct).is_err());
+        let mut png = AnyCodec::new(CodecKind::Png).encode(&img);
+        png[16..24].copy_from_slice(&[0, 0, 0x40, 0, 0, 0, 0x40, 0]);
+        assert!(AnyCodec::new(CodecKind::Png).dims(&png).is_err());
+        // The size is only a claim: a body that does not back it is still
+        // decode's to refuse.
+        let mut short = AnyCodec::new(CodecKind::Rle).encode(&img);
+        short.truncate(20);
+        assert_eq!(
+            AnyCodec::new(CodecKind::Rle).dims(&short).unwrap(),
+            (40, 30)
+        );
+        assert!(AnyCodec::new(CodecKind::Rle).decode(&short).is_err());
     }
 
     #[test]

@@ -690,8 +690,9 @@ fn encode_body(img: &Image, quality: u8, body: &mut Vec<u8>) {
     }
 }
 
-/// Decode an image produced by [`encode`].
-pub fn decode(data: &[u8]) -> Result<Image> {
+/// The width and height an [`encode`]d payload declares, read from its
+/// header alone: nothing is inflated or allocated.
+pub fn dims(data: &[u8]) -> Result<(u32, u32)> {
     if data.len() < 13 {
         return Err(Error::Truncated("DCT header"));
     }
@@ -703,8 +704,14 @@ pub fn decode(data: &[u8]) -> Result<Image> {
     }
     let w = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
     let h = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
-    let quality = data[12];
     check_dims(w, h)?;
+    Ok((w, h))
+}
+
+/// Decode an image produced by [`encode`].
+pub fn decode(data: &[u8]) -> Result<Image> {
+    let (w, h) = dims(data)?;
+    let quality = data[12];
     let (w, h) = (w as usize, h as usize);
     let bw = w.div_ceil(8);
     let bh = h.div_ceil(8);

@@ -146,6 +146,31 @@ fn filter_rows(img: &Image, color: PngColor, rows: &mut PngRows, filtered: &mut 
     }
 }
 
+/// The width and height a PNG declares, read from its leading IHDR alone
+/// (PNG requires it first): nothing is inflated or allocated, and the
+/// chunk's CRC is left to [`decode`].
+pub fn dims(data: &[u8]) -> Result<(u32, u32)> {
+    if data.len() < SIGNATURE.len() || data[..8] != SIGNATURE {
+        return Err(Error::Invalid {
+            what: "PNG",
+            detail: "bad signature",
+        });
+    }
+    let Some(ihdr) = data.get(8..24) else {
+        return Err(Error::Truncated("PNG IHDR"));
+    };
+    if ihdr[..8] != [0, 0, 0, 13, b'I', b'H', b'D', b'R'] {
+        return Err(Error::Invalid {
+            what: "IHDR",
+            detail: "not the first chunk, or length != 13",
+        });
+    }
+    let w = u32::from_be_bytes([ihdr[8], ihdr[9], ihdr[10], ihdr[11]]);
+    let h = u32::from_be_bytes([ihdr[12], ihdr[13], ihdr[14], ihdr[15]]);
+    check_dims(w, h)?;
+    Ok((w, h))
+}
+
 /// Decode a PNG file into an RGBA [`Image`].
 pub fn decode(data: &[u8]) -> Result<Image> {
     if data.len() < SIGNATURE.len() || data[..8] != SIGNATURE {

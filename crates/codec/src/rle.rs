@@ -35,8 +35,9 @@ pub fn encode(img: &Image) -> Vec<u8> {
     out
 }
 
-/// Decode an image produced by [`encode`].
-pub fn decode(data: &[u8]) -> Result<Image> {
+/// The width and height an [`encode`]d payload declares, read from its
+/// header alone: nothing is allocated and no record is read.
+pub fn dims(data: &[u8]) -> Result<(u32, u32)> {
     if data.len() < 12 {
         return Err(Error::Truncated("RLE header"));
     }
@@ -54,6 +55,12 @@ pub fn decode(data: &[u8]) -> Result<Image> {
             height: h,
         });
     }
+    Ok((w, h))
+}
+
+/// Decode an image produced by [`encode`].
+pub fn decode(data: &[u8]) -> Result<Image> {
+    let (w, h) = dims(data)?;
     let total = w as usize * h as usize;
     // A record is five bytes and paints at most 255 pixels: a header that
     // promises more than the records can deliver is refused before anything

@@ -4,17 +4,18 @@
 //! its subtree needs via an RTCP APP packet (PT 204, name `ADTR`). APP is
 //! deliberately chosen over a new feedback format: the existing RTP stack
 //! parses unrecognized packet types into
-//! [`RtcpPacket::Unknown`] and re-serializes them verbatim, so the signal
-//! rides every existing RTCP path — compound datagrams, relay upstream
-//! coalescing, TCP framing — with zero changes to `adshare-rtp`.
+//! [`RtcpPacket::Unknown`] and re-serializes them verbatim (its
+//! [`App`] reads and writes the APP framing), so the signal rides every
+//! existing RTCP path — compound datagrams, relay upstream coalescing, TCP
+//! framing — with no packet type of its own.
 
 use adshare_rate::QualityTier;
-use adshare_rtp::rtcp::RtcpPacket;
+use adshare_rtp::rtcp::{App, RtcpPacket};
 
 use crate::tier::tier_from_gauge;
 
 /// RTCP packet type: application-defined (RFC 3550 §6.7).
-pub const PT_APP: u8 = 204;
+pub const PT_APP: u8 = adshare_rtp::rtcp::PT_APP;
 /// Four-character name identifying the adshare tier request.
 pub const APP_NAME: [u8; 4] = *b"ADTR";
 /// Wire size: common header (4) + SSRC (4) + name (4) + data (4).
@@ -32,19 +33,18 @@ pub struct TierRequest {
 }
 
 impl TierRequest {
-    /// Serialize to the 16-byte APP packet.
+    /// Serialize to the 16-byte APP packet (subtype 0).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(WIRE_LEN);
-        // V=2, P=0, subtype=0 in the count field.
-        out.push(2 << 6);
-        out.push(PT_APP);
-        // Length in 32-bit words minus one: 16 bytes → 3.
-        out.extend_from_slice(&(WIRE_LEN as u16 / 4 - 1).to_be_bytes());
-        out.extend_from_slice(&self.ssrc.to_be_bytes());
-        out.extend_from_slice(&APP_NAME);
-        out.push(self.tier.as_gauge() as u8);
-        out.extend_from_slice(&[0, 0, 0]);
-        out
+        self.app(&[self.tier.as_gauge() as u8, 0, 0, 0]).encode()
+    }
+
+    fn app<'a>(&self, data: &'a [u8]) -> App<'a> {
+        App {
+            subtype: 0,
+            ssrc: self.ssrc,
+            name: APP_NAME,
+            data,
+        }
     }
 
     /// Wrap for transmission on an existing RTCP path.
@@ -58,12 +58,10 @@ impl TierRequest {
     /// Parse from raw APP packet bytes (including the common header).
     /// `None` for anything that is not a well-formed `ADTR` request.
     pub fn decode(raw: &[u8]) -> Option<TierRequest> {
-        if raw.len() < WIRE_LEN || raw[1] != PT_APP || raw[8..12] != APP_NAME {
-            return None;
-        }
+        let app = App::parse(raw).filter(|a| a.name == APP_NAME)?;
         Some(TierRequest {
-            ssrc: u32::from_be_bytes([raw[4], raw[5], raw[6], raw[7]]),
-            tier: tier_from_gauge(raw[12])?,
+            ssrc: app.ssrc,
+            tier: tier_from_gauge(*app.data.first()?)?,
         })
     }
 
@@ -136,5 +134,15 @@ mod tests {
         assert_eq!(TierRequest::decode(&raw2), None);
         // Truncated.
         assert_eq!(TierRequest::decode(&raw2[..12]), None);
+        // The same bytes as the hand-built packet it replaced.
+        let req = TierRequest {
+            ssrc: 0x0102_0304,
+            tier: QualityTier::Balanced,
+        };
+        let gauge = QualityTier::Balanced.as_gauge() as u8;
+        let mut wire = vec![0x80, PT_APP, 0, 3, 1, 2, 3, 4];
+        wire.extend_from_slice(b"ADTR");
+        wire.extend_from_slice(&[gauge, 0, 0, 0]);
+        assert_eq!(req.encode(), wire);
     }
 }

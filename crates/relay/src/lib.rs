@@ -159,6 +159,9 @@ pub struct RelayStats {
     /// Upstream WindowManagerInfo records refused for a size no window can
     /// have, alone or together with the rest of their message.
     pub windows_refused: u64,
+    /// Upstream RegionUpdates refused before decoding because the tile
+    /// they declare cannot fit their window.
+    pub tiles_refused: u64,
 }
 
 impl RelayStats {
@@ -392,6 +395,7 @@ impl RelayNode {
             upstream_gap_nacks: feedback.nacks_sent,
             plis_upstream: feedback.plis_sent,
             windows_refused: self.mirror.windows_refused(),
+            tiles_refused: self.mirror.tiles_refused(),
             ..self.stats
         }
     }

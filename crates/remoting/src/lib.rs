@@ -25,6 +25,7 @@ pub mod hip;
 pub mod keycodes;
 pub mod message;
 pub mod packetizer;
+pub mod reference;
 pub mod registry;
 
 pub use error::Error;

@@ -122,11 +122,12 @@ impl Deframer {
 
     /// Feed `chunk` and hand every packet it completes to `on_packet`, in
     /// stream order. The same packets as [`Deframer::push`] followed by
-    /// [`Deframer::pop_bytes`] until `None`, without staging the chunk: a
-    /// frame that lies whole in `chunk` is copied out of it once, into its
-    /// packet, and only a frame cut off by the end of the chunk waits in the
-    /// buffer — which therefore never holds more than one frame, where
-    /// `push` keeps room for the largest chunk it ever saw.
+    /// [`Deframer::pop_bytes`] until `None`, without staging the chunk: the
+    /// frames that lie whole in `chunk` are copied out of it once, together,
+    /// into one buffer each packet is a slice of, and only a frame cut off
+    /// by the end of the chunk waits in the buffer — which therefore never
+    /// holds more than one frame, where `push` keeps room for the largest
+    /// chunk it ever saw.
     ///
     /// An oversized frame is the error it is for `pop`, now and on every
     /// later call, and what follows it is dropped rather than buffered.
@@ -152,15 +153,25 @@ impl Deframer {
         }
         self.buf.clear();
         self.pos = 0;
-        while let [hi, lo, rest @ ..] = chunk {
+        // The run of whole frames at the front of the chunk.
+        let mut whole = 0;
+        while let [hi, lo, rest @ ..] = &chunk[whole..] {
             let len = u16::from_be_bytes([*hi, *lo]) as usize;
             if len > self.max_frame || rest.len() < len {
                 break;
             }
-            on_packet(Bytes::copy_from_slice(&rest[..len]));
-            chunk = &rest[len..];
+            whole += 2 + len;
         }
-        self.buf.extend_from_slice(chunk);
+        if whole > 0 {
+            let frames = Bytes::copy_from_slice(&chunk[..whole]);
+            let mut at = 0;
+            while at < whole {
+                let len = u16::from_be_bytes([frames[at], frames[at + 1]]) as usize;
+                on_packet(frames.slice(at + 2..at + 2 + len));
+                at += 2 + len;
+            }
+        }
+        self.buf.extend_from_slice(&chunk[whole..]);
         // Incomplete (`None`) or oversized (the error).
         self.pop_bytes().map(|_| ())
     }

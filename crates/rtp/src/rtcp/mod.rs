@@ -13,11 +13,13 @@
 //!
 //! where `length` counts 32-bit words minus one.
 
+pub mod app;
 pub mod bye;
 pub mod feedback;
 pub mod report;
 pub mod sdes;
 
+pub use app::App;
 pub use bye::Bye;
 pub use feedback::{GenericNack, NackEntry, PictureLossIndication};
 pub use report::{compact_ntp, ReceiverReport, ReportBlock, SenderReport, DLSR_UNITS_PER_S};

@@ -20,6 +20,7 @@ use adshare_rate::{QualityTier, RateController};
 use adshare_remoting::hip::HipMessage;
 use adshare_remoting::keycodes;
 use adshare_remoting::message::RemotingMessage;
+use adshare_remoting::reference::Names;
 use adshare_rtp::packet::RtpPacket;
 use adshare_rtp::rtcp::{decode_compound, ReportBlock, RtcpPacket};
 use adshare_rtp::session::RtpSender;
@@ -77,6 +78,12 @@ adshare_obs::metric_set! {
         /// RR-driven tail-loss repairs (receiver behind the send tail with no
         /// later packet to reveal the gap; repaired from history).
         tail_repairs: counter "tail_repairs",
+        /// RegionUpdates sent as a reference to a tile the viewer reported
+        /// holding, instead of its pixels.
+        refs_sent: counter "refs_sent",
+        /// References a viewer could not resolve (its miss reports), each
+        /// answered with a full refresh.
+        ref_misses: counter "ref_misses",
         /// RTCP sender reports emitted.
         sr_sent: counter "sr_sent",
         /// HIP events accepted and injected.
@@ -679,7 +686,7 @@ impl AppHost {
         for pkt in packets {
             match pkt {
                 RtcpPacket::Pli(_) => {
-                    let served = leg.full_refresh(&cx, now_us);
+                    let served = leg.on_pli(&cx, now_us);
                     cx.event(
                         now_us,
                         actor,
@@ -706,6 +713,11 @@ impl AppHost {
                     }
                 }
                 RtcpPacket::Unknown { ref raw, .. } => {
+                    // A viewer's report of the tiles it holds, or of a
+                    // reference it could not resolve (RTCP APP "ADTN").
+                    if let Some(names) = Names::parse(raw) {
+                        leg.on_names(&cx, names, now_us);
+                    }
                     // A relay's tier subscription (RTCP APP "ADTR"): pin
                     // this path's published tier so the whole subtree
                     // stops paying for quality it cannot deliver.

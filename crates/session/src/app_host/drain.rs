@@ -15,6 +15,7 @@ use adshare_remoting::message::{
     MousePointerInfo, MoveRectangle, RegionUpdate, RemotingMessage, WindowManagerInfo,
     WindowRecord as WireWindowRecord,
 };
+use adshare_remoting::reference::REFERENCE_PT;
 use adshare_remoting::WindowId as WireWindowId;
 use adshare_screen::damage::DamageTracker;
 use adshare_screen::desktop::{Desktop, ScrollHint};
@@ -23,6 +24,7 @@ use bytes::Bytes;
 
 use super::{AppHost, Cx};
 use crate::config::{AhConfig, PointerPolicy};
+use crate::egress::Ledger;
 
 /// Per-participant pending output (what changed but has not been sent).
 #[derive(Debug, Default)]
@@ -411,7 +413,11 @@ impl AppHost {
     /// (damage age, encode cost, payload size); the flush path completes it
     /// with fragmentation and send timing before registering it.
     ///
+    /// A tile the encode cache served whose payload the leg's viewer
+    /// reported holding (`names`) goes as a reference to it instead.
+    ///
     /// The messages are appended to `out`, a buffer the leg keeps.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn drain_pending(
         cx: &mut Cx<'_>,
         pending: &mut Pending,
@@ -419,12 +425,14 @@ impl AppHost {
         now_us: u64,
         tier: QualityTier,
         mut degraded: Option<&mut HashMap<WindowId, DamageTracker>>,
+        names: &mut Ledger,
         out: &mut Vec<Drained>,
     ) {
         let (desktop, cfg, registry, counters) = (cx.desktop, cx.cfg, cx.registry, cx.counters);
         if pending.wmi {
             pending.wmi = false;
             out.push(Drained::control(Self::build_wmi_static(desktop)));
+            names.note_move();
             counters.wmi_msgs.inc();
         }
         for hint in std::mem::take(&mut pending.scrolls) {
@@ -454,6 +462,7 @@ impl AppHost {
                     dst_top: rec.rect.top + hint.dst_top,
                 },
             )));
+            names.note_move();
             counters.move_msgs.inc();
         }
         if cfg.pointer == PointerPolicy::Explicit && (pending.pointer_moved || pending.pointer_icon)
@@ -524,8 +533,19 @@ impl AppHost {
                     continue;
                 };
                 for t in region.iter() {
-                    let (pt, tile, payload, encode_us) =
+                    let (mut pt, tile, mut payload, encode_us) =
                         (t.payload_type, t.rect, t.payload, t.encode_us);
+                    let rec = desktop.wm().get(win).expect("checked above");
+                    let place = (rec.rect.left + tile.left, rec.rect.top + tile.top);
+                    let size = (tile.width, tile.height);
+                    let named = t.cache_hit && !names.is_empty();
+                    if let Some(reference) = named
+                        .then(|| names.reference(pt, &payload, place, size))
+                        .flatten()
+                    {
+                        (pt, payload) = (REFERENCE_PT, reference);
+                        counters.refs_sent.inc();
+                    }
                     spent += payload.len() as u64;
                     if tier.is_lossy() {
                         // A lossy encode leaves the participant with
@@ -545,14 +565,13 @@ impl AppHost {
                         bytes: payload.len() as u64,
                         ..FrameTrace::default()
                     };
-                    let rec = desktop.wm().get(win).expect("checked above");
                     let payload_bytes = payload.len() as u64;
                     out.push(Drained {
                         msg: RemotingMessage::RegionUpdate(RegionUpdate {
                             window_id: WireWindowId(win.0),
                             payload_type: pt,
-                            left: rec.rect.left + tile.left,
-                            top: rec.rect.top + tile.top,
+                            left: place.0,
+                            top: place.1,
                             payload,
                         }),
                         trace: Some(trace),
@@ -577,6 +596,7 @@ impl AppHost {
     /// supersede-on-coverage send queue (`drained` is working space the leg
     /// keeps). Returns the messages the pacer releases this flush, in FIFO
     /// order.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn drain_adaptive(
         cx: &mut Cx<'_>,
         pending: &mut Pending,
@@ -584,6 +604,7 @@ impl AppHost {
         budget: Option<u64>,
         now_us: u64,
         tier: QualityTier,
+        names: &mut Ledger,
         drained: &mut Vec<Drained>,
     ) -> Vec<Queued<(RemotingMessage, Option<FrameTrace>)>> {
         // Encode gate: stop producing fresh encodes while the queue already
@@ -604,6 +625,7 @@ impl AppHost {
             now_us,
             tier,
             Some(&mut rs.degraded),
+            names,
             drained,
         );
         if drained.iter().any(|d| d.region.is_some()) {

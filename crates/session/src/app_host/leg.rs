@@ -17,6 +17,7 @@ use adshare_netsim::time::us_to_ticks;
 use adshare_obs::{EventKind, FrameTrace, Obs, Registry, ACTOR_AH};
 use adshare_rate::RateController;
 use adshare_remoting::message::RemotingMessage;
+use adshare_remoting::reference::Names;
 use adshare_rtp::rtcp::{
     encode_compound, ReportBlock, RtcpPacket, SenderReport, SourceDescription,
 };
@@ -208,6 +209,7 @@ impl Leg {
                 budget,
                 now_us,
                 tier,
+                self.feedback.names(),
                 &mut drained,
             );
             for queued in released {
@@ -223,6 +225,7 @@ impl Leg {
                 now_us,
                 tier,
                 degraded,
+                self.feedback.names(),
                 &mut drained,
             );
             // A stream drains unbudgeted, so its whole repair just went
@@ -344,6 +347,30 @@ impl Leg {
         self.out
             .wire
             .send(cx.tap, StreamKind::Rtcp, ACTOR_AH, now_us, &bytes);
+    }
+
+    /// What a viewer says about the tiles it holds: a report fills the
+    /// leg's ledger, a miss (a reference it could not resolve) is answered
+    /// like a PLI. A group's members are never sent a reference, so their
+    /// reports are not read.
+    pub(super) fn on_names(&mut self, cx: &Cx<'_>, names: Names<'_>, now_us: u64) {
+        let ssrc = self.sender.ssrc();
+        match names {
+            _ if self.shared() => {}
+            Names::Report(report) => self.feedback.names().on_report(&report, ssrc),
+            Names::Miss(miss) if miss.media_ssrc == ssrc => {
+                cx.counters.ref_misses.inc();
+                self.on_pli(cx, now_us);
+            }
+            Names::Miss(_) => {}
+        }
+    }
+
+    /// A PLI: refresh the whole screen, and send nothing by name until the
+    /// viewer reports again. Returns whether the refresh was scheduled.
+    pub(super) fn on_pli(&mut self, cx: &Cx<'_>, now_us: u64) -> bool {
+        self.feedback.names().clear();
+        self.full_refresh(cx, now_us)
     }
 
     /// Schedule a full refresh, subject to the adaptive controller's PLI

@@ -36,7 +36,9 @@ use adshare_rtp::{RtpHeader, RtpPacket};
 use bytes::Bytes;
 
 mod feedback;
+mod ledger;
 pub use feedback::{Congestion, Feedback, Tail};
+pub use ledger::{Ledger, MEMO_MAX};
 
 /// Running egress digest plus the capture sink recording the same bytes.
 #[derive(Debug)]

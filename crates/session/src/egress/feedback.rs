@@ -13,7 +13,7 @@ use adshare_obs::{
 use adshare_rate::RateController;
 use adshare_rtp::rtcp::{compact_ntp, ReportBlock, DLSR_UNITS_PER_S};
 
-use super::Downstream;
+use super::{Downstream, Ledger};
 
 /// Largest RR tail deficit worth repairing packet-by-packet; beyond this
 /// (or past the history window) a refresh is cheaper.
@@ -75,13 +75,29 @@ pub struct Feedback {
     /// first (`(0, 0)` where none was sent).
     srs: [(u32, u64); SR_MEMORY],
     clock: Clock,
+    /// The tiles the viewer said it holds (only a unicast AH leg reads
+    /// reports into it: a relay leg's viewers and a group's members are
+    /// never sent a reference).
+    names: Ledger,
 }
 
 impl Feedback {
     /// The feedback half of a leg whose rate events name `actor`.
     pub fn new(actor: u16) -> Self {
         let (srs, clock) = ([(0, 0); SR_MEMORY], Clock::default());
-        Feedback { actor, srs, clock }
+        let names = Ledger::default();
+        Feedback {
+            actor,
+            srs,
+            clock,
+            names,
+        }
+    }
+
+    /// The names the viewer reported (`Ledger::on_report`): what the leg
+    /// may send by name, and what a PLI or a miss clears.
+    pub fn names(&mut self) -> &mut Ledger {
+        &mut self.names
     }
 
     /// Adopt the `{prefix}.rtt_us` gauge.

@@ -150,6 +150,11 @@ impl Ingress {
         self.ssrc
     }
 
+    /// SSRC of the latest media packet, the one all feedback names.
+    pub fn media_ssrc(&self) -> u32 {
+        self.media_ssrc
+    }
+
     /// Feedback sent so far.
     pub fn stats(&self) -> IngressStats {
         self.stats

@@ -9,7 +9,8 @@ use std::collections::HashMap;
 
 use adshare_codec::image::check_dims;
 use adshare_codec::{Codec, CodecRegistry, Rect};
-use adshare_remoting::message::RemotingMessage;
+use adshare_remoting::message::{RegionUpdate, RemotingMessage};
+use adshare_remoting::reference::{Held, TileRef, REFERENCE_PT, REPORT_MAX_NAMES};
 
 mod tiles;
 mod window;
@@ -61,6 +62,16 @@ pub enum Applied {
     UnknownWindow,
     /// A RegionUpdate whose payload type or payload does not decode.
     Undecodable,
+    /// A RegionUpdate whose payload or reference declares a tile larger
+    /// than its window (a reference: one not wholly inside it), refused
+    /// before anything was decoded or copied.
+    TooLarge,
+    /// A reference to a tile this mirror does not hold (or holds at
+    /// another size): nothing changed, and the sender owes the pixels.
+    Missed {
+        /// The name the reference gave.
+        name: u64,
+    },
 }
 
 /// One receiver's copy of the shared windows.
@@ -76,10 +87,20 @@ pub struct Mirror {
     synced: bool,
     /// WMI records refused because no image can have their size.
     windows_refused: u64,
+    /// RegionUpdates refused because their tile cannot fit their window.
+    tiles_refused: u64,
+    /// `MoveRectangle` and WindowManagerInfo messages applied (wrapping):
+    /// each may change what any rectangle shows.
+    moves: u16,
+    /// Whether references ([`REFERENCE_PT`]) are resolved here: a viewer's
+    /// mirror, whose names its sender learns from its reports. A relay's
+    /// reports nothing, so a reference there is undecodable.
+    references: bool,
 }
 
 impl Mirror {
-    /// An empty mirror whose parked-tile names are keyed with `seed`.
+    /// An empty mirror whose parked-tile names are keyed with `seed`, and
+    /// which treats a reference as undecodable.
     pub fn new(seed: u64) -> Self {
         Mirror {
             windows: HashMap::new(),
@@ -88,11 +109,29 @@ impl Mirror {
             tiles: TileStore::new(seed),
             synced: false,
             windows_refused: 0,
+            tiles_refused: 0,
+            moves: 0,
+            references: false,
+        }
+    }
+
+    /// [`Mirror::new`] for a viewer: references to the tiles it holds are
+    /// resolved ([`Mirror::names_into`] says which).
+    pub fn resolving(seed: u64) -> Self {
+        Mirror {
+            references: true,
+            ..Mirror::new(seed)
         }
     }
 
     /// Apply one remoting message.
     pub fn apply(&mut self, msg: &RemotingMessage) -> Applied {
+        if matches!(
+            msg,
+            RemotingMessage::WindowManagerInfo(_) | RemotingMessage::MoveRectangle(_)
+        ) {
+            self.moves = self.moves.wrapping_add(1);
+        }
         match msg {
             RemotingMessage::WindowManagerInfo(wmi) => {
                 // Windows a receiver cannot hold all at once are not
@@ -138,6 +177,13 @@ impl Mirror {
                 self.z_order.retain(|id| windows.contains_key(id));
                 Applied::Windows
             }
+            RemotingMessage::RegionUpdate(ru) if ru.payload_type == REFERENCE_PT => {
+                match TileRef::decode(&ru.payload).filter(|_| self.references) {
+                    Some(r) => self.resolve(ru, r),
+                    None if self.windows.contains_key(&ru.window_id.0) => Applied::Undecodable,
+                    None => Applied::UnknownWindow,
+                }
+            }
             RemotingMessage::RegionUpdate(ru) => {
                 let Some(win) = self.windows.get_mut(&ru.window_id.0) else {
                     return Applied::UnknownWindow;
@@ -145,8 +191,18 @@ impl Mirror {
                 let Some(codec) = self.registry.get(ru.payload_type) else {
                     return Applied::Undecodable;
                 };
+                // The size the payload claims, checked before a byte of it
+                // is decoded: no tile larger than its window is drawn.
+                let Ok((width, height)) = codec.dims(&ru.payload) else {
+                    return Applied::Undecodable;
+                };
+                if !win.fits(width, height) {
+                    self.tiles_refused += 1;
+                    return Applied::TooLarge;
+                }
                 let key = self.tiles.key(ru.payload_type, &ru.payload);
-                let drawn = win.region_update(&mut self.tiles, key, (ru.left, ru.top), || {
+                let at = (ru.left, ru.top);
+                let drawn = win.region_update(&mut self.tiles, key, at, false, || {
                     codec.decode(&ru.payload)
                 });
                 match drawn {
@@ -174,6 +230,85 @@ impl Mirror {
         }
     }
 
+    /// Draw the tile reference `r` carried by `ru`: from the window's own
+    /// record or the parked store as any update would be, else copied from
+    /// a window that shows it (the target first, then bottom to top).
+    fn resolve(&mut self, ru: &RegionUpdate, r: TileRef) -> Applied {
+        let Some(win) = self.windows.get(&ru.window_id.0) else {
+            return Applied::UnknownWindow;
+        };
+        let size = (u32::from(r.width), u32::from(r.height));
+        let Some(rect) = win.inside_at((ru.left, ru.top), size.0, size.1) else {
+            self.tiles_refused += 1;
+            return Applied::TooLarge;
+        };
+        let key = self.tiles.named(r.payload_type, r.len, r.name);
+        let copy = if win.finds(&self.tiles, key, rect) {
+            None
+        } else {
+            let shown = |w: &PWindow| w.shown_copy(key, size);
+            let copy = shown(win).or_else(|| self.stacked().find_map(|(_, w)| shown(w)));
+            match copy {
+                Some(pixels) => Some(pixels),
+                None => return Applied::Missed { name: r.name },
+            }
+        };
+        let win = self
+            .windows
+            .get_mut(&ru.window_id.0)
+            .expect("looked up above");
+        let at = (ru.left, ru.top);
+        let fetch = || copy.ok_or(adshare_codec::Error::Truncated("tile reference"));
+        match win.region_update(&mut self.tiles, key, at, true, fetch) {
+            Ok((how, (width, height))) => Applied::Region {
+                window: ru.window_id.0,
+                rect: Rect::new(ru.left, ru.top, width, height),
+                how,
+            },
+            Err(_) => Applied::Missed { name: r.name },
+        }
+    }
+
+    /// The seed this mirror names payloads with.
+    pub fn seed(&self) -> u64 {
+        self.tiles.seed()
+    }
+
+    /// `MoveRectangle` and WindowManagerInfo messages applied so far,
+    /// wrapping: a sender that sent more since trusts no shown name.
+    pub fn moves(&self) -> u16 {
+        self.moves
+    }
+
+    /// Every name a reference to this mirror resolves right now — the
+    /// parked tiles anywhere, and what the windows are known to show where
+    /// they show it — with the length of the payload it names, sorted, at
+    /// most [`REPORT_MAX_NAMES`], into `out`.
+    pub fn names_into(&self, out: &mut Vec<(Held, u32)>) {
+        out.clear();
+        out.extend(self.tiles.held());
+        for w in self.windows.values() {
+            out.extend(w.held());
+        }
+        // Sorted, so that no map order reaches the wire.
+        out.sort_unstable();
+        out.dedup_by_key(|(held, _)| *held);
+        out.truncate(REPORT_MAX_NAMES);
+    }
+
+    /// Names that became held so far: [`Mirror::names_into`] can have
+    /// grown only when this moved.
+    pub fn gained(&self) -> u64 {
+        self.tiles.gained()
+    }
+
+    /// Note that `reported` went to the sender: from now on a window that
+    /// stops showing one of those names parks it, as it would a tile known
+    /// to come back, so the sender's next reference to it still resolves.
+    pub fn pin(&mut self, reported: impl Iterator<Item = Held>) {
+        self.tiles.pin(reported);
+    }
+
     /// [`message_cap`] of the largest window open here.
     pub fn message_cap(&self) -> usize {
         let pixels = |w: &PWindow| w.ah_rect().width as usize * w.ah_rect().height as usize;
@@ -191,6 +326,12 @@ impl Mirror {
     /// [`WINDOW_BYTES_CEILING`].
     pub fn windows_refused(&self) -> u64 {
         self.windows_refused
+    }
+
+    /// RegionUpdates refused because the tile they declare (a payload's
+    /// header, or a reference) cannot fit its window.
+    pub fn tiles_refused(&self) -> u64 {
+        self.tiles_refused
     }
 
     /// One window, if the latest WMI lists it.

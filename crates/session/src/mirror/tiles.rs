@@ -9,6 +9,7 @@
 
 use adshare_codec::checksum::keyed_hash64;
 use adshare_codec::{Image, Rect};
+use adshare_remoting::reference::{Held, REPORT_MAX_NAMES};
 
 /// Most bytes of parked pixels one mirror keeps.
 pub const PARKED_CEILING_BYTES: usize = 512 << 10;
@@ -17,8 +18,14 @@ pub const PARKED_CEILING_BYTES: usize = 512 << 10;
 /// them all.
 const PARKED_MAX: usize = 64;
 
-/// Doorkeeper slots (one `u64` each), indexed by the sight's top bits.
+/// Doorkeeper slots (one `u64` each), in sets of [`DOORKEEPER_WAYS`]
+/// picked by the sight's top bits.
 const DOORKEEPER_SLOTS: usize = 256;
+
+/// Sights one doorkeeper set remembers, most recent first: two sights that
+/// keep coming back and share a set are both kept, where one slot each
+/// would have them push each other out for ever.
+const DOORKEEPER_WAYS: usize = 4;
 
 /// Most rectangles one window remembers the name of.
 const SHOWN_MAX: usize = 32;
@@ -51,9 +58,15 @@ pub(super) struct TileStore {
     parked: Vec<Parked>,
     bytes: usize,
     evictions: u64,
-    /// The last (name, place) sight per slot, mixed into one word; 0 = none
-    /// yet.
+    /// The latest (name, place) sights per set, each mixed into one word
+    /// and most recent first; 0 = none yet.
     doorkeeper: [u64; DOORKEEPER_SLOTS],
+    /// The names last reported to the sender, sorted: it may send any of
+    /// them by name, so a window that stops showing one parks it.
+    pinned: Vec<u64>,
+    /// Names that became held so far, parked or recorded on a screen: the
+    /// set of names can have grown only when this moved.
+    gained: u64,
 }
 
 impl TileStore {
@@ -64,31 +77,88 @@ impl TileStore {
             bytes: 0,
             evictions: 0,
             doorkeeper: [0; DOORKEEPER_SLOTS],
+            pinned: Vec::new(),
+            gained: 0,
         }
     }
 
     /// The name of `payload` carried as `payload_type`.
     pub(super) fn key(&self, payload_type: u8, payload: &[u8]) -> TileKey {
+        // A remoting message is far below 4 GiB; a longer payload only
+        // shares its length field with shorter ones.
+        let len = payload.len() as u32;
+        self.named(payload_type, len, keyed_hash64(self.seed, payload))
+    }
+
+    /// The name a reference gives: the hash a sender computed with this
+    /// store's seed, of a `len`-byte payload of type `payload_type`.
+    pub(super) fn named(&self, payload_type: u8, len: u32, hash: u64) -> TileKey {
         TileKey {
-            hash: keyed_hash64(self.seed, payload),
-            // A remoting message is far below 4 GiB; a longer payload only
-            // shares its length field with shorter ones.
-            len: payload.len() as u32,
+            hash,
+            len,
             payload_type,
         }
+    }
+
+    /// The seed every name here is keyed with.
+    pub(super) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The names parked here, held anywhere, with their payloads' lengths.
+    pub(super) fn held(&self) -> impl Iterator<Item = (Held, u32)> + '_ {
+        let parked = |p: &Parked| {
+            let held = Held {
+                name: p.key.hash,
+                place: Held::PARKED,
+            };
+            (held, p.key.len)
+        };
+        self.parked.iter().map(parked)
+    }
+
+    /// Remember `reported` as what the sender may name from now on.
+    pub(super) fn pin(&mut self, reported: impl Iterator<Item = Held>) {
+        if self.pinned.capacity() == 0 {
+            self.pinned.reserve_exact(REPORT_MAX_NAMES);
+        }
+        self.pinned.clear();
+        self.pinned
+            .extend(reported.take(REPORT_MAX_NAMES).map(|h| h.name));
+        self.pinned.sort_unstable();
+    }
+
+    /// Count a name a window's screen now reports.
+    pub(super) fn note_shown(&mut self) {
+        self.gained += 1;
+    }
+
+    /// Names that became held so far (parked, or recorded on a screen).
+    pub(super) fn gained(&self) -> u64 {
+        self.gained
+    }
+
+    /// Whether the sender was told this mirror holds `key`.
+    pub(super) fn pinned(&self, key: TileKey) -> bool {
+        self.pinned.binary_search(&key.hash).is_ok()
     }
 
     /// Note one sight of `key` drawn with its corner at (`left`, `top`);
     /// whether the doorkeeper already held that. The place counts because
     /// content that comes back comes back where it was, while a background
     /// tile seen once at each of many places has not come back at all. A
-    /// slot keeps only the latest sight that mapped to it, so one can be
+    /// set keeps only the latest sights that mapped to it, so one can be
     /// forgotten between two — the tile is then admitted one sight later.
     pub(super) fn seen_before(&mut self, key: TileKey, left: u32, top: u32) -> bool {
         let place = ((left as u64) << 32 | top as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mark = (key.hash ^ place) | 1;
-        let slot = &mut self.doorkeeper[(mark >> 56) as usize % DOORKEEPER_SLOTS];
-        std::mem::replace(slot, mark) == mark
+        let set = (mark >> 56) as usize % (DOORKEEPER_SLOTS / DOORKEEPER_WAYS);
+        let ways = &mut self.doorkeeper[set * DOORKEEPER_WAYS..][..DOORKEEPER_WAYS];
+        let seen = ways.iter().position(|&w| w == mark);
+        // The sight moves to the front; a new one pushes out the oldest.
+        ways[..=seen.unwrap_or(DOORKEEPER_WAYS - 1)].rotate_right(1);
+        ways[0] = mark;
+        seen.is_some()
     }
 
     /// Width and height of the pixels parked under `key`.
@@ -124,6 +194,7 @@ impl TileStore {
         }
         self.bytes += size;
         self.parked.push(Parked { key, pixels });
+        self.gained += 1;
         true
     }
 
@@ -149,6 +220,12 @@ pub(super) struct Shown {
     /// (rather than only been sent again while still showing): its pixels
     /// are worth parking when something else is drawn over them.
     pub(super) returned: bool,
+    /// Whether it has been sent here more than once, or took its turn with
+    /// a name the sender was told of: only such a record is reported.
+    pub(super) repeat: bool,
+    /// Whether the sender last put it here by name: it names it, so what
+    /// replaces it is likely to take turns with it.
+    pub(super) named: bool,
 }
 
 /// What one window is known to show, least recently drawn or confirmed
@@ -179,17 +256,45 @@ impl OnScreen {
         self.shown.iter().find(|s| s.rect == *rect).copied()
     }
 
-    /// The rectangle whose corner is (`left`, `top`), if it shows `key`.
-    /// The same payload again while it is showing is a resend, not the
-    /// content coming back, so this does not mark the record `returned`.
-    pub(super) fn confirm(&mut self, key: TileKey, left: u32, top: u32) -> Option<Rect> {
+    /// A rectangle of `width`×`height` that shows `key`, if any.
+    pub(super) fn find(&self, key: TileKey, (width, height): (u32, u32)) -> Option<Rect> {
+        let fits = |s: &&Shown| s.key == key && (s.rect.width, s.rect.height) == (width, height);
+        self.shown.iter().find(fits).map(|s| s.rect)
+    }
+
+    /// The names shown more than once, each at its corner offset by
+    /// `origin`, with their payloads' lengths.
+    pub(super) fn held(&self, origin: (u32, u32)) -> impl Iterator<Item = (Held, u32)> + '_ {
+        self.shown.iter().filter(|s| s.repeat).map(move |s| {
+            let held = Held {
+                name: s.key.hash,
+                place: (origin.0 + s.rect.left, origin.1 + s.rect.top),
+            };
+            (held, s.key.len)
+        })
+    }
+
+    /// The record whose corner is (`left`, `top`), if it shows `key`, as it
+    /// was. The same payload again while it is showing is a resend, not the
+    /// content coming back, so this does not mark the record `returned` —
+    /// but it is a repeat.
+    pub(super) fn confirm(
+        &mut self,
+        key: TileKey,
+        (left, top): (u32, u32),
+        named: bool,
+    ) -> Option<Shown> {
         let at = self
             .shown
             .iter()
             .position(|s| s.key == key && (s.rect.left, s.rect.top) == (left, top))?;
         let seen = self.shown.remove(at);
-        self.shown.push(seen);
-        Some(seen.rect)
+        self.shown.push(Shown {
+            repeat: true,
+            named,
+            ..seen
+        });
+        Some(seen)
     }
 
     /// Record what was just drawn over the whole of `shown.rect` (already
@@ -238,6 +343,40 @@ mod tests {
     }
 
     #[test]
+    fn sights_that_share_a_set_keep_coming_back_without_pushing_each_other_out() {
+        let mut store = TileStore::new(3);
+        // Four names whose sights at one place fall into one set, seen in
+        // turn: a one-slot doorkeeper would forget each before it returned.
+        let sets = DOORKEEPER_SLOTS / DOORKEEPER_WAYS;
+        let set_of = |k: TileKey| {
+            let place = (5u64 << 32 | 7).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (((k.hash ^ place) | 1) >> 56) as usize % sets
+        };
+        let first = store.key(96, &0u32.to_le_bytes());
+        let same: Vec<TileKey> = (0..100_000u32)
+            .map(|i| store.key(96, &i.to_le_bytes()))
+            .filter(|&k| set_of(k) == set_of(first))
+            .take(DOORKEEPER_WAYS)
+            .collect();
+        assert_eq!(same.len(), DOORKEEPER_WAYS);
+        for &k in &same {
+            assert!(!store.seen_before(k, 5, 7));
+        }
+        for round in 0..3 {
+            for &k in &same {
+                assert!(store.seen_before(k, 5, 7), "round {round}");
+            }
+        }
+        // One more in the set pushes out the least recent.
+        let extra = (100_000..200_000u32)
+            .map(|i| store.key(96, &i.to_le_bytes()))
+            .find(|&k| set_of(k) == set_of(first))
+            .unwrap();
+        assert!(!store.seen_before(extra, 5, 7));
+        assert!(!store.seen_before(same[0], 5, 7), "the oldest went");
+    }
+
+    #[test]
     fn park_take_round_trip_and_duplicate_names_are_dropped() {
         let mut store = TileStore::new(1);
         let k = store.key(96, b"a");
@@ -282,6 +421,8 @@ mod tests {
                 rect: Rect::new(i * 2, 0, 1, 1),
                 key: store.key(96, &i.to_le_bytes()),
                 returned: false,
+                repeat: false,
+                named: false,
             });
             assert!(screen.shown.len() <= SHOWN_MAX);
             assert_eq!(screen.shown.capacity(), SHOWN_MAX);
@@ -289,9 +430,13 @@ mod tests {
         let last = store.key(96, &999u32.to_le_bytes());
         assert!(screen.at(&Rect::new(0, 0, 1, 1)).is_none(), "stalest left");
         assert_eq!(screen.at(&Rect::new(1998, 0, 1, 1)).unwrap().key, last);
-        assert!(screen.confirm(last, 1996, 0).is_none(), "another corner");
-        assert!(screen.confirm(last, 1998, 0).is_some());
-        assert!(!screen.at(&Rect::new(1998, 0, 1, 1)).unwrap().returned);
+        assert!(
+            screen.confirm(last, (1996, 0), false).is_none(),
+            "another corner"
+        );
+        assert!(!screen.confirm(last, (1998, 0), false).unwrap().repeat);
+        let confirmed = screen.at(&Rect::new(1998, 0, 1, 1)).unwrap();
+        assert!(!confirmed.returned && confirmed.repeat);
         // Confirmed means recently used: 31 more records push out the
         // others first.
         for i in 0..31 {
@@ -299,6 +444,8 @@ mod tests {
                 rect: Rect::new(i * 2, 10, 1, 1),
                 key: last,
                 returned: true,
+                repeat: true,
+                named: false,
             });
         }
         assert!(screen.at(&Rect::new(1998, 0, 1, 1)).is_some());

@@ -3,6 +3,8 @@
 
 use adshare_codec::{Image, Rect};
 
+use adshare_remoting::reference::Held;
+
 use super::tiles::{OnScreen, Shown, TileKey, TileStore};
 
 /// How a `RegionUpdate` reached the screen.
@@ -103,24 +105,65 @@ impl PWindow {
         (!rect.is_empty() && self.content.bounds().contains_rect(&rect)).then_some(rect)
     }
 
+    /// Whether a `width`×`height` tile fits inside the window at all.
+    pub(super) fn fits(&self, width: u32, height: u32) -> bool {
+        width <= self.ah_rect.width && height <= self.ah_rect.height
+    }
+
+    /// The window-local rectangle of the `width`×`height` tile whose corner
+    /// is at absolute (`left`, `top`), when all of it lies inside.
+    pub(super) fn inside_at(
+        &self,
+        (left, top): (u32, u32),
+        width: u32,
+        height: u32,
+    ) -> Option<Rect> {
+        let (x, y) = self.local(left, top);
+        let corner = (u32::try_from(x).ok()?, u32::try_from(y).ok()?);
+        self.inside(corner, width, height)
+    }
+
+    /// Whether [`PWindow::region_update`] finds the pixels named `key` for
+    /// `rect` (window-local) without a decode: shown there already, or
+    /// parked at that size.
+    pub(super) fn finds(&self, tiles: &TileStore, key: TileKey, rect: Rect) -> bool {
+        let shown = self.screen.at(&rect).is_some_and(|s| s.key == key);
+        shown || tiles.parked_size(key) == Some((rect.width, rect.height))
+    }
+
+    /// A copy of what this window shows under `key` at a `size` rectangle.
+    pub(super) fn shown_copy(&self, key: TileKey, size: (u32, u32)) -> Option<Image> {
+        self.content.crop(self.screen.find(key, size)?).ok()
+    }
+
+    /// The names this window shows, at their absolute corners, with their
+    /// payloads' lengths.
+    pub(super) fn held(&self) -> impl Iterator<Item = (Held, u32)> + '_ {
+        self.screen.held((self.ah_rect.left, self.ah_rect.top))
+    }
+
     /// Apply a `RegionUpdate` whose payload is named `key` and whose
-    /// upper-left corner is at absolute (`left`, `top`): how it was drawn,
-    /// and the tile's width and height. `decode` runs only when neither the
-    /// screen nor `tiles` already has the pixels; its error is returned
-    /// with nothing changed.
+    /// upper-left corner is at absolute (`left`, `top`), sent `named` (as a
+    /// reference) or as the payload: how it was drawn, and the tile's width
+    /// and height. `decode` runs only when neither the screen nor `tiles`
+    /// already has the pixels; its error is returned with nothing changed.
     pub(super) fn region_update(
         &mut self,
         tiles: &mut TileStore,
         key: TileKey,
         (left, top): (u32, u32),
+        named: bool,
         decode: impl FnOnce() -> adshare_codec::Result<Image>,
     ) -> adshare_codec::Result<(Drawn, (u32, u32))> {
         let at = self.local(left, top);
         // A corner left of or above the window rules out everything but
         // decoding and drawing what is left of the tile.
         let corner = u32::try_from(at.0).ok().zip(u32::try_from(at.1).ok());
-        if let Some(shown) = corner.and_then(|(x, y)| self.screen.confirm(key, x, y)) {
-            return Ok((Drawn::AlreadyShown, (shown.width, shown.height)));
+        if let Some(shown) = corner.and_then(|c| self.screen.confirm(key, c, named)) {
+            if !shown.repeat {
+                tiles.note_shown();
+            }
+            return Ok((Drawn::AlreadyShown, (shown.rect.width, shown.rect.height)));
         }
         let parked_here = corner
             .zip(tiles.parked_size(key))
@@ -129,10 +172,13 @@ impl PWindow {
             let mut pixels = tiles.take(key).expect("size just read");
             let displaced = self.screen.at(&rect);
             self.exchange(rect, &mut pixels);
+            tiles.note_shown();
             self.screen.record(Shown {
                 rect,
                 key,
                 returned: true,
+                repeat: true,
+                named,
             });
             // The buffer now holds what was on screen: keep it under that
             // name if it has one, else let it go.
@@ -148,16 +194,23 @@ impl PWindow {
             self.draw_clipped(&pixels, at);
             return Ok((Drawn::Decoded { parked: false }, size));
         };
-        // A tile is given a name on the screen only from its second sight
-        // here on (most content never returns, and is drawn and forgotten),
-        // and is worth keeping only if that sight found something else on
-        // the screen: sent again while still showing, it has not come back.
-        let seen = tiles.seen_before(key, rect.left, rect.top);
+        // A tile is recorded on the screen at once, so that the same payload
+        // sent again while it shows costs nothing, but counts as a repeat —
+        // reported to the sender — only from its second sight here on (most
+        // content never returns), or when it replaces a tile the sender put
+        // here by a name it was told of (the two take turns: a slideshow's
+        // slides, never named, do not). It is worth keeping only if that
+        // sight found something else on the screen: sent again while still
+        // showing, it has not come back.
+        let displaced = self.screen.at(&rect);
+        let turn = displaced.is_some_and(|old| old.named && tiles.pinned(old.key));
+        let seen = tiles.seen_before(key, rect.left, rect.top) || turn;
         let returned = seen && !self.content.region_equals(&pixels, rect.left, rect.top);
-        // What `rect` shows is kept if it is known to come back: swapped
-        // out into the decoder's own buffer, so parking allocates nothing.
-        let parked = match self.screen.at(&rect) {
-            Some(old) if old.returned => {
+        // What `rect` shows is kept if it is known to come back, or if the
+        // sender was told it is held here: swapped out into the decoder's
+        // own buffer, so parking allocates nothing.
+        let parked = match displaced {
+            Some(old) if old.returned || tiles.pinned(old.key) => {
                 self.exchange(rect, &mut pixels);
                 tiles.park(old.key, pixels)
             }
@@ -167,12 +220,15 @@ impl PWindow {
             }
         };
         if seen {
-            self.screen.record(Shown {
-                rect,
-                key,
-                returned,
-            });
+            tiles.note_shown();
         }
+        self.screen.record(Shown {
+            rect,
+            key,
+            returned,
+            repeat: seen,
+            named,
+        });
         Ok((Drawn::Decoded { parked }, size))
     }
 

@@ -10,6 +10,7 @@ use adshare_obs::{EventKind, Obs};
 use adshare_remoting::hip::HipMessage;
 use adshare_remoting::message::{MousePointerInfo, RemotingMessage};
 use adshare_remoting::packetizer::HipPacketizer;
+use adshare_remoting::reference::{Held, Miss, NameReport, REFERENCE_PT};
 use adshare_remoting::WindowId as WireWindowId;
 use adshare_rtp::framing::Deframer;
 use adshare_rtp::packet::RtpPacket;
@@ -59,6 +60,50 @@ pub struct ParticipantStats {
     /// alone or together with the rest of their message
     /// ([`WINDOW_BYTES_CEILING`]).
     pub windows_refused: u64,
+    /// RegionUpdates refused before decoding because the tile their
+    /// payload or reference declares cannot fit their window.
+    pub tiles_refused: u64,
+    /// RegionUpdates that named a tile held here instead of carrying it.
+    pub refs_resolved: u64,
+    /// References to a tile not held here, each answered with a miss
+    /// report (and by the sender with a refresh).
+    pub refs_missed: u64,
+    /// Reports of the names held here sent to the sender.
+    pub name_reports: u64,
+}
+
+/// Earliest a set of names that gained worthwhile ones is reported again
+/// after the last report (20 ms at 90 kHz); otherwise the set goes with
+/// each receiver report.
+const REPORT_MIN_TICKS: u64 = 1_800;
+
+/// Least payload bytes newly held names must stand for before they are
+/// reported early, in a datagram of their own: a few packets' worth (and
+/// more than a full report's 4 KiB), which a photographic tile is and a
+/// typed word is not.
+const EARLY_REPORT_GAIN_BYTES: usize = 4_096;
+
+/// What a viewer has told its sender about the tiles it holds.
+#[derive(Debug, Default)]
+struct Reported {
+    /// The names as last reported, sorted.
+    names: Vec<Held>,
+    /// The names now with their payloads' lengths: working space, kept
+    /// between ticks.
+    now: Vec<(Held, u32)>,
+    /// Whether any report went out (before one, an empty set is news to
+    /// nobody).
+    any: bool,
+    /// When the last one went out (90 kHz).
+    at_ticks: u64,
+    /// A miss or a PLI was sent: the sender forgot every name, so report
+    /// again as soon as the rate allows even if nothing changed.
+    due: bool,
+    /// PLIs sent as of the last look.
+    plis: u64,
+    /// [`Mirror::gained`] as of the last look: while it stands still the
+    /// set cannot have gained a name, and is not listed again.
+    gained: u64,
 }
 
 /// The participant (Figure 1's client side).
@@ -99,6 +144,8 @@ pub struct Participant {
     last_copy_stats: (u64, u64),
     /// Dropped-partial count already reported to the recorder.
     last_dropped: u64,
+    /// The names reported to the sender, so it can send them by name.
+    reported: Reported,
 }
 
 adshare_obs::metric_set! {
@@ -132,7 +179,7 @@ impl Participant {
             ),
             hip: HipPacketizer::new(RtpSender::new(ssrc ^ 0xffff, 100, &mut rng), 1400),
             // Drawn after the HIP sender's values, which stay what they were.
-            mirror: Mirror::new(rng.gen()),
+            mirror: Mirror::resolving(rng.gen()),
             local_pos: HashMap::new(),
             deframer: Deframer::default(),
             floor: FloorClient::new(1, user_id, 0),
@@ -146,6 +193,7 @@ impl Participant {
             obs_actor: 0,
             last_copy_stats: (0, 0),
             last_dropped: 0,
+            reported: Reported::default(),
         }
     }
 
@@ -193,6 +241,7 @@ impl Participant {
             parked_bytes: parked_bytes as u64,
             parked_evictions,
             windows_refused: self.mirror.windows_refused(),
+            tiles_refused: self.mirror.tiles_refused(),
             ..self.stats
         }
     }
@@ -218,13 +267,61 @@ impl Participant {
     }
 
     /// Periodic housekeeping ([`Ingress::tick`]): resync PLI while no
-    /// WindowManagerInfo has arrived, due and stale NACKs, receiver report.
+    /// WindowManagerInfo has arrived, due and stale NACKs, receiver report
+    /// — and the report of the names this viewer holds.
     pub fn tick(&mut self, now_ticks: u64) {
-        if let Some(block) = self.rx.tick(now_ticks, self.mirror.synced()) {
+        let block = self.rx.tick(now_ticks, self.mirror.synced());
+        if let Some(block) = &block {
             let gauges = &self.metrics;
             gauges.rtcp_cum_lost.set(block.cumulative_lost as i64);
             gauges.rtcp_highest_seq.set(block.highest_seq as i64);
         }
+        self.report_names(now_ticks, block.is_some());
+    }
+
+    /// Queue a report of every name the mirror resolves (DESIGN §5.2 "Tile
+    /// references"): with each receiver report once there is something to
+    /// say, and early — at most every [`REPORT_MIN_TICKS`] — when a miss or
+    /// a PLI made the sender forget the set, or when it gained names whose
+    /// payloads reach [`EARLY_REPORT_GAIN_BYTES`] (small tiles that come
+    /// and go, typed text, wait for the receiver report). A viewer that
+    /// never held a name never sends one.
+    fn report_names(&mut self, now_ticks: u64, with_rr: bool) {
+        let r = &mut self.reported;
+        let plis = self.rx.stats().plis_sent;
+        r.due |= std::mem::replace(&mut r.plis, plis) != plis;
+        let gained = self.mirror.gained();
+        if !(with_rr || r.due || gained != r.gained) {
+            return;
+        }
+        self.mirror.names_into(&mut r.now);
+        let known = |(held, _): &&(Held, u32)| r.names.binary_search(held).is_ok();
+        let new_bytes: usize = r
+            .now
+            .iter()
+            .filter(|e| !known(e))
+            .map(|e| e.1 as usize)
+            .sum();
+        let worth = new_bytes >= EARLY_REPORT_GAIN_BYTES;
+        let rate = now_ticks.saturating_sub(r.at_ticks) >= REPORT_MIN_TICKS;
+        // Looked: the next look waits for a name gained, unless the rate
+        // is holding back a report worth sending.
+        if rate || !worth {
+            r.gained = gained;
+        }
+        let early = (r.due || worth) && rate;
+        if (!r.any && r.now.is_empty()) || !(with_rr || early) {
+            return;
+        }
+        let (ssrc, media) = (self.rx.ssrc(), self.rx.media_ssrc());
+        r.names.clear();
+        r.names.extend(r.now.iter().map(|e| e.0));
+        let (seed, moves) = (self.mirror.seed(), self.mirror.moves());
+        let report = NameReport::packet(ssrc, media, seed, moves, &r.names);
+        self.rx.queue_rtcp(report);
+        self.mirror.pin(r.names.iter().copied());
+        (r.any, r.at_ticks, r.due) = (true, now_ticks, false);
+        self.stats.name_reports += 1;
     }
 
     /// Configure NACK-storm backoff (§5.3.2), see
@@ -487,6 +584,8 @@ impl Participant {
 
     /// Apply one remoting message to local state.
     pub fn apply(&mut self, msg: RemotingMessage) {
+        let reference = matches!(&msg, RemotingMessage::RegionUpdate(ru)
+            if ru.payload_type == REFERENCE_PT);
         match self.mirror.apply(&msg) {
             Applied::Windows => {
                 self.stats.wmi_applied += 1;
@@ -497,6 +596,7 @@ impl Participant {
             }
             Applied::Region { how, .. } => {
                 self.stats.regions_applied += 1;
+                self.stats.refs_resolved += reference as u64;
                 match how {
                     Drawn::AlreadyShown => self.stats.tiles_already_shown += 1,
                     Drawn::Reused => self.stats.tiles_reused += 1,
@@ -505,7 +605,20 @@ impl Participant {
             }
             Applied::Moved => self.stats.moves_applied += 1,
             Applied::Undecodable => self.stats.decode_errors += 1,
-            Applied::UnknownWindow | Applied::Refused => {}
+            Applied::UnknownWindow | Applied::Refused | Applied::TooLarge => {}
+            Applied::Missed { name } => {
+                // Answered like a PLI: the sender refreshes this viewer and
+                // forgets what it was told, so tell it again.
+                self.stats.refs_missed += 1;
+                self.reported.due = true;
+                let (ssrc, media_ssrc) = (self.rx.ssrc(), self.rx.media_ssrc());
+                let miss = Miss {
+                    ssrc,
+                    media_ssrc,
+                    name,
+                };
+                self.rx.queue_rtcp(miss.to_rtcp());
+            }
             Applied::Pointer => {
                 if let RemotingMessage::MousePointerInfo(mp) = &msg {
                     self.move_pointer(mp);

@@ -25,13 +25,16 @@ use std::cell::Cell;
 
 use adshare::codec::checksum::crc32;
 use adshare::codec::codec::{default_pt, AnyCodec};
-use adshare::codec::deflate::Level;
+use adshare::codec::deflate::{deflate, Level};
 use adshare::codec::zlib;
 use adshare::netsim::tcp::TcpLink;
 use adshare::prelude::*;
 use adshare::remoting::message::{RegionUpdate, WindowManagerInfo, WindowRecord};
 use adshare::remoting::packetizer::RemotingPacketizer;
-use adshare::rtp::rtcp::{PictureLossIndication, RtcpPacket};
+use adshare::remoting::reference::{
+    Held, Miss, NameReport, TileRef, REFERENCE_PT, REPORT_MAX_NAMES,
+};
+use adshare::rtp::rtcp::{encode_compound, PictureLossIndication, RtcpPacket};
 use adshare::rtp::session::RtpSender;
 use adshare::rtp::RtpPacket;
 use adshare::screen::workload::photo_frame;
@@ -571,7 +574,7 @@ fn datagram_path_stays_inside_its_allocation_budget() {
     // train still applies.
     let cap = message_cap(64 * 64) as i64;
     let bound = cap + cap / 8;
-    let mut train = Train::new(small, 16 * cap as usize);
+    let mut train = Train::new(small.clone(), 16 * cap as usize);
     let mut viewer = Participant::new(1, Layout::Original, true, 5);
     let mut relay = RelayNode::new(RelayConfig::default(), 0);
     let mut held = [0i64; 2];
@@ -596,6 +599,196 @@ fn datagram_path_stays_inside_its_allocation_budget() {
         viewer.handle_datagram(&datagram, 0);
     }
     assert_eq!(viewer.stats().regions_applied, regions + 1, "it applies");
+
+    // 10. A tile's size is a claim too. Window 1 is open at 64×64; each
+    // payload below declares 1024×1024 (4 MiB of pixels, which one image may
+    // take) over a body that backs it — PNG over compressed zeros, DCT over
+    // a DEFLATE'd body long enough for every block, RLE over enough runs —
+    // and a reference declares the same. No tile larger than its window is
+    // drawn, so a viewer and a relay's upstream side read the size off the
+    // header (`Codec::dims`) and refuse the update before anything is
+    // decoded or copied, for at most the larger of k = CLAIM_COST_PER_BYTE
+    // times the bytes that arrived and the window's own 16 KiB of pixels
+    // (decoding it costs the 4 MiB). A relay resolves no reference: there
+    // it is merely undecodable.
+    let side = 1024u32;
+    let claims = [
+        ("PNG", default_pt::PNG, png_claim(side)),
+        ("DCT", default_pt::DCT, dct_claim(side)),
+        ("RLE", default_pt::RLE, rle_claim(side)),
+        ("reference", REFERENCE_PT, reference(side).to_vec()),
+    ];
+    let mut viewer = Participant::new(1, Layout::Original, true, 5);
+    viewer.apply(small.clone());
+    let mut upstream = Upstream::new();
+    upstream.feed(&small);
+    for (i, (what, payload_type, payload)) in claims.into_iter().enumerate() {
+        let msg = RemotingMessage::RegionUpdate(RegionUpdate {
+            window_id: WireWindowId(1),
+            payload_type,
+            left: 0,
+            top: 0,
+            payload: Bytes::from(payload),
+        });
+        let copy = msg.clone();
+        let b0 = alloc_bytes();
+        viewer.apply(copy);
+        let viewer_cost = alloc_bytes() - b0;
+        let b0 = alloc_bytes();
+        let arrived = upstream.feed(&msg);
+        let relay_cost = alloc_bytes() - b0;
+        println!("{what} claiming {side}×{side} in {arrived} B: viewer {viewer_cost} B, relay {relay_cost} B allocated");
+        let bound = (CLAIM_COST_PER_BYTE * arrived).max(64 * 64 * 4);
+        for (who, cost) in [("viewer", viewer_cost), ("relay", relay_cost)] {
+            assert!(
+                cost <= bound,
+                "{what} at the {who}: {cost} B allocated to refuse a {arrived} B message"
+            );
+        }
+        assert_eq!(viewer.stats().tiles_refused, i as u64 + 1, "{what}");
+        assert_eq!(upstream.relay.stats().tiles_refused, (i as u64 + 1).min(3));
+    }
+    assert_eq!(viewer.stats().decode_errors, 0, "refused, not decoded");
+
+    // 11. The three packets of tile references, hostile. An AH leg reads a
+    // report naming 10 000 tiles (its count is the bytes' own) into a
+    // ledger of at most REPORT_MAX_NAMES entries: what it keeps is that
+    // ceiling's worth, whatever the report said; a report whose count its
+    // bytes do not carry, a truncated one, and a miss that names nothing
+    // are ignored. A viewer sent references to a name it never held and to
+    // a held name at the wrong size reports a miss for each, allocating
+    // no pixels for either.
+    let (desktop, _) = self::desktop();
+    let mut ah = AppHost::new(desktop, config(), 1);
+    let handle = ah.attach_tcp(1, Default::default());
+    ah.step(TICK_US);
+    // The leg's SSRC, off the first RTP packet of the stream (after its
+    // two-byte RFC 4571 length).
+    let stream = ah.poll_tcp(handle, 1_000_000);
+    let media = u32::from_be_bytes(stream[10..14].try_into().unwrap());
+    let held = |name| Held {
+        name,
+        place: Held::PARKED,
+    };
+    let flood: Vec<Held> = (0..10_000).map(held).collect();
+    let flood = encode_compound(&[NameReport::packet(1, media, 3, 0, &flood)]);
+    let base = live();
+    ah.handle_rtcp(handle, &flood, 1_000);
+    let kept = live() - base;
+    println!(
+        "a {} B report of 10 000 names: the AH keeps {kept} B",
+        flood.len()
+    );
+    assert!(kept <= (REPORT_MAX_NAMES * 16) as i64, "{kept} B kept");
+    let mut lying = encode_compound(&[NameReport::packet(1, media, 3, 0, &[held(5)])]);
+    lying[16..18].copy_from_slice(&9u16.to_be_bytes());
+    let refreshes = ah.stats().full_refreshes;
+    for bytes in [&lying[..], &flood[..flood.len() / 2], &empty_miss(media)] {
+        ah.handle_rtcp(handle, bytes, 2_000);
+    }
+    assert_eq!(ah.stats().full_refreshes, refreshes, "nothing asked for");
+    assert_eq!(ah.stats().ref_misses, 0);
+    let mut viewer = Participant::new(1, Layout::Original, true, 5);
+    viewer.apply(small.clone());
+    let tile =
+        AnyCodec::new(CodecKind::Rle).encode(&Image::filled(16, 16, [9, 9, 9, 255]).unwrap());
+    let drawn = |payload_type, payload: Vec<u8>| {
+        RemotingMessage::RegionUpdate(RegionUpdate {
+            window_id: WireWindowId(1),
+            payload_type,
+            left: 0,
+            top: 0,
+            payload: Bytes::from(payload),
+        })
+    };
+    for _ in 0..3 {
+        viewer.apply(drawn(default_pt::RLE, tile.clone()));
+    }
+    let shown = viewer.stats().regions_applied;
+    let never = TileRef {
+        payload_type: default_pt::RLE,
+        len: tile.len() as u32,
+        name: 0x5eed,
+        width: 16,
+        height: 16,
+    };
+    let b0 = alloc_bytes();
+    viewer.apply(drawn(REFERENCE_PT, never.encode().to_vec()));
+    let cost = alloc_bytes() - b0;
+    viewer.apply(drawn(
+        REFERENCE_PT,
+        TileRef { width: 8, ..never }.encode().to_vec(),
+    ));
+    let stats = viewer.stats();
+    assert_eq!((stats.refs_missed, stats.regions_applied), (2, shown));
+    assert!(cost < 16 * 16 * 4, "{cost} B allocated for a miss");
+}
+
+/// An 18-byte reference declaring a `side`×`side` tile.
+fn reference(side: u32) -> [u8; TileRef::LEN] {
+    TileRef {
+        payload_type: default_pt::PNG,
+        len: 1,
+        name: 1,
+        width: side as u16,
+        height: side as u16,
+    }
+    .encode()
+}
+
+/// A PNG whose header claims `side`×`side` RGBA over compressed zeros.
+fn png_claim(side: u32) -> Vec<u8> {
+    let mut png = b"\x89PNG\r\n\x1a\n".to_vec();
+    let mut ihdr = [0u8; 13];
+    ihdr[0..4].copy_from_slice(&side.to_be_bytes());
+    ihdr[4..8].copy_from_slice(&side.to_be_bytes());
+    ihdr[8..10].copy_from_slice(&[8, 6]);
+    let rows = (side as usize * 4 + 1) * side as usize;
+    let zeros = zlib::compress(&vec![0; rows], Level::Default);
+    for (kind, body) in [(b"IHDR", &ihdr[..]), (b"IDAT", &zeros), (b"IEND", &[])] {
+        png.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        png.extend_from_slice(kind);
+        png.extend_from_slice(body);
+        png.extend_from_slice(&crc32(&[&kind[..], body].concat()).to_be_bytes());
+    }
+    png
+}
+
+/// A DCT payload claiming `side`×`side` over a body of six zero bytes per
+/// block, DEFLATE'd.
+fn dct_claim(side: u32) -> Vec<u8> {
+    let blocks = (side as usize).div_ceil(8).pow(2);
+    let mut dct = AnyCodec::new(CodecKind::Dct).encode(&photo_frame(16, 16, 3));
+    dct.truncate(13);
+    dct[4..8].copy_from_slice(&side.to_be_bytes());
+    dct[8..12].copy_from_slice(&side.to_be_bytes());
+    dct.extend(deflate(&vec![0; blocks * 6], Level::Fast));
+    dct
+}
+
+/// An RLE payload claiming `side`×`side` with the runs to fill it.
+fn rle_claim(side: u32) -> Vec<u8> {
+    let pixels = side as usize * side as usize;
+    let mut rle = AnyCodec::new(CodecKind::Rle).encode(&Image::filled(1, 1, [0; 4]).unwrap());
+    rle.truncate(12);
+    rle[4..8].copy_from_slice(&side.to_be_bytes());
+    rle[8..12].copy_from_slice(&side.to_be_bytes());
+    for _ in 0..pixels.div_ceil(255) {
+        rle.extend_from_slice(&[255, 1, 2, 3, 255]);
+    }
+    rle
+}
+
+/// A miss packet whose count says it names nothing.
+fn empty_miss(media_ssrc: u32) -> Vec<u8> {
+    let miss = Miss {
+        ssrc: 1,
+        media_ssrc,
+        name: 3,
+    };
+    let mut bytes = encode_compound(&[miss.to_rtcp()]);
+    bytes[16..18].copy_from_slice(&0u16.to_be_bytes());
+    bytes
 }
 
 /// A WindowManagerInfo, then a RegionUpdate for its window whose fragments

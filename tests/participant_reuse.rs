@@ -54,10 +54,22 @@ impl Reference {
                 let Some((rect, content)) = self.windows.get_mut(&ru.window_id.0) else {
                     return;
                 };
-                let decoded = CodecRegistry::default()
-                    .get(ru.payload_type)
-                    .and_then(|codec| codec.decode(&ru.payload).ok());
-                let Some(img) = decoded else {
+                let registry = CodecRegistry::default();
+                let Some(codec) = registry.get(ru.payload_type) else {
+                    self.decode_errors += 1;
+                    return;
+                };
+                // A tile larger than its window is refused on its header's
+                // word, before it is decoded.
+                match codec.dims(&ru.payload) {
+                    Ok((w, h)) if w > rect.width || h > rect.height => return,
+                    Ok(_) => {}
+                    Err(_) => {
+                        self.decode_errors += 1;
+                        return;
+                    }
+                }
+                let Ok(img) = codec.decode(&ru.payload) else {
                     self.decode_errors += 1;
                     return;
                 };
