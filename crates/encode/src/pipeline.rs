@@ -13,7 +13,7 @@ use bytes::Bytes;
 use crate::cache::{CacheKey, EncodeCache};
 use crate::pool::WorkerPool;
 use crate::shared::SharedEncodeCache;
-use crate::tiling::{tiles, TileConfig};
+use crate::tiling::TileConfig;
 
 /// Pipeline parameters (carried in the AH config).
 #[derive(Debug, Clone, Copy)]
@@ -29,9 +29,9 @@ pub struct EncodeConfig {
     /// pipeline's [`WorkerPool`] that are idle when it asks
     /// ([`WorkerPool::global`] for [`EncodePipeline::new`], the host's for
     /// [`EncodePipeline::with_shared`]). [`EncodePipeline::encode_batch`]
-    /// always encodes on the caller. Set by `tests/encode_parity.rs`,
-    /// `tests/alloc_budget.rs`, the relay's and `TierEncoder`'s serial
-    /// pipelines and the benchmark's leaf replay.
+    /// always encodes on the caller, as does an [`EncodePipeline::inline`]
+    /// one (the relay's). Set by `tests/encode_parity.rs`,
+    /// `tests/alloc_budget.rs` and the benchmark's leaf replay.
     pub workers: usize,
     /// Encoded-payload byte budget for the cross-frame cache. Narrowed by
     /// this crate's `tests/parity.rs` to force evictions.
@@ -277,6 +277,14 @@ impl EncodePipeline {
         Self::build(cfg, backend, None)
     }
 
+    /// Build a private-cache pipeline that encodes every miss on the
+    /// caller: its pool is the caller alone, so it starts no thread.
+    pub fn inline(cfg: EncodeConfig) -> Self {
+        let backend = CacheBackend::Private(EncodeCache::new(cfg.cache_budget_bytes));
+        let cfg = EncodeConfig { workers: 1, ..cfg };
+        Self::build(cfg, backend, Some(WorkerPool::new(1)))
+    }
+
     fn build(cfg: EncodeConfig, backend: CacheBackend, pool: Option<WorkerPool>) -> Self {
         EncodePipeline {
             workers: resolve_workers(cfg.workers),
@@ -342,11 +350,6 @@ impl EncodePipeline {
                 cache.clear();
             }
         }
-    }
-
-    /// Split a damaged rect along the configured tile grid.
-    pub fn tile(&self, rect: Rect) -> Vec<Rect> {
-        tiles(rect, self.cfg.tile)
     }
 
     /// Adopt the pipeline's metrics under `prefix.*`.

@@ -20,12 +20,13 @@
 //! - [`TierRequest`]: the upstream subscription signal, an RTCP APP packet
 //!   that rides the existing RTCP path as [`adshare_rtp::rtcp::RtcpPacket::Unknown`]
 //!   (no RTP-stack changes).
-//! - [`TierEncoder`]: a relay-local re-encoder backed by the shared
-//!   [`adshare_encode::EncodePipeline`], so a relay can synthesize a lossy
-//!   tier from its shadow state when its subtree cannot afford the
-//!   upstream tier.
 //! - [`TierStats`]: the `adshare-relay-tier-stats/v1` JSON document
 //!   emitted by experiments and validated in CI.
+//!
+//! A relay's lossier rendition is not built here: the relay tiles its
+//! mirror through the same `adshare_encode::EncodePipeline::encode_region`
+//! and tier codec (`adshare_session::egress::tile_codec`) the AH encodes
+//! with, so a region costs one encode per tier whatever the leg count.
 //!
 //! Convergence contract: tier switches happen only at unit (frame)
 //! boundaries; an upgrade back to [`QualityTier::Lossless`] triggers a
@@ -35,14 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod encoder;
 pub mod selector;
 pub mod signal;
 pub mod stats;
 pub mod tier;
 
 pub use adshare_rate::{QualityTier, RateConfig};
-pub use encoder::TierEncoder;
 pub use selector::{TierSelector, TierSwitch, MIN_DWELL_US};
 pub use signal::TierRequest;
 pub use stats::{LegTierStats, TierStats, TIER_STATS_SCHEMA};

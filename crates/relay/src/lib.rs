@@ -18,14 +18,19 @@
 //!   misses escalate upstream (deduplicated within the same window).
 //! * **PLIs** coalesce: at most one upstream PLI per refresh interval, and
 //!   once the relay's own window mirror is synced a leg's PLI is served
-//!   entirely locally as a catch-up burst — WindowManagerInfo plus a full
-//!   `RegionUpdate` per window synthesized from the mirror — so late
-//!   joiners never cost the AH a full refresh.
+//!   entirely locally as a catch-up burst — WindowManagerInfo plus the
+//!   mirror's windows as tiled `RegionUpdate`s, encoded the way the AH
+//!   encodes its refresh (one encode pipeline, so N legs refreshed in one
+//!   step cost one encode) — so late joiners never cost the AH a full
+//!   refresh.
 //!
-//! Each leg gets its own contiguous RTP sequence space (rewritten from the
-//! upstream numbers) so per-leg supersede drops never look like loss. For a
-//! leg attached from the start of the stream the rewrite is the identity
-//! and the forwarded RTP bytes are identical to direct delivery.
+//! Every leg is the one [`egress::Leg`] an AH leg holds: NACKs and report
+//! tails are answered there, and a stream leg is ordered and holds its
+//! queue while backlogged (§7). Each leg gets its own contiguous RTP
+//! sequence space (rewritten from the upstream numbers) so per-leg
+//! supersede drops never look like loss. For a leg attached from the start
+//! of the stream the rewrite is the identity and the forwarded RTP bytes
+//! are identical to direct delivery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,12 +45,11 @@ use adshare_capture::{
     CaptureHandle, Direction as CapDirection, StreamKind as CapStreamKind,
     Transport as CapTransport,
 };
-use adshare_codec::codec::{default_pt, AnyCodec, CodecKind};
+use adshare_codec::codec::{CodecKind, CodecRegistry};
 use adshare_codec::image::Rect;
-use adshare_codec::Codec;
-use adshare_encode::EncodeConfig;
+use adshare_encode::{tiles, EncodeConfig, EncodePipeline, RegionKey, TileJob};
 use adshare_layers::{
-    LayersConfig, LegTierStats, TierEncoder, TierRequest, TierSelector, TierStats, MIN_DWELL_US,
+    LayersConfig, LegTierStats, TierRequest, TierSelector, TierStats, MIN_DWELL_US,
 };
 use adshare_netsim::tcp::TcpConfig;
 use adshare_netsim::time::us_to_ticks;
@@ -60,7 +64,7 @@ use adshare_rtp::history::RetransmitHistory;
 use adshare_rtp::rtcp::{decode_compound, leading_sr_ntp, GenericNack, RtcpPacket};
 use adshare_rtp::RtpPacket;
 use adshare_session::egress::{
-    Burst, Congestion, Downstream, Feedback, StreamId, Tail, Tap, Verdict, Wire, REPEAT_WINDOW_US,
+    self, tile_codec, Burst, Downstream, StreamId, Tap, Wire, REPEAT_WINDOW_US,
 };
 use adshare_session::ingress::{is_rtcp, Ingress};
 use adshare_session::mirror::{Applied, Mirror};
@@ -81,6 +85,10 @@ const CACHE_MAX_BYTES: usize = 8 << 20;
 const PLI_MIN_INTERVAL_US: u64 = 500_000;
 /// Max RTP payload size for locally synthesized packets.
 const MTU: usize = 1400;
+/// Most bytes a stream leg's queue holds while the stream is backlogged;
+/// past it the queue is dropped for a catch-up burst, which shows all of
+/// it.
+pub const STREAM_QUEUE_MAX_BYTES: u64 = 256 * 1024;
 
 /// What a relay is configured with.
 #[derive(Debug, Clone)]
@@ -182,7 +190,7 @@ enum Unit {
     /// every leg sends the buffer it arrived in — queued in-line so
     /// downstream sees the same interleaving as direct delivery. The NTP
     /// field of its leading SR, parsed once at ingest, is what each leg's
-    /// [`Feedback`] times when it sends the compound.
+    /// feedback half times when it sends the compound.
     Rtcp(Bytes, Option<u64>),
     /// A locally re-encoded rendition of one region update for legs whose
     /// active tier is lossier than the upstream stream, one message per
@@ -192,31 +200,43 @@ enum Unit {
 }
 
 struct Leg {
-    /// The leg's stream over its transport — simulated UDP, an RFC
-    /// 4571-framed TCP stream (the tier controller reads its send-buffer
-    /// backlog as the §7 congestion signal, so TCP legs degrade tiers
-    /// instead of stalling, and sends are all-or-nothing), or a raw queue
-    /// the caller ships itself (the demo binary). It remembers what each of
-    /// the last [`LEG_RECORD`] sequences carried: a forwarded packet's
-    /// upstream sequence (repaired from the shared cache, escalated on a
-    /// miss), or a packet minted here (catch-up burst, tier re-encode).
-    out: Downstream,
+    /// The one leg over its transport — simulated UDP, an RFC 4571-framed
+    /// TCP stream (its send-buffer backlog is the tier controller's §7
+    /// signal and its reason to hold the queue), or a raw queue the caller
+    /// ships itself (the demo binary). A datagram leg's stream remembers
+    /// what each of the last [`LEG_RECORD`] sequences carried: a forwarded
+    /// packet's upstream sequence (repaired from the shared cache,
+    /// escalated on a miss), or a packet minted here (catch-up burst, tier
+    /// re-encode). Its feedback half times the upstream SRs it forwards.
+    link: egress::Leg,
     /// Running wire digest of every datagram sent on this leg plus the
     /// capture sink, both updated inside the wire's send. E20's parity
     /// gate compares a lossless leg's digest against the no-layers
     /// baseline.
     tap: Tap,
-    /// The upstream SRs this leg forwarded, its round trip, and the one
-    /// place its RTCP becomes a signal for the tier controller.
-    feedback: Feedback,
     queue: FreshQueue<Rc<Unit>>,
     rate: RateController,
     last_catchup_us: Option<u64>,
+    /// A catch-up burst is owed: a stream leg sends it once it is not
+    /// backlogged, and nothing is queued for it until then.
+    owes_catchup: bool,
+    /// Re-encoded (lossier) units went out since the last catch-up: a
+    /// stream leg repairs them with one once it is clear and idle, as an
+    /// AH stream leg repairs its degraded regions.
+    degraded: bool,
     /// A departed viewer (churn): the leg stops participating in fan-out
     /// and feedback but keeps its slot so other legs' indices stay stable.
     closed: bool,
     /// Layered-quality state; `None` when the relay runs without layers.
     tier: Option<LegTier>,
+}
+
+impl Leg {
+    /// Whether fan-out queues units for this leg: not once it closed, nor
+    /// while it owes a catch-up burst, which will show what they carry.
+    fn takes_units(&self) -> bool {
+        !self.closed && !self.owes_catchup
+    }
 }
 
 /// Per-leg layered-quality state: an adaptive AIMD estimator fed by the
@@ -265,11 +285,13 @@ pub struct RelayNode {
     unit_counter: u64,
     // Downstream.
     legs: Vec<Leg>,
+    /// Tiles the mirror for catch-up bursts and tier re-encodes, on the
+    /// caller's thread: cached per `(content_hash, dims, tier)` and at most
+    /// once per `(window, rect, tier)` between two mirror changes, so a
+    /// region costs one encode per tier whatever the leg count.
+    encode: EncodePipeline,
+    codecs: CodecRegistry,
     // Layered quality.
-    /// Mirror re-encoder, present when `cfg.layers` is set. Tiles
-    /// are cached per `(content_hash, dims, tier)` so a static region
-    /// costs one encode per tier regardless of leg count.
-    tier_encoder: Option<TierEncoder>,
     /// Tier currently requested from (and assumed served by) upstream.
     upstream_tier: QualityTier,
     /// Pending upstream downgrade and when it was first wanted (dwell).
@@ -296,16 +318,7 @@ impl RelayNode {
     /// and metric prefixes.
     pub fn new(cfg: RelayConfig, id: u16) -> Self {
         let cache = RetransmitHistory::new(cfg.cache_max_packets, CACHE_MAX_BYTES);
-        let tier_encoder = cfg.layers.as_ref().map(|_| {
-            TierEncoder::new(
-                EncodeConfig {
-                    workers: 1,
-                    ..EncodeConfig::default()
-                },
-                default_pt::PNG,
-                default_pt::DCT,
-            )
-        });
+        let encode = EncodePipeline::inline(EncodeConfig::default());
         let seed = u64::from(id);
         RelayNode {
             cfg,
@@ -327,7 +340,8 @@ impl RelayNode {
             epoch: 0,
             unit_counter: 0,
             legs: Vec::new(),
-            tier_encoder,
+            encode,
+            codecs: CodecRegistry::default(),
             upstream_tier: QualityTier::Lossless,
             upstream_desired_since: None,
             tier_requests_sent: 0,
@@ -400,6 +414,12 @@ impl RelayNode {
         }
     }
 
+    /// The pipeline catch-up bursts and tier re-encodes tile the mirror
+    /// through (cache occupancy; metrics for a registry).
+    pub fn encode_pipeline(&self) -> &EncodePipeline {
+        &self.encode
+    }
+
     /// Retransmit-cache (hits, misses).
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -451,13 +471,15 @@ impl RelayNode {
             tap.attach_capture(capture.clone());
         }
         let actor = Self::leg_actor(self.legs.len());
+        let keep = Some((LEG_RECORD, usize::MAX));
         self.legs.push(Leg {
-            out: Downstream::new(wire, actor, None, Some((LEG_RECORD, usize::MAX)), true),
+            link: egress::Leg::new(wire, (actor, actor), None, keep),
             tap,
-            feedback: Feedback::new(actor),
             queue: FreshQueue::new(),
             rate: RateController::new_fixed(rate_bps, MTU),
             last_catchup_us: None,
+            owes_catchup: false,
+            degraded: false,
             closed: false,
             tier,
         });
@@ -476,7 +498,7 @@ impl RelayNode {
         };
         let prefix = format!("relay.{}.leg.{}", self.id, leg_idx);
         let leg = &self.legs[leg_idx];
-        leg.feedback.register_metrics(&obs.registry, &prefix);
+        leg.link.feedback.register_metrics(&obs.registry, &prefix);
         if let Some(t) = &leg.tier {
             t.rate.register_metrics(&obs.registry, &prefix);
         }
@@ -499,7 +521,8 @@ impl RelayNode {
         };
         l.closed = true;
         l.queue = FreshQueue::new();
-        l.out.close();
+        l.owes_catchup = false;
+        l.link.out.close();
         self.update_leg_gauge();
     }
 
@@ -516,12 +539,19 @@ impl RelayNode {
     /// The UDP channel behind a leg, when it has one (tests use this to
     /// inject deterministic loss and read link stats).
     pub fn leg_link_mut(&mut self, leg: usize) -> Option<&mut UdpChannel> {
-        self.legs.get_mut(leg)?.out.wire.udp_link_mut()
+        self.legs.get_mut(leg)?.link.out.wire.udp_link_mut()
     }
 
     /// Immutable view of a leg's UDP channel.
     pub fn leg_link(&self, leg: usize) -> Option<&UdpChannel> {
-        self.legs.get(leg)?.out.wire.udp_link()
+        self.legs.get(leg)?.link.out.wire.udp_link()
+    }
+
+    /// Bytes a leg holds back: its queue and, on a stream, what waits
+    /// behind the send buffer.
+    pub fn leg_held_bytes(&self, leg: usize) -> u64 {
+        let leg = &self.legs[leg];
+        leg.queue.bytes() + leg.link.out.wire.unsent() as u64
     }
 
     /// Running wire digest (`Tap::digest`) of every datagram shipped on a
@@ -575,7 +605,7 @@ impl RelayNode {
             let unit = Rc::new(Unit::Rtcp(datagram, ntp));
             self.unit_counter += 1;
             let key = (1u64 << 63) | self.unit_counter;
-            for leg in self.legs.iter_mut().filter(|l| !l.closed) {
+            for leg in self.legs.iter_mut().filter(|l| l.takes_units()) {
                 leg.queue
                     .push(key, Rect::new(0, 0, 0, 0), now_us, bytes, unit.clone());
             }
@@ -589,7 +619,10 @@ impl RelayNode {
             ts: pkt.header.timestamp,
             ssrc: pkt.header.ssrc,
         };
-        self.rx.ingest(pkt, us_to_ticks(now_us));
+        if self.rx.ingest(pkt, us_to_ticks(now_us)) {
+            // The message under reassembly lost its middle.
+            self.unit_pkts.clear();
+        }
         self.fan_out_ready(now_us);
     }
 
@@ -616,6 +649,8 @@ impl RelayNode {
     /// queues: a region the mirror drew is supersedable, everything else —
     /// an update it could not decode or place included — is a barrier.
     fn mirror_and_classify(&mut self, msg: &RemotingMessage) -> UnitClass {
+        // The mirror changes: what the pipeline tiled of it is stale.
+        self.encode.begin_step();
         if let Applied::Region { window, rect, .. } = self.mirror.apply(msg) {
             return UnitClass::Region { window, rect };
         }
@@ -656,7 +691,7 @@ impl RelayNode {
         // legs at the same tier share one Rc'd synth unit, and the tile
         // cache means a repeated region costs zero further encodes.
         let mut synth: Vec<(QualityTier, Rc<Unit>, u64)> = Vec::new();
-        if let (UnitClass::Region { window, rect }, true) = (class, self.tier_encoder.is_some()) {
+        if let UnitClass::Region { window, rect } = class {
             let mut tiers: Vec<QualityTier> = self
                 .legs
                 .iter()
@@ -673,7 +708,8 @@ impl RelayNode {
             }
         }
         let upstream_tier = self.upstream_tier;
-        for leg in self.legs.iter_mut().filter(|l| !l.closed) {
+        let catchup = self.mirror.synced() && self.cfg.catchup_enabled;
+        for leg in self.legs.iter_mut().filter(|l| l.takes_units()) {
             let (key, rect) = match class {
                 UnitClass::Region { window, rect } => {
                     // Epoch-scoped key: supersede only reaches back to the
@@ -697,46 +733,77 @@ impl RelayNode {
                 .and_then(|t| synth.iter().find(|(st, _, _)| *st == t))
                 .map_or_else(|| (unit.clone(), bytes), |(_, u, b)| (u.clone(), *b));
             leg.queue.push(key, rect, now_us, b, u);
+            let stream = catchup && leg.link.out.wire.is_stream();
+            if stream && leg.queue.bytes() > STREAM_QUEUE_MAX_BYTES {
+                leg.queue = FreshQueue::new();
+                leg.owes_catchup = true;
+            }
         }
     }
 
-    /// Build the lossier rendition of one region from the mirrored window:
-    /// tile-cached re-encode, one `RegionUpdate` per tile, fragmented to
-    /// the relay MTU. Returns `None` when the window vanished or nothing
-    /// intersects it (the caller then forwards verbatim).
+    /// Build the lossier rendition of one region from the mirrored window,
+    /// fragmented to the relay MTU. Returns `None` when the window vanished
+    /// or nothing intersects it (the caller then forwards verbatim).
     fn synth_unit(
         &mut self,
         window: u16,
         rect: Rect,
         tier: QualityTier,
     ) -> Option<(Rc<Unit>, u64)> {
-        let enc = self.tier_encoder.as_mut()?;
-        let win = self.mirror.window(window)?;
-        let origin = win.ah_rect();
-        let local = rect
-            .intersect(&origin)?
-            .translated(-i64::from(origin.left), -i64::from(origin.top));
-        let mut msgs = Vec::new();
+        let mut msgs = self.tile_region(window, rect, tier);
         let mut bytes = 0u64;
-        for (pt, trect, payload) in enc.encode_region(win.content(), local, tier) {
-            let msg = RemotingMessage::RegionUpdate(RegionUpdate {
-                window_id: WindowId(window),
-                payload_type: pt,
-                left: origin.left + trect.left,
-                top: origin.top + trect.top,
-                payload,
-            });
-            let fits = for_each_fragment(&msg, MTU, |_, head, chunk| {
+        msgs.retain(|msg| {
+            let fits = for_each_fragment(msg, MTU, |_, head, chunk| {
                 bytes += (head.len() + chunk.len()) as u64 + 12;
             });
-            if fits.is_ok() {
-                msgs.push(msg);
-            }
-        }
-        if msgs.is_empty() {
-            return None;
-        }
-        Some((Rc::new(Unit::Synth(msgs)), bytes))
+            fits.is_ok()
+        });
+        (!msgs.is_empty()).then(|| (Rc::new(Unit::Synth(msgs)), bytes))
+    }
+
+    /// `rect` (AH coordinates) of a mirrored window as one `RegionUpdate`
+    /// per tile of the encode grid at `tier`, through the pipeline as the
+    /// AH encodes its own. Empty when the window vanished or `rect` misses
+    /// it.
+    fn tile_region(&mut self, window: u16, rect: Rect, tier: QualityTier) -> Vec<RemotingMessage> {
+        let Some(win) = self.mirror.window(window) else {
+            return Vec::new();
+        };
+        let (origin, content) = (win.ah_rect(), win.content());
+        let Some(local) = rect.intersect(&origin) else {
+            return Vec::new();
+        };
+        let local = local.translated(-i64::from(origin.left), -i64::from(origin.top));
+        let Some(local) = local.intersect(&content.bounds()) else {
+            return Vec::new();
+        };
+        let grid = self.encode.config().tile;
+        let jobs = || {
+            let crop = |rect| {
+                Some(TileJob {
+                    rect,
+                    image: content.crop(rect).ok()?,
+                })
+            };
+            tiles(local, grid).into_iter().filter_map(crop).collect()
+        };
+        let key = RegionKey {
+            surface: u64::from(window),
+            rect: local,
+            tier: tier.as_gauge() as u8,
+        };
+        let encode = tile_codec(&self.codecs, tier, CodecKind::Png, false);
+        let region = self.encode.encode_region(key, jobs, encode);
+        let update = |t: adshare_encode::EncodedTile| {
+            RemotingMessage::RegionUpdate(RegionUpdate {
+                window_id: WindowId(window),
+                payload_type: t.payload_type,
+                left: origin.left + t.rect.left,
+                top: origin.top + t.rect.top,
+                payload: t.payload,
+            })
+        };
+        region.iter().map(update).collect()
     }
 
     /// Periodic work: the upstream receiver's give-up rule, leg flushes,
@@ -750,12 +817,9 @@ impl RelayNode {
             self.maybe_upstream_pli(now_us, usize::MAX);
         }
 
-        if let Some(enc) = self.tier_encoder.as_mut() {
-            enc.begin_frame();
-        }
         for leg in 0..self.legs.len() {
-            self.tick_leg_tier(leg, now_us);
-            self.flush_leg(leg, now_us);
+            let backlog = self.tick_leg_tier(leg, now_us);
+            self.flush_leg(leg, backlog, now_us);
         }
         self.tick_upstream_tier(now_us);
         // A participant's cadence: re-PLI every second while unsynced (here:
@@ -773,31 +837,33 @@ impl RelayNode {
             .retain(|_, at| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
     }
 
-    /// Advance one leg's tier controller: refresh the AIMD estimate (TCP
-    /// legs also fold in send-buffer backlog) and commit dwell-gated
-    /// switches to the tier it affords (every tier is published). An
-    /// upgrade back to lossless triggers a catch-up burst — the
-    /// lossless-repair step that converges the leg to pixel-identical state
-    /// after a lossy spell.
-    fn tick_leg_tier(&mut self, leg_idx: usize, now_us: u64) {
-        let leg = &mut self.legs[leg_idx];
-        let Some(t) = leg.tier.as_mut().filter(|_| !leg.closed) else {
-            return;
-        };
-        if let Some((backlog, capacity)) = leg.out.wire.stream_backlog(now_us) {
-            let signal = Congestion::Backlog(backlog, capacity);
-            (leg.feedback).congestion(&mut t.rate, self.obs.as_ref(), signal, now_us);
+    /// Start a leg's step: a stream pushes what waits behind its send
+    /// buffer and reads its backlog (returned; `None` on a datagram leg).
+    /// Then the leg's tier controller refreshes its AIMD estimate (a
+    /// stream's backlog is its signal) and commits dwell-gated switches to
+    /// the tier it affords (every tier is published). An upgrade back to
+    /// lossless owes a catch-up burst — the lossless-repair step that
+    /// converges the leg to pixel-identical state after a lossy spell.
+    fn tick_leg_tier(&mut self, leg_idx: usize, now_us: u64) -> Option<usize> {
+        let (leg, obs) = (&mut self.legs[leg_idx], self.obs.as_ref());
+        if leg.closed {
+            return None;
         }
+        let Some(t) = leg.tier.as_mut() else {
+            return leg.link.backlog(&mut leg.rate, obs, now_us);
+        };
+        let backlog = leg.link.backlog(&mut t.rate, obs, now_us);
         t.rate.flush_budget(now_us);
         let Some(sw) = t.selector.observe(t.rate.tier(), now_us) else {
-            return;
+            return backlog;
         };
         let (from, to) = (sw.from.as_gauge() as u64, sw.to.as_gauge() as u64);
         let actor = Self::leg_actor(leg_idx);
         self.rec(now_us, actor, EventKind::TierSwitch, to, from);
         if sw.to == QualityTier::Lossless && self.mirror.synced() && self.cfg.catchup_enabled {
-            self.serve_catchup(leg_idx, now_us);
+            self.owe_catchup(leg_idx, now_us);
         }
+        backlog
     }
 
     /// Aggregate the least-lossy tier any open leg needs and, when
@@ -846,12 +912,24 @@ impl RelayNode {
         self.rec(now_us, ACTOR_RELAY, EventKind::TierRequest, gauge, 1);
     }
 
-    fn flush_leg(&mut self, leg_idx: usize, now_us: u64) {
-        let media = self.media;
+    /// Send what a leg's budget affords of its queue. A backlogged stream
+    /// holds it (§7); one that is not sends an owed catch-up first, and an
+    /// idle one repairs what it sent lossy.
+    fn flush_leg(&mut self, leg_idx: usize, backlog: Option<usize>, now_us: u64) {
         let leg = &mut self.legs[leg_idx];
         if leg.closed {
             return;
         }
+        if let Some(backlog) = backlog {
+            if leg.link.hold(backlog, self.obs.as_ref(), now_us) {
+                return;
+            }
+            let repair = leg.degraded && leg.queue.is_empty() && self.cfg.catchup_enabled;
+            if leg.owes_catchup || repair {
+                self.serve_catchup(leg_idx, now_us);
+            }
+        }
+        let (media, leg) = (self.media, &mut self.legs[leg_idx]);
         // While the active tier is lossless the fixed pacer is the budget
         // (verbatim, baseline-identical wire). A lossy tier hands the
         // flush budget to the adaptive controller, so the leg gets pacing
@@ -870,20 +948,19 @@ impl RelayNode {
             let (last_up, synth) = match &*q.payload {
                 Unit::Rtcp(bytes, ntp) => {
                     leg.rate.consume(bytes.len() as u64);
-                    leg.out
-                        .send(&mut leg.tap, CapStreamKind::Rtcp, now_us, bytes);
+                    (leg.link.out).send(&mut leg.tap, CapStreamKind::Rtcp, now_us, bytes);
                     if let Some(ntp) = *ntp {
-                        leg.feedback.note_sr(ntp, now_us);
+                        leg.link.feedback.note_sr(ntp, now_us);
                     }
                     continue;
                 }
                 Unit::Media(pkts) => {
-                    leg.out.forward(&mut leg.tap, now_us, pkts, &mut burst);
+                    (leg.link.out).forward(&mut leg.tap, now_us, pkts, &mut burst);
                     (pkts.last().map_or(0, |p| p.header.sequence), false)
                 }
                 Unit::Synth(msgs) => {
                     for msg in msgs {
-                        let _ = (leg.out).send_message(
+                        let _ = (leg.link.out).send_message(
                             &mut leg.tap,
                             now_us,
                             msg,
@@ -892,6 +969,7 @@ impl RelayNode {
                             &mut burst,
                         );
                     }
+                    leg.degraded = true;
                     (burst.last_seq, true)
                 }
             };
@@ -909,7 +987,7 @@ impl RelayNode {
             self.stats.forwarded_packets += burst.packets;
             self.stats.forwarded_bytes += burst.bytes;
             if let Some(obs) = &self.obs {
-                let actor = leg.out.actor();
+                let actor = leg.link.out.actor();
                 let sent = (burst.packets << 32) | (burst.bytes & 0xFFFF_FFFF);
                 let (up, seq) = (u64::from(last_up), u64::from(burst.last_seq));
                 obs.event(now_us, actor, EventKind::RelayForward, up, sent);
@@ -931,10 +1009,12 @@ impl RelayNode {
         }
     }
 
-    /// Feed RTCP from a downstream leg: NACK, PLI, or a receiver report,
-    /// whose tail verdict is repaired like a NACK or refreshed like a PLI.
-    pub fn handle_leg_rtcp(&mut self, leg: usize, bytes: &[u8], now_us: u64) {
-        if self.legs.get(leg).map_or(true, |l| l.closed) {
+    /// Feed RTCP from a downstream leg, one packet at a time, through the
+    /// leg: it answers NACKs and report tails from what it kept, and hands
+    /// back the forwarded packets to fetch — from the suppression copy, the
+    /// shared cache, or upstream (once per window) — and the refreshes.
+    pub fn handle_leg_rtcp(&mut self, leg_idx: usize, bytes: &[u8], now_us: u64) {
+        if self.legs.get(leg_idx).map_or(true, |l| l.closed) {
             // Straggler feedback from a departed viewer must not trigger
             // repairs or upstream escalation.
             return;
@@ -942,125 +1022,61 @@ impl RelayNode {
         let Ok(packets) = decode_compound(bytes) else {
             return;
         };
-        for pkt in packets {
-            match pkt {
-                RtcpPacket::Nack(nack) => {
-                    let seqs = nack.lost_seqs();
-                    self.handle_leg_nack(leg, &seqs, now_us);
-                }
-                RtcpPacket::Pli(_) => self.handle_leg_pli(leg, now_us),
-                RtcpPacket::ReceiverReport(rr) => {
-                    let Some(block) = rr.reports.first() else {
-                        continue;
-                    };
-                    let l = &mut self.legs[leg];
-                    let rate = l.tier.as_mut().map(|t| &mut t.rate);
-                    match (l.feedback).on_report(&l.out, rate, self.obs.as_ref(), block, now_us) {
-                        Tail::Intact => {}
-                        Tail::Refresh => self.catch_up(leg, now_us),
-                        tail => {
-                            self.stats.tail_repairs += 1;
-                            self.repair(leg, tail.seqs(), now_us);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn handle_leg_nack(&mut self, leg_idx: usize, lost: &[u16], now_us: u64) {
-        self.stats.nacks_received += 1;
-        self.rec(
-            now_us,
-            Self::leg_actor(leg_idx),
-            EventKind::NackReceived,
-            lost.len() as u64,
-            lost.first().copied().map_or(0, u64::from),
-        );
-        let leg = &mut self.legs[leg_idx];
-        if let Some(t) = leg.tier.as_mut() {
-            let signal = Congestion::Nack(lost.len());
-            (leg.feedback).congestion(&mut t.rate, self.obs.as_ref(), signal, now_us);
-        }
-        self.repair(leg_idx, lost.iter().copied(), now_us);
-    }
-
-    /// Answer each lost sequence of a leg (NACKed, or a report's tail)
-    /// from the leg's record, the suppression copy or the shared cache;
-    /// escalate the misses upstream once, and catch the leg up when the
-    /// record has forgotten one.
-    fn repair(&mut self, leg_idx: usize, lost: impl Iterator<Item = u16>, now_us: u64) {
         let actor = Self::leg_actor(leg_idx);
-        let mut absorbed = 0u64;
-        let mut first_absorbed = None;
-        let mut escalate: Vec<u16> = Vec::new();
-        let mut needs_catchup = false;
-        for leg_seq in lost {
-            let leg = &mut self.legs[leg_idx];
-            match leg.out.answer(&mut leg.tap, leg_seq, now_us) {
-                // Minted here (catch-up, tier re-encode): the leg resent it.
-                Verdict::Resend(_) => {}
-                // Suppression window: another leg just NACKed this sequence
-                // — serve the retained copy without a second cache lookup.
-                Verdict::Upstream(up_seq) => {
-                    let up = u64::from(up_seq);
-                    let copy = (self.recent_retx.get(&up_seq))
-                        .filter(|(at, _)| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
-                    if let Some((_, pkt)) = copy {
-                        leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
-                        self.stats.nacks_suppressed_seqs += 1;
-                    } else if let Some(pkt) = self.cache.lookup(up_seq) {
-                        let len = pkt.wire_len() as u64;
-                        self.recent_retx.insert(up_seq, (now_us, pkt.clone()));
-                        leg.out.resend_as(&mut leg.tap, now_us, pkt, leg_seq);
-                        self.rec(now_us, actor, EventKind::RelayCacheHit, up, len);
-                    } else {
-                        self.rec(now_us, actor, EventKind::RelayCacheMiss, up, 0);
-                        escalate.push(up_seq);
-                        continue;
-                    }
+        for pkt in &packets {
+            let (mut absorbed, mut first, mut escalate) = (0u64, None, Vec::new());
+            let (leg, obs, stats) = (&mut self.legs[leg_idx], self.obs.as_ref(), &mut self.stats);
+            let (cache, recent) = (&mut self.cache, &mut self.recent_retx);
+            let rec = |kind, a: u16, b| obs.map(|o| o.event(now_us, actor, kind, u64::from(a), b));
+            let fetch = |out: &mut Downstream, tap: &mut Tap, seq, up: u16| {
+                // Suppression window: another leg just NACKed this
+                // sequence — serve the retained copy, no second lookup.
+                let copy = (recent.get(&up))
+                    .filter(|(at, _)| now_us.saturating_sub(*at) <= REPEAT_WINDOW_US);
+                if let Some((_, pkt)) = copy {
+                    out.resend_as(tap, now_us, pkt, seq);
+                    stats.nacks_suppressed_seqs += 1;
+                } else if let Some(pkt) = cache.lookup(up) {
+                    rec(EventKind::RelayCacheHit, up, pkt.wire_len() as u64);
+                    recent.insert(up, (now_us, pkt.clone()));
+                    out.resend_as(tap, now_us, pkt, seq);
+                } else {
+                    rec(EventKind::RelayCacheMiss, up, 0);
+                    return escalate.push(up);
                 }
-                // Too old to repair packet-by-packet.
-                Verdict::Forgotten => {
-                    needs_catchup = true;
-                    continue;
-                }
-                // Never sent on this leg: nothing to repair. (A leg is
-                // never a group wire, so nothing is `Repeated`.)
-                Verdict::NeverSent | Verdict::Repeated => {
-                    self.stats.nacks_unsent_seqs += 1;
-                    continue;
-                }
+                absorbed += 1;
+                first.get_or_insert(seq);
+            };
+            let rate = leg.tier.as_mut().map(|t| &mut t.rate);
+            let owed = (leg.link).on_rtcp(&mut leg.tap, pkt, rate, obs, actor, now_us, fetch);
+            stats.nacks_received += u64::from(owed.nack);
+            stats.tail_repairs += u64::from(owed.tail);
+            stats.nacks_unsent_seqs += owed.unsent + owed.repeated;
+            let absorbed = absorbed + owed.resent.0;
+            if absorbed > 0 {
+                stats.nacks_absorbed_seqs += absorbed;
+                let first = first.map_or(0, u64::from);
+                self.rec(now_us, actor, EventKind::RelayNackAbsorbed, absorbed, first);
             }
-            absorbed += 1;
-            first_absorbed.get_or_insert(leg_seq);
+            escalate.retain(|s| !self.recent_escalated.contains_key(s));
+            if !escalate.is_empty() {
+                (self.recent_escalated).extend(escalate.iter().map(|&s| (s, now_us)));
+                let (n, first) = (escalate.len() as u64, u64::from(escalate[0]));
+                self.stats.nacks_escalated += 1;
+                self.stats.seqs_escalated += n;
+                self.rec(now_us, actor, EventKind::RelayNackEscalated, n, first);
+                let nack = GenericNack::from_seqs(self.rx.ssrc(), self.media.ssrc, &escalate);
+                self.rx.queue_rtcp(RtcpPacket::Nack(nack));
+            }
+            if owed.pli {
+                self.stats.plis_received += 1;
+                let n = self.stats.plis_received;
+                self.rec(now_us, actor, EventKind::PliReceived, n, 0);
+            }
+            if owed.pli || owed.refresh || owed.forgotten {
+                self.catch_up(leg_idx, now_us);
+            }
         }
-        if absorbed > 0 {
-            self.stats.nacks_absorbed_seqs += absorbed;
-            let first = first_absorbed.map_or(0, u64::from);
-            self.rec(now_us, actor, EventKind::RelayNackAbsorbed, absorbed, first);
-        }
-        escalate.retain(|s| !self.recent_escalated.contains_key(s));
-        if !escalate.is_empty() {
-            (self.recent_escalated).extend(escalate.iter().map(|&s| (s, now_us)));
-            let (n, first) = (escalate.len() as u64, u64::from(escalate[0]));
-            self.stats.nacks_escalated += 1;
-            self.stats.seqs_escalated += n;
-            self.rec(now_us, actor, EventKind::RelayNackEscalated, n, first);
-            let nack = GenericNack::from_seqs(self.rx.ssrc(), self.media.ssrc, &escalate);
-            self.rx.queue_rtcp(RtcpPacket::Nack(nack));
-        }
-        if needs_catchup {
-            self.catch_up(leg_idx, now_us);
-        }
-    }
-
-    fn handle_leg_pli(&mut self, leg_idx: usize, now_us: u64) {
-        self.stats.plis_received += 1;
-        let (actor, n) = (Self::leg_actor(leg_idx), self.stats.plis_received);
-        self.rec(now_us, actor, EventKind::PliReceived, n, 0);
-        self.catch_up(leg_idx, now_us);
     }
 
     /// Bring a leg that lost its state back: a catch-up burst from the
@@ -1072,7 +1088,7 @@ impl RelayNode {
                 .last_catchup_us
                 .map_or(true, |at| now_us.saturating_sub(at) >= PLI_MIN_INTERVAL_US);
             if due {
-                self.serve_catchup(leg_idx, now_us);
+                self.owe_catchup(leg_idx, now_us);
             }
             self.note_pli(now_us, leg_idx, false);
         } else {
@@ -1100,50 +1116,53 @@ impl RelayNode {
         self.rec(now_us, ACTOR_RELAY, kind, upstream as u64, leg);
     }
 
+    /// Owe a leg a catch-up burst: a datagram leg is sent it now, a
+    /// stream once it is not backlogged. Everything still queued is in the
+    /// burst already; delivering it after would double-apply moves.
+    fn owe_catchup(&mut self, leg_idx: usize, now_us: u64) {
+        let leg = &mut self.legs[leg_idx];
+        leg.queue = FreshQueue::new();
+        leg.owes_catchup = true;
+        if !leg.link.out.wire.is_stream() {
+            self.serve_catchup(leg_idx, now_us);
+        }
+    }
+
     /// Synthesize a full catch-up burst for one leg from the mirror:
-    /// WindowManagerInfo, one full-window RegionUpdate per window in
-    /// z-order, and the last pointer message. The upstream is not involved.
+    /// WindowManagerInfo, every window tiled in z-order, and the last
+    /// pointer message. The upstream is not involved.
     fn serve_catchup(&mut self, leg_idx: usize, now_us: u64) {
-        let mut msgs: Vec<RemotingMessage> = Vec::with_capacity(self.mirror.z_order().len() + 2);
-        msgs.push(RemotingMessage::WindowManagerInfo(WindowManagerInfo {
-            windows: self
-                .mirror
-                .stacked()
-                .map(|(id, w)| WindowRecord {
-                    window_id: WindowId(id),
-                    group_id: w.group(),
-                    left: w.ah_rect().left,
-                    top: w.ah_rect().top,
-                    width: w.ah_rect().width,
-                    height: w.ah_rect().height,
-                })
-                .collect(),
-        }));
-        let png = AnyCodec::new(CodecKind::Png);
+        let (mut records, mut windows) = (Vec::new(), Vec::new());
         for (id, w) in self.mirror.stacked() {
-            msgs.push(RemotingMessage::RegionUpdate(RegionUpdate {
+            let r = w.ah_rect();
+            records.push(WindowRecord {
                 window_id: WindowId(id),
-                payload_type: default_pt::PNG,
-                left: w.ah_rect().left,
-                top: w.ah_rect().top,
-                payload: png.encode(w.content()).into(),
-            }));
+                group_id: w.group(),
+                left: r.left,
+                top: r.top,
+                width: r.width,
+                height: r.height,
+            });
+            windows.push((id, r));
+        }
+        let wmi = WindowManagerInfo { windows: records };
+        let mut msgs = vec![RemotingMessage::WindowManagerInfo(wmi)];
+        for (id, rect) in windows {
+            msgs.extend(self.tile_region(id, rect, QualityTier::Lossless));
         }
         if let Some(mp) = &self.pointer {
             msgs.push(RemotingMessage::MousePointerInfo(mp.clone()));
         }
 
-        let media = self.media;
-        let leg = &mut self.legs[leg_idx];
-        // Everything still queued is already reflected in the snapshot;
-        // delivering it after the burst would double-apply moves.
-        leg.queue = FreshQueue::new();
+        let (media, leg) = (self.media, &mut self.legs[leg_idx]);
+        (leg.owes_catchup, leg.degraded) = (false, false);
         // A fresh burst obsoletes any previous one.
-        leg.out.forget_kept();
+        leg.link.out.forget_kept();
         // The burst IS the refresh: bypass the pacer.
         let mut burst = Burst::default();
         for msg in &msgs {
-            let _ = (leg.out).send_message(&mut leg.tap, now_us, msg, MTU, media, &mut burst);
+            let out = &mut leg.link.out;
+            let _ = out.send_message(&mut leg.tap, now_us, msg, MTU, media, &mut burst);
         }
         leg.last_catchup_us = Some(now_us);
         self.stats.catchups_served += 1;
@@ -1251,7 +1270,7 @@ impl Relay for RelayNode {
     }
 
     fn deliver(&mut self, leg: usize, now_us: u64) -> Delivery {
-        let wire = &mut self.legs[leg].out.wire;
+        let wire = &mut self.legs[leg].link.out.wire;
         if wire.is_stream() {
             Delivery::Stream(wire.poll_stream(now_us))
         } else {
@@ -1270,7 +1289,7 @@ impl Relay for RelayNode {
     fn next_event_us(&self) -> Option<u64> {
         self.legs
             .iter()
-            .filter_map(|l| l.out.wire.next_event_us())
+            .filter_map(|l| l.link.out.wire.next_event_us())
             .min()
     }
 }
@@ -1278,7 +1297,9 @@ impl Relay for RelayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adshare_codec::codec::{default_pt, AnyCodec};
     use adshare_codec::image::Image;
+    use adshare_codec::Codec;
     use adshare_remoting::packetizer::{RemotingDepacketizer, RemotingPacketizer};
     use adshare_rtp::rtcp::{encode_compound, PictureLossIndication, ReceiverReport};
     use adshare_rtp::session::RtpSender;
@@ -1560,11 +1581,10 @@ mod tests {
         // stream's next packet lands on a seq the catch-up burst occupied.
         let filler = RtpPacket::new(RtpHeader::new(99, 0, 0, 1), vec![0u8; 4]);
         let l = &mut relay.legs[leg];
-        while l.out.last_sent() != Some(reused.wrapping_sub(1)) {
+        while l.link.out.last_sent() != Some(reused.wrapping_sub(1)) {
             let filler = std::slice::from_ref(&filler);
-            l.out
-                .forward(&mut l.tap, 1_500, filler, &mut Burst::default());
-            l.out.wire.poll(0, 1_500);
+            (l.link.out).forward(&mut l.tap, 1_500, filler, &mut Burst::default());
+            l.link.out.wire.poll(0, 1_500);
         }
         let png = AnyCodec::new(CodecKind::Png);
         let fresh_img = Image::filled(64, 48, [200, 10, 10, 255]).unwrap();

@@ -20,6 +20,9 @@ pub enum Ingest {
     Duplicate,
     /// Packet older than the delivery cursor; dropped.
     TooOld,
+    /// Accepted, but the buffer overflowed: the cursor jumped to the oldest
+    /// held packet, abandoning the gap before it for good.
+    Jumped,
 }
 
 /// A bounded reordering buffer keyed by 16-bit sequence numbers.
@@ -88,14 +91,15 @@ impl ReorderBuffer {
         }
         self.held.insert(seq, pkt);
         // Overflow policy: if we hold too much, advance the cursor to the
-        // oldest held packet, abandoning the gap (the session layer will have
-        // NACKed it already; eventually a PLI recovers the screen).
-        if self.held.len() > self.capacity {
-            if let Some(oldest) = self.oldest_held() {
+        // oldest held packet, abandoning the gap, and say so: the session
+        // layer must drop the message the gap cut and ask for a refresh.
+        match self.oldest_held() {
+            Some(oldest) if self.held.len() > self.capacity && self.next != Some(oldest) => {
                 self.next = Some(oldest);
+                Ingest::Jumped
             }
+            _ => Ingest::Accepted,
         }
-        Ingest::Accepted
     }
 
     /// Pop the next in-order packet, if available.
@@ -252,9 +256,10 @@ mod tests {
         b.ingest(pkt(0));
         assert_eq!(drain(&mut b), vec![0]);
         // Packet 1 lost forever; 2..=6 arrive, exceeding capacity 4.
-        for s in 2..=6 {
-            b.ingest(pkt(s));
+        for s in 2..=5 {
+            assert_eq!(b.ingest(pkt(s)), Ingest::Accepted);
         }
+        assert_eq!(b.ingest(pkt(6)), Ingest::Jumped, "the jump is reported");
         // Cursor jumped to 2; everything held drains in order.
         assert_eq!(drain(&mut b), vec![2, 3, 4, 5, 6]);
     }

@@ -12,17 +12,15 @@ use adshare_bfcp::{BfcpMessage, FloorChair, HidStatus};
 use adshare_capture::CaptureHandle;
 use adshare_codec::{CodecRegistry, Rect};
 use adshare_encode::EncodePipeline;
-use adshare_layers::TierRequest;
 use adshare_netsim::tcp::TcpConfig;
 use adshare_netsim::udp::LinkConfig;
 use adshare_obs::{EventKind, Obs, ACTOR_AH};
-use adshare_rate::{QualityTier, RateController};
+use adshare_rate::RateController;
 use adshare_remoting::hip::HipMessage;
 use adshare_remoting::keycodes;
 use adshare_remoting::message::RemotingMessage;
-use adshare_remoting::reference::Names;
 use adshare_rtp::packet::RtpPacket;
-use adshare_rtp::rtcp::{decode_compound, ReportBlock, RtcpPacket};
+use adshare_rtp::rtcp::{decode_compound, ReportBlock};
 use adshare_rtp::session::RtpSender;
 use adshare_screen::desktop::{Desktop, ScrollHint};
 use adshare_screen::wm::WindowId;
@@ -457,9 +455,7 @@ impl AppHost {
     ) -> Option<ParticipantHandle> {
         let slot = *self.mcast.get(session)?;
         let leg = self.legs[slot].as_mut().expect("sessions are never freed");
-        let receiver = leg
-            .out
-            .wire
+        let receiver = (leg.link.out.wire)
             .join(link, seed)
             .expect("session legs are groups");
         if let Some(obs) = &self.obs {
@@ -494,7 +490,7 @@ impl AppHost {
         };
         if let Some(channel) = self.legs[slot]
             .as_mut()
-            .and_then(|l| l.out.wire.udp_link_mut())
+            .and_then(|l| l.link.out.wire.udp_link_mut())
         {
             channel.set_schedule(steps);
         }
@@ -509,7 +505,7 @@ impl AppHost {
 
     /// The AH egress byte count for one participant's transport.
     pub fn participant_bytes_sent(&self, handle: ParticipantHandle) -> u64 {
-        self.leg(handle).map_or(0, |l| l.out.wire.bytes_sent())
+        self.leg(handle).map_or(0, |l| l.link.out.wire.bytes_sent())
     }
 
     /// Capture desktop changes and flush to all participants.
@@ -601,7 +597,7 @@ impl AppHost {
             pending.pointer_icon |= ptr_icon;
         };
         for leg in self.legs.iter_mut().flatten() {
-            if leg.out.wire.has_receivers() {
+            if leg.link.out.wire.has_receivers() {
                 merge(&mut leg.pending);
             }
         }
@@ -645,7 +641,7 @@ impl AppHost {
             return Vec::new();
         };
         match &mut self.legs[slot] {
-            Some(leg) => leg.out.wire.poll(receiver, now_us),
+            Some(leg) => leg.link.out.wire.poll(receiver, now_us),
             None => Vec::new(),
         }
     }
@@ -664,12 +660,13 @@ impl AppHost {
             return Vec::new();
         };
         match &mut self.legs[slot] {
-            Some(leg) => leg.out.wire.poll_stream(now_us),
+            Some(leg) => leg.link.out.wire.poll_stream(now_us),
             None => Vec::new(),
         }
     }
 
-    /// Handle RTCP feedback (PLI / NACK) from a participant (§5.3).
+    /// Handle RTCP feedback (PLI / NACK / RR / APP) from a participant
+    /// (§5.3), one packet at a time, through its leg.
     pub fn handle_rtcp(&mut self, handle: ParticipantHandle, bytes: &[u8], now_us: u64) {
         let Ok(packets) = decode_compound(bytes) else {
             return;
@@ -677,63 +674,13 @@ impl AppHost {
         let Some((slot, _)) = self.route(handle) else {
             return;
         };
-        let actor = handle.0 as u16;
         let (mut cx, legs) = self.parts();
         let Some(leg) = legs[slot].as_mut() else {
             return;
         };
         let mut report = None;
-        for pkt in packets {
-            match pkt {
-                RtcpPacket::Pli(_) => {
-                    let served = leg.on_pli(&cx, now_us);
-                    cx.event(
-                        now_us,
-                        actor,
-                        EventKind::PliReceived,
-                        served as u64,
-                        handle.0 as u64,
-                    );
-                }
-                RtcpPacket::Nack(nack) => {
-                    let lost = nack.lost_seqs();
-                    cx.event(
-                        now_us,
-                        actor,
-                        EventKind::NackReceived,
-                        lost.len() as u64,
-                        lost.first().copied().unwrap_or(0) as u64,
-                    );
-                    leg.on_nack(&mut cx, &lost, now_us);
-                }
-                RtcpPacket::ReceiverReport(rr) => {
-                    if let Some(block) = rr.reports.into_iter().next() {
-                        leg.on_receiver_report(&mut cx, &block, now_us);
-                        report = Some(block);
-                    }
-                }
-                RtcpPacket::Unknown { ref raw, .. } => {
-                    // A viewer's report of the tiles it holds, or of a
-                    // reference it could not resolve (RTCP APP "ADTN").
-                    if let Some(names) = Names::parse(raw) {
-                        leg.on_names(&cx, names, now_us);
-                    }
-                    // A relay's tier subscription (RTCP APP "ADTR"): pin
-                    // this path's published tier so the whole subtree
-                    // stops paying for quality it cannot deliver.
-                    if let Some(req) = TierRequest::decode(raw) {
-                        leg.rs.tier_pin = (req.tier != QualityTier::Lossless).then_some(req.tier);
-                        cx.event(
-                            now_us,
-                            actor,
-                            EventKind::TierRequest,
-                            req.tier.as_gauge() as u64,
-                            0,
-                        );
-                    }
-                }
-                _ => {}
-            }
+        for pkt in &packets {
+            report = leg.on_rtcp(&mut cx, pkt, handle.0, now_us).or(report);
         }
         if let (Some(block), Some(Some(member))) = (report, self.participants.get_mut(handle.0)) {
             member.last_report = Some(block);
@@ -832,7 +779,7 @@ impl AppHost {
         self.legs
             .iter()
             .flatten()
-            .filter_map(|l| l.out.wire.next_event_us())
+            .filter_map(|l| l.link.out.wire.next_event_us())
             .min()
     }
 
@@ -877,8 +824,11 @@ fn bfcp_target(msg: &BfcpMessage) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adshare_layers::TierRequest;
+    use adshare_rate::QualityTier;
     use adshare_remoting::registry::MouseButton;
     use adshare_remoting::WindowId as WireWindowId;
+    use adshare_rtp::rtcp::RtcpPacket;
 
     fn ah_with_window() -> (AppHost, WindowId) {
         let mut desktop = Desktop::new(640, 480);

@@ -6,7 +6,6 @@
 
 use std::collections::HashMap;
 
-use adshare_codec::codec::{AnyCodec, EncodeOptions};
 use adshare_codec::{Codec, CodecKind, CodecRegistry, Image, Rect};
 use adshare_encode::{tiles, RegionKey, RegionTiles, TileJob};
 use adshare_obs::{Counter, EventKind, FrameTrace, Histogram, Registry, ACTOR_AH};
@@ -24,7 +23,7 @@ use bytes::Bytes;
 
 use super::{AppHost, Cx};
 use crate::config::{AhConfig, PointerPolicy};
-use crate::egress::Ledger;
+use crate::egress::{tile_codec, Ledger};
 
 /// Per-participant pending output (what changed but has not been sent).
 #[derive(Debug, Default)]
@@ -329,43 +328,7 @@ impl AppHost {
             }
             jobs
         };
-        // A congestion-driven lossy tier overrides codec choice entirely;
-        // otherwise §4.2: pick the codec "according to their
-        // characteristics" when adaptive mode is on, else the configured
-        // codec. The closure is a pure function of the pixels that owns
-        // what it uses, so it is safe to run on the pool and its output
-        // safe to cache by content.
-        let codec = |kind| {
-            registry
-                .pt_for(kind)
-                .and_then(|pt| Some((pt, *registry.get(pt)?)))
-        };
-        let (dct, configured) = (codec(CodecKind::Dct), codec(cfg.codec));
-        let lossy = tier.dct_quality().map(|quality| {
-            let options = EncodeOptions {
-                quality,
-                ..EncodeOptions::default()
-            };
-            AnyCodec::with_options(CodecKind::Dct, options)
-        });
-        let adaptive = cfg.adaptive_codec;
-        let encode = move |img: &Image| -> (u8, Vec<u8>) {
-            let dct = || dct.expect("DCT registered");
-            if let Some(lossy) = lossy {
-                return (dct().0, lossy.encode(img));
-            }
-            let photographic = adaptive
-                && matches!(
-                    adshare_codec::classify(img).class,
-                    adshare_codec::ContentClass::Photographic
-                );
-            let (pt, codec) = if photographic {
-                dct()
-            } else {
-                configured.expect("configured codec registered")
-            };
-            (pt, codec.encode(img))
-        };
+        let encode = tile_codec(registry, tier, cfg.codec, cfg.adaptive_codec);
         let key = RegionKey {
             surface: win.0 as u64,
             rect,

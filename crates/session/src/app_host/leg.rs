@@ -1,21 +1,21 @@
-//! The AH's one egress leg: the AH's policy around one [`Downstream`] —
-//! pace remoting messages (§4.3), answer Generic NACKs and receiver-report
-//! tail loss from what the stream kept (§5.3), report them (RTCP SR) — over
-//! whichever [`Wire`] the path uses. A unicast participant owns its leg;
-//! the members of a multicast session share theirs.
+//! The AH's egress leg: the AH's policy around the one [`egress::Leg`]
+//! every AH and relay leg holds — pace remoting messages (§4.3), refresh,
+//! report the stream (RTCP SR) — over whichever wire the path uses. A
+//! unicast participant owns its leg; the members of a multicast session
+//! share theirs.
 //!
-//! What the receivers report back is read by the leg's [`Feedback`] half,
-//! the one every relay leg holds too; the leg applies its verdicts.
-//!
+//! NACKs and receiver-report tails are answered by the one leg (§5.3); a
+//! PLI, a hopeless tail, a tile report and a tier request are the AH's.
 //! The only transport-specific part of a flush is where the byte budget
 //! comes from: a datagram path asks its token bucket, a stream reads its
 //! send-buffer backlog (which is also its congestion signal and, per §7,
 //! its reason to hold stale state back).
 
 use adshare_capture::StreamKind;
+use adshare_layers::TierRequest;
 use adshare_netsim::time::us_to_ticks;
 use adshare_obs::{EventKind, FrameTrace, Obs, Registry, ACTOR_AH};
-use adshare_rate::RateController;
+use adshare_rate::{QualityTier, RateController};
 use adshare_remoting::message::RemotingMessage;
 use adshare_remoting::reference::Names;
 use adshare_rtp::rtcp::{
@@ -27,7 +27,7 @@ use bytes::Bytes;
 use super::drain::{Drained, Pending, RateState};
 use super::{AppHost, Cx};
 use crate::config::AhConfig;
-use crate::egress::{Burst, Congestion, Downstream, Feedback, StreamId, Tail, Verdict, Wire};
+use crate::egress::{self, Burst, StreamId, Wire};
 
 const SR_INTERVAL_US: u64 = 1_000_000;
 
@@ -38,10 +38,10 @@ const STREAM_MTU: usize = 60_000;
 
 #[derive(Debug)]
 pub(super) struct Leg {
-    /// The stream on the path's wire: sequence space, repair record, NACK
-    /// lookup, packetizer. Its actor is the participant's handle index, or
-    /// [`ACTOR_AH`] for a group.
-    pub(super) out: Downstream,
+    /// The stream on the path's wire and its feedback half. The stream's
+    /// actor is the participant's handle index, or [`ACTOR_AH`] for a
+    /// group.
+    pub(super) link: egress::Leg,
     /// SSRC, payload type and timestamp offset; the stream numbers.
     sender: RtpSender,
     pub(super) pending: Pending,
@@ -49,8 +49,6 @@ pub(super) struct Leg {
     /// shared leg every member's RTCP feeds this one controller, so the
     /// session reacts to its worst path.
     pub(super) rs: RateState,
-    /// The SRs this leg sent, its round trip and its rate signal.
-    feedback: Feedback,
     /// When the leg last got past its idle check (µs).
     last_flush_us: u64,
     /// RTP payload budget per packet.
@@ -86,19 +84,17 @@ impl Leg {
         actor: u16,
         prefix: String,
     ) -> Self {
-        // A stream is reliable: nothing to retransmit.
-        let keep = (cfg.retransmissions && !wire.is_stream()).then_some(cfg.history);
+        let keep = cfg.retransmissions.then_some(cfg.history);
         Leg {
             mtu: if wire.is_stream() {
                 STREAM_MTU
             } else {
                 cfg.mtu
             },
-            out: Downstream::new(wire, actor, Some(sender.peek_seq()), keep, false),
+            link: egress::Leg::new(wire, (actor, ACTOR_AH), Some(sender.peek_seq()), keep),
             sender,
             pending: Pending::default(),
             rs: RateState::new(rate),
-            feedback: Feedback::new(ACTOR_AH),
             last_flush_us: 0,
             prefix,
             drained: Vec::new(),
@@ -108,29 +104,28 @@ impl Leg {
     /// Export the transport, controller and history under the leg's prefix
     /// (idempotent; re-run after a group gains a member).
     pub(super) fn register_metrics(&self, registry: &Registry) {
-        let prefix = &self.prefix;
-        self.out.wire.register_metrics(registry, prefix);
+        let (prefix, out) = (&self.prefix, &self.link.out);
+        out.wire.register_metrics(registry, prefix);
         self.rs
             .rate
             .register_metrics(registry, &format!("{prefix}.rate"));
-        self.out
-            .register_metrics(registry, &format!("{prefix}.retx_history"));
-        self.feedback.register_metrics(registry, prefix);
+        out.register_metrics(registry, &format!("{prefix}.retx_history"));
+        self.link.feedback.register_metrics(registry, prefix);
     }
 
     /// A multicast session's leg: several receivers' feedback lands on it,
     /// so repairs are deduplicated, an idle group stops sending reports,
     /// and the bucket accrues only while the group flushes.
     pub(super) fn shared(&self) -> bool {
-        self.out.wire.is_group()
+        self.link.out.wire.is_group()
     }
 
     /// Whether the leg still holds unflushed work — pending damage, a
     /// non-empty pacer queue, owed lossless repairs, or stream bytes queued
     /// behind a full send buffer.
     pub(super) fn has_pending(&self) -> bool {
-        self.out.wire.has_receivers()
-            && (!self.pending.is_empty() || self.rs.busy() || self.out.wire.has_unsent())
+        let wire = &self.link.out.wire;
+        wire.has_receivers() && (!self.pending.is_empty() || self.rs.busy() || wire.unsent() > 0)
     }
 
     /// Start a flush — where the byte budget comes from is its only
@@ -138,14 +133,11 @@ impl Leg {
     /// backlog `None` on a datagram path; `None` when the path is idle.
     fn budget(&mut self, cx: &Cx<'_>, now_us: u64) -> Option<(Option<u64>, Option<usize>)> {
         let adaptive = self.rs.rate.is_adaptive();
-        if let Some((backlog, capacity)) = self.out.wire.stream_backlog(now_us) {
+        if let Some(backlog) = self.link.backlog(&mut self.rs.rate, cx.obs, now_us) {
             if adaptive {
-                // §7's select() signal doubles as TCP's congestion signal:
-                // the controller adapts quality from the send-buffer
+                // The controller adapts quality from the send-buffer
                 // occupancy. A stream is never byte-paced — the buffer
                 // itself does the pacing.
-                let signal = Congestion::Backlog(backlog, capacity);
-                (self.feedback).congestion(&mut self.rs.rate, cx.obs, signal, now_us);
                 let _ = self.rs.rate.flush_budget(now_us); // refresh gauges
                 note_rate_change(cx.obs, &mut self.rs, now_us);
             }
@@ -171,7 +163,7 @@ impl Leg {
 
     /// Drain what the path affords this step and send it.
     pub(super) fn flush(&mut self, cx: &mut Cx<'_>, now_us: u64) {
-        if !self.out.wire.has_receivers() {
+        if !self.link.out.wire.has_receivers() {
             return;
         }
         let Some((budget, stream)) = self.budget(cx, now_us) else {
@@ -191,11 +183,7 @@ impl Leg {
             if self.pending.is_empty() {
                 return;
             }
-            if cx.cfg.tcp_freshness_policy && backlog > 0 {
-                // §7: backlog present — hold pending state, send the
-                // freshest version once the buffer drains.
-                let (actor, backlog) = (self.out.actor(), backlog as u64);
-                cx.event(now_us, actor, EventKind::BacklogSkip, backlog, 0);
+            if cx.cfg.tcp_freshness_policy && self.link.hold(backlog, cx.obs, now_us) {
                 return;
             }
         }
@@ -209,7 +197,7 @@ impl Leg {
                 budget,
                 now_us,
                 tier,
-                self.feedback.names(),
+                self.link.feedback.names(),
                 &mut drained,
             );
             for queued in released {
@@ -225,7 +213,7 @@ impl Leg {
                 now_us,
                 tier,
                 degraded,
-                self.feedback.names(),
+                self.link.feedback.names(),
                 &mut drained,
             );
             // A stream drains unbudgeted, so its whole repair just went
@@ -263,7 +251,7 @@ impl Leg {
         };
         let frag_start = std::time::Instant::now();
         let mut burst = Burst::default();
-        if (self.out)
+        if (self.link.out)
             .send_message(cx.tap, now_us, msg, self.mtu, id, &mut burst)
             .is_err()
         {
@@ -276,7 +264,7 @@ impl Leg {
         let nfrags = burst.packets as u32;
         let seq = u64::from(burst.marker_seq.unwrap_or(0));
         let sent = (u64::from(nfrags) << 32) | (burst.bytes & 0xFFFF_FFFF);
-        cx.event(now_us, self.out.actor(), EventKind::RtpTx, seq, sent);
+        cx.event(now_us, self.link.out.actor(), EventKind::RtpTx, seq, sent);
         if let (Some(obs), Some(mut trace), Some(seq)) = (cx.obs, seed, burst.marker_seq) {
             trace.sent_at_us = now_us;
             trace.fragment_wall_us = fragment_us;
@@ -286,47 +274,24 @@ impl Leg {
         burst.bytes
     }
 
-    /// Have the stream answer NACKed (or tail-lost) sequences, and account
-    /// for each answer.
-    fn repair(&mut self, cx: &mut Cx<'_>, seqs: impl Iterator<Item = u16>, now_us: u64) {
-        if !self.out.keeps() {
-            return;
-        }
-        let actor = self.out.actor();
-        for seq in seqs {
-            match self.out.answer(cx.tap, seq, now_us) {
-                Verdict::Resend(datagram) => {
-                    let len = datagram.len() as u64;
-                    cx.counters.retransmits.inc();
-                    cx.counters.bytes_sent.add(len);
-                    cx.event(now_us, actor, EventKind::RetxServed, seq as u64, len);
-                }
-                Verdict::Repeated => {
-                    cx.counters.retransmits_suppressed.inc();
-                    cx.event(now_us, actor, EventKind::RetxSuppressed, seq as u64, 0);
-                }
-                _ => cx.event(now_us, actor, EventKind::RetxExpired, seq as u64, 0),
-            }
-        }
-    }
-
     /// Periodic RTCP sender report (RFC 3550 §6.4.1), multiplexed onto the
     /// media path per RFC 5761. It gives participants the wall-clock ↔
     /// RTP-timestamp mapping used to measure capture→display latency.
     pub(super) fn emit_sender_report(&mut self, cx: &mut Cx<'_>, now_us: u64) {
         let group_idle =
             self.shared() && now_us.saturating_sub(self.last_flush_us) > SR_INTERVAL_US * 10;
-        if !self.out.wire.has_receivers() || group_idle {
+        let (out, feedback) = (&mut self.link.out, &mut self.link.feedback);
+        if !out.wire.has_receivers() || group_idle {
             return;
         }
-        if now_us.saturating_sub(self.feedback.last_sr_us()) < SR_INTERVAL_US {
+        if now_us.saturating_sub(feedback.last_sr_us()) < SR_INTERVAL_US {
             return;
         }
-        let (packets, octets) = self.out.sent_counts();
+        let (packets, octets) = out.sent_counts();
         if packets == 0 {
             return;
         }
-        self.feedback.note_sr(now_us, now_us);
+        feedback.note_sr(now_us, now_us);
         let ssrc = self.sender.ssrc();
         let sr = SenderReport {
             ssrc,
@@ -344,20 +309,18 @@ impl Leg {
             RtcpPacket::Sdes(SourceDescription::cname(ssrc, "ah@adshare")),
         ]));
         cx.counters.sr_sent.inc();
-        self.out
-            .wire
-            .send(cx.tap, StreamKind::Rtcp, ACTOR_AH, now_us, &bytes);
+        (out.wire).send(cx.tap, StreamKind::Rtcp, ACTOR_AH, now_us, &bytes);
     }
 
     /// What a viewer says about the tiles it holds: a report fills the
     /// leg's ledger, a miss (a reference it could not resolve) is answered
     /// like a PLI. A group's members are never sent a reference, so their
     /// reports are not read.
-    pub(super) fn on_names(&mut self, cx: &Cx<'_>, names: Names<'_>, now_us: u64) {
+    fn on_names(&mut self, cx: &Cx<'_>, names: Names<'_>, now_us: u64) {
         let ssrc = self.sender.ssrc();
         match names {
             _ if self.shared() => {}
-            Names::Report(report) => self.feedback.names().on_report(&report, ssrc),
+            Names::Report(report) => self.link.feedback.names().on_report(&report, ssrc),
             Names::Miss(miss) if miss.media_ssrc == ssrc => {
                 cx.counters.ref_misses.inc();
                 self.on_pli(cx, now_us);
@@ -368,15 +331,15 @@ impl Leg {
 
     /// A PLI: refresh the whole screen, and send nothing by name until the
     /// viewer reports again. Returns whether the refresh was scheduled.
-    pub(super) fn on_pli(&mut self, cx: &Cx<'_>, now_us: u64) -> bool {
-        self.feedback.names().clear();
+    fn on_pli(&mut self, cx: &Cx<'_>, now_us: u64) -> bool {
+        self.link.feedback.names().clear();
         self.full_refresh(cx, now_us)
     }
 
     /// Schedule a full refresh, subject to the adaptive controller's PLI
     /// throttle (a denied requester re-asks via its resync timer;
     /// fixed-rate mode never throttles). Returns whether it was scheduled.
-    pub(super) fn full_refresh(&mut self, cx: &Cx<'_>, now_us: u64) -> bool {
+    fn full_refresh(&mut self, cx: &Cx<'_>, now_us: u64) -> bool {
         if !self.rs.rate.allow_refresh(now_us) {
             return false;
         }
@@ -385,29 +348,47 @@ impl Leg {
         true
     }
 
-    /// A Generic NACK: a congestion signal for the path's estimator (a
-    /// burst decreases, a trickle holds off), then the repair itself.
-    pub(super) fn on_nack(&mut self, cx: &mut Cx<'_>, lost: &[u16], now_us: u64) {
-        let signal = Congestion::Nack(lost.len());
-        (self.feedback).congestion(&mut self.rs.rate, cx.obs, signal, now_us);
-        self.repair(cx, lost.iter().copied(), now_us);
-    }
-
-    /// A reception report: the feedback half measures the round trip,
-    /// feeds the loss fraction to the estimator and judges the tail; a
-    /// short deficit is answered from retransmit history, a hopeless one
-    /// with a full refresh.
-    pub(super) fn on_receiver_report(&mut self, cx: &mut Cx<'_>, block: &ReportBlock, now_us: u64) {
-        let rate = Some(&mut self.rs.rate);
-        match (self.feedback).on_report(&self.out, rate, cx.obs, block, now_us) {
-            Tail::Intact => {}
-            Tail::Refresh => {
-                self.full_refresh(cx, now_us);
-            }
-            tail => {
-                cx.counters.tail_repairs.inc();
-                self.repair(cx, tail.seqs(), now_us);
-            }
+    /// Read one RTCP packet from participant `handle`: the one leg answers
+    /// NACKs and report tails from what the stream kept; a PLI, a hopeless
+    /// tail, a tile report and a relay's tier request are the AH's. Returns
+    /// a receiver report's block.
+    pub(super) fn on_rtcp(
+        &mut self,
+        cx: &mut Cx<'_>,
+        pkt: &RtcpPacket,
+        handle: usize,
+        now_us: u64,
+    ) -> Option<ReportBlock> {
+        let (actor, rate) = (handle as u16, Some(&mut self.rs.rate));
+        let nothing = |_: &mut _, _: &mut _, _, _| {};
+        let owed = (self.link).on_rtcp(cx.tap, pkt, rate, cx.obs, actor, now_us, nothing);
+        cx.counters.retransmits.add(owed.resent.0);
+        cx.counters.bytes_sent.add(owed.resent.1);
+        cx.counters.retransmits_suppressed.add(owed.repeated);
+        cx.counters.tail_repairs.add(u64::from(owed.tail));
+        if owed.refresh {
+            self.full_refresh(cx, now_us);
         }
+        if owed.pli {
+            let served = self.on_pli(cx, now_us) as u64;
+            cx.event(now_us, actor, EventKind::PliReceived, served, handle as u64);
+        }
+        let RtcpPacket::Unknown { raw, .. } = pkt else {
+            return owed.report;
+        };
+        // A viewer's report of the tiles it holds, or of a reference it
+        // could not resolve (RTCP APP "ADTN").
+        if let Some(names) = Names::parse(raw) {
+            self.on_names(cx, names, now_us);
+        }
+        // A relay's tier subscription (RTCP APP "ADTR"): pin this path's
+        // published tier so the whole subtree stops paying for quality it
+        // cannot deliver.
+        if let Some(req) = TierRequest::decode(raw) {
+            self.rs.tier_pin = (req.tier != QualityTier::Lossless).then_some(req.tier);
+            let tier = req.tier.as_gauge() as u64;
+            cx.event(now_us, actor, EventKind::TierRequest, tier, 0);
+        }
+        None
     }
 }

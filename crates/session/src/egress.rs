@@ -3,12 +3,13 @@
 //! repair ([`Downstream`]), and where a leg reads its feedback ([`Feedback`]).
 //!
 //! Everything the AH and the relay put on a transport goes through
-//! [`Wire::send`] (or its all-or-nothing sibling [`Wire::send_whole`]),
-//! which folds the sender's wire digest, taps the capture, frames for TCP
-//! (RFC 4571) and touches the transport — in that order, in one function.
-//! A packet is therefore *tapped iff folded iff sent* by construction: a
-//! capture refolds to the digest of the leg it was taken from, and a frame
-//! a full TCP send buffer refuses appears in neither.
+//! [`Wire::send`], which folds the sender's wire digest, taps the capture,
+//! frames for TCP (RFC 4571) and touches the transport — in that order, in
+//! one function. A packet is therefore *tapped iff folded iff sent* by
+//! construction: a capture refolds to the digest of the leg it was taken
+//! from. A stream never drops a frame: what its send buffer refuses waits
+//! in order behind it. Around the [`Downstream`] and its [`Feedback`] half
+//! sits the one [`Leg`] every AH and relay leg holds.
 //!
 //! A datagram arrives here as the sender's one [`Bytes`] buffer. The digest
 //! and the framer read it by reference; a datagram link (UDP channel, every
@@ -25,10 +26,13 @@ use std::collections::{HashMap, VecDeque};
 use adshare_capture::{
     word_fold, CaptureHandle, Direction, StreamKind, Transport as CapTransport, FNV_OFFSET,
 };
+use adshare_codec::codec::{AnyCodec, EncodeOptions};
+use adshare_codec::{classify, Codec, CodecKind, CodecRegistry, ContentClass, Image};
 use adshare_netsim::multicast::MulticastGroup;
 use adshare_netsim::tcp::{TcpConfig, TcpLink};
 use adshare_netsim::udp::{LinkConfig, UdpChannel};
 use adshare_obs::Registry;
+use adshare_rate::QualityTier;
 use adshare_remoting::fragment::for_each_fragment;
 use adshare_remoting::message::RemotingMessage;
 use adshare_rtp::framing::{frame_into, MAX_FRAME_LEN};
@@ -37,8 +41,10 @@ use bytes::Bytes;
 
 mod feedback;
 mod ledger;
+mod leg;
 pub use feedback::{Congestion, Feedback, Tail};
 pub use ledger::{Ledger, MEMO_MAX};
+pub use leg::{Leg, Owed};
 
 /// Running egress digest plus the capture sink recording the same bytes.
 #[derive(Debug)]
@@ -96,9 +102,8 @@ impl Tap {
 enum Link {
     Udp(UdpChannel),
     /// RFC 4571-framed reliable stream. `outq[head..]` holds framed bytes
-    /// the send buffer refused, for senders that keep the stream ordered
-    /// ([`Wire::send`]); it stays empty under [`Wire::send_whole`]. Pushing
-    /// advances `head` instead of shifting the rest to the front.
+    /// the send buffer refused, in order. Pushing advances `head` instead
+    /// of shifting the rest to the front.
     Tcp {
         link: TcpLink,
         outq: Vec<u8>,
@@ -220,27 +225,6 @@ impl Wire {
         datagram.len()
     }
 
-    /// Send one datagram all-or-nothing: a TCP send buffer that cannot take
-    /// the whole frame refuses it (returns `false`; nothing folded, taped
-    /// or sent — the backlog signal has already told the sender's tier
-    /// controller to slow down). Datagram transports always accept.
-    pub fn send_whole(
-        &mut self,
-        tap: &mut Tap,
-        kind: StreamKind,
-        actor: u16,
-        now_us: u64,
-        datagram: &Bytes,
-    ) -> bool {
-        if let Link::Tcp { link, .. } = &mut self.link {
-            if datagram.len() > MAX_FRAME_LEN || !link.can_accept(now_us, datagram.len() + 2) {
-                return false;
-            }
-        }
-        self.send(tap, kind, actor, now_us, datagram);
-        true
-    }
-
     /// For a stream: push the spill queue, then report `(backlog bytes,
     /// send-buffer capacity)` — the §7 signal. `None` on datagram wires.
     pub fn stream_backlog(&mut self, now_us: u64) -> Option<(usize, usize)> {
@@ -265,9 +249,12 @@ impl Wire {
         ))
     }
 
-    /// Whether framed bytes still wait behind a full send buffer.
-    pub fn has_unsent(&self) -> bool {
-        matches!(&self.link, Link::Tcp { outq, .. } if !outq.is_empty())
+    /// Framed bytes still waiting behind a full send buffer.
+    pub fn unsent(&self) -> usize {
+        match &self.link {
+            Link::Tcp { outq, head, .. } => outq.len() - head,
+            _ => 0,
+        }
     }
 
     /// The datagrams that have arrived at the receiver by `now_us` (UDP;
@@ -339,6 +326,39 @@ impl Wire {
             Link::Udp(channel) => Some(channel),
             _ => None,
         }
+    }
+}
+
+/// How a leg's tiles are encoded at `tier` (§4.2): coarse DCT at a lossy
+/// tier (the payload type tells the decoder), else DCT for photographic
+/// pixels when `adaptive`, else `codec`. A pure function of the pixels that
+/// owns what it uses, so the encode pool may run it and the encode cache
+/// may key its output by content (the tier is part of the key).
+pub fn tile_codec(
+    registry: &CodecRegistry,
+    tier: QualityTier,
+    codec: CodecKind,
+    adaptive: bool,
+) -> impl Fn(&Image) -> (u8, Vec<u8>) + Send + Sync + 'static {
+    let pick = |kind| {
+        let pt = registry.pt_for(kind).expect("codec registered");
+        (pt, *registry.get(pt).expect("registered"))
+    };
+    let (dct, configured) = (pick(CodecKind::Dct), pick(codec));
+    let lossy = tier.dct_quality().map(|quality| {
+        let options = EncodeOptions {
+            quality,
+            ..EncodeOptions::default()
+        };
+        AnyCodec::with_options(CodecKind::Dct, options)
+    });
+    move |img: &Image| {
+        if let Some(lossy) = lossy {
+            return (dct.0, lossy.encode(img));
+        }
+        let photographic = adaptive && classify(img).class == ContentClass::Photographic;
+        let (pt, codec) = if photographic { dct } else { configured };
+        (pt, codec.encode(img))
     }
 }
 
@@ -422,8 +442,6 @@ pub struct Downstream {
     /// The transport.
     pub wire: Wire,
     actor: u16,
-    /// All-or-nothing sends ([`Wire::send_whole`]) instead of ordered ones.
-    whole: bool,
     /// `None` until the first send pins it (a relay leg keeps its first
     /// forwarded packet's upstream number).
     next_seq: Option<u16>,
@@ -447,20 +465,17 @@ pub struct Downstream {
 }
 
 impl Downstream {
-    /// A stream on `wire` sending as `actor`, numbering from `first_seq`,
-    /// remembering up to `keep = (packets, bytes)` and sending
-    /// all-or-nothing when `whole`.
+    /// A stream on `wire` sending as `actor`, numbering from `first_seq`
+    /// and remembering up to `keep = (packets, bytes)`.
     pub fn new(
         wire: Wire,
         actor: u16,
         first_seq: Option<u16>,
         keep: Option<(usize, usize)>,
-        whole: bool,
     ) -> Self {
         Downstream {
             wire,
             actor,
-            whole,
             next_seq: first_seq,
             sent: (0, 0),
             kept: VecDeque::new(),
@@ -522,15 +537,9 @@ impl Downstream {
         }
     }
 
-    /// Send one datagram under this stream's TCP policy; returns the bytes
-    /// offered: framed on an ordered stream, refused or not on an
-    /// all-or-nothing one.
+    /// Send one datagram as this stream's actor; returns the bytes put on
+    /// the transport (framed on a stream).
     pub fn send(&mut self, tap: &mut Tap, kind: StreamKind, now_us: u64, datagram: &Bytes) -> u64 {
-        if self.whole {
-            self.wire
-                .send_whole(tap, kind, self.actor, now_us, datagram);
-            return datagram.len() as u64;
-        }
         self.wire.send(tap, kind, self.actor, now_us, datagram) as u64
     }
 
@@ -694,7 +703,7 @@ fn find<T>(record: &VecDeque<(u32, T)>, at: u32) -> Option<&T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adshare_capture::{parse_capture, CaptureConfig, CaptureMode};
+    use adshare_capture::{CaptureConfig, CaptureMode};
 
     fn armed_tap() -> Tap {
         let mut tap = Tap::default();
@@ -729,7 +738,7 @@ mod tests {
             expect.extend_from_slice(&[0, 40]);
             expect.extend_from_slice(&datagram);
         }
-        assert!(wire.has_unsent(), "64-byte buffer must spill");
+        assert!(wire.unsent() > 0, "64-byte buffer must spill");
         let mut got = Vec::new();
         let mut now = 0;
         while got.len() < expect.len() && now < 10_000_000 {
@@ -738,24 +747,6 @@ mod tests {
             got.extend(wire.poll_stream(now));
         }
         assert_eq!(got, expect);
-        assert_eq!(tap.capture().unwrap().wire_digest(), tap.digest());
-    }
-
-    #[test]
-    fn whole_send_refuses_without_fold_or_tape() {
-        let mut tap = armed_tap();
-        let mut wire = tight_tcp();
-        // The serializer takes the first frame at once; the second fills
-        // the 64-byte buffer; the third does not fit.
-        let frame = |n: u8| Bytes::copy_from_slice(&[n; 40]);
-        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &frame(1)));
-        assert!(wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &frame(2)));
-        let accepted = tap.digest();
-        assert!(!wire.send_whole(&mut tap, StreamKind::Rtp, 7, 0, &frame(3)));
-        assert_eq!(tap.digest(), accepted, "a refused frame is not folded");
-        assert!(!wire.has_unsent(), "all-or-nothing never spills");
-        let cap = parse_capture(&tap.capture().unwrap().to_bytes()).unwrap();
-        assert_eq!(cap.records.len(), 2, "a refused frame is not taped");
         assert_eq!(tap.capture().unwrap().wire_digest(), tap.digest());
     }
 

@@ -210,7 +210,7 @@ mod tests {
     /// A leg that sent one one-packet message a millisecond for 100 ms:
     /// sequence `99 + t` at `t` ms.
     fn sent_on(wire: Wire) -> Downstream {
-        let mut out = Downstream::new(wire, 7, Some(100), None, false);
+        let mut out = Downstream::new(wire, 7, Some(100), None);
         let msg = RemotingMessage::RegionUpdate(RegionUpdate {
             window_id: WindowId(1),
             payload_type: 96,

@@ -11,7 +11,7 @@ use adshare_obs::{EventKind, Obs};
 use adshare_remoting::message::RemotingMessage;
 use adshare_remoting::packetizer::RemotingDepacketizer;
 use adshare_rtp::packet::RtpPacket;
-use adshare_rtp::reorder::ReorderBuffer;
+use adshare_rtp::reorder::{Ingest, ReorderBuffer};
 use adshare_rtp::rtcp::{
     GenericNack, PictureLossIndication, ReceiverReport, ReportBlock, RtcpPacket, SourceDescription,
 };
@@ -50,6 +50,8 @@ pub struct IngressStats {
     pub nacks_sent: u64,
     /// Sequence numbers requested via NACK.
     pub seqs_nacked: u64,
+    /// Holes the reorder buffer skipped because it overflowed.
+    pub reorder_jumps: u64,
 }
 
 /// What the reassembler made of one in-order packet.
@@ -196,10 +198,20 @@ impl Ingress {
     /// Take one media packet off a datagram path: count it, park it in the
     /// reorder buffer and NACK the gaps it reveals (immediately, or after
     /// a random backoff). Drain what it released with [`Ingress::pop`].
-    pub fn ingest(&mut self, pkt: RtpPacket, now_ticks: u64) {
+    ///
+    /// A packet that overflows the reorder buffer makes it skip the hole
+    /// it is stuck behind, which is handled like a give-up: the message the
+    /// hole cut in two is dropped, the jump is counted and a refresh is
+    /// asked for. Returns whether that happened.
+    pub fn ingest(&mut self, pkt: RtpPacket, now_ticks: u64) -> bool {
         let seq = pkt.header.sequence;
         self.observe(&pkt, now_ticks);
-        self.reorder.ingest(pkt);
+        let jumped = self.reorder.ingest(pkt) == Ingest::Jumped;
+        if jumped {
+            self.depacketizer.reset();
+            self.stats.reorder_jumps += 1;
+            self.request_refresh(now_ticks);
+        }
         // An arrival repairs any pending backoff NACK that covers it.
         if self.nack_backoff_ticks > 0 {
             for (_, seqs) in &mut self.pending_nacks {
@@ -218,6 +230,7 @@ impl Ingress {
                 self.pending_nacks.push((now_ticks + delay, missing));
             }
         }
+        jumped
     }
 
     /// The next packet in sequence order, if the reorder buffer has it, and

@@ -125,7 +125,7 @@ fn message(n: u64, rng: &mut StdRng) -> RemotingMessage {
 
 fn run(seed: u64, bound: usize, first_seq: Option<u16>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Downstream::new(Wire::raw(), 7, first_seq, Some((bound, usize::MAX)), false);
+    let mut out = Downstream::new(Wire::raw(), 7, first_seq, Some((bound, usize::MAX)));
     let mut tap = Tap::default();
     let mut reference = Reference::default();
     let mut half = Feedback::new(7);
@@ -318,7 +318,7 @@ proptest! {
                 dst_left: top, dst_top: left,
             }),
         };
-        let mut out = Downstream::new(Wire::raw(), 7, Some(first_seq), Some((4_096, usize::MAX)), false);
+        let mut out = Downstream::new(Wire::raw(), 7, Some(first_seq), Some((4_096, usize::MAX)));
         let id = StreamId { pt: 99, ts, ssrc };
         let mut burst = Burst::default();
         let result = out.send_message(&mut Tap::default(), 0, &msg, mtu, id, &mut burst);

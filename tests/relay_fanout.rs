@@ -246,8 +246,9 @@ fn capture_digest_for(cap: &CaptureHandle, actor: u16) -> (u64, usize) {
 
 /// A relay capture holds exactly what each leg put on its transport:
 /// NACK repairs (catch-up copy, suppression copy, cache hit), the catch-up
-/// burst and forwarded RTCP are taped, and a TCP frame the send buffer
-/// refused is not — "tapped iff folded iff sent".
+/// burst and forwarded RTCP are taped, and a TCP frame waiting behind a
+/// full send buffer is taped once, when it was folded — "tapped iff folded
+/// iff sent".
 #[test]
 fn relay_capture_refolds_to_leg_digest() {
     use adshare::obs::ACTOR_LEG_BASE;
@@ -269,7 +270,7 @@ fn relay_capture_refolds_to_leg_digest() {
         ..Default::default()
     };
     let udp = relay.add_leg_udp(lossy, 11, None);
-    // A TCP leg too small for the traffic: whole frames get refused.
+    // A TCP leg too small for the traffic: frames wait behind its buffer.
     let tcp = relay.add_leg_tcp(
         TcpConfig {
             rate_bps: 100_000,
@@ -284,7 +285,7 @@ fn relay_capture_refolds_to_leg_digest() {
     let mut viewer = Participant::new(1, Layout::Original, true, 9);
     viewer.request_refresh();
 
-    let mut now = 0u64;
+    let (mut now, mut held) = (0u64, 0u64);
     for step in 0u32..1_600 {
         now += 5_000;
         let ticks = us_to_ticks(now);
@@ -317,6 +318,7 @@ fn relay_capture_refolds_to_leg_digest() {
         }
         relay.poll_leg(tcp, now);
         relay.poll_leg(raw, now);
+        held = held.max(relay.leg_held_bytes(tcp));
     }
     let stats = relay.stats();
     assert!(
@@ -327,10 +329,11 @@ fn relay_capture_refolds_to_leg_digest() {
         stats.catchups_served >= 2,
         "join + re-PLI bursts: {stats:?}"
     );
-    assert_ne!(
+    assert!(held > 0, "the TCP send buffer must have backed up");
+    assert_eq!(
         relay.leg_wire_digest(tcp),
         relay.leg_wire_digest(raw),
-        "the TCP send buffer must have refused frames"
+        "an ordered stream loses no frame: the TCP leg carries the raw leg's stream"
     );
     for (name, leg) in [("udp", udp), ("tcp", tcp), ("raw", raw)] {
         let (digest, records) = capture_digest_for(&cap, ACTOR_LEG_BASE | leg as u16);

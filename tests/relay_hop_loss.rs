@@ -20,9 +20,8 @@ const TICK_US: u64 = 16_000;
 /// Painted ticks, then ticks left to drain: half the 400 + 400 the
 /// numbers in ROADMAP item 2 were taken at, to keep a debug build under
 /// ten seconds. (At 400 painted ticks seed 7 meets a burst longer than the
-/// 256-packet reorder buffer behind a hole, which skips ahead without
-/// telling anyone — at the parent commit too, and no NACK schedule helps
-/// it; it is recorded there.)
+/// 256-packet reorder buffer behind a hole; that case has a test of its
+/// own below.)
 const PAINT_TICKS: u32 = 200;
 const DRAIN_TICKS: u32 = 100;
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=12;
@@ -38,9 +37,10 @@ struct Outcome {
     worst_p95_ms: u64,
 }
 
-/// Typing plus six scrolled lines every tenth tick, RLE, through two relay
-/// hops that each lose 2 % both ways; 3 viewers on R1, 5 on R2.
-fn run(seed: u64) -> Outcome {
+/// Typing plus six scrolled lines every tenth tick for `paint` ticks, RLE,
+/// through two relay hops that each lose 2 % both ways; 3 viewers on R1,
+/// 5 on R2.
+fn run(seed: u64, paint: u32) -> Outcome {
     let hop = LinkConfig {
         loss: 0.02,
         delay_us: 10_000,
@@ -75,7 +75,7 @@ fn run(seed: u64) -> Outcome {
     let mut typing = Typing::new(window, 3);
     let mut scrolling = Scrolling::new(window, 6);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    for tick in 1..=PAINT_TICKS {
+    for tick in 1..=paint {
         typing.tick(sim.ah.desktop_mut(), &mut rng);
         if tick % 10 == 0 {
             scrolling.tick(sim.ah.desktop_mut(), &mut rng);
@@ -113,7 +113,7 @@ fn hop_loss_is_repaired_by_nack_alone_and_on_time() {
             if !SEEDS.contains(&seed) {
                 return done;
             }
-            done.push((seed, run(seed)));
+            done.push((seed, run(seed, PAINT_TICKS)));
         }
     };
     let outcomes = std::thread::scope(|s| {
@@ -141,6 +141,19 @@ fn hop_loss_is_repaired_by_nack_alone_and_on_time() {
         nacks += out.hop_nacks;
     }
     assert!(nacks > 0, "the hops lost nothing: the test tests nothing");
+}
+
+/// Seed 7 at 400 painted ticks, the schedule ROADMAP item 2(b) recorded
+/// as a reorder-buffer overflow behind a hole on a hop (R2's viewers two
+/// updates short). Every viewer converges. The schedule does not overflow
+/// any more; `tests/reorder_overflow.rs` drives the overflow itself.
+#[test]
+fn hop_loss_seed_7_at_400_ticks_converges() {
+    let out = run(7, 400);
+    assert_eq!(
+        out.diverged, 0,
+        "viewers not pixel-identical after the drain"
+    );
 }
 
 // ---------------------------------------------------------------------------
